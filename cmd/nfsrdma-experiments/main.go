@@ -4,8 +4,7 @@
 // Usage:
 //
 //	nfsrdma-experiments [-scale N] [-markdown] [-only fig4,fig5,fig7,...]
-//	                    [-workers N] [-bench-out BENCH.json] [-bench-note S]
-//	                    [-trace TRACE.json]
+//	                    [-workers N] [-trace TRACE.json]
 //
 // -scale divides workload sizes (1 = the paper's sizes; the default 4 keeps
 // a full run to a few minutes of wall-clock time). Results are simulated
@@ -15,11 +14,6 @@
 // default; -workers pins the count (1 forces the sequential reference
 // path). Results are deterministic and identical at any worker count.
 //
-// -bench-out runs the selected figures, times each sweep's wall clock, and
-// writes a JSON benchmark record (see README.md, "Benchmark records") —
-// the repo's perf trajectory is the series BENCH_1.json, BENCH_2.json, ...
-// committed over time.
-//
 // -trace writes the fig4 run's structured event stream as a Chrome
 // trace-event JSON file (load it in chrome://tracing or https://ui.perfetto.dev)
 // and prints a per-layer span summary. It implies fig4 when -only does not
@@ -27,11 +21,9 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
@@ -43,37 +35,11 @@ import (
 	"repro/internal/trace"
 )
 
-// benchRecord is the schema of a BENCH_N.json file.
-type benchRecord struct {
-	Schema     int           `json:"schema"`
-	Date       string        `json:"date"`
-	GoVersion  string        `json:"go_version"`
-	GOOS       string        `json:"goos"`
-	GOARCH     string        `json:"goarch"`
-	GOMAXPROCS int           `json:"gomaxprocs"`
-	Scale      int           `json:"scale"`
-	Workers    int           `json:"workers"`
-	Note       string        `json:"note,omitempty"`
-	Figures    []figureBench `json:"figures"`
-}
-
-// figureBench is one timed sweep. Points is the sweep's point count (0 =
-// not a point sweep); bench-compare normalizes wall clock per point with
-// it, so a sweep that legitimately grows (e.g. capacity going from two
-// transfer designs to three) does not read as a perf regression.
-type figureBench struct {
-	Name   string  `json:"name"`
-	WallMS float64 `json:"wall_ms"`
-	Points int     `json:"points,omitempty"`
-}
-
 func main() {
 	scale := flag.Int("scale", 4, "workload scale divisor (1 = paper sizes)")
 	markdown := flag.Bool("markdown", false, "emit GitHub-flavoured markdown tables")
 	only := flag.String("only", "", "comma-separated subset: table1,fig4,fig5,fig6,fig7,fig8,fig9,fig10a,fig10b,ablations,recovery,capacity,muxcap,chaos,adversary")
 	workers := flag.Int("workers", 0, "concurrent simulations per sweep (0 = one per core, 1 = sequential)")
-	benchOut := flag.String("bench-out", "", "write a JSON wall-clock benchmark record to this file")
-	benchNote := flag.String("bench-note", "", "free-form annotation stored in the benchmark record")
 	traceOut := flag.String("trace", "", "write the fig4 run's Chrome trace-event JSON to this file (implies fig4)")
 	telemetryPrefix := flag.String("telemetry", "", "per-point telemetry for capacity/muxcap: write <prefix>-<clients>-<mode>-<design>-<load>.csv series and print detector findings")
 	telemetryIval := flag.Duration("telemetry-interval", 100*time.Microsecond, "virtual-time sampling period for -telemetry")
@@ -117,185 +83,117 @@ func main() {
 	}
 	s := experiments.Scale(*scale)
 
-	rec := &benchRecord{
-		Schema:     1,
-		Date:       time.Now().UTC().Format(time.RFC3339),
-		GoVersion:  runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Scale:      *scale,
-		Workers:    experiments.Parallelism(),
-		Note:       *benchNote,
-	}
-	timed := func(name string, fn func() int) {
-		start := time.Now()
-		points := fn()
-		rec.Figures = append(rec.Figures, figureBench{
-			Name:   name,
-			WallMS: float64(time.Since(start).Microseconds()) / 1e3,
-			Points: points,
-		})
-	}
-
 	if sel("table1") {
 		emit(experiments.Table1())
 	}
 	if sel("fig4") {
-		timed("fig4", func() int {
-			r := experiments.RunFigure4(s)
-			emit(r.PerProc)
-			emit(r.Transport)
-			emit(r.Counters)
-			if *traceOut != "" {
-				f, err := os.Create(*traceOut)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "trace: %v\n", err)
-					os.Exit(1)
-				}
-				events := r.Tracer.Events()
-				if err := trace.WriteChrome(f, events); err != nil {
-					fmt.Fprintf(os.Stderr, "trace: %v\n", err)
-					os.Exit(1)
-				}
-				if err := f.Close(); err != nil {
-					fmt.Fprintf(os.Stderr, "trace: %v\n", err)
-					os.Exit(1)
-				}
-				fmt.Fprintf(os.Stderr, "wrote %s (%d events, %d dropped)\n",
-					*traceOut, len(events), r.Tracer.Dropped())
-				fmt.Println(trace.Summary(events))
+		r := experiments.RunFigure4(s)
+		emit(r.PerProc)
+		emit(r.Transport)
+		emit(r.Counters)
+		if *traceOut != "" {
+			f, err := os.Create(*traceOut)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "trace: %v\n", err)
+				os.Exit(1)
 			}
-			// Three-way anatomy: the same traced run under the other two
-			// transfer designs, so the exchange structures (server Send
-			// vs client pull vs doorbell fetch) line up side by side.
-			for _, d := range []rpcrdma.Design{rpcrdma.ReadRead, rpcrdma.ReplyFetch} {
-				rd := experiments.RunFigure4Design(s, d)
-				emit(rd.PerProc)
-				emit(rd.Transport)
-				emit(rd.Counters)
+			events := r.Tracer.Events()
+			if err := trace.WriteChrome(f, events); err != nil {
+				fmt.Fprintf(os.Stderr, "trace: %v\n", err)
+				os.Exit(1)
 			}
-			return 3 // one anatomy cluster per design
-		})
+			if err := f.Close(); err != nil {
+				fmt.Fprintf(os.Stderr, "trace: %v\n", err)
+				os.Exit(1)
+			}
+			fmt.Fprintf(os.Stderr, "wrote %s (%d events, %d dropped)\n",
+				*traceOut, len(events), r.Tracer.Dropped())
+			fmt.Println(trace.Summary(events))
+		}
+		// Three-way anatomy: the same traced run under the other two
+		// transfer designs, so the exchange structures (server Send
+		// vs client pull vs doorbell fetch) line up side by side.
+		for _, d := range []rpcrdma.Design{rpcrdma.ReadRead, rpcrdma.ReplyFetch} {
+			rd := experiments.RunFigure4Design(s, d)
+			emit(rd.PerProc)
+			emit(rd.Transport)
+			emit(rd.Counters)
+		}
 	}
 	if sel("fig5") || sel("fig6") {
-		timed("fig5+6", func() int {
-			r := experiments.RunFigure5and6(s)
-			if sel("fig5") {
-				emit(r.Read)
-			}
-			if sel("fig6") {
-				emit(r.Write)
-			}
-			emit(r.CPU)
-			return len(r.Points)
-		})
+		r := experiments.RunFigure5and6(s)
+		if sel("fig5") {
+			emit(r.Read)
+		}
+		if sel("fig6") {
+			emit(r.Write)
+		}
+		emit(r.CPU)
 	}
 	if sel("fig7") {
-		timed("fig7", func() int {
-			r := experiments.RunFigure7(s)
-			emit(r.Read)
-			emit(r.Write)
-			emit(r.CPU)
-			return 0
-		})
+		r := experiments.RunFigure7(s)
+		emit(r.Read)
+		emit(r.Write)
+		emit(r.CPU)
 	}
 	if sel("fig8") {
-		timed("fig8", func() int { emit(experiments.RunFigure8(s).Table); return 0 })
+		emit(experiments.RunFigure8(s).Table)
 	}
 	if sel("fig9") {
-		timed("fig9", func() int {
-			r := experiments.RunFigure9(s)
-			emit(r.Read)
-			emit(r.Write)
-			return 0
-		})
+		r := experiments.RunFigure9(s)
+		emit(r.Read)
+		emit(r.Write)
 	}
 	if sel("fig10a") {
-		timed("fig10a", func() int { emit(experiments.RunFigure10(s, 4<<30, 8).Table); return 0 })
+		emit(experiments.RunFigure10(s, 4<<30, 8).Table)
 	}
 	if sel("fig10b") {
-		timed("fig10b", func() int { emit(experiments.RunFigure10(s, 8<<30, 8).Table); return 0 })
+		emit(experiments.RunFigure10(s, 8<<30, 8).Table)
 	}
 	if sel("recovery") {
-		timed("recovery", func() int {
-			r := experiments.RunRecovery(s)
-			emit(r.Table)
-			return len(r.Points)
-		})
+		emit(experiments.RunRecovery(s).Table)
 	}
 	if sel("chaos") {
-		timed("chaos", func() int {
-			r := experiments.RunChaos(s)
-			emit(r.Table)
-			return len(r.Points)
-		})
+		emit(experiments.RunChaos(s).Table)
 	}
 	if sel("adversary") {
-		timed("adversary", func() int {
-			r := experiments.RunAdversary(s)
-			emit(r.Table)
-			return len(r.Points)
-		})
+		emit(experiments.RunAdversary(s).Table)
 	}
 	telIval := des.Duration(0)
 	if *telemetryPrefix != "" {
 		telIval = des.Duration(*telemetryIval)
 	}
 	if sel("capacity") {
-		timed("capacity", func() int {
-			r := experiments.RunCapacityWith(s, experiments.CapacityOptions{TelemetryInterval: telIval})
-			emit(r.Curves)
-			emit(r.Knee)
-			for _, pt := range r.Points {
-				name := fmt.Sprintf("%s-cap-%d-%s-%.0f", *telemetryPrefix,
-					pt.Clients, pt.Design, pt.OfferedMBps)
-				emitTelemetry(*telemetryPrefix, name, pt.Telemetry)
-			}
-			return len(r.Points)
-		})
+		r := experiments.RunCapacityWith(s, experiments.CapacityOptions{TelemetryInterval: telIval})
+		emit(r.Curves)
+		emit(r.Knee)
+		for _, pt := range r.Points {
+			name := fmt.Sprintf("%s-cap-%d-%s-%.0f", *telemetryPrefix,
+				pt.Clients, pt.Design, pt.OfferedMBps)
+			emitTelemetry(*telemetryPrefix, name, pt.Telemetry)
+		}
 	}
 	if sel("muxcap") {
-		timed("muxcap", func() int {
-			r := experiments.RunMuxCapacityWith(s, experiments.MuxCapacityOptions{TelemetryInterval: telIval})
-			emit(r.Curves)
-			emit(r.Memory)
-			for _, pt := range r.Points {
-				mode := "perconn"
-				if pt.Multiplex {
-					mode = "mux"
-				}
-				name := fmt.Sprintf("%s-mux-%d-%s-%s-%.0f", *telemetryPrefix,
-					pt.Clients, mode, pt.Design, pt.OfferedMBps)
-				emitTelemetry(*telemetryPrefix, name, pt.Telemetry)
+		r := experiments.RunMuxCapacityWith(s, experiments.MuxCapacityOptions{TelemetryInterval: telIval})
+		emit(r.Curves)
+		emit(r.Memory)
+		for _, pt := range r.Points {
+			mode := "perconn"
+			if pt.Multiplex {
+				mode = "mux"
 			}
-			return len(r.Points)
-		})
+			name := fmt.Sprintf("%s-mux-%d-%s-%s-%.0f", *telemetryPrefix,
+				pt.Clients, mode, pt.Design, pt.OfferedMBps)
+			emitTelemetry(*telemetryPrefix, name, pt.Telemetry)
+		}
 	}
 	if want["ablations"] {
-		timed("ablations", func() int {
-			emit(experiments.AblationORD(s))
-			emit(experiments.AblationPhysicalContiguity(s))
-			emit(experiments.AblationInlineThreshold(s))
-			emit(experiments.AblationInterruptCost(s))
-			emit(experiments.AblationCacheBound(s))
-			emit(experiments.AblationClientCache(s))
-			return 0
-		})
-	}
-
-	if *benchOut != "" {
-		data, err := json.MarshalIndent(rec, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bench-out: %v\n", err)
-			os.Exit(1)
-		}
-		data = append(data, '\n')
-		if err := os.WriteFile(*benchOut, data, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "bench-out: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s (%d timed sweeps)\n", *benchOut, len(rec.Figures))
+		emit(experiments.AblationORD(s))
+		emit(experiments.AblationPhysicalContiguity(s))
+		emit(experiments.AblationInlineThreshold(s))
+		emit(experiments.AblationInterruptCost(s))
+		emit(experiments.AblationCacheBound(s))
+		emit(experiments.AblationClientCache(s))
 	}
 }
 

@@ -209,15 +209,14 @@ func recoveryPolicy() core.RetryPolicy {
 	}
 }
 
-// quarantineThreshold is the hardened posture's misbehavior budget: low
-// enough that a spoof burst dies quickly, high enough that a stray decode
-// glitch never kills an honest client.
-const quarantineThreshold = 8
-
 // Run executes one seeded adversary run and returns its result. Identical
 // configs produce identical results (see Result.Fingerprint).
 func Run(cfg Config) *Result {
 	cfg.defaults()
+	security := core.SecurityVulnerable
+	if cfg.Hardened {
+		security = core.SecurityHardened
+	}
 	cluster := core.NewCluster(core.Config{
 		Profile:      adversaryProfile(),
 		Transport:    core.TransportRDMA,
@@ -230,28 +229,16 @@ func Run(cfg Config) *Result {
 		Multiplex:    cfg.Multiplex,
 		Affinity:     cfg.Multiplex,
 		Seed:         cfg.Seed,
-
-		SequentialRkeys:   !cfg.Hardened,
-		FMRKeyRotate:      cfg.Hardened,
-		TrustStreamClaims: !cfg.Hardened,
-		TrustCredDRC:      !cfg.Hardened,
-		QuarantineThreshold: func() int {
-			if cfg.Hardened {
-				return quarantineThreshold
-			}
-			return 0
-		}(),
+		Security:     security,
 	})
 
 	// The attacker host joins the same fabric as one more client-class
 	// node. Its HCA follows the cluster's rkey-allocation policy (the
 	// policy under attack is the server's, but keeping the fabric uniform
 	// keeps fingerprints honest).
-	malloryCfg := adversaryProfile().Client
+	malloryCfg := security.Node(adversaryProfile().Client)
 	malloryCfg.Name = "mallory"
 	malloryCfg.Seed = cfg.Seed*7919 + 13
-	malloryCfg.SequentialRkeys = !cfg.Hardened
-	malloryCfg.FMRKeyRotate = cfg.Hardened
 	mallory := cluster.Fabric.AddNode(malloryCfg)
 
 	oracle := chaos.NewOracle()

@@ -125,20 +125,57 @@ type Config struct {
 	// penalty (zero keeps the profile's value; see cpu.Model.Migrate).
 	MigrationCost des.Duration
 
-	// Security posture knobs, exercised by the adversary engine. The
-	// defaults are the hardened configuration; the three Trust*/Sequential
-	// switches re-open the pre-hardening holes so attacks can be measured.
-	// SequentialRkeys makes every node allocate steering tags sequentially
-	// (trivially guessable); FMRKeyRotate rotates FMR tags per remap;
-	// TrustStreamClaims/TrustCredDRC/QuarantineThreshold map onto
-	// rpcrdma.Config (see there).
-	SequentialRkeys     bool
-	FMRKeyRotate        bool
-	TrustStreamClaims   bool
-	TrustCredDRC        bool
-	QuarantineThreshold int
+	// Security is the posture of every node and of the server transport
+	// (see Security). The adversary engine is the only caller that moves it
+	// off the default.
+	Security Security
 
 	Seed uint64
+}
+
+// Security is a cluster-wide security posture: one value standing for the
+// five protocol and HCA settings the adversary engine measures, which only
+// ever move together.
+type Security int
+
+const (
+	// SecurityDefault is the zero value, what every experiment but the
+	// adversary's runs: steering tags drawn at random, stream claims on a
+	// shared QP checked against the fabric-stamped source, the DRC keyed by
+	// the transport-authenticated peer — but FMR tags kept across remaps and
+	// no misbehavior quarantine, so it is not the fully hardened posture.
+	SecurityDefault Security = iota
+	// SecurityVulnerable re-opens the pre-hardening holes so attacks can be
+	// measured: sequential (trivially guessable) steering tags, trusted
+	// stream claims, a DRC keyed by the forgeable AUTH_SYS machine name.
+	SecurityVulnerable
+	// SecurityHardened is the default plus a fresh FMR tag on every remap
+	// and quarantine of endpoints whose misbehavior score reaches
+	// quarantineThreshold.
+	SecurityHardened
+)
+
+// quarantineThreshold is the hardened posture's misbehavior budget: low
+// enough that a spoof burst dies quickly, high enough that a stray decode
+// glitch never kills an honest client.
+const quarantineThreshold = 8
+
+// Node returns nc with the posture's HCA policy applied. Hosts that join the
+// fabric outside NewCluster (the adversary's) use it to stay uniform with
+// the cluster's own nodes.
+func (s Security) Node(nc ibsim.NodeConfig) ibsim.NodeConfig {
+	nc.SequentialRkeys = s == SecurityVulnerable
+	nc.FMRKeyRotate = s == SecurityHardened
+	return nc
+}
+
+// transport applies the posture to the server transport's configuration.
+func (s Security) transport(c *rpcrdma.Config) {
+	c.TrustStreamClaims = s == SecurityVulnerable
+	c.TrustCredDRC = s == SecurityVulnerable
+	if s == SecurityHardened {
+		c.QuarantineThreshold = quarantineThreshold
+	}
 }
 
 func (c *Config) defaults() {
@@ -206,8 +243,8 @@ func NewCluster(cfg Config) *Cluster {
 	fab := ibsim.NewFabric(sim, cfg.CopyData)
 	c := &Cluster{Cfg: cfg, Sim: sim, Fabric: fab, ready: des.NewEvent(sim)}
 
-	serverNodeCfg := cfg.Profile.Server
-	clientNodeCfg := cfg.Profile.Client
+	serverNodeCfg := cfg.Security.Node(cfg.Profile.Server)
+	clientNodeCfg := cfg.Security.Node(cfg.Profile.Client)
 	if cfg.Transport == TransportGigE {
 		serverNodeCfg.PortBandwidth = profiles.GigEPortBandwidth
 		serverNodeCfg.PortLatency = profiles.GigEPortLatency
@@ -216,10 +253,6 @@ func NewCluster(cfg Config) *Cluster {
 	}
 	serverNodeCfg.Name = "server"
 	serverNodeCfg.Seed = cfg.Seed * 31
-	serverNodeCfg.SequentialRkeys = cfg.SequentialRkeys
-	serverNodeCfg.FMRKeyRotate = cfg.FMRKeyRotate
-	clientNodeCfg.SequentialRkeys = cfg.SequentialRkeys
-	clientNodeCfg.FMRKeyRotate = cfg.FMRKeyRotate
 	if cfg.MigrationCost > 0 {
 		serverNodeCfg.MigrationCost = cfg.MigrationCost
 	}
@@ -278,9 +311,7 @@ func NewCluster(cfg Config) *Cluster {
 			sCfg.MaxConns = cfg.MaxConns
 			sCfg.Multiplex = cfg.Multiplex
 			sCfg.Affinity = cfg.Affinity
-			sCfg.TrustStreamClaims = cfg.TrustStreamClaims
-			sCfg.TrustCredDRC = cfg.TrustCredDRC
-			sCfg.QuarantineThreshold = cfg.QuarantineThreshold
+			cfg.Security.transport(&sCfg)
 			if cfg.SRQDepth > 0 {
 				sCfg.SRQDepth = cfg.SRQDepth
 			}

@@ -15,7 +15,7 @@ func muxCapDigest(r *MuxCapacity) string {
 
 // muxCapTestClients returns the populations these tests sweep and the
 // largest of them. The plain build runs the real 10240-client point (the
-// tier-1 suite and mux-check's uninstrumented full-scale pass); under the
+// tier-1 suite and make check's uninstrumented full-scale pass); under the
 // race detector, whose instrumentation multiplies host cost roughly
 // tenfold, the top population is capped at 2048 so `make check` stays
 // inside the test timeout. Every assertion below is written against the

@@ -1,0 +1,90 @@
+package rpcrdma
+
+import (
+	"testing"
+	"time"
+
+	"repro/internal/des"
+	"repro/internal/oncrpc"
+)
+
+// TestConnChurnReturnsToBaseline is the dead-connection leak test for all
+// three server receive paths: N × (connect → call → kill), with the client
+// withholding RDMA_DONE so every cycle dies with a reply still parked. Every
+// per-connection server structure — the accept-order list, the shard's
+// QP→conn and stream→conn tables, the live counters, parked replies and
+// their registrations — must be back at its pre-churn value, and the
+// endpoints gauge must agree with the shard's live-connection count.
+func TestConnChurnReturnsToBaseline(t *testing.T) {
+	const cycles = 6
+	paths := []struct {
+		name string
+		cfg  Config
+	}{
+		{"per-conn", Config{Design: ReadRead, Workers: 2}},
+		{"sharded", Config{Design: ReadRead, Workers: 2, Shards: 1, SRQDepth: 64}},
+		{"mux", Config{Design: ReadRead, Workers: 2, Shards: 1, SRQDepth: 64, Multiplex: true}},
+	}
+	for _, path := range paths {
+		path := path
+		t.Run(path.name, func(t *testing.T) {
+			sim := des.New()
+			e := newScaleEnv(sim, 1)
+			sim.Spawn("setup", func(p *des.Proc) {
+				e.startServer(p, path.cfg)
+				e.svc.stored = pattern(8<<10, 9)
+				liveMRs := func() int64 {
+					return e.fab.Counters.Get("mr.registered") - e.fab.Counters.Get("mr.deregistered")
+				}
+				baseMRs := liveMRs()
+				for i := 0; i < cycles; i++ {
+					var ct *ClientTransport
+					var rpc *oncrpc.Client
+					var ok bool
+					if path.cfg.Multiplex {
+						ct, rpc, ok = e.dialMux(p, 0, path.cfg)
+					} else {
+						ct, rpc, _, ok = e.dial(p, 0, path.cfg)
+					}
+					if !ok {
+						t.Fatalf("cycle %d: dial rejected", i)
+					}
+					ct.DropDone = true
+					dst := &oncrpc.Bulk{Data: make([]byte, 8<<10), Len: 8 << 10}
+					if _, n, err := rpc.Call(p, 2, nil, oncrpc.CallOpts{RecvBulk: dst}); err != nil || n != 8<<10 {
+						t.Fatalf("cycle %d call: n=%d err=%v", i, n, err)
+					}
+					if e.st.ParkedReplies() != 1 {
+						t.Fatalf("cycle %d: parked = %d before the kill, want 1", i, e.st.ParkedReplies())
+					}
+					ct.QP().InjectError(nil)
+					p.Sleep(time.Millisecond) // error CQE -> connDead
+				}
+				if n := len(e.st.conns); n != 0 {
+					t.Errorf("transport still lists %d connections after %d kills, want 0", n, cycles)
+				}
+				if e.st.LiveConns() != 0 || e.st.ParkedReplies() != 0 {
+					t.Errorf("live=%d parked=%d, want 0/0", e.st.LiveConns(), e.st.ParkedReplies())
+				}
+				if got := liveMRs(); got != baseMRs {
+					t.Errorf("live MRs = %d, want the pre-churn %d", got, baseMRs)
+				}
+				if int64(cycles) != e.st.ConnsAccepted {
+					t.Errorf("accepted = %d, want %d", e.st.ConnsAccepted, cycles)
+				}
+				if path.cfg.Shards == 0 {
+					return
+				}
+				sh := e.st.shards[0]
+				if len(sh.conns) != 0 || len(sh.eps) != 0 || sh.nconns != 0 {
+					t.Errorf("shard tables after churn: conns=%d eps=%d nconns=%d, want 0/0/0",
+						len(sh.conns), len(sh.eps), sh.nconns)
+				}
+				if got, want := e.st.ShardEndpoints(0), e.st.ShardStats()[0].Conns; got != want {
+					t.Errorf("ShardEndpoints(0) = %d, ShardStats().Conns = %d", got, want)
+				}
+			})
+			sim.Run()
+		})
+	}
+}

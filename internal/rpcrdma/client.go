@@ -254,6 +254,7 @@ type ClientTransport struct {
 	BulkReads   int64
 	Timeouts    int64 // per-call timer expiries
 	Retransmits int64 // XID-stable retransmissions sent
+	BadHeaders  int64 // received frames and slot deposits dropped because their header did not decode
 }
 
 // QP exposes the underlying queue pair (tests and failure injection).
@@ -370,10 +371,7 @@ func (t *ClientTransport) Roundtrip(p *des.Proc, req *oncrpc.Request) (*oncrpc.R
 			segs = clampSegs(pend.srcChk.Reg.Segments(), req.SendBulk.Len)
 		}
 		t.traceExpose(p, req.XID, segs)
-		pos := uint32(len(req.Header))
-		for _, s := range segs {
-			hdr.ReadList = append(hdr.ReadList, ReadSeg{Position: pos, Segment: Segment{Rkey: s.Rkey, Length: uint32(s.Len), Addr: s.Addr}})
-		}
+		hdr.exposeRead(uint32(len(req.Header)), segs)
 	}
 
 	// Reply payload placement (e.g. READ data).
@@ -386,8 +384,7 @@ func (t *ClientTransport) Roundtrip(p *des.Proc, req *oncrpc.Request) (*oncrpc.R
 	if req.LongReplyCap > 0 && t.cfg.Design == ReadWrite {
 		capBytes := req.LongReplyCap + 256
 		pend.replyChk = t.mgr.Get(p, capBytes, ibsim.AccessLocalWrite|ibsim.AccessRemoteWrite)
-		hdr.ReplyChunk = clampSegsWire(pend.replyChk.Reg.Segments(), capBytes)
-		t.traceExposeWire(p, req.XID, hdr.ReplyChunk)
+		hdr.ReplyChunk = t.expose(p, req.XID, pend.replyChk.Reg, capBytes)
 	}
 
 	// Reply slot (ReplyFetch design): every call pre-registers a remotely
@@ -403,8 +400,7 @@ func (t *ClientTransport) Roundtrip(p *des.Proc, req *oncrpc.Request) (*oncrpc.R
 			capBytes = doorbellBytes + req.LongReplyCap + 256
 		}
 		pend.slotChk = t.mgr.Get(p, capBytes, ibsim.AccessLocalWrite|ibsim.AccessRemoteWrite)
-		hdr.ReplyChunk = clampSegsWire(pend.slotChk.Reg.Segments(), capBytes)
-		t.traceExposeWire(p, req.XID, hdr.ReplyChunk)
+		hdr.ReplyChunk = t.expose(p, req.XID, pend.slotChk.Reg, capBytes)
 		t.armFetch(pend, hdr.ReplyChunk[0])
 	}
 
@@ -422,9 +418,7 @@ func (t *ClientTransport) Roundtrip(p *des.Proc, req *oncrpc.Request) (*oncrpc.R
 		hdr.Type = MsgNoMsg
 		lsegs := clampSegs(pend.longCall.Reg.Segments(), len(req.Header))
 		t.traceExpose(p, req.XID, lsegs)
-		for _, s := range lsegs {
-			hdr.ReadList = append(hdr.ReadList, ReadSeg{Position: 0, Segment: Segment{Rkey: s.Rkey, Length: uint32(s.Len), Addr: s.Addr}})
-		}
+		hdr.exposeRead(0, lsegs)
 		inline = nil
 	}
 
@@ -487,30 +481,22 @@ func (t *ClientTransport) Roundtrip(p *des.Proc, req *oncrpc.Request) (*oncrpc.R
 	delete(t.pending, req.XID)
 	pend.aborted = true
 	p.Logf("rpcrdma done xid=%#x bulk=%dB err=%v", req.XID, res.bulkLen, res.err)
-	endRPC := func() {
-		if tr == nil {
-			return
-		}
+	// A reply handler still pulling chunks for this call owns the buffer
+	// release from here on (see handleReply), so its in-flight RDMA Reads
+	// cannot land in recycled staging. The staging copy still happens here,
+	// while the chunk is guaranteed alive.
+	handlerReleases := pend.handling > 0
+	t.stagingCopy(p, pend, res)
+	if !handlerReleases {
+		t.release(p, pend)
+	}
+	if tr != nil {
 		var errFlag int64
 		if res.err != nil {
 			errFlag = 1
 		}
 		tr.Span(int64(rtStart), int64(p.Now()), trace.LayerRPC, trace.KindRPC, t.node.Name(), "rpc", uint64(req.XID), errFlag)
 	}
-	if pend.handling > 0 {
-		// A reply handler is still pulling chunks for this call; it owns
-		// the buffer release now (see handleReply) so its in-flight RDMA
-		// Reads cannot land in recycled staging. The staging copy still
-		// happens here, while the chunk is guaranteed alive.
-		t.stagingCopy(p, pend, res)
-		endRPC()
-		if res.err != nil {
-			return nil, res.err
-		}
-		return &oncrpc.Response{Header: res.body, BulkLen: res.bulkLen}, nil
-	}
-	t.teardown(p, pend, res)
-	endRPC()
 	if res.err != nil {
 		return nil, res.err
 	}
@@ -530,15 +516,13 @@ func (t *ClientTransport) traceExpose(p *des.Proc, xid uint32, segs []memreg.Seg
 	}
 }
 
-// traceExposeWire is traceExpose over wire-format segments.
-func (t *ClientTransport) traceExposeWire(p *des.Proc, xid uint32, segs []Segment) {
-	tr := t.node.Sim().Tracer()
-	if tr == nil {
-		return
-	}
-	for _, s := range segs {
-		tr.Instant(int64(p.Now()), trace.LayerRPC, trace.KindExpose, t.node.Name(), "expose", uint64(xid), int64(s.Rkey))
-	}
+// expose advertises the first n bytes of reg for the peer to write into: the
+// traceExpose instants, plus the wire form a write list or reply chunk
+// carries.
+func (t *ClientTransport) expose(p *des.Proc, xid uint32, reg *memreg.Registration, n int) []Segment {
+	segs := clampSegs(reg.Segments(), n)
+	t.traceExpose(p, xid, segs)
+	return segsFromReg(segs)
 }
 
 // attemptTimeout returns the deadline for the given attempt: CallTimeout
@@ -580,16 +564,14 @@ func (t *ClientTransport) setupRecvPlacement(p *des.Proc, pend *pending, req *on
 			// server's RDMA Write; data lands in place.
 			pend.destBuf, pend.destOff = buf, off
 			pend.destReg = t.mgr.RegisterExternal(p, buf, off, n, ibsim.AccessLocalWrite|ibsim.AccessRemoteWrite)
-			hdr.WriteList = clampSegsWire(pend.destReg.Segments(), n)
-			t.traceExposeWire(p, req.XID, hdr.WriteList)
+			hdr.WriteList = t.expose(p, req.XID, pend.destReg, n)
 		} else {
 			// Buffered path: server writes into transport staging; one copy
 			// to the caller afterwards.
 			pend.destChk = t.mgr.Get(p, n, ibsim.AccessLocalWrite|ibsim.AccessRemoteWrite)
 			pend.destBuf, pend.destOff = pend.destChk.Buf, 0
 			pend.needCopy = true
-			hdr.WriteList = clampSegsWire(pend.destChk.Reg.Segments(), n)
-			t.traceExposeWire(p, req.XID, hdr.WriteList)
+			hdr.WriteList = t.expose(p, req.XID, pend.destChk.Reg, n)
 		}
 	case ReadRead:
 		// Nothing is advertised: the server will expose chunks in its reply
@@ -643,28 +625,17 @@ func (t *ClientTransport) armFetch(pend *pending, slot Segment) {
 				return
 			}
 			hdr, body, err := DecodeHeader(wire)
+			if err != nil {
+				t.BadHeaders++
+			}
 			if err != nil || hdr.XID != pend.req.XID {
 				return // undecodable deposit; the watchdog will retransmit
 			}
-			if t.cfg.DynamicCredits {
-				t.inflight.setGranted(int(hdr.Credits))
-			} else if t.cfg.Multiplex {
-				g := int(hdr.Credits)
-				if g > t.cfg.Credits {
-					g = t.cfg.Credits
-				}
-				t.inflight.setGranted(g)
-			}
+			t.regrant(hdr.Credits)
 			t.handleReply(fp, pend, hdr, body)
 			return
 		}
 	})
-}
-
-// teardown performs the staging copy and releases per-call registrations.
-func (t *ClientTransport) teardown(p *des.Proc, pend *pending, res *rtResult) {
-	t.stagingCopy(p, pend, res)
-	t.release(p, pend)
 }
 
 // stagingCopy moves a buffered reply payload from transport staging to the
@@ -733,21 +704,10 @@ func (t *ClientTransport) receiver(p *des.Proc) {
 		t.qp.PostRecv(cqe.WRID, t.cfg.recvBufSize())
 		hdr, body, err := DecodeHeader(cqe.Payload)
 		if err != nil {
-			continue // drop undecodable frames
+			t.BadHeaders++ // drop undecodable frames
+			continue
 		}
-		if t.cfg.DynamicCredits {
-			t.inflight.setGranted(int(hdr.Credits))
-		} else if t.cfg.Multiplex {
-			// The grant is this endpoint's sub-account of the shard's pooled
-			// receives and shrinks as clients join the shard. Clamp to the
-			// receives actually posted here: a grant can also grow back when
-			// clients leave, but never past this connection's ring.
-			g := int(hdr.Credits)
-			if g > t.cfg.Credits {
-				g = t.cfg.Credits
-			}
-			t.inflight.setGranted(g)
-		}
+		t.regrant(hdr.Credits)
 		pend, ok := t.pending[hdr.XID]
 		if !ok {
 			continue // duplicate or cancelled
@@ -763,6 +723,19 @@ func (t *ClientTransport) receiver(p *des.Proc) {
 	}
 }
 
+// regrant installs the flow-control grant carried by a reply header.
+func (t *ClientTransport) regrant(credits uint32) {
+	if t.cfg.DynamicCredits {
+		t.inflight.setGranted(int(credits))
+	} else if t.cfg.Multiplex {
+		// The grant is this endpoint's sub-account of the shard's pooled
+		// receives and shrinks as clients join the shard. Clamp to the
+		// receives actually posted here: a grant can also grow back when
+		// clients leave, but never past this connection's ring.
+		t.inflight.setGranted(min(int(credits), t.cfg.Credits))
+	}
+}
+
 func (t *ClientTransport) handleReply(p *des.Proc, pend *pending, hdr *Header, body []byte) {
 	if pend.aborted {
 		return // caller gave up; staging buffers already released
@@ -773,18 +746,16 @@ func (t *ClientTransport) handleReply(p *des.Proc, pend *pending, hdr *Header, b
 	case MsgRDMA:
 		res.body = body
 		switch t.cfg.Design {
-		case ReadWrite:
+		case ReadWrite, ReplyFetch:
 			for _, s := range hdr.WriteList {
 				res.bulkLen += int(s.Length)
 			}
-		case ReplyFetch:
-			for _, s := range hdr.WriteList {
-				res.bulkLen += int(s.Length)
+			if t.cfg.Design == ReplyFetch {
+				// The deposit is consumed; recycle the server's parked staging.
+				t.sendDone(hdr.XID)
 			}
-			// The deposit is consumed; recycle the server's parked staging.
-			t.sendDone(hdr.XID)
 		case ReadRead:
-			res.bulkLen, res.err = t.pullChunks(p, pend, hdr)
+			res.bulkLen, res.err = t.pull(p, pend, hdr, false, pend.destBuf, pend.destOff)
 		}
 	case MsgNoMsg:
 		switch t.cfg.Design {
@@ -809,7 +780,7 @@ func (t *ClientTransport) handleReply(p *des.Proc, pend *pending, hdr *Header, b
 		case ReadRead:
 			// Pull the whole reply message from the server's exposed
 			// buffer, then release it with RDMA_DONE.
-			res.body, res.err = t.pullLongReply(p, hdr)
+			res.body, res.err = t.pullLongReply(p, pend, hdr)
 		}
 	default:
 		res.err = fmt.Errorf("%w: reply type %v", ErrBadHeader, hdr.Type)
@@ -829,36 +800,43 @@ func (t *ClientTransport) handleReply(p *des.Proc, pend *pending, hdr *Header, b
 	pend.done.TryFire(res)
 }
 
-// pullChunks performs the Read-Read data pull: RDMA Read each advertised
-// chunk into the staging destination, then send RDMA_DONE.
-func (t *ClientTransport) pullChunks(p *des.Proc, pend *pending, hdr *Header) (int, error) {
+// pull performs a Read-Read pull: RDMA Read each advertised chunk of one
+// kind — the reply message itself (position 0, long) or its bulk payload
+// (position > 0) — into dst from off, then send RDMA_DONE. It returns the
+// bytes pulled.
+func (t *ClientTransport) pull(p *des.Proc, pend *pending, hdr *Header, long bool, dst *ibsim.Buffer, off int) (int, error) {
+	name, what := "bulk-read", "chunk read"
+	if long {
+		name, what = "long-reply-read", "long reply read"
+	}
 	total := 0
-	dstOff := pend.destOff
 	for _, seg := range hdr.ReadList {
-		if seg.Position == 0 {
+		if (seg.Position == 0) != long {
 			continue
 		}
 		n := int(seg.Length)
-		if pend.destBuf == nil || dstOff+n > pend.destBuf.Size {
+		if dst == nil || off+n > dst.Size {
 			return total, fmt.Errorf("%w: chunk overruns destination", ErrBadHeader)
 		}
 		t.BulkReads++
 		brStart := p.Now()
 		cqe := t.qp.PostAndWait(p, &ibsim.SendWQE{
 			WRID: uint64(hdr.XID), Op: ibsim.OpRead,
-			Local:     []ibsim.LocalSeg{{Buf: pend.destBuf, Off: dstOff, Len: n}},
+			Local:     []ibsim.LocalSeg{{Buf: dst, Off: off, Len: n}},
 			RemoteKey: seg.Rkey, RemoteAddr: seg.Addr,
 		})
 		if tr := t.node.Sim().Tracer(); tr != nil {
-			tr.Span(int64(brStart), int64(p.Now()), trace.LayerRPC, trace.KindBulkRead, t.node.Name(), "bulk-read", uint64(hdr.XID), int64(n))
+			tr.Span(int64(brStart), int64(p.Now()), trace.LayerRPC, trace.KindBulkRead, t.node.Name(), name, uint64(hdr.XID), int64(n))
 		}
-		if pend.aborted {
+		// Stop pulling bulk nobody will copy out once the caller has given
+		// up; a long reply is pulled to the end and acknowledged regardless.
+		if !long && pend.aborted {
 			return total, fmt.Errorf("%w: call abandoned mid-pull", ErrClosed)
 		}
 		if cqe.Err != nil {
-			return total, fmt.Errorf("%w: chunk read: %v", ErrTransport, cqe.Err)
+			return total, fmt.Errorf("%w: %s: %v", ErrTransport, what, cqe.Err)
 		}
-		dstOff += n
+		off += n
 		total += n
 	}
 	t.sendDone(hdr.XID)
@@ -866,39 +844,16 @@ func (t *ClientTransport) pullChunks(p *des.Proc, pend *pending, hdr *Header) (i
 }
 
 // pullLongReply fetches a Read-Read long reply (position-0 chunks).
-func (t *ClientTransport) pullLongReply(p *des.Proc, hdr *Header) ([]byte, error) {
-	n := 0
-	for _, seg := range hdr.ReadList {
-		if seg.Position == 0 {
-			n += int(seg.Length)
-		}
-	}
+func (t *ClientTransport) pullLongReply(p *des.Proc, pend *pending, hdr *Header) ([]byte, error) {
+	n := hdr.readBytes(true)
 	if n == 0 {
 		return nil, fmt.Errorf("%w: empty long reply", ErrBadHeader)
 	}
 	staging := t.mgr.Get(p, n, ibsim.AccessLocalWrite)
 	defer t.mgr.Put(p, staging)
-	off := 0
-	for _, seg := range hdr.ReadList {
-		if seg.Position != 0 {
-			continue
-		}
-		t.BulkReads++
-		brStart := p.Now()
-		cqe := t.qp.PostAndWait(p, &ibsim.SendWQE{
-			WRID: uint64(hdr.XID), Op: ibsim.OpRead,
-			Local:     []ibsim.LocalSeg{{Buf: staging.Buf, Off: off, Len: int(seg.Length)}},
-			RemoteKey: seg.Rkey, RemoteAddr: seg.Addr,
-		})
-		if tr := t.node.Sim().Tracer(); tr != nil {
-			tr.Span(int64(brStart), int64(p.Now()), trace.LayerRPC, trace.KindBulkRead, t.node.Name(), "long-reply-read", uint64(hdr.XID), int64(seg.Length))
-		}
-		if cqe.Err != nil {
-			return nil, fmt.Errorf("%w: long reply read: %v", ErrTransport, cqe.Err)
-		}
-		off += int(seg.Length)
+	if _, err := t.pull(p, pend, hdr, true, staging.Buf, 0); err != nil {
+		return nil, err
 	}
-	t.sendDone(hdr.XID)
 	return append([]byte(nil), staging.Data()[:n]...), nil
 }
 
@@ -945,20 +900,4 @@ func clampSegs(segs []memreg.Segment, n int) []memreg.Segment {
 		n -= s.Len
 	}
 	return out
-}
-
-// clampSegsWire is clampSegs producing wire segments.
-func clampSegsWire(segs []memreg.Segment, n int) []Segment {
-	var out []Segment
-	for _, s := range clampSegs(segs, n) {
-		out = append(out, Segment{Rkey: s.Rkey, Length: uint32(s.Len), Addr: s.Addr})
-	}
-	return out
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

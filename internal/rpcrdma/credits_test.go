@@ -132,7 +132,7 @@ func TestDynamicCreditsThrottleUnderPinnedReplies(t *testing.T) {
 		disp.Register(svc)
 		cfg := Config{Design: ReadRead, Credits: 16, DynamicCredits: true}
 		st := NewServerTransport(p, server, smgr, disp, cfg)
-		st.Serve(sq)
+		st.TryServe(sq)
 		ct := NewClientTransport(p, cq, cmgr, cfg)
 		ct.DropDone = true // withhold DONEs: server buffers pin
 		rpc := oncrpc.NewClient(ct, 4242, 1, oncrpc.Auth{})
@@ -173,7 +173,7 @@ func TestDynamicCreditsStabilize(t *testing.T) {
 		disp.Register(svc)
 		cfg := Config{Design: ReadRead, Credits: 16, DynamicCredits: true}
 		st := NewServerTransport(p, server, smgr, disp, cfg)
-		st.Serve(sq)
+		st.TryServe(sq)
 		ct := NewClientTransport(p, cq, cmgr, cfg)
 		rpc := oncrpc.NewClient(ct, 4242, 1, oncrpc.Auth{})
 		ct.DropDone = true

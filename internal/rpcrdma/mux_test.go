@@ -195,10 +195,13 @@ func TestMuxSharedQPDeathScopedToShard(t *testing.T) {
 			rpcs = append(rpcs, rpc)
 		}
 		// connSeq is 1-based: clients 0,2 landed on shard 0 (seq 2,4);
-		// clients 1,3 on shard 1 (seq 1,3... seq%2). Verify via conn shards.
-		shardOf := func(i int) int {
-			return e.st.conns[i].shard.id
+		// clients 1,3 on shard 1 (seq 1,3... seq%2). Read the placement off
+		// the connections before the kill — dead ones are forgotten.
+		var shards []int
+		for _, conn := range e.st.conns {
+			shards = append(shards, conn.shard.id)
 		}
+		shardOf := func(i int) int { return shards[i] }
 		victim := e.st.shards[0]
 		victim.muxQP.InjectError(nil)
 		p.Sleep(time.Millisecond)

@@ -47,7 +47,7 @@ func newRFPEnv(t *testing.T, ccfg, scfg Config, body func(p *des.Proc, e *env)) 
 		disp.Register(e.svc)
 		disp.EnableDRC(256)
 		e.st = NewServerTransport(p, e.server, smgr, disp, scfg)
-		e.st.Serve(sq)
+		e.st.TryServe(sq)
 		e.ct = NewClientTransport(p, cq, cmgr, ccfg)
 		e.rpc = oncrpc.NewClient(e.ct, 4242, 1, oncrpc.Auth{})
 		body(p, &e.env)

@@ -96,7 +96,7 @@ func newEnv(t *testing.T, design Design, mode memreg.Mode, body func(p *des.Proc
 		disp := oncrpc.NewDispatcher()
 		disp.Register(e.svc)
 		e.st = NewServerTransport(p, e.server, smgr, disp, Config{Design: design, Workers: 4})
-		e.st.Serve(sq)
+		e.st.TryServe(sq)
 		e.ct = NewClientTransport(p, cq, cmgr, Config{Design: design})
 		e.rpc = oncrpc.NewClient(e.ct, 4242, 1, oncrpc.Auth{})
 		body(p, e)
@@ -332,7 +332,7 @@ func TestConcurrentCallsShareTransport(t *testing.T) {
 			disp := oncrpc.NewDispatcher()
 			disp.Register(svc)
 			st := NewServerTransport(p, server, smgr, disp, Config{Design: design, Workers: 8})
-			st.Serve(sq)
+			st.TryServe(sq)
 			ct := NewClientTransport(p, cq, cmgr, Config{Design: design})
 			rpc := oncrpc.NewClient(ct, 4242, 1, oncrpc.Auth{})
 			for i := 0; i < 8; i++ {

@@ -3,6 +3,7 @@ package rpcrdma
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/des"
 	"repro/internal/ibsim"
@@ -75,9 +76,18 @@ type serverConn struct {
 	parked     int
 	replySlots *des.Resource
 
-	// shard is the dispatch shard this connection is assigned to (nil on
-	// the legacy per-connection receive path).
+	// shard is the dispatch group this connection is assigned to: one of the
+	// transport's shards, or its single per-connection group.
 	shard *serverShard
+}
+
+// slots is the reply-buffer pool this connection's parked replies draw from:
+// its own under dynamic credits, else the transport-wide pool.
+func (c *serverConn) slots() *des.Resource {
+	if c.replySlots != nil {
+		return c.replySlots
+	}
+	return c.srv.replySlots
 }
 
 // post sends a work request toward this connection's client, stamping the
@@ -117,7 +127,6 @@ type ServerTransport struct {
 	mgr        *memreg.Manager
 	cfg        Config
 	dispatcher *oncrpc.Dispatcher
-	workQ      *des.Queue
 	parked     map[connXID]*parkedReply
 	replySlots *des.Resource // Read-Read reply-buffer pool
 	serial     *des.Resource // serialized send/receive path (nil when disabled)
@@ -127,11 +136,15 @@ type ServerTransport struct {
 	workerSeq  int // round-robin worker CPU placement when affinity is off
 
 	// Sharded dispatch (cfg.Shards > 0): connections hash across shards,
-	// each with its own CQ-polling loop, SRQ, and worker slice.
+	// each with its own CQ-polling loop, SRQ, and worker slice. Otherwise
+	// every connection joins legacy, the one group of the per-connection
+	// receive path: the whole worker pool behind one queue, fed by a private
+	// receive ring and loop per connection.
 	shards []*serverShard
+	legacy *serverShard
 
 	// Admission control.
-	conns     []*serverConn // every accepted connection, in accept order
+	conns     []*serverConn // live connections, in accept order
 	liveConns int           // accepted minus dead
 
 	// Stats.
@@ -146,6 +159,7 @@ type ServerTransport struct {
 	ShortWrites   int64 // replies whose bulk exceeded the client's chunk capacity
 	TasksDropped  int64 // queued tasks discarded because their connection died
 	Deposits      int64 // reply-fetch replies deposited into client slots (no Send)
+	BadHeaders    int64 // received frames dropped because their header did not decode
 
 	// Hardening stats (see the adversary engine).
 	DoneRejected     int64 // DONEs naming no parked reply on the sender's connection
@@ -162,30 +176,20 @@ func NewServerTransport(p *des.Proc, node *ibsim.Node, mgr *memreg.Manager, disp
 		mgr:        mgr,
 		cfg:        cfg,
 		dispatcher: dispatcher,
-		workQ:      des.NewQueue(node.Sim(), node.Name()+"/rpcrdma-workq"),
 		parked:     make(map[connXID]*parkedReply),
 		replySlots: des.NewResource(node.Sim(), node.Name()+"/rpcrdma-replypool", cfg.ReplyBufPool),
 	}
 	if cfg.hasSerial() {
 		s.serial = des.NewResource(node.Sim(), node.Name()+"/rpcrdma-serial", 1)
 	}
-	if cfg.Shards > 0 {
-		for i := 0; i < cfg.Shards; i++ {
-			s.shards = append(s.shards, newServerShard(s, i))
-		}
-	} else {
-		for i := 0; i < cfg.Workers; i++ {
-			node.Sim().Spawn(fmt.Sprintf("%s/nfsd-%d", node.Name(), i), s.worker)
-		}
+	for i := 0; i < cfg.Shards; i++ {
+		s.shards = append(s.shards, newServerShard(s, i))
+	}
+	if cfg.Shards == 0 {
+		s.legacy = newLegacyGroup(s)
 	}
 	return s
 }
-
-// Node returns the server's node.
-func (s *ServerTransport) Node() *ibsim.Node { return s.node }
-
-// Manager returns the registration manager.
-func (s *ServerTransport) Manager() *memreg.Manager { return s.mgr }
 
 // ParkedReplies returns the number of reply buffers awaiting RDMA_DONE.
 func (s *ServerTransport) ParkedReplies() int { return len(s.parked) }
@@ -194,7 +198,9 @@ func (s *ServerTransport) ParkedReplies() int { return len(s.parked) }
 func (s *ServerTransport) Close() {
 	if !s.closed {
 		s.closed = true
-		s.workQ.Close()
+		if s.legacy != nil {
+			s.legacy.workQ.Close()
+		}
 		for _, sh := range s.shards {
 			sh.workQ.Close()
 		}
@@ -251,11 +257,7 @@ func (s *ServerTransport) ShardEndpoints(i int) int {
 	if i < 0 || i >= len(s.shards) {
 		return 0
 	}
-	sh := s.shards[i]
-	if sh.eps != nil {
-		return len(sh.eps)
-	}
-	return len(sh.conns)
+	return s.shards[i].nconns
 }
 
 // Shutdown models the transport side of a server crash at the current
@@ -271,7 +273,8 @@ func (s *ServerTransport) Shutdown(p *des.Proc) {
 		return
 	}
 	s.draining = true
-	for _, conn := range s.conns {
+	// connDead prunes s.conns, so walk a snapshot.
+	for _, conn := range slices.Clone(s.conns) {
 		if !conn.dead && conn.qp.Err() == nil {
 			// On a multiplexed shard the first connection's Terminate kills
 			// the shared QP — and with it every sibling endpoint; the rest of
@@ -286,44 +289,67 @@ func (s *ServerTransport) Shutdown(p *des.Proc) {
 	}
 }
 
-// Serve attaches an accepted connection, ignoring admission: callers that
-// predate admission control (and tests that must not race it) keep the old
-// contract. With MaxConns unset the two entry points are identical.
-func (s *ServerTransport) Serve(qp *ibsim.QP) { s.TryServe(qp) }
+// admit is the one admission decision: a crashed (or closing) server refuses
+// like a host with no listener, a full one with ErrAdmission; dialers observe
+// either and back off through the same redial machinery. An admitted
+// connection gets its ordinal and its dispatch group here; the caller wires
+// it to a QP or endpoint and then accepts it.
+func (s *ServerTransport) admit(peerName string) (*serverConn, error) {
+	var err error
+	switch {
+	case s.closed:
+		err = fmt.Errorf("%w: server not serving", ErrClosed)
+	case s.cfg.MaxConns > 0 && s.liveConns >= s.cfg.MaxConns:
+		err = fmt.Errorf("%w: %d live connections", ErrAdmission, s.liveConns)
+	}
+	if err != nil {
+		s.ConnsRejected++
+		return nil, err
+	}
+	s.connSeq++
+	conn := &serverConn{srv: s, id: s.connSeq, peerName: peerName, shard: s.legacy}
+	if len(s.shards) > 0 {
+		conn.shard = s.shards[int(conn.id)%len(s.shards)]
+	}
+	return conn, nil
+}
+
+// accept enters a wired connection into the live set.
+func (s *ServerTransport) accept(conn *serverConn, qp *ibsim.QP, stream uint32) {
+	conn.qp, conn.stream = qp, stream
+	s.liveConns++
+	s.ConnsAccepted++
+	if s.cfg.DynamicCredits {
+		conn.replySlots = des.NewResource(s.node.Sim(), s.node.Name()+"/conn-replypool", s.cfg.ReplyBufPool)
+	}
+	s.conns = append(s.conns, conn)
+	conn.shard.nconns++
+}
 
 // TryServe attaches an accepted connection and reports whether admission
-// control let it in. A rejected QP is terminated with ErrAdmission — the
+// control let it in. A rejected QP is terminated with the refusal — the
 // peer observes the error on its own queue pair and is expected to back
 // off and redial. Accepted connections either join a dispatch shard
 // (sharded mode) or get the legacy private receive ring plus a dedicated
 // receive loop.
 func (s *ServerTransport) TryServe(qp *ibsim.QP) bool {
-	if s.closed {
-		// Crashed (or closing) server: refuse like a host with no listener.
-		// Dialers observe the termination and back off through the same
-		// redial machinery admission rejections use.
-		s.ConnsRejected++
-		qp.Terminate(fmt.Errorf("%w: server not serving", ErrClosed))
-		return false
-	}
-	if s.cfg.MaxConns > 0 && s.liveConns >= s.cfg.MaxConns {
-		s.ConnsRejected++
-		qp.Terminate(fmt.Errorf("%w: %d live connections", ErrAdmission, s.liveConns))
-		return false
-	}
-	s.connSeq++
-	s.liveConns++
-	s.ConnsAccepted++
-	conn := &serverConn{srv: s, qp: qp, id: s.connSeq}
+	peerName := ""
 	if peer := qp.Peer(); peer != nil {
-		conn.peerName = peer.Node().Name()
+		peerName = peer.Node().Name()
 	}
-	if s.cfg.DynamicCredits {
-		conn.replySlots = des.NewResource(s.node.Sim(), s.node.Name()+"/conn-replypool", s.cfg.ReplyBufPool)
+	conn, err := s.admit(peerName)
+	if err != nil {
+		qp.Terminate(err)
+		return false
 	}
-	s.conns = append(s.conns, conn)
-	if len(s.shards) > 0 {
-		s.shards[int(conn.id)%len(s.shards)].attach(conn)
+	s.accept(conn, qp, 0)
+	sh := conn.shard
+	if sh.srq != nil {
+		// The QP's completions land on the shard CQ and its receives draw
+		// from the shard SRQ.
+		qp.SetRecvCQ(sh.cq)
+		qp.AttachSRQ(sh.srq)
+		sh.conns[qp] = conn
 		return true
 	}
 	for i := 0; i < s.cfg.Credits; i++ {
@@ -342,18 +368,7 @@ func (s *ServerTransport) TryServe(qp *ibsim.QP) bool {
 				// work queue is closed, so drop them and exit.
 				return
 			}
-			qp.PostRecv(cqe.WRID, s.cfg.recvBufSize())
-			hdr, body, err := DecodeHeader(cqe.Payload)
-			if err != nil {
-				continue
-			}
-			if hdr.Type == MsgDone {
-				// Served inline: a DONE queued behind data calls can
-				// deadlock the reply-slot pool (see handleDone).
-				s.handleDone(p, conn, hdr.XID, cqe.SrcStream)
-				continue
-			}
-			s.workQ.Put(&serverTask{conn: conn, hdr: hdr, body: body})
+			sh.deliver(p, conn, cqe)
 		}
 	})
 	return true
@@ -369,16 +384,11 @@ func (s *ServerTransport) TryAttach(client *ibsim.Node) (*ibsim.QP, int, bool) {
 	if !s.cfg.Multiplex || len(s.shards) == 0 {
 		panic("rpcrdma: TryAttach needs Config.Multiplex")
 	}
-	if s.closed {
-		s.ConnsRejected++
+	conn, err := s.admit(client.Name())
+	if err != nil {
 		return nil, 0, false
 	}
-	if s.cfg.MaxConns > 0 && s.liveConns >= s.cfg.MaxConns {
-		s.ConnsRejected++
-		return nil, 0, false
-	}
-	s.connSeq++
-	sh := s.shards[int(s.connSeq)%len(s.shards)]
+	sh := conn.shard
 	ep, err := s.node.Fabric().AttachEndpoint(client, sh.muxQP, ibsim.QPConfig{})
 	if err != nil {
 		// Shared QP down (mid-crash) or slot table exhausted: refuse like an
@@ -386,37 +396,16 @@ func (s *ServerTransport) TryAttach(client *ibsim.Node) (*ibsim.QP, int, bool) {
 		s.ConnsRejected++
 		return nil, 0, false
 	}
-	s.liveConns++
-	s.ConnsAccepted++
-	conn := &serverConn{srv: s, qp: sh.muxQP, id: s.connSeq, stream: ep.Stream(), shard: sh, peerName: client.Name()}
-	if s.cfg.DynamicCredits {
-		conn.replySlots = des.NewResource(s.node.Sim(), s.node.Name()+"/conn-replypool", s.cfg.ReplyBufPool)
-	}
-	s.conns = append(s.conns, conn)
+	s.accept(conn, sh.muxQP, ep.Stream())
 	sh.eps[conn.stream] = conn
-	sh.nconns++
 	return ep, int(s.advertiseCredits(conn)), true
-}
-
-// worker is one server thread (nfsd): the paper's two-part state machine —
-// receive path (allocate buffers, pull chunks, call the file system) and
-// the return path (register reply buffers, push data, reply).
-func (s *ServerTransport) worker(p *des.Proc) {
-	for {
-		v, ok := s.workQ.Get(p)
-		if !ok {
-			return
-		}
-		task := v.(*serverTask)
-		s.handle(p, task, -1)
-	}
 }
 
 // migrate charges the completion-to-CPU affinity cost of resuming this task
 // on worker CPU wcpu after a completion serviced on its shard's completion
 // CPU. Legacy (unsharded) workers pass wcpu -1: no placement is modelled.
 func (s *ServerTransport) migrate(p *des.Proc, conn *serverConn, wcpu int) {
-	if wcpu < 0 || conn.shard == nil {
+	if wcpu < 0 {
 		return
 	}
 	s.node.CPU.Migrate(p, conn.shard.cpuID, wcpu)
@@ -425,21 +414,27 @@ func (s *ServerTransport) migrate(p *des.Proc, conn *serverConn, wcpu int) {
 // connDead transitions a connection to the dead state and releases every
 // reply still parked for it — an RDMA_DONE can never arrive on a broken
 // connection. It is idempotent, and releases follow park order so the
-// resulting reply-pool wakeups are deterministic.
+// resulting reply-pool wakeups are deterministic. The connection is also
+// forgotten: dropped from the accept-order list and its group's tables, so
+// churn leaves nothing behind for Shutdown, sharedQPDead or the endpoint
+// gauges to walk.
 func (s *ServerTransport) connDead(p *des.Proc, conn *serverConn) {
 	if conn.dead {
 		return
 	}
 	conn.dead = true
 	s.liveConns--
-	if conn.shard != nil {
-		conn.shard.nconns--
-		if conn.stream != 0 {
-			// Free the demux entry; the ibsim slot was already recycled by
-			// endpointDead, so the server-side leak check is this map plus
-			// nconns returning to baseline.
-			delete(conn.shard.eps, conn.stream)
-		}
+	conn.shard.nconns--
+	if conn.stream != 0 {
+		// Free the demux entry; the ibsim slot was already recycled by
+		// endpointDead, so the server-side leak check is this map plus
+		// nconns returning to baseline.
+		delete(conn.shard.eps, conn.stream)
+	} else {
+		delete(conn.shard.conns, conn.qp)
+	}
+	if i := slices.Index(s.conns, conn); i >= 0 {
+		s.conns = slices.Delete(s.conns, i, i+1)
 	}
 	// Snapshot then detach the order slice before iterating: releaseParked
 	// prunes conn.parkedOrder in place, which would corrupt a range over the
@@ -508,7 +503,7 @@ func (s *ServerTransport) handleDone(p *des.Proc, conn *serverConn, xid uint32, 
 // authenticated source endpoint when the message arrived on a shared QP
 // under a forged claim, else the connection it arrived on.
 func (s *ServerTransport) offender(conn *serverConn, src uint32) *serverConn {
-	if src != 0 && src != conn.stream && conn.shard != nil {
+	if src != 0 && src != conn.stream {
 		if c := conn.shard.eps[src]; c != nil {
 			return c
 		}
@@ -541,36 +536,17 @@ func (s *ServerTransport) penalize(p *des.Proc, conn *serverConn) {
 	}
 }
 
-// handle wraps the real handler in a serve span while tracing. wcpu is the
-// worker's CPU placement for the affinity model (-1 when not modelled).
-// Serve spans land on the connection's shard track when sharded, so the
-// exported trace shows per-shard dispatch balance as separate rows.
+// handle is one server thread's (nfsd) pass over one call: the paper's
+// two-part state machine — receive path (allocate buffers, pull chunks, call
+// the file system) and the return path (register reply buffers, push data,
+// reply). wcpu is the worker's CPU placement for the affinity model (-1 when
+// not modelled).
 func (s *ServerTransport) handle(p *des.Proc, task *serverTask, wcpu int) {
-	tr := s.node.Sim().Tracer()
-	if tr == nil {
-		s.handle1(p, task, wcpu)
-		return
-	}
-	track := s.node.Name()
-	if task.conn.shard != nil {
-		track = task.conn.shard.track
-	}
-	start := p.Now()
-	s.handle1(p, task, wcpu)
-	tr.Span(int64(start), int64(p.Now()), trace.LayerRPC, trace.KindServe, track,
-		task.hdr.Type.String(), task.conn.traceKey(task.hdr.XID), 0)
-}
-
-func (s *ServerTransport) handle1(p *des.Proc, task *serverTask, wcpu int) {
 	hdr := task.hdr
 	if task.conn.dead {
 		// The connection died while this message sat in the work queue;
 		// serving it would park a reply nothing can ever release.
 		s.TasksDropped++
-		return
-	}
-	if hdr.Type == MsgDone {
-		s.handleDone(p, task.conn, hdr.XID, 0)
 		return
 	}
 	s.Requests++
@@ -596,12 +572,7 @@ func (s *ServerTransport) handle1(p *des.Proc, task *serverTask, wcpu int) {
 	// exploit (§4.1).
 	var bulkIn *oncrpc.Bulk
 	var bulkInChk *memreg.Chunk
-	dataLen := 0
-	for _, seg := range hdr.ReadList {
-		if seg.Position > 0 {
-			dataLen += int(seg.Length)
-		}
-	}
+	dataLen := hdr.readBytes(false)
 	if dataLen > 0 {
 		pullStart := p.Now()
 		// The receive path — buffer allocation, registration, chunk pulls —
@@ -705,14 +676,7 @@ func (s *ServerTransport) handle1(p *des.Proc, task *serverTask, wcpu int) {
 	}
 
 	// --- Return path ---
-	switch s.cfg.Design {
-	case ReadWrite:
-		s.replyReadWrite(p, task, hdr, reply, bulkOut, replyStaging, wcpu)
-	case ReadRead:
-		s.replyReadRead(p, task, hdr, reply, bulkOut, replyStaging, wcpu)
-	case ReplyFetch:
-		s.replyReplyFetch(p, task, hdr, reply, bulkOut, replyStaging)
-	}
+	s.reply(p, task, reply, bulkOut, replyStaging, wcpu)
 }
 
 // replyAccess is the access mode of reply staging buffers: the Read-Write
@@ -727,12 +691,7 @@ func (s *ServerTransport) replyAccess() ibsim.Access {
 
 // pullLongCall fetches an RDMA_NOMSG call body.
 func (s *ServerTransport) pullLongCall(p *des.Proc, task *serverTask, wcpu int) ([]byte, error) {
-	n := 0
-	for _, seg := range task.hdr.ReadList {
-		if seg.Position == 0 {
-			n += int(seg.Length)
-		}
-	}
+	n := task.hdr.readBytes(true)
 	if n == 0 {
 		return nil, fmt.Errorf("%w: NOMSG call without position-0 chunk", ErrBadHeader)
 	}
@@ -765,48 +724,143 @@ func (s *ServerTransport) pullLongCall(p *des.Proc, task *serverTask, wcpu int) 
 	return append([]byte(nil), staging.Data()[:n]...), nil
 }
 
-// replyReadWrite sends a Read-Write design reply: RDMA Write data to the
-// client's advertised chunks, then the inline (or NOMSG long) reply. The
-// send completion guarantees the writes are placed, so every buffer is
-// released immediately — no DONE, no parking, no exposure.
-func (s *ServerTransport) replyReadWrite(p *des.Proc, task *serverTask, call *Header, reply []byte, bulkOut *oncrpc.Bulk, staging *memreg.Chunk, wcpu int) {
-	rh := &Header{XID: call.XID, Credits: s.advertiseCredits(task.conn), Type: MsgRDMA}
-	conn := task.conn
-
-	// The send path — reply marshalling, registration on return from the
-	// file system, push posting — runs under the serialized section.
+// reply is the return path, one skeleton for all three designs: header and
+// credit grant, reply-slot reservation, the serialized send section, bulk
+// placement, message placement, post, park or release. The design decides
+// only how the bulk is placed (pushed into the client's write list or
+// exposed as read chunks), how the message travels (inline or long-reply
+// chunk, exposed read chunk, or slot deposit) and what is posted (a Send the
+// worker waits on, or two Writes it does not).
+//
+// Read-Write: RDMA Write data to the client's advertised chunks, then the
+// inline (or NOMSG long) reply. The send completion guarantees the writes
+// are placed, so every buffer is released immediately — no DONE, no parking,
+// no exposure.
+//
+// Read-Read: expose the reply data (and long replies) as read chunks, park
+// the buffers, and wait for RDMA_DONE to release them.
+//
+// Reply-Fetch (RFP): bulk is RDMA-Written into the client's write list
+// exactly as in Read-Write, then the whole reply message is deposited into
+// the client's advertised reply slot with two more RDMA Writes — the encoded
+// reply at slot+8, then the doorbell word (wireLen+1) at slot+0. In-order
+// Write delivery means the doorbell's arrival implies everything before it
+// is placed, so NO Send is posted and the worker never blocks on a
+// completion interrupt: the entire send-processing + interrupt cost of the
+// reply path disappears from the server. The deposit staging stays parked
+// until the client's RDMA_DONE confirms it read the slot (same recycle flow
+// as Read-Read).
+func (s *ServerTransport) reply(p *des.Proc, task *serverTask, reply []byte, bulkOut *oncrpc.Bulk, staging *memreg.Chunk, wcpu int) {
+	conn, call, design := task.conn, task.hdr, s.cfg.Design
+	rh := &Header{XID: call.XID, Credits: s.advertiseCredits(conn), Type: MsgRDMA}
+	if design == ReplyFetch && len(call.ReplyChunk) == 0 {
+		// No slot advertised: an RFP reply is undeliverable.
+		if staging != nil {
+			s.mgr.Put(p, staging)
+		}
+		return
+	}
 	outLen := 0
 	if bulkOut != nil {
 		outLen = bulkOut.Len
 	}
+
+	// Reserve the reply-buffer slot BEFORE the serialized send path: a
+	// blocked reservation (pool exhausted by unacknowledged replies) must
+	// park only this worker, never the whole send path. Every RFP reply
+	// parks its deposit staging; a Read-Read reply parks whatever it exposes
+	// — bulk, or a message over the inline threshold.
+	reserved := design == ReplyFetch || design == ReadRead && (outLen > 0 || len(reply) > s.cfg.InlineThreshold)
+	if reserved {
+		conn.slots().Acquire(p, 1)
+	}
+	if design == ReplyFetch {
+		// A retransmission answered from the DRC can deposit again while the
+		// first deposit still sits parked (the client never fetched it, so no
+		// DONE came). Retire the stale park first — one DONE will arrive for
+		// this XID at most, and it must release the fresh deposit, not leak it.
+		s.releaseParked(p, connXID{conn, call.XID})
+	}
+	// The send path — reply marshalling, registration on return from the
+	// file system, push posting — runs under the serialized section.
 	if s.serial != nil {
 		s.serial.Acquire(p, 1)
 		p.Sleep(s.cfg.serialHold(outLen))
 	}
 
-	if bulkOut != nil && bulkOut.Len > 0 && len(call.WriteList) > 0 {
+	// --- Bulk: expose it (Read-Read) or push it (Read-Write, Reply-Fetch) ---
+	var park []*memreg.Chunk
+	switch {
+	case outLen == 0:
+	case design == ReadRead:
+		if staging != nil {
+			s.mgr.RegisterChunk(p, staging, outLen) // exposes the buffer (RemoteRead)
+			rh.exposeRead(uint32(len(reply)), clampSegs(staging.Reg.Segments(), outLen))
+			park = append(park, staging)
+			staging = nil
+		}
+	case len(call.WriteList) > 0:
 		// Registration happens now — on return from the file system — which
 		// is what makes the slab cache's hit path free.
 		if staging != nil {
-			s.mgr.RegisterChunk(p, staging, bulkOut.Len)
+			s.mgr.RegisterChunk(p, staging, outLen)
 		}
-		srcBuf := staging.Buf
-		pushed, residual := s.pushBulk(p, conn, srcBuf, bulkOut.Len, call.WriteList)
+		pushed, residual := s.pushBulk(p, conn, staging.Buf, outLen, call.WriteList)
 		if residual > 0 {
 			// The client's advertised write chunks cannot hold the payload.
 			// The annotated WriteList already tells the client how much
 			// landed; count the truncation so it is visible server-side too.
-			s.ShortWrites++
-			s.traceShortWrite(p, task, call.XID, residual)
+			s.shortWrite(p, conn, call.XID, residual)
 		}
 		rh.WriteList = pushed
+		if design == ReplyFetch {
+			// No send completion will say the Writes are placed; the DONE does.
+			park = append(park, staging)
+			staging = nil
+		}
+	}
+	if design == ReplyFetch && staging != nil {
+		s.mgr.Put(p, staging) // no payload produced; release unregistered
+		staging = nil
 	}
 
-	var longChk *memreg.Chunk
+	// --- Message: inline, long-reply chunk, or slot deposit ---
+	var wire []byte
+	var longChk, depChk *memreg.Chunk
 	switch {
+	case design == ReplyFetch:
+		wire = append(rh.Encode(), reply...)
+		if over := len(wire) + doorbellBytes - int(call.ReplyChunk[0].Length); over > 0 {
+			// The reply outgrew the client's slot; it cannot be delivered. The
+			// client's watchdog will time out and the retransmission hits the
+			// DRC — same terminal behaviour as an undeliverable long reply.
+			s.shortWrite(p, conn, call.XID, over)
+			s.dropReply(p, conn, park)
+			if s.serial != nil {
+				s.serial.Release(1)
+			}
+			return
+		}
+		// Stage the deposit: [doorbell word | wire bytes] in one local-only
+		// chunk (staging is always materialized, so the bytes really cross).
+		depChk = s.mgr.Get(p, doorbellBytes+len(wire), ibsim.AccessLocalWrite)
+		if d := depChk.Data(); d != nil {
+			binary.LittleEndian.PutUint64(d[:doorbellBytes], uint64(len(wire))+1)
+			copy(d[doorbellBytes:], wire)
+		}
+		s.node.CPU.Copy(p, len(wire))
+		s.Deposits++
+		if tr := s.node.Sim().Tracer(); tr != nil {
+			tr.Instant(int64(p.Now()), trace.LayerRPC, trace.KindBulkWrite, s.node.Name(), "deposit",
+				conn.traceKey(call.XID), int64(len(wire)))
+		}
+		park = append(park, depChk)
 	case len(reply) <= s.cfg.InlineThreshold:
 		// Inline reply.
-	case len(call.ReplyChunk) == 0:
+	case design == ReadRead && len(reply) <= s.cfg.recvBufSize():
+		// Oversized-but-deliverable reply: the posted receives carry
+		// headroom beyond the threshold, so send it inline.
+	case design == ReadWrite && len(call.ReplyChunk) == 0:
 		// Slightly oversized reply with no reply chunk advertised: the
 		// posted receives carry headroom beyond the threshold, so squeeze
 		// it inline rather than dropping the call. Truly oversized replies
@@ -821,25 +875,59 @@ func (s *ServerTransport) replyReadWrite(p *des.Proc, task *serverTask, call *He
 			return
 		}
 	default:
-		// RPC Long Reply: write the whole message into the client's reply
-		// chunk and send a NOMSG notification.
+		// RPC Long Reply: the whole message travels as a chunk under NOMSG —
+		// written into the client's reply chunk (Read-Write) or exposed for
+		// the client to read (Read-Read).
 		s.LongReplies++
-		longChk = s.mgr.Get(p, len(reply), ibsim.AccessLocalWrite)
+		longChk = s.mgr.Get(p, len(reply), s.replyAccess())
 		if d := longChk.Data(); d != nil {
 			copy(d, reply)
 		}
 		s.node.CPU.Copy(p, len(reply))
-		var residual int
-		rh.ReplyChunk, residual = s.pushBulk(p, conn, longChk.Buf, len(reply), call.ReplyChunk)
-		if residual > 0 {
-			s.ShortWrites++
-			s.traceShortWrite(p, task, call.XID, residual)
-		}
 		rh.Type = MsgNoMsg
+		if design == ReadRead {
+			rh.ReadList = rh.ReadList[:0] // a NOMSG reply carries only itself
+			rh.exposeRead(0, clampSegs(longChk.Reg.Segments(), len(reply)))
+			park = append(park, longChk)
+			longChk = nil
+		} else {
+			var residual int
+			rh.ReplyChunk, residual = s.pushBulk(p, conn, longChk.Buf, len(reply), call.ReplyChunk)
+			if residual > 0 {
+				s.shortWrite(p, conn, call.XID, residual)
+			}
+		}
 		reply = nil
 	}
+	if design == ReadRead && staging != nil {
+		s.mgr.Put(p, staging) // no payload produced; release unregistered
+		staging = nil
+	}
 
-	wire := append(rh.Encode(), reply...)
+	// --- Post, and park or release ---
+	if design == ReplyFetch {
+		// Body first, doorbell last: the QP launches these in order and the
+		// port serializes their data, so the doorbell can only land after the
+		// reply (and any bulk pushed above) is already in client memory.
+		slot := call.ReplyChunk[0]
+		conn.post(&ibsim.SendWQE{
+			WRID: uint64(call.XID), Op: ibsim.OpWrite,
+			Local:     []ibsim.LocalSeg{{Buf: depChk.Buf, Off: doorbellBytes, Len: len(wire)}},
+			RemoteKey: slot.Rkey, RemoteAddr: slot.Addr + doorbellBytes,
+		})
+		conn.post(&ibsim.SendWQE{
+			WRID: uint64(call.XID), Op: ibsim.OpWrite,
+			Local:     []ibsim.LocalSeg{{Buf: depChk.Buf, Off: 0, Len: doorbellBytes}},
+			RemoteKey: slot.Rkey, RemoteAddr: slot.Addr,
+		})
+		if s.serial != nil {
+			s.serial.Release(1)
+		}
+		s.park(p, conn, call.XID, park, reserved)
+		return
+	}
+	s.park(p, conn, call.XID, park, reserved)
+	wire = append(rh.Encode(), reply...)
 	ev := des.NewEvent(s.node.Sim())
 	postWithEvent(conn, &ibsim.SendWQE{WRID: uint64(call.XID), Op: ibsim.OpSend, Payload: wire}, ev)
 	if s.serial != nil {
@@ -848,13 +936,52 @@ func (s *ServerTransport) replyReadWrite(p *des.Proc, task *serverTask, call *He
 	ev.Wait(p)
 	s.node.CPU.Interrupt(p)
 	s.migrate(p, conn, wcpu)
-	// Send completion => prior RDMA Writes placed; deregister and release.
+	// Send completion => prior RDMA Writes placed; deregister and release
+	// whatever Read-Write still holds (Read-Read parked or freed it all).
 	if staging != nil {
 		s.mgr.Put(p, staging)
 	}
 	if longChk != nil {
 		s.mgr.Put(p, longChk)
 	}
+}
+
+// park pins a built reply's chunks until the client's RDMA_DONE, or settles
+// the reservation when there is nothing (or no one) to park for.
+func (s *ServerTransport) park(p *des.Proc, conn *serverConn, xid uint32, chunks []*memreg.Chunk, reserved bool) {
+	switch {
+	case len(chunks) > 0 && conn.dead:
+		// The connection died while this reply was being built: no DONE can
+		// ever release it, so free the buffers and the slot immediately
+		// instead of parking (the leak this lifecycle state machine closes).
+		s.dropReply(p, conn, chunks)
+	case len(chunks) > 0:
+		// The reply-buffer pool bounds how many replies can sit waiting for
+		// DONE (slot reserved above). With the original design's single
+		// shared pool, a client that never sends DONE pins slots until the
+		// server stops serving anyone (§4.1); with dynamic credits the pool
+		// — and the grant — are per connection, so a misbehaving client
+		// wedges only itself.
+		conn.parked++
+		conn.parkedOrder = append(conn.parkedOrder, xid)
+		s.parked[connXID{conn, xid}] = &parkedReply{chunks: chunks}
+		if tr := s.node.Sim().Tracer(); tr != nil {
+			tr.Begin(int64(p.Now()), trace.LayerRPC, trace.KindParked, s.node.Name(), "parked",
+				conn.traceKey(xid), int64(len(chunks)))
+		}
+	case reserved:
+		// Reserved but nothing ended up parked (e.g. squeezed inline).
+		conn.slots().Release(1)
+	}
+}
+
+// dropReply frees the chunks and the reserved pool slot of a reply that can
+// be neither delivered nor acknowledged.
+func (s *ServerTransport) dropReply(p *des.Proc, conn *serverConn, chunks []*memreg.Chunk) {
+	for _, c := range chunks {
+		s.mgr.Put(p, c)
+	}
+	conn.slots().Release(1)
 }
 
 // pushBulk RDMA-Writes n bytes from src into the peer segments, returning
@@ -889,253 +1016,6 @@ func (s *ServerTransport) pushBulk(p *des.Proc, conn *serverConn, src *ibsim.Buf
 	return out, n
 }
 
-// replyReadRead sends a Read-Read design reply: expose the reply data (and
-// long replies) as read chunks, park the buffers, and wait for RDMA_DONE to
-// release them.
-func (s *ServerTransport) replyReadRead(p *des.Proc, task *serverTask, call *Header, reply []byte, bulkOut *oncrpc.Bulk, staging *memreg.Chunk, wcpu int) {
-	rh := &Header{XID: call.XID, Credits: s.advertiseCredits(task.conn), Type: MsgRDMA}
-	conn := task.conn
-	var park []*memreg.Chunk
-
-	outLen := 0
-	if bulkOut != nil {
-		outLen = bulkOut.Len
-	}
-	// Reserve the reply-buffer slot BEFORE the serialized send path: a
-	// blocked reservation (pool exhausted by unacknowledged replies) must
-	// park only this worker, never the whole send path.
-	willPark := outLen > 0 || len(reply) > s.cfg.InlineThreshold && len(reply) > s.cfg.recvBufSize()
-	if len(reply) > s.cfg.InlineThreshold {
-		willPark = true
-	}
-	if willPark {
-		if task.conn.replySlots != nil {
-			task.conn.replySlots.Acquire(p, 1)
-		} else {
-			s.replySlots.Acquire(p, 1)
-		}
-	}
-	if s.serial != nil {
-		s.serial.Acquire(p, 1)
-		p.Sleep(s.cfg.serialHold(outLen))
-	}
-
-	if bulkOut != nil && bulkOut.Len > 0 && staging != nil {
-		s.mgr.RegisterChunk(p, staging, bulkOut.Len) // exposes the buffer (RemoteRead)
-		pos := uint32(len(reply))
-		for _, seg := range clampSegs(staging.Reg.Segments(), bulkOut.Len) {
-			rh.ReadList = append(rh.ReadList, ReadSeg{Position: pos, Segment: Segment{Rkey: seg.Rkey, Length: uint32(seg.Len), Addr: seg.Addr}})
-		}
-		park = append(park, staging)
-		staging = nil
-	}
-
-	if len(reply) > s.cfg.InlineThreshold && len(reply) <= s.cfg.recvBufSize() {
-		// Oversized-but-deliverable reply: the posted receives carry
-		// headroom beyond the threshold, so send it inline.
-	} else if len(reply) > s.cfg.InlineThreshold {
-		// Long reply: expose the whole message for the client to read.
-		s.LongReplies++
-		longChk := s.mgr.Get(p, len(reply), ibsim.AccessLocalWrite|ibsim.AccessRemoteRead)
-		if d := longChk.Data(); d != nil {
-			copy(d, reply)
-		}
-		s.node.CPU.Copy(p, len(reply))
-		rh.Type = MsgNoMsg
-		rh.ReadList = rh.ReadList[:0] // a NOMSG reply carries only itself
-		for _, seg := range clampSegs(longChk.Reg.Segments(), len(reply)) {
-			rh.ReadList = append(rh.ReadList, ReadSeg{Position: 0, Segment: Segment{Rkey: seg.Rkey, Length: uint32(seg.Len), Addr: seg.Addr}})
-		}
-		park = append(park, longChk)
-		reply = nil
-	}
-
-	if staging != nil {
-		s.mgr.Put(p, staging) // no payload produced; release unregistered
-	}
-
-	switch {
-	case len(park) > 0 && task.conn.dead:
-		// The connection died while this reply was being built: no DONE can
-		// ever release it, so free the buffers and the slot immediately
-		// instead of parking (the leak this lifecycle state machine closes).
-		for _, c := range park {
-			s.mgr.Put(p, c)
-		}
-		if task.conn.replySlots != nil {
-			task.conn.replySlots.Release(1)
-		} else {
-			s.replySlots.Release(1)
-		}
-	case len(park) > 0:
-		// The reply-buffer pool bounds how many replies can sit waiting for
-		// DONE (slot reserved above). With the original design's single
-		// shared pool, a client that never sends DONE pins slots until the
-		// server stops serving anyone (§4.1); with dynamic credits the pool
-		// — and the grant — are per connection, so a misbehaving client
-		// wedges only itself.
-		task.conn.parked++
-		task.conn.parkedOrder = append(task.conn.parkedOrder, call.XID)
-		s.parked[connXID{task.conn, call.XID}] = &parkedReply{chunks: park}
-		if tr := s.node.Sim().Tracer(); tr != nil {
-			tr.Begin(int64(p.Now()), trace.LayerRPC, trace.KindParked, s.node.Name(), "parked",
-				task.conn.traceKey(call.XID), int64(len(park)))
-		}
-	case willPark:
-		// Reserved but nothing ended up parked (e.g. squeezed inline).
-		if task.conn.replySlots != nil {
-			task.conn.replySlots.Release(1)
-		} else {
-			s.replySlots.Release(1)
-		}
-	}
-
-	wire := append(rh.Encode(), reply...)
-	ev := des.NewEvent(s.node.Sim())
-	postWithEvent(conn, &ibsim.SendWQE{WRID: uint64(call.XID), Op: ibsim.OpSend, Payload: wire}, ev)
-	if s.serial != nil {
-		s.serial.Release(1)
-	}
-	ev.Wait(p)
-	s.node.CPU.Interrupt(p)
-	s.migrate(p, conn, wcpu)
-}
-
-// replyReplyFetch delivers a reply-fetch (RFP) design reply: bulk is
-// RDMA-Written into the client's write list exactly as in Read-Write, then
-// the whole reply message is deposited into the client's advertised reply
-// slot with two more RDMA Writes — the encoded reply at slot+8, then the
-// doorbell word (wireLen+1) at slot+0. In-order Write delivery means the
-// doorbell's arrival implies everything before it is placed, so NO Send is
-// posted and the worker never blocks on a completion interrupt: the entire
-// send-processing + interrupt cost of the reply path disappears from the
-// server. The deposit staging stays parked until the client's RDMA_DONE
-// confirms it read the slot (same recycle flow as Read-Read).
-func (s *ServerTransport) replyReplyFetch(p *des.Proc, task *serverTask, call *Header, reply []byte, bulkOut *oncrpc.Bulk, staging *memreg.Chunk) {
-	rh := &Header{XID: call.XID, Credits: s.advertiseCredits(task.conn), Type: MsgRDMA}
-	conn := task.conn
-	if len(call.ReplyChunk) == 0 {
-		// No slot advertised: an RFP reply is undeliverable.
-		if staging != nil {
-			s.mgr.Put(p, staging)
-		}
-		return
-	}
-	slot := call.ReplyChunk[0]
-
-	outLen := 0
-	if bulkOut != nil {
-		outLen = bulkOut.Len
-	}
-	// Every RFP reply parks its deposit staging, so reserve the slot up
-	// front, before the serialized send path (same discipline as Read-Read).
-	if conn.replySlots != nil {
-		conn.replySlots.Acquire(p, 1)
-	} else {
-		s.replySlots.Acquire(p, 1)
-	}
-	// A retransmission answered from the DRC can deposit again while the
-	// first deposit still sits parked (the client never fetched it, so no
-	// DONE came). Retire the stale park first — one DONE will arrive for
-	// this XID at most, and it must release the fresh deposit, not leak it.
-	s.releaseParked(p, connXID{conn, call.XID})
-	if s.serial != nil {
-		s.serial.Acquire(p, 1)
-		p.Sleep(s.cfg.serialHold(outLen))
-	}
-
-	var park []*memreg.Chunk
-	if bulkOut != nil && bulkOut.Len > 0 && len(call.WriteList) > 0 {
-		if staging != nil {
-			s.mgr.RegisterChunk(p, staging, bulkOut.Len)
-		}
-		pushed, residual := s.pushBulk(p, conn, staging.Buf, bulkOut.Len, call.WriteList)
-		if residual > 0 {
-			s.ShortWrites++
-			s.traceShortWrite(p, task, call.XID, residual)
-		}
-		rh.WriteList = pushed
-		park = append(park, staging)
-		staging = nil
-	}
-	if staging != nil {
-		s.mgr.Put(p, staging) // no payload produced; release unregistered
-	}
-
-	wire := append(rh.Encode(), reply...)
-	if len(wire)+doorbellBytes > int(slot.Length) {
-		// The reply outgrew the client's slot; it cannot be delivered. The
-		// client's watchdog will time out and the retransmission hits the
-		// DRC — same terminal behaviour as an undeliverable long reply.
-		s.ShortWrites++
-		s.traceShortWrite(p, task, call.XID, len(wire)+doorbellBytes-int(slot.Length))
-		for _, c := range park {
-			s.mgr.Put(p, c)
-		}
-		if conn.replySlots != nil {
-			conn.replySlots.Release(1)
-		} else {
-			s.replySlots.Release(1)
-		}
-		if s.serial != nil {
-			s.serial.Release(1)
-		}
-		return
-	}
-
-	// Stage the deposit: [doorbell word | wire bytes] in one local-only
-	// chunk (staging is always materialized, so the bytes really cross).
-	depChk := s.mgr.Get(p, doorbellBytes+len(wire), ibsim.AccessLocalWrite)
-	if d := depChk.Data(); d != nil {
-		binary.LittleEndian.PutUint64(d[:doorbellBytes], uint64(len(wire))+1)
-		copy(d[doorbellBytes:], wire)
-	}
-	s.node.CPU.Copy(p, len(wire))
-	s.Deposits++
-	if tr := s.node.Sim().Tracer(); tr != nil {
-		tr.Instant(int64(p.Now()), trace.LayerRPC, trace.KindBulkWrite, s.node.Name(), "deposit",
-			conn.traceKey(call.XID), int64(len(wire)))
-	}
-	// Body first, doorbell last: the QP launches these in order and the
-	// port serializes their data, so the doorbell can only land after the
-	// reply (and any bulk pushed above) is already in client memory.
-	conn.post(&ibsim.SendWQE{
-		WRID: uint64(call.XID), Op: ibsim.OpWrite,
-		Local:     []ibsim.LocalSeg{{Buf: depChk.Buf, Off: doorbellBytes, Len: len(wire)}},
-		RemoteKey: slot.Rkey, RemoteAddr: slot.Addr + doorbellBytes,
-	})
-	conn.post(&ibsim.SendWQE{
-		WRID: uint64(call.XID), Op: ibsim.OpWrite,
-		Local:     []ibsim.LocalSeg{{Buf: depChk.Buf, Off: 0, Len: doorbellBytes}},
-		RemoteKey: slot.Rkey, RemoteAddr: slot.Addr,
-	})
-	if s.serial != nil {
-		s.serial.Release(1)
-	}
-	park = append(park, depChk)
-
-	if conn.dead {
-		// Died while the reply was being built: no DONE can ever release
-		// the park, so free everything now.
-		for _, c := range park {
-			s.mgr.Put(p, c)
-		}
-		if conn.replySlots != nil {
-			conn.replySlots.Release(1)
-		} else {
-			s.replySlots.Release(1)
-		}
-		return
-	}
-	conn.parked++
-	conn.parkedOrder = append(conn.parkedOrder, call.XID)
-	s.parked[connXID{conn, call.XID}] = &parkedReply{chunks: park}
-	if tr := s.node.Sim().Tracer(); tr != nil {
-		tr.Begin(int64(p.Now()), trace.LayerRPC, trace.KindParked, s.node.Name(), "parked",
-			conn.traceKey(call.XID), int64(len(park)))
-	}
-}
-
 // advertiseCredits computes the flow-control grant carried in reply
 // headers: the static depth, or — under dynamic credits — the depth minus
 // the reply buffers THIS connection still has pinned awaiting RDMA_DONE,
@@ -1153,7 +1033,7 @@ func (s *ServerTransport) advertiseCredits(conn *serverConn) uint32 {
 			free = 1
 		}
 	}
-	if s.cfg.Multiplex && conn.shard != nil && conn.stream != 0 {
+	if s.cfg.Multiplex && conn.stream != 0 {
 		share := 1
 		if conn.shard.nconns > 0 {
 			share = s.cfg.SRQDepth / conn.shard.nconns
@@ -1168,11 +1048,13 @@ func (s *ServerTransport) advertiseCredits(conn *serverConn) uint32 {
 	return uint32(free)
 }
 
-// traceShortWrite records a reply truncation instant.
-func (s *ServerTransport) traceShortWrite(p *des.Proc, task *serverTask, xid uint32, residual int) {
+// shortWrite counts, and records as a trace instant, a reply truncated by
+// residual bytes.
+func (s *ServerTransport) shortWrite(p *des.Proc, conn *serverConn, xid uint32, residual int) {
+	s.ShortWrites++
 	if tr := s.node.Sim().Tracer(); tr != nil {
 		tr.Instant(int64(p.Now()), trace.LayerRPC, trace.KindShortWrite, s.node.Name(), "short-write",
-			task.conn.traceKey(xid), int64(residual))
+			conn.traceKey(xid), int64(residual))
 	}
 }
 
@@ -1193,11 +1075,7 @@ func (s *ServerTransport) releaseParked(p *des.Proc, key connXID) bool {
 	}
 	key.conn.pruneParkedOrder(key.xid)
 	key.conn.parked--
-	if key.conn.replySlots != nil {
-		key.conn.replySlots.Release(1)
-	} else {
-		s.replySlots.Release(1)
-	}
+	key.conn.slots().Release(1)
 	return true
 }
 

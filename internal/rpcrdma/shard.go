@@ -2,9 +2,11 @@ package rpcrdma
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/des"
 	"repro/internal/ibsim"
+	"repro/internal/trace"
 )
 
 // serverShard is one dispatch shard of a scaled-out server transport. Each
@@ -15,13 +17,17 @@ import (
 // stop RDMA servers from scaling past tens of connections (RDMAvisor) are
 // gone, and completion processing parallelizes across shards instead of
 // funnelling through one receive loop per connection.
+//
+// The per-connection receive path is the same structure minus the CQ and
+// SRQ (newLegacyGroup): one group holding the whole worker pool, fed by each
+// connection's own receive loop off its private ring.
 type serverShard struct {
 	srv   *ServerTransport
 	id    int
 	cq    *ibsim.CQ
 	srq   *ibsim.SRQ
 	workQ *des.Queue
-	conns map[*ibsim.QP]*serverConn
+	conns map[*ibsim.QP]*serverConn // live dedicated connections, by their QP
 
 	// track is the shard's trace track ("<node>/shard<i>"): serve spans land
 	// on per-shard rows so a trace viewer shows dispatch balance directly.
@@ -88,6 +94,24 @@ func newServerShard(s *ServerTransport, id int) *serverShard {
 	return sh
 }
 
+// newLegacyGroup builds the per-connection path's single dispatch group: no
+// CQ or SRQ (each connection brings its own), no CPU placement (wcpu -1),
+// serve spans on the node's own track.
+func newLegacyGroup(s *ServerTransport) *serverShard {
+	node := s.node
+	sh := &serverShard{
+		srv:   s,
+		workQ: des.NewQueue(node.Sim(), node.Name()+"/rpcrdma-workq"),
+		track: node.Name(),
+	}
+	for i := 0; i < s.cfg.Workers; i++ {
+		node.Sim().Spawn(fmt.Sprintf("%s/nfsd-%d", node.Name(), i), func(p *des.Proc) {
+			sh.worker(p, -1)
+		})
+	}
+	return sh
+}
+
 // armMuxQP installs a fresh shared QP on the shard, wired to the shard CQ
 // and SRQ. Called at construction and again if the shared QP ever dies while
 // the transport is still serving (rearming is what keeps one poisoned QP
@@ -97,16 +121,6 @@ func (sh *serverShard) armMuxQP() {
 	sh.muxQP = node.Fabric().NewMuxQP(node, ibsim.QPConfig{})
 	sh.muxQP.SetRecvCQ(sh.cq)
 	sh.muxQP.AttachSRQ(sh.srq)
-}
-
-// attach assigns a connection to this shard: the QP's completions land on
-// the shard CQ and its receives draw from the shard SRQ.
-func (sh *serverShard) attach(conn *serverConn) {
-	conn.shard = sh
-	conn.qp.SetRecvCQ(sh.cq)
-	conn.qp.AttachSRQ(sh.srq)
-	sh.conns[conn.qp] = conn
-	sh.nconns++
 }
 
 // recvLoop is the shard's completion-polling loop: one loop serves every
@@ -128,58 +142,66 @@ func (sh *serverShard) recvLoop(p *des.Proc) {
 			if cqe.QP != sh.muxQP {
 				continue // flush stragglers from a replaced shared QP
 			}
-			if cqe.Err != nil {
-				if cqe.Stream == 0 {
-					sh.sharedQPDead(p)
-					continue
-				}
-				if c := sh.eps[cqe.Stream]; c != nil {
-					s.connDead(p, c)
-				}
+			if cqe.Err != nil && cqe.Stream == 0 {
+				sh.sharedQPDead(p)
 				continue
 			}
 			conn = sh.eps[cqe.Stream]
 		} else {
 			conn = sh.conns[cqe.QP]
-			if cqe.Err != nil {
-				if conn != nil {
-					s.connDead(p, conn)
-				}
-				continue
-			}
 		}
+		if cqe.Err != nil {
+			if conn != nil {
+				s.connDead(p, conn)
+			}
+			continue
+		}
+		sh.deliver(p, conn, cqe)
+	}
+}
+
+// deliver is the one receive step, shared by the shard loop and the
+// per-connection loops, which differ only in the CQ they wait on and how a
+// completion maps to its connection: repost the receive, authenticate the
+// sender, decode, then serve (RDMA_DONE) or enqueue (everything else).
+func (sh *serverShard) deliver(p *des.Proc, conn *serverConn, cqe *ibsim.CQE) {
+	s := sh.srv
+	if sh.srq != nil {
 		// Return the consumed WQE to the shared pool straight away; the
 		// refill loop is only a safety net for bursts that outrun this.
 		sh.srq.PostRecv(cqe.WRID, s.cfg.recvBufSize())
-		if cqe.SrcStream != 0 && cqe.Stream != cqe.SrcStream && !s.cfg.TrustStreamClaims {
-			// The sender's claimed stream differs from the slot the fabric
-			// says it actually posted from: a spoofed message trying to
-			// speak as another endpoint (forged DONEs, forged calls against
-			// the DRC). Drop it and score the *authentic* sender — the
-			// claimed endpoint is the victim, not the offender.
-			s.SpoofDrops++
-			s.penalize(p, sh.eps[cqe.SrcStream])
-			continue
-		}
-		if conn == nil || conn.dead {
-			continue
-		}
-		hdr, body, err := DecodeHeader(cqe.Payload)
-		if err != nil {
-			continue
-		}
-		if hdr.Type == MsgDone {
-			// Served inline: a DONE queued behind data calls can deadlock
-			// the reply-slot pool (see handleDone).
-			s.handleDone(p, conn, hdr.XID, cqe.SrcStream)
-			continue
-		}
-		sh.requests++
-		if d := sh.workQ.Len(); d > sh.maxQueueDepth {
-			sh.maxQueueDepth = d
-		}
-		sh.workQ.Put(&serverTask{conn: conn, hdr: hdr, body: body})
+	} else {
+		conn.qp.PostRecv(cqe.WRID, s.cfg.recvBufSize())
 	}
+	if cqe.SrcStream != 0 && cqe.Stream != cqe.SrcStream && !s.cfg.TrustStreamClaims {
+		// The sender's claimed stream differs from the slot the fabric
+		// says it actually posted from: a spoofed message trying to
+		// speak as another endpoint (forged DONEs, forged calls against
+		// the DRC). Drop it and score the *authentic* sender — the
+		// claimed endpoint is the victim, not the offender.
+		s.SpoofDrops++
+		s.penalize(p, sh.eps[cqe.SrcStream])
+		return
+	}
+	if conn == nil || conn.dead {
+		return
+	}
+	hdr, body, err := DecodeHeader(cqe.Payload)
+	if err != nil {
+		s.BadHeaders++
+		return
+	}
+	if hdr.Type == MsgDone {
+		// Served inline: a DONE queued behind data calls can deadlock
+		// the reply-slot pool (see handleDone).
+		s.handleDone(p, conn, hdr.XID, cqe.SrcStream)
+		return
+	}
+	sh.requests++
+	if d := sh.workQ.Len(); d > sh.maxQueueDepth {
+		sh.maxQueueDepth = d
+	}
+	sh.workQ.Put(&serverTask{conn: conn, hdr: hdr, body: body})
 }
 
 // sharedQPDead handles the shard's shared QP entering the error state:
@@ -189,7 +211,8 @@ func (sh *serverShard) recvLoop(p *des.Proc) {
 // reconnects that follow.
 func (sh *serverShard) sharedQPDead(p *des.Proc) {
 	s := sh.srv
-	for _, conn := range s.conns {
+	// connDead prunes s.conns, so walk a snapshot.
+	for _, conn := range slices.Clone(s.conns) {
 		if conn.shard == sh && conn.stream != 0 && !conn.dead {
 			s.connDead(p, conn)
 		}
@@ -210,19 +233,27 @@ func (sh *serverShard) refillLoop(p *des.Proc) {
 	}
 }
 
-// worker drains the shard work queue through the shared handler. wcpu is
-// where this worker runs; picking a task enqueued by the shard's completion
-// loop is itself a completion handoff, so it pays the affinity toll before
-// any protocol work starts.
+// worker is one server thread (nfsd) draining the group's work queue through
+// the shared handler. wcpu is where this worker runs; picking a task
+// enqueued by the shard's completion loop is itself a completion handoff, so
+// it pays the affinity toll before any protocol work starts. While tracing,
+// each call is wrapped in a serve span on the group's track, so the exported
+// trace shows per-shard dispatch balance as separate rows.
 func (sh *serverShard) worker(p *des.Proc, wcpu int) {
+	s := sh.srv
 	for {
 		v, ok := sh.workQ.Get(p)
 		if !ok {
 			return
 		}
 		task := v.(*serverTask)
-		sh.srv.migrate(p, task.conn, wcpu)
-		sh.srv.handle(p, task, wcpu)
+		s.migrate(p, task.conn, wcpu)
+		tr, start := s.node.Sim().Tracer(), p.Now()
+		s.handle(p, task, wcpu)
+		if tr != nil {
+			tr.Span(int64(start), int64(p.Now()), trace.LayerRPC, trace.KindServe, sh.track,
+				task.hdr.Type.String(), task.conn.traceKey(task.hdr.XID), 0)
+		}
 	}
 }
 

@@ -7,8 +7,8 @@ import (
 
 // Trace-driven invariant checks: correctness properties of the stack
 // stated as predicates over the event stream and enforced from tests
-// (make trace-check). They need a complete stream — callers should reject
-// traces with Dropped() > 0 before trusting pairing checks.
+// (internal/core/traceinv_test.go). They need a complete stream — callers
+// should reject traces with Dropped() > 0 before trusting pairing checks.
 
 // MRArg encodes the payload of a KindMR Begin event: the low 3 bits carry
 // the ibsim access flags (LocalWrite, RemoteRead, RemoteWrite in bit

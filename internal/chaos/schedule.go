@@ -181,7 +181,7 @@ func (s Schedule) Apply(c *core.Cluster, o *Oracle) {
 		f := f
 		switch f.Kind {
 		case FaultQPError:
-			c.Sim.SpawnAt(f.At, "chaos-qperr", func(p *des.Proc) {
+			c.Sim.At(f.At, func() {
 				cl := c.Clients[f.Client%len(c.Clients)]
 				if cl.RDMA != nil && !cl.RDMA.Broken() {
 					cl.RDMA.QP().InjectError(nil)

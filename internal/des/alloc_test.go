@@ -6,7 +6,8 @@ import (
 
 // TestKernelBenchmarksAllocFree pins the kernel's allocation contract with
 // tracing disabled (the default): every BenchmarkKernel* hot path runs at
-// 0 allocs/op. The tracing layer must remain a nil-check when off — a
+// 0 allocs/op, and a spawn costs its Proc and nothing else (the carrier is
+// reused). The tracing layer must remain a nil-check when off — a
 // regression here means an instrumentation site allocates even when no
 // tracer is installed.
 func TestKernelBenchmarksAllocFree(t *testing.T) {
@@ -16,13 +17,15 @@ func TestKernelBenchmarksAllocFree(t *testing.T) {
 	benches := []struct {
 		name string
 		fn   func(*testing.B)
-		max  int64 // EventFire's fresh one-shot Event grows a waiters slice per op
+		max  int64
 	}{
 		{"ScheduleResume", BenchmarkKernelScheduleResume, 0},
 		{"QueuePutGet", BenchmarkKernelQueuePutGet, 0},
-		{"EventFire", BenchmarkKernelEventFire, 1},
+		{"EventFire", BenchmarkKernelEventFire, 0},
 		{"Resource", BenchmarkKernelResource, 0},
 		{"TimerHeap", BenchmarkKernelTimerHeap, 0},
+		{"Spawn", BenchmarkKernelSpawn, 1},
+		{"At", BenchmarkKernelAt, 0},
 	}
 	for _, b := range benches {
 		b := b

@@ -107,3 +107,40 @@ func BenchmarkKernelTimerHeap(b *testing.B) {
 	b.ResetTimer()
 	s.Run()
 }
+
+// BenchmarkKernelSpawn measures the whole life of a process that never
+// parks: spawn, start on a pooled carrier, run an empty body, exit. One
+// self-re-arming callback drives it, so each op also pays one At.
+func BenchmarkKernelSpawn(b *testing.B) {
+	s := New()
+	empty := func(*Proc) {}
+	n := b.N
+	var tick func()
+	tick = func() {
+		s.Spawn("empty", empty)
+		if n--; n > 0 {
+			s.At(s.Now()+1, tick)
+		}
+	}
+	s.At(0, tick)
+	b.ReportAllocs()
+	b.ResetTimer()
+	s.Run()
+}
+
+// BenchmarkKernelAt measures a callback event: schedule, pop, call on the
+// scheduler loop. It is what a never-parking body costs without a process.
+func BenchmarkKernelAt(b *testing.B) {
+	s := New()
+	n := b.N
+	var tick func()
+	tick = func() {
+		if n--; n > 0 {
+			s.At(s.Now()+1, tick)
+		}
+	}
+	s.At(0, tick)
+	b.ReportAllocs()
+	b.ResetTimer()
+	s.Run()
+}

@@ -1,0 +1,172 @@
+package des
+
+import (
+	"errors"
+	"fmt"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+)
+
+// recoverRun runs s and returns what s.Run panicked with, as text, or "".
+func recoverRun(s *Sim) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
+	s.Run()
+	return ""
+}
+
+// TestProcessPanicSurfacesFromRun: a panic inside a process reaches the
+// caller of Run, on the caller's goroutine, with the process name and the
+// original value, and the rest of the simulation is unwound behind it.
+func TestProcessPanicSurfacesFromRun(t *testing.T) {
+	before := runtime.NumGoroutine()
+	s := New()
+	cleaned := false
+	s.Spawn("bystander", func(p *Proc) {
+		defer func() { cleaned = true }()
+		p.Sleep(time.Hour)
+	})
+	s.Spawn("faulty", func(p *Proc) {
+		p.Sleep(time.Microsecond)
+		panic(errors.New("model bug 42"))
+	})
+	msg := recoverRun(s)
+	if !strings.Contains(msg, `"faulty"`) || !strings.Contains(msg, "model bug 42") {
+		t.Fatalf("Run panicked with %q, want the process name and the original value", msg)
+	}
+	if !cleaned {
+		t.Error("parked bystander was not unwound after the panic")
+	}
+	if after := settleGoroutines(t, before); after > before {
+		t.Errorf("goroutine leak after a process panic: %d before, %d after", before, after)
+	}
+}
+
+// TestForeignProcPanics: blocking on a *Proc from a process that does not
+// own it is reported with both names instead of switching the wrong
+// coroutine.
+func TestForeignProcPanics(t *testing.T) {
+	s := New()
+	b := s.Spawn("B", func(p *Proc) { p.Sleep(time.Hour) })
+	s.Spawn("A", func(p *Proc) {
+		p.Sleep(1) // B is parked by now
+		b.Sleep(1)
+	})
+	msg := recoverRun(s)
+	if !strings.Contains(msg, `"A"`) || !strings.Contains(msg, `"B"`) {
+		t.Fatalf("Run panicked with %q, want a message naming A and B", msg)
+	}
+}
+
+// TestLateProcUsePanics: a *Proc kept past the return of its process cannot
+// block either, whether from a callback or from another process.
+func TestLateProcUsePanics(t *testing.T) {
+	for _, from := range []string{"callback", "process"} {
+		s := New()
+		done := s.Spawn("done", func(p *Proc) {})
+		if from == "callback" {
+			s.At(5, func() { done.Sleep(1) })
+		} else {
+			s.SpawnAt(5, "late-user", func(p *Proc) { NewEvent(s).Wait(done) })
+		}
+		if msg := recoverRun(s); !strings.Contains(msg, `"done"`) {
+			t.Errorf("late use from a %s: Run panicked with %q, want a message naming the process", from, msg)
+		}
+	}
+}
+
+// TestAtRunsWhereSpawnAtWouldStart issues one seeded random schedule of
+// non-parking bodies twice — as processes and as callbacks — among sleeping
+// processes and with many same-instant ties. The bodies, and everything
+// they and the sleepers schedule in turn, must execute in the same order.
+func TestAtRunsWhereSpawnAtWouldStart(t *testing.T) {
+	run := func(useAt bool) []string {
+		s := New()
+		rng := NewRand(20070910)
+		var log []string
+		var issue func(at Time, id string, depth int)
+		issue = func(at Time, id string, depth int) {
+			body := func() {
+				log = append(log, fmt.Sprintf("%s@%d", id, s.Now()))
+				for depth < 3 && rng.Intn(3) == 0 {
+					depth++
+					issue(s.Now()+Time(rng.Intn(3)), id+"."+fmt.Sprint(depth), depth)
+				}
+			}
+			if useAt {
+				s.At(at, body)
+			} else {
+				s.SpawnAt(at, id, func(*Proc) { body() })
+			}
+		}
+		ev := NewEvent(s)
+		for i := 0; i < 20; i++ {
+			name := fmt.Sprintf("sleeper%d", i)
+			s.Spawn(name, func(p *Proc) {
+				for j := 0; j < 25; j++ {
+					p.Sleep(Duration(rng.Intn(4)))
+					log = append(log, fmt.Sprintf("%s@%d", name, p.Now()))
+					issue(p.Now()+Time(rng.Intn(2)), fmt.Sprintf("%s.%d", name, j), 1)
+				}
+				ev.Wait(p)
+				log = append(log, name+" woken")
+			})
+		}
+		for i := 0; i < 400; i++ {
+			issue(Time(rng.Intn(80)), fmt.Sprintf("b%d", i), 0)
+		}
+		issue(200, "fire", 3)
+		s.At(200, func() { ev.Fire(nil) })
+		s.Run()
+		return log
+	}
+	procs, calls := run(false), run(true)
+	if len(procs) < 1000 {
+		t.Fatalf("schedule too small to mean anything: %d entries", len(procs))
+	}
+	if len(procs) != len(calls) {
+		t.Fatalf("%d entries as processes, %d as callbacks", len(procs), len(calls))
+	}
+	for i := range procs {
+		if procs[i] != calls[i] {
+			t.Fatalf("order diverges at entry %d: %s as a process, %s as a callback", i, procs[i], calls[i])
+		}
+	}
+}
+
+// TestCarriersAreReused: processes that run one after another share one
+// coroutine, so a long chain of short-lived spawns neither grows the
+// goroutine count during the run nor leaves anything behind after it.
+func TestCarriersAreReused(t *testing.T) {
+	before := runtime.NumGoroutine()
+	s := New()
+	const spawns = 10000
+	peak := 0
+	var chain func(n int) func(*Proc)
+	chain = func(n int) func(*Proc) {
+		return func(p *Proc) {
+			if g := runtime.NumGoroutine(); g > peak {
+				peak = g
+			}
+			p.Sleep(time.Nanosecond)
+			if n > 1 {
+				s.Spawn("link", chain(n-1))
+			}
+		}
+	}
+	s.Spawn("link", chain(spawns))
+	s.Run()
+	// Each link spawns its successor before returning, so two are alive at
+	// the hand-over: two carriers, however long the chain.
+	if peak > before+2 {
+		t.Errorf("goroutines grew during the run: %d before, peak %d over %d spawns", before, peak, spawns)
+	}
+	if after := settleGoroutines(t, before); after > before {
+		t.Errorf("goroutine leak: %d before, %d after", before, after)
+	}
+}

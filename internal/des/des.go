@@ -2,16 +2,31 @@
 // simulation kernel.
 //
 // The kernel follows the classic SimPy model: simulated activities run as
-// ordinary Go functions ("processes") on their own goroutines, but exactly
-// one process executes at a time and control is handed off explicitly through
-// unbuffered channels. Combined with a totally ordered event queue (ordered
-// by virtual time, then by scheduling sequence number) this makes every
-// simulation run bit-for-bit reproducible regardless of GOMAXPROCS.
+// ordinary Go functions ("processes"), exactly one executes at a time, and
+// control moves between the scheduler loop and a process by a direct
+// coroutine switch (iter.Pull): resuming a process is one next(), parking
+// is one yield(), and neither goes through the Go scheduler or another OS
+// thread. Combined with a totally ordered event queue (ordered by virtual
+// time, then by scheduling sequence number) this makes every simulation run
+// bit-for-bit reproducible regardless of GOMAXPROCS.
 //
 // A process interacts with the kernel through its *Proc handle: it can Sleep
 // for a virtual duration, Wait on an Event, or block on higher level
 // primitives (Resource, Queue) built from those two. Virtual time only
 // advances when every process is blocked.
+//
+// Coroutines are expensive to create and cheap to switch, so they are
+// pooled: a process gets a carrier (a coroutine that runs process bodies
+// one after another) only when its start event fires, taken from a per-Sim
+// list of idle carriers, and the carrier goes back on that list when the
+// body returns. A spawned process that never starts owns no goroutine.
+//
+// Work that never blocks needs no process at all: Sim.At schedules a plain
+// func() that the scheduler loop runs to completion at its instant. At and
+// SpawnAt take their place in the (time, sequence) order the same way, so
+// a body that never parks runs at the same point under either. An At callback
+// has no *Proc, so it cannot Sleep, Wait, Get or Acquire; it may do
+// everything else (Fire, Put, Release, TryAcquire, Spawn, At, Stop).
 //
 // The hot path — schedule an event, pop it, resume the target process — is
 // allocation-free in steady state: events are typed records (kind + target
@@ -23,6 +38,8 @@ package des
 
 import (
 	"fmt"
+	"iter"
+	"runtime/debug"
 	"time"
 
 	"repro/internal/trace"
@@ -54,19 +71,18 @@ type Sim struct {
 	queue    []*event // 4-ary heap, see heap.go
 	free     []*event // recycled event records
 	seq      int64
-	yield    chan struct{} // signalled when the running process parks or exits
 	stopped  bool
-	parked   []*Proc // processes currently blocked inside the kernel
-	starting []*Proc // spawned but not yet started processes
+	running  *Proc      // process executing now; nil on the scheduler loop
+	idle     []*carrier // carriers whose process returned, reused LIFO
+	parked   []*Proc    // processes currently blocked inside the kernel
+	starting []*Proc    // spawned but not yet started processes
 	trace    func(t Time, format string, args ...any)
 	tracer   *trace.Tracer // structured event sink, nil when disabled
 	procSeq  uint64
 }
 
 // New creates an empty simulation positioned at virtual time zero.
-func New() *Sim {
-	return &Sim{yield: make(chan struct{})}
-}
+func New() *Sim { return &Sim{} }
 
 // Now returns the current virtual time.
 func (s *Sim) Now() Time { return s.now }
@@ -108,10 +124,18 @@ func (s *Sim) schedule(at Time, kind eventKind, p *Proc) *event {
 	return e
 }
 
+// At schedules fn to run on the scheduler loop at virtual time at (which
+// must not be in the past). It is Spawn for work that never blocks: fn has
+// no *Proc, must return without parking, and runs at exactly the position
+// in the event order that a process spawned by the same call would start.
+func (s *Sim) At(at Time, fn func()) {
+	s.schedule(at, evCall, nil).fn = fn
+}
+
 // recycle returns a popped or cancelled event record to the free list,
-// dropping its process reference.
+// dropping its process and callback references.
 func (s *Sim) recycle(e *event) {
-	e.proc = nil
+	e.proc, e.fn = nil, nil
 	s.free = append(s.free, e)
 }
 
@@ -129,15 +153,18 @@ func (s *Sim) cancel(e *event) {
 func (s *Sim) Stop() { s.stopped = true }
 
 // Run executes events until the queue is empty or Stop is called, and
-// returns the final virtual time. On return every process goroutine has
-// terminated.
+// returns the final virtual time. On return every process has terminated and
+// no goroutine of the simulation remains. A panic in a process surfaces
+// here, on the caller's goroutine, with the process named; a panic in a
+// callback is already on that goroutine and propagates as it is.
 func (s *Sim) Run() Time { return s.RunUntil(Time(1<<62 - 1)) }
 
 // RunUntil executes events with timestamp <= limit and returns the current
-// virtual time afterwards. Like Run, it unwinds all remaining process
-// goroutines before returning, so it cannot be used to single-step a
-// simulation; it exists to bound runaway simulations.
+// virtual time afterwards. Like Run, it unwinds all remaining processes
+// before returning (also when it returns by panicking), so it cannot be used
+// to single-step a simulation; it exists to bound runaway simulations.
 func (s *Sim) RunUntil(limit Time) Time {
+	defer s.unwindAll()
 	for !s.stopped && len(s.queue) > 0 {
 		e := s.queue[0]
 		if e.at > limit {
@@ -145,52 +172,116 @@ func (s *Sim) RunUntil(limit Time) Time {
 		}
 		s.heapPop()
 		s.now = e.at
-		p, kind := e.proc, e.kind
+		p, fn, kind := e.proc, e.fn, e.kind
 		s.recycle(e)
 		switch kind {
+		case evCall:
+			fn()
+			continue
 		case evSleep:
 			s.unpark(p)
 		case evStart:
 			s.removeStarting(p)
+			s.attach(p)
 		}
 		s.resumeProc(p)
 	}
-	s.unwindAll()
 	return s.now
 }
 
 // unwindAll unblocks every process that is still parked (or never started)
-// when the run loop exits, so their goroutines terminate. Each such Proc
-// reports Abandoned. Unwinding order is deterministic: most recently parked
-// first, then most recently spawned.
+// when the run loop exits, then stops the idle carriers, so no goroutine
+// outlives the run. Each such Proc reports Abandoned. Unwinding order is
+// deterministic: most recently parked first, then most recently spawned.
 func (s *Sim) unwindAll() {
 	for len(s.parked) > 0 || len(s.starting) > 0 {
-		var p *Proc
 		if n := len(s.parked); n > 0 {
-			p = s.parked[n-1]
+			p := s.parked[n-1]
 			s.parked[n-1] = nil
 			s.parked = s.parked[:n-1]
 			p.parkedIdx = -1
-		} else {
-			n := len(s.starting)
-			p = s.starting[n-1]
-			s.starting[n-1] = nil
-			s.starting = s.starting[:n-1]
-			s.cancel(p.startEv)
-			p.startIdx = -1
-			p.startEv = nil
+			p.abandoned = true
+			s.resumeProc(p)
+			continue
 		}
+		// Never started, so it has no carrier: there is nothing to resume.
+		n := len(s.starting)
+		p := s.starting[n-1]
+		s.starting[n-1] = nil
+		s.starting = s.starting[:n-1]
+		s.cancel(p.startEv)
+		p.startIdx = -1
+		p.startEv = nil
 		p.abandoned = true
-		p.resume <- struct{}{}
-		<-s.yield
 	}
+	for _, c := range s.idle {
+		c.stop()
+	}
+	s.idle = nil
+}
+
+// carrier is a coroutine that runs process bodies one after another. The
+// scheduler loop switches into it with next; the process it carries
+// switches back with yield (to park) or by returning (the carrier then
+// lists itself idle and yields).
+type carrier struct {
+	sim   *Sim
+	proc  *Proc // process being carried, nil while idle
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	stop  func()
+}
+
+// attach gives p a carrier, reusing the most recently idled one.
+func (s *Sim) attach(p *Proc) {
+	var c *carrier
+	if n := len(s.idle); n > 0 {
+		c = s.idle[n-1]
+		s.idle[n-1] = nil
+		s.idle = s.idle[:n-1]
+	} else {
+		c = &carrier{sim: s}
+		c.next, c.stop = iter.Pull(c.loop)
+	}
+	c.proc, p.carrier = p, c
+}
+
+// loop is the carrier's coroutine body: run the attached process, go idle,
+// repeat until stop makes yield report false.
+func (c *carrier) loop(yield func(struct{}) bool) {
+	c.yield = yield
+	for {
+		c.run()
+		c.sim.idle = append(c.sim.idle, c)
+		if !yield(struct{}{}) {
+			return
+		}
+	}
+}
+
+// run executes the attached process to its end. An unwind of an abandoned
+// process stops here; any other panic ends the carrier and propagates,
+// through the scheduler's next(), out of Run with the process named. The
+// stack is captured because the coroutine's frames are gone by then.
+func (c *carrier) run() {
+	p := c.proc
+	defer func() {
+		c.proc, p.carrier, p.fn = nil, nil, nil
+		if r := recover(); r != nil {
+			if _, ok := r.(abandonedPanic); !ok {
+				panic(fmt.Sprintf("des: process %q panicked: %v\n%s", p.name, r, debug.Stack()))
+			}
+		}
+	}()
+	p.fn(p)
 }
 
 // Proc is the handle a simulated process uses to interact with the kernel.
 type Proc struct {
 	sim       *Sim
 	name      string
-	resume    chan struct{}
+	fn        func(p *Proc)
+	carrier   *carrier // set from start to return
 	abandoned bool
 	parkedIdx int    // index into sim.parked, -1 when running
 	startIdx  int    // index into sim.starting, -1 once started
@@ -210,8 +301,8 @@ func (p *Proc) Now() Time { return p.sim.now }
 
 // Abandoned reports whether the simulation stopped while this process was
 // parked. It is primarily useful in deferred cleanup: the kernel unwinds
-// abandoned processes with a panic that is recovered by the spawn wrapper,
-// so ordinary code never observes it mid-function.
+// abandoned processes with a panic that is recovered by the carrier, so
+// ordinary code never observes it mid-function.
 func (p *Proc) Abandoned() bool { return p.abandoned }
 
 // Logf emits a trace line through the simulation's trace sink, if installed.
@@ -222,8 +313,8 @@ func (p *Proc) Logf(format string, args ...any) {
 }
 
 // Spawn creates a new process executing fn and schedules it to start at the
-// current virtual time. fn runs on its own goroutine but under the kernel's
-// one-at-a-time discipline.
+// current virtual time. fn runs on a coroutine of its own under the kernel's
+// one-at-a-time discipline. Use At instead when fn never blocks.
 func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
 	return s.SpawnAt(s.now, name, fn)
 }
@@ -231,27 +322,10 @@ func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
 // SpawnAt is Spawn with an explicit (future) start time.
 func (s *Sim) SpawnAt(at Time, name string, fn func(p *Proc)) *Proc {
 	s.procSeq++
-	p := &Proc{sim: s, name: name, resume: make(chan struct{}), parkedIdx: -1, id: s.procSeq}
+	p := &Proc{sim: s, name: name, fn: fn, parkedIdx: -1, id: s.procSeq}
 	if s.tracer != nil {
 		s.tracer.Instant(int64(s.now), trace.LayerDES, trace.KindSpawn, name, "spawn", p.id, int64(at))
 	}
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(abandonedPanic); !ok {
-					// Re-panic on another goroutine would lose the scheduler
-					// handshake; report loudly instead.
-					panic(fmt.Sprintf("des: process %q panicked: %v", name, r))
-				}
-			}
-			s.yield <- struct{}{}
-		}()
-		<-p.resume
-		if p.abandoned {
-			return
-		}
-		fn(p)
-	}()
 	p.startEv = s.schedule(at, evStart, p)
 	p.startIdx = len(s.starting)
 	s.starting = append(s.starting, p)
@@ -274,25 +348,29 @@ func (s *Sim) removeStarting(p *Proc) {
 	p.startEv = nil
 }
 
-// resumeProc transfers control to p and waits for it to park or exit.
-// It must only be called from the scheduler loop (i.e. from an event fn).
+// resumeProc switches to p and returns when it parks or exits. It must only
+// be called from the scheduler loop.
 func (s *Sim) resumeProc(p *Proc) {
-	p.resume <- struct{}{}
-	<-s.yield
+	s.running = p
+	p.carrier.next()
+	s.running = nil
 }
 
 // park blocks the calling process until something resumes it. The caller
 // must already have arranged for a wake-up (a scheduled event or a waiter
-// registration on some primitive).
+// registration on some primitive). Only the running process may park: any
+// other *Proc would switch away from a carrier that is not executing.
 func (p *Proc) park() {
 	s := p.sim
+	if s.running != p {
+		s.foreignPark(p)
+	}
 	if s.tracer != nil {
 		p.blockT = s.now
 	}
 	p.parkedIdx = len(s.parked)
 	s.parked = append(s.parked, p)
-	s.yield <- struct{}{}
-	<-p.resume
+	p.carrier.yield(struct{}{})
 	if p.abandoned {
 		panic(abandonedPanic{})
 	}
@@ -301,6 +379,16 @@ func (p *Proc) park() {
 	if s.tracer != nil && s.now > p.blockT {
 		s.tracer.Span(int64(p.blockT), int64(s.now), trace.LayerDES, trace.KindBlocked, p.name, "blocked", p.id, 0)
 	}
+}
+
+// foreignPark reports a blocking call made on a *Proc by anything other
+// than the process it belongs to.
+func (s *Sim) foreignPark(p *Proc) {
+	by := "the scheduler loop"
+	if s.running != nil {
+		by = fmt.Sprintf("process %q", s.running.name)
+	}
+	panic(fmt.Sprintf("des: process %q blocked from %s; a *Proc may only be used by the process it was handed to", p.name, by))
 }
 
 // unpark removes p from the parked set; primitives call it right before
@@ -325,7 +413,7 @@ func (s *Sim) wake(p *Proc) {
 	s.schedule(s.now, evResume, p)
 }
 
-// abandonedPanic unwinds a process goroutine whose simulation has stopped.
+// abandonedPanic unwinds a process whose simulation has stopped.
 type abandonedPanic struct{}
 
 // Sleep suspends the process for d of virtual time. Negative durations are

@@ -8,7 +8,8 @@ type Event struct {
 	sim     *Sim
 	fired   bool
 	value   any
-	waiters []*Proc
+	first   *Proc   // the first waiter, held inline: most events have only one
+	waiters []*Proc // the second waiter onwards
 }
 
 // NewEvent creates an unfired event bound to s.
@@ -31,6 +32,10 @@ func (e *Event) Fire(value any) {
 	e.fired = true
 	e.value = value
 	s := e.sim
+	if e.first != nil {
+		s.wake(e.first)
+		e.first = nil
+	}
 	for i, p := range e.waiters {
 		s.wake(p)
 		e.waiters[i] = nil
@@ -56,7 +61,11 @@ func (e *Event) Wait(p *Proc) any {
 	if e.fired {
 		return e.value
 	}
-	e.waiters = append(e.waiters, p)
+	if e.first == nil {
+		e.first = p
+	} else {
+		e.waiters = append(e.waiters, p)
+	}
 	p.park()
 	return e.value
 }

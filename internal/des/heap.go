@@ -20,8 +20,11 @@ const (
 	// evResume resumes a process a primitive (Queue, Event, Resource, ...)
 	// has already unparked; the wake-up was scheduled at unpark time.
 	evResume
-	// evStart performs the first resume of a freshly spawned process.
+	// evStart attaches a carrier to a freshly spawned process and performs
+	// its first resume.
 	evStart
+	// evCall runs a callback on the scheduler loop (Sim.At).
+	evCall
 )
 
 // event is a scheduled kernel action. Instances are recycled through
@@ -31,7 +34,8 @@ type event struct {
 	at    Time
 	seq   int64 // tie-breaker: schedule order
 	proc  *Proc
-	index int // heap index, -1 when popped/cancelled
+	fn    func() // evCall only
+	index int    // heap index, -1 when popped/cancelled
 	kind  eventKind
 }
 

@@ -299,7 +299,7 @@ func (f *Fabric) Connect(a, b *Node, cfg QPConfig) (*QP, *QP) {
 // or was closed is a no-op, so schedules laid out in advance stay safe
 // across reconnects.
 func (f *Fabric) ScheduleQPError(at des.Time, q *QP, err error) {
-	f.Sim.SpawnAt(at, "fault-qp", func(*des.Proc) {
+	f.Sim.At(at, func() {
 		if q.closed || q.errSt != nil {
 			return
 		}
@@ -314,7 +314,7 @@ func (f *Fabric) ScheduleQPError(at des.Time, q *QP, err error) {
 // failure/recovery cycles. Endpoints are visited in creation order for
 // determinism.
 func (f *Fabric) ScheduleLinkFlap(at des.Time, a, b *Node) {
-	f.Sim.SpawnAt(at, "fault-flap", func(*des.Proc) {
+	f.Sim.At(at, func() {
 		f.Counters.Inc("fault.flap")
 		for _, q := range f.conns {
 			if q.closed || q.errSt != nil || q.peer == nil {

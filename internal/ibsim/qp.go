@@ -535,16 +535,14 @@ func (q *QP) launchSend(p *des.Proc, w *SendWQE) {
 	s := q.node.fab.Sim
 	lat := latency(q.node, peer.node)
 	arrive := s.Now() + des.Time(lat)
-	s.SpawnAt(arrive, "deliver-send", func(dp *des.Proc) {
-		q.deliverSend(dp, w, 0)
-	})
+	s.At(arrive, func() { q.deliverSend(w, 0) })
 }
 
 // deliverSend consumes a posted receive at the peer, retrying on RNR. The
 // peer is re-resolved on every attempt: on a mux QP the target endpoint can
 // detach between retries, in which case the send flushes instead of landing
 // on a recycled slot.
-func (q *QP) deliverSend(dp *des.Proc, w *SendWQE, attempt int) {
+func (q *QP) deliverSend(w *SendWQE, attempt int) {
 	ctr := &q.node.fab.hot
 	s := q.node.fab.Sim
 	if q.errSt != nil {
@@ -566,7 +564,7 @@ func (q *QP) deliverSend(dp *des.Proc, w *SendWQE, attempt int) {
 		ctr.rnr.Inc()
 		if w.seq != 0 {
 			if tr := s.Tracer(); tr != nil {
-				tr.Instant(int64(dp.Now()), trace.LayerIbsim, trace.KindRNR, q.track, w.Op.String(), w.seq, int64(attempt))
+				tr.Instant(int64(s.Now()), trace.LayerIbsim, trace.KindRNR, q.track, w.Op.String(), w.seq, int64(attempt))
 			}
 		}
 		if attempt >= q.cfg.RNRRetryLimit {
@@ -581,8 +579,7 @@ func (q *QP) deliverSend(dp *des.Proc, w *SendWQE, attempt int) {
 			q.complete(w, err, 0)
 			return
 		}
-		dp.Sleep(q.cfg.RNRRetryDelay)
-		q.deliverSend(dp, w, attempt+1)
+		s.At(s.Now()+des.Time(q.cfg.RNRRetryDelay), func() { q.deliverSend(w, attempt+1) })
 		return
 	}
 	if len(w.Payload) > r.Cap {
@@ -603,7 +600,7 @@ func (q *QP) deliverSend(dp *des.Proc, w *SendWQE, attempt int) {
 	})
 	// Ack returns to the sender one latency later.
 	lat := latency(q.node, peer.node)
-	s.SpawnAt(s.Now()+des.Time(lat), "send-ack", func(*des.Proc) {
+	s.At(s.Now()+des.Time(lat), func() {
 		q.complete(w, nil, len(w.Payload))
 	})
 }
@@ -622,7 +619,7 @@ func (q *QP) launchWrite(p *des.Proc, w *SendWQE) {
 	q.dmaSpan(p, w, size, func() { transfer(p, q.node, peer.node, size) })
 	s := q.node.fab.Sim
 	lat := latency(q.node, peer.node)
-	s.SpawnAt(s.Now()+des.Time(lat), "deliver-write", func(*des.Proc) {
+	s.At(s.Now()+des.Time(lat), func() {
 		// A fault injected while the data was on the wire flushes the
 		// in-flight WQE instead of letting it land as if healthy. The peer is
 		// re-resolved so a write to a detached endpoint flushes too rather
@@ -696,7 +693,7 @@ func (q *QP) launchRead(p *des.Proc, w *SendWQE) {
 		mr, err := peer.node.HCA.lookup(w.RemoteKey, w.RemoteAddr, size, AccessRemoteRead)
 		if err != nil {
 			q.node.fab.Counters.Inc("protection_error")
-			s.SpawnAt(s.Now()+des.Time(lat), "read-nak", func(*des.Proc) {
+			s.At(s.Now()+des.Time(lat), func() {
 				q.setError(err)
 				q.ord.Release(1)
 				q.complete(w, err, 0)
@@ -706,7 +703,7 @@ func (q *QP) launchRead(p *des.Proc, w *SendWQE) {
 		// Responder streams the data back on its transmit port, paying the
 		// per-read channel turnaround.
 		transferExtra(rp, peer.node, q.node, size, peer.node.cfg.ReadResponseOverhead)
-		s.SpawnAt(s.Now()+des.Time(lat), "read-data", func(*des.Proc) {
+		s.At(s.Now()+des.Time(lat), func() {
 			if q.errSt != nil {
 				ctr.wqeFlushed.Inc()
 				q.ord.Release(1)

@@ -537,16 +537,23 @@ func (t *ClientTransport) attemptTimeout(attempt int) des.Duration {
 	return t.cfg.CallTimeout << attempt
 }
 
-// armTimer spawns a watchdog that fires done with ErrTimeout at the
+// armTimer arms a watchdog that fires done with ErrTimeout at the
 // deadline. Losing the race to a real reply makes it a harmless no-op, so
-// stale timers from completed attempts never need cancelling.
+// stale timers from completed attempts never need cancelling. The two hops
+// are deliberate: same-instant events run in the order they were scheduled,
+// and the deadline takes its place in that order when the first hop runs —
+// where the recorded golden digests and chaos fingerprints have it — not
+// when armTimer is called. Scheduling it directly would move it ahead of
+// whatever else this instant schedules for the same deadline.
 func (t *ClientTransport) armTimer(done *des.Event, d des.Duration) {
 	if d <= 0 {
 		return
 	}
-	t.node.Sim().Spawn(t.node.Name()+"/rpcrdma-timer", func(tp *des.Proc) {
-		tp.Sleep(d)
-		done.TryFire(&rtResult{err: fmt.Errorf("%w after %v", ErrTimeout, d)})
+	s := t.node.Sim()
+	s.At(s.Now(), func() {
+		s.At(s.Now()+des.Time(d), func() {
+			done.TryFire(&rtResult{err: fmt.Errorf("%w after %v", ErrTimeout, d)})
+		})
 	})
 }
 

@@ -291,7 +291,7 @@ func (l *Listener) handle(p *des.Proc, msg *message) {
 		arrive = p.Now()
 	}
 	xid := xidOf(reply)
-	p.Sim().SpawnAt(arrive, "tcp-reply-rx", func(rp *des.Proc) {
+	p.Sim().At(arrive, func() {
 		if done, ok := conn.pending[xid]; ok && !done.Fired() {
 			done.Fire(&serverReply{hdr: reply, bulkLen: bulkLen, bulkData: bulkData})
 		}

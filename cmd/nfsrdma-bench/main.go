@@ -310,7 +310,7 @@ func main() {
 		res.Read.MBps, res.Read.ClientCPUPct, res.Read.ServerCPUPct, res.Read.Interrupts)
 	fmt.Printf("simulated time: %v\n", end)
 	if *metrics {
-		cluster.Metrics(0).Write(os.Stdout)
+		cluster.Metrics(nil).Write(os.Stdout)
 	}
 	if rdma := cluster.Server.RDMA; rdma != nil {
 		fmt.Printf("server: requests=%d bulkReads=%d bulkWrites=%d longCalls=%d longReplies=%d\n",

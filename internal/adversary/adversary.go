@@ -286,10 +286,7 @@ func Run(cfg Config) *Result {
 	}
 	res.BlastRadius = blastRadius(oracle.Violations, cfg.Clients)
 	res.Crashes = cluster.Crashes
-	for _, cl := range cluster.Clients {
-		rc, _ := cl.RecoveryStats()
-		res.VictimRecon += rc
-	}
+	res.VictimRecon = cluster.Totals.Reconnects
 	if srv := cluster.Server.RDMA; srv != nil {
 		res.DoneRecv = srv.DoneRecv
 		res.DoneRejected = srv.DoneRejected

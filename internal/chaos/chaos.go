@@ -194,14 +194,9 @@ func Run(cfg Config) *Result {
 			fmt.Sprintf("... and %d more", oracle.ViolationCount-int64(len(oracle.Violations))))
 	}
 	res.Crashes = cluster.Crashes
-	for _, cl := range cluster.Clients {
-		rc, rp := cl.RecoveryStats()
-		res.Reconnects += rc
-		res.Replays += rp
-		to, rt := cl.TransportStats()
-		res.Timeouts += to
-		res.Retransmits += rt
-	}
+	tot := &cluster.Totals
+	res.Reconnects, res.Replays = tot.Reconnects, tot.Replays
+	res.Timeouts, res.Retransmits = tot.RDMA.Timeouts, tot.RDMA.Retransmits
 	res.DRCHits, res.DRCMisses = cluster.Server.Dispatcher.DRCStats()
 	res.WritesIssued = oracle.WritesIssued
 	res.OracleReads = oracle.ReadsChecked

@@ -18,6 +18,7 @@ type AttrCache struct {
 	sim   *des.Sim
 	ttl   des.Duration
 	track string // client node name, for trace instants
+	tot   *Totals
 
 	attrs   map[nfs3.FH]attrEntry
 	lookups map[lookupKey]lookupEntry
@@ -49,6 +50,7 @@ func (c *Client) EnableAttrCache(ttl des.Duration) *AttrCache {
 		sim:     c.Node.Sim(),
 		ttl:     ttl,
 		track:   c.Node.Name(),
+		tot:     &c.cluster.Totals,
 		attrs:   make(map[nfs3.FH]attrEntry),
 		lookups: make(map[lookupKey]lookupEntry),
 	}
@@ -73,10 +75,12 @@ func (ac *AttrCache) getAttr(fh nfs3.FH) (nfs3.FAttr, bool) {
 	e, ok := ac.attrs[fh]
 	if !ok || ac.sim.Now() >= e.expires {
 		ac.AttrMisses++
+		ac.tot.AttrMisses++
 		ac.mark(trace.KindCacheMiss, "attr-miss")
 		return nfs3.FAttr{}, false
 	}
 	ac.AttrHits++
+	ac.tot.AttrHits++
 	ac.mark(trace.KindCacheHit, "attr-hit")
 	return e.attr, true
 }
@@ -93,10 +97,12 @@ func (ac *AttrCache) getLookup(dir nfs3.FH, name string) (nfs3.FH, bool) {
 	e, ok := ac.lookups[lookupKey{dir, name}]
 	if !ok || ac.sim.Now() >= e.expires {
 		ac.LookupMisses++
+		ac.tot.AttrMisses++
 		ac.mark(trace.KindCacheMiss, "lookup-miss")
 		return nfs3.FH{}, false
 	}
 	ac.LookupHits++
+	ac.tot.AttrHits++
 	ac.mark(trace.KindCacheHit, "lookup-hit")
 	return e.fh, true
 }

@@ -33,6 +33,17 @@ type Client struct {
 	lostRetransmits int64
 }
 
+// install makes t the client's RDMA transport and the one Totals.RDMA sums
+// for this client. The transport it replaces, if any, leaves the sum, so
+// calls still failing back on it cannot disturb the totals.
+func (c *Client) install(t *rpcrdma.ClientTransport) {
+	if c.RDMA != nil {
+		c.RDMA.SumInto(new(rpcrdma.ClientTotals))
+	}
+	t.SumInto(&c.cluster.Totals.RDMA)
+	c.RDMA = t
+}
+
 // TransportStats returns cumulative RDMA transport timeout and
 // retransmission counts across every connection this client has used,
 // including ones replaced by Reconnect. Zeros on TCP transports.

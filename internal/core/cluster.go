@@ -231,6 +231,26 @@ type Cluster struct {
 	// tel is the telemetry engine attached by EnableTelemetry (nil — the
 	// disabled engine — otherwise; see telemetry.go).
 	tel *telemetry.Engine
+
+	// Totals are the cluster-wide sums the telemetry probes and the chaos
+	// and adversary reports read. Each is bumped by the statement that bumps
+	// the per-client value it sums, so reading one never walks Clients.
+	Totals Totals
+}
+
+// Totals are sums over a cluster's clients, maintained where the summed
+// values change: the client transports' credit gates and call loops
+// (RDMA), the recovery layer, and the attribute and data caches.
+type Totals struct {
+	// RDMA sums the transports installed in Clients[i].RDMA (a transport
+	// replaced by Reconnect leaves at the swap) plus, in Timeouts and
+	// Retransmits, what Reconnect banked from retired ones: the sum over
+	// clients of TransportStats.
+	RDMA rpcrdma.ClientTotals
+
+	Reconnects, Replays  int64 // recovery layer, all clients
+	AttrHits, AttrMisses int64 // attribute plus lookup cache
+	DataHits, DataMisses int64 // client data cache
 }
 
 // NewCluster builds the hosts and schedules the wiring (managers and
@@ -323,7 +343,7 @@ func NewCluster(cfg Config) *Cluster {
 				if err != nil {
 					panic(err.Error())
 				}
-				cl.RDMA = t
+				cl.install(t)
 				cl.Transport = cl.RDMA
 			}
 		case TransportIPoIB, TransportGigE:

@@ -199,6 +199,7 @@ func (f *File) ReadAtCached(p *des.Proc, dst []byte, off int64) (int, bool, erro
 		pg, ok := cf.pages[idx]
 		if ok {
 			dc.Hits++
+			dc.c.cluster.Totals.DataHits++
 			if tr != nil {
 				tr.Instant(int64(p.Now()), trace.LayerCore, trace.KindCacheHit,
 					f.c.Node.Name(), "data-hit", uint64(idx), 0)
@@ -206,6 +207,7 @@ func (f *File) ReadAtCached(p *des.Proc, dst []byte, off int64) (int, bool, erro
 			dc.touch(pg)
 		} else {
 			dc.Misses++
+			dc.c.cluster.Totals.DataMisses++
 			if tr != nil {
 				tr.Instant(int64(p.Now()), trace.LayerCore, trace.KindCacheMiss,
 					f.c.Node.Name(), "data-miss", uint64(idx), 0)

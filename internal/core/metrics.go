@@ -35,22 +35,53 @@ type Metrics struct {
 
 	// Fabric counters (op counts, bytes, errors).
 	Fabric []stats.CounterValue
+
+	// busy holds the cumulative readings behind the utilization figures, so
+	// that a later snapshot can take its window against this one.
+	busy busySeconds
+}
+
+// busySeconds are cumulative unit-seconds consumed since simulation start.
+type busySeconds struct {
+	serverCPU, tpt, tx, rx, disk float64
+	clientCPU                    []float64
 }
 
 // Metrics snapshots the cluster. Utilizations are computed over the window
-// starting at since (zero = since simulation start).
-func (c *Cluster) Metrics(since des.Time) Metrics {
+// that opened at the earlier snapshot since (nil = at simulation start), as
+// the difference of two cumulative busy-second readings: a resource keeps no
+// history of its occupancy, so only a reading taken at the window's start
+// can say what was consumed before it.
+func (c *Cluster) Metrics(since *Metrics) Metrics {
+	srv := c.Server.Node
 	m := Metrics{
 		SimTime:           c.Sim.Now(),
-		ServerCPUPct:      c.Server.Node.CPU.UtilizationSince(since) * 100,
-		ServerInterrupts:  c.Server.Node.CPU.Interrupts(),
-		ServerTPTUtilPct:  c.Server.Node.HCA.TPTEngineUtilization(since) * 100,
-		ServerExposedMRs:  c.Server.Node.HCA.RemoteExposedBytes(),
-		ServerExposedEver: c.Server.Node.HCA.RemoteExposedEver(),
+		ServerInterrupts:  srv.CPU.Interrupts(),
+		ServerExposedMRs:  srv.HCA.RemoteExposedBytes(),
+		ServerExposedEver: srv.HCA.RemoteExposedEver(),
 		Fabric:            c.Fabric.Counters.Snapshot(),
 	}
-	tx, rx := c.Server.Node.PortUtilization(since)
-	m.ServerPortTxPct, m.ServerPortRxPct = tx*100, rx*100
+	if since == nil {
+		since = &Metrics{}
+	}
+	elapsed := (m.SimTime - since.SimTime).Seconds()
+	// pct is the utilization over the window of a resource with the given
+	// number of units, from its cumulative reading now and at the window's
+	// start.
+	pct := func(now, then float64, units int) float64 {
+		if elapsed <= 0 {
+			return 0
+		}
+		return (now - then) / (float64(units) * elapsed) * 100
+	}
+	b, was := &m.busy, &since.busy
+	b.serverCPU = srv.CPU.TotalBusySeconds()
+	b.tpt = srv.HCA.TPTEngineBusySeconds()
+	b.tx, b.rx = srv.TxPort().BusySeconds(), srv.RxPort().BusySeconds()
+	m.ServerCPUPct = pct(b.serverCPU, was.serverCPU, srv.CPU.Cores())
+	m.ServerTPTUtilPct = pct(b.tpt, was.tpt, 1)
+	m.ServerPortTxPct = pct(b.tx, was.tx, srv.TxPort().Capacity())
+	m.ServerPortRxPct = pct(b.rx, was.rx, srv.RxPort().Capacity())
 	if c.Server.Mgr != nil {
 		m.Registration = c.Server.Mgr.Stats()
 	}
@@ -58,7 +89,8 @@ func (c *Cluster) Metrics(since des.Time) Metrics {
 		m.ParkedReplies = c.Server.RDMA.ParkedReplies()
 	}
 	if c.Server.Disk != nil {
-		m.DiskUtilPct = c.Server.Disk.Utilization(since) * 100
+		b.disk = c.Server.Disk.BusySeconds()
+		m.DiskUtilPct = pct(b.disk, was.disk, c.Server.Disk.Disks())
 		m.DiskBytesRead = c.Server.Disk.BytesRead
 	}
 	if c.Server.Cache != nil {
@@ -66,8 +98,13 @@ func (c *Cluster) Metrics(since des.Time) Metrics {
 			m.CacheHitRatio = float64(c.Server.Cache.Hits) / float64(tot)
 		}
 	}
-	for _, cl := range c.Clients {
-		m.ClientCPUPct = append(m.ClientCPUPct, cl.Node.CPU.UtilizationSince(since)*100)
+	for i, cl := range c.Clients {
+		var then float64
+		if i < len(was.clientCPU) {
+			then = was.clientCPU[i]
+		}
+		b.clientCPU = append(b.clientCPU, cl.Node.CPU.TotalBusySeconds())
+		m.ClientCPUPct = append(m.ClientCPUPct, pct(b.clientCPU[i], then, cl.Node.CPU.Cores()))
 	}
 	return m
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/des"
 	"repro/internal/memreg"
@@ -26,7 +27,7 @@ func TestMetricsSnapshot(t *testing.T) {
 		for i := 0; i < 32; i++ {
 			f.ReadAt(p, buf, 0, int64(i)<<20, 1<<20, true)
 		}
-		m := cluster.Metrics(0)
+		m := cluster.Metrics(nil)
 		if m.SimTime <= 0 {
 			t.Error("no simulated time")
 		}
@@ -76,11 +77,11 @@ func TestMetricsWindowing(t *testing.T) {
 				return
 			}
 		}
-		busyEnd := p.Now()
-		p.Sleep(des.Duration(busyEnd)) // an equally long fully idle tail
+		busyEnd := cluster.Metrics(nil)
+		p.Sleep(des.Duration(busyEnd.SimTime)) // an equally long fully idle tail
 
-		full := cluster.Metrics(0)
-		tail := cluster.Metrics(busyEnd)
+		full := cluster.Metrics(nil)
+		tail := cluster.Metrics(&busyEnd)
 		if full.ClientCPUPct[0] <= 0 {
 			t.Fatalf("full-run client CPU = %v, want > 0", full.ClientCPUPct[0])
 		}
@@ -95,8 +96,28 @@ func TestMetricsWindowing(t *testing.T) {
 		if tail.ServerCPUPct > 0.01 {
 			t.Errorf("idle-window server CPU = %v%%, want ~0 (since ignored?)", tail.ServerCPUPct)
 		}
+		// A window that opens inside a busy period: every server core busy
+		// for the first half, every other one for the second. The second
+		// half alone is 50% busy, whatever came before it. (Windows used to
+		// be cut from the whole-run busy integral clamped to the window's
+		// length, which reads 100% here.)
+		cpu := cluster.Server.Node.CPU
+		burn := func(cores int, d des.Duration) {
+			for i := 0; i < cores; i++ {
+				cluster.Sim.Spawn("burn", func(bp *des.Proc) { cpu.Work(bp, d) })
+			}
+			p.Sleep(d)
+		}
+		const phase = 10 * time.Millisecond
+		burn(cpu.Cores(), phase)
+		mid := cluster.Metrics(nil)
+		burn(cpu.Cores()/2, phase/2)
+		burn(cpu.Cores()/2, phase/2)
+		if got := cluster.Metrics(&mid).ServerCPUPct; got < 49 || got > 51 {
+			t.Errorf("half-busy window after a fully busy one: server CPU = %.1f%%, want 50%%", got)
+		}
 		// The busy half alone must show at least the full-run average.
-		if half := cluster.Metrics(0); half.ClientCPUPct[0] < tail.ClientCPUPct[0] {
+		if half := cluster.Metrics(nil); half.ClientCPUPct[0] < tail.ClientCPUPct[0] {
 			t.Errorf("window inversion: full %v < tail %v", half.ClientCPUPct[0], tail.ClientCPUPct[0])
 		}
 	})

@@ -25,9 +25,11 @@ func (c *Client) Reconnect(p *des.Proc) error {
 		return fmt.Errorf("core: reconnect applies to RDMA transports only")
 	}
 	// Bank the retired connection's counters so TransportStats stays
-	// cumulative across the swap.
+	// cumulative across the swap; the cluster totals bank them with it.
 	c.lostTimeouts += c.RDMA.Timeouts
 	c.lostRetransmits += c.RDMA.Retransmits
+	c.cluster.Totals.RDMA.Timeouts += c.RDMA.Timeouts
+	c.cluster.Totals.RDMA.Retransmits += c.RDMA.Retransmits
 	c.RDMA.Close()
 	nt, err := connectRDMA(p, c)
 	if err != nil {
@@ -37,7 +39,7 @@ func (c *Client) Reconnect(p *des.Proc) error {
 		// retry the reconnect later.
 		return err
 	}
-	c.RDMA = nt
+	c.install(nt)
 	if c.recovery == nil {
 		// No recovery wrapper: callers talk to the raw transport, so swap
 		// it in directly. With recovery enabled the wrapper stays installed

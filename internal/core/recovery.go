@@ -95,6 +95,7 @@ func (r *recoveringTransport) Roundtrip(p *des.Proc, req *oncrpc.Request) (*oncr
 			continue
 		}
 		r.replays++
+		r.cl.cluster.Totals.Replays++
 		if tr := r.cl.cluster.Sim.Tracer(); tr != nil {
 			tr.Instant(int64(p.Now()), trace.LayerCore, trace.KindReplay,
 				r.cl.Node.Name(), "replay", uint64(req.XID), int64(attempt))
@@ -132,6 +133,7 @@ func (r *recoveringTransport) ensureConnected(p *des.Proc) error {
 		return err
 	}
 	r.reconnects++
+	r.cl.cluster.Totals.Reconnects++
 	return nil
 }
 

@@ -142,12 +142,3 @@ func (m *Model) BusySeconds() float64 {
 func (m *Model) TotalBusySeconds() float64 {
 	return m.cores.BusySeconds()
 }
-
-// UtilizationSince returns mean CPU utilization (0..1 across all cores)
-// over [since, now), independent of the ResetWindow state. This is the
-// windowing every other resource (ports, TPT engine, disk) uses, so
-// cluster-level snapshots can apply one consistent `since` across all
-// utilization figures.
-func (m *Model) UtilizationSince(since des.Time) float64 {
-	return m.cores.Utilization(since)
-}

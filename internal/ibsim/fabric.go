@@ -45,9 +45,10 @@ func NewFabric(sim *des.Sim, copyData bool) *Fabric {
 }
 
 // hotCounters are the fabric counters incremented on every data-path work
-// request or completion. They live on the stats.Counters atomic-slot fast
-// path: the named-counter mutex would otherwise serialize each WQE against
-// telemetry sampling and cross-shard traffic at high client counts. Cold
+// request, completion or memory registration. They live on the
+// stats.Counters atomic-slot fast path: the named-counter mutex would
+// otherwise serialize each WQE against telemetry sampling and cross-shard
+// traffic at high client counts. Cold
 // events (QP errors, protection faults, injected faults) stay on the plain
 // named path. Snapshot output is unchanged — slots merge into the same
 // sorted listing and never-fired names stay absent.
@@ -58,6 +59,10 @@ type hotCounters struct {
 	wqeFlushed          *stats.Slot
 	rnr                 *stats.Slot
 	cqeDropped          *stats.Slot
+
+	// Registration path: once or twice per RPC under dynamic registration.
+	mrRegistered, mrDeregistered, mrRemoteExposed *stats.Slot
+	fmrKeyRotations, fmrRemapReuse                *stats.Slot
 }
 
 func newHotCounters(c *stats.Counters) hotCounters {
@@ -71,6 +76,12 @@ func newHotCounters(c *stats.Counters) hotCounters {
 		wqeFlushed: c.Slot("wqe.flushed"),
 		rnr:        c.Slot("rnr"),
 		cqeDropped: c.Slot("cqe.dropped"),
+
+		mrRegistered:    c.Slot("mr.registered"),
+		mrDeregistered:  c.Slot("mr.deregistered"),
+		mrRemoteExposed: c.Slot("mr.remote_exposed"),
+		fmrKeyRotations: c.Slot("fmr.key_rotations"),
+		fmrRemapReuse:   c.Slot("fmr.remap_reuse"),
 	}
 }
 
@@ -245,12 +256,6 @@ func latency(from, to *Node) des.Duration {
 		l = to.cfg.PortLatency
 	}
 	return l
-}
-
-// PortUtilization returns (tx, rx) utilization of the node's port since
-// simulation start of the given window.
-func (n *Node) PortUtilization(since des.Time) (tx, rx float64) {
-	return n.txPort.Utilization(since), n.rxPort.Utilization(since)
 }
 
 // TxPort exposes the transmit-side port resource for transports (e.g. the

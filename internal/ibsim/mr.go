@@ -123,6 +123,10 @@ func (h *HCA) TPTEngineUtilization(since des.Time) float64 {
 	return h.tptEngine.Utilization(since)
 }
 
+// TPTEngineBusySeconds returns the cumulative time the TPT engine has been
+// occupied; the difference of two readings is exact for any window.
+func (h *HCA) TPTEngineBusySeconds() float64 { return h.tptEngine.BusySeconds() }
+
 // Node returns the owning node.
 func (h *HCA) Node() *Node { return h.node }
 
@@ -166,9 +170,9 @@ func (h *HCA) install(mr *MR) {
 	if mr.access&(AccessRemoteRead|AccessRemoteWrite) != 0 {
 		h.remoteExposedBytes += int64(mr.length)
 		h.remoteExposedEver++
-		h.node.fab.Counters.Inc("mr.remote_exposed")
+		h.node.fab.hot.mrRemoteExposed.Inc()
 	}
-	h.node.fab.Counters.Inc("mr.registered")
+	h.node.fab.hot.mrRegistered.Inc()
 	if tr := h.node.fab.Sim.Tracer(); tr != nil {
 		tr.Begin(int64(h.node.fab.Sim.Now()), trace.LayerIbsim, trace.KindMR, h.node.name, "mr",
 			uint64(mr.rkey), trace.MRArg(uint8(mr.access), mr.length))
@@ -184,7 +188,7 @@ func (h *HCA) remove(mr *MR) {
 	if mr.access&(AccessRemoteRead|AccessRemoteWrite) != 0 {
 		h.remoteExposedBytes -= int64(mr.length)
 	}
-	h.node.fab.Counters.Inc("mr.deregistered")
+	h.node.fab.hot.mrDeregistered.Inc()
 	if tr := h.node.fab.Sim.Tracer(); tr != nil {
 		tr.End(int64(h.node.fab.Sim.Now()), trace.LayerIbsim, trace.KindMR, h.node.name, "mr",
 			uint64(mr.rkey), 0)
@@ -291,11 +295,11 @@ func (f *FMRHandle) Map(p *des.Proc, buf *Buffer, off, length int, access Access
 			// Fresh tag per remap: a peer holding the previous cycle's rkey
 			// faults instead of silently addressing the new mapping.
 			f.rkey = h.allocTag()
-			h.node.fab.Counters.Inc("fmr.key_rotations")
+			h.node.fab.hot.fmrKeyRotations.Inc()
 		} else {
 			// Pool-time tag reused across mappings — the remap window the
 			// adversary's stale-rkey probe exploits.
-			h.node.fab.Counters.Inc("fmr.remap_reuse")
+			h.node.fab.hot.fmrRemapReuse.Inc()
 		}
 	}
 	pages := h.pages(length)

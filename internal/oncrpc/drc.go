@@ -57,10 +57,11 @@ type drcClient struct {
 // forward pass compacts order in place — the old rescan-from-the-head loop
 // was O(n²) whenever executing placeholders sat at the FIFO head. If every
 // entry is in flight the window transiently exceeds capacity; that is
-// tolerated.
-func (cl *drcClient) evict(target int) {
-	if len(cl.entries) <= target {
-		return
+// tolerated. It returns how many entries went, for the cache-wide count.
+func (cl *drcClient) evict(target int) (removed int) {
+	before := len(cl.entries)
+	if before <= target {
+		return 0
 	}
 	keep := cl.order[:0]
 	for i, k := range cl.order {
@@ -76,6 +77,7 @@ func (cl *drcClient) evict(target int) {
 		keep = append(keep, k)
 	}
 	cl.order = keep
+	return before - len(cl.entries)
 }
 
 type drcState int
@@ -90,6 +92,7 @@ const (
 type drc struct {
 	capacity int
 	clients  map[string]*drcClient
+	entries  int // sum of len(entries) over clients, kept by begin and DropDRC
 
 	Hits, Misses    int64
 	InProgressDrops int64 // retransmissions of still-executing calls dropped
@@ -122,21 +125,18 @@ func (d *Dispatcher) DRCStats() (hits, misses int64) {
 func (d *Dispatcher) DropDRC() {
 	if d.drc != nil {
 		d.drc.clients = make(map[string]*drcClient)
+		d.drc.entries = 0
 	}
 }
 
 // DRCEntries returns the total cached or executing entries across all
-// client replay windows, zero without a DRC. A sum over clients is
-// iteration-order independent, so telemetry sampling it stays deterministic.
+// client replay windows, zero without a DRC. Telemetry samples it on every
+// tick, so it is a count kept where entries come and go, not a walk.
 func (d *Dispatcher) DRCEntries() int {
 	if d.drc == nil {
 		return 0
 	}
-	n := 0
-	for _, cl := range d.drc.clients {
-		n += len(cl.entries)
-	}
-	return n
+	return d.drc.entries
 }
 
 // DRCClients returns how many client replay windows exist, zero without a
@@ -195,7 +195,7 @@ func (c *drc) begin(machine string, k clientKey) {
 	if _, dup := cl.entries[k]; dup {
 		return
 	}
-	cl.evict(c.capacity - 1)
+	c.entries += 1 - cl.evict(c.capacity-1)
 	cl.entries[k] = &drcEntry{key: k, executing: true}
 	cl.order = append(cl.order, k)
 }

@@ -1,6 +1,7 @@
 package oncrpc
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -335,4 +336,76 @@ func TestDRCBounded(t *testing.T) {
 		}
 	})
 	sim.Run()
+}
+
+// walkEntries is DRCEntries as it was computed before the count was kept at
+// the mutation sites: a sum over every client's window. It is the reference
+// the maintained count is held to.
+func (c *drc) walkEntries() int {
+	n := 0
+	for _, cl := range c.clients {
+		n += len(cl.entries)
+	}
+	return n
+}
+
+// TestDRCEntriesEqualsWalk drives a seeded mix through the dispatcher —
+// fresh calls and retransmissions from five clients against three-entry
+// windows, so eviction runs constantly; slow calls whose executing
+// placeholders sit at the FIFO head and pin windows over capacity; crash
+// wipes that land while those calls are still executing, so their commits
+// race the wipe — and after every step holds the maintained entry count to
+// a walk over the windows. A wipe leaves exactly zero.
+func TestDRCEntriesEqualsWalk(t *testing.T) {
+	d := NewDispatcher()
+	d.Register(&slowService{delay: 50 * time.Microsecond})
+	d.Register(&countingService{})
+	d.EnableDRC(3)
+	sim := des.New()
+	rng := des.NewRand(16)
+	check := func(when string) {
+		t.Helper()
+		if got, want := d.DRCEntries(), d.drc.walkEntries(); got != want {
+			t.Fatalf("%s: DRCEntries() = %d, walk = %d", when, got, want)
+		}
+	}
+	wipes := 0
+	sim.Spawn("driver", func(p *des.Proc) {
+		for step := 0; step < 4000; step++ {
+			hdr := &CallHeader{
+				XID: uint32(rng.Intn(12)), Prog: 555, Vers: 1, Proc: 1,
+				Cred: Auth{Flavor: AuthSys, Machine: fmt.Sprintf("c%d", rng.Intn(5))},
+			}
+			switch r := rng.Intn(100); {
+			case r < 2:
+				d.DropDRC()
+				wipes++
+				if d.DRCEntries() != 0 {
+					t.Fatalf("DRCEntries() = %d right after DropDRC", d.DRCEntries())
+				}
+			case r < 30:
+				hdr.Prog = 556 // slow: stays an executing placeholder for 50µs
+				raw := EncodeCall(hdr, nil)
+				sim.Spawn("slow-call", func(sp *des.Proc) {
+					d.Dispatch(sp, raw, DispatchOpts{})
+					check("after a slow call committed")
+				})
+			default:
+				d.Dispatch(p, EncodeCall(hdr, nil), DispatchOpts{})
+			}
+			check("after a step")
+			p.Sleep(des.Duration(rng.Intn(10)) * time.Microsecond)
+		}
+		p.Sleep(time.Millisecond)
+		check("drained")
+		d.DropDRC()
+		if d.DRCEntries() != 0 || d.drc.walkEntries() != 0 {
+			t.Fatalf("after the last wipe: count %d, walk %d", d.DRCEntries(), d.drc.walkEntries())
+		}
+	})
+	sim.Run()
+	h, m := d.DRCStats()
+	if wipes == 0 || h == 0 || d.DRCInProgressDrops() == 0 {
+		t.Errorf("scenario too tame: wipes=%d hits=%d misses=%d in-progress drops=%d", wipes, h, m, d.DRCInProgressDrops())
+	}
 }

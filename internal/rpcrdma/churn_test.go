@@ -88,3 +88,96 @@ func TestConnChurnReturnsToBaseline(t *testing.T) {
 		})
 	}
 }
+
+// TestClientTotalsFollowChurn holds a ClientTotals to a walk through the
+// same connect → call → kill churn, with one difference that matters to a
+// sum kept by increments: each connection is replaced while its calls are
+// still in flight, so their credits come back after the transport has left
+// the set. Those late releases must land in the retired transport's own
+// totals and never drive the set's below what its one live member holds.
+func TestClientTotalsFollowChurn(t *testing.T) {
+	const cycles, callers = 6, 3
+	for _, path := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"per-conn", Config{Design: ReadRead, Workers: 2, CallTimeout: 200 * time.Microsecond}},
+		{"sharded", Config{Design: ReadWrite, Workers: 2, Shards: 1, SRQDepth: 64, CallTimeout: 200 * time.Microsecond}},
+		{"mux", Config{Design: ReplyFetch, Workers: 2, Shards: 1, SRQDepth: 64, Multiplex: true, CallTimeout: 200 * time.Microsecond}},
+	} {
+		t.Run(path.name, func(t *testing.T) {
+			sim := des.New()
+			e := newScaleEnv(sim, 1)
+			var tot ClientTotals
+			var cur *ClientTransport
+			var banked ClientTotals // counters of retired members, as core.Client.Reconnect banks them
+			check := func(when string) {
+				t.Helper()
+				want := banked
+				if cur != nil {
+					want.Outstanding, want.Granted = int64(cur.OutstandingCalls()), int64(cur.GrantedCredits())
+					want.Timeouts += cur.Timeouts
+					want.Retransmits += cur.Retransmits
+				}
+				if tot != want {
+					t.Fatalf("%s: totals %+v, walk %+v", when, tot, want)
+				}
+			}
+			sim.Spawn("setup", func(p *des.Proc) {
+				e.startServer(p, path.cfg)
+				e.svc.stored = pattern(8<<10, 9)
+				returned := 0
+				for i := 0; i < cycles; i++ {
+					var ct *ClientTransport
+					var rpc *oncrpc.Client
+					var ok bool
+					if path.cfg.Multiplex {
+						ct, rpc, ok = e.dialMux(p, 0, path.cfg)
+					} else {
+						ct, rpc, _, ok = e.dial(p, 0, path.cfg)
+					}
+					if !ok {
+						t.Fatalf("cycle %d: dial rejected", i)
+					}
+					if cur != nil {
+						banked.Timeouts += cur.Timeouts
+						banked.Retransmits += cur.Retransmits
+						tot.Timeouts += cur.Timeouts
+						tot.Retransmits += cur.Retransmits
+						cur.SumInto(new(ClientTotals))
+					}
+					ct.SumInto(&tot)
+					cur = ct
+					check("after the swap")
+					for c := 0; c < callers; c++ {
+						sim.Spawn("caller", func(cp *des.Proc) {
+							dst := &oncrpc.Bulk{Data: make([]byte, 8<<10), Len: 8 << 10}
+							rpc.Call(cp, 2, nil, oncrpc.CallOpts{RecvBulk: dst}) // fails once the QP dies
+							returned++
+							check("as a call returned")
+						})
+					}
+					p.Sleep(2 * time.Microsecond)
+					if n := ct.OutstandingCalls(); n != callers {
+						t.Fatalf("cycle %d: %d calls in flight at the kill, want %d", i, n, callers)
+					}
+					check("calls in flight")
+					ct.QP().InjectError(nil)
+				}
+				p.Sleep(5 * time.Millisecond)
+				if returned != cycles*callers {
+					t.Fatalf("%d of %d calls returned", returned, cycles*callers)
+				}
+				check("drained")
+				if tot.Outstanding != 0 {
+					t.Errorf("in-flight total after the churn = %d, want 0", tot.Outstanding)
+				}
+				cur.SumInto(new(ClientTotals))
+				if tot.Outstanding != 0 || tot.Granted != 0 {
+					t.Errorf("empty set still sums to %+v", tot)
+				}
+			})
+			sim.Run()
+		})
+	}
+}

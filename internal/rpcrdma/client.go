@@ -446,6 +446,7 @@ func (t *ClientTransport) Roundtrip(p *des.Proc, req *oncrpc.Request) (*oncrpc.R
 			break
 		}
 		t.Timeouts++
+		t.inflight.sum.Timeouts++
 		if tr != nil {
 			tr.Instant(int64(p.Now()), trace.LayerRPC, trace.KindTimeout, t.node.Name(), "timeout", uint64(req.XID), int64(attempt))
 		}
@@ -454,6 +455,7 @@ func (t *ClientTransport) Roundtrip(p *des.Proc, req *oncrpc.Request) (*oncrpc.R
 		}
 		attempt++
 		t.Retransmits++
+		t.inflight.sum.Retransmits++
 		if tr != nil {
 			tr.Instant(int64(p.Now()), trace.LayerRPC, trace.KindRetransmit, t.node.Name(), "retransmit", uint64(req.XID), int64(attempt))
 		}
@@ -465,9 +467,7 @@ func (t *ClientTransport) Roundtrip(p *des.Proc, req *oncrpc.Request) (*oncrpc.R
 			// must be identical for the server's DRC to recognise the
 			// duplicate.
 			if d := pend.slotChk.Data(); d != nil {
-				for i := 0; i < doorbellBytes; i++ {
-					d[i] = 0
-				}
+				clear(d[:doorbellBytes])
 			}
 		}
 		t.armTimer(pend.done, t.attemptTimeout(attempt))

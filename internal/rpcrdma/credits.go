@@ -23,10 +23,47 @@ type creditGate struct {
 	granted     int
 	outstanding int
 	waiters     des.Ring[*des.Event]
+
+	// sum receives every change to granted and outstanding as it happens
+	// (see ClientTotals). It is never nil: a gate nobody sums keeps a private
+	// one, so the call path adds through the pointer without a test.
+	sum *ClientTotals
 }
 
 func newCreditGate(sim *des.Sim, initial int) *creditGate {
-	return &creditGate{sim: sim, granted: initial}
+	return &creditGate{sim: sim, granted: initial, sum: &ClientTotals{Granted: int64(initial)}}
+}
+
+// ClientTotals are sums over a set of client transports, kept by the
+// transports themselves at the statements where the summed values change,
+// so whoever owns the set (core.Cluster, for its telemetry probes) reads
+// four cells instead of walking the transports. A transport is in exactly
+// one set at a time; SumInto moves it.
+type ClientTotals struct {
+	Outstanding int64 // calls holding a credit
+	Granted     int64 // flow-control grants
+	Timeouts    int64 // ClientTransport.Timeouts
+	Retransmits int64 // ClientTransport.Retransmits
+}
+
+// SumInto takes the transport's contribution out of the totals it has been
+// adding to and puts it into sum; from here on its changes land in sum.
+// Retiring a transport is SumInto(new(ClientTotals)): calls still unwinding
+// on it keep a consistent place to subtract from, and the owner's totals no
+// longer see it.
+func (t *ClientTransport) SumInto(sum *ClientTotals) {
+	g := t.inflight
+	mine := ClientTotals{int64(g.outstanding), int64(g.granted), t.Timeouts, t.Retransmits}
+	g.sum.add(-1, mine)
+	sum.add(+1, mine)
+	g.sum = sum
+}
+
+func (c *ClientTotals) add(sign int64, d ClientTotals) {
+	c.Outstanding += sign * d.Outstanding
+	c.Granted += sign * d.Granted
+	c.Timeouts += sign * d.Timeouts
+	c.Retransmits += sign * d.Retransmits
 }
 
 // acquire blocks until a credit is available, then consumes it.
@@ -37,11 +74,13 @@ func (g *creditGate) acquire(p *des.Proc) {
 		ev.Wait(p)
 	}
 	g.outstanding++
+	g.sum.Outstanding++
 }
 
 // release returns a credit and wakes waiters up to the grant.
 func (g *creditGate) release() {
 	g.outstanding--
+	g.sum.Outstanding--
 	g.wake()
 }
 
@@ -53,6 +92,7 @@ func (g *creditGate) setGranted(n int) {
 		n = 1
 	}
 	if n != g.granted {
+		g.sum.Granted += int64(n - g.granted)
 		g.granted = n
 		g.wake()
 	}

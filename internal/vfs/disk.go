@@ -115,22 +115,6 @@ func (a *DiskArray) Write(p *des.Proc, off int64, n int) {
 	a.xfer(p, off, n)
 }
 
-// Utilization returns the mean utilization of the member disks since
-// simulation start. For measurement windows, snapshot BusySeconds before
-// and after instead.
-func (a *DiskArray) Utilization(since des.Time) float64 {
-	if since != 0 {
-		// Cumulative accounting cannot be windowed retroactively; callers
-		// needing a window must use BusySeconds deltas.
-		since = 0
-	}
-	var u float64
-	for _, d := range a.disks {
-		u += d.Utilization(since)
-	}
-	return u / float64(len(a.disks))
-}
-
 // BusySeconds returns cumulative disk-seconds consumed across the array.
 func (a *DiskArray) BusySeconds() float64 {
 	var b float64

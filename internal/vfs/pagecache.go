@@ -290,9 +290,7 @@ func (s *DiskStore) Read(p *des.Proc, id FileID, size, off int64, count int, dst
 	}
 	s.cache.Read(p, id, off, n)
 	if dst != nil {
-		for i := range dst[:n] {
-			dst[i] = 0
-		}
+		clear(dst[:n])
 	}
 	return n
 }

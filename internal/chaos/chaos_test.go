@@ -72,6 +72,25 @@ func TestChaosReplyFetchCrashReplayClean(t *testing.T) {
 	t.Logf("crashes=%d replays=%d drc=%d/%d", res.Crashes, res.Replays, res.DRCHits, res.DRCMisses)
 }
 
+// TestChaosCrashWithReceivesQueued: this schedule crashes the per-connection
+// server while a receive loop still has completions queued ahead of the flush
+// error. Shutdown has closed the work queue by then, so the receive step must
+// drop (and count) those messages; it used to put them on the closed queue
+// and take the whole run down with "put on closed queue".
+func TestChaosCrashWithReceivesQueued(t *testing.T) {
+	cfg := Config{Seed: 15, Design: rpcrdma.ReplyFetch, Faults: 6}
+	a := Run(cfg)
+	if a.Failed() {
+		t.Fatalf("violations: %v %v\nschedule: %v", a.Violations, a.InvariantViolations, a.Schedule)
+	}
+	if a.Crashes == 0 {
+		t.Fatal("schedule no longer crashes the server; the case is not exercised")
+	}
+	if b := Run(cfg); a.Fingerprint != b.Fingerprint {
+		t.Fatalf("same-seed fingerprints differ:\n  %s\n  %s", a.Fingerprint, b.Fingerprint)
+	}
+}
+
 // chaosSoakSeeds returns the soak width: 32 seeds by default (the
 // acceptance floor), overridable with CHAOS_SEEDS=n for longer campaigns.
 func chaosSoakSeeds(t *testing.T) int {

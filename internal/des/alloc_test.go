@@ -26,6 +26,8 @@ func TestKernelBenchmarksAllocFree(t *testing.T) {
 		{"TimerHeap", BenchmarkKernelTimerHeap, 0},
 		{"Spawn", BenchmarkKernelSpawn, 1},
 		{"At", BenchmarkKernelAt, 0},
+		{"AtArg", BenchmarkKernelAtArg, 0},
+		{"AcquireThen", BenchmarkKernelAcquireThen, 0},
 	}
 	for _, b := range benches {
 		b := b

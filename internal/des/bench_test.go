@@ -144,3 +144,46 @@ func BenchmarkKernelAt(b *testing.B) {
 	b.ResetTimer()
 	s.Run()
 }
+
+// BenchmarkKernelAtArg measures a typed callback event: the func value is
+// made once and the argument travels in the event record.
+func BenchmarkKernelAtArg(b *testing.B) {
+	s := New()
+	n := b.N
+	var tick func(any)
+	tick = func(arg any) {
+		if n--; n > 0 {
+			s.AtArg(s.Now()+1, tick, arg)
+		}
+	}
+	s.AtArg(0, tick, s)
+	b.ReportAllocs()
+	b.ResetTimer()
+	s.Run()
+}
+
+// BenchmarkKernelAcquireThen is BenchmarkKernelResource without processes:
+// 4 callback chains cycling through a capacity-2 resource, so half the
+// requests queue and are granted by a Release.
+func BenchmarkKernelAcquireThen(b *testing.B) {
+	s := New()
+	r := NewResource(s, "bench", 2)
+	left := make([]int, 4)
+	var acquire, hold, release func(any)
+	acquire = func(arg any) { r.AcquireThen(1, hold, arg) }
+	hold = func(arg any) { s.AtArg(s.Now()+1, release, arg) }
+	release = func(arg any) {
+		r.Release(1)
+		if n := arg.(*int); *n > 0 {
+			*n--
+			acquire(arg)
+		}
+	}
+	for w := range left {
+		left[w] = b.N / 4
+		s.AtArg(0, acquire, &left[w])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	s.Run()
+}

@@ -139,6 +139,87 @@ func TestAtRunsWhereSpawnAtWouldStart(t *testing.T) {
 	}
 }
 
+// TestAcquireThenKeepsFIFOWithProcesses runs one seeded schedule of users of
+// two shared resources (take A, take B, hold, give back B then A: a port
+// pair) three times: every user a process, a seeded half of them callback
+// chains, and all of them callback chains. Requests collide at the same
+// instant and wait behind each other, and the users ask for different
+// amounts, so a grant out of arrival order or one event out of place changes
+// the log. The all-process run is the reference.
+func TestAcquireThenKeepsFIFOWithProcesses(t *testing.T) {
+	type user struct {
+		id   string
+		at   Time
+		a, b int
+		hold Duration
+	}
+	// Of every two users, chainsIn are callback chains. waited counts the
+	// users whose first grant came later than they asked.
+	run := func(chainsIn int) (log []string, waited int) {
+		s := New()
+		rng, pick := NewRand(18), NewRand(7)
+		ra, rb := NewResource(s, "a", 3), NewResource(s, "b", 2)
+		note := func(u *user, what string) {
+			log = append(log, fmt.Sprintf("%s %s@%d a=%d b=%d", u.id, what, s.Now(), ra.InUse(), rb.InUse()))
+			if what == "a" && s.Now() > u.at {
+				waited++
+			}
+		}
+		var gotA, gotB, done func(any)
+		gotA = func(arg any) {
+			u := arg.(*user)
+			note(u, "a")
+			rb.AcquireThen(u.b, gotB, u)
+		}
+		gotB = func(arg any) {
+			u := arg.(*user)
+			note(u, "b")
+			s.AtArg(s.Now()+Time(u.hold), done, u)
+		}
+		done = func(arg any) {
+			u := arg.(*user)
+			rb.Release(u.b)
+			ra.Release(u.a)
+			note(u, "done")
+		}
+		for i := 0; i < 300; i++ {
+			u := &user{id: fmt.Sprintf("u%d", i), at: Time(rng.Intn(150)), a: 1 + rng.Intn(3), b: 1 + rng.Intn(2),
+				hold: Duration(rng.Intn(4))}
+			if pick.Intn(2) < chainsIn {
+				s.AtArg(u.at, func(arg any) { ra.AcquireThen(u.a, gotA, arg) }, u)
+				continue
+			}
+			s.SpawnAt(u.at, u.id, func(p *Proc) {
+				ra.Acquire(p, u.a)
+				note(u, "a")
+				rb.Acquire(p, u.b)
+				note(u, "b")
+				p.Sleep(u.hold)
+				rb.Release(u.b)
+				ra.Release(u.a)
+				note(u, "done")
+			})
+		}
+		s.Run()
+		return log, waited
+	}
+	procs, waited := run(0)
+	if len(procs) != 900 || waited < 100 {
+		t.Fatalf("schedule too small to mean anything: %d entries, %d users waited", len(procs), waited)
+	}
+	for chainsIn, name := range map[int]string{1: "mixed", 2: "all callbacks"} {
+		got, _ := run(chainsIn)
+		if len(got) != len(procs) {
+			t.Fatalf("%s: %d entries, %d as processes", name, len(got), len(procs))
+		}
+		for i := range procs {
+			if procs[i] != got[i] {
+				t.Fatalf("%s: diverges at entry %d: %s as processes, %s here", name, i, procs[i], got[i])
+			}
+		}
+	}
+}
+
 // TestCarriersAreReused: processes that run one after another share one
 // coroutine, so a long chain of short-lived spawns neither grows the
 // goroutine count during the run nor leaves anything behind after it.

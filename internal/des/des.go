@@ -21,12 +21,17 @@
 // list of idle carriers, and the carrier goes back on that list when the
 // body returns. A spawned process that never starts owns no goroutine.
 //
-// Work that never blocks needs no process at all: Sim.At schedules a plain
-// func() that the scheduler loop runs to completion at its instant. At and
-// SpawnAt take their place in the (time, sequence) order the same way, so
-// a body that never parks runs at the same point under either. An At callback
-// has no *Proc, so it cannot Sleep, Wait, Get or Acquire; it may do
-// everything else (Fire, Put, Release, TryAcquire, Spawn, At, Stop).
+// Work that never blocks on another process needs no process at all: Sim.At
+// schedules a plain func() that the scheduler loop runs to completion at its
+// instant, and Sim.AtArg a func(any) with its argument, which costs no
+// closure. At and SpawnAt take their place in the (time, sequence) order the
+// same way, so a body that never parks runs at the same point under either.
+// A callback has no *Proc, so it cannot Sleep, Wait, Get or Acquire; it may
+// do everything else (Fire, Put, Release, TryAcquire, Spawn, At, Stop). An
+// activity that only ever waits for time and for resources — simulated
+// hardware — is written as a chain of callbacks: AtArg where a process would
+// Sleep, Resource.AcquireThen where it would Acquire. Chains and processes
+// queue for a resource together and are granted in arrival order.
 //
 // The hot path — schedule an event, pop it, resume the target process — is
 // allocation-free in steady state: events are typed records (kind + target
@@ -132,10 +137,19 @@ func (s *Sim) At(at Time, fn func()) {
 	s.schedule(at, evCall, nil).fn = fn
 }
 
+// AtArg is At for a callback that takes an argument. A func(any) made once
+// plus a pointer argument schedules without allocating, where At needs a
+// fresh closure to carry the pointer; the per-WQE steps of the simulated HCA
+// are scheduled this way.
+func (s *Sim) AtArg(at Time, fn func(any), arg any) {
+	e := s.schedule(at, evCallArg, nil)
+	e.afn, e.arg = fn, arg
+}
+
 // recycle returns a popped or cancelled event record to the free list,
 // dropping its process and callback references.
 func (s *Sim) recycle(e *event) {
-	e.proc, e.fn = nil, nil
+	e.proc, e.fn, e.afn, e.arg = nil, nil, nil, nil
 	s.free = append(s.free, e)
 }
 
@@ -172,11 +186,14 @@ func (s *Sim) RunUntil(limit Time) Time {
 		}
 		s.heapPop()
 		s.now = e.at
-		p, fn, kind := e.proc, e.fn, e.kind
+		p, fn, afn, arg, kind := e.proc, e.fn, e.afn, e.arg, e.kind
 		s.recycle(e)
 		switch kind {
 		case evCall:
 			fn()
+			continue
+		case evCallArg:
+			afn(arg)
 			continue
 		case evSleep:
 			s.unpark(p)
@@ -304,6 +321,11 @@ func (p *Proc) Now() Time { return p.sim.now }
 // abandoned processes with a panic that is recovered by the carrier, so
 // ordinary code never observes it mid-function.
 func (p *Proc) Abandoned() bool { return p.abandoned }
+
+// Logging reports whether a trace sink is installed. Hot paths test it before
+// a Logf call, whose variadic arguments are boxed whether or not anything
+// reads them.
+func (p *Proc) Logging() bool { return p.sim.trace != nil }
 
 // Logf emits a trace line through the simulation's trace sink, if installed.
 func (p *Proc) Logf(format string, args ...any) {

@@ -25,6 +25,9 @@ const (
 	evStart
 	// evCall runs a callback on the scheduler loop (Sim.At).
 	evCall
+	// evCallArg runs a callback that takes its argument from the event
+	// record (Sim.AtArg), so scheduling it allocates no closure.
+	evCallArg
 )
 
 // event is a scheduled kernel action. Instances are recycled through
@@ -34,8 +37,10 @@ type event struct {
 	at    Time
 	seq   int64 // tie-breaker: schedule order
 	proc  *Proc
-	fn    func() // evCall only
-	index int    // heap index, -1 when popped/cancelled
+	fn    func()    // evCall only
+	afn   func(any) // evCallArg only
+	arg   any       // evCallArg only
+	index int       // heap index, -1 when popped/cancelled
 	kind  eventKind
 }
 

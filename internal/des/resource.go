@@ -22,8 +22,12 @@ type Resource struct {
 	lastChange   Time
 }
 
+// resWaiter is a queued request: a parked process, or (proc nil) a callback
+// to schedule once the units are granted.
 type resWaiter struct {
 	proc *Proc
+	fn   func(any)
+	arg  any
 	n    int
 }
 
@@ -63,6 +67,25 @@ func (r *Resource) Acquire(p *Proc, n int) {
 	p.park()
 }
 
+// AcquireThen is Acquire for code running on the scheduler loop: it takes n
+// units and calls fn(arg), at once where Acquire would return without
+// parking, otherwise when a Release grants the request — as an event at that
+// instant, in the place the resume of a parked process would take. Callbacks
+// and processes wait in one queue, so grants stay in arrival order whatever
+// the mix.
+func (r *Resource) AcquireThen(n int, fn func(any), arg any) {
+	if n <= 0 || n > r.capacity {
+		panic("des: invalid acquire count for resource " + r.name)
+	}
+	if r.waiters.Len() == 0 && r.inUse+n <= r.capacity {
+		r.accumulate()
+		r.inUse += n
+		fn(arg)
+		return
+	}
+	r.waiters.Push(resWaiter{fn: fn, arg: arg, n: n})
+}
+
 // TryAcquire takes n units if immediately available and no earlier waiter is
 // queued; it reports whether it succeeded.
 func (r *Resource) TryAcquire(n int) bool {
@@ -92,7 +115,11 @@ func (r *Resource) Release(n int) {
 		}
 		r.waiters.Pop()
 		r.inUse += w.n
-		s.wake(w.proc)
+		if w.proc != nil {
+			s.wake(w.proc)
+		} else {
+			s.AtArg(s.now, w.fn, w.arg)
+		}
 	}
 }
 

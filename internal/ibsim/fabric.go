@@ -228,26 +228,6 @@ func transferDuration(size int, from, to *Node) des.Duration {
 	return des.Duration(float64(size) / bw * 1e9)
 }
 
-// transfer serializes size bytes from one node's port to another's,
-// occupying both ends (cut-through: both are held for the same interval, so
-// a single stream achieves full port bandwidth while concurrent streams
-// into one node share its port — the incast behaviour Fig. 10 relies on).
-// It returns after the last byte has left; the data arrives one PortLatency
-// later (callers schedule delivery).
-func transfer(p *des.Proc, from, to *Node, size int) {
-	transferExtra(p, from, to, size, 0)
-}
-
-// transferExtra is transfer with additional port occupancy (channel
-// turnaround for read responses).
-func transferExtra(p *des.Proc, from, to *Node, size int, extra des.Duration) {
-	from.txPort.Acquire(p, 1)
-	to.rxPort.Acquire(p, 1)
-	p.Sleep(transferDuration(size, from, to) + extra)
-	to.rxPort.Release(1)
-	from.txPort.Release(1)
-}
-
 // latency returns the one-way delivery latency between two nodes (the max
 // of the two port latencies: dominated by the slower NIC).
 func latency(from, to *Node) des.Duration {

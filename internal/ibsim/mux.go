@@ -186,10 +186,5 @@ func (q *QP) SlotTableSize() int { return len(q.slots) }
 // node: the QP context plus private posted receive buffers plus (mux side)
 // the endpoint slot table. SRQ-pooled buffers are accounted on the SRQ.
 func (q *QP) RecvStateBytes() int64 {
-	n := int64(QPContextBytes)
-	for _, r := range q.rq {
-		n += int64(r.Cap)
-	}
-	n += int64(q.liveEps) * EndpointSlotBytes
-	return n
+	return QPContextBytes + q.rqBytes + int64(q.liveEps)*EndpointSlotBytes
 }

@@ -41,7 +41,9 @@ type LocalSeg struct {
 	Len int
 }
 
-// SendWQE is a work request posted to a send queue.
+// SendWQE is a work request posted to a send queue. From PostSend to its
+// completion it belongs to the fabric, which keeps the request's progress in
+// it: do not post it again or change it meanwhile.
 type SendWQE struct {
 	WRID uint64
 	Op   Opcode
@@ -73,9 +75,23 @@ type SendWQE struct {
 	// their own stream automatically at PostSend.
 	Stream uint32
 
+	// attempt counts the RNR retries of a Send so far.
+	attempt int32
+
 	// seq is the fabric-wide trace id assigned at PostSend while tracing;
 	// zero means the request predates the tracer (or tracing is off).
 	seq uint64
+
+	// The HCA works on a request in steps, each a callback on the scheduler
+	// loop (see QP.next), and up to ORD Reads of one QP are between steps at
+	// once: what a step leaves for the next one lives in the request, so
+	// scheduling a step allocates nothing.
+	qp       *QP            // the send queue it was posted to
+	from, to *Node          // ends of the wire transfer under way
+	hold     des.Duration   // how long that transfer occupies both ports
+	then     func(*SendWQE) // the step after it
+	t0       des.Time       // when the ORD wait or the transfer being traced began
+	mr       *MR            // Read: the responder's region, checked when the request arrived
 }
 
 // Size returns the wire size of the request's data.
@@ -238,11 +254,13 @@ type QP struct {
 	peer  *QP
 	track string // trace row: "<node>/qp<N>"
 
-	sq     *des.Queue // *SendWQE
-	rq     []*RecvWQE
-	srq    *SRQ // when attached, receives draw from the shared pool, not rq
-	SendCQ *CQ
-	RecvCQ *CQ
+	sq      des.Ring[*SendWQE]
+	busy    bool // the send engine is working on a request, or about to look for one
+	rq      des.Ring[RecvWQE]
+	rqBytes int64 // receive capacity posted in rq
+	srq     *SRQ  // when attached, receives draw from the shared pool, not rq
+	SendCQ  *CQ
+	RecvCQ  *CQ
 
 	ord    *des.Resource // outstanding RDMA Read slots (requester side)
 	errSt  error         // non-nil once in error state
@@ -265,7 +283,6 @@ func newQP(n *Node, cfg QPConfig, qpn int) *QP {
 		cfg:   cfg,
 		qpn:   qpn,
 		track: fmt.Sprintf("%s/qp%d", n.name, qpn),
-		sq:    des.NewQueue(n.fab.Sim, fmt.Sprintf("%s/qp%d/sq", n.name, qpn)),
 	}
 	qp.SendCQ = NewCQ(n, fmt.Sprintf("%s/qp%d/scq", n.name, qpn))
 	qp.RecvCQ = NewCQ(n, fmt.Sprintf("%s/qp%d/rcq", n.name, qpn))
@@ -359,18 +376,19 @@ func (q *QP) PostRecv(wrid uint64, capacity int) {
 	if q.srq != nil {
 		panic("ibsim: PostRecv on an SRQ-attached QP")
 	}
-	q.rq = append(q.rq, &RecvWQE{WRID: wrid, Cap: capacity})
+	q.rq.Push(RecvWQE{WRID: wrid, Cap: capacity})
+	q.rqBytes += int64(capacity)
 }
 
 // PostedRecvs returns the current receive queue depth (0 when the QP draws
 // from an SRQ).
-func (q *QP) PostedRecvs() int { return len(q.rq) }
+func (q *QP) PostedRecvs() int { return q.rq.Len() }
 
 // AttachSRQ switches the endpoint's receive side to the shared receive
 // queue: arriving sends consume pooled WQEs instead of the private ring.
 // Must be attached before any private receives are posted.
 func (q *QP) AttachSRQ(s *SRQ) {
-	if len(q.rq) > 0 {
+	if q.rq.Len() > 0 {
 		panic("ibsim: AttachSRQ after PostRecv")
 	}
 	q.srq = s
@@ -385,18 +403,18 @@ func (q *QP) SRQ() *SRQ { return q.srq }
 func (q *QP) SetRecvCQ(cq *CQ) { q.RecvCQ = cq }
 
 // takeRecv pops the next receive buffer for an arriving send: from the
-// attached SRQ when present, else from the private receive queue. Nil means
-// receiver-not-ready.
-func (q *QP) takeRecv() *RecvWQE {
+// attached SRQ when present, else from the private receive queue. False
+// means receiver-not-ready.
+func (q *QP) takeRecv() (RecvWQE, bool) {
 	if q.srq != nil {
 		return q.srq.take()
 	}
-	if len(q.rq) == 0 {
-		return nil
+	if q.rq.Len() == 0 {
+		return RecvWQE{}, false
 	}
-	r := q.rq[0]
-	q.rq = q.rq[1:]
-	return r
+	r := q.rq.Pop()
+	q.rqBytes -= int64(r.Cap)
+	return r, true
 }
 
 // PostSend enqueues a work request for the send engine. Posting to a closed
@@ -417,7 +435,11 @@ func (q *QP) PostSend(w *SendWQE) {
 		w.seq = fab.wqeSeq
 		tr.Begin(int64(fab.Sim.Now()), trace.LayerIbsim, trace.KindWQE, q.track, w.Op.String(), w.seq, int64(w.Size()))
 	}
-	q.sq.Put(w)
+	w.qp = q
+	q.sq.Push(w)
+	if !q.busy {
+		q.start()
+	}
 }
 
 // PostAndWait posts a work request and blocks until its completion, which it
@@ -441,12 +463,16 @@ func (q *QP) Close() {
 	}
 	q.closed = true
 	q.setError(ErrQPError)
-	q.sq.Close()
 }
 
-// start launches the send-queue engine.
+// start schedules the send engine's look at its queue: once at connect, then
+// whenever a request is posted to an idle engine. Until that event runs the
+// engine counts as busy, so requests posted meanwhile wait for it instead of
+// scheduling a look of their own.
 func (q *QP) start() {
-	q.node.fab.Sim.Spawn(fmt.Sprintf("%s/qp%d/engine", q.node.name, q.qpn), q.engine)
+	q.busy = true
+	s := q.node.fab.Sim
+	s.AtArg(s.Now(), engineNext, q)
 }
 
 // complete posts a CQE for w and fires its done event.
@@ -460,6 +486,9 @@ func (q *QP) complete(w *SendWQE, err error, bytes int) {
 			tr.End(int64(q.node.fab.Sim.Now()), trace.LayerIbsim, trace.KindWQE, q.track, w.Op.String(), w.seq, errFlag)
 		}
 	}
+	if !w.Signaled && w.Done == nil {
+		return // nobody can see the completion
+	}
 	cqe := &CQE{WRID: w.WRID, Op: w.Op, Err: err, Bytes: bytes, QP: q, Stream: w.Stream}
 	if w.Signaled {
 		q.SendCQ.post(cqe)
@@ -469,80 +498,167 @@ func (q *QP) complete(w *SendWQE, err error, bytes int) {
 	}
 }
 
-// engine is the per-QP send-queue processor. It launches work requests
-// strictly in order: Send/Write data serializes on the transmit port (so a
-// Send posted after a Write arrives after the Write's data — the ordering
-// guarantee the Read-Write design exploits), while an RDMA Read only
-// transmits its small request packet and its data returns asynchronously
-// (so nothing orders a later Send against Read data — the reason the
-// Read-Read server must block).
-func (q *QP) engine(p *des.Proc) {
-	ctr := &q.node.fab.hot
-	for {
-		v, ok := q.sq.Get(p)
-		if !ok {
-			return
-		}
-		w := v.(*SendWQE)
+// The send engine and the read responder are hardware: they never block on
+// software, so they are not processes but chains of callbacks on the
+// scheduler loop, one per step, each scheduling the next. A step issues its
+// events with the statements, and in the order, a process body would.
+//
+// The engine launches work requests strictly in order: Send/Write data
+// serializes on the transmit port (so a Send posted after a Write arrives
+// after the Write's data — the ordering guarantee the Read-Write design
+// exploits), while an RDMA Read only transmits its small request packet and
+// its data returns asynchronously (so nothing orders a later Send against
+// Read data — the reason the Read-Read server must block).
+//
+//	next      pop a request (flushing while the QP is in error), ring the
+//	          doorbell, and launch it one WQEOverhead later; idle when the
+//	          queue is empty
+//	launch    resolve the peer, count the operation; a Read first takes an
+//	          ORD slot
+//	transmit  take the local transmit port, then the peer's receive port,
+//	          hold both for the wire time, release them
+//	sent      schedule the arrival one latency later (deliverSend,
+//	          landWrite, respond), then next
+//	respond   a Read request arriving: check the region, stream the data
+//	          back over the responder's transmit port with the same three
+//	          transfer steps, and land it one latency later (landRead)
+//
+// A step scheduled with AtArg or granted through AcquireThen takes the
+// request as an any; the queue it was posted to is w.qp.
+func engineNext(q any) { q.(*QP).next() }
+
+// next moves the engine to the head of the send queue.
+func (q *QP) next() {
+	s := q.node.fab.Sim
+	for q.sq.Len() > 0 {
+		w := q.sq.Pop()
 		if w.seq != 0 {
-			if tr := q.node.fab.Sim.Tracer(); tr != nil {
-				tr.Instant(int64(p.Now()), trace.LayerIbsim, trace.KindDoorbell, q.track, w.Op.String(), w.seq, int64(q.sq.Len()))
+			if tr := s.Tracer(); tr != nil {
+				tr.Instant(int64(s.Now()), trace.LayerIbsim, trace.KindDoorbell, q.track, w.Op.String(), w.seq, int64(q.sq.Len()))
 			}
 		}
 		if q.errSt != nil {
-			ctr.wqeFlushed.Inc()
+			q.node.fab.hot.wqeFlushed.Inc()
 			q.complete(w, fmt.Errorf("%w: flushed", q.errSt), 0)
 			continue
 		}
-		p.Sleep(q.node.cfg.WQEOverhead)
-		switch w.Op {
-		case OpSend:
-			q.launchSend(p, w)
-		case OpWrite:
-			q.launchWrite(p, w)
-		case OpRead:
-			q.launchRead(p, w)
-		default:
-			panic("ibsim: bad opcode on send queue")
-		}
-	}
-}
-
-// dmaSpan wraps one wire occupancy interval of a traced work request.
-func (q *QP) dmaSpan(p *des.Proc, w *SendWQE, size int, fn func()) {
-	tr := q.node.fab.Sim.Tracer()
-	if tr == nil || w.seq == 0 {
-		fn()
+		s.AtArg(s.Now()+des.Time(q.node.cfg.WQEOverhead), launch, w)
 		return
 	}
-	start := p.Now()
-	fn()
-	tr.Span(int64(start), int64(p.Now()), trace.LayerIbsim, trace.KindDMA, q.track, w.Op.String(), w.seq, int64(size))
+	q.busy = false
 }
 
-func (q *QP) launchSend(p *des.Proc, w *SendWQE) {
+// wireSize is what the request itself puts on the wire: its data, or for a
+// Read the request packet.
+func (w *SendWQE) wireSize() int {
+	if w.Op == OpRead {
+		return readRequestWireSize
+	}
+	return w.Size()
+}
+
+func launch(a any) {
+	w := a.(*SendWQE)
+	q := w.qp
 	ctr := &q.node.fab.hot
 	peer := q.peerFor(w.Stream)
 	if peer == nil {
 		ctr.wqeFlushed.Inc()
 		q.complete(w, fmt.Errorf("%w: stale stream: flushed", ErrQPError), 0)
+		q.next()
 		return
 	}
-	size := len(w.Payload)
-	ctr.opSend.Inc()
-	ctr.bytesSend.Add(int64(size))
-	q.dmaSpan(p, w, size, func() { transfer(p, q.node, peer.node, size) })
+	w.from, w.to = q.node, peer.node
+	size := int64(w.Size())
+	switch w.Op {
+	case OpSend:
+		ctr.opSend.Inc()
+		ctr.bytesSend.Add(size)
+	case OpWrite:
+		ctr.opWrite.Inc()
+		ctr.bytesWrite.Add(size)
+	case OpRead:
+		ctr.opRead.Inc()
+		ctr.bytesRead.Add(size)
+		// ORD throttling: a Read that cannot get a slot stalls the send queue
+		// head (strict in-order initiation), serializing everything behind it.
+		// On a mux QP the ORD slots are shared across every endpoint — the
+		// realistic contention cost of collapsing connections onto one QP.
+		w.t0 = q.node.fab.Sim.Now()
+		q.ord.AcquireThen(1, gotORD, w)
+		return
+	default:
+		panic("ibsim: bad opcode on send queue")
+	}
+	q.transmit(w)
+}
+
+func gotORD(a any) {
+	w := a.(*SendWQE)
+	q := w.qp
 	s := q.node.fab.Sim
-	lat := latency(q.node, peer.node)
-	arrive := s.Now() + des.Time(lat)
-	s.At(arrive, func() { q.deliverSend(w, 0) })
+	if w.seq != 0 && s.Now() > w.t0 {
+		if tr := s.Tracer(); tr != nil {
+			tr.Span(int64(w.t0), int64(s.Now()), trace.LayerIbsim, trace.KindORDWait, q.track, "ord-wait", w.seq, int64(q.ord.Capacity()))
+		}
+	}
+	q.transmit(w)
+}
+
+// transmit puts the request on the wire toward w.to.
+func (q *QP) transmit(w *SendWQE) {
+	w.t0 = q.node.fab.Sim.Now()
+	w.hold = transferDuration(w.wireSize(), w.from, w.to)
+	w.then = (*SendWQE).sent
+	w.transfer()
+}
+
+// transfer serializes bytes from w.from's port to w.to's, occupying both
+// ends for w.hold (cut-through: both are held for the same interval, so a
+// single stream achieves full port bandwidth while concurrent streams into
+// one node share its port — the incast behaviour Fig. 10 relies on). w.then
+// runs when the last byte has left; the data arrives one latency later.
+func (w *SendWQE) transfer() { w.from.txPort.AcquireThen(1, gotTx, w) }
+
+func gotTx(a any) { a.(*SendWQE).to.rxPort.AcquireThen(1, gotRx, a) }
+
+func gotRx(a any) {
+	w := a.(*SendWQE)
+	s := w.qp.node.fab.Sim
+	s.AtArg(s.Now()+des.Time(w.hold), offWire, w)
+}
+
+func offWire(a any) {
+	w := a.(*SendWQE)
+	w.to.rxPort.Release(1)
+	w.from.txPort.Release(1)
+	w.then(w)
+}
+
+// arrivals is what each opcode's bytes do at the far end.
+var arrivals = [...]func(any){OpSend: deliverSend, OpWrite: landWrite, OpRead: respond}
+
+// sent closes the request's wire interval, schedules its arrival and frees
+// the engine for the next request.
+func (w *SendWQE) sent() {
+	q := w.qp
+	s := q.node.fab.Sim
+	if w.seq != 0 {
+		if tr := s.Tracer(); tr != nil {
+			tr.Span(int64(w.t0), int64(s.Now()), trace.LayerIbsim, trace.KindDMA, q.track, w.Op.String(), w.seq, int64(w.wireSize()))
+		}
+	}
+	s.AtArg(s.Now()+des.Time(latency(w.from, w.to)), arrivals[w.Op], w)
+	q.next()
 }
 
 // deliverSend consumes a posted receive at the peer, retrying on RNR. The
 // peer is re-resolved on every attempt: on a mux QP the target endpoint can
 // detach between retries, in which case the send flushes instead of landing
 // on a recycled slot.
-func (q *QP) deliverSend(w *SendWQE, attempt int) {
+func deliverSend(a any) {
+	w := a.(*SendWQE)
+	q := w.qp
 	ctr := &q.node.fab.hot
 	s := q.node.fab.Sim
 	if q.errSt != nil {
@@ -559,16 +675,16 @@ func (q *QP) deliverSend(w *SendWQE, attempt int) {
 		q.complete(w, peer.errSt, 0)
 		return
 	}
-	r := peer.takeRecv()
-	if r == nil {
+	r, ok := peer.takeRecv()
+	if !ok {
 		ctr.rnr.Inc()
 		if w.seq != 0 {
 			if tr := s.Tracer(); tr != nil {
-				tr.Instant(int64(s.Now()), trace.LayerIbsim, trace.KindRNR, q.track, w.Op.String(), w.seq, int64(attempt))
+				tr.Instant(int64(s.Now()), trace.LayerIbsim, trace.KindRNR, q.track, w.Op.String(), w.seq, int64(w.attempt))
 			}
 		}
-		if attempt >= q.cfg.RNRRetryLimit {
-			err := fmt.Errorf("%w after %d retries", ErrRNR, attempt)
+		if int(w.attempt) >= q.cfg.RNRRetryLimit {
+			err := fmt.Errorf("%w after %d retries", ErrRNR, w.attempt)
 			if q.mux {
 				// One endpoint not posting receives must not take the shared
 				// QP down: error stays scoped to the offending endpoint.
@@ -579,7 +695,8 @@ func (q *QP) deliverSend(w *SendWQE, attempt int) {
 			q.complete(w, err, 0)
 			return
 		}
-		s.At(s.Now()+des.Time(q.cfg.RNRRetryDelay), func() { q.deliverSend(w, attempt+1) })
+		w.attempt++
+		s.AtArg(s.Now()+des.Time(q.cfg.RNRRetryDelay), deliverSend, w)
 		return
 	}
 	if len(w.Payload) > r.Cap {
@@ -599,122 +716,106 @@ func (q *QP) deliverSend(w *SendWQE, attempt int) {
 		SrcStream: q.stream,
 	})
 	// Ack returns to the sender one latency later.
-	lat := latency(q.node, peer.node)
-	s.At(s.Now()+des.Time(lat), func() {
-		q.complete(w, nil, len(w.Payload))
-	})
+	s.AtArg(s.Now()+des.Time(latency(q.node, peer.node)), ackSend, w)
 }
 
-func (q *QP) launchWrite(p *des.Proc, w *SendWQE) {
+// ackSend is the acknowledgement of a delivered Send reaching the sender.
+func ackSend(a any) {
+	w := a.(*SendWQE)
+	w.qp.complete(w, nil, len(w.Payload))
+}
+
+func landWrite(a any) {
+	w := a.(*SendWQE)
+	q := w.qp
 	ctr := &q.node.fab.hot
-	peer := q.peerFor(w.Stream)
-	if peer == nil {
+	// A fault injected while the data was on the wire flushes the
+	// in-flight WQE instead of letting it land as if healthy. The peer is
+	// re-resolved so a write to a detached endpoint flushes too rather
+	// than landing in a recycled slot.
+	if q.errSt != nil {
 		ctr.wqeFlushed.Inc()
-		q.complete(w, fmt.Errorf("%w: stale stream: flushed", ErrQPError), 0)
+		q.complete(w, fmt.Errorf("%w: flushed", q.errSt), 0)
+		return
+	}
+	peer := q.peerFor(w.Stream)
+	if peer == nil || peer.errSt != nil {
+		ctr.wqeFlushed.Inc()
+		q.complete(w, fmt.Errorf("%w: flushed", ErrQPError), 0)
 		return
 	}
 	size := w.Size()
-	ctr.opWrite.Inc()
-	ctr.bytesWrite.Add(int64(size))
-	q.dmaSpan(p, w, size, func() { transfer(p, q.node, peer.node, size) })
-	s := q.node.fab.Sim
-	lat := latency(q.node, peer.node)
-	s.At(s.Now()+des.Time(lat), func() {
-		// A fault injected while the data was on the wire flushes the
-		// in-flight WQE instead of letting it land as if healthy. The peer is
-		// re-resolved so a write to a detached endpoint flushes too rather
-		// than landing in a recycled slot.
-		if q.errSt != nil {
-			ctr.wqeFlushed.Inc()
-			q.complete(w, fmt.Errorf("%w: flushed", q.errSt), 0)
-			return
-		}
-		peer := q.peerFor(w.Stream)
-		if peer == nil || peer.errSt != nil {
-			ctr.wqeFlushed.Inc()
-			q.complete(w, fmt.Errorf("%w: flushed", ErrQPError), 0)
-			return
-		}
-		mr, err := peer.node.HCA.lookup(w.RemoteKey, w.RemoteAddr, size, AccessRemoteWrite)
-		if err != nil {
-			q.node.fab.Counters.Inc("protection_error")
+	mr, err := peer.node.HCA.lookup(w.RemoteKey, w.RemoteAddr, size, AccessRemoteWrite)
+	if err != nil {
+		q.node.fab.Counters.Inc("protection_error")
+		q.setError(err)
+		q.complete(w, err, 0)
+		return
+	}
+	// Data moves whenever both endpoints are materialized: control
+	// payloads (long calls/replies) are always real even in
+	// phantom-data mode; phantom bulk buffers skip naturally.
+	copyOut(mr, w.RemoteAddr, w.Local)
+	peer.node.HCA.notifyWrite(w.RemoteKey, w.RemoteAddr, size)
+	q.complete(w, nil, size)
+}
+
+// flushRead completes a Read that cannot finish and returns its ORD slot.
+func (q *QP) flushRead(w *SendWQE, err error) {
+	q.node.fab.hot.wqeFlushed.Inc()
+	q.ord.Release(1)
+	q.complete(w, fmt.Errorf("%w: flushed", err), 0)
+}
+
+// respond is the far end receiving a Read request.
+func respond(a any) {
+	w := a.(*SendWQE)
+	q := w.qp
+	if q.errSt != nil {
+		q.flushRead(w, q.errSt)
+		return
+	}
+	peer := q.peerFor(w.Stream)
+	if peer == nil || peer.errSt != nil {
+		q.flushRead(w, ErrQPError)
+		return
+	}
+	size := w.Size()
+	mr, err := peer.node.HCA.lookup(w.RemoteKey, w.RemoteAddr, size, AccessRemoteRead)
+	if err != nil {
+		q.node.fab.Counters.Inc("protection_error")
+		s := q.node.fab.Sim
+		s.At(s.Now()+des.Time(latency(q.node, peer.node)), func() {
 			q.setError(err)
+			q.ord.Release(1)
 			q.complete(w, err, 0)
-			return
-		}
-		// Data moves whenever both endpoints are materialized: control
-		// payloads (long calls/replies) are always real even in
-		// phantom-data mode; phantom bulk buffers skip naturally.
-		copyOut(mr, w.RemoteAddr, w.Local)
-		peer.node.HCA.notifyWrite(w.RemoteKey, w.RemoteAddr, size)
-		q.complete(w, nil, size)
-	})
-}
-
-func (q *QP) launchRead(p *des.Proc, w *SendWQE) {
-	ctr := &q.node.fab.hot
-	peer := q.peerFor(w.Stream)
-	if peer == nil {
-		ctr.wqeFlushed.Inc()
-		q.complete(w, fmt.Errorf("%w: stale stream: flushed", ErrQPError), 0)
+		})
 		return
 	}
-	size := w.Size()
-	ctr.opRead.Inc()
-	ctr.bytesRead.Add(int64(size))
-	// ORD throttling: a Read that cannot get a slot stalls the send queue
-	// head (strict in-order initiation), serializing everything behind it.
-	// On a mux QP the ORD slots are shared across every endpoint — the
-	// realistic contention cost of collapsing connections onto one QP.
-	ordStart := p.Now()
-	q.ord.Acquire(p, 1)
-	if w.seq != 0 && p.Now() > ordStart {
-		if tr := q.node.fab.Sim.Tracer(); tr != nil {
-			tr.Span(int64(ordStart), int64(p.Now()), trace.LayerIbsim, trace.KindORDWait, q.track, "ord-wait", w.seq, int64(q.ord.Capacity()))
-		}
+	// Responder streams the data back on its transmit port, paying the
+	// per-read channel turnaround.
+	w.mr = mr
+	w.from, w.to = peer.node, q.node
+	w.hold = transferDuration(size, w.from, w.to) + peer.node.cfg.ReadResponseOverhead
+	w.then = (*SendWQE).readSent
+	w.transfer()
+}
+
+func (w *SendWQE) readSent() {
+	s := w.qp.node.fab.Sim
+	s.AtArg(s.Now()+des.Time(latency(w.from, w.to)), landRead, w)
+}
+
+func landRead(a any) {
+	w := a.(*SendWQE)
+	q := w.qp
+	if q.errSt != nil {
+		q.flushRead(w, q.errSt)
+		return
 	}
-	q.dmaSpan(p, w, readRequestWireSize, func() { transfer(p, q.node, peer.node, readRequestWireSize) })
-	s := q.node.fab.Sim
-	lat := latency(q.node, peer.node)
-	s.SpawnAt(s.Now()+des.Time(lat), "read-responder", func(rp *des.Proc) {
-		if q.errSt != nil {
-			ctr.wqeFlushed.Inc()
-			q.ord.Release(1)
-			q.complete(w, fmt.Errorf("%w: flushed", q.errSt), 0)
-			return
-		}
-		peer := q.peerFor(w.Stream)
-		if peer == nil || peer.errSt != nil {
-			ctr.wqeFlushed.Inc()
-			q.ord.Release(1)
-			q.complete(w, fmt.Errorf("%w: flushed", ErrQPError), 0)
-			return
-		}
-		mr, err := peer.node.HCA.lookup(w.RemoteKey, w.RemoteAddr, size, AccessRemoteRead)
-		if err != nil {
-			q.node.fab.Counters.Inc("protection_error")
-			s.At(s.Now()+des.Time(lat), func() {
-				q.setError(err)
-				q.ord.Release(1)
-				q.complete(w, err, 0)
-			})
-			return
-		}
-		// Responder streams the data back on its transmit port, paying the
-		// per-read channel turnaround.
-		transferExtra(rp, peer.node, q.node, size, peer.node.cfg.ReadResponseOverhead)
-		s.At(s.Now()+des.Time(lat), func() {
-			if q.errSt != nil {
-				ctr.wqeFlushed.Inc()
-				q.ord.Release(1)
-				q.complete(w, fmt.Errorf("%w: flushed", q.errSt), 0)
-				return
-			}
-			copyIn(w.Local, mr, w.RemoteAddr)
-			q.ord.Release(1)
-			q.complete(w, nil, size)
-		})
-	})
+	copyIn(w.Local, w.mr, w.RemoteAddr)
+	q.ord.Release(1)
+	q.complete(w, nil, w.Size())
 }
 
 // copyOut materializes an RDMA Write: local gather list -> remote MR bytes.

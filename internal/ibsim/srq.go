@@ -39,7 +39,7 @@ type SRQ struct {
 	node *Node
 	name string
 	cfg  SRQConfig
-	pool des.Ring[*RecvWQE]
+	pool des.Ring[RecvWQE]
 
 	limitArmed bool
 	limitEv    *des.Event
@@ -82,7 +82,7 @@ func (s *SRQ) PostRecv(wrid uint64, capacity int) bool {
 		s.PostFailed++
 		return false
 	}
-	s.pool.Push(&RecvWQE{WRID: wrid, Cap: capacity})
+	s.pool.Push(RecvWQE{WRID: wrid, Cap: capacity})
 	s.Posted++
 	s.pooledBytes += int64(capacity)
 	if s.pooledBytes > s.commitBytes {
@@ -117,13 +117,13 @@ func (s *SRQ) fireLimit() {
 }
 
 // take pops the next pooled WQE for an arriving send, firing the armed
-// limit event when consumption crosses the watermark. It returns nil when
+// limit event when consumption crosses the watermark. It reports false when
 // the pool is empty (the QP sees RNR, exactly as with an empty private
 // receive queue).
-func (s *SRQ) take() *RecvWQE {
+func (s *SRQ) take() (RecvWQE, bool) {
 	if s.pool.Len() == 0 {
 		s.Starved++
-		return nil
+		return RecvWQE{}, false
 	}
 	r := s.pool.Pop()
 	s.Consumed++
@@ -131,5 +131,5 @@ func (s *SRQ) take() *RecvWQE {
 	if s.limitArmed && s.cfg.Limit > 0 && s.pool.Len() < s.cfg.Limit {
 		s.fireLimit()
 	}
-	return r
+	return r, true
 }

@@ -26,13 +26,13 @@ func TestSRQPostTakeFIFO(t *testing.T) {
 		t.Fatalf("PostFailed = %d, want 1", srq.PostFailed)
 	}
 	for i := 0; i < 4; i++ {
-		r := srq.take()
-		if r == nil || r.WRID != uint64(i) {
+		r, ok := srq.take()
+		if !ok || r.WRID != uint64(i) {
 			t.Fatalf("take %d = %+v, want WRID %d", i, r, i)
 		}
 	}
-	if r := srq.take(); r != nil {
-		t.Fatalf("take on empty pool = %+v, want nil", r)
+	if r, ok := srq.take(); ok {
+		t.Fatalf("take on empty pool = %+v, want none", r)
 	}
 	if srq.Starved != 1 || srq.Consumed != 4 || srq.Posted != 4 {
 		t.Fatalf("stats = starved %d consumed %d posted %d", srq.Starved, srq.Consumed, srq.Posted)

@@ -7,6 +7,7 @@
 package oncrpc
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -82,26 +83,33 @@ type Auth struct {
 	Stamp   uint32
 }
 
-// encode writes the opaque_auth structure.
+// wireSize is the encoded length of the opaque_auth structure.
+func (a *Auth) wireSize() int {
+	if a.Flavor != AuthSys {
+		return 8
+	}
+	return 8 + 20 + (len(a.Machine)+3)&^3 + 4*len(a.GIDs)
+}
+
+// encode writes the opaque_auth structure. The AUTH_SYS body is marshaled in
+// place behind a length word patched in afterwards, not into a buffer of its
+// own that is then copied.
 func (a *Auth) encode(e *xdr.Encoder) {
 	e.Uint32(uint32(a.Flavor))
-	switch a.Flavor {
-	case AuthNone:
-		e.Uint32(0) // zero-length body
-	case AuthSys:
-		body := xdr.NewEncoder(nil)
-		body.Uint32(a.Stamp)
-		body.String(a.Machine)
-		body.Uint32(a.UID)
-		body.Uint32(a.GID)
-		body.Uint32(uint32(len(a.GIDs)))
-		for _, g := range a.GIDs {
-			body.Uint32(g)
-		}
-		e.Opaque(body.Bytes())
-	default:
-		e.Uint32(0)
+	e.Uint32(0) // body length: zero unless AUTH_SYS
+	if a.Flavor != AuthSys {
+		return
 	}
+	start := e.Len()
+	e.Uint32(a.Stamp)
+	e.String(a.Machine)
+	e.Uint32(a.UID)
+	e.Uint32(a.GID)
+	e.Uint32(uint32(len(a.GIDs)))
+	for _, g := range a.GIDs {
+		e.Uint32(g)
+	}
+	binary.BigEndian.PutUint32(e.Bytes()[start-4:], uint32(e.Len()-start))
 }
 
 func decodeAuth(d *xdr.Decoder) (Auth, error) {
@@ -160,7 +168,7 @@ type CallHeader struct {
 // EncodeCall marshals an RPC call message: header followed by the
 // pre-marshaled procedure arguments.
 func EncodeCall(h *CallHeader, args []byte) []byte {
-	e := xdr.NewEncoder(make([]byte, 0, 64+len(args)))
+	e := xdr.NewEncoder(make([]byte, 0, 24+h.Cred.wireSize()+h.Verf.wireSize()+len(args)))
 	e.Uint32(h.XID)
 	e.Uint32(msgTypeCall)
 	e.Uint32(RPCVersion)

@@ -30,6 +30,11 @@ func TestCallRoundTrip(t *testing.T) {
 	if !bytes.Equal(gotArgs, args) {
 		t.Fatalf("args = %v", gotArgs)
 	}
+	// The codec's share of the per-RPC allocation count: the message buffer,
+	// sized from the credential, and nothing else.
+	if allocs := testing.AllocsPerRun(100, func() { EncodeCall(h, args) }); allocs > 1 {
+		t.Fatalf("EncodeCall with an AUTH_SYS credential: %.0f allocs, want 1", allocs)
+	}
 }
 
 func TestReplyRoundTrip(t *testing.T) {
@@ -76,7 +81,7 @@ func TestQuickCallHeaderRoundTrip(t *testing.T) {
 		}
 		msg := EncodeCall(h, args)
 		got, gotArgs, err := DecodeCall(msg)
-		if err != nil {
+		if err != nil || cap(msg) != len(msg) {
 			return false
 		}
 		return got.XID == xid && got.Prog == prog && got.Vers == vers &&

@@ -191,8 +191,15 @@ type rtResult struct {
 }
 
 type pending struct {
-	req  *oncrpc.Request
-	done *des.Event
+	req *oncrpc.Request
+
+	// done is the current attempt's completion, res what a reply handler
+	// completes it with, resp what Roundtrip returns: all three live in the
+	// pending so a call allocates them once, together (done is a copy of a
+	// fresh des.NewEvent, des having no initialiser for an event in place).
+	done des.Event
+	res  rtResult
+	resp oncrpc.Response
 
 	// aborted is set once Roundtrip has returned: a reply handler still in
 	// flight must not fire the (already consumed) done event. handling
@@ -337,7 +344,7 @@ func (t *ClientTransport) Roundtrip(p *des.Proc, req *oncrpc.Request) (*oncrpc.R
 	}
 	defer t.inflight.release()
 
-	pend := &pending{req: req, done: des.NewEvent(t.node.Sim())}
+	pend := &pending{req: req, done: *des.NewEvent(t.node.Sim())}
 	hdr := &Header{XID: req.XID, Credits: uint32(t.cfg.Credits), Type: MsgRDMA}
 
 	// The client send path — chunk marshalling, registrations, posting —
@@ -423,11 +430,13 @@ func (t *ClientTransport) Roundtrip(p *des.Proc, req *oncrpc.Request) (*oncrpc.R
 	}
 
 	t.pending[req.XID] = pend
-	wire := append(hdr.Encode(), inline...)
-	p.Logf("rpcrdma call xid=%#x type=%v inline=%dB readsegs=%d writesegs=%d",
-		req.XID, hdr.Type, len(inline), len(hdr.ReadList), len(hdr.WriteList))
+	wire := hdr.message(inline)
+	if p.Logging() {
+		p.Logf("rpcrdma call xid=%#x type=%v inline=%dB readsegs=%d writesegs=%d",
+			req.XID, hdr.Type, len(inline), len(hdr.ReadList), len(hdr.WriteList))
+	}
 	attempt := 0
-	t.armTimer(pend.done, t.attemptTimeout(attempt))
+	t.armTimer(&pend.done, t.attemptTimeout(attempt))
 	t.qp.PostSend(&ibsim.SendWQE{WRID: uint64(req.XID), Op: ibsim.OpSend, Payload: wire})
 	if t.serial != nil {
 		t.serial.Release(1)
@@ -459,7 +468,9 @@ func (t *ClientTransport) Roundtrip(p *des.Proc, req *oncrpc.Request) (*oncrpc.R
 		if tr != nil {
 			tr.Instant(int64(p.Now()), trace.LayerRPC, trace.KindRetransmit, t.node.Name(), "retransmit", uint64(req.XID), int64(attempt))
 		}
-		pend.done = des.NewEvent(t.node.Sim())
+		// Reset in place: the only other holder of the event was the timer
+		// that just expired.
+		pend.done = *des.NewEvent(t.node.Sim())
 		if t.cfg.Design == ReplyFetch && pend.slotChk != nil {
 			// Re-arm the reply slot: zero the doorbell so the retransmitted
 			// call (same slot advertisement, same XID) gets a fresh deposit
@@ -470,7 +481,7 @@ func (t *ClientTransport) Roundtrip(p *des.Proc, req *oncrpc.Request) (*oncrpc.R
 				clear(d[:doorbellBytes])
 			}
 		}
-		t.armTimer(pend.done, t.attemptTimeout(attempt))
+		t.armTimer(&pend.done, t.attemptTimeout(attempt))
 		t.qp.PostSend(&ibsim.SendWQE{WRID: uint64(req.XID), Op: ibsim.OpSend, Payload: wire})
 	}
 	if res.err != nil && errors.Is(res.err, ErrTimeout) && attempt >= t.cfg.RetryLimit {
@@ -480,7 +491,9 @@ func (t *ClientTransport) Roundtrip(p *des.Proc, req *oncrpc.Request) (*oncrpc.R
 	}
 	delete(t.pending, req.XID)
 	pend.aborted = true
-	p.Logf("rpcrdma done xid=%#x bulk=%dB err=%v", req.XID, res.bulkLen, res.err)
+	if p.Logging() {
+		p.Logf("rpcrdma done xid=%#x bulk=%dB err=%v", req.XID, res.bulkLen, res.err)
+	}
 	// A reply handler still pulling chunks for this call owns the buffer
 	// release from here on (see handleReply), so its in-flight RDMA Reads
 	// cannot land in recycled staging. The staging copy still happens here,
@@ -500,7 +513,8 @@ func (t *ClientTransport) Roundtrip(p *des.Proc, req *oncrpc.Request) (*oncrpc.R
 	if res.err != nil {
 		return nil, res.err
 	}
-	return &oncrpc.Response{Header: res.body, BulkLen: res.bulkLen}, nil
+	pend.resp = oncrpc.Response{Header: res.body, BulkLen: res.bulkLen}
+	return &pend.resp, nil
 }
 
 // traceExpose records, one instant per segment, that the call advertised a
@@ -719,13 +733,20 @@ func (t *ClientTransport) receiver(p *des.Proc) {
 		if !ok {
 			continue // duplicate or cancelled
 		}
-		// Handle each reply on its own process so one reply's RDMA Reads
-		// (Read-Read design) do not serialize the others — though they all
-		// still contend for the connection's ORD slots, which is exactly
-		// the bottleneck the paper describes.
-		h, b := hdr, body
-		t.node.Sim().Spawn(t.node.Name()+"/reply", func(rp *des.Proc) {
-			t.handleReply(rp, pend, h, b)
+		s := t.node.Sim()
+		if t.cfg.Design != ReadRead {
+			// Nothing to pull, so nothing to block on: finish the call from
+			// the scheduler loop, at the place in this instant's order where
+			// a process spawned here would have started.
+			s.At(s.Now(), func() { t.handleReply(nil, pend, hdr, body) })
+			continue
+		}
+		// Handle each Read-Read reply on its own process so one reply's RDMA
+		// Reads do not serialize the others — though they all still contend
+		// for the connection's ORD slots, which is exactly the bottleneck the
+		// paper describes.
+		s.Spawn(t.node.Name()+"/reply", func(rp *des.Proc) {
+			t.handleReply(rp, pend, hdr, body)
 		})
 	}
 }
@@ -743,12 +764,15 @@ func (t *ClientTransport) regrant(credits uint32) {
 	}
 }
 
+// handleReply completes pend with a decoded reply. p is the process it runs
+// on, or nil on the scheduler loop: only a Read-Read reply pulls, and only a
+// pull blocks (or lets Roundtrip return, and hand over the release, midway).
 func (t *ClientTransport) handleReply(p *des.Proc, pend *pending, hdr *Header, body []byte) {
 	if pend.aborted {
 		return // caller gave up; staging buffers already released
 	}
 	pend.handling++
-	res := &rtResult{}
+	var res rtResult
 	switch hdr.Type {
 	case MsgRDMA:
 		res.body = body
@@ -801,10 +825,14 @@ func (t *ClientTransport) handleReply(p *des.Proc, pend *pending, hdr *Header, b
 		}
 		return
 	}
-	// TryFire: a retransmission timer may have consumed this attempt's
-	// event already; if Roundtrip re-armed, pend.done is the live attempt
-	// and this (valid, XID-matched) reply completes it.
-	pend.done.TryFire(res)
+	// A retransmission timer may have consumed this attempt's event already;
+	// if Roundtrip re-armed, pend.done is the live attempt and this (valid,
+	// XID-matched) reply completes it. The first completion wins, so the
+	// result it points at is never overwritten.
+	if !pend.done.Fired() {
+		pend.res = res
+		pend.done.Fire(&pend.res)
+	}
 }
 
 // pull performs a Read-Read pull: RDMA Read each advertised chunk of one

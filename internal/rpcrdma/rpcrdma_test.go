@@ -422,6 +422,9 @@ func TestHeaderRoundTripQuick(t *testing.T) {
 		}
 		body := []byte{1, 2, 3, 4}
 		wire := append(h.Encode(), body...)
+		if one := h.message(body); !bytes.Equal(one, wire) || cap(one) != len(one) {
+			return false // the one-buffer form is the same bytes in a buffer sized exactly
+		}
 		got, gotBody, err := DecodeHeader(wire)
 		if err != nil || got.XID != xid || got.Credits != credits {
 			return false
@@ -438,6 +441,22 @@ func TestHeaderRoundTripQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestHeaderCodecAllocs pins the codec's share of the per-RPC allocation
+// count: a chunk-free header costs its wire buffer to encode and the Header
+// to decode, nothing else.
+func TestHeaderCodecAllocs(t *testing.T) {
+	h := &Header{XID: 7, Credits: 32, Type: MsgRDMA}
+	body := make([]byte, 100)
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, _, err := DecodeHeader(h.message(body)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Fatalf("encode + decode of a chunk-free header: %.0f allocs, want <= 2", allocs)
 	}
 }
 

@@ -157,7 +157,7 @@ type ServerTransport struct {
 	BulkWrites    int64
 	DoneRecv      int64
 	ShortWrites   int64 // replies whose bulk exceeded the client's chunk capacity
-	TasksDropped  int64 // queued tasks discarded because their connection died
+	TasksDropped  int64 // messages discarded because their connection died or the server shut down
 	Deposits      int64 // reply-fetch replies deposited into client slots (no Send)
 	BadHeaders    int64 // received frames dropped because their header did not decode
 
@@ -550,8 +550,10 @@ func (s *ServerTransport) handle(p *des.Proc, task *serverTask, wcpu int) {
 		return
 	}
 	s.Requests++
-	p.Logf("rpcrdma serve xid=%#x type=%v readsegs=%d writesegs=%d",
-		hdr.XID, hdr.Type, len(hdr.ReadList), len(hdr.WriteList))
+	if p.Logging() {
+		p.Logf("rpcrdma serve xid=%#x type=%v readsegs=%d writesegs=%d",
+			hdr.XID, hdr.Type, len(hdr.ReadList), len(hdr.WriteList))
+	}
 	s.node.CPU.Work(p, s.cfg.PerOpCPU)
 
 	// --- Receive path ---
@@ -829,7 +831,7 @@ func (s *ServerTransport) reply(p *des.Proc, task *serverTask, reply []byte, bul
 	var longChk, depChk *memreg.Chunk
 	switch {
 	case design == ReplyFetch:
-		wire = append(rh.Encode(), reply...)
+		wire = rh.message(reply)
 		if over := len(wire) + doorbellBytes - int(call.ReplyChunk[0].Length); over > 0 {
 			// The reply outgrew the client's slot; it cannot be delivered. The
 			// client's watchdog will time out and the retransmission hits the
@@ -927,7 +929,7 @@ func (s *ServerTransport) reply(p *des.Proc, task *serverTask, reply []byte, bul
 		return
 	}
 	s.park(p, conn, call.XID, park, reserved)
-	wire = append(rh.Encode(), reply...)
+	wire = rh.message(reply)
 	ev := des.NewEvent(s.node.Sim())
 	postWithEvent(conn, &ibsim.SendWQE{WRID: uint64(call.XID), Op: ibsim.OpSend, Payload: wire}, ev)
 	if s.serial != nil {

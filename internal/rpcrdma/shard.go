@@ -186,6 +186,13 @@ func (sh *serverShard) deliver(p *des.Proc, conn *serverConn, cqe *ibsim.CQE) {
 	if conn == nil || conn.dead {
 		return
 	}
+	if s.closed {
+		// Shutdown parks while it releases parked replies, and a connection
+		// admitted during that drain is not in the snapshot it kills: its loop
+		// is still receiving when the work queues close.
+		s.TasksDropped++
+		return
+	}
 	hdr, body, err := DecodeHeader(cqe.Payload)
 	if err != nil {
 		s.BadHeaders++

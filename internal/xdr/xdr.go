@@ -24,6 +24,8 @@ const MaxOpaque = 16 << 20
 
 func pad(n int) int { return (4 - n%4) % 4 }
 
+var zeros [3]byte // padding
+
 // Encoder appends XDR-encoded items to a byte slice.
 type Encoder struct {
 	buf []byte
@@ -72,13 +74,15 @@ func (e *Encoder) Opaque(b []byte) {
 // FixedOpaque encodes fixed-length opaque data (bytes + padding, no length).
 func (e *Encoder) FixedOpaque(b []byte) {
 	e.buf = append(e.buf, b...)
-	for i := 0; i < pad(len(b)); i++ {
-		e.buf = append(e.buf, 0)
-	}
+	e.buf = append(e.buf, zeros[:pad(len(b))]...)
 }
 
 // String encodes an XDR string.
-func (e *Encoder) String(s string) { e.Opaque([]byte(s)) }
+func (e *Encoder) String(s string) {
+	e.Uint32(uint32(len(s)))
+	e.buf = append(e.buf, s...)
+	e.buf = append(e.buf, zeros[:pad(len(s))]...)
+}
 
 // Decoder consumes XDR-encoded items from a byte slice.
 type Decoder struct {

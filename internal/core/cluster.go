@@ -76,7 +76,9 @@ type Config struct {
 	PageCacheBytes int64
 
 	// CopyData materializes and moves real payload bytes (integrity tests);
-	// large experiments leave it off.
+	// large experiments leave it off: payload is then phantom end to end —
+	// application buffers, transport staging, the store — while protocol
+	// bytes stay real (see ibsim.Fabric.CopyData).
 	CopyData bool
 
 	// CacheMaxBytes bounds the registration-cache slab on both endpoints

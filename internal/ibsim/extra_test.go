@@ -90,6 +90,69 @@ func TestMemoryFindProperty(t *testing.T) {
 	}
 }
 
+// TestMemoryForgetsFreedBuffers churns 10 000 Alloc/Free pairs around a few
+// long-lived buffers, some allocated mid-churn so freed ranges sit between
+// live ones. The list find searches must hold the live buffers plus at most
+// as many dead ones not compacted away yet, at every step and when the churn
+// is over, instead of everything ever allocated; live addresses resolve,
+// freed ones — first and last byte included — do not; the accounting and the
+// bump pointer are what they would be had nothing been forgotten.
+func TestMemoryForgetsFreedBuffers(t *testing.T) {
+	sim := des.New()
+	fab := NewFabric(sim, false)
+	m := fab.AddNode(NodeConfig{Name: "n"}).Mem
+	const size, pairs, window = 3 * pageSize, 10_000, 7
+	live := []*Buffer{m.Alloc(size), m.Alloc(100)}
+	var freed, transient []*Buffer
+	wantNext := m.Watermark()
+	for i := 0; i < pairs; i++ {
+		// A short FIFO window, so frees are neither LIFO nor all adjacent.
+		transient = append(transient, m.Alloc(size))
+		wantNext += size + pageSize
+		if len(transient) > window {
+			m.Free(transient[0])
+			freed, transient = append(freed, transient[0]), transient[1:]
+		}
+		if i%2500 == 1250 {
+			live = append(live, m.Alloc(size))
+			wantNext += size + pageSize
+		}
+		if n, l := len(m.buffers), len(live)+len(transient); n > 2*l {
+			t.Fatalf("pair %d: list holds %d buffers for %d live", i, n, l)
+		}
+	}
+	for _, b := range transient {
+		m.Free(b)
+		freed = append(freed, b)
+	}
+	if n := len(m.buffers); n < len(live) || n > 2*len(live) {
+		t.Errorf("list holds %d buffers after the churn for %d live", n, len(live))
+	}
+	for _, b := range live {
+		for _, off := range []int{0, b.Size / 2, b.Size - 1} {
+			if got, gotOff := m.find(b.Addr(off)); got != b || gotOff != off {
+				t.Fatalf("live %#x+%d resolved to %v+%d", b.Base, off, got, gotOff)
+			}
+		}
+	}
+	for _, b := range freed {
+		for _, off := range []int{0, b.Size - 1} {
+			if got, _ := m.find(b.Addr(off)); got != nil {
+				t.Fatalf("freed %#x+%d still resolves (to the buffer at %#x)", b.Base, off, got.Base)
+			}
+		}
+	}
+	if got, want := m.AllocatedBytes(), int64(100+(len(live)-1)*size); got != want {
+		t.Errorf("AllocatedBytes = %d, want %d", got, want)
+	}
+	if got := m.Watermark(); got != wantNext {
+		t.Errorf("Watermark = %#x, want %#x: addresses were reused or skipped", got, wantNext)
+	}
+	if next := m.Alloc(1); next.Base != wantNext {
+		t.Errorf("next allocation at %#x, want %#x", next.Base, wantNext)
+	}
+}
+
 func TestAllocationAccounting(t *testing.T) {
 	sim := des.New()
 	fab := NewFabric(sim, false)

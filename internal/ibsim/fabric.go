@@ -15,10 +15,17 @@ import (
 // matching a single-switch cluster like the paper's testbed).
 type Fabric struct {
 	Sim *des.Sim
-	// CopyData selects whether bulk RDMA payloads are materialized and
-	// copied between node memories. Tests enable it to verify end-to-end
-	// integrity; large experiments disable it to keep wall-clock time down.
-	// Control messages (Send payloads) are always real.
+	// CopyData selects whether file payload is materialized and copied
+	// between node memories. The rule: bytes exist where a protocol reads
+	// them; payload is phantom unless CopyData. Send payloads and buffers
+	// from Memory.AllocMaterialized (long calls and replies, reply slots and
+	// deposits, buffers an application asked to be real) always carry bytes;
+	// buffers from Memory.Alloc (application I/O buffers, the transports'
+	// payload staging) carry them only with CopyData, and an RDMA op with no
+	// bytes on either side moves none. Simulated time and every counter are
+	// keyed on lengths, never on whether bytes exist. Tests enable it to
+	// verify end-to-end integrity; large experiments leave it off, and then
+	// a payload byte costs the host neither memory nor time.
 	CopyData bool
 	Counters *stats.Counters
 	// hot binds the per-WQE counters to pre-registered atomic slots so the

@@ -5,9 +5,10 @@
 // primitives, with the ordering rules and IRD/ORD limits the paper's
 // protocol analysis depends on.
 //
-// The simulator moves real bytes for control messages (RDMA Send payloads)
-// always, and for bulk RDMA Read/Write data when Fabric.CopyData is enabled,
-// so protocol stacks built on it can be verified end to end. Timing flows
+// The simulator moves real bytes for control messages (RDMA Send payloads
+// and buffers from Memory.AllocMaterialized) always, and for file payload
+// moved by RDMA Read/Write when Fabric.CopyData is enabled, so protocol
+// stacks built on it can be verified end to end. Timing flows
 // through the des kernel: link serialization on per-node port resources,
 // one-way wire latency, per-WQE HCA overhead, and a memory-registration cost
 // model.
@@ -15,6 +16,7 @@ package ibsim
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/des"
 )
@@ -57,11 +59,17 @@ func (b *Buffer) Bytes(off, n int) []byte {
 // covering [off, off+n) of the buffer, in order. DMA addressed by physical
 // pages (the all-physical / global steering tag mode) needs one descriptor —
 // and hence one RPC/RDMA chunk segment — per run.
+//
+// The result may alias the buffer's own run list (it does for a whole-buffer
+// request) and must not be modified.
 func (b *Buffer) PhysicalRuns(off, n int) []int {
 	if off < 0 || n < 0 || off+n > b.Size {
 		panic(fmt.Sprintf("ibsim: PhysicalRuns [%d,%d) outside size %d", off, off+n, b.Size))
 	}
-	var out []int
+	if off == 0 && n == b.Size {
+		return b.runs[:len(b.runs):len(b.runs)]
+	}
+	out := make([]int, 0, len(b.runs))
 	pos := 0
 	for _, run := range b.runs {
 		runStart, runEnd := pos, pos+run
@@ -90,7 +98,12 @@ type Memory struct {
 	next uint64
 	rng  *des.Rand
 
-	buffers []*Buffer // all live allocations, ordered by Base
+	// buffers holds the allocations find can resolve, ordered by Base. Free
+	// marks a buffer dead and compacts the list once the dead outnumber the
+	// live, so a freed buffer is forgotten after amortised O(1) work and the
+	// list never exceeds twice the live count however long the node churns.
+	buffers []*Buffer
+	dead    int
 
 	// pool recycles materialized data slices by power-of-two size class.
 	// Staging-heavy protocol paths (the Read-Read design materializes a
@@ -155,6 +168,10 @@ func (m *Memory) Alloc(size int) *Buffer {
 	if m.node.fab.CopyData {
 		b.data = m.dataFor(size)
 	}
+	// Draw the runs into a stack array first so the list is allocated once,
+	// at its final length.
+	var stack [16]int
+	runs := stack[:0]
 	remaining := size
 	for remaining > 0 {
 		pagesMean := m.MeanPhysRun / pageSize
@@ -167,9 +184,10 @@ func (m *Memory) Alloc(size int) *Buffer {
 		if run > remaining {
 			run = remaining
 		}
-		b.runs = append(b.runs, run)
+		runs = append(runs, run)
 		remaining -= run
 	}
+	b.runs = slices.Clone(runs)
 	m.allocated += int64(size)
 	m.buffers = append(m.buffers, b)
 	return b
@@ -200,7 +218,8 @@ func (m *Memory) find(addr uint64) (*Buffer, int) {
 // AllocMaterialized returns a buffer whose bytes are always backed by real
 // storage, even when the fabric runs in phantom-data mode. Protocol engines
 // use it for buffers that carry control information moved by RDMA (long
-// calls, long replies), which must survive the trip byte-exact.
+// calls, long replies, reply slots and deposits), which must survive the
+// trip byte-exact; file payload belongs in Alloc.
 func (m *Memory) AllocMaterialized(size int) *Buffer {
 	b := m.Alloc(size)
 	if b.data == nil {
@@ -218,9 +237,10 @@ func (m *Memory) AllocContiguous(size int) *Buffer {
 }
 
 // Free releases the buffer. The address range is not reused (bump
-// allocator), which makes stale-address bugs in protocol code detectable —
-// but the materialized bytes go back to the recycling pool, so touching a
-// freed buffer's Data is also detectable (it is nil).
+// allocator), which makes stale-address bugs in protocol code detectable: a
+// freed address resolves to nothing for good. The materialized bytes go back
+// to the recycling pool, so touching a freed buffer's Data is also
+// detectable (it is nil).
 func (m *Memory) Free(b *Buffer) {
 	if b.freed {
 		panic("ibsim: double free")
@@ -233,6 +253,9 @@ func (m *Memory) Free(b *Buffer) {
 			m.pool[len(d)] = append(m.pool[len(d)], d)
 		}
 		b.data = nil
+	}
+	if m.dead++; 2*m.dead > len(m.buffers) {
+		m.buffers, m.dead = slices.DeleteFunc(m.buffers, (*Buffer).Freed), 0
 	}
 }
 

@@ -19,10 +19,13 @@
 //     registration-cache correctness problem, and bounded so the slab can
 //     be reclaimed.
 //
-// A Manager exposes two paths: Get/Put for transport-owned staging buffers
-// (where the cache applies), and RegisterExternal for caller-owned memory
-// (the zero-copy direct-I/O path, where a cache keyed by allocation cannot
-// apply and the dynamic strategy of the mode is used).
+// A Manager exposes two paths: Get/GetPayload/Put for transport-owned
+// staging buffers (where the cache applies), and RegisterExternal for
+// caller-owned memory (the zero-copy direct-I/O path, where a cache keyed by
+// allocation cannot apply and the dynamic strategy of the mode is used).
+// Staging is materialized by purpose: bytes exist where a protocol reads
+// them (Get); payload is phantom unless the fabric copies data (GetPayload,
+// GetUnregistered).
 package memreg
 
 import (
@@ -179,26 +182,46 @@ type Chunk struct {
 func (c *Chunk) Data() []byte { return c.Buf.Data() }
 
 // Get returns a buffer of at least size bytes registered with the given
-// access, charging whatever the mode costs. It is GetUnregistered followed
-// by RegisterChunk.
+// access, charging whatever the mode costs, for staging that carries
+// protocol bytes (long calls and replies, reply slots and deposits): its
+// bytes are real even in phantom-data mode, because the peer decodes them.
 func (m *Manager) Get(p *des.Proc, size int, access ibsim.Access) *Chunk {
+	c := m.alloc(p, size, access, true)
+	m.RegisterChunk(p, c, 0)
+	return c
+}
+
+// GetPayload is Get for staging that carries file payload: nobody reads the
+// bytes but the application, so they exist only when the fabric copies data
+// (ibsim.Fabric.CopyData), exactly like the caller's own buffers.
+func (m *Manager) GetPayload(p *des.Proc, size int, access ibsim.Access) *Chunk {
 	c := m.GetUnregistered(p, size, access)
 	m.RegisterChunk(p, c, 0)
 	return c
 }
 
-// GetUnregistered allocates a staging buffer without (necessarily) paying
+// GetUnregistered allocates payload staging without (necessarily) paying
 // registration yet — the paper's server flow allocates at RPC receipt and
 // registers when control returns from the file system. Under the cache
 // mode a slab hit arrives already registered, which is the whole point.
 func (m *Manager) GetUnregistered(p *des.Proc, size int, access ibsim.Access) *Chunk {
+	return m.alloc(p, size, access, false)
+}
+
+// alloc returns an unregistered chunk (a registered one under the cache
+// mode, whose slab chunks serve payload and protocol staging alike and are
+// therefore always materialized).
+func (m *Manager) alloc(p *des.Proc, size int, access ibsim.Access, materialized bool) *Chunk {
 	if m.cfg.Mode == Cache {
 		return m.cacheGet(p, size, access)
 	}
-	// Staging buffers are always materialized: they may carry protocol
-	// bytes (long calls/replies) that must survive phantom-data mode.
-	buf := m.mem.AllocMaterialized(size)
-	return &Chunk{Buf: buf, access: access, length: size}
+	c := &Chunk{access: access, length: size}
+	if materialized {
+		c.Buf = m.mem.AllocMaterialized(size)
+	} else {
+		c.Buf = m.mem.Alloc(size)
+	}
+	return c
 }
 
 // RegisterChunk ensures the chunk is registered, charging the mode's cost
@@ -216,7 +239,7 @@ func (m *Manager) RegisterChunk(p *des.Proc, c *Chunk, n int) {
 	c.Reg = m.register(p, c.Buf, 0, n, c.access)
 }
 
-// Put releases a chunk obtained from Get or GetUnregistered.
+// Put releases a chunk obtained from Get, GetPayload or GetUnregistered.
 func (m *Manager) Put(p *des.Proc, c *Chunk) {
 	if m.cfg.Mode == Cache {
 		m.cachePut(p, c)
@@ -280,10 +303,11 @@ func (m *Manager) registerMode(p *des.Proc, mode Mode, buf *ibsim.Buffer, off, l
 		if g == nil {
 			panic("memreg: all-physical mode without global rkey enabled")
 		}
-		var segs []Segment
+		runs := buf.PhysicalRuns(off, length)
+		segs := make([]Segment, len(runs))
 		pos := off
-		for _, run := range buf.PhysicalRuns(off, length) {
-			segs = append(segs, Segment{Rkey: g.Rkey(), Addr: buf.Addr(pos), Len: run})
+		for i, run := range runs {
+			segs[i] = Segment{Rkey: g.Rkey(), Addr: buf.Addr(pos), Len: run}
 			pos += run
 		}
 		return &Registration{segs: segs, owner: m}

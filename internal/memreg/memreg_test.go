@@ -290,3 +290,45 @@ func TestQuickCacheAlwaysCoversRequest(t *testing.T) {
 	})
 	sim.Run()
 }
+
+// TestStagingMaterializedByPurpose pins which staging has bytes: protocol
+// staging (Get) always, payload staging (GetPayload, GetUnregistered) only
+// when the fabric copies data — except under the cache mode, whose slab
+// chunks serve both and are always materialized. Registration does not
+// depend on it: the segments cover the chunk either way.
+func TestStagingMaterializedByPurpose(t *testing.T) {
+	for _, copyData := range []bool{false, true} {
+		for _, mode := range []Mode{Regular, FMR, AllPhysical, Cache} {
+			sim := des.New()
+			node := ibsim.NewFabric(sim, copyData).AddNode(ibsim.NodeConfig{Name: "n", Cores: 1})
+			sim.Spawn("op", func(p *des.Proc) {
+				m := NewManager(p, node, Config{Mode: mode, FMRPoolSize: 4})
+				const size = 64 << 10
+				protocol := m.Get(p, size, ibsim.AccessLocalWrite)
+				payload := m.GetPayload(p, size, ibsim.AccessLocalWrite)
+				deferred := m.GetUnregistered(p, size, ibsim.AccessLocalWrite)
+				m.RegisterChunk(p, deferred, size)
+				if protocol.Data() == nil {
+					t.Errorf("copy=%v %v: protocol staging has no bytes", copyData, mode)
+				}
+				wantPayload := copyData || mode == Cache
+				for name, c := range map[string]*Chunk{"GetPayload": payload, "GetUnregistered": deferred} {
+					if got := c.Data() != nil; got != wantPayload {
+						t.Errorf("copy=%v %v: %s materialized = %v, want %v", copyData, mode, name, got, wantPayload)
+					}
+					covered := 0
+					for _, s := range c.Reg.Segments() {
+						covered += s.Len
+					}
+					if covered < size {
+						t.Errorf("copy=%v %v: %s registered %d of %d bytes", copyData, mode, name, covered, size)
+					}
+				}
+				m.Put(p, protocol)
+				m.Put(p, payload)
+				m.Put(p, deferred)
+			})
+			sim.Run()
+		}
+	}
+}

@@ -96,8 +96,17 @@ func (c *Client) Close() { c.rpc.Close() }
 // XID continuity.
 func (c *Client) SetTransport(t oncrpc.Transport) { c.rpc.SetTransport(t) }
 
+// argsCap and resultsCap start the argument and result encoders at a
+// capacity only READDIR[PLUS] and READLINK results and calls carrying long
+// names outgrow: a CREATE call is 72 bytes plus its name, the largest
+// fixed-size result (RENAME, two wcc_data) 236.
+const (
+	argsCap    = 128
+	resultsCap = 240
+)
+
 func enc(fn func(e *xdr.Encoder)) []byte {
-	e := xdr.NewEncoder(nil)
+	e := xdr.NewEncoder(make([]byte, 0, argsCap))
 	fn(e)
 	return e.Bytes()
 }

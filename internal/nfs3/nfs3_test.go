@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -425,4 +426,52 @@ func TestSetAttrGuard(t *testing.T) {
 		}
 	})
 	sim.Run()
+}
+
+// TestEncoderCapsCoverFixedMessages pins the starting capacities of the
+// argument and result encoders against the largest messages without a
+// variable-length tail: none of them may grow its buffer, so an NFS message
+// costs one allocation to encode. It also pins the handle's wire form, which
+// FH.Encode writes in place.
+func TestEncoderCapsCoverFixedMessages(t *testing.T) {
+	fh := FH{FSID: 0x0102030405060708, FileID: 0x1112131415161718}
+	e := xdr.NewEncoder(nil)
+	fh.Encode(e)
+	want := append([]byte{0, 0, 0, 16}, 1, 2, 3, 4, 5, 6, 7, 8, 0x11, 0x12, 0x13, 0x14, 0x15, 0x16, 0x17, 0x18)
+	if !bytes.Equal(e.Bytes(), want) {
+		t.Errorf("handle on the wire:\n got %x\nwant %x", e.Bytes(), want)
+	}
+
+	v32, v64 := uint32(0644), uint64(1)<<40
+	sattr := SAttr{Mode: &v32, UID: &v32, GID: &v32, Size: &v64, SetAtime: true, SetMtime: true}
+	post := PostOpAttr{Present: true}
+	wcc := WccData{PrePresent: true, Post: post}
+	name := strings.Repeat("n", 24)
+	for _, m := range []struct {
+		name   string
+		cap    int
+		encode func(*xdr.Encoder)
+	}{
+		{"SETATTR args", argsCap, (&SetAttrArgs{FH: fh, Attr: sattr, Guard: &NFSTime{}}).Encode},
+		{"CREATE args", argsCap, (&CreateArgs{Where: DirOpArgs{Dir: fh, Name: name}, Attr: sattr}).Encode},
+		{"RENAME args", argsCap, (&RenameArgs{From: DirOpArgs{Dir: fh, Name: name}, To: DirOpArgs{Dir: fh, Name: name}}).Encode},
+		{"READ args", argsCap, (&ReadArgs{FH: fh, Offset: v64, Count: 1 << 20}).Encode},
+		{"WRITE args", argsCap, (&WriteArgs{FH: fh, Offset: v64, Count: 1 << 20, Stable: FileSync}).Encode},
+		{"READ result", resultsCap, (&ReadRes{Status: OK, Attr: post, Count: 1 << 20, EOF: true}).Encode},
+		{"WRITE result", resultsCap, (&WriteRes{Status: OK, Wcc: wcc, Count: 1 << 20, Committed: FileSync, Verf: v64}).Encode},
+		{"LOOKUP result", resultsCap, (&LookupRes{Status: OK, Object: fh, ObjAttr: post, DirAttr: post}).Encode},
+		{"CREATE result", resultsCap, (&CreateRes{Status: OK, FHPresent: true, FH: fh, Attr: post, DirWcc: wcc}).Encode},
+		{"RENAME result", resultsCap, (&RenameRes{Status: OK, FromWcc: wcc, ToWcc: wcc}).Encode},
+		{"FSINFO result", resultsCap, (&FSInfoRes{Status: OK, Attr: post}).Encode},
+	} {
+		e := xdr.NewEncoder(make([]byte, 0, m.cap))
+		m.encode(e)
+		if cap(e.Bytes()) != m.cap {
+			t.Errorf("%s: %d bytes outgrew the encoder's %d", m.name, e.Len(), m.cap)
+		}
+	}
+	encode := (&ReadArgs{FH: fh, Offset: v64, Count: 1 << 20}).Encode
+	if allocs := testing.AllocsPerRun(100, func() { enc(encode) }); allocs > 2 {
+		t.Errorf("encoding READ args: %.0f allocs, want 2 (the encoder and its buffer)", allocs)
+	}
 }

@@ -155,12 +155,14 @@ func (s *Server) Handle(p *des.Proc, req *oncrpc.ServerRequest) *oncrpc.ServerRe
 	if proc < uint32(len(s.Ops)) {
 		s.Ops[proc]++
 	}
+	if proc == ProcNull {
+		// void -> void: no result encoder to pay for.
+		return &oncrpc.ServerResponse{Stat: oncrpc.Success}
+	}
 	d := xdr.NewDecoder(req.Args)
-	e := xdr.NewEncoder(nil)
+	e := xdr.NewEncoder(make([]byte, 0, resultsCap))
 	var bulk *oncrpc.Bulk
 	switch proc {
-	case ProcNull:
-		// void -> void
 	case ProcGetAttr:
 		s.getattr(p, d, e)
 	case ProcSetAttr:

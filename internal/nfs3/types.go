@@ -186,12 +186,11 @@ type FH struct {
 // MaxFHSize is the nfs_fh3 opaque bound.
 const MaxFHSize = 64
 
-// Encode writes the handle as opaque data.
+// Encode writes the handle as opaque data: a 16-byte body, so no padding.
 func (h FH) Encode(e *xdr.Encoder) {
-	inner := xdr.NewEncoder(make([]byte, 0, 16))
-	inner.Uint64(h.FSID)
-	inner.Uint64(h.FileID)
-	e.Opaque(inner.Bytes())
+	e.Uint32(16)
+	e.Uint64(h.FSID)
+	e.Uint64(h.FileID)
 }
 
 // DecodeFH reads an nfs_fh3.

@@ -370,7 +370,7 @@ func (t *ClientTransport) Roundtrip(p *des.Proc, req *oncrpc.Request) (*oncrpc.R
 			pend.srcReg = t.mgr.RegisterExternal(p, buf, off, req.SendBulk.Len, ibsim.AccessRemoteRead)
 			segs = pend.srcReg.Segments()
 		} else {
-			pend.srcChk = t.mgr.Get(p, req.SendBulk.Len, ibsim.AccessRemoteRead)
+			pend.srcChk = t.mgr.GetPayload(p, req.SendBulk.Len, ibsim.AccessRemoteRead)
 			if d := pend.srcChk.Data(); d != nil && req.SendBulk.Data != nil {
 				copy(d, req.SendBulk.Data[:req.SendBulk.Len])
 			}
@@ -589,7 +589,7 @@ func (t *ClientTransport) setupRecvPlacement(p *des.Proc, pend *pending, req *on
 		} else {
 			// Buffered path: server writes into transport staging; one copy
 			// to the caller afterwards.
-			pend.destChk = t.mgr.Get(p, n, ibsim.AccessLocalWrite|ibsim.AccessRemoteWrite)
+			pend.destChk = t.mgr.GetPayload(p, n, ibsim.AccessLocalWrite|ibsim.AccessRemoteWrite)
 			pend.destBuf, pend.destOff = pend.destChk.Buf, 0
 			pend.needCopy = true
 			hdr.WriteList = t.expose(p, req.XID, pend.destChk.Reg, n)
@@ -598,7 +598,7 @@ func (t *ClientTransport) setupRecvPlacement(p *des.Proc, pend *pending, req *on
 		// Nothing is advertised: the server will expose chunks in its reply
 		// and this client pulls them into local staging, then copies out —
 		// the Read-Read design has no zero-copy path (§5.1).
-		pend.destChk = t.mgr.Get(p, n, ibsim.AccessLocalWrite)
+		pend.destChk = t.mgr.GetPayload(p, n, ibsim.AccessLocalWrite)
 		pend.destBuf, pend.destOff = pend.destChk.Buf, 0
 		pend.needCopy = true
 	}
@@ -921,18 +921,18 @@ func (t *ClientTransport) failAll(err error) {
 	}
 }
 
-// clampSegs truncates registration segments to cover exactly n bytes.
+// clampSegs truncates registration segments to cover exactly n bytes. The
+// result shares segs' storage unless the last segment had to be shortened.
 func clampSegs(segs []memreg.Segment, n int) []memreg.Segment {
-	var out []memreg.Segment
-	for _, s := range segs {
+	for i, s := range segs {
 		if n <= 0 {
-			break
+			return segs[:i]
 		}
 		if s.Len > n {
 			s.Len = n
+			return append(segs[:i:i], s)
 		}
-		out = append(out, s)
 		n -= s.Len
 	}
-	return out
+	return segs
 }

@@ -445,18 +445,34 @@ func TestHeaderRoundTripQuick(t *testing.T) {
 }
 
 // TestHeaderCodecAllocs pins the codec's share of the per-RPC allocation
-// count: a chunk-free header costs its wire buffer to encode and the Header
-// to decode, nothing else.
+// count: a header costs its wire buffer to encode and the Header to decode,
+// plus one exactly-sized list per chunk list it carries, however many
+// segments that list has.
 func TestHeaderCodecAllocs(t *testing.T) {
-	h := &Header{XID: 7, Credits: 32, Type: MsgRDMA}
+	segs := make([]Segment, 4)
+	reads := make([]ReadSeg, 4)
+	for i := range segs {
+		segs[i] = Segment{Rkey: uint32(i + 1), Length: 32 << 10, Addr: uint64(i) << 15}
+		reads[i] = ReadSeg{Position: 8, Segment: segs[i]}
+	}
 	body := make([]byte, 100)
-	allocs := testing.AllocsPerRun(100, func() {
-		if _, _, err := DecodeHeader(h.message(body)); err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		h    Header
+		want float64
+	}{
+		{"chunk-free", Header{XID: 7, Credits: 32, Type: MsgRDMA}, 2},
+		{"four-segment write list", Header{XID: 7, Credits: 32, Type: MsgRDMA, WriteList: segs}, 3},
+		{"three four-segment lists", Header{XID: 7, Credits: 32, Type: MsgRDMA, ReadList: reads, WriteList: segs, ReplyChunk: segs}, 5},
+	} {
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, _, err := DecodeHeader(tc.h.message(body)); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > tc.want {
+			t.Errorf("encode + decode of a %s header: %.0f allocs, want <= %.0f", tc.name, allocs, tc.want)
 		}
-	})
-	if allocs > 2 {
-		t.Fatalf("encode + decode of a chunk-free header: %.0f allocs, want <= 2", allocs)
 	}
 }
 

@@ -844,7 +844,7 @@ func (s *ServerTransport) reply(p *des.Proc, task *serverTask, reply []byte, bul
 			return
 		}
 		// Stage the deposit: [doorbell word | wire bytes] in one local-only
-		// chunk (staging is always materialized, so the bytes really cross).
+		// chunk (protocol staging is materialized, so the bytes really cross).
 		depChk = s.mgr.Get(p, doorbellBytes+len(wire), ibsim.AccessLocalWrite)
 		if d := depChk.Data(); d != nil {
 			binary.LittleEndian.PutUint64(d[:doorbellBytes], uint64(len(wire))+1)
@@ -992,7 +992,7 @@ func (s *ServerTransport) dropReply(p *des.Proc, conn *serverConn, chunks []*mem
 // Writes are unsignaled except implicitly through the following send
 // (Write-then-Send ordering).
 func (s *ServerTransport) pushBulk(p *des.Proc, conn *serverConn, src *ibsim.Buffer, n int, dst []Segment) ([]Segment, int) {
-	var out []Segment
+	out := make([]Segment, 0, len(dst))
 	off := 0
 	for _, seg := range dst {
 		if n <= 0 {

@@ -47,14 +47,11 @@ func (s *MemStore) Read(p *des.Proc, id FileID, size, off int64, count int, dst 
 		n = int(size - off)
 	}
 	if dst != nil && s.materialize {
-		content := s.files[id]
-		for i := 0; i < n; i++ {
-			if off+int64(i) < int64(len(content)) {
-				dst[i] = content[off+int64(i)]
-			} else {
-				dst[i] = 0 // hole
-			}
+		copied := 0
+		if content := s.files[id]; off < int64(len(content)) {
+			copied = copy(dst[:n], content[off:])
 		}
+		clear(dst[copied:n]) // hole
 	}
 	return n
 }

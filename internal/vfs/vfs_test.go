@@ -421,3 +421,67 @@ func TestDiskStoreCommitFlushes(t *testing.T) {
 	})
 	sim.Run()
 }
+
+// TestMemStoreReadTable pins MemStore.Read against the file's content and
+// size: bytes below the content's end are the content, bytes between it and
+// the size (a hole: the size grew past what was written) are zero, bytes of
+// dst beyond what was read are untouched. dst starts as 0xAA so a hole that
+// is not cleared shows.
+func TestMemStoreReadTable(t *testing.T) {
+	content := []byte("0123456789abcdefghij") // 20 bytes
+	const id = FileID(7)
+	cases := []struct {
+		name         string
+		truncate     int64 // content is cut here first (< 0: not at all)
+		size, off    int64
+		count, wantN int
+		want         string // the first wantN bytes of dst, '.' = zero
+	}{
+		{"ends inside content", -1, 20, 5, 10, 10, "56789abcde"},
+		{"whole content", -1, 20, 0, 20, 20, "0123456789abcdefghij"},
+		{"bounded by size", -1, 20, 15, 10, 5, "fghij"},
+		{"straddles content's end", -1, 32, 16, 8, 8, "ghij...."},
+		{"starts at content's end", -1, 32, 20, 8, 8, "........"},
+		{"starts past content", -1, 64, 40, 8, 8, "........"},
+		{"starts at size", -1, 20, 20, 8, 0, ""},
+		{"starts past size", -1, 20, 30, 8, 0, ""},
+		{"sparse tail after truncate", 8, 24, 4, 12, 12, "4567........"},
+		{"truncated to nothing", 0, 16, 0, 4, 4, "...."},
+		{"count zero", -1, 20, 3, 0, 0, ""},
+	}
+	for _, tc := range cases {
+		s := NewMemStore(true)
+		s.Write(nil, id, 0, len(content), content, false)
+		if tc.truncate >= 0 {
+			s.Truncate(id, tc.truncate)
+		}
+		dst := make([]byte, tc.count+4)
+		for i := range dst {
+			dst[i] = 0xAA
+		}
+		n := s.Read(nil, id, tc.size, tc.off, tc.count, dst[:tc.count])
+		if n != tc.wantN {
+			t.Errorf("%s: read %d bytes, want %d", tc.name, n, tc.wantN)
+			continue
+		}
+		got := make([]byte, n)
+		for i, b := range dst[:n] {
+			if got[i] = b; b == 0 {
+				got[i] = '.'
+			}
+		}
+		if string(got) != tc.want {
+			t.Errorf("%s: read %q, want %q", tc.name, got, tc.want)
+		}
+		for i, b := range dst[n:] {
+			if b != 0xAA {
+				t.Errorf("%s: byte %d past the %d read was overwritten with %#x", tc.name, n+i, n, b)
+			}
+		}
+	}
+	// A store that keeps sizes only never touches dst.
+	dst := []byte{0xAA, 0xAA}
+	if n := NewMemStore(false).Read(nil, id, 8, 0, 2, dst); n != 2 || dst[0] != 0xAA || dst[1] != 0xAA {
+		t.Errorf("phantom store: n=%d dst=%x, want 2 and dst untouched", n, dst)
+	}
+}

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check vet bench
+.PHONY: build test check vet fmt bench
 
 build:
 	$(GO) build ./...
@@ -11,7 +11,11 @@ test:
 vet:
 	$(GO) vet ./...
 
-# check is the CI gate: static analysis, then every suite once under the
+# fmt fails if gofmt would change any file in the tree, and names the files.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
+
+# check is the CI gate: gofmt and vet, then every suite once under the
 # race detector. The parallel sweep runner makes simulations genuinely
 # concurrent, so -race here guards the "no shared mutable state between
 # sims" invariant, not just test hygiene. Two uninstrumented passes follow:
@@ -32,7 +36,7 @@ vet:
 # The chaos package's soak test widens with CHAOS_SEEDS, e.g.:
 #
 #     CHAOS_SEEDS=256 make check
-check: vet
+check: fmt vet
 	$(GO) test -race $$($(GO) list ./... | grep -v '/internal/experiments$$')
 	$(GO) test -race ./internal/experiments/
 	$(GO) test -run 'MuxCapacity' ./internal/experiments/

@@ -1,7 +1,11 @@
 package core
 
 import (
+	"fmt"
+	"path"
 	"runtime"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/des"
@@ -18,31 +22,45 @@ import (
 // reports the same count per workload (host_allocs_per_rpc); this fails in
 // under a second when a change to the message path adds an allocation,
 // instead of ten minutes later. The pins are the measured counts plus one.
+//
+// A design over a pin is measured again with every allocation profiled, and
+// the sites are logged as file:line and allocations per RPC, so the failure
+// names the line that allocates; -v logs them for every design.
 func TestAllocsPerRPC(t *testing.T) {
 	pins := []struct {
 		design               rpcrdma.Design
 		null, read, physRead float64
 	}{
-		{rpcrdma.ReadWrite, 21, 41, 45},  // measured 20.00, 40.02 and 44.06
-		{rpcrdma.ReadRead, 32, 53, 59},   // 31.24, 52.25 and 58.57
-		{rpcrdma.ReplyFetch, 48, 69, 71}, // 47.00, 68.00 and 70.14
+		{rpcrdma.ReadWrite, 11, 23, 22},  // measured 10.00, 22.00 and 21.09
+		{rpcrdma.ReadRead, 19, 35, 38},   // 18.24, 34.25 and 37.63
+		{rpcrdma.ReplyFetch, 30, 43, 40}, // 29.00, 42.00 and 39.17
 	}
 	for _, pin := range pins {
-		null, read := allocsPerRPC(t, pin.design, memreg.Regular, 8<<10, true)
-		_, physRead := allocsPerRPC(t, pin.design, memreg.AllPhysical, 64<<10, false)
+		null, read := allocsPerRPC(t, pin.design, memreg.Regular, 8<<10, true, false)
+		_, physRead := allocsPerRPC(t, pin.design, memreg.AllPhysical, 64<<10, false, false)
 		t.Logf("%v: %.2f allocs per NULL, %.2f per 8 KiB direct READ, %.2f per all-physical 64 KiB buffered READ",
 			pin.design, null, read, physRead)
-		if null > pin.null || read > pin.read || physRead > pin.physRead {
+		over := null > pin.null || read > pin.read || physRead > pin.physRead
+		if over {
 			t.Errorf("%v: %.2f allocs per NULL (pin %.0f), %.2f per 8 KiB READ (pin %.0f), %.2f per all-physical 64 KiB READ (pin %.0f)",
 				pin.design, null, pin.null, read, pin.read, physRead, pin.physRead)
+		}
+		if over || testing.Verbose() {
+			allocsPerRPC(t, pin.design, memreg.Regular, 8<<10, true, true)
+			allocsPerRPC(t, pin.design, memreg.AllPhysical, 64<<10, false, true)
 		}
 	}
 }
 
 // allocsPerRPC measures heap allocations per NULL and per READ of size bytes
-// on a one-client cluster.
-func allocsPerRPC(t *testing.T, design rpcrdma.Design, mode memreg.Mode, size int, direct bool) (null, read float64) {
+// on a one-client cluster. With sites set it profiles every allocation and
+// logs where those of the measured calls were made.
+func allocsPerRPC(t *testing.T, design rpcrdma.Design, mode memreg.Mode, size int, direct, sites bool) (null, read float64) {
 	const calls = 500
+	if sites {
+		defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+		runtime.MemProfileRate = 1
+	}
 	cluster := NewCluster(Config{
 		Profile:   profiles.LinuxDDR(),
 		Transport: TransportRDMA,
@@ -61,10 +79,14 @@ func allocsPerRPC(t *testing.T, design rpcrdma.Design, mode memreg.Mode, size in
 			t.Errorf("%v: write: %v", design, err)
 			return
 		}
-		perCall := func(call func() error) float64 {
+		perCall := func(what string, call func() error) float64 {
 			var before, after runtime.MemStats
+			var sitesBefore map[string]int64
 			for i := 0; i < 2*calls; i++ {
 				if i == calls { // the first half fills rings, free lists and caches
+					if sites {
+						sitesBefore = allocSites()
+					}
 					runtime.ReadMemStats(&before)
 				}
 				if err := call(); err != nil {
@@ -73,14 +95,76 @@ func allocsPerRPC(t *testing.T, design rpcrdma.Design, mode memreg.Mode, size in
 				}
 			}
 			runtime.ReadMemStats(&after)
+			if sites {
+				logAllocSites(t, fmt.Sprintf("%v, %v %s", design, mode, what), sitesBefore, allocSites(), calls)
+			}
 			return float64(after.Mallocs-before.Mallocs) / calls
 		}
-		null = perCall(func() error { return cl.NFS.Null(p) })
-		read = perCall(func() error {
+		null = perCall("NULL", func() error { return cl.NFS.Null(p) })
+		read = perCall(fmt.Sprintf("%d KiB READ", size>>10), func() error {
 			_, _, err := f.ReadAt(p, buf, 0, 0, size, direct)
 			return err
 		})
 	})
 	cluster.Run()
 	return null, read
+}
+
+// allocSites returns the objects allocated so far per allocation site: the
+// innermost frame in this module, so that a line here is named, not the
+// library helper it calls. Its own allocations are left out. It means
+// something only while runtime.MemProfileRate is 1.
+func allocSites() map[string]int64 {
+	runtime.GC() // the profile is complete up to the last collection but one
+	runtime.GC()
+	var recs []runtime.MemProfileRecord
+	n, ok := runtime.MemProfile(nil, true)
+	for !ok {
+		recs = make([]runtime.MemProfileRecord, n+64)
+		n, ok = runtime.MemProfile(recs, true)
+	}
+	sites := make(map[string]int64)
+records:
+	for _, r := range recs[:n] {
+		var site runtime.Frame
+		for frames, more := runtime.CallersFrames(r.Stack()), true; more; {
+			var fr runtime.Frame
+			fr, more = frames.Next()
+			if strings.HasSuffix(fr.Function, "core.allocSites") {
+				continue records
+			}
+			if inModule := strings.HasPrefix(fr.Function, "repro/"); site.Function == "" && (inModule || !more) {
+				site = fr
+			}
+		}
+		// repro/internal/x.(*T).f in /abs/path/internal/x/y.go -> internal/x/y.go:line (*T).f
+		slash := strings.LastIndex(site.Function, "/") + 1
+		pkg, fn, _ := strings.Cut(site.Function[slash:], ".")
+		dir := strings.TrimPrefix(site.Function[:slash]+pkg, "repro/")
+		sites[fmt.Sprintf("%s/%s:%d %s", dir, path.Base(site.File), site.Line, fn)] += r.AllocObjects
+	}
+	return sites
+}
+
+// logAllocSites logs the sites that allocated between two allocSites, most
+// allocations first, in allocations per call.
+func logAllocSites(t *testing.T, what string, before, after map[string]int64, calls int) {
+	type site struct {
+		at string
+		n  int64
+	}
+	var list []site
+	for at, n := range after {
+		if n -= before[at]; n > 0 {
+			list = append(list, site{at, n})
+		}
+	}
+	sort.Slice(list, func(i, j int) bool { return list[i].n > list[j].n || list[i].n == list[j].n && list[i].at < list[j].at })
+	var b strings.Builder
+	for _, s := range list {
+		if per := float64(s.n) / float64(calls); per >= 0.01 {
+			fmt.Fprintf(&b, "\n    %5.2f/RPC  %s", per, s.at)
+		}
+	}
+	t.Logf("%s allocates at:%s", what, b.String())
 }

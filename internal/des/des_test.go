@@ -132,6 +132,53 @@ func TestEventDoubleFirePanics(t *testing.T) {
 	ev.Fire(nil)
 }
 
+// An event that lives inside another object is initialised in place, and
+// initialised again when its owner is reused: the second round must wait and
+// wake like the first, and see the second value.
+func TestEventInitInPlaceAndAgain(t *testing.T) {
+	s := New()
+	var slot struct {
+		id   int
+		done Event
+	}
+	var got []any
+	s.Spawn("owner", func(p *Proc) {
+		for round := 1; round <= 2; round++ {
+			slot.id = round
+			slot.done.Init(s)
+			if slot.done.Fired() || slot.done.Value() != nil {
+				t.Errorf("round %d: event reads as fired after Init", round)
+			}
+			s.At(s.Now()+Time(time.Microsecond), func() { slot.done.Fire(slot.id * 10) })
+			got = append(got, slot.done.Wait(p), slot.done.Wait(p)) // the second finds it fired
+		}
+	})
+	s.Run()
+	if fmt.Sprint(got) != "[10 10 20 20]" {
+		t.Fatalf("waits returned %v, want [10 10 20 20]", got)
+	}
+	if now := s.Now(); now != Time(2*time.Microsecond) {
+		t.Fatalf("ended at %v, want 2µs: each round must really wait", now)
+	}
+}
+
+func TestEventInitWithWaitersPanics(t *testing.T) {
+	s := New()
+	ev := NewEvent(s)
+	s.Spawn("waiter", func(p *Proc) { ev.Wait(p) })
+	s.Spawn("reuser", func(p *Proc) {
+		defer func() {
+			if recover() == nil {
+				t.Error("Init of an event a process waits on did not panic")
+			}
+			ev.Fire(nil)
+		}()
+		p.Sleep(time.Microsecond)
+		ev.Init(s)
+	})
+	s.Run()
+}
+
 func TestResourceFIFOAndCapacity(t *testing.T) {
 	s := New()
 	r := NewResource(s, "cores", 2)

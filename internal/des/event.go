@@ -13,7 +13,21 @@ type Event struct {
 }
 
 // NewEvent creates an unfired event bound to s.
-func NewEvent(s *Sim) *Event { return &Event{sim: s} }
+func NewEvent(s *Sim) *Event {
+	e := new(Event)
+	e.Init(s)
+	return e
+}
+
+// Init makes e an unfired event bound to s, in place: for an event that lives
+// inside another object, and for waiting again on one whose owner is reused.
+// It panics if a process is still waiting on e.
+func (e *Event) Init(s *Sim) {
+	if e.first != nil || len(e.waiters) > 0 {
+		panic("des: Init of an event with waiters")
+	}
+	*e = Event{sim: s}
+}
 
 // Fired reports whether the event has been fired.
 func (e *Event) Fired() bool { return e.fired }

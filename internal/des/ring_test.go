@@ -144,3 +144,21 @@ func TestResourceWaiterSlotsCleared(t *testing.T) {
 		}
 	}
 }
+
+// A FreeList hands back what was put back last, makes a new zero object only
+// when it is empty, and keeps no reference to what it has handed out.
+func TestFreeListLIFO(t *testing.T) {
+	var f FreeList[int]
+	a, b := f.Get(), f.Get()
+	if *a != 0 || a == b || len(f) != 0 {
+		t.Fatalf("empty list: Get returned %v and %v, list holds %d", *a, *b, len(f))
+	}
+	f.Put(a)
+	f.Put(b)
+	if got := f.Get(); got != b || len(f) != 1 || f[:2][1] != nil {
+		t.Fatalf("Get after Put(a), Put(b): got a=%v, %d left, vacated slot %v; want b, 1, nil", got == a, len(f), f[:2][1])
+	}
+	if got := f.Get(); got != a || len(f) != 0 {
+		t.Fatalf("second Get did not return the first object put back")
+	}
+}

@@ -63,11 +63,11 @@ func RunAdversary(scale Scale) *Adversary {
 	results := pmap(len(cells), func(i int) *adversary.Result {
 		c := cells[i]
 		return adversary.Run(adversary.Config{
-			Seed:        uint64(17 + c[0]*len(modes) + c[1]),
-			Design:      designs[c[0]],
-			RegMode:     modes[c[1]],
-			Clients:     2,
-			Hardened:    c[2] == 1,
+			Seed:     uint64(17 + c[0]*len(modes) + c[1]),
+			Design:   designs[c[0]],
+			RegMode:  modes[c[1]],
+			Clients:  2,
+			Hardened: c[2] == 1,
 			// Scan + stale-window probing only: the scan must start at
 			// warmup for time-to-compromise to measure the registration
 			// mode rather than the attack schedule. Spoofed DONEs and

@@ -42,6 +42,9 @@ type Fabric struct {
 	// injection by node pair visits endpoints deterministically and keeps
 	// working across reconnects (new QPs join the registry as they are made).
 	conns []*QP
+	// freeWQEs holds the work requests of QP.GetWQE that have completed
+	// unobserved, for reuse.
+	freeWQEs des.FreeList[SendWQE]
 }
 
 // NewFabric creates an empty fabric on the given simulation.

@@ -33,6 +33,8 @@ type Buffer struct {
 	data  []byte // materialized only when the fabric copies data
 	runs  []int  // physical run lengths, summing to Size
 	freed bool
+
+	short [4]int // backs runs when the list is that short: most are
 }
 
 // Addr returns the virtual address of byte off within the buffer.
@@ -187,7 +189,7 @@ func (m *Memory) Alloc(size int) *Buffer {
 		runs = append(runs, run)
 		remaining -= run
 	}
-	b.runs = slices.Clone(runs)
+	b.runs = append(b.short[:0], runs...)
 	m.allocated += int64(size)
 	m.buffers = append(m.buffers, b)
 	return b

@@ -43,7 +43,10 @@ type LocalSeg struct {
 
 // SendWQE is a work request posted to a send queue. From PostSend to its
 // completion it belongs to the fabric, which keeps the request's progress in
-// it: do not post it again or change it meanwhile.
+// it: do not change it meanwhile; posting it again panics. A request the
+// caller built can be posted again once it has completed. One from QP.GetWQE
+// whose completion nobody can observe (not Signaled, no Done) goes back to
+// the fabric when it completes, and the caller must drop it at PostSend.
 type SendWQE struct {
 	WRID uint64
 	Op   Opcode
@@ -53,7 +56,8 @@ type SendWQE struct {
 	Payload []byte
 
 	// Local is the gather (Write/Read) list for memory primitives; segment
-	// lengths define the transfer size.
+	// lengths define the transfer size. SetLocal makes it one segment held in
+	// the request itself.
 	Local []LocalSeg
 
 	// Remote addresses the peer memory for Write/Read.
@@ -92,6 +96,31 @@ type SendWQE struct {
 	then     func(*SendWQE) // the step after it
 	t0       des.Time       // when the ORD wait or the transfer being traced began
 	mr       *MR            // Read: the responder's region, checked when the request arrived
+
+	// What has the request's lifetime lives in it: SetLocal's segment, the
+	// completion handed to Done and the send CQ, and where the request is.
+	one    [1]LocalSeg
+	cqe    CQE
+	state  wqeState
+	pooled bool // came from GetWQE, so it may go back there
+}
+
+// wqeState is where a work request is between GetWQE or its construction,
+// PostSend, its completion and the fabric's free list.
+type wqeState uint8
+
+const (
+	wqeIdle wqeState = iota // the caller's, to fill in and post
+	wqeInFlight
+	wqeFree
+)
+
+func (s wqeState) String() string { return [...]string{"idle", "in flight", "on the free list"}[s] }
+
+// SetLocal makes the gather list the single segment [off, off+n) of buf.
+func (w *SendWQE) SetLocal(buf *Buffer, off, n int) {
+	w.one[0] = LocalSeg{Buf: buf, Off: off, Len: n}
+	w.Local = w.one[:]
 }
 
 // Size returns the wire size of the request's data.
@@ -138,6 +167,7 @@ type CQE struct {
 
 	seq      uint64   // trace id, zero when tracing is off
 	postedAt des.Time // post time, for CQ-delivery latency
+	pooled   bool     // a receive completion from its CQ's free list, which takes it back
 }
 
 // CQ is a completion queue. Waiting on an empty CQ and being woken by a new
@@ -149,6 +179,11 @@ type CQ struct {
 	q      *des.Queue
 	track  string
 	closed bool
+
+	// Receive completions are recycled: held is the one the consumer was
+	// handed last, free those it has handed back by asking for the next.
+	held *CQE
+	free des.FreeList[CQE]
 }
 
 // NewCQ creates a completion queue on the node.
@@ -199,7 +234,12 @@ func (cq *CQ) consumed(c *CQE) {
 
 // Wait blocks until a completion is available and returns it. If the caller
 // had to block, the wake-up is charged as a hardware interrupt.
+//
+// The completion is valid until the next Wait or Poll on this CQ, which takes
+// a receive completion back and zeroes it: a CQ has one consumer, and what it
+// keeps of a completion (the Payload slice, say) it copies out first.
 func (cq *CQ) Wait(p *des.Proc) *CQE {
+	cq.release()
 	blocked := cq.q.Len() == 0
 	v, ok := cq.q.Get(p)
 	if !ok {
@@ -208,24 +248,45 @@ func (cq *CQ) Wait(p *des.Proc) *CQE {
 	if blocked {
 		cq.node.CPU.Interrupt(p)
 	}
-	c := v.(*CQE)
-	cq.consumed(c)
-	return c
+	return cq.hand(v.(*CQE))
 }
 
-// Poll returns a completion without blocking.
+// Poll returns a completion without blocking, valid like Wait's until the
+// next Wait or Poll on this CQ.
 func (cq *CQ) Poll() (*CQE, bool) {
+	cq.release()
 	v, ok := cq.q.TryGet()
 	if !ok {
 		return nil, false
 	}
-	c := v.(*CQE)
+	return cq.hand(v.(*CQE)), true
+}
+
+// release takes back the completion handed out last: zeroed, so that it pins
+// no payload or QP while it waits on the free list.
+func (cq *CQ) release() {
+	if c := cq.held; c != nil {
+		*c = CQE{}
+		cq.free.Put(c)
+		cq.held = nil
+	}
+}
+
+// hand gives c to the consumer, remembering it if it is the CQ's to reuse.
+func (cq *CQ) hand(c *CQE) *CQE {
 	cq.consumed(c)
-	return c, true
+	if c.pooled {
+		cq.held = c
+	}
+	return c
 }
 
 // Len returns the number of queued completions.
 func (cq *CQ) Len() int { return cq.q.Len() }
+
+// FreeCQEs returns the length of the CQ's free list: at most as many receive
+// completions as were ever queued or held at once.
+func (cq *CQ) FreeCQEs() int { return len(cq.free) }
 
 // QPConfig tunes a connection.
 type QPConfig struct {
@@ -422,6 +483,10 @@ func (q *QP) takeRecv() (RecvWQE, bool) {
 // with connection recovery in play, a reply handler or retransmission timer
 // can legitimately race a Close issued by the reconnect path.
 func (q *QP) PostSend(w *SendWQE) {
+	if w.state != wqeIdle {
+		panic(fmt.Sprintf("ibsim: PostSend on %s of a %v request that is %v", q.track, w.Op, w.state))
+	}
+	w.state, w.attempt = wqeInFlight, 0
 	if q.closed {
 		q.complete(w, fmt.Errorf("%w: flushed", ErrQPError), 0)
 		return
@@ -475,7 +540,21 @@ func (q *QP) start() {
 	s.AtArg(s.Now(), engineNext, q)
 }
 
-// complete posts a CQE for w and fires its done event.
+// GetWQE returns a zeroed work request from the fabric's free list, for a
+// request whose completion nobody will look at: it returns there as it
+// completes. Signaled or with a Done it is an ordinary request, and collected.
+func (q *QP) GetWQE() *SendWQE {
+	w := q.node.fab.freeWQEs.Get()
+	w.state, w.pooled = wqeIdle, true
+	return w
+}
+
+// FreeWQEs returns the length of the fabric's free list: at most as many
+// requests from GetWQE as were ever in flight at once.
+func (f *Fabric) FreeWQEs() int { return len(f.freeWQEs) }
+
+// complete posts a CQE for w and fires its done event. It is the fabric's
+// last use of w.
 func (q *QP) complete(w *SendWQE, err error, bytes int) {
 	if w.seq != 0 {
 		if tr := q.node.fab.Sim.Tracer(); tr != nil {
@@ -486,10 +565,18 @@ func (q *QP) complete(w *SendWQE, err error, bytes int) {
 			tr.End(int64(q.node.fab.Sim.Now()), trace.LayerIbsim, trace.KindWQE, q.track, w.Op.String(), w.seq, errFlag)
 		}
 	}
+	w.state = wqeIdle
 	if !w.Signaled && w.Done == nil {
-		return // nobody can see the completion
+		// Nobody can see the completion, and a request from GetWQE has no
+		// other holder: zeroed, so that it pins no payload, buffer or QP.
+		if w.pooled {
+			*w = SendWQE{state: wqeFree}
+			q.node.fab.freeWQEs.Put(w)
+		}
+		return
 	}
-	cqe := &CQE{WRID: w.WRID, Op: w.Op, Err: err, Bytes: bytes, QP: q, Stream: w.Stream}
+	cqe := &w.cqe
+	*cqe = CQE{WRID: w.WRID, Op: w.Op, Err: err, Bytes: bytes, QP: q, Stream: w.Stream}
 	if w.Signaled {
 		q.SendCQ.post(cqe)
 	}
@@ -710,11 +797,13 @@ func deliverSend(a any) {
 		q.complete(w, err, 0)
 		return
 	}
-	peer.RecvCQ.post(&CQE{
+	c := peer.RecvCQ.free.Get()
+	*c = CQE{
 		WRID: r.WRID, Op: OpRecv,
 		Bytes: len(w.Payload), Payload: w.Payload, QP: peer, Stream: w.Stream,
-		SrcStream: q.stream,
-	})
+		SrcStream: q.stream, pooled: true,
+	}
+	peer.RecvCQ.post(c)
 	// Ack returns to the sender one latency later.
 	s.AtArg(s.Now()+des.Time(latency(q.node, peer.node)), ackSend, w)
 }

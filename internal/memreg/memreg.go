@@ -171,7 +171,8 @@ func sizeClass(size int) int {
 // Chunk is a transport-owned staging buffer plus its registration.
 type Chunk struct {
 	Buf    *ibsim.Buffer
-	Reg    *Registration // nil until registered
+	Reg    *Registration // nil until registered, then &reg
+	reg    Registration
 	class  int
 	length int
 	access ibsim.Access
@@ -236,7 +237,8 @@ func (m *Manager) RegisterChunk(p *des.Proc, c *Chunk, n int) {
 	if n <= 0 || n > c.length {
 		n = c.length
 	}
-	c.Reg = m.register(p, c.Buf, 0, n, c.access)
+	m.register(p, &c.reg, m.cfg.Mode, c.Buf, 0, n, c.access)
+	c.Reg = &c.reg
 }
 
 // Put releases a chunk obtained from Get, GetPayload or GetUnregistered.
@@ -259,7 +261,9 @@ func (m *Manager) RegisterExternal(p *des.Proc, buf *ibsim.Buffer, off, length i
 	if mode == Cache {
 		mode = Regular
 	}
-	return m.registerMode(p, mode, buf, off, length, access)
+	r := new(Registration)
+	m.register(p, r, mode, buf, off, length, access)
+	return r
 }
 
 // DeregisterExternal releases a RegisterExternal registration.
@@ -267,11 +271,8 @@ func (m *Manager) DeregisterExternal(p *des.Proc, r *Registration) {
 	m.deregister(p, r)
 }
 
-func (m *Manager) register(p *des.Proc, buf *ibsim.Buffer, off, length int, access ibsim.Access) *Registration {
-	return m.registerMode(p, m.cfg.Mode, buf, off, length, access)
-}
-
-func (m *Manager) registerMode(p *des.Proc, mode Mode, buf *ibsim.Buffer, off, length int, access ibsim.Access) *Registration {
+// register fills r with a registration of buf[off, off+length) under mode.
+func (m *Manager) register(p *des.Proc, r *Registration, mode Mode, buf *ibsim.Buffer, off, length int, access ibsim.Access) {
 	switch mode {
 	case FMR:
 		if length <= m.cfg.FMRMaxLen && len(m.fmrFree) > 0 {
@@ -279,18 +280,19 @@ func (m *Manager) registerMode(p *des.Proc, mode Mode, buf *ibsim.Buffer, off, l
 			m.fmrFree = m.fmrFree[:len(m.fmrFree)-1]
 			mr := h.Map(p, buf, off, length, access)
 			m.stat.FMRMaps++
-			return &Registration{
+			*r = Registration{
 				segs:  []Segment{{Rkey: mr.Rkey(), Addr: mr.Start(), Len: length}},
 				fmr:   h,
 				owner: m,
 			}
+			return
 		}
 		m.stat.FMRFallback++
 		fallthrough
 	case Regular, Cache:
 		mr := m.hca.Register(p, buf, off, length, access)
 		m.stat.Registers++
-		return &Registration{
+		*r = Registration{
 			segs:  []Segment{{Rkey: mr.Rkey(), Addr: mr.Start(), Len: length}},
 			mr:    mr,
 			owner: m,
@@ -310,9 +312,10 @@ func (m *Manager) registerMode(p *des.Proc, mode Mode, buf *ibsim.Buffer, off, l
 			segs[i] = Segment{Rkey: g.Rkey(), Addr: buf.Addr(pos), Len: run}
 			pos += run
 		}
-		return &Registration{segs: segs, owner: m}
+		*r = Registration{segs: segs, owner: m}
+	default:
+		panic("memreg: unknown mode")
 	}
-	panic("memreg: unknown mode")
 }
 
 func (m *Manager) deregister(p *des.Proc, r *Registration) {
@@ -345,15 +348,10 @@ func (m *Manager) cacheGet(p *des.Proc, size int, access ibsim.Access) *Chunk {
 		}
 	}
 	m.stat.CacheMisses++
-	buf := m.mem.AllocMaterialized(class)
-	mr := m.hca.Register(p, buf, 0, class, access)
-	m.stat.Registers++
-	reg := &Registration{
-		segs:  []Segment{{Rkey: mr.Rkey(), Addr: mr.Start(), Len: class}},
-		mr:    mr,
-		owner: m,
-	}
-	return &Chunk{Buf: buf, Reg: reg, class: class, length: class, access: access}
+	c := &Chunk{Buf: m.mem.AllocMaterialized(class), class: class, length: class, access: access}
+	m.register(p, &c.reg, Regular, c.Buf, 0, class, access)
+	c.Reg = &c.reg
+	return c
 }
 
 // cachePut returns a chunk to the slab, evicting the oldest entries beyond

@@ -213,6 +213,9 @@ func (c *drc) commit(machine string, k clientKey, reply []byte, bulk *Bulk) {
 	if e, ok := cl.entries[k]; ok {
 		e.executing = false
 		e.reply = reply
-		e.bulk = bulk
+		if bulk != nil {
+			b := *bulk // a copy: the descriptor is the transport's, which reuses it
+			e.bulk = &b
+		}
 	}
 }

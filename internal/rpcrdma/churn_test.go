@@ -13,8 +13,9 @@ import (
 // withholding RDMA_DONE so every cycle dies with a reply still parked. Every
 // per-connection server structure — the accept-order list, the shard's
 // QP→conn and stream→conn tables, the live counters, parked replies and
-// their registrations — must be back at its pre-churn value, and the
-// endpoints gauge must agree with the shard's live-connection count.
+// their registrations — must be back at its pre-churn value, the endpoints
+// gauge must agree with the shard's live-connection count, and the free lists
+// must hold what one call uses, not what six connections did.
 func TestConnChurnReturnsToBaseline(t *testing.T) {
 	const cycles = 6
 	paths := []struct {
@@ -71,6 +72,11 @@ func TestConnChurnReturnsToBaseline(t *testing.T) {
 				}
 				if int64(cycles) != e.st.ConnsAccepted {
 					t.Errorf("accepted = %d, want %d", e.st.ConnsAccepted, cycles)
+				}
+				// One call was in flight at a time, so each free list holds one
+				// object at most, however many connections came and went.
+				if fl := e.freeLists(); fl.wqes > 1 || fl.tasks > 1 || fl.cqes > 1 {
+					t.Errorf("free lists after %d cycles of one call each = %+v, want at most 1 each", cycles, fl)
 				}
 				if path.cfg.Shards == 0 {
 					return

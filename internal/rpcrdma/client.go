@@ -194,12 +194,16 @@ type pending struct {
 	req *oncrpc.Request
 
 	// done is the current attempt's completion, res what a reply handler
-	// completes it with, resp what Roundtrip returns: all three live in the
-	// pending so a call allocates them once, together (done is a copy of a
-	// fresh des.NewEvent, des having no initialiser for an event in place).
-	done des.Event
-	res  rtResult
-	resp oncrpc.Response
+	// completes it with, resp what Roundtrip returns, reply the first reply
+	// on its way to its handler, segs the write and reply chunk lists the
+	// call advertises (in segStore until they outgrow it): all live in the
+	// pending so a call allocates them once, together.
+	done     des.Event
+	res      rtResult
+	resp     oncrpc.Response
+	reply    replyRec
+	segs     []Segment
+	segStore [4]Segment
 
 	// aborted is set once Roundtrip has returned: a reply handler still in
 	// flight must not fire the (already consumed) done event. handling
@@ -344,7 +348,9 @@ func (t *ClientTransport) Roundtrip(p *des.Proc, req *oncrpc.Request) (*oncrpc.R
 	}
 	defer t.inflight.release()
 
-	pend := &pending{req: req, done: *des.NewEvent(t.node.Sim())}
+	pend := &pending{req: req}
+	pend.done.Init(t.node.Sim())
+	pend.segs = pend.segStore[:0]
 	hdr := &Header{XID: req.XID, Credits: uint32(t.cfg.Credits), Type: MsgRDMA}
 
 	// The client send path — chunk marshalling, registrations, posting —
@@ -391,7 +397,7 @@ func (t *ClientTransport) Roundtrip(p *des.Proc, req *oncrpc.Request) (*oncrpc.R
 	if req.LongReplyCap > 0 && t.cfg.Design == ReadWrite {
 		capBytes := req.LongReplyCap + 256
 		pend.replyChk = t.mgr.Get(p, capBytes, ibsim.AccessLocalWrite|ibsim.AccessRemoteWrite)
-		hdr.ReplyChunk = t.expose(p, req.XID, pend.replyChk.Reg, capBytes)
+		hdr.ReplyChunk = t.expose(p, pend, pend.replyChk.Reg, capBytes)
 	}
 
 	// Reply slot (ReplyFetch design): every call pre-registers a remotely
@@ -407,7 +413,7 @@ func (t *ClientTransport) Roundtrip(p *des.Proc, req *oncrpc.Request) (*oncrpc.R
 			capBytes = doorbellBytes + req.LongReplyCap + 256
 		}
 		pend.slotChk = t.mgr.Get(p, capBytes, ibsim.AccessLocalWrite|ibsim.AccessRemoteWrite)
-		hdr.ReplyChunk = t.expose(p, req.XID, pend.slotChk.Reg, capBytes)
+		hdr.ReplyChunk = t.expose(p, pend, pend.slotChk.Reg, capBytes)
 		t.armFetch(pend, hdr.ReplyChunk[0])
 	}
 
@@ -437,7 +443,7 @@ func (t *ClientTransport) Roundtrip(p *des.Proc, req *oncrpc.Request) (*oncrpc.R
 	}
 	attempt := 0
 	t.armTimer(&pend.done, t.attemptTimeout(attempt))
-	t.qp.PostSend(&ibsim.SendWQE{WRID: uint64(req.XID), Op: ibsim.OpSend, Payload: wire})
+	t.send(req.XID, wire)
 	if t.serial != nil {
 		t.serial.Release(1)
 	}
@@ -470,7 +476,7 @@ func (t *ClientTransport) Roundtrip(p *des.Proc, req *oncrpc.Request) (*oncrpc.R
 		}
 		// Reset in place: the only other holder of the event was the timer
 		// that just expired.
-		pend.done = *des.NewEvent(t.node.Sim())
+		pend.done.Init(t.node.Sim())
 		if t.cfg.Design == ReplyFetch && pend.slotChk != nil {
 			// Re-arm the reply slot: zero the doorbell so the retransmitted
 			// call (same slot advertisement, same XID) gets a fresh deposit
@@ -482,7 +488,7 @@ func (t *ClientTransport) Roundtrip(p *des.Proc, req *oncrpc.Request) (*oncrpc.R
 			}
 		}
 		t.armTimer(&pend.done, t.attemptTimeout(attempt))
-		t.qp.PostSend(&ibsim.SendWQE{WRID: uint64(req.XID), Op: ibsim.OpSend, Payload: wire})
+		t.send(req.XID, wire)
 	}
 	if res.err != nil && errors.Is(res.err, ErrTimeout) && attempt >= t.cfg.RetryLimit {
 		// Every retransmission timed out: surface the typed terminal error
@@ -532,11 +538,21 @@ func (t *ClientTransport) traceExpose(p *des.Proc, xid uint32, segs []memreg.Seg
 
 // expose advertises the first n bytes of reg for the peer to write into: the
 // traceExpose instants, plus the wire form a write list or reply chunk
-// carries.
-func (t *ClientTransport) expose(p *des.Proc, xid uint32, reg *memreg.Registration, n int) []Segment {
+// carries, kept in the pending after whatever the call advertised before.
+func (t *ClientTransport) expose(p *des.Proc, pend *pending, reg *memreg.Registration, n int) []Segment {
 	segs := clampSegs(reg.Segments(), n)
-	t.traceExpose(p, xid, segs)
-	return segsFromReg(segs)
+	t.traceExpose(p, pend.req.XID, segs)
+	first := len(pend.segs)
+	pend.segs = appendSegs(pend.segs, segs)
+	return pend.segs[first:len(pend.segs):len(pend.segs)]
+}
+
+// send posts wire as an RDMA Send nobody waits for (the reply, or the call
+// timer, is what ends the wait), so the request is the fabric's to reuse.
+func (t *ClientTransport) send(xid uint32, wire []byte) {
+	w := t.qp.GetWQE()
+	w.WRID, w.Op, w.Payload = uint64(xid), ibsim.OpSend, wire
+	t.qp.PostSend(w)
 }
 
 // attemptTimeout returns the deadline for the given attempt: CallTimeout
@@ -585,14 +601,14 @@ func (t *ClientTransport) setupRecvPlacement(p *des.Proc, pend *pending, req *on
 			// server's RDMA Write; data lands in place.
 			pend.destBuf, pend.destOff = buf, off
 			pend.destReg = t.mgr.RegisterExternal(p, buf, off, n, ibsim.AccessLocalWrite|ibsim.AccessRemoteWrite)
-			hdr.WriteList = t.expose(p, req.XID, pend.destReg, n)
+			hdr.WriteList = t.expose(p, pend, pend.destReg, n)
 		} else {
 			// Buffered path: server writes into transport staging; one copy
 			// to the caller afterwards.
 			pend.destChk = t.mgr.GetPayload(p, n, ibsim.AccessLocalWrite|ibsim.AccessRemoteWrite)
 			pend.destBuf, pend.destOff = pend.destChk.Buf, 0
 			pend.needCopy = true
-			hdr.WriteList = t.expose(p, req.XID, pend.destChk.Reg, n)
+			hdr.WriteList = t.expose(p, pend, pend.destChk.Reg, n)
 		}
 	case ReadRead:
 		// Nothing is advertised: the server will expose chunks in its reply
@@ -645,7 +661,8 @@ func (t *ClientTransport) armFetch(pend *pending, slot Segment) {
 			if pend.aborted || t.closed {
 				return
 			}
-			hdr, body, err := DecodeHeader(wire)
+			var hdr Header
+			body, err := DecodeHeaderInto(&hdr, wire)
 			if err != nil {
 				t.BadHeaders++
 			}
@@ -653,7 +670,7 @@ func (t *ClientTransport) armFetch(pend *pending, slot Segment) {
 				return // undecodable deposit; the watchdog will retransmit
 			}
 			t.regrant(hdr.Credits)
-			t.handleReply(fp, pend, hdr, body)
+			t.handleReply(fp, pend, &hdr, body)
 			return
 		}
 	})
@@ -723,7 +740,8 @@ func (t *ClientTransport) receiver(p *des.Proc) {
 			return
 		}
 		t.qp.PostRecv(cqe.WRID, t.cfg.recvBufSize())
-		hdr, body, err := DecodeHeader(cqe.Payload)
+		var hdr Header
+		body, err := DecodeHeaderInto(&hdr, cqe.Payload)
 		if err != nil {
 			t.BadHeaders++ // drop undecodable frames
 			continue
@@ -733,12 +751,20 @@ func (t *ClientTransport) receiver(p *des.Proc) {
 		if !ok {
 			continue // duplicate or cancelled
 		}
+		// The call's first reply travels in its pending. A later one (the
+		// answer to a retransmission) can arrive while a Read-Read pull is
+		// still reading the first one's chunk lists, so it gets its own.
+		r := &pend.reply
+		if r.pend != nil {
+			r = new(replyRec)
+		}
+		*r = replyRec{t: t, pend: pend, hdr: hdr, body: body}
 		s := t.node.Sim()
 		if t.cfg.Design != ReadRead {
 			// Nothing to pull, so nothing to block on: finish the call from
 			// the scheduler loop, at the place in this instant's order where
 			// a process spawned here would have started.
-			s.At(s.Now(), func() { t.handleReply(nil, pend, hdr, body) })
+			s.AtArg(s.Now(), runReply, r)
 			continue
 		}
 		// Handle each Read-Read reply on its own process so one reply's RDMA
@@ -746,9 +772,22 @@ func (t *ClientTransport) receiver(p *des.Proc) {
 		// for the connection's ORD slots, which is exactly the bottleneck the
 		// paper describes.
 		s.Spawn(t.node.Name()+"/reply", func(rp *des.Proc) {
-			t.handleReply(rp, pend, hdr, body)
+			t.handleReply(rp, pend, &r.hdr, body)
 		})
 	}
+}
+
+// replyRec is one decoded reply between the receiver and its handler.
+type replyRec struct {
+	t    *ClientTransport
+	pend *pending
+	hdr  Header
+	body []byte
+}
+
+func runReply(a any) {
+	r := a.(*replyRec)
+	r.t.handleReply(nil, r.pend, &r.hdr, r.body)
 }
 
 // regrant installs the flow-control grant carried by a reply header.
@@ -855,11 +894,9 @@ func (t *ClientTransport) pull(p *des.Proc, pend *pending, hdr *Header, long boo
 		}
 		t.BulkReads++
 		brStart := p.Now()
-		cqe := t.qp.PostAndWait(p, &ibsim.SendWQE{
-			WRID: uint64(hdr.XID), Op: ibsim.OpRead,
-			Local:     []ibsim.LocalSeg{{Buf: dst, Off: off, Len: n}},
-			RemoteKey: seg.Rkey, RemoteAddr: seg.Addr,
-		})
+		wqe := &ibsim.SendWQE{WRID: uint64(hdr.XID), Op: ibsim.OpRead, RemoteKey: seg.Rkey, RemoteAddr: seg.Addr}
+		wqe.SetLocal(dst, off, n)
+		cqe := t.qp.PostAndWait(p, wqe)
 		if tr := t.node.Sim().Tracer(); tr != nil {
 			tr.Span(int64(brStart), int64(p.Now()), trace.LayerRPC, trace.KindBulkRead, t.node.Name(), name, uint64(hdr.XID), int64(n))
 		}
@@ -902,7 +939,7 @@ func (t *ClientTransport) sendDone(xid uint32) {
 		tr.Instant(int64(t.node.Sim().Now()), trace.LayerRPC, trace.KindDone, t.node.Name(), "done-sent", uint64(xid), 0)
 	}
 	done := &Header{XID: xid, Credits: uint32(t.cfg.Credits), Type: MsgDone}
-	t.qp.PostSend(&ibsim.SendWQE{WRID: uint64(xid), Op: ibsim.OpSend, Payload: done.Encode()})
+	t.send(xid, done.Encode())
 }
 
 // failAll completes every pending call with err. Calls fail in ascending

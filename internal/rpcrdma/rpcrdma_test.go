@@ -2,6 +2,8 @@ package rpcrdma
 
 import (
 	"bytes"
+	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -10,6 +12,7 @@ import (
 	"repro/internal/ibsim"
 	"repro/internal/memreg"
 	"repro/internal/oncrpc"
+	"repro/internal/xdr"
 )
 
 // blobService stores and returns payloads: proc 1 = PUT (bulk in), proc 2 =
@@ -490,6 +493,79 @@ func TestDecodeHeaderHostileInput(t *testing.T) {
 	bad = append(bad, 0xff, 0xff, 0xff, 0xff)
 	if _, _, err := DecodeHeader(bad); err == nil {
 		t.Fatal("hostile segment count accepted")
+	}
+}
+
+// A list is sized from a count the sender chose, so the count is checked
+// against what is left of the frame before anything is sized by it: a 28-byte
+// frame claiming maxSegs segments in any of the three list positions costs the
+// host nothing and is an ErrBadHeader, while a header that really carries
+// maxSegs segments per list still decodes.
+func TestDecodeHeaderCountBeyondFrame(t *testing.T) {
+	for pos, name := range []string{"read list", "write list", "reply chunk"} {
+		e := xdr.NewEncoder(nil)
+		for _, v := range []uint32{7, Version, 32, uint32(MsgRDMA)} {
+			e.Uint32(v)
+		}
+		for i := 0; i < 3; i++ {
+			n := uint32(0)
+			if i == pos {
+				n = maxSegs
+			}
+			e.Uint32(n)
+		}
+		frame := e.Bytes()
+		var h Header
+		var err, errInto error
+		allocs := testing.AllocsPerRun(100, func() {
+			_, _, err = DecodeHeader(frame)
+			_, errInto = DecodeHeaderInto(&h, frame)
+		})
+		if !errors.Is(err, ErrBadHeader) || !errors.Is(errInto, ErrBadHeader) {
+			t.Errorf("%d-byte frame claiming %d segments in its %s: err = %v and %v, want ErrBadHeader", len(frame), maxSegs, name, err, errInto)
+		}
+		if allocs != 0 {
+			t.Errorf("%d-byte frame claiming %d segments in its %s: %.0f allocations, want 0", len(frame), maxSegs, name, allocs)
+		}
+	}
+
+	full := Header{XID: 7, Credits: 32, Type: MsgRDMA}
+	for i := uint32(0); i < maxSegs; i++ {
+		seg := Segment{Rkey: i + 1, Length: 4096, Addr: uint64(i) << 12}
+		full.ReadList = append(full.ReadList, ReadSeg{Position: 8, Segment: seg})
+		full.WriteList = append(full.WriteList, seg)
+		full.ReplyChunk = append(full.ReplyChunk, seg)
+	}
+	got, body, err := DecodeHeader(full.message([]byte("body")))
+	if err != nil || string(body) != "body" || !reflect.DeepEqual(*got, full) {
+		t.Fatalf("header with %d segments per list: err %v, body %q, equal %v", maxSegs, err, body, err == nil && reflect.DeepEqual(*got, full))
+	}
+	full.WriteList = append(full.WriteList, Segment{})
+	if _, _, err := DecodeHeader(full.Encode()); !errors.Is(err, ErrBadHeader) {
+		t.Fatalf("header with %d write segments: err = %v, want ErrBadHeader", maxSegs+1, err)
+	}
+}
+
+// A header decoded into one the caller reuses takes over its lists' storage:
+// the second decode allocates nothing and leaves no stale segment behind.
+func TestDecodeHeaderIntoReusesLists(t *testing.T) {
+	segs := []Segment{{Rkey: 1, Length: 4096, Addr: 1 << 12}, {Rkey: 2, Length: 4096, Addr: 2 << 12}}
+	long := (&Header{XID: 1, Type: MsgRDMA, ReadList: []ReadSeg{{Position: 8, Segment: segs[0]}}, WriteList: segs, ReplyChunk: segs}).message([]byte("x"))
+	short := (&Header{XID: 2, Type: MsgRDMA, WriteList: segs[:1]}).Encode()
+	var h Header
+	if _, err := DecodeHeaderInto(&h, long); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := DecodeHeaderInto(&h, short); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("decode into a header with capacity: %.0f allocations, want 0", allocs)
+	}
+	if h.XID != 2 || len(h.ReadList) != 0 || len(h.ReplyChunk) != 0 || len(h.WriteList) != 1 || h.WriteList[0] != segs[0] {
+		t.Errorf("reused header = %+v, want XID 2 with the one write segment", h)
 	}
 }
 

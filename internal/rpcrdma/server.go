@@ -26,11 +26,27 @@ type parkedReply struct {
 	chunks []*memreg.Chunk
 }
 
-// serverTask is one received message queued for the worker pool.
+// serverTask is one received call from deliver to the bottom of the worker
+// loop, where its shard takes it back for reuse. It holds the decoded header
+// by value and stays small: a burst queues one per call.
 type serverTask struct {
 	conn *serverConn
-	hdr  *Header
+	hdr  Header
 	body []byte
+}
+
+// nfsd is one server thread: where it runs, and the storage of the call it is
+// serving. A thread serves one call at a time and waits for the reply Send
+// before it takes the next, so what lives only while a call is served is the
+// thread's and reused call after call: the bulk descriptors handed to the
+// dispatcher, the list pushBulk annotates, the reply Send and its completion.
+type nfsd struct {
+	cpu int // CPU placement for the affinity model, -1 when not modelled
+
+	bulkIn, replyBuf oncrpc.Bulk
+	pushed           []Segment
+	send             ibsim.SendWQE
+	sent             des.Event
 }
 
 // serverConn is one client connection at the server.
@@ -96,6 +112,17 @@ func (c *serverConn) slots() *des.Resource {
 func (c *serverConn) post(w *ibsim.SendWQE) {
 	w.Stream = c.stream
 	c.qp.PostSend(w)
+}
+
+// write posts an RDMA Write of src[off, off+n) that nobody waits for: what
+// follows it on the connection (the reply Send, the deposit's doorbell, the
+// client's RDMA_DONE) says it is placed, so the request is the fabric's to
+// reuse.
+func (c *serverConn) write(wrid uint64, src *ibsim.Buffer, off, n int, rkey uint32, addr uint64) {
+	w := c.qp.GetWQE()
+	w.WRID, w.Op, w.RemoteKey, w.RemoteAddr = wrid, ibsim.OpWrite, rkey, addr
+	w.SetLocal(src, off, n)
+	c.post(w)
 }
 
 // postAndWait is post plus a blocking wait for the completion.
@@ -539,10 +566,9 @@ func (s *ServerTransport) penalize(p *des.Proc, conn *serverConn) {
 // handle is one server thread's (nfsd) pass over one call: the paper's
 // two-part state machine — receive path (allocate buffers, pull chunks, call
 // the file system) and the return path (register reply buffers, push data,
-// reply). wcpu is the worker's CPU placement for the affinity model (-1 when
-// not modelled).
-func (s *ServerTransport) handle(p *des.Proc, task *serverTask, wcpu int) {
-	hdr := task.hdr
+// reply). w is the thread it runs on.
+func (s *ServerTransport) handle(p *des.Proc, task *serverTask, w *nfsd) {
+	hdr := &task.hdr
 	if task.conn.dead {
 		// The connection died while this message sat in the work queue;
 		// serving it would park a reply nothing can ever release.
@@ -562,7 +588,7 @@ func (s *ServerTransport) handle(p *des.Proc, task *serverTask, wcpu int) {
 		// RPC Long Call: pull the message body advertised at position 0.
 		s.LongCalls++
 		var err error
-		callBytes, err = s.pullLongCall(p, task, wcpu)
+		callBytes, err = s.pullLongCall(p, task, w)
 		if err != nil {
 			return // connection-level failure; QP is already in error
 		}
@@ -595,11 +621,8 @@ func (s *ServerTransport) handle(p *des.Proc, task *serverTask, wcpu int) {
 			}
 			s.BulkReads++
 			ev := des.NewEvent(s.node.Sim())
-			wqe := &ibsim.SendWQE{
-				WRID: uint64(hdr.XID), Op: ibsim.OpRead,
-				Local:     []ibsim.LocalSeg{{Buf: bulkInChk.Buf, Off: off, Len: int(seg.Length)}},
-				RemoteKey: seg.Rkey, RemoteAddr: seg.Addr,
-			}
+			wqe := &ibsim.SendWQE{WRID: uint64(hdr.XID), Op: ibsim.OpRead, RemoteKey: seg.Rkey, RemoteAddr: seg.Addr}
+			wqe.SetLocal(bulkInChk.Buf, off, int(seg.Length))
 			postWithEvent(task.conn, wqe, ev)
 			events = append(events, ev)
 			off += int(seg.Length)
@@ -615,7 +638,7 @@ func (s *ServerTransport) handle(p *des.Proc, task *serverTask, wcpu int) {
 			}
 		}
 		s.node.CPU.Interrupt(p) // the completion that unblocks the thread
-		s.migrate(p, task.conn, wcpu)
+		s.migrate(p, task.conn, w.cpu)
 		if s.serial != nil && s.cfg.SerializeSyncRead {
 			s.serial.Release(1)
 		}
@@ -631,7 +654,8 @@ func (s *ServerTransport) handle(p *des.Proc, task *serverTask, wcpu int) {
 		if d := bulkInChk.Data(); d != nil {
 			data = d[:dataLen]
 		}
-		bulkIn = &oncrpc.Bulk{Data: data, Len: dataLen, Handle: bulkInChk.Buf}
+		w.bulkIn = oncrpc.Bulk{Data: data, Len: dataLen, Handle: bulkInChk.Buf}
+		bulkIn = &w.bulkIn
 	}
 
 	// Reply-payload staging: allocated on the receive path, registered when
@@ -647,7 +671,8 @@ func (s *ServerTransport) handle(p *des.Proc, task *serverTask, wcpu int) {
 	var replyBuf *oncrpc.Bulk
 	if recvCap > 0 {
 		replyStaging = s.mgr.GetUnregistered(p, recvCap, s.replyAccess())
-		replyBuf = &oncrpc.Bulk{Data: replyStaging.Data(), Len: 0, Handle: replyStaging.Buf}
+		w.replyBuf = oncrpc.Bulk{Data: replyStaging.Data(), Len: 0, Handle: replyStaging.Buf}
+		replyBuf = &w.replyBuf
 		if replyBuf.Data != nil && recvCap < len(replyBuf.Data) {
 			replyBuf.Data = replyBuf.Data[:recvCap]
 		}
@@ -678,7 +703,7 @@ func (s *ServerTransport) handle(p *des.Proc, task *serverTask, wcpu int) {
 	}
 
 	// --- Return path ---
-	s.reply(p, task, reply, bulkOut, replyStaging, wcpu)
+	s.reply(p, task, reply, bulkOut, replyStaging, w)
 }
 
 // replyAccess is the access mode of reply staging buffers: the Read-Write
@@ -692,7 +717,7 @@ func (s *ServerTransport) replyAccess() ibsim.Access {
 }
 
 // pullLongCall fetches an RDMA_NOMSG call body.
-func (s *ServerTransport) pullLongCall(p *des.Proc, task *serverTask, wcpu int) ([]byte, error) {
+func (s *ServerTransport) pullLongCall(p *des.Proc, task *serverTask, w *nfsd) ([]byte, error) {
 	n := task.hdr.readBytes(true)
 	if n == 0 {
 		return nil, fmt.Errorf("%w: NOMSG call without position-0 chunk", ErrBadHeader)
@@ -712,12 +737,10 @@ func (s *ServerTransport) pullLongCall(p *des.Proc, task *serverTask, wcpu int) 
 			continue
 		}
 		s.BulkReads++
-		cqe := task.conn.postAndWait(p, &ibsim.SendWQE{
-			WRID: uint64(task.hdr.XID), Op: ibsim.OpRead,
-			Local:     []ibsim.LocalSeg{{Buf: staging.Buf, Off: off, Len: int(seg.Length)}},
-			RemoteKey: seg.Rkey, RemoteAddr: seg.Addr,
-		})
-		s.migrate(p, task.conn, wcpu)
+		wqe := &ibsim.SendWQE{WRID: uint64(task.hdr.XID), Op: ibsim.OpRead, RemoteKey: seg.Rkey, RemoteAddr: seg.Addr}
+		wqe.SetLocal(staging.Buf, off, int(seg.Length))
+		cqe := task.conn.postAndWait(p, wqe)
+		s.migrate(p, task.conn, w.cpu)
 		if cqe.Err != nil {
 			return nil, fmt.Errorf("%w: long call read: %v", ErrTransport, cqe.Err)
 		}
@@ -752,8 +775,8 @@ func (s *ServerTransport) pullLongCall(p *des.Proc, task *serverTask, wcpu int) 
 // reply path disappears from the server. The deposit staging stays parked
 // until the client's RDMA_DONE confirms it read the slot (same recycle flow
 // as Read-Read).
-func (s *ServerTransport) reply(p *des.Proc, task *serverTask, reply []byte, bulkOut *oncrpc.Bulk, staging *memreg.Chunk, wcpu int) {
-	conn, call, design := task.conn, task.hdr, s.cfg.Design
+func (s *ServerTransport) reply(p *des.Proc, task *serverTask, reply []byte, bulkOut *oncrpc.Bulk, staging *memreg.Chunk, w *nfsd) {
+	conn, call, design := task.conn, &task.hdr, s.cfg.Design
 	rh := &Header{XID: call.XID, Credits: s.advertiseCredits(conn), Type: MsgRDMA}
 	if design == ReplyFetch && len(call.ReplyChunk) == 0 {
 		// No slot advertised: an RFP reply is undeliverable.
@@ -807,7 +830,7 @@ func (s *ServerTransport) reply(p *des.Proc, task *serverTask, reply []byte, bul
 		if staging != nil {
 			s.mgr.RegisterChunk(p, staging, outLen)
 		}
-		pushed, residual := s.pushBulk(p, conn, staging.Buf, outLen, call.WriteList)
+		pushed, residual := s.pushBulk(p, w, conn, staging.Buf, outLen, call.WriteList)
 		if residual > 0 {
 			// The client's advertised write chunks cannot hold the payload.
 			// The annotated WriteList already tells the client how much
@@ -894,7 +917,7 @@ func (s *ServerTransport) reply(p *des.Proc, task *serverTask, reply []byte, bul
 			longChk = nil
 		} else {
 			var residual int
-			rh.ReplyChunk, residual = s.pushBulk(p, conn, longChk.Buf, len(reply), call.ReplyChunk)
+			rh.ReplyChunk, residual = s.pushBulk(p, w, conn, longChk.Buf, len(reply), call.ReplyChunk)
 			if residual > 0 {
 				s.shortWrite(p, conn, call.XID, residual)
 			}
@@ -912,16 +935,8 @@ func (s *ServerTransport) reply(p *des.Proc, task *serverTask, reply []byte, bul
 		// port serializes their data, so the doorbell can only land after the
 		// reply (and any bulk pushed above) is already in client memory.
 		slot := call.ReplyChunk[0]
-		conn.post(&ibsim.SendWQE{
-			WRID: uint64(call.XID), Op: ibsim.OpWrite,
-			Local:     []ibsim.LocalSeg{{Buf: depChk.Buf, Off: doorbellBytes, Len: len(wire)}},
-			RemoteKey: slot.Rkey, RemoteAddr: slot.Addr + doorbellBytes,
-		})
-		conn.post(&ibsim.SendWQE{
-			WRID: uint64(call.XID), Op: ibsim.OpWrite,
-			Local:     []ibsim.LocalSeg{{Buf: depChk.Buf, Off: 0, Len: doorbellBytes}},
-			RemoteKey: slot.Rkey, RemoteAddr: slot.Addr,
-		})
+		conn.write(uint64(call.XID), depChk.Buf, doorbellBytes, len(wire), slot.Rkey, slot.Addr+doorbellBytes)
+		conn.write(uint64(call.XID), depChk.Buf, 0, doorbellBytes, slot.Rkey, slot.Addr)
 		if s.serial != nil {
 			s.serial.Release(1)
 		}
@@ -929,15 +944,15 @@ func (s *ServerTransport) reply(p *des.Proc, task *serverTask, reply []byte, bul
 		return
 	}
 	s.park(p, conn, call.XID, park, reserved)
-	wire = rh.message(reply)
-	ev := des.NewEvent(s.node.Sim())
-	postWithEvent(conn, &ibsim.SendWQE{WRID: uint64(call.XID), Op: ibsim.OpSend, Payload: wire}, ev)
+	w.send = ibsim.SendWQE{WRID: uint64(call.XID), Op: ibsim.OpSend, Payload: rh.message(reply)}
+	w.sent.Init(s.node.Sim())
+	postWithEvent(conn, &w.send, &w.sent)
 	if s.serial != nil {
 		s.serial.Release(1) // posting done; the wire drains without the lock
 	}
-	ev.Wait(p)
+	w.sent.Wait(p)
 	s.node.CPU.Interrupt(p)
-	s.migrate(p, conn, wcpu)
+	s.migrate(p, conn, w.cpu)
 	// Send completion => prior RDMA Writes placed; deregister and release
 	// whatever Read-Write still holds (Read-Read parked or freed it all).
 	if staging != nil {
@@ -990,9 +1005,10 @@ func (s *ServerTransport) dropReply(p *des.Proc, conn *serverConn, chunks []*mem
 // the segments annotated with actual lengths plus the residual byte count
 // that did not fit in the peer's advertised capacity (0 on a full push).
 // Writes are unsignaled except implicitly through the following send
-// (Write-then-Send ordering).
-func (s *ServerTransport) pushBulk(p *des.Proc, conn *serverConn, src *ibsim.Buffer, n int, dst []Segment) ([]Segment, int) {
-	out := make([]Segment, 0, len(dst))
+// (Write-then-Send ordering). The annotated list is appended to the thread's
+// storage, after what an earlier push of the same reply left there.
+func (s *ServerTransport) pushBulk(p *des.Proc, w *nfsd, conn *serverConn, src *ibsim.Buffer, n int, dst []Segment) ([]Segment, int) {
+	out, first := w.pushed, len(w.pushed)
 	off := 0
 	for _, seg := range dst {
 		if n <= 0 {
@@ -1006,16 +1022,13 @@ func (s *ServerTransport) pushBulk(p *des.Proc, conn *serverConn, src *ibsim.Buf
 		if tr := s.node.Sim().Tracer(); tr != nil {
 			tr.Instant(int64(p.Now()), trace.LayerRPC, trace.KindBulkWrite, s.node.Name(), "bulk-write", uint64(seg.Rkey), int64(l))
 		}
-		conn.post(&ibsim.SendWQE{
-			WRID: 0, Op: ibsim.OpWrite,
-			Local:     []ibsim.LocalSeg{{Buf: src, Off: off, Len: l}},
-			RemoteKey: seg.Rkey, RemoteAddr: seg.Addr,
-		})
+		conn.write(0, src, off, l, seg.Rkey, seg.Addr)
 		out = append(out, Segment{Rkey: seg.Rkey, Length: uint32(l), Addr: seg.Addr})
 		off += l
 		n -= l
 	}
-	return out, n
+	w.pushed = out
+	return out[first:], n
 }
 
 // advertiseCredits computes the flow-control grant carried in reply

@@ -46,6 +46,10 @@ type serverShard struct {
 
 	nextWRID uint64
 
+	// free holds the tasks the workers have finished with, for deliver to
+	// reuse: never more than were queued or being served at once.
+	free des.FreeList[serverTask]
+
 	// Stats.
 	nconns        int   // live connections attached to this shard
 	requests      int64 // messages dispatched by this shard's receive loop
@@ -193,22 +197,38 @@ func (sh *serverShard) deliver(p *des.Proc, conn *serverConn, cqe *ibsim.CQE) {
 		s.TasksDropped++
 		return
 	}
-	hdr, body, err := DecodeHeader(cqe.Payload)
-	if err != nil {
+	// Decode straight into a task: one that turns out undecodable or an
+	// RDMA_DONE goes back at once, so neither leaves anything to collect.
+	task := sh.free.Get()
+	var err error
+	if task.body, err = DecodeHeaderInto(&task.hdr, cqe.Payload); err != nil {
 		s.BadHeaders++
+		sh.putTask(task)
 		return
 	}
-	if hdr.Type == MsgDone {
+	if task.hdr.Type == MsgDone {
 		// Served inline: a DONE queued behind data calls can deadlock
 		// the reply-slot pool (see handleDone).
-		s.handleDone(p, conn, hdr.XID, cqe.SrcStream)
+		xid := task.hdr.XID
+		sh.putTask(task)
+		s.handleDone(p, conn, xid, cqe.SrcStream)
 		return
 	}
 	sh.requests++
 	if d := sh.workQ.Len(); d > sh.maxQueueDepth {
 		sh.maxQueueDepth = d
 	}
-	sh.workQ.Put(&serverTask{conn: conn, hdr: hdr, body: body})
+	task.conn = conn
+	sh.workQ.Put(task)
+}
+
+// putTask takes back a task nothing refers to any more. It is zeroed but for
+// the capacity of its segment lists (plain numbers), so that it pins no
+// connection or wire message meanwhile.
+func (sh *serverShard) putTask(t *serverTask) {
+	h := &t.hdr
+	*t = serverTask{hdr: Header{ReadList: h.ReadList[:0], WriteList: h.WriteList[:0], ReplyChunk: h.ReplyChunk[:0]}}
+	sh.free.Put(t)
 }
 
 // sharedQPDead handles the shard's shared QP entering the error state:
@@ -248,6 +268,7 @@ func (sh *serverShard) refillLoop(p *des.Proc) {
 // trace shows per-shard dispatch balance as separate rows.
 func (sh *serverShard) worker(p *des.Proc, wcpu int) {
 	s := sh.srv
+	w := &nfsd{cpu: wcpu}
 	for {
 		v, ok := sh.workQ.Get(p)
 		if !ok {
@@ -256,11 +277,16 @@ func (sh *serverShard) worker(p *des.Proc, wcpu int) {
 		task := v.(*serverTask)
 		s.migrate(p, task.conn, wcpu)
 		tr, start := s.node.Sim().Tracer(), p.Now()
-		s.handle(p, task, wcpu)
+		s.handle(p, task, w)
 		if tr != nil {
 			tr.Span(int64(start), int64(p.Now()), trace.LayerRPC, trace.KindServe, sh.track,
 				task.hdr.Type.String(), task.conn.traceKey(task.hdr.XID), 0)
 		}
+		// handle has returned: the reply Send, if one was posted, has
+		// completed, and nothing else held the task or the thread's storage.
+		// Idle, the thread pins no wire message, staging buffer or payload.
+		sh.putTask(task)
+		*w = nfsd{cpu: wcpu, pushed: w.pushed[:0]}
 	}
 }
 

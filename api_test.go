@@ -4,6 +4,7 @@ package nfsrdma
 // written, and the re-exported surface must stay wired to the internals.
 
 import (
+	"reflect"
 	"testing"
 	"time"
 )
@@ -91,6 +92,42 @@ func TestTransportAndModeStringers(t *testing.T) {
 		if got != want {
 			t.Errorf("stringer = %q, want %q", got, want)
 		}
+	}
+	// Every name parses back to the value that printed it, and nothing else
+	// parses.
+	for _, v := range []Transport{TransportRDMA, TransportIPoIB, TransportGigE} {
+		if got, err := ParseTransport(v.String()); err != nil || got != v {
+			t.Errorf("ParseTransport(%q) = %v, %v", v, got, err)
+		}
+	}
+	for _, v := range []Design{DesignReadWrite, DesignReadRead, DesignReplyFetch} {
+		if got, err := ParseDesign(v.String()); err != nil || got != v {
+			t.Errorf("ParseDesign(%q) = %v, %v", v, got, err)
+		}
+	}
+	for _, v := range []RegMode{RegDynamic, RegFMR, RegAllPhysical, RegCache} {
+		if got, err := ParseRegMode(v.String()); err != nil || got != v {
+			t.Errorf("ParseRegMode(%q) = %v, %v", v, got, err)
+		}
+	}
+	for _, profile := range []func() Profile{SolarisSDR, LinuxSDR, LinuxDDR} {
+		want := profile()
+		if got, err := ParseProfile(want.Name); err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("ParseProfile(%q) = %+v, %v", want.Name, got, err)
+		}
+	}
+	const unknown = "no-such-name"
+	if _, err := ParseTransport(unknown); err == nil {
+		t.Error("ParseTransport accepted an unknown name")
+	}
+	if _, err := ParseDesign(unknown); err == nil {
+		t.Error("ParseDesign accepted an unknown name")
+	}
+	if _, err := ParseRegMode(unknown); err == nil {
+		t.Error("ParseRegMode accepted an unknown name")
+	}
+	if _, err := ParseProfile(unknown); err == nil {
+		t.Error("ParseProfile accepted an unknown name")
 	}
 }
 

@@ -11,7 +11,7 @@
 // independent simulations fanned across the machine's cores (see
 // internal/experiments/runner) and prints one row per point; -workers pins
 // the concurrency. The per-run inspection flags (-metrics, -latency,
-// -trace, -tracelog) apply only to single runs.
+// -trace) apply only to single runs.
 //
 // With -openloop the command runs the open-loop load generator instead of
 // IOzone: -clients hosts each offer -offered/clients MB/s on a
@@ -33,7 +33,6 @@
 // layer (DES kernel, fabric, RPC/RDMA, ONC RPC, NFS) and writes them as a
 // Chrome trace-event JSON file for chrome://tracing or ui.perfetto.dev,
 // plus a per-layer span summary and transport latency histograms on stdout.
-// -tracelog streams the older free-form protocol log lines to stderr.
 //
 // With -chaos the command runs one seeded chaos schedule (see
 // internal/chaos) instead of IOzone: a fault schedule of QP errors, link
@@ -52,9 +51,8 @@
 // oracle's blast radius over the victim clients. -adversary-seed picks the
 // run, -adversary-hardened flips the cluster to the hardened posture
 // (randomized rkeys, FMR key rotation, stream-claim validation, peer-keyed
-// DRC, misbehavior quarantine), and -adversary-faults composes a chaos
-// fault schedule with the attack; -design, -reg, -shards and -mux select
-// the surface under attack.
+// DRC, misbehavior quarantine); -design, -reg, -shards and -mux select the
+// surface under attack.
 //
 // -telemetry FILE samples per-layer gauges and counter rates on a
 // virtual-time timer (period -telemetry-interval) during -openloop and
@@ -70,13 +68,13 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 	"time"
 
 	"repro/internal/adversary"
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/des"
+	"repro/internal/experiments"
 	"repro/internal/experiments/runner"
 	"repro/internal/memreg"
 	"repro/internal/nfs3"
@@ -111,20 +109,8 @@ func (t telemetryFlags) emit(r *telemetry.Report) {
 		return
 	}
 	if t.out != "" {
-		f, err := os.Create(t.out)
-		if err != nil {
+		if err := r.WriteFile(t.out); err != nil {
 			fatal("telemetry: %v", err)
-		}
-		if strings.HasSuffix(t.out, ".json") {
-			err = r.WriteJSON(f)
-		} else {
-			err = r.WriteCSV(f)
-		}
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fatal("telemetry: write %s: %v", t.out, err)
 		}
 		fmt.Printf("telemetry written to %s\n", t.out)
 	}
@@ -134,35 +120,46 @@ func (t telemetryFlags) emit(r *telemetry.Report) {
 }
 
 func main() {
-	profileName := flag.String("profile", "solaris-sdr", "testbed profile: solaris-sdr, linux-sdr, linux-ddr")
-	transport := flag.String("transport", "rdma", "transport: rdma, ipoib, gige")
-	design := flag.String("design", "read-write", "bulk design: read-write, read-read, rfp (reply-fetch)")
-	reg := flag.String("reg", "register", "registration mode: register, fmr, all-physical, cache")
+	// The cluster is described once, in cfg: each flag parses straight into
+	// the field it sets, through the inverse of that field's String method.
+	cfg := core.Config{Profile: profiles.SolarisSDR()}
+	flag.Func("profile", "testbed profile: solaris-sdr (default), linux-sdr, linux-ddr", func(s string) (err error) {
+		cfg.Profile, err = profiles.Parse(s)
+		return err
+	})
+	flag.Func("transport", "transport: rdma (default), ipoib, gige", func(s string) (err error) {
+		cfg.Transport, err = core.ParseTransport(s)
+		return err
+	})
+	flag.Func("design", "bulk design: read-write (default), read-read, reply-fetch", func(s string) (err error) {
+		cfg.Design, err = rpcrdma.ParseDesign(s)
+		return err
+	})
+	flag.Func("reg", "registration mode: register (default), fmr, all-physical, cache", func(s string) (err error) {
+		cfg.RegMode, err = memreg.ParseMode(s)
+		return err
+	})
 	threads := flag.Int("threads", 1, "IOzone threads")
 	record := flag.Int("record", 128<<10, "record size in bytes")
 	fileSize := flag.Int64("file", 128<<20, "file size per thread in bytes")
 	direct := flag.Bool("direct", false, "use the zero-copy direct-I/O read path")
 	disk := flag.Bool("disk", false, "use the RAID disk back end instead of tmpfs")
-	cacheGB := flag.Int("server-mem", 4, "server memory in GiB (disk back end)")
 	metrics := flag.Bool("metrics", false, "print a full cluster metrics snapshot")
 	latency := flag.Bool("latency", false, "print per-procedure latency histograms")
 	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON file of the run")
-	traceLog := flag.Bool("tracelog", false, "stream protocol trace lines to stderr (very verbose)")
 	sweep := flag.Int("sweep", 0, "sweep thread counts 1..N in parallel instead of one run")
 	workers := flag.Int("workers", 0, "concurrent simulations for -sweep (0 = one per core)")
 	openLoop := flag.Bool("openloop", false, "run the open-loop load generator instead of IOzone")
 	clients := flag.Int("clients", 1, "client hosts (-openloop)")
 	offered := flag.Float64("offered", 600, "aggregate offered load in MB/s (-openloop)")
 	durationMS := flag.Int("duration", 200, "measured window in simulated milliseconds (-openloop)")
-	shards := flag.Int("shards", 0, "server dispatch shards with a shared receive queue (0 = per-connection path)")
-	mux := flag.Bool("mux", false, "multiplex clients onto one shared QP per shard (implies -shards, default 8)")
-	affinity := flag.Bool("affinity", false, "pin shard reply processing to the completion CPU (sharded dispatch)")
-	maxConns := flag.Int("max-conns", 0, "server admission-control connection cap (0 = unlimited)")
-	maxOut := flag.Int("max-outstanding", 32, "per-client in-flight cap before drops (-openloop)")
+	flag.IntVar(&cfg.ServerShards, "shards", 0, "server dispatch shards with a shared receive queue (0 = per-connection path)")
+	flag.BoolVar(&cfg.Multiplex, "mux", false, "multiplex clients onto one shared QP per shard (implies -shards, default 8)")
+	flag.BoolVar(&cfg.Affinity, "affinity", false, "pin shard reply processing to the completion CPU (sharded dispatch)")
+	flag.IntVar(&cfg.MaxConns, "max-conns", 0, "server admission-control connection cap (0 = unlimited)")
 	adversaryRun := flag.Bool("adversary", false, "run the attacker client against a live cluster instead of IOzone")
 	adversarySeed := flag.Uint64("adversary-seed", 1, "attacker/cluster seed (-adversary)")
 	adversaryHardened := flag.Bool("adversary-hardened", false, "run the hardened security posture (-adversary)")
-	adversaryFaults := flag.Int("adversary-faults", 0, "compose a chaos fault schedule with the attack (-adversary)")
 	chaosRun := flag.Bool("chaos", false, "run one seeded chaos schedule instead of IOzone")
 	chaosSeed := flag.Uint64("chaos-seed", 1, "fault-schedule seed (-chaos)")
 	chaosFaults := flag.Int("chaos-faults", 4, "faults in the generated schedule (-chaos)")
@@ -202,63 +199,16 @@ func main() {
 		}()
 	}
 
-	cfg := core.Config{Backend: core.BackendTmpfs}
-	switch *profileName {
-	case "solaris-sdr":
-		cfg.Profile = profiles.SolarisSDR()
-	case "linux-sdr":
-		cfg.Profile = profiles.LinuxSDR()
-	case "linux-ddr":
-		cfg.Profile = profiles.LinuxDDR()
-	default:
-		fatal("unknown profile %q", *profileName)
-	}
-	switch *transport {
-	case "rdma":
-		cfg.Transport = core.TransportRDMA
-	case "ipoib":
-		cfg.Transport = core.TransportIPoIB
-	case "gige":
-		cfg.Transport = core.TransportGigE
-	default:
-		fatal("unknown transport %q", *transport)
-	}
-	switch *design {
-	case "read-write":
-		cfg.Design = rpcrdma.ReadWrite
-	case "read-read":
-		cfg.Design = rpcrdma.ReadRead
-	case "rfp", "reply-fetch":
-		cfg.Design = rpcrdma.ReplyFetch
-	default:
-		fatal("unknown design %q", *design)
-	}
-	switch *reg {
-	case "register":
-		cfg.RegMode = memreg.Regular
-	case "fmr":
-		cfg.RegMode = memreg.FMR
-	case "all-physical":
-		cfg.RegMode = memreg.AllPhysical
-	case "cache":
-		cfg.RegMode = memreg.Cache
-	default:
-		fatal("unknown registration mode %q", *reg)
-	}
 	if *disk {
 		cfg.Backend = core.BackendDisk
-		cfg.PageCacheBytes = int64(*cacheGB)<<30 - 1<<30
+		cfg.PageCacheBytes = 3 << 30 // a 4 GiB server minus kernel and daemons
 	}
-	cfg.ServerShards = *shards
-	cfg.MaxConns = *maxConns
-	cfg.Multiplex = *mux
-	cfg.Affinity = *affinity
 	if cfg.Multiplex && cfg.ServerShards == 0 {
 		cfg.ServerShards = 8
 	}
 
 	if *adversaryRun {
-		runAdversary(cfg, *adversarySeed, *adversaryHardened, *adversaryFaults)
+		runAdversary(cfg, *adversarySeed, *adversaryHardened)
 		return
 	}
 
@@ -269,7 +219,7 @@ func main() {
 
 	if *openLoop {
 		cfg.Clients = *clients
-		runOpenLoop(cfg, *record, *fileSize, *offered, *durationMS, *maxOut, tf)
+		runOpenLoop(cfg, *record, *fileSize, *offered, *durationMS, tf)
 		return
 	}
 
@@ -278,27 +228,19 @@ func main() {
 		return
 	}
 
-	cluster := core.NewCluster(cfg)
-	if *traceLog {
-		cluster.EnableTrace(os.Stderr)
-	}
 	var tracer *trace.Tracer
-	if *traceOut != "" {
-		tracer = cluster.EnableTracing(1 << 20)
-	}
-	if *latency {
-		cluster.Start("latency-setup", func(p *des.Proc) {
-			cluster.Clients[0].NFS.EnableLatencyStats(cluster.Sim)
-		})
-	}
-	var res workload.IOzoneResult
-	var err error
-	cluster.Start("bench", func(p *des.Proc) {
-		res, err = workload.RunIOzone(p, cluster, workload.IOzoneConfig{
-			Threads: *threads, FileSize: *fileSize, RecordSize: *record, DirectIO: *direct,
-		})
+	res, cluster, err := experiments.RunIOzone(cfg, workload.IOzoneConfig{
+		Threads: *threads, FileSize: *fileSize, RecordSize: *record, DirectIO: *direct,
+	}, func(c *core.Cluster) {
+		if *traceOut != "" {
+			tracer = c.EnableTracing(1 << 20)
+		}
+		if *latency {
+			c.Start("latency-setup", func(p *des.Proc) {
+				c.Clients[0].NFS.EnableLatencyStats(c.Sim)
+			})
+		}
 	})
-	end := cluster.Run()
 	if err != nil {
 		fatal("run failed: %v", err)
 	}
@@ -308,7 +250,7 @@ func main() {
 		res.Write.MBps, res.Write.ClientCPUPct, res.Write.ServerCPUPct)
 	fmt.Printf("read:  %8.1f MB/s   clientCPU %5.1f%%   serverCPU %5.1f%%   interrupts %d\n",
 		res.Read.MBps, res.Read.ClientCPUPct, res.Read.ServerCPUPct, res.Read.Interrupts)
-	fmt.Printf("simulated time: %v\n", end)
+	fmt.Printf("simulated time: %v\n", cluster.Sim.Now())
 	if *metrics {
 		cluster.Metrics(nil).Write(os.Stdout)
 	}
@@ -358,15 +300,9 @@ func runSweep(cfg core.Config, n, workers, record int, fileSize int64, direct bo
 		workers = runner.Workers()
 	}
 	results := runner.MapWorkers(workers, n, func(i int) workload.IOzoneResult {
-		cluster := core.NewCluster(cfg)
-		var res workload.IOzoneResult
-		var err error
-		cluster.Start("bench", func(p *des.Proc) {
-			res, err = workload.RunIOzone(p, cluster, workload.IOzoneConfig{
-				Threads: i + 1, FileSize: fileSize, RecordSize: record, DirectIO: direct,
-			})
-		})
-		cluster.Run()
+		res, _, err := experiments.RunIOzone(cfg, workload.IOzoneConfig{
+			Threads: i + 1, FileSize: fileSize, RecordSize: record, DirectIO: direct,
+		}, nil)
 		if err != nil {
 			fatal("sweep point %d failed: %v", i+1, err)
 		}
@@ -385,23 +321,17 @@ func runSweep(cfg core.Config, n, workers, record int, fileSize int64, direct bo
 // process at the given aggregate offered load and prints throughput,
 // latency quantiles, and — when the server runs sharded dispatch — the
 // per-shard SRQ counters.
-func runOpenLoop(cfg core.Config, record int, fileSize int64, offeredMBps float64, durationMS, maxOut int, tf telemetryFlags) {
-	cluster := core.NewCluster(cfg)
-	if tf.enabled() {
-		cluster.EnableTelemetry(tf.options())
-	}
-	var res workload.OpenLoopResult
-	var err error
-	cluster.Start("openloop", func(p *des.Proc) {
-		res, err = workload.RunOpenLoop(p, cluster, workload.OpenLoopConfig{
-			RecordSize:          record,
-			FileSize:            fileSize,
-			OfferedPerClientBps: offeredMBps * 1e6 / float64(cfg.Clients),
-			Duration:            des.Duration(durationMS) * des.Duration(1e6),
-			MaxOutstanding:      maxOut,
-		})
+func runOpenLoop(cfg core.Config, record int, fileSize int64, offeredMBps float64, durationMS int, tf telemetryFlags) {
+	res, cluster, err := experiments.RunOpenLoop(cfg, offeredMBps, workload.OpenLoopConfig{
+		RecordSize:     record,
+		FileSize:       fileSize,
+		Duration:       des.Duration(durationMS) * des.Duration(1e6),
+		MaxOutstanding: 32,
+	}, func(c *core.Cluster) {
+		if tf.enabled() {
+			c.EnableTelemetry(tf.options())
+		}
 	})
-	cluster.Run()
 	if err != nil {
 		fatal("open-loop run failed: %v", err)
 	}
@@ -427,7 +357,7 @@ func runOpenLoop(cfg core.Config, record int, fileSize int64, offeredMBps float6
 				sh.SRQPosted, sh.SRQConsumed, sh.SRQLimitEvents, sh.SRQStarved, extra)
 		}
 	}
-	tf.emit(cluster.TelemetryReport())
+	tf.emit(res.Telemetry)
 }
 
 // runAdversary runs the full attack suite from one seeded attacker client
@@ -436,7 +366,7 @@ func runOpenLoop(cfg core.Config, record int, fileSize int64, offeredMBps float6
 // per-attack counters, the server's defensive counters, and the integrity
 // oracle's blast radius over the victim clients. Exit status 1 when any
 // victim's data was corrupted.
-func runAdversary(cfg core.Config, seed uint64, hardened bool, faults int) {
+func runAdversary(cfg core.Config, seed uint64, hardened bool) {
 	res := adversary.Run(adversary.Config{
 		Seed:      seed,
 		Design:    cfg.Design,
@@ -445,7 +375,6 @@ func runAdversary(cfg core.Config, seed uint64, hardened bool, faults int) {
 		Multiplex: cfg.Multiplex,
 		Hardened:  hardened,
 		Attacks:   adversary.AttackAll,
-		Faults:    faults,
 	})
 	fmt.Printf("adversary seed=%d design=%v reg=%v mux=%v hardened=%v faults=%d\n",
 		seed, cfg.Design, cfg.RegMode, cfg.Multiplex, hardened, res.FaultCount)

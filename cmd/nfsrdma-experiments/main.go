@@ -24,6 +24,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -38,7 +39,8 @@ import (
 func main() {
 	scale := flag.Int("scale", 4, "workload scale divisor (1 = paper sizes)")
 	markdown := flag.Bool("markdown", false, "emit GitHub-flavoured markdown tables")
-	only := flag.String("only", "", "comma-separated subset: table1,fig4,fig5,fig6,fig7,fig8,fig9,fig10a,fig10b,ablations,recovery,capacity,muxcap,chaos,adversary")
+	known := []string{"table1", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10a", "fig10b", "ablations", "recovery", "capacity", "muxcap", "chaos", "adversary"}
+	only := flag.String("only", "", "comma-separated subset: "+strings.Join(known, ","))
 	workers := flag.Int("workers", 0, "concurrent simulations per sweep (0 = one per core, 1 = sequential)")
 	traceOut := flag.String("trace", "", "write the fig4 run's Chrome trace-event JSON to this file (implies fig4)")
 	telemetryPrefix := flag.String("telemetry", "", "per-point telemetry for capacity/muxcap: write <prefix>-<clients>-<mode>-<design>-<load>.csv series and print detector findings")
@@ -60,15 +62,8 @@ func main() {
 	if *traceOut != "" && len(want) > 0 {
 		want["fig4"] = true
 	}
-	known := []string{"table1", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10a", "fig10b", "ablations", "recovery", "capacity", "muxcap", "chaos", "adversary"}
 	for k := range want {
-		found := false
-		for _, ok := range known {
-			if k == ok {
-				found = true
-			}
-		}
-		if !found {
+		if !slices.Contains(known, k) {
 			fmt.Fprintf(os.Stderr, "unknown experiment %q (known: %s)\n", k, strings.Join(known, ", "))
 			os.Exit(2)
 		}
@@ -174,7 +169,7 @@ func main() {
 		}
 	}
 	if sel("muxcap") {
-		r := experiments.RunMuxCapacityWith(s, experiments.MuxCapacityOptions{TelemetryInterval: telIval})
+		r := experiments.RunMuxCapacityWith(s, experiments.CapacityOptions{TelemetryInterval: telIval})
 		emit(r.Curves)
 		emit(r.Memory)
 		for _, pt := range r.Points {
@@ -204,17 +199,8 @@ func emitTelemetry(prefix, name string, r *telemetry.Report) {
 		return
 	}
 	path := name + ".csv"
-	f, err := os.Create(path)
-	if err != nil {
+	if err := r.WriteFile(path); err != nil {
 		fmt.Fprintf(os.Stderr, "telemetry: %v\n", err)
-		os.Exit(1)
-	}
-	err = r.WriteCSV(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "telemetry: write %s: %v\n", path, err)
 		os.Exit(1)
 	}
 	fmt.Printf("telemetry: %s (%d samples)", path, len(r.TimesS))

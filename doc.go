@@ -48,6 +48,6 @@
 //
 // The experiment harness (RunFigure5and6 … RunFigure10) regenerates every
 // table and figure of the paper's evaluation; see EXPERIMENTS.md for the
-// paper-vs-measured comparison and bench_test.go for the testing.B entry
-// points.
+// paper-vs-measured comparison and internal/experiments for the tests that
+// gate the paper's orderings.
 package nfsrdma

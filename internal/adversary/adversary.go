@@ -41,7 +41,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/des"
 	"repro/internal/memreg"
-	"repro/internal/profiles"
 	"repro/internal/rpcrdma"
 	"repro/internal/workload"
 )
@@ -101,11 +100,9 @@ type Config struct {
 	SpoofBudget int
 	ForgeBudget int
 
-	// Load drives the honest clients (workload defaults apply).
-	Load workload.ChaosLoadConfig
-
 	// Faults > 0 composes a chaos fault schedule under the attack — QP
-	// errors, link flaps, server crashes — generated from Seed.
+	// errors, link flaps, server crashes — generated from Seed with the
+	// generator's defaults (see chaos.GenConfig).
 	Faults     int
 	MaxCrashes int
 	Horizon    des.Duration
@@ -132,12 +129,6 @@ func (c *Config) defaults() {
 	}
 	if c.ForgeBudget <= 0 {
 		c.ForgeBudget = 16
-	}
-	if c.Horizon <= 0 {
-		c.Horizon = 4 * time.Millisecond
-	}
-	if c.MaxCrashes <= 0 {
-		c.MaxCrashes = 2
 	}
 }
 
@@ -191,24 +182,6 @@ type Result struct {
 	Fingerprint string
 }
 
-// adversaryProfile arms per-call watchdogs like the chaos engine does, so
-// victims ride out attacker- or fault-induced connection kills instead of
-// hanging.
-func adversaryProfile() profiles.Profile {
-	prof := profiles.LinuxSDR()
-	prof.RDMAClient.CallTimeout = 1 * time.Millisecond
-	prof.RDMAClient.RetryLimit = 4
-	return prof
-}
-
-func recoveryPolicy() core.RetryPolicy {
-	return core.RetryPolicy{
-		MaxReconnects: 40,
-		Backoff:       50 * time.Microsecond,
-		MaxBackoff:    1 * time.Millisecond,
-	}
-}
-
 // Run executes one seeded adversary run and returns its result. Identical
 // configs produce identical results (see Result.Fingerprint).
 func Run(cfg Config) *Result {
@@ -218,7 +191,7 @@ func Run(cfg Config) *Result {
 		security = core.SecurityHardened
 	}
 	cluster := core.NewCluster(core.Config{
-		Profile:      adversaryProfile(),
+		Profile:      chaos.Profile(),
 		Transport:    core.TransportRDMA,
 		Design:       cfg.Design,
 		RegMode:      cfg.RegMode,
@@ -236,7 +209,7 @@ func Run(cfg Config) *Result {
 	// node. Its HCA follows the cluster's rkey-allocation policy (the
 	// policy under attack is the server's, but keeping the fabric uniform
 	// keeps fingerprints honest).
-	malloryCfg := security.Node(adversaryProfile().Client)
+	malloryCfg := security.Node(cluster.Cfg.Profile.Client)
 	malloryCfg.Name = "mallory"
 	malloryCfg.Seed = cfg.Seed*7919 + 13
 	mallory := cluster.Fabric.AddNode(malloryCfg)
@@ -256,9 +229,9 @@ func Run(cfg Config) *Result {
 
 	cluster.Start("victims", func(p *des.Proc) {
 		for _, cl := range cluster.Clients {
-			cl.EnableRecovery(recoveryPolicy())
+			cl.EnableRecovery(chaos.Policy())
 		}
-		load, err := workload.RunChaosLoad(p, cluster, cfg.Load, oracle)
+		load, err := workload.RunChaosLoad(p, cluster, oracle)
 		if err != nil {
 			oracle.Violation("victim workload error: %v", err)
 		}
@@ -279,11 +252,7 @@ func Run(cfg Config) *Result {
 		res.TimeToCompromise = res.FinalTime
 	}
 
-	res.Violations = append(res.Violations, oracle.Violations...)
-	if oracle.ViolationCount > int64(len(oracle.Violations)) {
-		res.Violations = append(res.Violations,
-			fmt.Sprintf("... and %d more", oracle.ViolationCount-int64(len(oracle.Violations))))
-	}
+	res.Violations = oracle.Report()
 	res.BlastRadius = blastRadius(oracle.Violations, cfg.Clients)
 	res.Crashes = cluster.Crashes
 	res.VictimRecon = cluster.Totals.Reconnects

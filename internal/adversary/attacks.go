@@ -285,11 +285,7 @@ func (a *attacker) drcForge(p *des.Proc) {
 		a.res.ForgeFails++
 		return
 	}
-	size := a.cfg.Load.RecSize
-	if size <= 0 {
-		size = 4096
-	}
-	payload := make([]byte, size)
+	payload := make([]byte, 4096) // one record of the victims' workload
 	for i := range payload {
 		payload[i] = 0xEE
 	}
@@ -305,7 +301,7 @@ func (a *attacker) drcForge(p *des.Proc) {
 // dialTransport builds the attacker's full client transport, honouring the
 // cluster's connection mode, with the same backoff honest dialers use.
 func (a *attacker) dialTransport(p *des.Proc, mgr *memreg.Manager) *rpcrdma.ClientTransport {
-	cfgC := adversaryProfile().RDMAClient
+	cfgC := a.cluster.Cfg.Profile.RDMAClient
 	cfgC.Design = a.cfg.Design
 	backoff := des.Duration(50 * time.Microsecond)
 	for try := 0; try < 12; try++ {

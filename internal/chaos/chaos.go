@@ -32,9 +32,9 @@ type Config struct {
 	Affinity bool
 
 	Clients int
-	Load    workload.ChaosLoadConfig
 
-	// Faults/MaxCrashes/Horizon feed the schedule generator.
+	// Faults/MaxCrashes/Horizon feed the schedule generator, whose defaults
+	// apply (see GenConfig).
 	Faults     int
 	MaxCrashes int
 	Horizon    des.Duration
@@ -66,15 +66,6 @@ func (c *Config) defaults() {
 	}
 	if c.Clients <= 0 {
 		c.Clients = 2
-	}
-	if c.Faults <= 0 {
-		c.Faults = 4
-	}
-	if c.MaxCrashes <= 0 {
-		c.MaxCrashes = 2
-	}
-	if c.Horizon <= 0 {
-		c.Horizon = 4 * time.Millisecond
 	}
 }
 
@@ -114,19 +105,20 @@ func (r *Result) Failed() bool {
 	return len(r.Violations) > 0 || len(r.InvariantViolations) > 0
 }
 
-// chaosProfile arms per-call watchdogs on LinuxSDR so silent losses (e.g. a
-// reply swallowed by a crash) time out and retransmit instead of hanging.
-func chaosProfile() profiles.Profile {
+// Profile arms per-call watchdogs on LinuxSDR so silent losses (e.g. a reply
+// swallowed by a crash) time out and retransmit instead of hanging. The
+// adversary engine's victims run on it too.
+func Profile() profiles.Profile {
 	prof := profiles.LinuxSDR()
 	prof.RDMAClient.CallTimeout = 1 * time.Millisecond
 	prof.RDMAClient.RetryLimit = 4
 	return prof
 }
 
-// chaosPolicy is the recovery budget: generous enough to ride out every
-// outage a generated schedule can produce, so terminal failures stay rare
-// and the oracle's pending sets stay small.
-func chaosPolicy() core.RetryPolicy {
+// Policy is the recovery budget: generous enough to ride out every outage a
+// generated schedule can produce, so terminal failures stay rare and the
+// oracle's pending sets stay small.
+func Policy() core.RetryPolicy {
 	return core.RetryPolicy{
 		MaxReconnects: 40,
 		Backoff:       50 * time.Microsecond,
@@ -143,7 +135,7 @@ func Run(cfg Config) *Result {
 		drcEntries = -1
 	}
 	cluster := core.NewCluster(core.Config{
-		Profile:      chaosProfile(),
+		Profile:      Profile(),
 		Transport:    core.TransportRDMA,
 		Design:       cfg.Design,
 		Clients:      cfg.Clients,
@@ -178,9 +170,9 @@ func Run(cfg Config) *Result {
 	res := &Result{Schedule: sched}
 	cluster.Start("chaos", func(p *des.Proc) {
 		for _, cl := range cluster.Clients {
-			cl.EnableRecovery(chaosPolicy())
+			cl.EnableRecovery(Policy())
 		}
-		load, err := workload.RunChaosLoad(p, cluster, cfg.Load, oracle)
+		load, err := workload.RunChaosLoad(p, cluster, oracle)
 		if err != nil {
 			oracle.Violation("workload error: %v", err)
 		}
@@ -188,11 +180,7 @@ func Run(cfg Config) *Result {
 	})
 	res.FinalTime = cluster.RunUntil(des.Time(10 * time.Second))
 
-	res.Violations = append(res.Violations, oracle.Violations...)
-	if oracle.ViolationCount > int64(len(oracle.Violations)) {
-		res.Violations = append(res.Violations,
-			fmt.Sprintf("... and %d more", oracle.ViolationCount-int64(len(oracle.Violations))))
-	}
+	res.Violations = oracle.Report()
 	res.Crashes = cluster.Crashes
 	tot := &cluster.Totals
 	res.Reconnects, res.Replays = tot.Reconnects, tot.Replays

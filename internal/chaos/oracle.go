@@ -84,6 +84,16 @@ func (o *Oracle) Violation(format string, args ...any) {
 	}
 }
 
+// Report is what a run's result carries: the recorded violations, then one
+// line counting those past the message cap.
+func (o *Oracle) Report() []string {
+	out := o.Violations
+	if extra := o.ViolationCount - int64(len(out)); extra > 0 {
+		out = append(out, fmt.Sprintf("... and %d more", extra))
+	}
+	return out
+}
+
 // WriteIssued records that a write of val to (file, rec) is on the wire:
 // from this instant the value may legally appear in reads.
 func (o *Oracle) WriteIssued(file string, rec int, val byte) {

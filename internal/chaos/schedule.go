@@ -102,8 +102,6 @@ type GenConfig struct {
 	// Horizon is the workload's expected span; fault times are drawn from
 	// [Horizon/8, 3·Horizon/4] so they land while work is in flight.
 	Horizon des.Duration
-	// MinDowntime/MaxDowntime bound crash downtimes.
-	MinDowntime, MaxDowntime des.Duration
 	// MaxCrashes bounds how many of the faults may be server crashes.
 	MaxCrashes int
 }
@@ -118,16 +116,16 @@ func (c *GenConfig) defaults() {
 	if c.Horizon <= 0 {
 		c.Horizon = 4 * time.Millisecond
 	}
-	if c.MinDowntime <= 0 {
-		c.MinDowntime = 200 * time.Microsecond
-	}
-	if c.MaxDowntime <= c.MinDowntime {
-		c.MaxDowntime = c.MinDowntime + 2*time.Millisecond
-	}
 	if c.MaxCrashes <= 0 {
 		c.MaxCrashes = 2
 	}
 }
+
+// Crash downtimes are drawn from [minDowntime, maxDowntime).
+const (
+	minDowntime = 200 * time.Microsecond
+	maxDowntime = minDowntime + 2*time.Millisecond
+)
 
 // Generate composes a fault schedule from a single seeded des.Rand stream.
 // The same (seed, cfg) always yields the same schedule.
@@ -144,7 +142,7 @@ func Generate(seed uint64, cfg GenConfig) Schedule {
 		case r < 30 && crashes < cfg.MaxCrashes:
 			crashes++
 			f.Kind = FaultServerCrash
-			f.Downtime = cfg.MinDowntime + des.Duration(rng.Int63n(int64(cfg.MaxDowntime-cfg.MinDowntime)))
+			f.Downtime = minDowntime + des.Duration(rng.Int63n(int64(maxDowntime-minDowntime)))
 		case r < 65:
 			f.Kind = FaultQPError
 			f.Client = rng.Intn(cfg.Clients)

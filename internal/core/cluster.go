@@ -45,6 +45,16 @@ func (t Transport) String() string {
 	return fmt.Sprintf("transport(%d)", int(t))
 }
 
+// ParseTransport is the inverse of Transport.String.
+func ParseTransport(name string) (Transport, error) {
+	for t := TransportRDMA; t <= TransportGigE; t++ {
+		if t.String() == name {
+			return t, nil
+		}
+	}
+	return 0, fmt.Errorf("core: unknown transport %q", name)
+}
+
 // Backend selects the server's file store.
 type Backend int
 
@@ -90,9 +100,6 @@ type Config struct {
 	// disables the cache entirely, making retransmitted non-idempotent
 	// calls re-execute (for ablation only).
 	DRCEntries int
-
-	// FSCapacity is the advertised export size.
-	FSCapacity int64
 
 	// ServerShards enables the server transport's sharded dispatch path:
 	// connections hash across this many shards, each owning a shared
@@ -157,6 +164,9 @@ const (
 	SecurityHardened
 )
 
+// fsCapacity is the advertised export size.
+const fsCapacity = 1 << 44
+
 // quarantineThreshold is the hardened posture's misbehavior budget: low
 // enough that a spoof burst dies quickly, high enough that a stray decode
 // glitch never kills an honest client.
@@ -183,9 +193,6 @@ func (s Security) transport(c *rpcrdma.Config) {
 func (c *Config) defaults() {
 	if c.Clients <= 0 {
 		c.Clients = 1
-	}
-	if c.FSCapacity <= 0 {
-		c.FSCapacity = 1 << 44
 	}
 	if c.PageCacheBytes <= 0 {
 		c.PageCacheBytes = c.Profile.PageCacheBytes
@@ -292,7 +299,7 @@ func NewCluster(cfg Config) *Cluster {
 		})
 		store = vfs.NewDiskStore(srv.Cache)
 	}
-	srv.FS = vfs.NewNamespace(sim, store, cfg.FSCapacity)
+	srv.FS = vfs.NewNamespace(sim, store, fsCapacity)
 	srv.NFS = nfs3.NewServer(srv.FS, nfs3.ServerConfig{
 		CPU:      srvNode.CPU,
 		PerOpCPU: cfg.Profile.NFSPerOpCPU,

@@ -11,38 +11,12 @@ import (
 	"repro/internal/rpcrdma"
 )
 
-func testConfigs() []Config {
-	var out []Config
-	for _, tr := range []Transport{TransportRDMA, TransportIPoIB, TransportGigE} {
-		cfg := Config{
-			Profile:   profiles.LinuxSDR(),
-			Transport: tr,
-			Design:    rpcrdma.ReadWrite,
-			RegMode:   memreg.Regular,
-			CopyData:  true,
-		}
-		out = append(out, cfg)
-	}
-	// RDMA variants: Read-Read design, every registration mode.
-	rr := Config{Profile: profiles.SolarisSDR(), Transport: TransportRDMA, Design: rpcrdma.ReadRead, RegMode: memreg.Regular, CopyData: true}
-	out = append(out, rr)
-	for _, mode := range []memreg.Mode{memreg.FMR, memreg.AllPhysical, memreg.Cache} {
-		out = append(out, Config{Profile: profiles.LinuxSDR(), Transport: TransportRDMA, Design: rpcrdma.ReadWrite, RegMode: mode, CopyData: true})
-	}
-	return out
-}
-
-func cfgName(cfg Config) string {
-	return fmt.Sprintf("%v-%v-%v", cfg.Transport, cfg.Design, cfg.RegMode)
-}
-
-// TestEndToEndIntegrity writes and reads back a patterned file across every
-// transport/design/registration combination.
+// TestEndToEndIntegrity writes and reads back a patterned file on every
+// configuration of the differential oracle (see diffConfigs).
 func TestEndToEndIntegrity(t *testing.T) {
-	for _, cfg := range testConfigs() {
-		cfg := cfg
-		t.Run(cfgName(cfg), func(t *testing.T) {
-			cluster := NewCluster(cfg)
+	for _, dc := range diffConfigs() {
+		t.Run(dc.name, func(t *testing.T) {
+			cluster := NewCluster(dc.Config)
 			cl := cluster.Clients[0]
 			cluster.Start("test", func(p *des.Proc) {
 				f, err := cl.Create(p, "it.bin")

@@ -100,7 +100,14 @@ func (dc *DataCache) revalidate(p *des.Proc, f *File, cf *cachedFile) error {
 		dc.invalidateFile(cf)
 		cf.mtime = attr.Mtime
 	}
+	// Dirty pages are local truth: the file is at least as long as the last
+	// of them reaches, whatever the server has seen so far.
 	cf.size = int64(attr.Size)
+	for idx, pg := range cf.pages {
+		if pg.dirty {
+			cf.size = max(cf.size, idx*dataCachePageSize+int64(pg.valid))
+		}
+	}
 	return nil
 }
 
@@ -218,11 +225,10 @@ func (f *File) ReadAtCached(p *des.Proc, dst []byte, off int64) (int, bool, erro
 				return got, false, err
 			}
 		}
+		// The page reaches to the end of the file or of the page: what lies
+		// past pg.valid is a hole nobody wrote, and data holds zeros there.
 		pageOff := int(pos - idx*dataCachePageSize)
-		if pageOff >= pg.valid {
-			break
-		}
-		n := copy(dst[got:], pg.data[pageOff:pg.valid])
+		n := copy(dst[got:], pg.data[pageOff:min(dataCachePageSize, cf.size-idx*dataCachePageSize)])
 		// Charge the local copy.
 		f.c.Node.CPU.Copy(p, n)
 		got += n

@@ -130,12 +130,3 @@ func (m Metrics) Write(w io.Writer) {
 		fmt.Fprintf(w, "  fabric %-24s %d\n", cv.Name, cv.Value)
 	}
 }
-
-// EnableTrace streams every simulator trace line (protocol engines call
-// Proc.Logf at interesting points) to w with virtual timestamps.
-func (c *Cluster) EnableTrace(w io.Writer) {
-	c.Sim.SetTrace(func(t des.Time, format string, args ...any) {
-		fmt.Fprintf(w, "%12v  ", t)
-		fmt.Fprintf(w, format+"\n", args...)
-	})
-}

@@ -123,23 +123,3 @@ func TestMetricsWindowing(t *testing.T) {
 	})
 	cluster.Run()
 }
-
-func TestTraceStreamsEvents(t *testing.T) {
-	cluster := NewCluster(Config{
-		Profile: profiles.LinuxSDR(), Transport: TransportRDMA,
-		Design: rpcrdma.ReadWrite, RegMode: memreg.Regular,
-	})
-	var sb strings.Builder
-	cluster.EnableTrace(&sb)
-	cluster.Start("io", func(p *des.Proc) {
-		cl := cluster.Clients[0]
-		f, _ := cl.Create(p, "t")
-		buf := cl.NewBuffer(4096)
-		f.WriteAt(p, buf, 0, 0, 4096, false)
-	})
-	cluster.Run()
-	out := sb.String()
-	if !strings.Contains(out, "rpcrdma call") || !strings.Contains(out, "rpcrdma serve") {
-		t.Fatalf("trace missing protocol events:\n%.500s", out)
-	}
-}

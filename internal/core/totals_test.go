@@ -125,7 +125,7 @@ func TestTotalsEqualWalkUnderChaos(t *testing.T) {
 				for _, cl := range c.Clients {
 					cl.EnableRecovery(core.RetryPolicy{MaxReconnects: 40, Backoff: 50 * time.Microsecond, MaxBackoff: time.Millisecond})
 				}
-				if _, err := workload.RunChaosLoad(p, c, workload.ChaosLoadConfig{}, oracle); err != nil {
+				if _, err := workload.RunChaosLoad(p, c, oracle); err != nil {
 					t.Errorf("workload: %v", err)
 				}
 				checkBaseline(t, c)

@@ -77,11 +77,10 @@ type Sim struct {
 	free     []*event // recycled event records
 	seq      int64
 	stopped  bool
-	running  *Proc      // process executing now; nil on the scheduler loop
-	idle     []*carrier // carriers whose process returned, reused LIFO
-	parked   []*Proc    // processes currently blocked inside the kernel
-	starting []*Proc    // spawned but not yet started processes
-	trace    func(t Time, format string, args ...any)
+	running  *Proc         // process executing now; nil on the scheduler loop
+	idle     []*carrier    // carriers whose process returned, reused LIFO
+	parked   []*Proc       // processes currently blocked inside the kernel
+	starting []*Proc       // spawned but not yet started processes
 	tracer   *trace.Tracer // structured event sink, nil when disabled
 	procSeq  uint64
 }
@@ -91,10 +90,6 @@ func New() *Sim { return &Sim{} }
 
 // Now returns the current virtual time.
 func (s *Sim) Now() Time { return s.now }
-
-// SetTrace installs a trace sink invoked by Proc.Logf. A nil sink disables
-// tracing (the default).
-func (s *Sim) SetTrace(fn func(t Time, format string, args ...any)) { s.trace = fn }
 
 // SetTracer installs a structured event tracer. Every layer built on the
 // kernel reaches it through Sim; a nil tracer (the default) disables
@@ -321,18 +316,6 @@ func (p *Proc) Now() Time { return p.sim.now }
 // abandoned processes with a panic that is recovered by the carrier, so
 // ordinary code never observes it mid-function.
 func (p *Proc) Abandoned() bool { return p.abandoned }
-
-// Logging reports whether a trace sink is installed. Hot paths test it before
-// a Logf call, whose variadic arguments are boxed whether or not anything
-// reads them.
-func (p *Proc) Logging() bool { return p.sim.trace != nil }
-
-// Logf emits a trace line through the simulation's trace sink, if installed.
-func (p *Proc) Logf(format string, args ...any) {
-	if p.sim.trace != nil {
-		p.sim.trace(p.sim.now, "["+p.name+"] "+format, args...)
-	}
-}
 
 // Spawn creates a new process executing fn and schedules it to start at the
 // current virtual time. fn runs on a coroutine of its own under the kernel's

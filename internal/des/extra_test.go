@@ -2,7 +2,6 @@ package des
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 	"time"
 )
@@ -63,23 +62,6 @@ func TestResourceUse(t *testing.T) {
 	}
 	if r.InUse() != 0 {
 		t.Fatal("resource not released by Use")
-	}
-}
-
-func TestTraceSink(t *testing.T) {
-	s := New()
-	var sb strings.Builder
-	s.SetTrace(func(at Time, format string, args ...any) {
-		fmt.Fprintf(&sb, "%d ", at)
-		fmt.Fprintf(&sb, format+"\n", args...)
-	})
-	s.Spawn("worker", func(p *Proc) {
-		p.Sleep(7)
-		p.Logf("did %s", "thing")
-	})
-	s.Run()
-	if !strings.Contains(sb.String(), "7 [worker] did thing") {
-		t.Fatalf("trace = %q", sb.String())
 	}
 }
 

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+	"strconv"
 	"time"
 
 	"repro/internal/core"
@@ -46,7 +48,8 @@ func AblationORD(scale Scale) *stats.Table {
 		} else {
 			cfg.Design, cfg.RegMode = rpcrdma.ReadRead, memreg.Regular
 		}
-		return runIOzone(cfg, workload.IOzoneConfig{Threads: 8, FileSize: fileSize, RecordSize: 128 << 10})
+		res, _ := runIOzone(cfg, workload.IOzoneConfig{Threads: 8, FileSize: fileSize, RecordSize: 128 << 10})
+		return res
 	})
 	for i, ord := range ords {
 		t.AddRow(ord, results[i*2].Write.MBps, results[i*2+1].Read.MBps)
@@ -71,21 +74,12 @@ func AblationPhysicalContiguity(scale Scale) *stats.Table {
 		prof := profiles.LinuxSDR()
 		prof.Client.MeanPhysRun = runs[i]
 		prof.Server.MeanPhysRun = runs[i]
-		cluster := core.NewCluster(core.Config{
+		res, cluster := runIOzone(core.Config{
 			Profile: prof, Transport: core.TransportRDMA,
 			Design: rpcrdma.ReadWrite, RegMode: memreg.AllPhysical,
-		})
-		var out contigResult
-		cluster.Start("drv", func(p *des.Proc) {
-			out.res, _ = workload.RunIOzone(p, cluster, workload.IOzoneConfig{
-				Threads: 8, FileSize: fileSize, RecordSize: 128 << 10,
-			})
-		})
-		cluster.Run()
-		if reqs := cluster.Server.RDMA.Requests; reqs > 0 {
-			out.readsPerOp = float64(cluster.Server.RDMA.BulkReads) / float64(reqs) * 2
-		}
-		return out
+		}, workload.IOzoneConfig{Threads: 8, FileSize: fileSize, RecordSize: 128 << 10})
+		rdma := cluster.Server.RDMA
+		return contigResult{res, float64(rdma.BulkReads) / float64(rdma.Requests) * 2}
 	})
 	for i, run := range runs {
 		t.AddRow(memFmt(run), results[i].res.Write.MBps, results[i].res.Read.MBps, results[i].readsPerOp)
@@ -109,20 +103,11 @@ func AblationInlineThreshold(scale Scale) *stats.Table {
 		prof := profiles.SolarisSDR()
 		prof.RDMAClient.InlineThreshold = thresholds[i]
 		prof.RDMAServer.InlineThreshold = thresholds[i]
-		cluster := core.NewCluster(core.Config{
+		res, cluster := runIOzone(core.Config{
 			Profile: prof, Transport: core.TransportRDMA,
 			Design: rpcrdma.ReadWrite, RegMode: memreg.Cache,
-		})
-		var out inlineResult
-		cluster.Start("drv", func(p *des.Proc) {
-			out.res, _ = workload.RunIOzone(p, cluster, workload.IOzoneConfig{
-				Threads: 8, FileSize: fileSize, RecordSize: 128 << 10, DirectIO: true,
-			})
-		})
-		cluster.Run()
-		out.longCalls = cluster.Server.RDMA.LongCalls
-		out.longReplies = cluster.Server.RDMA.LongReplies
-		return out
+		}, workload.IOzoneConfig{Threads: 8, FileSize: fileSize, RecordSize: 128 << 10, DirectIO: true})
+		return inlineResult{res, cluster.Server.RDMA.LongCalls, cluster.Server.RDMA.LongReplies}
 	})
 	for i, thresh := range thresholds {
 		t.AddRow(thresh, results[i].res.Read.MBps, results[i].longCalls, results[i].longReplies)
@@ -146,7 +131,7 @@ func AblationInterruptCost(scale Scale) *stats.Table {
 		prof := profiles.SolarisSDR()
 		prof.Client.InterruptCost = costs[c[0]]
 		prof.Server.InterruptCost = costs[c[0]]
-		res := runIOzone(core.Config{
+		res, _ := runIOzone(core.Config{
 			Profile: prof, Transport: core.TransportRDMA,
 			Design: designs[c[1]], RegMode: memreg.Regular,
 		}, workload.IOzoneConfig{Threads: 1, FileSize: fileSize, RecordSize: 128 << 10, DirectIO: true})
@@ -172,20 +157,12 @@ func AblationCacheBound(scale Scale) *stats.Table {
 		st  memreg.Stats
 	}
 	results := pmap(len(bounds), func(i int) cacheResult {
-		cluster := core.NewCluster(core.Config{
+		res, cluster := runIOzone(core.Config{
 			Profile: profiles.SolarisSDR(), Transport: core.TransportRDMA,
 			Design: rpcrdma.ReadWrite, RegMode: memreg.Cache,
 			CacheMaxBytes: bounds[i],
-		})
-		var out cacheResult
-		cluster.Start("drv", func(p *des.Proc) {
-			out.res, _ = workload.RunIOzone(p, cluster, workload.IOzoneConfig{
-				Threads: 8, FileSize: fileSize, RecordSize: 128 << 10,
-			})
-		})
-		cluster.Run()
-		out.st = cluster.Server.Mgr.Stats()
-		return out
+		}, workload.IOzoneConfig{Threads: 8, FileSize: fileSize, RecordSize: 128 << 10})
+		return cacheResult{res, cluster.Server.Mgr.Stats()}
 	})
 	for i, bound := range bounds {
 		r := results[i]
@@ -197,25 +174,11 @@ func AblationCacheBound(scale Scale) *stats.Table {
 func memFmt(n int) string {
 	switch {
 	case n >= 1<<20:
-		return itoa(n>>20) + "MiB"
+		return strconv.Itoa(n>>20) + "MiB"
 	case n >= 1<<10:
-		return itoa(n>>10) + "KiB"
+		return strconv.Itoa(n>>10) + "KiB"
 	}
-	return itoa(n) + "B"
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b [20]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(b[i:])
+	return strconv.Itoa(n) + "B"
 }
 
 // AblationClientCache quantifies the paper's motivating claim: client-side
@@ -251,15 +214,22 @@ func AblationClientCache(scale Scale) *stats.Table {
 		})
 		cl := cluster.Clients[0]
 		var out clientCacheResult
+		check := func(err error) {
+			if err != nil {
+				panic(fmt.Sprintf("experiments: client-cache ablation: %v", err))
+			}
+		}
 		cluster.Start("drv", func(p *des.Proc) {
 			var dc *core.DataCache
 			if cacheBytes > 0 {
 				dc = cl.EnableDataCache(cacheBytes)
 			}
-			f, _ := cl.Create(p, "ws")
+			f, err := cl.Create(p, "ws")
+			check(err)
 			wbuf := cl.NewBuffer(1 << 20)
 			for off := int64(0); off < workingSet; off += 1 << 20 {
-				f.WriteAt(p, wbuf, 0, off, 1<<20, false)
+				_, err = f.WriteAt(p, wbuf, 0, off, 1<<20, false)
+				check(err)
 			}
 			before := cluster.Server.NFS.Ops[6] // ProcRead
 			dst := make([]byte, 64<<10)
@@ -267,10 +237,11 @@ func AblationClientCache(scale Scale) *stats.Table {
 			for pass := 0; pass < 3; pass++ {
 				for off := int64(0); off < workingSet; off += 64 << 10 {
 					if dc != nil {
-						f.ReadAtCached(p, dst, off)
+						_, _, err = f.ReadAtCached(p, dst, off)
 					} else {
-						f.ReadAt(p, rbuf, 0, off, 64<<10, false)
+						_, _, err = f.ReadAt(p, rbuf, 0, off, 64<<10, false)
 					}
+					check(err)
 				}
 			}
 			out.reads = cluster.Server.NFS.Ops[6] - before

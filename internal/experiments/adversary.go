@@ -56,15 +56,14 @@ func RunAdversary(scale Scale) *Adversary {
 	if probes < 1200 {
 		probes = 1200
 	}
-	designs := []rpcrdma.Design{rpcrdma.ReadRead, rpcrdma.ReadWrite, rpcrdma.ReplyFetch}
 	modes := []memreg.Mode{memreg.Regular, memreg.FMR, memreg.Cache, memreg.AllPhysical}
-	cells := runner.Grid(len(designs), len(modes), 2)
+	cells := runner.Grid(len(allDesigns), len(modes), 2)
 
 	results := pmap(len(cells), func(i int) *adversary.Result {
 		c := cells[i]
 		return adversary.Run(adversary.Config{
 			Seed:     uint64(17 + c[0]*len(modes) + c[1]),
-			Design:   designs[c[0]],
+			Design:   allDesigns[c[0]],
 			RegMode:  modes[c[1]],
 			Clients:  2,
 			Hardened: c[2] == 1,
@@ -81,7 +80,7 @@ func RunAdversary(scale Scale) *Adversary {
 	for i := 0; i < len(cells); i += 2 {
 		c := cells[i]
 		pt := AdversaryPoint{
-			Design: designs[c[0]], Mode: modes[c[1]],
+			Design: allDesigns[c[0]], Mode: modes[c[1]],
 			Vuln: results[i], Hardened: results[i+1],
 		}
 		out.Points = append(out.Points, pt)

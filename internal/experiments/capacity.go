@@ -15,27 +15,27 @@ import (
 	"repro/internal/workload"
 )
 
-// CapacityPoint is one (client count, design, offered load) measurement of
-// the open-loop capacity sweep.
+// CapacityPoint is one open-loop measurement, of either capacity sweep or of
+// nfsrdma-bench -openloop: the cluster it ran on, what the generator measured
+// there, and the server transport's shard-path evidence.
 type CapacityPoint struct {
-	Clients      int
-	Design       rpcrdma.Design
-	OfferedMBps  float64 // aggregate offered load
-	AchievedMBps float64
-	P50          float64 // µs
-	P99          float64 // µs
-	Issued       int64
-	Completed    int64
-	Dropped      int64
-	ServerCPUPct float64
-	// Shard-path evidence aggregated over the server's shards.
+	Clients   int
+	Multiplex bool
+	Design    rpcrdma.Design
+
+	workload.OpenLoopResult
+
+	// Shard-path evidence aggregated over the server's shards. Endpoints and
+	// MuxSlots are the shared-QP population (multiplexed mode only).
 	SRQStarved     int64
 	SRQLimitEvents int64
 	MaxQueueDepth  int
+	Endpoints      int
+	MuxSlots       int
 
 	// Telemetry is the point's time-series report with detector findings
-	// (knee onset, starvation windows, SLO burn); nil unless
-	// CapacityOptions.TelemetryInterval was set.
+	// (knee onset, starvation windows, SLO burn); nil unless telemetry was
+	// enabled on the cluster.
 	Telemetry *telemetry.Report
 }
 
@@ -48,17 +48,18 @@ type Capacity struct {
 	Knee   *stats.Table
 }
 
-// CapacityOptions tunes the sweep; the zero value reproduces the default
-// grid.
+// CapacityOptions tunes a capacity sweep; the zero value reproduces the
+// sweep's default grid.
 type CapacityOptions struct {
 	// ClientCounts is the set of concurrent client hosts (default
-	// {8, 32, 128, 512}).
+	// {8, 32, 128, 512}; mux sweep {512, 2048, 10240} — past the point where
+	// per-connection receive state dominates server memory).
 	ClientCounts []int
 
 	// AggregateOfferedMBps is the rising offered-load axis, aggregate
-	// across all clients (default {300, 600, 1200, 2400} — straddling the
-	// server stack's ~900 MB/s ceiling so every client count crosses its
-	// knee).
+	// across all clients (default {300, 600, 1200, 2400}, mux sweep
+	// {600, 1200} — straddling the server stack's ~900 MB/s ceiling so every
+	// client count crosses its knee).
 	AggregateOfferedMBps []float64
 
 	// Shards is the server transport's dispatch shard count (default 8).
@@ -72,12 +73,12 @@ type CapacityOptions struct {
 	TelemetryInterval des.Duration
 }
 
-func (o *CapacityOptions) defaults() {
+func (o *CapacityOptions) defaults(clients []int, loads []float64) {
 	if len(o.ClientCounts) == 0 {
-		o.ClientCounts = []int{8, 32, 128, 512}
+		o.ClientCounts = clients
 	}
 	if len(o.AggregateOfferedMBps) == 0 {
-		o.AggregateOfferedMBps = []float64{300, 600, 1200, 2400}
+		o.AggregateOfferedMBps = loads
 	}
 	if o.Shards <= 0 {
 		o.Shards = 8
@@ -113,19 +114,18 @@ func RunCapacity(scale Scale) *Capacity {
 
 // RunCapacityWith is RunCapacity with an explicit grid.
 func RunCapacityWith(scale Scale, opts CapacityOptions) *Capacity {
-	opts.defaults()
+	opts.defaults([]int{8, 32, 128, 512}, []float64{300, 600, 1200, 2400})
 	out := &Capacity{
 		Curves: stats.NewTable("Capacity: open-loop offered load vs achieved throughput and latency, Linux DDR profile, RAID-0 + page cache, sharded SRQ server",
 			"clients", "design", "offered MB/s", "achieved MB/s", "p50 µs", "p99 µs", "srv CPU%", "issued", "dropped", "srq starved", "maxQ"),
 		Knee: stats.NewTable("Capacity: saturation knee per client count (first offered load whose achieved gain falls below half the offered increment)",
 			"clients", "design", "knee MB/s", "peak MB/s", "p99@peak µs"),
 	}
-	designs := []rpcrdma.Design{rpcrdma.ReadRead, rpcrdma.ReadWrite, rpcrdma.ReplyFetch}
-	pts := runner.Grid(len(opts.ClientCounts), len(designs), len(opts.AggregateOfferedMBps))
+	pts := runner.Grid(len(opts.ClientCounts), len(allDesigns), len(opts.AggregateOfferedMBps))
 	results := pmap(len(pts), func(i int) CapacityPoint {
 		c := pts[i]
-		return runCapacityPoint(opts.ClientCounts[c[0]], designs[c[1]],
-			opts.AggregateOfferedMBps[c[2]], scale, opts)
+		return runCapacityPoint(capacityConfig(opts.ClientCounts[c[0]], allDesigns[c[1]], opts),
+			opts.AggregateOfferedMBps[c[2]], 800*time.Millisecond, scale, opts.TelemetryInterval)
 	})
 	for i := range pts {
 		r := results[i]
@@ -159,29 +159,18 @@ func RunCapacityWith(scale Scale, opts CapacityOptions) *Capacity {
 	return out
 }
 
-// runCapacityPoint builds one cluster and measures one open-loop point.
-func runCapacityPoint(clients int, design rpcrdma.Design, aggMBps float64, scale Scale, opts CapacityOptions) CapacityPoint {
-	const recSize = 64 << 10
-	fileSize := scale.div64(4 << 20)
-	if fileSize < recSize {
-		fileSize = recSize
-	}
-	duration := des.Duration(scale.div64(int64(800 * time.Millisecond)))
-	if duration < des.Duration(10*time.Millisecond) {
-		duration = des.Duration(10 * time.Millisecond)
-	}
-
+// capacityConfig is the cluster both capacity sweeps measure: the DDR
+// multi-client testbed (RAID-0 + page cache) behind the sharded SRQ server
+// path, all-physical registration, admission sized to the population.
+func capacityConfig(clients int, design rpcrdma.Design, opts CapacityOptions) core.Config {
 	prof := profiles.LinuxDDR()
 	// RR parks every reply until the client's DONE; at hundreds of clients
 	// the default pool would throttle long before the stack ceiling, so
 	// scale it with the connection count. Workers likewise: each shard
 	// needs a few to keep its slice of connections busy.
 	prof.RDMAServer.ReplyBufPool = 4 * clients
-	if w := 4 * opts.Shards; w > prof.RDMAServer.Workers {
-		prof.RDMAServer.Workers = w
-	}
-
-	cluster := core.NewCluster(core.Config{
+	prof.RDMAServer.Workers = max(prof.RDMAServer.Workers, 4*opts.Shards)
+	return core.Config{
 		Profile:      prof,
 		Transport:    core.TransportRDMA,
 		Design:       design,
@@ -191,39 +180,59 @@ func runCapacityPoint(clients int, design rpcrdma.Design, aggMBps float64, scale
 		ServerShards: opts.Shards,
 		MaxConns:     clients,
 		Seed:         opts.Seed,
-	})
-
-	if opts.TelemetryInterval > 0 {
-		cluster.EnableTelemetry(telemetry.Options{Interval: opts.TelemetryInterval})
 	}
+}
 
-	pt := CapacityPoint{Clients: clients, Design: design}
-	cluster.Start("capacity-driver", func(p *des.Proc) {
-		res, err := workload.RunOpenLoop(p, cluster, workload.OpenLoopConfig{
-			RecordSize:          recSize,
-			FileSize:            fileSize,
-			OfferedPerClientBps: aggMBps * 1e6 / float64(clients),
-			Duration:            duration,
-			MaxOutstanding:      32,
-			Seed:                opts.Seed,
-		})
-		if err != nil {
-			panic(fmt.Sprintf("capacity: open-loop run failed: %v", err))
+// runCapacityPoint measures one sweep point on cfg's cluster: 64 KiB reads
+// of a scale-sized file for the scaled window (never below 1/80 of the full
+// one). A point that cannot run is a bug in the sweep, so it panics.
+func runCapacityPoint(cfg core.Config, aggMBps float64, window des.Duration, scale Scale, telemetryInterval des.Duration) CapacityPoint {
+	const recSize = 64 << 10
+	var prepare func(*core.Cluster)
+	if telemetryInterval > 0 {
+		prepare = func(c *core.Cluster) { c.EnableTelemetry(telemetry.Options{Interval: telemetryInterval}) }
+	}
+	pt, _, err := RunOpenLoop(cfg, aggMBps, workload.OpenLoopConfig{
+		RecordSize:     recSize,
+		FileSize:       max(scale.div64(4<<20), recSize),
+		Duration:       max(des.Duration(scale.div64(int64(window))), window/80),
+		MaxOutstanding: 32,
+		Seed:           cfg.Seed,
+	}, prepare)
+	if err != nil {
+		panic(fmt.Sprintf("capacity: open-loop run failed: %v", err))
+	}
+	return pt
+}
+
+// RunOpenLoop builds cfg's cluster, offers it aggMBps in aggregate through
+// the open-loop generator and returns the measured point with the finished
+// cluster. prepare, if not nil, sees the cluster before it runs (to enable
+// telemetry on it).
+func RunOpenLoop(cfg core.Config, aggMBps float64, ol workload.OpenLoopConfig, prepare func(*core.Cluster)) (CapacityPoint, *core.Cluster, error) {
+	cluster := core.NewCluster(cfg)
+	if prepare != nil {
+		prepare(cluster)
+	}
+	clients := len(cluster.Clients)
+	ol.OfferedPerClientBps = aggMBps * 1e6 / float64(clients)
+	pt := CapacityPoint{Clients: clients, Multiplex: cfg.Multiplex, Design: cfg.Design}
+	var err error
+	cluster.Start("openloop-driver", func(p *des.Proc) {
+		if pt.OpenLoopResult, err = workload.RunOpenLoop(p, cluster, ol); err != nil {
+			return
 		}
-		pt.OfferedMBps = res.OfferedMBps
-		pt.AchievedMBps = res.AchievedMBps
-		pt.P50, pt.P99 = res.P50, res.P99
-		pt.Issued, pt.Completed, pt.Dropped = res.Issued, res.Completed, res.Dropped
-		pt.ServerCPUPct = res.ServerCPUPct
-		for _, s := range cluster.Server.RDMA.ShardStats() {
-			pt.SRQStarved += s.SRQStarved
-			pt.SRQLimitEvents += s.SRQLimitEvents
-			if s.MaxQueueDepth > pt.MaxQueueDepth {
-				pt.MaxQueueDepth = s.MaxQueueDepth
+		if rdma := cluster.Server.RDMA; rdma != nil {
+			for _, s := range rdma.ShardStats() {
+				pt.SRQStarved += s.SRQStarved
+				pt.SRQLimitEvents += s.SRQLimitEvents
+				pt.MaxQueueDepth = max(pt.MaxQueueDepth, s.MaxQueueDepth)
+				pt.Endpoints += s.Endpoints
+				pt.MuxSlots += s.MuxSlots
 			}
 		}
 		pt.Telemetry = cluster.TelemetryReport()
 	})
 	cluster.Run()
-	return pt
+	return pt, cluster, err
 }

@@ -2,15 +2,32 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/rpcrdma"
 )
 
+// pointsDigest renders the fields a capacity point had before it embedded
+// workload.OpenLoopResult, in the form %+v gave them then: testdata/golden.txt
+// holds this text.
+func pointsDigest(pts []CapacityPoint) string {
+	var b strings.Builder
+	for i, p := range pts {
+		if i > 0 {
+			b.WriteByte(' ')
+		}
+		fmt.Fprintf(&b, "{Clients:%d Design:%v OfferedMBps:%v AchievedMBps:%v P50:%v P99:%v Issued:%d Completed:%d Dropped:%d ServerCPUPct:%v SRQStarved:%d SRQLimitEvents:%d MaxQueueDepth:%d Telemetry:%v}",
+			p.Clients, p.Design, p.OfferedMBps, p.AchievedMBps, p.P50, p.P99, p.Issued, p.Completed, p.Dropped,
+			p.ServerCPUPct, p.SRQStarved, p.SRQLimitEvents, p.MaxQueueDepth, p.Telemetry)
+	}
+	return "[" + b.String() + "]"
+}
+
 // capacityDigest folds every observable output of a capacity sweep into one
 // comparable string.
 func capacityDigest(r *Capacity) string {
-	return fmt.Sprintf("%+v\n%s\n%s", r.Points, r.Curves.String(), r.Knee.String())
+	return fmt.Sprintf("%s\n%s\n%s", pointsDigest(r.Points), r.Curves.String(), r.Knee.String())
 }
 
 // TestCapacitySameSeed512 pins determinism at the sweep's largest

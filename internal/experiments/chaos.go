@@ -57,21 +57,20 @@ func RunChaos(scale Scale) *Chaos {
 			"design", "mode", "seeds", "crashes", "reconnects", "replays", "writes", "oracle reads", "renames", "failures"),
 	}
 	seeds := chaosSeedsFor(scale)
-	designs := []rpcrdma.Design{rpcrdma.ReadRead, rpcrdma.ReadWrite, rpcrdma.ReplyFetch}
 	type serverMode struct {
 		name   string
 		shards int
 		mux    bool
 	}
 	modes := []serverMode{{"per-conn", 0, false}, {"sharded", 2, false}, {"mux", 2, true}}
-	cells := runner.Grid(len(designs), len(modes))
+	cells := runner.Grid(len(allDesigns), len(modes))
 
 	results := pmap(len(cells)*seeds, func(i int) *chaos.Result {
 		c := cells[i/seeds]
 		m := modes[c[1]]
 		return chaos.Run(chaos.Config{
 			Seed:          uint64(i%seeds + 1),
-			Design:        designs[c[0]],
+			Design:        allDesigns[c[0]],
 			Shards:        m.shards,
 			Multiplex:     m.mux,
 			Affinity:      m.mux,
@@ -81,7 +80,7 @@ func RunChaos(scale Scale) *Chaos {
 	})
 
 	for ci, c := range cells {
-		pt := ChaosPoint{Design: designs[c[0]], Shards: modes[c[1]].shards,
+		pt := ChaosPoint{Design: allDesigns[c[0]], Shards: modes[c[1]].shards,
 			Multiplex: modes[c[1]].mux, Seeds: seeds}
 		for s := 0; s < seeds; s++ {
 			r := results[ci*seeds+s]

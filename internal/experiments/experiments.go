@@ -61,6 +61,10 @@ func pmap[T any](n int, fn func(i int) T) []T {
 	return runner.MapWorkers(Parallelism(), n, fn)
 }
 
+// allDesigns is the design axis of every sweep that compares the three
+// transfer designs.
+var allDesigns = []rpcrdma.Design{rpcrdma.ReadRead, rpcrdma.ReadWrite, rpcrdma.ReplyFetch}
+
 // IOzonePoint is one measured IOzone configuration.
 type IOzonePoint struct {
 	Threads    int
@@ -70,19 +74,32 @@ type IOzonePoint struct {
 	Result     workload.IOzoneResult
 }
 
-// runIOzone builds a cluster and runs one IOzone configuration.
-func runIOzone(cfg core.Config, io workload.IOzoneConfig) workload.IOzoneResult {
+// RunIOzone builds cfg's cluster, runs one IOzone configuration on it and
+// returns the result with the finished cluster, whose counters callers read.
+// prepare, if not nil, sees the cluster before it runs (to attach a tracer
+// or start a process beside the workload).
+func RunIOzone(cfg core.Config, io workload.IOzoneConfig, prepare func(*core.Cluster)) (workload.IOzoneResult, *core.Cluster, error) {
 	cluster := core.NewCluster(cfg)
+	if prepare != nil {
+		prepare(cluster)
+	}
 	var res workload.IOzoneResult
 	var err error
 	cluster.Start("iozone-driver", func(p *des.Proc) {
 		res, err = workload.RunIOzone(p, cluster, io)
 	})
 	cluster.Run()
+	return res, cluster, err
+}
+
+// runIOzone is RunIOzone for a sweep point, which cannot fail to run except
+// by a bug in the sweep: an error panics.
+func runIOzone(cfg core.Config, io workload.IOzoneConfig) (workload.IOzoneResult, *core.Cluster) {
+	res, cluster, err := RunIOzone(cfg, io, nil)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: iozone run failed: %v", err))
 	}
-	return res
+	return res, cluster
 }
 
 // Figure5and6 reproduces Figs. 5 and 6: IOzone READ and WRITE bandwidth
@@ -108,7 +125,7 @@ func RunFigure5and6(scale Scale) *Figure5and6 {
 	pts := runner.Grid(8, len(records), len(designs))
 	results := pmap(len(pts), func(i int) workload.IOzoneResult {
 		c := pts[i]
-		return runIOzone(core.Config{
+		res, _ := runIOzone(core.Config{
 			Profile:   profiles.SolarisSDR(),
 			Transport: core.TransportRDMA,
 			Design:    designs[c[2]],
@@ -116,6 +133,7 @@ func RunFigure5and6(scale Scale) *Figure5and6 {
 		}, workload.IOzoneConfig{
 			Threads: c[0] + 1, FileSize: fileSize, RecordSize: records[c[1]], DirectIO: true,
 		})
+		return res
 	})
 	for i, c := range pts {
 		out.Points = append(out.Points, IOzonePoint{
@@ -169,7 +187,7 @@ func regStrategySweep(scale Scale, profile func() profiles.Profile, modes []memr
 	pts := runner.Grid(8, len(modes))
 	results := pmap(len(pts), func(i int) workload.IOzoneResult {
 		c := pts[i]
-		return runIOzone(core.Config{
+		res, _ := runIOzone(core.Config{
 			Profile:   profile(),
 			Transport: core.TransportRDMA,
 			Design:    rpcrdma.ReadWrite,
@@ -177,6 +195,7 @@ func regStrategySweep(scale Scale, profile func() profiles.Profile, modes []memr
 		}, workload.IOzoneConfig{
 			Threads: c[0] + 1, FileSize: fileSize, RecordSize: 128 << 10,
 		})
+		return res
 	})
 	points := make([]IOzonePoint, 0, len(pts))
 	for i, c := range pts {

@@ -1,12 +1,15 @@
 package experiments
 
 import (
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/memreg"
 	"repro/internal/rpcrdma"
+	"repro/internal/stats"
 )
 
 // Smoke tests run the sweeps at a heavy scale divisor: tiny workloads,
@@ -135,11 +138,74 @@ func TestFigure10KneeAndOrdering(t *testing.T) {
 	}
 }
 
+// TestFigure10bRDMASustains is Fig. 10(b)'s claim: with the 8 GB server the
+// working set of seven clients still fits the cache, so RDMA never collapses
+// and stays above anything IPoIB reaches.
+func TestFigure10bRDMASustains(t *testing.T) {
+	r := RunFigure10(Scale(32), 8<<30, 7)
+	rdmaMin := math.Inf(1)
+	for _, pt := range r.Series[core.TransportRDMA] {
+		if pt.Clients >= 2 {
+			rdmaMin = min(rdmaMin, pt.Result.AggregateReadMBps)
+		}
+	}
+	ipoibPeak := 0.0
+	for _, pt := range r.Series[core.TransportIPoIB] {
+		ipoibPeak = max(ipoibPeak, pt.Result.AggregateReadMBps)
+	}
+	if ipoibPeak <= 0 || rdmaMin < ipoibPeak {
+		t.Errorf("RDMA sustained %.1f MB/s from 2 to 7 clients, IPoIB peaks at %.1f", rdmaMin, ipoibPeak)
+	}
+}
+
 func TestTable1Renders(t *testing.T) {
 	s := Table1().String()
 	for _, want := range []string{"Receive buffer exposed", "Steering tag", "Rendezvous"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("table missing %q:\n%s", want, s)
 		}
+	}
+}
+
+// TestAblationsRun runs each ablation sweep end to end on a tiny workload. A
+// point that cannot run panics (runIOzone), so what is left to check is that
+// every sweep value produced a row and no row came back all zeros.
+func TestAblationsRun(t *testing.T) {
+	ablations := []struct {
+		name string
+		run  func(Scale) *stats.Table
+	}{
+		{"ORD", AblationORD},
+		{"PhysicalContiguity", AblationPhysicalContiguity},
+		{"InlineThreshold", AblationInlineThreshold},
+		{"InterruptCost", AblationInterruptCost},
+		{"CacheBound", AblationCacheBound},
+		{"ClientCache", AblationClientCache},
+	}
+	for _, a := range ablations {
+		t.Run(a.name, func(t *testing.T) {
+			table := a.run(Scale(64))
+			lines := strings.Split(strings.TrimSpace(table.String()), "\n")
+			rows := lines[3:] // title, header, separator
+			if len(rows) < 4 {
+				t.Fatalf("%d rows:\n%s", len(rows), table)
+			}
+			for _, row := range rows {
+				cells := strings.Fields(row)
+				if len(cells) < 2 {
+					t.Errorf("empty row %q", row)
+					continue
+				}
+				zero := true
+				for _, c := range cells[1:] { // cells[0] is the swept value
+					if v, err := strconv.ParseFloat(c, 64); err != nil || v != 0 {
+						zero = false
+					}
+				}
+				if zero {
+					t.Errorf("all-zero row %q:\n%s", row, table)
+				}
+			}
+		})
 	}
 }

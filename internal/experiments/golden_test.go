@@ -114,7 +114,7 @@ func telemetryGoldenDigest() string {
 		seriesGolden(&b, fmt.Sprintf("capacity seed=7 %d clients %s %.0f MB/s", pt.Clients, pt.Design, pt.OfferedMBps), pt.Telemetry)
 	}
 
-	mux := RunMuxCapacityWith(testScale, MuxCapacityOptions{
+	mux := RunMuxCapacityWith(testScale, CapacityOptions{
 		ClientCounts:         []int{64},
 		AggregateOfferedMBps: []float64{1200},
 		Seed:                 7,

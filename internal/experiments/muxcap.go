@@ -4,103 +4,18 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/des"
 	"repro/internal/experiments/runner"
-	"repro/internal/memreg"
-	"repro/internal/profiles"
-	"repro/internal/rpcrdma"
 	"repro/internal/stats"
-	"repro/internal/telemetry"
-	"repro/internal/workload"
 )
-
-// MuxCapacityPoint is one (client count, connection mode, design, offered
-// load) measurement of the multiplexing capacity sweep.
-type MuxCapacityPoint struct {
-	Clients      int
-	Multiplex    bool
-	Design       rpcrdma.Design
-	OfferedMBps  float64
-	AchievedMBps float64
-	P50          float64 // µs
-	P99          float64 // µs
-	Issued       int64
-	Completed    int64
-	Dropped      int64
-	ServerCPUPct float64
-
-	// RecvStateBytes is the server's measured receive-side control memory
-	// with the full client population attached; PerConnEquivBytes is what
-	// the same population would pin on dedicated per-client connections
-	// (clients × (QP context + private receive ring)).
-	RecvStateBytes    int64
-	PerConnEquivBytes int64
-
-	// Completion-to-CPU affinity evidence over the measurement window.
-	Migrations int64
-	LocalWakes int64
-
-	// Endpoints/MuxSlots aggregate the shards' shared-QP population
-	// (multiplexed mode only).
-	Endpoints int
-	MuxSlots  int
-
-	// Telemetry is the point's time-series report with detector findings;
-	// nil unless MuxCapacityOptions.TelemetryInterval was set.
-	Telemetry *telemetry.Report
-}
 
 // MuxCapacity is the connection-scaling sweep result: throughput/p99 curves
 // per connection mode and the server-memory-vs-clients table that is the
 // tentpole claim — receive-side state O(shards) multiplexed versus
 // O(connections) dedicated.
 type MuxCapacity struct {
-	Points []MuxCapacityPoint
+	Points []CapacityPoint
 	Curves *stats.Table
 	Memory *stats.Table
-}
-
-// MuxCapacityOptions tunes the sweep; the zero value reproduces the default
-// grid.
-type MuxCapacityOptions struct {
-	// ClientCounts is the set of concurrent client hosts (default
-	// {512, 2048, 10240} — past the point where per-connection receive
-	// state dominates server memory).
-	ClientCounts []int
-
-	// AggregateOfferedMBps is the offered-load axis (default {600, 1200},
-	// straddling the stack's ~900 MB/s ceiling).
-	AggregateOfferedMBps []float64
-
-	// Shards is the server dispatch shard count (default 8).
-	Shards int
-
-	// Affinity pins shard reply processing to the completion CPU (default
-	// on; set NoAffinity to measure the migration-heavy baseline).
-	NoAffinity bool
-
-	// Seed derives the cluster and every client's arrival process.
-	Seed uint64
-
-	// TelemetryInterval enables per-point virtual-time sampling at this
-	// period and runs the series detectors on each point (zero disables).
-	TelemetryInterval des.Duration
-}
-
-func (o *MuxCapacityOptions) defaults() {
-	if len(o.ClientCounts) == 0 {
-		o.ClientCounts = []int{512, 2048, 10240}
-	}
-	if len(o.AggregateOfferedMBps) == 0 {
-		o.AggregateOfferedMBps = []float64{600, 1200}
-	}
-	if o.Shards <= 0 {
-		o.Shards = 8
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
 }
 
 // RunMuxCapacity sweeps client count × connection mode × transfer design
@@ -110,12 +25,12 @@ func (o *MuxCapacityOptions) defaults() {
 // fixed SRQ). The sweep produces the throughput-vs-p99 curves and the
 // server-memory-vs-clients table at the heart of the scaling argument.
 func RunMuxCapacity(scale Scale) *MuxCapacity {
-	return RunMuxCapacityWith(scale, MuxCapacityOptions{})
+	return RunMuxCapacityWith(scale, CapacityOptions{})
 }
 
 // RunMuxCapacityWith is RunMuxCapacity with an explicit grid.
-func RunMuxCapacityWith(scale Scale, opts MuxCapacityOptions) *MuxCapacity {
-	opts.defaults()
+func RunMuxCapacityWith(scale Scale, opts CapacityOptions) *MuxCapacity {
+	opts.defaults([]int{512, 2048, 10240}, []float64{600, 1200})
 	out := &MuxCapacity{
 		Curves: stats.NewTable("Mux capacity: open-loop offered load vs achieved throughput and latency, per-connection vs multiplexed server, Linux DDR profile",
 			"clients", "mode", "design", "offered MB/s", "achieved MB/s", "p50 µs", "p99 µs", "srv CPU%", "dropped", "migrations", "local wakes"),
@@ -123,12 +38,23 @@ func RunMuxCapacityWith(scale Scale, opts MuxCapacityOptions) *MuxCapacity {
 			"clients", "per-conn bytes", "mux bytes", "saving", "mux endpoints", "mux slots"),
 	}
 	modes := []bool{false, true} // per-conn, multiplexed
-	designs := []rpcrdma.Design{rpcrdma.ReadRead, rpcrdma.ReadWrite, rpcrdma.ReplyFetch}
-	pts := runner.Grid(len(opts.ClientCounts), len(modes), len(designs), len(opts.AggregateOfferedMBps))
-	results := pmap(len(pts), func(i int) MuxCapacityPoint {
+	pts := runner.Grid(len(opts.ClientCounts), len(modes), len(allDesigns), len(opts.AggregateOfferedMBps))
+	results := pmap(len(pts), func(i int) CapacityPoint {
 		c := pts[i]
-		return runMuxCapacityPoint(opts.ClientCounts[c[0]], modes[c[1]], designs[c[2]],
-			opts.AggregateOfferedMBps[c[3]], scale, opts)
+		clients := opts.ClientCounts[c[0]]
+		cfg := capacityConfig(clients, allDesigns[c[2]], opts)
+		cfg.Multiplex, cfg.Affinity = modes[c[1]], true
+		if !cfg.Multiplex {
+			// Honest per-connection provisioning: the shared SRQ must hold every
+			// client's full credit window, or the comparison would starve the
+			// dedicated-connection server instead of charging it for memory.
+			credits := cfg.Profile.RDMAClient.Credits
+			if credits <= 0 {
+				credits = 32
+			}
+			cfg.SRQDepth = clients * credits / opts.Shards
+		}
+		return runCapacityPoint(cfg, opts.AggregateOfferedMBps[c[3]], 400*time.Millisecond, scale, opts.TelemetryInterval)
 	})
 	for i := range pts {
 		r := results[i]
@@ -138,103 +64,23 @@ func RunMuxCapacityWith(scale Scale, opts MuxCapacityOptions) *MuxCapacity {
 			mode = "mux"
 		}
 		out.Curves.AddRow(r.Clients, mode, r.Design.String(), r.OfferedMBps, r.AchievedMBps,
-			r.P50, r.P99, r.ServerCPUPct, r.Dropped, r.Migrations, r.LocalWakes)
+			r.P50, r.P99, r.ServerCPUPct, r.Dropped, r.ServerMigrations, r.ServerLocalWakes)
 	}
 	// Memory rows: one per client count, from the first-load Read-Write
 	// point of each mode (receive-side state does not depend on load).
 	loads := len(opts.AggregateOfferedMBps)
 	idx := func(ci, mode, di, li int) int {
-		return ((ci*len(modes)+mode)*len(designs)+di)*loads + li
+		return ((ci*len(modes)+mode)*len(allDesigns)+di)*loads + li
 	}
 	for ci, n := range opts.ClientCounts {
 		perConn := out.Points[idx(ci, 0, 1, 0)]
 		mux := out.Points[idx(ci, 1, 1, 0)]
 		saving := "-"
-		if mux.RecvStateBytes > 0 {
-			saving = fmt.Sprintf("%.1fx", float64(perConn.RecvStateBytes)/float64(mux.RecvStateBytes))
+		if mux.ServerRecvStateBytes > 0 {
+			saving = fmt.Sprintf("%.1fx", float64(perConn.ServerRecvStateBytes)/float64(mux.ServerRecvStateBytes))
 		}
-		out.Memory.AddRow(n, perConn.RecvStateBytes, mux.RecvStateBytes, saving,
+		out.Memory.AddRow(n, perConn.ServerRecvStateBytes, mux.ServerRecvStateBytes, saving,
 			mux.Endpoints, mux.MuxSlots)
 	}
 	return out
-}
-
-// runMuxCapacityPoint builds one cluster in the requested connection mode
-// and measures one open-loop point.
-func runMuxCapacityPoint(clients int, mux bool, design rpcrdma.Design, aggMBps float64, scale Scale, opts MuxCapacityOptions) MuxCapacityPoint {
-	const recSize = 64 << 10
-	fileSize := scale.div64(4 << 20)
-	if fileSize < recSize {
-		fileSize = recSize
-	}
-	duration := des.Duration(scale.div64(int64(400 * time.Millisecond)))
-	if duration < des.Duration(5*time.Millisecond) {
-		duration = des.Duration(5 * time.Millisecond)
-	}
-
-	prof := profiles.LinuxDDR()
-	prof.RDMAServer.ReplyBufPool = 4 * clients
-	if w := 4 * opts.Shards; w > prof.RDMAServer.Workers {
-		prof.RDMAServer.Workers = w
-	}
-
-	cfg := core.Config{
-		Profile:      prof,
-		Transport:    core.TransportRDMA,
-		Design:       design,
-		RegMode:      memreg.AllPhysical,
-		Clients:      clients,
-		Backend:      core.BackendDisk,
-		ServerShards: opts.Shards,
-		MaxConns:     clients,
-		Multiplex:    mux,
-		Affinity:     !opts.NoAffinity,
-		Seed:         opts.Seed,
-	}
-	if !mux {
-		// Honest per-connection provisioning: the shared SRQ must hold every
-		// client's full credit window, or the comparison would starve the
-		// dedicated-connection server instead of charging it for memory.
-		credits := prof.RDMAClient.Credits
-		if credits <= 0 {
-			credits = 32
-		}
-		cfg.SRQDepth = clients * credits / opts.Shards
-	}
-	cluster := core.NewCluster(cfg)
-	if opts.TelemetryInterval > 0 {
-		cluster.EnableTelemetry(telemetry.Options{Interval: opts.TelemetryInterval})
-	}
-
-	pt := MuxCapacityPoint{
-		Clients: clients, Multiplex: mux, Design: design,
-		PerConnEquivBytes: int64(clients) * rpcrdma.PerConnRecvBytes(prof.RDMAServer),
-	}
-	cluster.Start("muxcap-driver", func(p *des.Proc) {
-		res, err := workload.RunOpenLoop(p, cluster, workload.OpenLoopConfig{
-			RecordSize:          recSize,
-			FileSize:            fileSize,
-			OfferedPerClientBps: aggMBps * 1e6 / float64(clients),
-			Duration:            duration,
-			MaxOutstanding:      32,
-			Seed:                opts.Seed,
-		})
-		if err != nil {
-			panic(fmt.Sprintf("muxcap: open-loop run failed: %v", err))
-		}
-		pt.OfferedMBps = res.OfferedMBps
-		pt.AchievedMBps = res.AchievedMBps
-		pt.P50, pt.P99 = res.P50, res.P99
-		pt.Issued, pt.Completed, pt.Dropped = res.Issued, res.Completed, res.Dropped
-		pt.ServerCPUPct = res.ServerCPUPct
-		pt.RecvStateBytes = res.ServerRecvStateBytes
-		pt.Migrations, pt.LocalWakes = res.ServerMigrations, res.ServerLocalWakes
-		for _, s := range cluster.Server.RDMA.ShardStats() {
-			pt.Endpoints += s.Endpoints
-			pt.MuxSlots += s.MuxSlots
-		}
-		pt.Telemetry = cluster.TelemetryReport()
-	})
-	cluster.Run()
-	return pt
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/ibsim"
@@ -14,11 +15,11 @@ func muxCapDigest(r *MuxCapacity) string {
 }
 
 // muxCapTestClients returns the populations these tests sweep and the
-// largest of them. The plain build runs the real 10240-client point (the
-// tier-1 suite and make check's uninstrumented full-scale pass); under the
-// race detector, whose instrumentation multiplies host cost roughly
-// tenfold, the top population is capped at 2048 so `make check` stays
-// inside the test timeout. Every assertion below is written against the
+// largest of them. The plain build — the tier-1 suite, which owns the
+// full-scale run — sweeps the real 10240-client point; under the race
+// detector, whose instrumentation multiplies host cost roughly tenfold, the
+// top population is capped at 2048 so `make check` stays inside the test
+// timeout. Every assertion below is written against the
 // returned counts, so both builds check the same invariants.
 func muxCapTestClients() (counts []int, big int) {
 	if raceDetectorOn {
@@ -27,22 +28,41 @@ func muxCapTestClients() (counts []int, big int) {
 	return []int{512, 2048, 10240}, 10240
 }
 
-// TestMuxCapacitySameSeed10240 pins determinism at the sweep's largest
-// configuration: two same-seed runs of the 10240-client point — shared QPs
-// demultiplexing ten thousand endpoints across 8 shards — must be
-// byte-identical, tables included. (Race builds cap the population; see
-// muxCapTestClients.)
-func TestMuxCapacitySameSeed10240(t *testing.T) {
-	_, big := muxCapTestClients()
-	opts := MuxCapacityOptions{
-		ClientCounts:         []int{big},
+// muxCapRun is the sweep the three tests below assert on: seed 7 on
+// muxCapTestClients' grid at 1200 MB/s, run twice on eight workers and once
+// on one. It runs once per test binary — each 10240-client sweep costs ten
+// seconds and up — and every test reads what it needs from it.
+type muxCapRun struct {
+	par      *MuxCapacity // eight workers
+	parAgain string       // digest of a second eight-worker run
+	seq      string       // digest of the one-worker run
+}
+
+var muxCapRuns = sync.OnceValue(func() muxCapRun {
+	counts, _ := muxCapTestClients()
+	opts := CapacityOptions{
+		ClientCounts:         counts,
 		AggregateOfferedMBps: []float64{1200},
 		Seed:                 7,
 	}
-	a := muxCapDigest(RunMuxCapacityWith(testScale, opts))
-	b := muxCapDigest(RunMuxCapacityWith(testScale, opts))
-	if a != b {
-		t.Fatalf("same-seed %d-client mux capacity runs differ:\n%s\n---\n%s", big, a, b)
+	defer SetParallelism(0)
+	SetParallelism(8)
+	r := muxCapRun{par: RunMuxCapacityWith(testScale, opts)}
+	r.parAgain = muxCapDigest(RunMuxCapacityWith(testScale, opts))
+	SetParallelism(1)
+	r.seq = muxCapDigest(RunMuxCapacityWith(testScale, opts))
+	return r
+})
+
+// TestMuxCapacitySameSeed10240 pins determinism at the sweep's largest
+// configuration: two same-seed runs of the grid up to the 10240-client
+// point — shared QPs demultiplexing ten thousand endpoints across 8 shards —
+// must be byte-identical, tables included. (Race builds cap the population;
+// see muxCapTestClients.)
+func TestMuxCapacitySameSeed10240(t *testing.T) {
+	r := muxCapRuns()
+	if a := muxCapDigest(r.par); a != r.parAgain {
+		t.Fatalf("same-seed mux capacity runs differ:\n%s\n---\n%s", a, r.parAgain)
 	}
 }
 
@@ -50,19 +70,9 @@ func TestMuxCapacitySameSeed10240(t *testing.T) {
 // invisible in the results at full scale: one worker and eight must produce
 // byte-identical output for the 10240-client grid.
 func TestMuxCapacitySeqVsParallel(t *testing.T) {
-	_, big := muxCapTestClients()
-	opts := MuxCapacityOptions{
-		ClientCounts:         []int{512, big},
-		AggregateOfferedMBps: []float64{1200},
-		Seed:                 3,
-	}
-	SetParallelism(1)
-	defer SetParallelism(0)
-	seq := muxCapDigest(RunMuxCapacityWith(testScale, opts))
-	SetParallelism(8)
-	par := muxCapDigest(RunMuxCapacityWith(testScale, opts))
-	if seq != par {
-		t.Fatalf("sequential and parallel mux capacity sweeps differ:\n%s\n---\n%s", seq, par)
+	r := muxCapRuns()
+	if par := muxCapDigest(r.par); par != r.seq {
+		t.Fatalf("sequential and parallel mux capacity sweeps differ:\n%s\n---\n%s", r.seq, par)
 	}
 }
 
@@ -74,15 +84,10 @@ func TestMuxCapacitySeqVsParallel(t *testing.T) {
 // window) dwarfs the fixed multiplexed pool.
 func TestMuxCapacityMemoryScaling(t *testing.T) {
 	counts, big := muxCapTestClients()
-	opts := MuxCapacityOptions{
-		ClientCounts:         counts,
-		AggregateOfferedMBps: []float64{1200},
-		Seed:                 5,
-	}
-	r := RunMuxCapacityWith(testScale, opts)
+	r := muxCapRuns().par
 	t.Logf("\n%s\n%s", r.Curves.String(), r.Memory.String())
 
-	byKey := map[[2]interface{}]MuxCapacityPoint{}
+	byKey := map[[2]interface{}]CapacityPoint{}
 	for _, p := range r.Points {
 		if p.Completed == 0 {
 			t.Errorf("%d clients mux=%v %s: no completions", p.Clients, p.Multiplex, p.Design)
@@ -92,15 +97,15 @@ func TestMuxCapacityMemoryScaling(t *testing.T) {
 			byKey[key] = p
 		}
 	}
-	for _, n := range opts.ClientCounts {
+	for _, n := range counts {
 		mux := byKey[[2]interface{}{n, true}]
 		per := byKey[[2]interface{}{n, false}]
 		// The multiplexed pool is a fixed cost, so it only undercuts honest
 		// per-connection provisioning once the population is large enough to
 		// dominate — the crossover sits below 2048 clients.
-		if n >= 2048 && mux.RecvStateBytes >= per.RecvStateBytes {
+		if n >= 2048 && mux.ServerRecvStateBytes >= per.ServerRecvStateBytes {
 			t.Errorf("%d clients: mux recv state %d B not below per-conn %d B",
-				n, mux.RecvStateBytes, per.RecvStateBytes)
+				n, mux.ServerRecvStateBytes, per.ServerRecvStateBytes)
 		}
 		if mux.Endpoints != n {
 			t.Errorf("%d clients: %d live endpoints", n, mux.Endpoints)
@@ -110,21 +115,21 @@ func TestMuxCapacityMemoryScaling(t *testing.T) {
 	mux512 := byKey[[2]interface{}{512, true}]
 	muxBig := byKey[[2]interface{}{big, true}]
 	extra := int64(big - 512)
-	if diff := muxBig.RecvStateBytes - mux512.RecvStateBytes; diff != extra*ibsim.EndpointSlotBytes {
+	if diff := muxBig.ServerRecvStateBytes - mux512.ServerRecvStateBytes; diff != extra*ibsim.EndpointSlotBytes {
 		t.Errorf("mux marginal recv state for %d extra clients = %d B, want %d (one slot entry each)",
 			extra, diff, extra*ibsim.EndpointSlotBytes)
 	}
 	per512 := byKey[[2]interface{}{512, false}]
 	perBig := byKey[[2]interface{}{big, false}]
-	perDiff := perBig.RecvStateBytes - per512.RecvStateBytes
+	perDiff := perBig.ServerRecvStateBytes - per512.ServerRecvStateBytes
 	if perDiff < extra*ibsim.QPContextBytes {
 		t.Errorf("per-conn marginal recv state for %d extra clients = %d B, want >= %d (a QP context each)",
 			extra, perDiff, extra*ibsim.QPContextBytes)
 	}
 	// The saving must widen with the population: per-conn state grows with
 	// clients, multiplexed state only with slot entries.
-	r512 := float64(per512.RecvStateBytes) / float64(mux512.RecvStateBytes)
-	rBig := float64(perBig.RecvStateBytes) / float64(muxBig.RecvStateBytes)
+	r512 := float64(per512.ServerRecvStateBytes) / float64(mux512.ServerRecvStateBytes)
+	rBig := float64(perBig.ServerRecvStateBytes) / float64(muxBig.ServerRecvStateBytes)
 	if rBig <= r512 {
 		t.Errorf("memory saving did not widen with clients: %.2fx at 512, %.2fx at %d", r512, rBig, big)
 	}

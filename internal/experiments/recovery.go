@@ -57,12 +57,11 @@ func RunRecovery(scale Scale) *Recovery {
 			"faults", "design", "write MB/s", "reconnects", "replays", "timeouts", "retrans", "shortw", "WRITEs exec/issued", "data"),
 	}
 	faultCounts := []int{0, 1, 3, 6}
-	designs := []rpcrdma.Design{rpcrdma.ReadRead, rpcrdma.ReadWrite, rpcrdma.ReplyFetch}
 	fileSize := scale.div64(8 << 20)
-	pts := runner.Grid(len(faultCounts), len(designs))
+	pts := runner.Grid(len(faultCounts), len(allDesigns))
 	results := pmap(len(pts), func(i int) RecoveryPoint {
 		c := pts[i]
-		return runRecoveryPoint(faultCounts[c[0]], designs[c[1]], fileSize)
+		return runRecoveryPoint(faultCounts[c[0]], allDesigns[c[1]], fileSize)
 	})
 	for i, c := range pts {
 		r := results[i]

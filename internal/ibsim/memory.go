@@ -109,7 +109,7 @@ type Memory struct {
 
 	// pool recycles materialized data slices by power-of-two size class.
 	// Staging-heavy protocol paths (the Read-Read design materializes a
-	// MaxBulk-sized reply buffer per call) would otherwise churn gigabytes
+	// maxBulk-sized reply buffer per call) would otherwise churn gigabytes
 	// of host allocations per simulated second. Reused slices are NOT
 	// zero-filled — simulated memory behaves like real DRAM, whose contents
 	// after allocation are whatever the previous owner left there.

@@ -60,6 +60,16 @@ func (m Mode) String() string {
 	return fmt.Sprintf("mode(%d)", int(m))
 }
 
+// ParseMode is the inverse of Mode.String.
+func ParseMode(name string) (Mode, error) {
+	for m := Regular; m <= Cache; m++ {
+		if m.String() == name {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("memreg: unknown registration mode %q", name)
+}
+
 // Segment is one RDMA-addressable extent of a registration: what goes into
 // an RPC/RDMA chunk segment (steering tag, address, length).
 type Segment struct {

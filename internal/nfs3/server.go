@@ -17,20 +17,14 @@ type ServerConfig struct {
 	CPU *cpu.Model
 	// PerOpCPU is the protocol + VFS processing cost per call.
 	PerOpCPU des.Duration
-	// MaxRead / MaxWrite bound transfer sizes (rtmax / wtmax).
-	MaxRead  int
-	MaxWrite int
 }
+
+// maxTransfer bounds READ and WRITE transfer sizes (rtmax / wtmax).
+const maxTransfer = 1 << 20
 
 func (c *ServerConfig) defaults() {
 	if c.FSID == 0 {
 		c.FSID = 0x5eed
-	}
-	if c.MaxRead <= 0 {
-		c.MaxRead = 1 << 20
-	}
-	if c.MaxWrite <= 0 {
-		c.MaxWrite = 1 << 20
 	}
 }
 
@@ -326,8 +320,8 @@ func (s *Server) read(p *des.Proc, d *xdr.Decoder, e *xdr.Encoder, req *oncrpc.S
 		return nil
 	}
 	count := int(args.Count)
-	if count > s.cfg.MaxRead {
-		count = s.cfg.MaxRead
+	if count > maxTransfer {
+		count = maxTransfer
 	}
 	if req.RecvBulkCap > 0 && count > req.RecvBulkCap {
 		count = req.RecvBulkCap
@@ -372,8 +366,8 @@ func (s *Server) write(p *des.Proc, d *xdr.Decoder, e *xdr.Encoder, bulk *oncrpc
 			count = 0
 		}
 	}
-	if count > s.cfg.MaxWrite {
-		count = s.cfg.MaxWrite
+	if count > maxTransfer {
+		count = maxTransfer
 	}
 	var data []byte
 	if bulk != nil && bulk.Data != nil {
@@ -610,8 +604,8 @@ func (s *Server) fsinfo(p *des.Proc, d *xdr.Decoder, e *xdr.Encoder) {
 	}
 	(&FSInfoRes{
 		Status: OK, Attr: s.postAttr(p, id),
-		RTMax: uint32(s.cfg.MaxRead), RTPref: uint32(s.cfg.MaxRead),
-		WTMax: uint32(s.cfg.MaxWrite), WTPref: uint32(s.cfg.MaxWrite),
+		RTMax: maxTransfer, RTPref: maxTransfer,
+		WTMax: maxTransfer, WTPref: maxTransfer,
 		DTPref: 64 << 10, MaxFileSize: 1 << 62,
 	}).Encode(e)
 }

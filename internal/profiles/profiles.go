@@ -6,6 +6,7 @@
 package profiles
 
 import (
+	"fmt"
 	"time"
 
 	"repro/internal/des"
@@ -42,6 +43,16 @@ type Profile struct {
 	// disk back end (overridable per experiment: the paper uses 4 GB and
 	// 8 GB server configurations, minus OS overhead).
 	PageCacheBytes int64
+}
+
+// Parse returns the testbed profile whose Name is name.
+func Parse(name string) (Profile, error) {
+	for _, profile := range []func() Profile{SolarisSDR, LinuxSDR, LinuxDDR} {
+		if p := profile(); p.Name == name {
+			return p, nil
+		}
+	}
+	return Profile{}, fmt.Errorf("profiles: unknown profile %q", name)
 }
 
 // SolarisSDR models the paper's §5.1/§5.2 testbed: dual-core Opteron x2100

@@ -26,9 +26,6 @@ type Config struct {
 	// many receives and never exceeds it with outstanding calls.
 	Credits int
 
-	// MaxBulk is the largest single bulk payload (rtmax/wtmax analogue).
-	MaxBulk int
-
 	// PerOpCPU is protocol processing cost charged per call at this
 	// endpoint.
 	PerOpCPU des.Duration
@@ -83,11 +80,10 @@ type Config struct {
 	// unlimited.
 	MaxConns int
 
-	// SRQDepth and SRQLimit size each shard's shared receive queue: depth
-	// bounds pooled receive WQEs, limit is the low watermark that wakes the
-	// refill loop. Both take scale-appropriate defaults when Shards > 0.
+	// SRQDepth bounds the receive WQEs pooled in each shard's shared receive
+	// queue (default 4096 when Shards > 0); the refill loop wakes at the low
+	// watermark SRQDepth/8.
 	SRQDepth int
-	SRQLimit int
 
 	// Multiplex shares one server-side queue pair per dispatch shard across
 	// every client on it (DCT-style): clients attach lightweight endpoints
@@ -137,6 +133,10 @@ type Config struct {
 	QuarantineThreshold int
 }
 
+// maxBulk is the largest single bulk payload (rtmax/wtmax analogue): what a
+// Read-Read server stages for a reply whose size it cannot know in advance.
+const maxBulk = 1 << 20
+
 // hasSerial reports whether the serialized-path model is enabled.
 func (c *Config) hasSerial() bool {
 	return c.SerialBase > 0 || c.SerialPerByteNs > 0 || c.SerializeSyncRead
@@ -155,9 +155,6 @@ func (c *Config) defaults() {
 	if c.Credits <= 0 {
 		c.Credits = 32
 	}
-	if c.MaxBulk <= 0 {
-		c.MaxBulk = 1 << 20
-	}
 	if c.Workers <= 0 {
 		c.Workers = 8
 	}
@@ -170,13 +167,8 @@ func (c *Config) defaults() {
 	if c.Multiplex && c.Shards <= 0 {
 		c.Shards = 8
 	}
-	if c.Shards > 0 {
-		if c.SRQDepth <= 0 {
-			c.SRQDepth = 4096
-		}
-		if c.SRQLimit <= 0 {
-			c.SRQLimit = c.SRQDepth / 8
-		}
+	if c.Shards > 0 && c.SRQDepth <= 0 {
+		c.SRQDepth = 4096
 	}
 }
 
@@ -437,10 +429,6 @@ func (t *ClientTransport) Roundtrip(p *des.Proc, req *oncrpc.Request) (*oncrpc.R
 
 	t.pending[req.XID] = pend
 	wire := hdr.message(inline)
-	if p.Logging() {
-		p.Logf("rpcrdma call xid=%#x type=%v inline=%dB readsegs=%d writesegs=%d",
-			req.XID, hdr.Type, len(inline), len(hdr.ReadList), len(hdr.WriteList))
-	}
 	attempt := 0
 	t.armTimer(&pend.done, t.attemptTimeout(attempt))
 	t.send(req.XID, wire)
@@ -497,9 +485,6 @@ func (t *ClientTransport) Roundtrip(p *des.Proc, req *oncrpc.Request) (*oncrpc.R
 	}
 	delete(t.pending, req.XID)
 	pend.aborted = true
-	if p.Logging() {
-		p.Logf("rpcrdma done xid=%#x bulk=%dB err=%v", req.XID, res.bulkLen, res.err)
-	}
 	// A reply handler still pulling chunks for this call owns the buffer
 	// release from here on (see handleReply), so its in-flight RDMA Reads
 	// cannot land in recycled staging. The staging copy still happens here,

@@ -576,10 +576,6 @@ func (s *ServerTransport) handle(p *des.Proc, task *serverTask, w *nfsd) {
 		return
 	}
 	s.Requests++
-	if p.Logging() {
-		p.Logf("rpcrdma serve xid=%#x type=%v readsegs=%d writesegs=%d",
-			hdr.XID, hdr.Type, len(hdr.ReadList), len(hdr.WriteList))
-	}
 	s.node.CPU.Work(p, s.cfg.PerOpCPU)
 
 	// --- Receive path ---
@@ -665,7 +661,7 @@ func (s *ServerTransport) handle(p *des.Proc, task *serverTask, w *nfsd) {
 		recvCap += int(seg.Length)
 	}
 	if s.cfg.Design == ReadRead {
-		recvCap = s.cfg.MaxBulk
+		recvCap = maxBulk
 	}
 	var replyStaging *memreg.Chunk
 	var replyBuf *oncrpc.Bulk
@@ -1108,17 +1104,6 @@ func postWithEvent(conn *serverConn, w *ibsim.SendWQE, ev *des.Event) {
 // each shard's SRQ (counted at its allocated high-water) but still pays one
 // QP context per connection; multiplexing collapses even that to one shared
 // QP context plus a slot entry per endpoint — O(shards), not O(connections).
-// PerConnRecvBytes is what one dedicated (non-multiplexed, non-sharded)
-// connection pins on the server: a QP context plus a private receive ring of
-// Credits buffers. Capacity tables use it as the O(connections) yardstick
-// that RecvStateBytes is measured against.
-func PerConnRecvBytes(cfg Config) int64 {
-	if cfg.Credits <= 0 {
-		cfg.Credits = 32 // defaults() mirror; Config may be pre-resolution
-	}
-	return ibsim.QPContextBytes + int64(cfg.Credits*cfg.recvBufSize())
-}
-
 func (s *ServerTransport) RecvStateBytes() int64 {
 	var n int64
 	if len(s.shards) > 0 {

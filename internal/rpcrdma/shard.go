@@ -68,7 +68,7 @@ func newServerShard(s *ServerTransport, id int) *serverShard {
 		track: fmt.Sprintf("%s/shard%d", node.Name(), id),
 	}
 	sh.srq = ibsim.NewSRQ(node, fmt.Sprintf("%s/shard%d/srq", node.Name(), id),
-		ibsim.SRQConfig{Depth: s.cfg.SRQDepth, Limit: s.cfg.SRQLimit})
+		ibsim.SRQConfig{Depth: s.cfg.SRQDepth, Limit: s.cfg.SRQDepth / 8})
 	for sh.srq.PostRecv(sh.nextWRID, s.cfg.recvBufSize()) {
 		sh.nextWRID++
 	}

@@ -52,10 +52,10 @@ type Config struct {
 
 	// Workers is the server worker pool size.
 	Workers int
-
-	// MaxBulk bounds a reply payload.
-	MaxBulk int
 }
+
+// maxBulk bounds a reply payload.
+const maxBulk = 1 << 20
 
 func (c *Config) defaults() {
 	if c.MSS <= 0 {
@@ -69,9 +69,6 @@ func (c *Config) defaults() {
 	}
 	if c.Workers <= 0 {
 		c.Workers = 8
-	}
-	if c.MaxBulk <= 0 {
-		c.MaxBulk = 1 << 20
 	}
 }
 
@@ -268,7 +265,7 @@ func (l *Listener) handle(p *des.Proc, msg *message) {
 	l.node.CPU.Work(p, l.cfg.PerOpCPU)
 	reply, bulkOut, err := l.dispatcher.Dispatch(p, msg.hdr, oncrpc.DispatchOpts{
 		Bulk:        msg.bulk,
-		RecvBulkCap: l.cfg.MaxBulk,
+		RecvBulkCap: maxBulk,
 	})
 	if err != nil || reply == nil {
 		// nil reply: duplicate of a call still executing — drop silently.

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"strings"
 )
 
@@ -109,6 +110,24 @@ func (r *Report) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(r)
+}
+
+// WriteFile writes the report to path: the full JSON report when path ends
+// in ".json", the CSV series otherwise.
+func (r *Report) WriteFile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if strings.HasSuffix(path, ".json") {
+		err = r.WriteJSON(f)
+	} else {
+		err = r.WriteCSV(f)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // sparkRunes are the eight vertical-bar glyphs a sparkline is built from.

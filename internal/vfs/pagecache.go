@@ -6,6 +6,10 @@ import (
 	"repro/internal/des"
 )
 
+// readAhead is the sequential prefetch window; it must span enough stripe
+// units that a single sequential reader drives all array disks.
+const readAhead = 2 << 20
+
 // PageCacheConfig sizes the server page cache.
 type PageCacheConfig struct {
 	// CapacityBytes is the memory available for cached file pages (server
@@ -15,9 +19,6 @@ type PageCacheConfig struct {
 	// PageSize is the cache granule. 64 KiB keeps simulations fast while
 	// preserving hit/miss behaviour at the record sizes the paper uses.
 	PageSize int
-	// ReadAhead is the sequential prefetch window; it must span enough
-	// stripe units that a single sequential reader drives all array disks.
-	ReadAhead int
 	// DirtyLimitBytes throttles writers once this much dirty data
 	// accumulates (writeback then happens on the writer's clock).
 	DirtyLimitBytes int64
@@ -29,9 +30,6 @@ func (c *PageCacheConfig) defaults() {
 	}
 	if c.PageSize <= 0 {
 		c.PageSize = 64 << 10
-	}
-	if c.ReadAhead <= 0 {
-		c.ReadAhead = 2 << 20
 	}
 	if c.DirtyLimitBytes <= 0 {
 		c.DirtyLimitBytes = c.CapacityBytes / 4
@@ -144,7 +142,7 @@ func (c *PageCache) Read(p *des.Proc, id FileID, off int64, n int) {
 		// continues the previous read.
 		raPages := int64(0)
 		if missStart*ps <= c.nextSeq[id] && c.nextSeq[id] <= missEnd*ps+ps {
-			raPages = int64(c.cfg.ReadAhead) / ps
+			raPages = readAhead / ps
 		}
 		c.disk.Read(p, diskOffset(id, missStart, c.cfg.PageSize), int((count+raPages)*ps))
 		for pg := missStart; pg <= missEnd+raPages; pg++ {

@@ -22,41 +22,20 @@ type ChaosOracle interface {
 	Violation(format string, args ...any)
 }
 
-// ChaosLoadConfig parameterizes the chaos workload: per client, Workers
-// procs stripe FileSync record writes across one file for Rounds passes
-// (each round writing a fresh value per record), with periodic read-back
-// checks; client 0 additionally drives a RENAME chain — the operation whose
-// replay semantics across DRC loss the oracle judges. After all drivers
-// finish, a verify pass reads every record back through the protocol.
-type ChaosLoadConfig struct {
-	Workers int // writer procs per client
-	Records int // records per client file
-	Rounds  int // full passes over the records
-	RecSize int // bytes per record
-	Renames int // length of the rename chain (client 0)
-	Think   des.Duration
-}
-
-func (c *ChaosLoadConfig) defaults() {
-	if c.Workers <= 0 {
-		c.Workers = 2
-	}
-	if c.Records <= 0 {
-		c.Records = 6
-	}
-	if c.Rounds <= 0 {
-		c.Rounds = 3
-	}
-	if c.RecSize <= 0 {
-		c.RecSize = 4096
-	}
-	if c.Renames <= 0 {
-		c.Renames = 8
-	}
-	if c.Think <= 0 {
-		c.Think = 20 * time.Microsecond
-	}
-}
+// The chaos workload's shape: per client, chaosWorkers procs stripe FileSync
+// record writes across one file for chaosRounds passes (each round writing a
+// fresh value per record), with periodic read-back checks; client 0
+// additionally drives a RENAME chain — the operation whose replay semantics
+// across DRC loss the oracle judges. After all drivers finish, a verify pass
+// reads every record back through the protocol.
+const (
+	chaosWorkers = 2    // writer procs per client
+	chaosRecords = 6    // records per client file
+	chaosRounds  = 3    // full passes over the records
+	chaosRecSize = 4096 // bytes per record
+	chaosRenames = 8    // length of the rename chain (client 0)
+	chaosThink   = 20 * time.Microsecond
+)
 
 // ChaosLoadResult aggregates the drivers' outcomes. Integrity verdicts live
 // in the oracle, not here.
@@ -87,8 +66,7 @@ func isNoEnt(err error) bool {
 // (recovery must already be enabled on every client). It returns after the
 // final verify pass; every byte observed by a READ has been checked against
 // o.
-func RunChaosLoad(p *des.Proc, cluster *core.Cluster, cfg ChaosLoadConfig, o ChaosOracle) (ChaosLoadResult, error) {
-	cfg.defaults()
+func RunChaosLoad(p *des.Proc, cluster *core.Cluster, o ChaosOracle) (ChaosLoadResult, error) {
 	var res ChaosLoadResult
 
 	// Telemetry (nil engine when disabled): the acked-write rate is the
@@ -115,14 +93,14 @@ func RunChaosLoad(p *des.Proc, cluster *core.Cluster, cfg ChaosLoadConfig, o Cha
 
 	// Writers and the rename chain run concurrently, so scheduled faults
 	// land on in-flight WRITEs and RENAMEs alike.
-	writers := len(cluster.Clients) * cfg.Workers
+	writers := len(cluster.Clients) * chaosWorkers
 	parallel(p, "chaos-driver", writers+1, func(wp *des.Proc, i int) {
 		if i == writers {
-			res.renameChain(wp, cluster.Clients[0], cfg, o)
+			res.renameChain(wp, cluster.Clients[0], o)
 			return
 		}
-		ci, wi := i/cfg.Workers, i%cfg.Workers
-		res.writer(wp, cluster.Clients[ci], files[ci], names[ci], ci, wi, cfg, o)
+		ci, wi := i/chaosWorkers, i%chaosWorkers
+		res.writer(wp, cluster.Clients[ci], files[ci], names[ci], ci, wi, o)
 	})
 
 	// End-of-run verify: every record of every file, read back through the
@@ -130,13 +108,13 @@ func RunChaosLoad(p *des.Proc, cluster *core.Cluster, cfg ChaosLoadConfig, o Cha
 	// inside the workload horizon) and every crash restarts, so reads
 	// eventually succeed; the retry budget is generous, not infinite.
 	for ci, cl := range cluster.Clients {
-		buf := cl.NewMaterializedBuffer(cfg.RecSize)
-		for rec := 0; rec < cfg.Records; rec++ {
+		buf := cl.NewMaterializedBuffer(chaosRecSize)
+		for rec := 0; rec < chaosRecords; rec++ {
 			fillBytes(buf.Bytes(), 0)
-			off := int64(rec) * int64(cfg.RecSize)
+			off := int64(rec) * int64(chaosRecSize)
 			ok := false
 			for attempt := 0; attempt < 60; attempt++ {
-				_, _, err := files[ci].ReadAt(p, buf, 0, off, cfg.RecSize, false)
+				_, _, err := files[ci].ReadAt(p, buf, 0, off, chaosRecSize, false)
 				if err == nil {
 					ok = true
 					break
@@ -149,31 +127,31 @@ func RunChaosLoad(p *des.Proc, cluster *core.Cluster, cfg ChaosLoadConfig, o Cha
 				continue
 			}
 			res.VerifyReads++
-			o.ReadObserved(names[ci], rec, buf.Bytes()[:cfg.RecSize])
+			o.ReadObserved(names[ci], rec, buf.Bytes()[:chaosRecSize])
 		}
 	}
 	return res, nil
 }
 
-// writer is one striped record writer: records wi, wi+Workers, ... of the
-// client's file, Rounds passes, FileSync, read-back check every third write.
+// writer is one striped record writer: records wi, wi+chaosWorkers, ... of the
+// client's file, chaosRounds passes, FileSync, read-back check every third write.
 // A record whose write fails terminally is RETIRED — never written again —
 // so its unresolved value stays legal in the oracle forever (see
 // Oracle.WriteFailed).
-func (res *ChaosLoadResult) writer(wp *des.Proc, cl *core.Client, f *core.File, name string, ci, wi int, cfg ChaosLoadConfig, o ChaosOracle) {
-	buf := cl.NewMaterializedBuffer(cfg.RecSize)
+func (res *ChaosLoadResult) writer(wp *des.Proc, cl *core.Client, f *core.File, name string, ci, wi int, o ChaosOracle) {
+	buf := cl.NewMaterializedBuffer(chaosRecSize)
 	retired := make(map[int]bool)
 	ops := 0
-	for round := 0; round < cfg.Rounds; round++ {
-		for rec := wi; rec < cfg.Records; rec += cfg.Workers {
+	for round := 0; round < chaosRounds; round++ {
+		for rec := wi; rec < chaosRecords; rec += chaosWorkers {
 			if retired[rec] {
 				continue
 			}
 			val := chaosFill(ci, rec, round)
 			fillBytes(buf.Bytes(), val)
-			off := int64(rec) * int64(cfg.RecSize)
+			off := int64(rec) * int64(chaosRecSize)
 			o.WriteIssued(name, rec, val)
-			_, err := f.WriteAt(wp, buf, 0, off, cfg.RecSize, true)
+			_, err := f.WriteAt(wp, buf, 0, off, chaosRecSize, true)
 			if err != nil {
 				o.WriteFailed(name, rec, val)
 				res.WritesFailed++
@@ -185,16 +163,14 @@ func (res *ChaosLoadResult) writer(wp *des.Proc, cl *core.Client, f *core.File, 
 			ops++
 			if ops%3 == 0 {
 				fillBytes(buf.Bytes(), 0)
-				if _, _, rerr := f.ReadAt(wp, buf, 0, off, cfg.RecSize, false); rerr != nil {
+				if _, _, rerr := f.ReadAt(wp, buf, 0, off, chaosRecSize, false); rerr != nil {
 					res.ReadsFailed++
 				} else {
-					o.ReadObserved(name, rec, buf.Bytes()[:cfg.RecSize])
+					o.ReadObserved(name, rec, buf.Bytes()[:chaosRecSize])
 					res.ReadsChecked++
 				}
 			}
-			if cfg.Think > 0 {
-				wp.Sleep(cfg.Think)
-			}
+			wp.Sleep(chaosThink)
 		}
 	}
 }
@@ -205,13 +181,13 @@ func (res *ChaosLoadResult) writer(wp *des.Proc, cl *core.Client, f *core.File, 
 // DRC a recovery replay is answered from the cache; across a server crash
 // the DRC is legitimately gone and the replay re-executes — the oracle
 // decides which case an observed ENOENT was.
-func (res *ChaosLoadResult) renameChain(wp *des.Proc, cl *core.Client, cfg ChaosLoadConfig, o ChaosOracle) {
+func (res *ChaosLoadResult) renameChain(wp *des.Proc, cl *core.Client, o ChaosOracle) {
 	if _, err := cl.Create(wp, "chain.0"); err != nil {
 		o.Violation("rename chain: create chain.0: %v", err)
 		return
 	}
 	cur := "chain.0"
-	for k := 1; k <= cfg.Renames; k++ {
+	for k := 1; k <= chaosRenames; k++ {
 		next := fmt.Sprintf("chain.%d", k)
 		for attempt := 0; ; attempt++ {
 			start := wp.Now()
@@ -246,9 +222,7 @@ func (res *ChaosLoadResult) renameChain(wp *des.Proc, cl *core.Client, cfg Chaos
 			}
 			wp.Sleep(200 * time.Microsecond)
 		}
-		if cfg.Think > 0 {
-			wp.Sleep(cfg.Think)
-		}
+		wp.Sleep(chaosThink)
 	}
 }
 

@@ -104,6 +104,15 @@ const (
 // NewCluster builds a simulated NFS deployment per cfg.
 func NewCluster(cfg Config) *Cluster { return core.NewCluster(cfg) }
 
+// Parsers: the inverses of Transport.String, Design.String, RegMode.String
+// and Profile.Name, for front ends that take a configuration as text.
+var (
+	ParseTransport = core.ParseTransport
+	ParseDesign    = rpcrdma.ParseDesign
+	ParseRegMode   = memreg.ParseMode
+	ParseProfile   = profiles.Parse
+)
+
 // Testbed profiles.
 var (
 	// SolarisSDR is the OpenSolaris SDR testbed of §5.1/§5.2.

@@ -39,10 +39,17 @@ fmt:
 # The chaos package's soak test widens with CHAOS_SEEDS, e.g.:
 #
 #     CHAOS_SEEDS=256 make check
+#
+# Last, each fuzz target gets ten seconds beyond its seed corpus (plain
+# `go test` runs only the seeds). A failing input is written to the
+# package's testdata/fuzz/, where it becomes a seed once committed.
 check: fmt vet
 	$(GO) test -race $$($(GO) list ./... | grep -v '/internal/experiments$$')
 	$(GO) test -race ./internal/experiments/
 	$(GO) test -run 'TestCapacityReplyFetchServerCPU512' ./internal/experiments/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCall$$' -fuzztime=10s ./internal/oncrpc/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeHeaderInto$$' -fuzztime=10s ./internal/rpcrdma/
+	$(GO) test -run '^$$' -fuzz '^FuzzDispatch$$' -fuzztime=10s ./internal/nfs3/
 
 # loc prints the count ROADMAP.md tracks: non-blank, non-comment lines of
 # non-test Go outside benchmark/.

@@ -31,9 +31,9 @@ func TestAllocsPerRPC(t *testing.T) {
 		design               rpcrdma.Design
 		null, read, physRead float64
 	}{
-		{rpcrdma.ReadWrite, 11, 23, 22},  // measured 10.00, 22.00 and 21.09
-		{rpcrdma.ReadRead, 19, 35, 38},   // 18.24, 34.25 and 37.63
-		{rpcrdma.ReplyFetch, 30, 43, 40}, // 29.00, 42.00 and 39.17
+		{rpcrdma.ReadWrite, 7, 16, 15},   // measured 6.00, 15.00 and 14.22
+		{rpcrdma.ReadRead, 15, 28, 32},   // 14.24, 27.25 and 31.57
+		{rpcrdma.ReplyFetch, 26, 36, 33}, // 25.00, 35.00 and 32.28
 	}
 	for _, pin := range pins {
 		null, read := allocsPerRPC(t, pin.design, memreg.Regular, 8<<10, true, false)

@@ -94,9 +94,9 @@ type blackholeService struct{}
 func (blackholeService) Name() string    { return "blackhole" }
 func (blackholeService) Program() uint32 { return 100003 }
 func (blackholeService) Version() uint32 { return 3 }
-func (blackholeService) Handle(p *des.Proc, req *oncrpc.ServerRequest) *oncrpc.ServerResponse {
+func (blackholeService) Handle(p *des.Proc, req *oncrpc.ServerRequest) oncrpc.ServerResponse {
 	p.Sleep(des.Duration(time.Hour))
-	return nil
+	return oncrpc.ServerResponse{}
 }
 
 // TestRecoveryPropagatesRetriesExhausted pins the typed-error contract

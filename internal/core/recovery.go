@@ -60,7 +60,12 @@ type recoveringTransport struct {
 	replays    int64
 }
 
-var _ oncrpc.Transport = (*recoveringTransport)(nil)
+var _ oncrpc.Framer = (*recoveringTransport)(nil)
+
+// Room implements oncrpc.Framer for the RDMA transport underneath. A replay
+// frames the call again on a fresh connection, and gets its own copy of the
+// call for that (oncrpc.Request.Frame).
+func (r *recoveringTransport) Room(req *oncrpc.Request) int { return r.cl.RDMA.Room(req) }
 
 // isTransportError reports whether err means the connection (not the call)
 // failed: such calls are safe to replay on a fresh connection because the

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 	"time"
@@ -8,8 +9,10 @@ import (
 	"repro/internal/des"
 	"repro/internal/memreg"
 	"repro/internal/nfs3"
+	"repro/internal/oncrpc"
 	"repro/internal/profiles"
 	"repro/internal/rpcrdma"
+	"repro/internal/trace"
 )
 
 // recoveryProfile is LinuxSDR with per-call timeouts armed, so calls whose
@@ -202,4 +205,109 @@ func TestRecoverySurfacesErrorWhenExhausted(t *testing.T) {
 		}
 	})
 	cluster.RunUntil(des.Time(time.Second))
+}
+
+// loseFirstCall is the NFS service of a server whose connection dies while it
+// executes the first call of procedure proc it is handed, so that call's
+// reply is lost and the client replays it on a new connection. It records
+// what each execution of proc was handed; Args is a slice of the Send that
+// carried the call.
+type loseFirstCall struct {
+	*nfs3.Server
+	proc  uint32
+	kill  func(xid uint32)
+	xids  []uint32
+	args  [][]byte
+	first []byte // the first call's arguments as they were received
+}
+
+func (s *loseFirstCall) Handle(p *des.Proc, req *oncrpc.ServerRequest) oncrpc.ServerResponse {
+	if req.Header.Proc == s.proc {
+		s.xids = append(s.xids, req.Header.XID)
+		s.args = append(s.args, req.Args)
+		if len(s.xids) == 1 {
+			s.first = bytes.Clone(req.Args)
+			s.kill(req.Header.XID)
+		}
+	}
+	return s.Server.Handle(p, req)
+}
+
+// TestReplayFramesACopy: the recovery layer replays a call on a fresh
+// connection in a copy of the call, not in the buffer of the Send already
+// posted, whose room that Send's header took: the first Send's bytes are
+// unchanged once the replay is served, and both executions were handed the
+// same XID and arguments. The all-physical READ advertises more write-list
+// segments than its room counted, so framing slid the call inside its buffer
+// and the replay must copy the call from where it now lies.
+func TestReplayFramesACopy(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mode memreg.Mode
+		proc uint32
+	}{
+		{"getattr", memreg.Regular, nfs3.ProcGetAttr},
+		{"read all-physical", memreg.AllPhysical, nfs3.ProcRead},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cluster := NewCluster(Config{
+				Profile: recoveryProfile(), Transport: TransportRDMA,
+				Design: rpcrdma.ReadWrite, RegMode: tc.mode, CopyData: true,
+			})
+			tr := trace.New(0)
+			cluster.Sim.SetTracer(tr)
+			cl := cluster.Clients[0]
+			cluster.Start("t", func(p *des.Proc) {
+				const size = 64 << 10
+				f, err := cl.Create(p, "f")
+				if err != nil {
+					t.Fatalf("create: %v", err)
+				}
+				buf := cl.NewMaterializedBuffer(size)
+				if _, err := f.WriteAt(p, buf, 0, 0, size, true); err != nil {
+					t.Fatalf("write: %v", err)
+				}
+				segs := 0 // segments the first attempt advertised
+				svc := &loseFirstCall{Server: cluster.Server.NFS, proc: tc.proc, kill: func(xid uint32) {
+					for _, e := range tr.Events() {
+						if e.Kind == trace.KindExpose && e.ID == uint64(xid) && e.Track == cl.Node.Name() {
+							segs++
+						}
+					}
+					cl.RDMA.QP().InjectError(nil)
+				}}
+				disp := oncrpc.NewDispatcher()
+				disp.Register(svc)
+				mgr := memreg.NewManager(p, cluster.Server.Node, memreg.Config{Mode: tc.mode})
+				cluster.Server.RDMA = rpcrdma.NewServerTransport(p, cluster.Server.Node, mgr, disp, cluster.serverRDMACfg)
+				cl.EnableRecovery(RetryPolicy{})
+				breakConnection(p, cl) // the next call dials the server above
+
+				if tc.proc == nfs3.ProcRead {
+					_, _, err = f.ReadAt(p, buf, 0, 0, size, false)
+					if segs < 2 {
+						t.Errorf("the READ advertised %d segments, want several (no slide)", segs)
+					}
+				} else {
+					_, err = cl.NFS.GetAttr(p, f.FH())
+				}
+				if err != nil {
+					t.Fatalf("call across the lost reply: %v", err)
+				}
+				if len(svc.xids) != 2 || svc.xids[0] != svc.xids[1] || !bytes.Equal(svc.args[1], svc.first) {
+					t.Fatalf("executions: XIDs %x, arguments %x, want the same call twice", svc.xids, svc.args)
+				}
+				if !bytes.Equal(svc.args[0], svc.first) {
+					t.Errorf("the first Send changed under the replay: %x, was %x", svc.args[0], svc.first)
+				}
+				if &svc.args[0][0] == &svc.args[1][0] {
+					t.Error("the replay was framed in the first Send's buffer")
+				}
+				if _, replays := cl.RecoveryStats(); replays == 0 {
+					t.Error("the call was not replayed")
+				}
+			})
+			cluster.Run()
+		})
+	}
 }

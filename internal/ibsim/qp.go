@@ -275,6 +275,9 @@ func (cq *CQ) release() {
 // hand gives c to the consumer, remembering it if it is the CQ's to reuse.
 func (cq *CQ) hand(c *CQE) *CQE {
 	cq.consumed(c)
+	if guardSend != nil {
+		guardSend(nil, nil, c)
+	}
 	if c.pooled {
 		cq.held = c
 	}
@@ -478,6 +481,12 @@ func (q *QP) takeRecv() (RecvWQE, bool) {
 	return r, true
 }
 
+// guardSend, which tests set, is shown every Send as q posts it and every
+// completion as its consumer takes it (q and w nil), so that it can check
+// that a posted buffer belongs to the fabric and is never written again. Off,
+// it costs a branch.
+var guardSend func(q *QP, w *SendWQE, c *CQE)
+
 // PostSend enqueues a work request for the send engine. Posting to a closed
 // endpoint completes the request with a flush error instead of panicking:
 // with connection recovery in play, a reply handler or retransmission timer
@@ -487,6 +496,9 @@ func (q *QP) PostSend(w *SendWQE) {
 		panic(fmt.Sprintf("ibsim: PostSend on %s of a %v request that is %v", q.track, w.Op, w.state))
 	}
 	w.state, w.attempt = wqeInFlight, 0
+	if guardSend != nil && w.Op == OpSend {
+		guardSend(q, w, nil)
+	}
 	if q.closed {
 		q.complete(w, fmt.Errorf("%w: flushed", ErrQPError), 0)
 		return

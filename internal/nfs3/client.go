@@ -58,7 +58,7 @@ func (c *Client) Latency(proc uint32) *stats.Histogram {
 }
 
 // call wraps the RPC with latency recording and procedure-span tracing.
-func (c *Client) call(p *des.Proc, proc uint32, args []byte, opts oncrpc.CallOpts) ([]byte, int, error) {
+func (c *Client) call(p *des.Proc, proc uint32, args func(*xdr.Encoder), opts oncrpc.CallOpts) ([]byte, int, error) {
 	var tr *trace.Tracer
 	if c.sim != nil {
 		tr = c.sim.Tracer()
@@ -96,21 +96,6 @@ func (c *Client) Close() { c.rpc.Close() }
 // XID continuity.
 func (c *Client) SetTransport(t oncrpc.Transport) { c.rpc.SetTransport(t) }
 
-// argsCap and resultsCap start the argument and result encoders at a
-// capacity only READDIR[PLUS] and READLINK results and calls carrying long
-// names outgrow: a CREATE call is 72 bytes plus its name, the largest
-// fixed-size result (RENAME, two wcc_data) 236.
-const (
-	argsCap    = 128
-	resultsCap = 240
-)
-
-func enc(fn func(e *xdr.Encoder)) []byte {
-	e := xdr.NewEncoder(make([]byte, 0, argsCap))
-	fn(e)
-	return e.Bytes()
-}
-
 // Null performs NULL (transport ping).
 func (c *Client) Null(p *des.Proc) error {
 	_, _, err := c.call(p, ProcNull, nil, oncrpc.CallOpts{})
@@ -119,7 +104,7 @@ func (c *Client) Null(p *des.Proc) error {
 
 // GetAttr performs GETATTR.
 func (c *Client) GetAttr(p *des.Proc, fh FH) (FAttr, error) {
-	res, _, err := c.call(p, ProcGetAttr, enc(func(e *xdr.Encoder) { (&GetAttrArgs{FH: fh}).Encode(e) }), oncrpc.CallOpts{})
+	res, _, err := c.call(p, ProcGetAttr, (&GetAttrArgs{FH: fh}).Encode, oncrpc.CallOpts{})
 	if err != nil {
 		return FAttr{}, err
 	}
@@ -133,7 +118,7 @@ func (c *Client) GetAttr(p *des.Proc, fh FH) (FAttr, error) {
 // SetAttr performs SETATTR.
 func (c *Client) SetAttr(p *des.Proc, fh FH, attr SAttr) error {
 	args := SetAttrArgs{FH: fh, Attr: attr}
-	res, _, err := c.call(p, ProcSetAttr, enc(args.Encode), oncrpc.CallOpts{})
+	res, _, err := c.call(p, ProcSetAttr, args.Encode, oncrpc.CallOpts{})
 	if err != nil {
 		return err
 	}
@@ -147,7 +132,7 @@ func (c *Client) SetAttr(p *des.Proc, fh FH, attr SAttr) error {
 // Lookup performs LOOKUP.
 func (c *Client) Lookup(p *des.Proc, dir FH, name string) (FH, FAttr, error) {
 	args := DirOpArgs{Dir: dir, Name: name}
-	res, _, err := c.call(p, ProcLookup, enc(args.Encode), oncrpc.CallOpts{})
+	res, _, err := c.call(p, ProcLookup, args.Encode, oncrpc.CallOpts{})
 	if err != nil {
 		return FH{}, FAttr{}, err
 	}
@@ -161,7 +146,7 @@ func (c *Client) Lookup(p *des.Proc, dir FH, name string) (FH, FAttr, error) {
 // Access performs ACCESS.
 func (c *Client) Access(p *des.Proc, fh FH, mask uint32) (uint32, error) {
 	args := AccessArgs{FH: fh, Access: mask}
-	res, _, err := c.call(p, ProcAccess, enc(args.Encode), oncrpc.CallOpts{})
+	res, _, err := c.call(p, ProcAccess, args.Encode, oncrpc.CallOpts{})
 	if err != nil {
 		return 0, err
 	}
@@ -176,7 +161,7 @@ func (c *Client) Access(p *des.Proc, fh FH, mask uint32) (uint32, error) {
 // inline threshold, exercising the transport's long-reply path.
 func (c *Client) ReadLink(p *des.Proc, fh FH) (string, error) {
 	res, _, err := c.call(p, ProcReadLink,
-		enc(func(e *xdr.Encoder) { (&GetAttrArgs{FH: fh}).Encode(e) }),
+		(&GetAttrArgs{FH: fh}).Encode,
 		oncrpc.CallOpts{LongReplyCap: 4096})
 	if err != nil {
 		return "", err
@@ -194,7 +179,7 @@ func (c *Client) ReadLink(p *des.Proc, fh FH) (string, error) {
 // application memory for the zero-copy path.
 func (c *Client) Read(p *des.Proc, fh FH, offset uint64, dst *oncrpc.Bulk, directIO bool) (ReadRes, error) {
 	args := ReadArgs{FH: fh, Offset: offset, Count: uint32(dst.Len)}
-	res, n, err := c.call(p, ProcRead, enc(args.Encode), oncrpc.CallOpts{
+	res, n, err := c.call(p, ProcRead, args.Encode, oncrpc.CallOpts{
 		RecvBulk: dst,
 		DirectIO: directIO,
 	})
@@ -215,7 +200,7 @@ func (c *Client) Read(p *des.Proc, fh FH, offset uint64, dst *oncrpc.Bulk, direc
 // Write performs WRITE. src describes the payload source.
 func (c *Client) Write(p *des.Proc, fh FH, offset uint64, src *oncrpc.Bulk, stable uint32) (WriteRes, error) {
 	args := WriteArgs{FH: fh, Offset: offset, Count: uint32(src.Len), Stable: stable}
-	res, _, err := c.call(p, ProcWrite, enc(args.Encode), oncrpc.CallOpts{
+	res, _, err := c.call(p, ProcWrite, args.Encode, oncrpc.CallOpts{
 		SendBulk: src,
 	})
 	if err != nil {
@@ -231,7 +216,7 @@ func (c *Client) Write(p *des.Proc, fh FH, offset uint64, src *oncrpc.Bulk, stab
 // Create performs CREATE (UNCHECKED).
 func (c *Client) Create(p *des.Proc, dir FH, name string, mode uint32) (FH, FAttr, error) {
 	args := CreateArgs{Where: DirOpArgs{Dir: dir, Name: name}, Attr: SAttr{Mode: &mode}}
-	res, _, err := c.call(p, ProcCreate, enc(args.Encode), oncrpc.CallOpts{})
+	res, _, err := c.call(p, ProcCreate, args.Encode, oncrpc.CallOpts{})
 	if err != nil {
 		return FH{}, FAttr{}, err
 	}
@@ -245,7 +230,7 @@ func (c *Client) Create(p *des.Proc, dir FH, name string, mode uint32) (FH, FAtt
 // Mkdir performs MKDIR.
 func (c *Client) Mkdir(p *des.Proc, dir FH, name string, mode uint32) (FH, FAttr, error) {
 	args := MkdirArgs{Where: DirOpArgs{Dir: dir, Name: name}, Attr: SAttr{Mode: &mode}}
-	res, _, err := c.call(p, ProcMkdir, enc(args.Encode), oncrpc.CallOpts{})
+	res, _, err := c.call(p, ProcMkdir, args.Encode, oncrpc.CallOpts{})
 	if err != nil {
 		return FH{}, FAttr{}, err
 	}
@@ -259,7 +244,7 @@ func (c *Client) Mkdir(p *des.Proc, dir FH, name string, mode uint32) (FH, FAttr
 // Symlink performs SYMLINK.
 func (c *Client) Symlink(p *des.Proc, dir FH, name, target string) (FH, error) {
 	args := SymlinkArgs{Where: DirOpArgs{Dir: dir, Name: name}, Target: target}
-	res, _, err := c.call(p, ProcSymlink, enc(args.Encode), oncrpc.CallOpts{})
+	res, _, err := c.call(p, ProcSymlink, args.Encode, oncrpc.CallOpts{})
 	if err != nil {
 		return FH{}, err
 	}
@@ -273,7 +258,7 @@ func (c *Client) Symlink(p *des.Proc, dir FH, name, target string) (FH, error) {
 // Remove performs REMOVE.
 func (c *Client) Remove(p *des.Proc, dir FH, name string) error {
 	args := DirOpArgs{Dir: dir, Name: name}
-	res, _, err := c.call(p, ProcRemove, enc(args.Encode), oncrpc.CallOpts{})
+	res, _, err := c.call(p, ProcRemove, args.Encode, oncrpc.CallOpts{})
 	if err != nil {
 		return err
 	}
@@ -287,7 +272,7 @@ func (c *Client) Remove(p *des.Proc, dir FH, name string) error {
 // Rmdir performs RMDIR.
 func (c *Client) Rmdir(p *des.Proc, dir FH, name string) error {
 	args := DirOpArgs{Dir: dir, Name: name}
-	res, _, err := c.call(p, ProcRmdir, enc(args.Encode), oncrpc.CallOpts{})
+	res, _, err := c.call(p, ProcRmdir, args.Encode, oncrpc.CallOpts{})
 	if err != nil {
 		return err
 	}
@@ -301,7 +286,7 @@ func (c *Client) Rmdir(p *des.Proc, dir FH, name string) error {
 // Rename performs RENAME.
 func (c *Client) Rename(p *des.Proc, fromDir FH, fromName string, toDir FH, toName string) error {
 	args := RenameArgs{From: DirOpArgs{Dir: fromDir, Name: fromName}, To: DirOpArgs{Dir: toDir, Name: toName}}
-	res, _, err := c.call(p, ProcRename, enc(args.Encode), oncrpc.CallOpts{})
+	res, _, err := c.call(p, ProcRename, args.Encode, oncrpc.CallOpts{})
 	if err != nil {
 		return err
 	}
@@ -315,7 +300,7 @@ func (c *Client) Rename(p *des.Proc, fromDir FH, fromName string, toDir FH, toNa
 // Link performs LINK.
 func (c *Client) Link(p *des.Proc, fh FH, dir FH, name string) error {
 	args := LinkArgs{FH: fh, Link: DirOpArgs{Dir: dir, Name: name}}
-	res, _, err := c.call(p, ProcLink, enc(args.Encode), oncrpc.CallOpts{})
+	res, _, err := c.call(p, ProcLink, args.Encode, oncrpc.CallOpts{})
 	if err != nil {
 		return err
 	}
@@ -335,7 +320,7 @@ func (c *Client) ReadDir(p *des.Proc, dir FH, cookie uint64, count uint32, plus 
 		proc = ProcReadDirPlus
 	}
 	args := ReadDirArgs{Dir: dir, Cookie: cookie, Count: count, Plus: plus}
-	res, _, err := c.call(p, proc, enc(args.Encode), oncrpc.CallOpts{
+	res, _, err := c.call(p, proc, args.Encode, oncrpc.CallOpts{
 		LongReplyCap: int(count) + 512,
 	})
 	if err != nil {
@@ -350,7 +335,7 @@ func (c *Client) ReadDir(p *des.Proc, dir FH, cookie uint64, count uint32, plus 
 
 // FSStat performs FSSTAT.
 func (c *Client) FSStat(p *des.Proc, fh FH) (FSStatRes, error) {
-	res, _, err := c.call(p, ProcFSStat, enc(func(e *xdr.Encoder) { (&GetAttrArgs{FH: fh}).Encode(e) }), oncrpc.CallOpts{})
+	res, _, err := c.call(p, ProcFSStat, (&GetAttrArgs{FH: fh}).Encode, oncrpc.CallOpts{})
 	if err != nil {
 		return FSStatRes{}, err
 	}
@@ -363,7 +348,7 @@ func (c *Client) FSStat(p *des.Proc, fh FH) (FSStatRes, error) {
 
 // FSInfo performs FSINFO.
 func (c *Client) FSInfo(p *des.Proc, fh FH) (FSInfoRes, error) {
-	res, _, err := c.call(p, ProcFSInfo, enc(func(e *xdr.Encoder) { (&GetAttrArgs{FH: fh}).Encode(e) }), oncrpc.CallOpts{})
+	res, _, err := c.call(p, ProcFSInfo, (&GetAttrArgs{FH: fh}).Encode, oncrpc.CallOpts{})
 	if err != nil {
 		return FSInfoRes{}, err
 	}
@@ -376,7 +361,7 @@ func (c *Client) FSInfo(p *des.Proc, fh FH) (FSInfoRes, error) {
 
 // PathConf performs PATHCONF.
 func (c *Client) PathConf(p *des.Proc, fh FH) (PathConfRes, error) {
-	res, _, err := c.call(p, ProcPathConf, enc(func(e *xdr.Encoder) { (&GetAttrArgs{FH: fh}).Encode(e) }), oncrpc.CallOpts{})
+	res, _, err := c.call(p, ProcPathConf, (&GetAttrArgs{FH: fh}).Encode, oncrpc.CallOpts{})
 	if err != nil {
 		return PathConfRes{}, err
 	}
@@ -390,7 +375,7 @@ func (c *Client) PathConf(p *des.Proc, fh FH) (PathConfRes, error) {
 // Commit performs COMMIT.
 func (c *Client) Commit(p *des.Proc, fh FH, offset uint64, count uint32) (CommitRes, error) {
 	args := CommitArgs{FH: fh, Offset: offset, Count: count}
-	res, _, err := c.call(p, ProcCommit, enc(args.Encode), oncrpc.CallOpts{})
+	res, _, err := c.call(p, ProcCommit, args.Encode, oncrpc.CallOpts{})
 	if err != nil {
 		return CommitRes{}, err
 	}

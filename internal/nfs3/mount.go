@@ -75,8 +75,8 @@ func (m *MountServer) Version() uint32 { return MountVersion }
 func (m *MountServer) ActiveMounts(machine string) int { return len(m.mounts[machine]) }
 
 // Handle implements oncrpc.Service.
-func (m *MountServer) Handle(p *des.Proc, req *oncrpc.ServerRequest) *oncrpc.ServerResponse {
-	e := xdr.NewEncoder(nil)
+func (m *MountServer) Handle(p *des.Proc, req *oncrpc.ServerRequest) oncrpc.ServerResponse {
+	e := &req.Reply
 	switch req.Header.Proc {
 	case MountProcNull:
 	case MountProcMnt:
@@ -132,9 +132,9 @@ func (m *MountServer) Handle(p *des.Proc, req *oncrpc.ServerRequest) *oncrpc.Ser
 		}
 		e.Bool(false)
 	default:
-		return &oncrpc.ServerResponse{Stat: oncrpc.ProcUnavail}
+		return oncrpc.ServerResponse{Stat: oncrpc.ProcUnavail}
 	}
-	return &oncrpc.ServerResponse{Stat: oncrpc.Success, Results: e.Bytes()}
+	return oncrpc.ServerResponse{Stat: oncrpc.Success}
 }
 
 // MountClient speaks the MOUNT program.
@@ -151,9 +151,7 @@ func NewMountClient(t oncrpc.Transport, machine string) *MountClient {
 
 // Mount obtains the root file handle of the export at path.
 func (c *MountClient) Mount(p *des.Proc, path string) (FH, error) {
-	args := xdr.NewEncoder(nil)
-	args.String(path)
-	res, _, err := c.rpc.Call(p, MountProcMnt, args.Bytes(), oncrpc.CallOpts{})
+	res, _, err := c.rpc.Call(p, MountProcMnt, func(e *xdr.Encoder) { e.String(path) }, oncrpc.CallOpts{})
 	if err != nil {
 		return FH{}, err
 	}
@@ -174,9 +172,7 @@ func (c *MountClient) Mount(p *des.Proc, path string) (FH, error) {
 
 // Unmount releases a mount record at the server.
 func (c *MountClient) Unmount(p *des.Proc, path string) error {
-	args := xdr.NewEncoder(nil)
-	args.String(path)
-	_, _, err := c.rpc.Call(p, MountProcUmnt, args.Bytes(), oncrpc.CallOpts{})
+	_, _, err := c.rpc.Call(p, MountProcUmnt, func(e *xdr.Encoder) { e.String(path) }, oncrpc.CallOpts{})
 	return err
 }
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -298,11 +297,11 @@ func TestMknodNotSupported(t *testing.T) {
 	sim, _, srv := newPair(t)
 	sim.Spawn("client", func(p *des.Proc) {
 		req := &oncrpc.ServerRequest{
-			Header: &oncrpc.CallHeader{Proc: ProcMknod},
+			Header: oncrpc.CallHeader{Proc: ProcMknod},
 			Args:   nil,
 		}
-		resp := srv.Handle(p, req)
-		r, err := DecodeWccRes(xdr.NewDecoder(resp.Results))
+		srv.Handle(p, req)
+		r, err := DecodeWccRes(xdr.NewDecoder(req.Reply.Bytes()))
 		if err != nil || r.Status != ErrNotSupp {
 			t.Errorf("mknod: %+v %v", r, err)
 		}
@@ -405,7 +404,7 @@ func TestSetAttrGuard(t *testing.T) {
 		// Guarded SETATTR with the current ctime succeeds.
 		mode := uint32(0600)
 		args := SetAttrArgs{FH: fh, Attr: SAttr{Mode: &mode}, Guard: &attr.Ctime}
-		res, _, err := c.rpc.Call(p, ProcSetAttr, enc(args.Encode), oncrpc.CallOpts{})
+		res, _, err := c.rpc.Call(p, ProcSetAttr, args.Encode, oncrpc.CallOpts{})
 		if err != nil {
 			t.Errorf("guarded setattr: %v", err)
 			return
@@ -415,7 +414,7 @@ func TestSetAttrGuard(t *testing.T) {
 			t.Errorf("matching guard rejected: %v", r.Status)
 		}
 		// The first SETATTR bumped ctime: replaying the stale guard fails.
-		res, _, err = c.rpc.Call(p, ProcSetAttr, enc(args.Encode), oncrpc.CallOpts{})
+		res, _, err = c.rpc.Call(p, ProcSetAttr, args.Encode, oncrpc.CallOpts{})
 		if err != nil {
 			t.Errorf("stale-guard call: %v", err)
 			return
@@ -428,11 +427,12 @@ func TestSetAttrGuard(t *testing.T) {
 	sim.Run()
 }
 
-// TestEncoderCapsCoverFixedMessages pins the starting capacities of the
-// argument and result encoders against the largest messages without a
-// variable-length tail: none of them may grow its buffer, so an NFS message
-// costs one allocation to encode. It also pins the handle's wire form, which
-// FH.Encode writes in place.
+// TestEncoderCapsCoverFixedMessages pins the per-procedure results sizes the
+// server gives Dispatch against each procedure's largest result without a
+// variable-length tail (READLINK and READDIR[PLUS] with an empty one): none
+// may grow the reply buffer, so a reply costs one allocation, and no hint may
+// exceed its message by more than one of the allocator's size classes. It
+// also pins the handle's wire form, which FH.Encode writes in place.
 func TestEncoderCapsCoverFixedMessages(t *testing.T) {
 	fh := FH{FSID: 0x0102030405060708, FileID: 0x1112131415161718}
 	e := xdr.NewEncoder(nil)
@@ -442,36 +442,56 @@ func TestEncoderCapsCoverFixedMessages(t *testing.T) {
 		t.Errorf("handle on the wire:\n got %x\nwant %x", e.Bytes(), want)
 	}
 
-	v32, v64 := uint32(0644), uint64(1)<<40
-	sattr := SAttr{Mode: &v32, UID: &v32, GID: &v32, Size: &v64, SetAtime: true, SetMtime: true}
 	post := PostOpAttr{Present: true}
 	wcc := WccData{PrePresent: true, Post: post}
-	name := strings.Repeat("n", 24)
-	for _, m := range []struct {
-		name   string
-		cap    int
-		encode func(*xdr.Encoder)
-	}{
-		{"SETATTR args", argsCap, (&SetAttrArgs{FH: fh, Attr: sattr, Guard: &NFSTime{}}).Encode},
-		{"CREATE args", argsCap, (&CreateArgs{Where: DirOpArgs{Dir: fh, Name: name}, Attr: sattr}).Encode},
-		{"RENAME args", argsCap, (&RenameArgs{From: DirOpArgs{Dir: fh, Name: name}, To: DirOpArgs{Dir: fh, Name: name}}).Encode},
-		{"READ args", argsCap, (&ReadArgs{FH: fh, Offset: v64, Count: 1 << 20}).Encode},
-		{"WRITE args", argsCap, (&WriteArgs{FH: fh, Offset: v64, Count: 1 << 20, Stable: FileSync}).Encode},
-		{"READ result", resultsCap, (&ReadRes{Status: OK, Attr: post, Count: 1 << 20, EOF: true}).Encode},
-		{"WRITE result", resultsCap, (&WriteRes{Status: OK, Wcc: wcc, Count: 1 << 20, Committed: FileSync, Verf: v64}).Encode},
-		{"LOOKUP result", resultsCap, (&LookupRes{Status: OK, Object: fh, ObjAttr: post, DirAttr: post}).Encode},
-		{"CREATE result", resultsCap, (&CreateRes{Status: OK, FHPresent: true, FH: fh, Attr: post, DirWcc: wcc}).Encode},
-		{"RENAME result", resultsCap, (&RenameRes{Status: OK, FromWcc: wcc, ToWcc: wcc}).Encode},
-		{"FSINFO result", resultsCap, (&FSInfoRes{Status: OK, Attr: post}).Encode},
-	} {
-		e := xdr.NewEncoder(make([]byte, 0, m.cap))
-		m.encode(e)
-		if cap(e.Bytes()) != m.cap {
-			t.Errorf("%s: %d bytes outgrew the encoder's %d", m.name, e.Len(), m.cap)
-		}
+	create := (&CreateRes{Status: OK, FHPresent: true, FH: fh, Attr: post, DirWcc: wcc}).Encode
+	results := map[uint32]func(*xdr.Encoder){
+		ProcGetAttr:     (&GetAttrRes{Status: OK}).Encode,
+		ProcSetAttr:     (&WccRes{Status: OK, Wcc: wcc}).Encode,
+		ProcLookup:      (&LookupRes{Status: OK, Object: fh, ObjAttr: post, DirAttr: post}).Encode,
+		ProcAccess:      (&AccessRes{Status: OK, Attr: post}).Encode,
+		ProcReadLink:    (&ReadLinkRes{Status: OK, Attr: post}).Encode,
+		ProcRead:        (&ReadRes{Status: OK, Attr: post, Count: 1 << 20, EOF: true}).Encode,
+		ProcWrite:       (&WriteRes{Status: OK, Wcc: wcc, Count: 1 << 20, Committed: FileSync, Verf: 1}).Encode,
+		ProcCreate:      create,
+		ProcMkdir:       create,
+		ProcSymlink:     create,
+		ProcMknod:       create,
+		ProcRemove:      (&WccRes{Status: OK, Wcc: wcc}).Encode,
+		ProcRmdir:       (&WccRes{Status: OK, Wcc: wcc}).Encode,
+		ProcRename:      (&RenameRes{Status: OK, FromWcc: wcc, ToWcc: wcc}).Encode,
+		ProcLink:        (&LinkRes{Status: OK, Attr: post, LinkWcc: wcc}).Encode,
+		ProcReadDir:     (&ReadDirRes{Status: OK, DirAttr: post}).Encode,
+		ProcReadDirPlus: (&ReadDirRes{Status: OK, DirAttr: post, Plus: true}).Encode,
+		ProcFSStat:      (&FSStatRes{Status: OK, Attr: post}).Encode,
+		ProcFSInfo:      (&FSInfoRes{Status: OK, Attr: post}).Encode,
+		ProcPathConf:    (&PathConfRes{Status: OK, Attr: post}).Encode,
+		ProcCommit:      (&CommitRes{Status: OK, Wcc: wcc}).Encode,
 	}
-	encode := (&ReadArgs{FH: fh, Offset: v64, Count: 1 << 20}).Encode
-	if allocs := testing.AllocsPerRun(100, func() { enc(encode) }); allocs > 2 {
-		t.Errorf("encoding READ args: %.0f allocs, want 2 (the encoder and its buffer)", allocs)
+	// The allocator's small size classes (runtime/sizeclasses.go).
+	classes := []int{0, 8, 16, 24, 32, 48, 64, 80, 96, 112, 128, 144, 160, 176, 192, 208, 224, 240, 256, 288, 320, 352, 384, 416, 448, 480, 512}
+	class := func(n int) int {
+		i := 0
+		for i < len(classes)-1 && classes[i] < n {
+			i++
+		}
+		return i
+	}
+	srv := NewServer(nil, ServerConfig{})
+	for proc := uint32(ProcGetAttr); proc <= ProcCommit; proc++ {
+		encode, ok := results[proc]
+		if !ok {
+			t.Errorf("%s: no result to hold its results size to", ProcName(proc))
+			continue
+		}
+		hint := srv.ResultsSize(proc)
+		e := xdr.NewEncoder(make([]byte, 0, hint))
+		encode(e)
+		if cap(e.Bytes()) != hint {
+			t.Errorf("%s: %d bytes of results outgrew the %d the server sizes them at", ProcName(proc), e.Len(), hint)
+		}
+		if class(hint) > class(e.Len())+1 {
+			t.Errorf("%s: results size %d is more than one size class above the %d-byte message", ProcName(proc), hint, e.Len())
+		}
 	}
 }

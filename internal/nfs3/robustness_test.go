@@ -1,10 +1,14 @@
 package nfs3
 
 import (
+	"bytes"
+	"encoding/binary"
+	"runtime"
 	"testing"
 
 	"repro/internal/des"
 	"repro/internal/oncrpc"
+	"repro/internal/vfs"
 	"repro/internal/xdr"
 )
 
@@ -114,14 +118,14 @@ func TestServerRejectsGarbageArgs(t *testing.T) {
 	sim.Spawn("g", func(p *des.Proc) {
 		garbage := []byte{0xde, 0xad}
 		for proc := uint32(1); proc <= ProcCommit; proc++ {
-			resp := srv.Handle(p, &oncrpc.ServerRequest{
-				Header: &oncrpc.CallHeader{Proc: proc},
+			req := &oncrpc.ServerRequest{
+				Header: oncrpc.CallHeader{Proc: proc},
 				Args:   garbage,
-			})
-			if resp.Stat != oncrpc.Success {
+			}
+			if srv.Handle(p, req).Stat != oncrpc.Success {
 				continue // RPC-level rejection is also acceptable
 			}
-			d := xdr.NewDecoder(resp.Results)
+			d := xdr.NewDecoder(req.Reply.Bytes())
 			st, err := d.Uint32()
 			if err != nil {
 				t.Errorf("proc %s: unreadable status", ProcName(proc))
@@ -133,4 +137,67 @@ func TestServerRejectsGarbageArgs(t *testing.T) {
 		}
 	})
 	sim.Run()
+}
+
+// FuzzDispatch sends a raw call through Dispatcher.Dispatch to the NFS server
+// (duplicate request cache on) twice, behind a room of 0 and of 64 bytes, as
+// the stream and RDMA transports ask for it. On any frame it must not panic
+// and must allocate at most 64 objects plus one per byte of frame; a call that
+// decodes gets a reply that DecodeReply reads, with the call's XID, and the
+// room in front of it left zero.
+func FuzzDispatch(f *testing.F) {
+	root := FH{FSID: 0x5eed, FileID: 1}
+	mode := uint32(0644)
+	for _, c := range []struct {
+		proc uint32
+		args func(*xdr.Encoder)
+	}{
+		{ProcNull, nil},
+		{ProcGetAttr, (&GetAttrArgs{FH: root}).Encode},
+		{ProcLookup, (&DirOpArgs{Dir: root, Name: "file"}).Encode},
+		{ProcRead, (&ReadArgs{FH: root, Offset: 1, Count: 8192}).Encode},
+		{ProcWrite, (&WriteArgs{FH: root, Offset: 1, Count: 2}).Encode},
+		{ProcCreate, (&CreateArgs{Where: DirOpArgs{Dir: root, Name: "x"}, Attr: SAttr{Mode: &mode}}).Encode},
+		{ProcRename, (&RenameArgs{From: DirOpArgs{Dir: root, Name: "a"}, To: DirOpArgs{Dir: root, Name: "b"}}).Encode},
+		{ProcReadDir, (&ReadDirArgs{Dir: root, Cookie: 3, Count: 512}).Encode},
+		{ProcCommit, (&CommitArgs{FH: root, Offset: 9, Count: 8}).Encode},
+		{99, nil},
+	} {
+		e := xdr.NewEncoder(nil)
+		if c.args != nil {
+			c.args(e)
+		}
+		f.Add(oncrpc.EncodeCall(&oncrpc.CallHeader{XID: 7 + c.proc, Prog: Program, Vers: Version, Proc: c.proc,
+			Cred: oncrpc.Auth{Flavor: oncrpc.AuthSys, Machine: "fuzz"}}, e.Bytes()))
+	}
+	f.Add(oncrpc.EncodeCall(&oncrpc.CallHeader{XID: 5, Prog: MountProgram, Vers: MountVersion}, nil))
+	f.Add([]byte{0xde, 0xad})
+	f.Fuzz(func(t *testing.T, call []byte) {
+		sim := des.New()
+		d := oncrpc.NewDispatcher()
+		d.Register(NewServer(vfs.NewNamespace(sim, vfs.NewMemStore(false), 1<<30), ServerConfig{}))
+		d.EnableDRC(8)
+		sim.Spawn("fuzz", func(p *des.Proc) {
+			for _, room := range []int{0, 64} {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				reply, _, err := d.Dispatch(p, call, oncrpc.DispatchOpts{Room: room})
+				runtime.ReadMemStats(&after)
+				if n := after.Mallocs - before.Mallocs; n > uint64(64+len(call)) {
+					t.Errorf("room %d: dispatching a %d-byte call allocated %d objects", room, len(call), n)
+				}
+				if err != nil {
+					continue
+				}
+				if !bytes.Equal(reply[:room], make([]byte, room)) {
+					t.Errorf("room %d: written to: %x", room, reply[:room])
+				}
+				xid, _, _, err := oncrpc.DecodeReply(reply[room:])
+				if err != nil || xid != binary.BigEndian.Uint32(call) {
+					t.Errorf("room %d: reply %x: XID %#x, err %v; the call's XID is %#x", room, reply[room:], xid, err, binary.BigEndian.Uint32(call))
+				}
+			}
+		})
+		sim.Run()
+	})
 }

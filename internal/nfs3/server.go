@@ -139,9 +139,23 @@ func (s *Server) wccFrom(p *des.Proc, id vfs.FileID, pre WccAttr, ok bool) WccDa
 	return WccData{PrePresent: ok, Pre: pre, Post: s.postAttr(p, id)}
 }
 
+// resultsSize is each procedure's largest result without a variable-length
+// tail (all optional attributes present), and the fixed part of those with
+// one: READLINK's path and READDIR[PLUS]'s entries grow the reply beyond it.
+var resultsSize = map[uint32]int{
+	ProcGetAttr: 88, ProcSetAttr: 120, ProcLookup: 200, ProcAccess: 96, ProcReadLink: 96,
+	ProcRead: 104, ProcWrite: 136, ProcCreate: 232, ProcMkdir: 232, ProcSymlink: 232,
+	ProcMknod: 232, ProcRemove: 120, ProcRmdir: 120, ProcRename: 236, ProcLink: 208,
+	ProcReadDir: 108, ProcReadDirPlus: 108, ProcFSStat: 144, ProcFSInfo: 140,
+	ProcPathConf: 116, ProcCommit: 128,
+}
+
+// ResultsSize implements oncrpc.ResultsSizer.
+func (s *Server) ResultsSize(proc uint32) int { return resultsSize[proc] }
+
 // Handle implements oncrpc.Service: it decodes the procedure, runs it
-// against the file system, and returns the encoded result.
-func (s *Server) Handle(p *des.Proc, req *oncrpc.ServerRequest) *oncrpc.ServerResponse {
+// against the file system, and appends the encoded result to req.Reply.
+func (s *Server) Handle(p *des.Proc, req *oncrpc.ServerRequest) oncrpc.ServerResponse {
 	if s.cfg.CPU != nil {
 		s.cfg.CPU.Work(p, s.cfg.PerOpCPU)
 	}
@@ -149,14 +163,11 @@ func (s *Server) Handle(p *des.Proc, req *oncrpc.ServerRequest) *oncrpc.ServerRe
 	if proc < uint32(len(s.Ops)) {
 		s.Ops[proc]++
 	}
-	if proc == ProcNull {
-		// void -> void: no result encoder to pay for.
-		return &oncrpc.ServerResponse{Stat: oncrpc.Success}
-	}
 	d := xdr.NewDecoder(req.Args)
-	e := xdr.NewEncoder(make([]byte, 0, resultsCap))
+	e := &req.Reply
 	var bulk *oncrpc.Bulk
 	switch proc {
+	case ProcNull: // void -> void
 	case ProcGetAttr:
 		s.getattr(p, d, e)
 	case ProcSetAttr:
@@ -200,9 +211,9 @@ func (s *Server) Handle(p *des.Proc, req *oncrpc.ServerRequest) *oncrpc.ServerRe
 	case ProcMknod:
 		(&WccRes{Status: ErrNotSupp}).Encode(e)
 	default:
-		return &oncrpc.ServerResponse{Stat: oncrpc.ProcUnavail}
+		return oncrpc.ServerResponse{Stat: oncrpc.ProcUnavail}
 	}
-	return &oncrpc.ServerResponse{Stat: oncrpc.Success, Results: e.Bytes(), Bulk: bulk}
+	return oncrpc.ServerResponse{Stat: oncrpc.Success, Bulk: bulk}
 }
 
 func (s *Server) getattr(p *des.Proc, d *xdr.Decoder, e *xdr.Encoder) {

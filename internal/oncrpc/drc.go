@@ -205,6 +205,10 @@ func (c *drc) begin(machine string, k clientKey) {
 // DropDRC wiped the windows while this call was executing (crash path), the
 // placeholder is gone and creating an empty drcClient here would leak it —
 // nothing ever removes a clientless window, and it skews DRCClients.
+//
+// The entry keeps an exact copy of the reply message: reply is a slice of a
+// wire the transport posts, and keeping it would pin that buffer's header
+// room and spare capacity for as long as the entry lives.
 func (c *drc) commit(machine string, k clientKey, reply []byte, bulk *Bulk) {
 	cl, ok := c.clients[machine]
 	if !ok {
@@ -212,7 +216,8 @@ func (c *drc) commit(machine string, k clientKey, reply []byte, bulk *Bulk) {
 	}
 	if e, ok := cl.entries[k]; ok {
 		e.executing = false
-		e.reply = reply
+		e.reply = make([]byte, len(reply))
+		copy(e.reply, reply)
 		if bulk != nil {
 			b := *bulk // a copy: the descriptor is the transport's, which reuses it
 			e.bulk = &b

@@ -1,6 +1,7 @@
 package oncrpc
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 	"time"
@@ -14,9 +15,10 @@ type countingService struct{ calls int }
 func (s *countingService) Name() string    { return "count" }
 func (s *countingService) Program() uint32 { return 555 }
 func (s *countingService) Version() uint32 { return 1 }
-func (s *countingService) Handle(p *des.Proc, req *ServerRequest) *ServerResponse {
+func (s *countingService) Handle(p *des.Proc, req *ServerRequest) ServerResponse {
 	s.calls++
-	return &ServerResponse{Stat: Success, Results: []byte{byte(s.calls)}}
+	req.Reply.Uint32(uint32(s.calls))
+	return ServerResponse{Stat: Success}
 }
 
 func TestDRCReplaysWithoutReexecution(t *testing.T) {
@@ -64,6 +66,45 @@ func TestDRCReplaysWithoutReexecution(t *testing.T) {
 	sim.Run()
 }
 
+// TestDRCKeepsItsOwnCopy: a cached reply is an exact copy of the message
+// (no room, no spare capacity) sharing no memory with the wire it was
+// committed from — that wire is the transport's to post — so writing over
+// the wire changes no replay, and a hit returns a fresh message behind the
+// room asked for.
+func TestDRCKeepsItsOwnCopy(t *testing.T) {
+	d := NewDispatcher()
+	svc := &countingService{}
+	d.Register(svc)
+	d.EnableDRC(8)
+	sim := des.New()
+	sim.Spawn("t", func(p *des.Proc) {
+		hdr := &CallHeader{XID: 5, Prog: 555, Vers: 1, Proc: 1, Cred: Auth{Flavor: AuthSys, Machine: "c0"}}
+		raw := EncodeCall(hdr, nil)
+		const room, hitRoom = 44, 16
+		wire, _, err := d.Dispatch(p, raw, DispatchOpts{Room: room})
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg := append([]byte(nil), wire[room:]...)
+		e := d.drc.clients["c0"].entries[clientKey{xid: 5, prog: 555, proc: 1}]
+		if !bytes.Equal(e.reply, msg) || cap(e.reply) != len(e.reply) {
+			t.Fatalf("cached reply: %d bytes of capacity %d, equal to the message %v", len(e.reply), cap(e.reply), bytes.Equal(e.reply, msg))
+		}
+		wire = wire[:cap(wire)]
+		for i := range wire {
+			wire[i] = 0xff
+		}
+		hit, _, err := d.Dispatch(p, raw, DispatchOpts{Room: hitRoom})
+		if err != nil || svc.calls != 1 {
+			t.Fatalf("retransmission: err %v, executions %d", err, svc.calls)
+		}
+		if !bytes.Equal(hit[hitRoom:], msg) || !bytes.Equal(hit[:hitRoom], make([]byte, hitRoom)) {
+			t.Errorf("replay = %x, want %d zero bytes and then %x", hit, hitRoom, msg)
+		}
+	})
+	sim.Run()
+}
+
 // slowService executes for a fixed virtual duration, so a test can land a
 // retransmission while the original call is still inside the handler.
 type slowService struct {
@@ -74,10 +115,11 @@ type slowService struct {
 func (s *slowService) Name() string    { return "slow" }
 func (s *slowService) Program() uint32 { return 556 }
 func (s *slowService) Version() uint32 { return 1 }
-func (s *slowService) Handle(p *des.Proc, req *ServerRequest) *ServerResponse {
+func (s *slowService) Handle(p *des.Proc, req *ServerRequest) ServerResponse {
 	s.calls++
 	p.Sleep(s.delay)
-	return &ServerResponse{Stat: Success, Results: []byte{byte(s.calls)}}
+	req.Reply.Uint32(uint32(s.calls))
+	return ServerResponse{Stat: Success}
 }
 
 func TestDRCSuppressesDuplicateWhileExecuting(t *testing.T) {
@@ -123,9 +165,9 @@ func (s *classifierService) Name() string                { return "classified" }
 func (s *classifierService) Program() uint32             { return 557 }
 func (s *classifierService) Version() uint32             { return 1 }
 func (s *classifierService) NonIdempotent(p uint32) bool { return p == 7 }
-func (s *classifierService) Handle(p *des.Proc, req *ServerRequest) *ServerResponse {
+func (s *classifierService) Handle(p *des.Proc, req *ServerRequest) ServerResponse {
 	s.calls[req.Header.Proc]++
-	return &ServerResponse{Stat: Success}
+	return ServerResponse{Stat: Success}
 }
 
 func TestDRCHonorsIdempotencyClassifier(t *testing.T) {

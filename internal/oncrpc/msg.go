@@ -83,6 +83,11 @@ type Auth struct {
 	Stamp   uint32
 }
 
+// errBadAuth rejects a credential that is not the canonical encoding of a
+// flavour this package speaks: only AUTH_NONE with an empty body and an
+// AUTH_SYS body holding exactly its fields decode.
+var errBadAuth = errors.New("oncrpc: malformed or unsupported credential")
+
 // wireSize is the encoded length of the opaque_auth structure.
 func (a *Auth) wireSize() int {
 	if a.Flavor != AuthSys {
@@ -123,34 +128,41 @@ func decodeAuth(d *xdr.Decoder) (Auth, error) {
 	if err != nil {
 		return a, err
 	}
-	if a.Flavor == AuthSys {
-		bd := xdr.NewDecoder(body)
-		if a.Stamp, err = bd.Uint32(); err != nil {
-			return a, err
-		}
-		if a.Machine, err = bd.String(); err != nil {
-			return a, err
-		}
-		if a.UID, err = bd.Uint32(); err != nil {
-			return a, err
-		}
-		if a.GID, err = bd.Uint32(); err != nil {
-			return a, err
-		}
-		n, err := bd.Uint32()
+	switch {
+	case a.Flavor == AuthNone && len(body) == 0:
+		return a, nil
+	case a.Flavor != AuthSys:
+		return a, errBadAuth
+	}
+	bd := xdr.NewDecoder(body)
+	if a.Stamp, err = bd.Uint32(); err != nil {
+		return a, err
+	}
+	if a.Machine, err = bd.String(); err != nil {
+		return a, err
+	}
+	if a.UID, err = bd.Uint32(); err != nil {
+		return a, err
+	}
+	if a.GID, err = bd.Uint32(); err != nil {
+		return a, err
+	}
+	n, err := bd.Uint32()
+	if err != nil {
+		return a, err
+	}
+	if n > 16 {
+		return a, fmt.Errorf("%w: %d gids", ErrBadReply, n)
+	}
+	for i := uint32(0); i < n; i++ {
+		g, err := bd.Uint32()
 		if err != nil {
 			return a, err
 		}
-		if n > 16 {
-			return a, fmt.Errorf("%w: %d gids", ErrBadReply, n)
-		}
-		for i := uint32(0); i < n; i++ {
-			g, err := bd.Uint32()
-			if err != nil {
-				return a, err
-			}
-			a.GIDs = append(a.GIDs, g)
-		}
+		a.GIDs = append(a.GIDs, g)
+	}
+	if bd.Remaining() != 0 {
+		return a, errBadAuth
 	}
 	return a, nil
 }
@@ -165,10 +177,12 @@ type CallHeader struct {
 	Verf Auth
 }
 
-// EncodeCall marshals an RPC call message: header followed by the
-// pre-marshaled procedure arguments.
-func EncodeCall(h *CallHeader, args []byte) []byte {
-	e := xdr.NewEncoder(make([]byte, 0, 24+h.Cred.wireSize()+h.Verf.wireSize()+len(args)))
+// size is the encoded length of the call without its arguments.
+func (h *CallHeader) size() int { return 24 + h.Cred.wireSize() + h.Verf.wireSize() }
+
+// appendCall marshals the call message up to its arguments, which the caller
+// appends behind it.
+func appendCall(e *xdr.Encoder, h *CallHeader) {
 	e.Uint32(h.XID)
 	e.Uint32(msgTypeCall)
 	e.Uint32(RPCVersion)
@@ -177,59 +191,88 @@ func EncodeCall(h *CallHeader, args []byte) []byte {
 	e.Uint32(h.Proc)
 	h.Cred.encode(e)
 	h.Verf.encode(e)
+}
+
+// EncodeCall marshals an RPC call message: header followed by the
+// pre-marshaled procedure arguments.
+func EncodeCall(h *CallHeader, args []byte) []byte {
+	e := xdr.NewEncoder(make([]byte, 0, h.size()+len(args)))
+	appendCall(e, h)
 	return append(e.Bytes(), args...)
+}
+
+// decodeCall unmarshals an RPC call message into h, returning the argument
+// bytes that follow the header.
+func decodeCall(h *CallHeader, msg []byte) ([]byte, error) {
+	d := xdr.NewDecoder(msg)
+	var err error
+	if h.XID, err = d.Uint32(); err != nil {
+		return nil, err
+	}
+	mt, err := d.Uint32()
+	if err != nil {
+		return nil, err
+	}
+	if mt != msgTypeCall {
+		return nil, fmt.Errorf("%w: msg type %d is not a call", ErrBadReply, mt)
+	}
+	rv, err := d.Uint32()
+	if err != nil {
+		return nil, err
+	}
+	if rv != RPCVersion {
+		return nil, fmt.Errorf("%w: rpc version %d", ErrBadReply, rv)
+	}
+	if h.Prog, err = d.Uint32(); err != nil {
+		return nil, err
+	}
+	if h.Vers, err = d.Uint32(); err != nil {
+		return nil, err
+	}
+	if h.Proc, err = d.Uint32(); err != nil {
+		return nil, err
+	}
+	if h.Cred, err = decodeAuth(d); err != nil {
+		return nil, err
+	}
+	if h.Verf, err = decodeAuth(d); err != nil {
+		return nil, err
+	}
+	return msg[d.Offset():], nil
 }
 
 // DecodeCall unmarshals an RPC call message, returning the header and the
 // remaining argument bytes.
 func DecodeCall(msg []byte) (*CallHeader, []byte, error) {
-	d := xdr.NewDecoder(msg)
 	var h CallHeader
-	var err error
-	if h.XID, err = d.Uint32(); err != nil {
-		return nil, nil, err
-	}
-	mt, err := d.Uint32()
+	args, err := decodeCall(&h, msg)
 	if err != nil {
 		return nil, nil, err
 	}
-	if mt != msgTypeCall {
-		return nil, nil, fmt.Errorf("%w: msg type %d is not a call", ErrBadReply, mt)
-	}
-	rv, err := d.Uint32()
-	if err != nil {
-		return nil, nil, err
-	}
-	if rv != RPCVersion {
-		return nil, nil, fmt.Errorf("%w: rpc version %d", ErrBadReply, rv)
-	}
-	if h.Prog, err = d.Uint32(); err != nil {
-		return nil, nil, err
-	}
-	if h.Vers, err = d.Uint32(); err != nil {
-		return nil, nil, err
-	}
-	if h.Proc, err = d.Uint32(); err != nil {
-		return nil, nil, err
-	}
-	if h.Cred, err = decodeAuth(d); err != nil {
-		return nil, nil, err
-	}
-	if h.Verf, err = decodeAuth(d); err != nil {
-		return nil, nil, err
-	}
-	return &h, msg[d.Offset():], nil
+	out := h // only a header that decoded reaches the heap
+	return &out, args, nil
 }
 
-// EncodeReply marshals an accepted RPC reply with the given status and
-// pre-marshaled results.
-func EncodeReply(xid uint32, stat AcceptStat, results []byte) []byte {
-	e := xdr.NewEncoder(make([]byte, 0, 32+len(results)))
+// replyPrefix is the encoded length of an accepted reply up to its results:
+// XID, message type, reply status, an AUTH_NONE verifier and the accept
+// status, which is its last word.
+const replyPrefix = 24
+
+// appendReply marshals an accepted reply up to its results, which the caller
+// appends behind it.
+func appendReply(e *xdr.Encoder, xid uint32, stat AcceptStat) {
 	e.Uint32(xid)
 	e.Uint32(msgTypeReply)
 	e.Uint32(replyStatAccepted)
 	(&Auth{Flavor: AuthNone}).encode(e) // verifier
 	e.Uint32(uint32(stat))
+}
+
+// EncodeReply marshals an accepted RPC reply with the given status and
+// pre-marshaled results.
+func EncodeReply(xid uint32, stat AcceptStat, results []byte) []byte {
+	e := xdr.NewEncoder(make([]byte, 0, replyPrefix+len(results)))
+	appendReply(e, xid, stat)
 	return append(e.Bytes(), results...)
 }
 

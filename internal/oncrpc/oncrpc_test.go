@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/des"
+	"repro/internal/xdr"
 )
 
 func TestCallRoundTrip(t *testing.T) {
@@ -99,13 +100,13 @@ type echoService struct{}
 func (echoService) Name() string    { return "echo" }
 func (echoService) Program() uint32 { return 777 }
 func (echoService) Version() uint32 { return 1 }
-func (echoService) Handle(p *des.Proc, req *ServerRequest) *ServerResponse {
-	res := append([]byte(nil), req.Args...)
+func (echoService) Handle(p *des.Proc, req *ServerRequest) ServerResponse {
+	req.Reply.FixedOpaque(req.Args)
 	var bulk *Bulk
 	if req.Bulk != nil {
 		bulk = &Bulk{Data: req.Bulk.Data, Len: req.Bulk.Len}
 	}
-	return &ServerResponse{Stat: Success, Results: res, Bulk: bulk}
+	return ServerResponse{Stat: Success, Bulk: bulk}
 }
 
 // loopbackTransport dispatches calls directly, with no simulated network.
@@ -143,7 +144,7 @@ func TestClientDispatcherLoopback(t *testing.T) {
 	c := NewClient(&loopbackTransport{d: d}, 777, 1, Auth{Flavor: AuthNone})
 	sim := des.New()
 	sim.Spawn("caller", func(p *des.Proc) {
-		res, n, err := c.Call(p, 5, []byte("ping"), CallOpts{
+		res, n, err := c.Call(p, 5, func(e *xdr.Encoder) { e.FixedOpaque([]byte("ping")) }, CallOpts{
 			SendBulk: NewBulk([]byte("payload")),
 			RecvBulk: &Bulk{Data: make([]byte, 64), Len: 64},
 		})
@@ -217,4 +218,29 @@ func encodeDenied(xid uint32) []byte {
 	// Patch reply_stat (offset 8) to denied.
 	b[8], b[9], b[10], b[11] = 0, 0, 0, 1
 	return b
+}
+
+// FuzzDecodeCall holds the call decoder to three properties on any frame:
+// it does not panic, it allocates at most one object per byte of frame (a
+// count in the frame sizes nothing by itself), and what decodes encodes back
+// to the same bytes.
+func FuzzDecodeCall(f *testing.F) {
+	sys := Auth{Flavor: AuthSys, Machine: "client0", UID: 1000, GID: 100, GIDs: []uint32{100, 2000}, Stamp: 7}
+	f.Add(EncodeCall(&CallHeader{XID: 0x1234, Prog: 100003, Vers: 3, Proc: 6, Cred: sys}, []byte{1, 2, 3, 4, 5, 6, 7, 8}))
+	f.Add(EncodeCall(&CallHeader{XID: 1, Prog: 2, Vers: 3, Proc: 4}, nil))
+	f.Add(EncodeCall(&CallHeader{XID: 99, Prog: 555, Vers: 1, Proc: 1, Cred: Auth{Flavor: AuthSys, Machine: "c0"}}, nil))
+	f.Add(EncodeReply(1, Success, nil))
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		allocs := testing.AllocsPerRun(1, func() { DecodeCall(frame) })
+		if allocs > float64(len(frame)) {
+			t.Errorf("decoding a %d-byte frame: %.0f allocations", len(frame), allocs)
+		}
+		h, args, err := DecodeCall(frame)
+		if err != nil {
+			return
+		}
+		if again := EncodeCall(h, args); !bytes.Equal(again, frame) {
+			t.Errorf("%x decodes to %+v and %x, which encode to %x", frame, *h, args, again)
+		}
+	})
 }

@@ -1,6 +1,7 @@
 package oncrpc
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/des"
@@ -18,7 +19,8 @@ type ProcNamer interface {
 // call Dispatch from their worker processes.
 type Dispatcher struct {
 	services map[[2]uint32]Service
-	drc      *drc // nil unless EnableDRC was called
+	drc      *drc  // nil unless EnableDRC was called
+	badCalls int64 // messages dropped because they did not decode as a call
 }
 
 // NewDispatcher returns an empty dispatcher.
@@ -45,6 +47,9 @@ type DispatchOpts struct {
 	// ReplyBuf is a transport-provided reply staging buffer (see
 	// ServerRequest.ReplyBuf).
 	ReplyBuf *Bulk
+	// Room is how many bytes the transport keeps free in front of the reply
+	// message, in the same buffer, for its own header (zero for none).
+	Room int
 	// Peer is the transport-authenticated identity of the calling machine
 	// (e.g. the node name behind the connection). When set, the DRC keys
 	// replay state by it instead of the forgeable AUTH_SYS machine-name
@@ -53,16 +58,26 @@ type DispatchOpts struct {
 	Peer string
 }
 
-// Dispatch executes one raw call message and returns the marshaled reply
-// plus any reply payload for placement. A nil error with a non-Success
-// accept status is a protocol-level rejection encoded in the reply; a
-// non-nil error means the call could not even be parsed (the transport
-// should drop the connection). A nil reply with a nil error means the call
-// was a retransmission of a request still executing: the transport must
-// drop it silently — the original execution will produce the reply.
+// BadCalls returns how many messages Dispatch dropped because they did not
+// decode as an ONC RPC call.
+func (d *Dispatcher) BadCalls() int64 { return d.badCalls }
+
+// Dispatch executes one raw call message and returns the marshaled reply,
+// opts.Room zero bytes and then the reply message, in a buffer that is the
+// caller's, plus any reply payload for placement. A nil error with a
+// non-Success accept status is a protocol-level rejection encoded in the
+// reply; a non-nil error means the call could not even be parsed (counted in
+// BadCalls; no reply is owed). That includes a call whose credential or
+// verifier is not AUTH_NONE or AUTH_SYS in its canonical encoding: it is
+// dropped, not answered with MSG_DENIED/AUTH_ERROR, so its sender retransmits
+// until it gives up (the simulated clients send no other). A nil reply with a nil error means the call
+// was a retransmission of a request still executing: the transport must drop
+// it silently — the original execution will produce the reply.
 func (d *Dispatcher) Dispatch(p *des.Proc, rawCall []byte, opts DispatchOpts) (reply []byte, bulkOut *Bulk, err error) {
-	hdr, args, err := DecodeCall(rawCall)
-	if err != nil {
+	req := &ServerRequest{Bulk: opts.Bulk, RecvBulkCap: opts.RecvBulkCap, ReplyBuf: opts.ReplyBuf}
+	hdr := &req.Header
+	if req.Args, err = decodeCall(hdr, rawCall); err != nil {
+		d.badCalls++
 		return nil, nil, err
 	}
 	tr := p.Sim().Tracer()
@@ -82,7 +97,7 @@ func (d *Dispatcher) Dispatch(p *des.Proc, rawCall []byte, opts DispatchOpts) (r
 			if tr != nil {
 				tr.Instant(int64(p.Now()), trace.LayerONCRPC, trace.KindDRCHit, hdr.Cred.Machine, "drc-hit", uint64(hdr.XID), int64(hdr.Proc))
 			}
-			return e.reply, e.bulk, nil
+			return append(newWire(opts.Room, len(e.reply)), e.reply...), e.bulk, nil
 		case drcExecuting:
 			// The original call is still in a handler; drop this copy.
 			if tr != nil {
@@ -91,9 +106,18 @@ func (d *Dispatcher) Dispatch(p *des.Proc, rawCall []byte, opts DispatchOpts) (r
 			return nil, nil, nil
 		}
 	}
+	// The reply is built where the service writes its results: behind the
+	// room and the accepted-reply header, whose status word says ProgUnavail
+	// until Handle has said what it is.
 	svc, ok := d.services[[2]uint32{hdr.Prog, hdr.Vers}]
+	size := replyPrefix
+	if rs, sized := svc.(ResultsSizer); sized {
+		size += rs.ResultsSize(hdr.Proc)
+	}
+	req.Reply.Reset(newWire(opts.Room, size))
+	appendReply(&req.Reply, hdr.XID, ProgUnavail)
 	if !ok {
-		return EncodeReply(hdr.XID, ProgUnavail, nil), nil, nil
+		return req.Reply.Bytes(), nil, nil
 	}
 	// Cache when the service cannot classify (conservative: everything) or
 	// classifies this procedure as non-idempotent. The placeholder goes in
@@ -106,13 +130,7 @@ func (d *Dispatcher) Dispatch(p *des.Proc, rawCall []byte, opts DispatchOpts) (r
 		d.drc.begin(drcID, key)
 	}
 	dispatchStart := p.Now()
-	resp := svc.Handle(p, &ServerRequest{
-		Header:      hdr,
-		Args:        args,
-		Bulk:        opts.Bulk,
-		RecvBulkCap: opts.RecvBulkCap,
-		ReplyBuf:    opts.ReplyBuf,
-	})
+	resp := svc.Handle(p, req)
 	if tr != nil {
 		name := svc.Name()
 		if pn, ok := svc.(ProcNamer); ok {
@@ -121,9 +139,10 @@ func (d *Dispatcher) Dispatch(p *des.Proc, rawCall []byte, opts DispatchOpts) (r
 		tr.Span(int64(dispatchStart), int64(p.Now()), trace.LayerONCRPC, trace.KindDispatch,
 			hdr.Cred.Machine, name, uint64(hdr.XID), int64(hdr.Proc))
 	}
-	reply = EncodeReply(hdr.XID, resp.Stat, resp.Results)
+	reply = req.Reply.Bytes()
+	binary.BigEndian.PutUint32(reply[opts.Room+replyPrefix-4:], uint32(resp.Stat))
 	if cache {
-		d.drc.commit(drcID, key, reply, resp.Bulk)
+		d.drc.commit(drcID, key, reply[opts.Room:], resp.Bulk)
 	}
 	return reply, resp.Bulk, nil
 }

@@ -2,6 +2,7 @@ package oncrpc
 
 import (
 	"repro/internal/des"
+	"repro/internal/xdr"
 )
 
 // Bulk describes a large data payload that capable transports move by
@@ -32,6 +33,10 @@ type Request struct {
 	// Header is the fully marshaled RPC call (header + inline args).
 	Header []byte
 
+	// Room is how many bytes Call kept free in front of Header, in the same
+	// buffer, for a Framer to write its own header into (zero otherwise).
+	Room int
+
 	// SendBulk is payload the server must obtain before executing the
 	// procedure (an NFS WRITE's data). RDMA transports advertise it as a
 	// read chunk list for the server to pull; stream transports append it
@@ -52,6 +57,26 @@ type Request struct {
 	// DirectIO marks RecvBulk as application memory eligible for the
 	// zero-copy direct-I/O placement path (no staging copy at the client).
 	DirectIO bool
+
+	// wire is where Call marshals the call: Room bytes, then Header. The
+	// encoder lives in the request so that marshalling allocates only the
+	// buffer.
+	wire   xdr.Encoder
+	framed bool
+}
+
+// Frame returns the call behind its room, for a Framer to write its header
+// into the first Room bytes in place. What a transport posts belongs to the
+// fabric and is never written again, so framing consumes the room: a second
+// Frame — a replay on a fresh connection, while the first Send may still sit
+// undecoded at the server — gets a copy, as does a request Call did not
+// build.
+func (r *Request) Frame() []byte {
+	if buf := r.wire.Bytes(); !r.framed && len(buf) == r.Room+len(r.Header) {
+		r.framed = true
+		return buf
+	}
+	return append(make([]byte, r.Room, r.Room+len(r.Header)), r.Header...)
 }
 
 // Response is the transport-level result of a Request.
@@ -72,9 +97,17 @@ type Transport interface {
 	Close()
 }
 
+// A Framer is a Transport that puts a header of its own in front of every
+// call (RPC/RDMA). Call marshals the call Room(req) bytes into its buffer so
+// that the transport writes that header in place (Request.Frame) instead of
+// copying the call behind it. Room sees the request before Header is built.
+type Framer interface {
+	Room(req *Request) int
+}
+
 // ServerRequest is one received call as seen by the service dispatcher.
 type ServerRequest struct {
-	Header *CallHeader
+	Header CallHeader
 
 	// Args is the inline argument bytes following the RPC call header.
 	Args []byte
@@ -92,14 +125,16 @@ type ServerRequest struct {
 	// when control returns from the file system). Services that produce a
 	// payload must use it when present and set ServerResponse.Bulk to it.
 	ReplyBuf *Bulk
+
+	// Reply is the reply under construction: Dispatch leaves the transport's
+	// room and the accepted-reply header in it, and Handle appends the
+	// procedure's results.
+	Reply xdr.Encoder
 }
 
 // ServerResponse is what a service hands back to the server transport.
 type ServerResponse struct {
 	Stat AcceptStat
-
-	// Results is the inline result bytes (excluding the RPC reply header).
-	Results []byte
 
 	// Bulk is the reply payload to place at the client, if any.
 	Bulk *Bulk
@@ -110,7 +145,14 @@ type Service interface {
 	Name() string
 	Program() uint32
 	Version() uint32
-	// Handle executes one procedure. It runs on a server worker process and
-	// may block on simulated I/O.
-	Handle(p *des.Proc, req *ServerRequest) *ServerResponse
+	// Handle executes one procedure, appending its results to req.Reply. It
+	// runs on a server worker process and may block on simulated I/O.
+	Handle(p *des.Proc, req *ServerRequest) ServerResponse
+}
+
+// ResultsSizer is optionally implemented by services that know how large a
+// procedure's results are: Dispatch sizes the reply buffer by it, so that
+// results that fit append without growing it.
+type ResultsSizer interface {
+	ResultsSize(proc uint32) int
 }

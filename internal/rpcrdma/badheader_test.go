@@ -16,9 +16,27 @@ import (
 // header, and the version word it does carry is wrong.
 var garbage = []byte{0xde, 0xad, 0xbe, 0xef, 0xff, 0xff, 0xff, 0xff, 0x00}
 
-// TestServerCountsUndecodableFrames sends a garbage frame down a live
-// connection on each server receive path: the frame must be counted, not
-// silently dropped, and the connection must keep serving.
+// nonCalls are RPC/RDMA frames with a valid header whose body is not an ONC
+// RPC call: a reply, a call of RPC version 3, and a call cut off inside its
+// credential.
+func nonCalls() [][]byte {
+	call := oncrpc.EncodeCall(&oncrpc.CallHeader{XID: 9, Prog: 4242, Vers: 1, Proc: 4,
+		Cred: oncrpc.Auth{Flavor: oncrpc.AuthSys, Machine: "intruder"}}, nil)
+	v3 := append([]byte(nil), call...)
+	binary.BigEndian.PutUint32(v3[8:], 3)
+	hdr := (&Header{XID: 9, Credits: 1, Type: MsgRDMA}).Encode()
+	var frames [][]byte
+	for _, body := range [][]byte{oncrpc.EncodeReply(9, oncrpc.Success, nil), v3, call[:36]} {
+		frames = append(frames, append(append([]byte(nil), hdr...), body...))
+	}
+	return frames
+}
+
+// TestServerCountsUndecodableFrames sends frames that do not decode down a
+// live connection on each server receive path: a header that does not decode
+// is counted in BadHeaders, a body that is not a call in the dispatcher's
+// BadCalls, each exactly once and nowhere else, and the connection keeps
+// serving.
 func TestServerCountsUndecodableFrames(t *testing.T) {
 	paths := []struct {
 		name string
@@ -42,19 +60,28 @@ func TestServerCountsUndecodableFrames(t *testing.T) {
 				} else {
 					ct, rpc, _, _ = e.dial(p, 0, path.cfg)
 				}
-				if _, _, err := rpc.Call(p, 4, []byte("before"), oncrpc.CallOpts{}); err != nil {
+				if _, _, err := rpc.Call(p, 4, raw([]byte("before")), oncrpc.CallOpts{}); err != nil {
 					t.Fatalf("call before garbage: %v", err)
 				}
-				ct.QP().PostSend(&ibsim.SendWQE{Op: ibsim.OpSend, Payload: garbage})
-				p.Sleep(time.Millisecond)
-				if e.st.BadHeaders != 1 {
-					t.Errorf("server BadHeaders = %d, want 1", e.st.BadHeaders)
+				send := func(frame []byte) {
+					ct.QP().PostSend(&ibsim.SendWQE{Op: ibsim.OpSend, Payload: frame})
+					p.Sleep(time.Millisecond)
+				}
+				send(garbage)
+				if e.st.BadHeaders != 1 || e.st.dispatcher.BadCalls() != 0 {
+					t.Errorf("after an undecodable header: BadHeaders = %d, BadCalls = %d, want 1 and 0", e.st.BadHeaders, e.st.dispatcher.BadCalls())
+				}
+				for i, frame := range nonCalls() {
+					send(frame)
+					if got := e.st.dispatcher.BadCalls(); got != int64(i+1) || e.st.BadHeaders != 1 {
+						t.Errorf("after non-call body %d: BadCalls = %d, BadHeaders = %d, want %d and 1", i, got, e.st.BadHeaders, i+1)
+					}
 				}
 				if ct.Broken() || e.st.LiveConns() != 1 {
 					t.Errorf("connection did not survive: broken=%v live=%d", ct.Broken(), e.st.LiveConns())
 				}
-				res, _, err := rpc.Call(p, 4, []byte("after"), oncrpc.CallOpts{})
-				if err != nil || string(res) != "after" {
+				res, _, err := rpc.Call(p, 4, raw([]byte("then")), oncrpc.CallOpts{})
+				if err != nil || string(res) != "then" {
 					t.Errorf("call after garbage: res=%q err=%v", res, err)
 				}
 			})
@@ -76,8 +103,8 @@ func TestClientCountsUndecodableFrames(t *testing.T) {
 			if e.ct.BadHeaders != 1 {
 				t.Errorf("client BadHeaders = %d, want 1", e.ct.BadHeaders)
 			}
-			res, _, err := e.rpc.Call(p, 4, []byte("after"), oncrpc.CallOpts{})
-			if err != nil || string(res) != "after" || e.ct.Broken() {
+			res, _, err := e.rpc.Call(p, 4, raw([]byte("then")), oncrpc.CallOpts{})
+			if err != nil || string(res) != "then" || e.ct.Broken() {
 				t.Errorf("call after garbage: res=%q err=%v broken=%v", res, err, e.ct.Broken())
 			}
 		})
@@ -88,7 +115,7 @@ func TestClientCountsUndecodableFrames(t *testing.T) {
 			var callErr error
 			returned := des.NewEvent(e.sim)
 			e.sim.Spawn("caller", func(cp *des.Proc) {
-				_, _, callErr = e.rpc.Call(cp, 4, []byte("lost"), oncrpc.CallOpts{})
+				_, _, callErr = e.rpc.Call(cp, 4, raw([]byte("lost")), oncrpc.CallOpts{})
 				returned.Fire(nil)
 			})
 			for len(e.ct.pending) == 0 {
@@ -114,8 +141,8 @@ func TestClientCountsUndecodableFrames(t *testing.T) {
 			if e.ct.BadHeaders != 1 {
 				t.Errorf("client BadHeaders = %d, want 1", e.ct.BadHeaders)
 			}
-			res, _, err := e.rpc.Call(p, 4, []byte("after"), oncrpc.CallOpts{})
-			if err != nil || string(res) != "after" || e.ct.Broken() {
+			res, _, err := e.rpc.Call(p, 4, raw([]byte("then")), oncrpc.CallOpts{})
+			if err != nil || string(res) != "then" || e.ct.Broken() {
 				t.Errorf("call after garbage: res=%q err=%v broken=%v", res, err, e.ct.Broken())
 			}
 		})

@@ -320,6 +320,25 @@ func bulkBuffer(b *oncrpc.Bulk) (*ibsim.Buffer, int) {
 	return nil, 0
 }
 
+// Room implements oncrpc.Framer: the header req will carry, counting one
+// segment for each chunk it advertises — a read chunk for call payload, a
+// write chunk for reply payload (Read-Write, Reply-Fetch), a reply chunk for
+// a long reply (Read-Write) or the reply slot (Reply-Fetch). frame makes
+// room for any further segments registration produces.
+func (t *ClientTransport) Room(req *oncrpc.Request) int {
+	n := hdrBase
+	if req.SendBulk != nil && req.SendBulk.Len > 0 {
+		n += readSegSize
+	}
+	if req.RecvBulk != nil && req.RecvBulk.Len > 0 && t.cfg.Design != ReadRead {
+		n += segSize
+	}
+	if req.LongReplyCap > 0 && t.cfg.Design == ReadWrite || t.cfg.Design == ReplyFetch {
+		n += segSize
+	}
+	return n
+}
+
 // Roundtrip implements oncrpc.Transport: one full RPC exchange under the
 // configured design.
 func (t *ClientTransport) Roundtrip(p *des.Proc, req *oncrpc.Request) (*oncrpc.Response, error) {
@@ -410,8 +429,9 @@ func (t *ClientTransport) Roundtrip(p *des.Proc, req *oncrpc.Request) (*oncrpc.R
 	}
 
 	// Long call: an oversized call travels as a position-0 read chunk under
-	// RDMA_NOMSG; the server pulls the message body with RDMA Read.
-	inline := req.Header
+	// RDMA_NOMSG; the server pulls the message body with RDMA Read. Any other
+	// call is framed in place, in the room Call kept in front of it.
+	var wire []byte
 	if len(req.Header) > t.cfg.InlineThreshold {
 		pend.longCall = t.mgr.Get(p, len(req.Header), ibsim.AccessRemoteRead)
 		if d := pend.longCall.Data(); d != nil {
@@ -424,11 +444,14 @@ func (t *ClientTransport) Roundtrip(p *des.Proc, req *oncrpc.Request) (*oncrpc.R
 		lsegs := clampSegs(pend.longCall.Reg.Segments(), len(req.Header))
 		t.traceExpose(p, req.XID, lsegs)
 		hdr.exposeRead(0, lsegs)
-		inline = nil
+		wire = hdr.Encode()
+	} else {
+		// A header that outgrew the room slides the call: a replay must copy
+		// it from where it now lies.
+		wire = hdr.frame(req.Frame(), req.Room)
+		req.Header = wire[len(wire)-len(req.Header):]
 	}
-
 	t.pending[req.XID] = pend
-	wire := hdr.message(inline)
 	attempt := 0
 	t.armTimer(&pend.done, t.attemptTimeout(attempt))
 	t.send(req.XID, wire)

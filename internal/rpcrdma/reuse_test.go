@@ -59,7 +59,7 @@ func TestFreeListsBoundedByBurstDepth(t *testing.T) {
 			for _, rpc := range rpcs {
 				for j := 0; j < depth; j++ {
 					sim.Spawn("caller", func(cp *des.Proc) {
-						if res, _, err := rpc.Call(cp, 4, []byte("ping"), oncrpc.CallOpts{}); err != nil || string(res) != "ping" {
+						if res, _, err := rpc.Call(cp, 4, raw([]byte("ping")), oncrpc.CallOpts{}); err != nil || string(res) != "ping" {
 							t.Errorf("echo: %q, %v", res, err)
 						}
 						if returned++; returned == clients*depth {

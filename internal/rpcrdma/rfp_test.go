@@ -102,7 +102,7 @@ func TestReplyFetchClientExposedByDesign(t *testing.T) {
 			e := newRFPEnv(t, Config{Design: tc.design}, Config{Design: tc.design, Workers: 4},
 				func(p *des.Proc, e *env) {
 					for i := 0; i < 3; i++ {
-						if _, _, err := e.rpc.Call(p, 4, []byte("ping"), oncrpc.CallOpts{}); err != nil {
+						if _, _, err := e.rpc.Call(p, 4, raw([]byte("ping")), oncrpc.CallOpts{}); err != nil {
 							t.Errorf("echo: %v", err)
 						}
 					}
@@ -141,7 +141,7 @@ func TestReplyFetchRetransmitReArm(t *testing.T) {
 	}
 	e := newRFPEnv(t, ccfg, Config{Design: ReplyFetch, Workers: 4}, func(p *des.Proc, e *env) {
 		args := pattern(600, 9)
-		res, _, err := e.rpc.Call(p, 4, args, oncrpc.CallOpts{})
+		res, _, err := e.rpc.Call(p, 4, raw(args), oncrpc.CallOpts{})
 		if err != nil {
 			t.Fatalf("echo through retransmit: %v", err)
 		}
@@ -175,7 +175,7 @@ func TestReplyFetchDropDonePinsDeposits(t *testing.T) {
 	newEnv(t, ReplyFetch, memreg.Regular, func(p *des.Proc, e *env) {
 		e.ct.DropDone = true
 		for i := 0; i < 5; i++ {
-			if _, _, err := e.rpc.Call(p, 4, []byte("hi"), oncrpc.CallOpts{}); err != nil {
+			if _, _, err := e.rpc.Call(p, 4, raw([]byte("hi")), oncrpc.CallOpts{}); err != nil {
 				t.Errorf("echo %d: %v", i, err)
 			}
 		}

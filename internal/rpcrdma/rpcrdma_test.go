@@ -25,7 +25,7 @@ func (s *blobService) Name() string    { return "blob" }
 func (s *blobService) Program() uint32 { return 4242 }
 func (s *blobService) Version() uint32 { return 1 }
 
-func (s *blobService) Handle(p *des.Proc, req *oncrpc.ServerRequest) *oncrpc.ServerResponse {
+func (s *blobService) Handle(p *des.Proc, req *oncrpc.ServerRequest) oncrpc.ServerResponse {
 	switch req.Header.Proc {
 	case 1: // PUT
 		if req.Bulk != nil {
@@ -35,7 +35,6 @@ func (s *blobService) Handle(p *des.Proc, req *oncrpc.ServerRequest) *oncrpc.Ser
 				s.stored = make([]byte, req.Bulk.Len)
 			}
 		}
-		return &oncrpc.ServerResponse{Stat: oncrpc.Success}
 	case 2: // GET
 		n := len(s.stored)
 		if req.RecvBulkCap > 0 && n > req.RecvBulkCap {
@@ -49,18 +48,24 @@ func (s *blobService) Handle(p *des.Proc, req *oncrpc.ServerRequest) *oncrpc.Ser
 			copy(bulk.Data, s.stored[:n])
 		}
 		bulk.Len = n
-		return &oncrpc.ServerResponse{Stat: oncrpc.Success, Bulk: bulk}
+		return oncrpc.ServerResponse{Stat: oncrpc.Success, Bulk: bulk}
 	case 3: // BIGREPLY: inline results larger than the inline threshold
 		big := make([]byte, 8000)
 		for i := range big {
 			big[i] = byte(i * 7)
 		}
-		return &oncrpc.ServerResponse{Stat: oncrpc.Success, Results: big}
+		req.Reply.FixedOpaque(big)
 	case 4: // ECHO args
-		return &oncrpc.ServerResponse{Stat: oncrpc.Success, Results: append([]byte(nil), req.Args...)}
+		req.Reply.FixedOpaque(req.Args)
+	default:
+		return oncrpc.ServerResponse{Stat: oncrpc.ProcUnavail}
 	}
-	return &oncrpc.ServerResponse{Stat: oncrpc.ProcUnavail}
+	return oncrpc.ServerResponse{Stat: oncrpc.Success}
 }
+
+// raw marshals b as a call's arguments: verbatim, as the echo procedure
+// reflects them, when b is 4-byte aligned.
+func raw(b []byte) func(*xdr.Encoder) { return func(e *xdr.Encoder) { e.FixedOpaque(b) } }
 
 type env struct {
 	sim    *des.Sim
@@ -126,12 +131,12 @@ func testBothDesigns(t *testing.T, fn func(t *testing.T, design Design)) {
 func TestInlineEcho(t *testing.T) {
 	testBothDesigns(t, func(t *testing.T, design Design) {
 		newEnv(t, design, memreg.Regular, func(p *des.Proc, e *env) {
-			res, _, err := e.rpc.Call(p, 4, []byte("hello rdma"), oncrpc.CallOpts{})
+			res, _, err := e.rpc.Call(p, 4, raw([]byte("hello, rdma!")), oncrpc.CallOpts{})
 			if err != nil {
 				t.Errorf("call: %v", err)
 				return
 			}
-			if string(res) != "hello rdma" {
+			if string(res) != "hello, rdma!" {
 				t.Errorf("res = %q", res)
 			}
 		})
@@ -227,7 +232,7 @@ func TestLongCall(t *testing.T) {
 	testBothDesigns(t, func(t *testing.T, design Design) {
 		newEnv(t, design, memreg.Regular, func(p *des.Proc, e *env) {
 			bigArgs := pattern(6000, 3) // well past the 1 KiB inline threshold
-			res, _, err := e.rpc.Call(p, 4, bigArgs, oncrpc.CallOpts{LongReplyCap: 8 << 10})
+			res, _, err := e.rpc.Call(p, 4, raw(bigArgs), oncrpc.CallOpts{LongReplyCap: 8 << 10})
 			if err != nil {
 				t.Errorf("long call: %v", err)
 				return
@@ -425,8 +430,12 @@ func TestHeaderRoundTripQuick(t *testing.T) {
 		}
 		body := []byte{1, 2, 3, 4}
 		wire := append(h.Encode(), body...)
-		if one := h.message(body); !bytes.Equal(one, wire) || cap(one) != len(one) {
-			return false // the one-buffer form is the same bytes in a buffer sized exactly
+		for _, room := range []int{0, hdrBase, h.wireSize(), h.wireSize() + 8} {
+			// Framed in place, slid up in spare capacity or moved: the same bytes.
+			buf := append(make([]byte, room, room+len(body)+2*segSize), body...)
+			if one := h.frame(buf, room); !bytes.Equal(one, wire) {
+				return false
+			}
 		}
 		got, gotBody, err := DecodeHeader(wire)
 		if err != nil || got.XID != xid || got.Credits != credits {
@@ -448,9 +457,9 @@ func TestHeaderRoundTripQuick(t *testing.T) {
 }
 
 // TestHeaderCodecAllocs pins the codec's share of the per-RPC allocation
-// count: a header costs its wire buffer to encode and the Header to decode,
-// plus one exactly-sized list per chunk list it carries, however many
-// segments that list has.
+// count: a header framed into the room kept for it costs nothing to encode,
+// and the Header to decode, plus one exactly-sized list per chunk list it
+// carries, however many segments that list has.
 func TestHeaderCodecAllocs(t *testing.T) {
 	segs := make([]Segment, 4)
 	reads := make([]ReadSeg, 4)
@@ -464,12 +473,14 @@ func TestHeaderCodecAllocs(t *testing.T) {
 		h    Header
 		want float64
 	}{
-		{"chunk-free", Header{XID: 7, Credits: 32, Type: MsgRDMA}, 2},
-		{"four-segment write list", Header{XID: 7, Credits: 32, Type: MsgRDMA, WriteList: segs}, 3},
-		{"three four-segment lists", Header{XID: 7, Credits: 32, Type: MsgRDMA, ReadList: reads, WriteList: segs, ReplyChunk: segs}, 5},
+		{"chunk-free", Header{XID: 7, Credits: 32, Type: MsgRDMA}, 1},
+		{"four-segment write list", Header{XID: 7, Credits: 32, Type: MsgRDMA, WriteList: segs}, 2},
+		{"three four-segment lists", Header{XID: 7, Credits: 32, Type: MsgRDMA, ReadList: reads, WriteList: segs, ReplyChunk: segs}, 4},
 	} {
+		room := tc.h.wireSize()
+		buf := append(make([]byte, room), body...)
 		allocs := testing.AllocsPerRun(100, func() {
-			if _, _, err := DecodeHeader(tc.h.message(body)); err != nil {
+			if _, _, err := DecodeHeader(tc.h.frame(buf, room)); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -536,7 +547,7 @@ func TestDecodeHeaderCountBeyondFrame(t *testing.T) {
 		full.WriteList = append(full.WriteList, seg)
 		full.ReplyChunk = append(full.ReplyChunk, seg)
 	}
-	got, body, err := DecodeHeader(full.message([]byte("body")))
+	got, body, err := DecodeHeader(append(full.Encode(), "body"...))
 	if err != nil || string(body) != "body" || !reflect.DeepEqual(*got, full) {
 		t.Fatalf("header with %d segments per list: err %v, body %q, equal %v", maxSegs, err, body, err == nil && reflect.DeepEqual(*got, full))
 	}
@@ -550,7 +561,7 @@ func TestDecodeHeaderCountBeyondFrame(t *testing.T) {
 // the second decode allocates nothing and leaves no stale segment behind.
 func TestDecodeHeaderIntoReusesLists(t *testing.T) {
 	segs := []Segment{{Rkey: 1, Length: 4096, Addr: 1 << 12}, {Rkey: 2, Length: 4096, Addr: 2 << 12}}
-	long := (&Header{XID: 1, Type: MsgRDMA, ReadList: []ReadSeg{{Position: 8, Segment: segs[0]}}, WriteList: segs, ReplyChunk: segs}).message([]byte("x"))
+	long := (&Header{XID: 1, Type: MsgRDMA, ReadList: []ReadSeg{{Position: 8, Segment: segs[0]}}, WriteList: segs, ReplyChunk: segs}).frame([]byte("x"), 0)
 	short := (&Header{XID: 2, Type: MsgRDMA, WriteList: segs[:1]}).Encode()
 	var h Header
 	if _, err := DecodeHeaderInto(&h, long); err != nil {
@@ -579,7 +590,7 @@ func TestOversizedReplySqueezedInline(t *testing.T) {
 			// 1 KiB threshold but fits in threshold+512 receives. Note the
 			// CALL goes as a long call (also >1 KiB), which is fine.
 			args := pattern(1200, 6)
-			res, _, err := e.rpc.Call(p, 4, args, oncrpc.CallOpts{})
+			res, _, err := e.rpc.Call(p, 4, raw(args), oncrpc.CallOpts{})
 			if err != nil {
 				t.Errorf("oversized echo: %v", err)
 				return
@@ -607,6 +618,40 @@ func TestDynamicCreditsOffByDefault(t *testing.T) {
 		}
 		if e.ct.GrantedCredits() != before {
 			t.Errorf("grant moved from %d to %d with dynamic credits off", before, e.ct.GrantedCredits())
+		}
+	})
+}
+
+// FuzzDecodeHeaderInto holds the header decoder to three properties on any
+// frame: it does not panic, it allocates at most one object per byte of frame
+// (a count the frame cannot back sizes nothing), and what decodes encodes
+// back to the same bytes, body included.
+func FuzzDecodeHeaderInto(f *testing.F) {
+	segs := []Segment{{Rkey: 1, Length: 4096, Addr: 1 << 12}, {Rkey: 2, Length: 4096, Addr: 2 << 12}}
+	for _, h := range []Header{
+		{XID: 7, Credits: 32, Type: MsgRDMA},
+		{XID: 1, Type: MsgRDMA, ReadList: []ReadSeg{{Position: 4, Segment: Segment{Rkey: 2, Length: 3, Addr: 4}}}},
+		{XID: 1, Type: MsgRDMA, ReadList: []ReadSeg{{Position: 8, Segment: segs[0]}}, WriteList: segs, ReplyChunk: segs},
+		{XID: 3, Credits: 1, Type: MsgDone},
+	} {
+		f.Add(append(h.Encode(), "body"...))
+	}
+	f.Add(garbage)
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		allocs := testing.AllocsPerRun(1, func() {
+			var h Header
+			DecodeHeaderInto(&h, frame)
+		})
+		if allocs > float64(len(frame)) {
+			t.Errorf("decoding a %d-byte frame: %.0f allocations", len(frame), allocs)
+		}
+		var h Header
+		body, err := DecodeHeaderInto(&h, frame)
+		if err != nil {
+			return
+		}
+		if again := append(h.Encode(), body...); !bytes.Equal(again, frame) {
+			t.Errorf("%x decodes to %+v and %x, which encode to %x", frame, h, body, again)
 		}
 	})
 }

@@ -100,7 +100,7 @@ func TestAdmissionControl(t *testing.T) {
 		if !ok {
 			t.Fatal("first connection rejected under the cap")
 		}
-		if _, _, err := rpc0.Call(p, 4, []byte("hi"), oncrpc.CallOpts{}); err != nil {
+		if _, _, err := rpc0.Call(p, 4, raw([]byte("hi")), oncrpc.CallOpts{}); err != nil {
 			t.Fatalf("call on admitted conn: %v", err)
 		}
 		// Second connection: over the cap.
@@ -124,7 +124,7 @@ func TestAdmissionControl(t *testing.T) {
 		if !ok {
 			t.Fatal("redial rejected after the slot freed")
 		}
-		if _, _, err := rpc2.Call(p, 4, []byte("again"), oncrpc.CallOpts{}); err != nil {
+		if _, _, err := rpc2.Call(p, 4, raw([]byte("again")), oncrpc.CallOpts{}); err != nil {
 			t.Fatalf("call on re-admitted conn: %v", err)
 		}
 	})

@@ -679,19 +679,28 @@ func (s *ServerTransport) handle(p *des.Proc, task *serverTask, w *nfsd) {
 	if s.cfg.TrustCredDRC {
 		peer = "" // fall back to the forgeable credential machine name
 	}
+	// The reply is built behind room for its header: the write list echoed
+	// back (Read-Write, Reply-Fetch), or one exposed read segment (an
+	// estimate: Read-Read knows what it exposes only once it has the data).
+	room := hdrBase + segSize*len(hdr.WriteList)
+	if s.cfg.Design == ReadRead {
+		room = hdrBase + readSegSize
+	}
 	reply, bulkOut, err := s.dispatcher.Dispatch(p, callBytes, oncrpc.DispatchOpts{
 		Bulk:        bulkIn,
 		RecvBulkCap: recvCap,
 		ReplyBuf:    replyBuf,
+		Room:        room,
 		Peer:        peer,
 	})
 	if bulkInChk != nil {
 		s.mgr.Put(p, bulkInChk)
 	}
 	if err != nil || reply == nil {
-		// err: dispatch failure. reply == nil: the dispatcher suppressed a
-		// duplicate of a call still executing (DRC in-progress entry) — the
-		// original execution will produce the reply; this copy just drops.
+		// err: not a call (the dispatcher counts it). reply == nil: the
+		// dispatcher suppressed a duplicate of a call still executing (DRC
+		// in-progress entry) — the original execution will produce the
+		// reply; this copy just drops.
 		if replyStaging != nil {
 			s.mgr.Put(p, replyStaging)
 		}
@@ -699,7 +708,7 @@ func (s *ServerTransport) handle(p *des.Proc, task *serverTask, w *nfsd) {
 	}
 
 	// --- Return path ---
-	s.reply(p, task, reply, bulkOut, replyStaging, w)
+	s.reply(p, task, reply, room, bulkOut, replyStaging, w)
 }
 
 // replyAccess is the access mode of reply staging buffers: the Read-Write
@@ -771,8 +780,11 @@ func (s *ServerTransport) pullLongCall(p *des.Proc, task *serverTask, w *nfsd) (
 // reply path disappears from the server. The deposit staging stays parked
 // until the client's RDMA_DONE confirms it read the slot (same recycle flow
 // as Read-Read).
-func (s *ServerTransport) reply(p *des.Proc, task *serverTask, reply []byte, bulkOut *oncrpc.Bulk, staging *memreg.Chunk, w *nfsd) {
+//
+// reply is the message behind room bytes its header is written into.
+func (s *ServerTransport) reply(p *des.Proc, task *serverTask, reply []byte, room int, bulkOut *oncrpc.Bulk, staging *memreg.Chunk, w *nfsd) {
 	conn, call, design := task.conn, &task.hdr, s.cfg.Design
+	msg := reply[room:]
 	rh := &Header{XID: call.XID, Credits: s.advertiseCredits(conn), Type: MsgRDMA}
 	if design == ReplyFetch && len(call.ReplyChunk) == 0 {
 		// No slot advertised: an RFP reply is undeliverable.
@@ -791,7 +803,7 @@ func (s *ServerTransport) reply(p *des.Proc, task *serverTask, reply []byte, bul
 	// park only this worker, never the whole send path. Every RFP reply
 	// parks its deposit staging; a Read-Read reply parks whatever it exposes
 	// — bulk, or a message over the inline threshold.
-	reserved := design == ReplyFetch || design == ReadRead && (outLen > 0 || len(reply) > s.cfg.InlineThreshold)
+	reserved := design == ReplyFetch || design == ReadRead && (outLen > 0 || len(msg) > s.cfg.InlineThreshold)
 	if reserved {
 		conn.slots().Acquire(p, 1)
 	}
@@ -816,7 +828,7 @@ func (s *ServerTransport) reply(p *des.Proc, task *serverTask, reply []byte, bul
 	case design == ReadRead:
 		if staging != nil {
 			s.mgr.RegisterChunk(p, staging, outLen) // exposes the buffer (RemoteRead)
-			rh.exposeRead(uint32(len(reply)), clampSegs(staging.Reg.Segments(), outLen))
+			rh.exposeRead(uint32(len(msg)), clampSegs(staging.Reg.Segments(), outLen))
 			park = append(park, staging)
 			staging = nil
 		}
@@ -846,12 +858,12 @@ func (s *ServerTransport) reply(p *des.Proc, task *serverTask, reply []byte, bul
 	}
 
 	// --- Message: inline, long-reply chunk, or slot deposit ---
-	var wire []byte
+	var wireLen int
 	var longChk, depChk *memreg.Chunk
 	switch {
 	case design == ReplyFetch:
-		wire = rh.message(reply)
-		if over := len(wire) + doorbellBytes - int(call.ReplyChunk[0].Length); over > 0 {
+		wireLen = rh.wireSize() + len(msg)
+		if over := wireLen + doorbellBytes - int(call.ReplyChunk[0].Length); over > 0 {
 			// The reply outgrew the client's slot; it cannot be delivered. The
 			// client's watchdog will time out and the retransmission hits the
 			// DRC — same terminal behaviour as an undeliverable long reply.
@@ -862,23 +874,25 @@ func (s *ServerTransport) reply(p *des.Proc, task *serverTask, reply []byte, bul
 			}
 			return
 		}
-		// Stage the deposit: [doorbell word | wire bytes] in one local-only
-		// chunk (protocol staging is materialized, so the bytes really cross).
-		depChk = s.mgr.Get(p, doorbellBytes+len(wire), ibsim.AccessLocalWrite)
+		// Stage the deposit: [doorbell word | header | message] in one
+		// local-only chunk (protocol staging is materialized, so the bytes
+		// really cross), the message copied behind the header's room.
+		depChk = s.mgr.Get(p, doorbellBytes+wireLen, ibsim.AccessLocalWrite)
 		if d := depChk.Data(); d != nil {
-			binary.LittleEndian.PutUint64(d[:doorbellBytes], uint64(len(wire))+1)
-			copy(d[doorbellBytes:], wire)
+			binary.LittleEndian.PutUint64(d[:doorbellBytes], uint64(wireLen)+1)
+			copy(d[doorbellBytes+rh.wireSize():], msg)
+			rh.frame(d[doorbellBytes:doorbellBytes+wireLen], rh.wireSize())
 		}
-		s.node.CPU.Copy(p, len(wire))
+		s.node.CPU.Copy(p, wireLen)
 		s.Deposits++
 		if tr := s.node.Sim().Tracer(); tr != nil {
 			tr.Instant(int64(p.Now()), trace.LayerRPC, trace.KindBulkWrite, s.node.Name(), "deposit",
-				conn.traceKey(call.XID), int64(len(wire)))
+				conn.traceKey(call.XID), int64(wireLen))
 		}
 		park = append(park, depChk)
-	case len(reply) <= s.cfg.InlineThreshold:
+	case len(msg) <= s.cfg.InlineThreshold:
 		// Inline reply.
-	case design == ReadRead && len(reply) <= s.cfg.recvBufSize():
+	case design == ReadRead && len(msg) <= s.cfg.recvBufSize():
 		// Oversized-but-deliverable reply: the posted receives carry
 		// headroom beyond the threshold, so send it inline.
 	case design == ReadWrite && len(call.ReplyChunk) == 0:
@@ -886,7 +900,7 @@ func (s *ServerTransport) reply(p *des.Proc, task *serverTask, reply []byte, bul
 		// posted receives carry headroom beyond the threshold, so squeeze
 		// it inline rather than dropping the call. Truly oversized replies
 		// without placement cannot be delivered.
-		if len(reply) > s.cfg.recvBufSize() {
+		if len(msg) > s.cfg.recvBufSize() {
 			if s.serial != nil {
 				s.serial.Release(1)
 			}
@@ -900,25 +914,25 @@ func (s *ServerTransport) reply(p *des.Proc, task *serverTask, reply []byte, bul
 		// written into the client's reply chunk (Read-Write) or exposed for
 		// the client to read (Read-Read).
 		s.LongReplies++
-		longChk = s.mgr.Get(p, len(reply), s.replyAccess())
+		longChk = s.mgr.Get(p, len(msg), s.replyAccess())
 		if d := longChk.Data(); d != nil {
-			copy(d, reply)
+			copy(d, msg)
 		}
-		s.node.CPU.Copy(p, len(reply))
+		s.node.CPU.Copy(p, len(msg))
 		rh.Type = MsgNoMsg
 		if design == ReadRead {
 			rh.ReadList = rh.ReadList[:0] // a NOMSG reply carries only itself
-			rh.exposeRead(0, clampSegs(longChk.Reg.Segments(), len(reply)))
+			rh.exposeRead(0, clampSegs(longChk.Reg.Segments(), len(msg)))
 			park = append(park, longChk)
 			longChk = nil
 		} else {
 			var residual int
-			rh.ReplyChunk, residual = s.pushBulk(p, w, conn, longChk.Buf, len(reply), call.ReplyChunk)
+			rh.ReplyChunk, residual = s.pushBulk(p, w, conn, longChk.Buf, len(msg), call.ReplyChunk)
 			if residual > 0 {
 				s.shortWrite(p, conn, call.XID, residual)
 			}
 		}
-		reply = nil
+		reply, room = nil, 0 // the Send carries the header alone
 	}
 	if design == ReadRead && staging != nil {
 		s.mgr.Put(p, staging) // no payload produced; release unregistered
@@ -931,7 +945,7 @@ func (s *ServerTransport) reply(p *des.Proc, task *serverTask, reply []byte, bul
 		// port serializes their data, so the doorbell can only land after the
 		// reply (and any bulk pushed above) is already in client memory.
 		slot := call.ReplyChunk[0]
-		conn.write(uint64(call.XID), depChk.Buf, doorbellBytes, len(wire), slot.Rkey, slot.Addr+doorbellBytes)
+		conn.write(uint64(call.XID), depChk.Buf, doorbellBytes, wireLen, slot.Rkey, slot.Addr+doorbellBytes)
 		conn.write(uint64(call.XID), depChk.Buf, 0, doorbellBytes, slot.Rkey, slot.Addr)
 		if s.serial != nil {
 			s.serial.Release(1)
@@ -940,7 +954,7 @@ func (s *ServerTransport) reply(p *des.Proc, task *serverTask, reply []byte, bul
 		return
 	}
 	s.park(p, conn, call.XID, park, reserved)
-	w.send = ibsim.SendWQE{WRID: uint64(call.XID), Op: ibsim.OpSend, Payload: rh.message(reply)}
+	w.send = ibsim.SendWQE{WRID: uint64(call.XID), Op: ibsim.OpSend, Payload: rh.frame(reply, room)}
 	w.sent.Init(s.node.Sim())
 	postWithEvent(conn, &w.send, &w.sent)
 	if s.serial != nil {

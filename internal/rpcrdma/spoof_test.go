@@ -168,7 +168,7 @@ func TestForgedStreamDoneMux(t *testing.T) {
 				if aq.Err() == nil {
 					t.Error("attacker endpoint should be terminated")
 				}
-				if _, _, err := vrpc.Call(p, 4, []byte("still here"), oncrpc.CallOpts{}); err != nil {
+				if _, _, err := vrpc.Call(p, 4, raw([]byte("still here")), oncrpc.CallOpts{}); err != nil {
 					t.Errorf("victim endpoint collateral damage: %v", err)
 				}
 			})

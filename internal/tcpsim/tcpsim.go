@@ -11,13 +11,13 @@
 package tcpsim
 
 import (
+	"encoding/binary"
 	"fmt"
 	"time"
 
 	"repro/internal/des"
 	"repro/internal/ibsim"
 	"repro/internal/oncrpc"
-	"repro/internal/xdr"
 )
 
 // Config tunes a stream endpoint pair.
@@ -268,7 +268,8 @@ func (l *Listener) handle(p *des.Proc, msg *message) {
 		RecvBulkCap: maxBulk,
 	})
 	if err != nil || reply == nil {
-		// nil reply: duplicate of a call still executing — drop silently.
+		// err: not a call (the dispatcher counts it). nil reply: duplicate of
+		// a call still executing — drop silently.
 		return
 	}
 	bulkLen := 0
@@ -287,20 +288,10 @@ func (l *Listener) handle(p *des.Proc, msg *message) {
 	if arrive < p.Now() {
 		arrive = p.Now()
 	}
-	xid := xidOf(reply)
+	xid := binary.BigEndian.Uint32(reply) // a reply begins with its XID
 	p.Sim().At(arrive, func() {
 		if done, ok := conn.pending[xid]; ok && !done.Fired() {
 			done.Fire(&serverReply{hdr: reply, bulkLen: bulkLen, bulkData: bulkData})
 		}
 	})
-}
-
-// xidOf extracts the XID from a marshaled RPC message.
-func xidOf(msg []byte) uint32 {
-	d := xdr.NewDecoder(msg)
-	x, err := d.Uint32()
-	if err != nil {
-		return 0
-	}
-	return x
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/des"
 	"repro/internal/ibsim"
 	"repro/internal/oncrpc"
+	"repro/internal/xdr"
 )
 
 // echoSvc returns args as results and reflects bulk.
@@ -16,17 +17,18 @@ type echoSvc struct{ stored []byte }
 func (s *echoSvc) Name() string    { return "echo" }
 func (s *echoSvc) Program() uint32 { return 900 }
 func (s *echoSvc) Version() uint32 { return 1 }
-func (s *echoSvc) Handle(p *des.Proc, req *oncrpc.ServerRequest) *oncrpc.ServerResponse {
+func (s *echoSvc) Handle(p *des.Proc, req *oncrpc.ServerRequest) oncrpc.ServerResponse {
 	switch req.Header.Proc {
 	case 1: // PUT
 		if req.Bulk != nil && req.Bulk.Data != nil {
 			s.stored = append([]byte(nil), req.Bulk.Data[:req.Bulk.Len]...)
 		}
-		return &oncrpc.ServerResponse{Stat: oncrpc.Success}
+		return oncrpc.ServerResponse{Stat: oncrpc.Success}
 	case 2: // GET
-		return &oncrpc.ServerResponse{Stat: oncrpc.Success, Bulk: oncrpc.NewBulk(s.stored)}
+		return oncrpc.ServerResponse{Stat: oncrpc.Success, Bulk: oncrpc.NewBulk(s.stored)}
 	}
-	return &oncrpc.ServerResponse{Stat: oncrpc.Success, Results: append([]byte(nil), req.Args...)}
+	req.Reply.FixedOpaque(req.Args)
+	return oncrpc.ServerResponse{Stat: oncrpc.Success}
 }
 
 func gigeNode(fab *ibsim.Fabric, name string) *ibsim.Node {
@@ -49,7 +51,7 @@ func TestStreamRPCRoundTrip(t *testing.T) {
 	conn := Dial(cn, l)
 	rpc := oncrpc.NewClient(conn, 900, 1, oncrpc.Auth{})
 	sim.Spawn("client", func(p *des.Proc) {
-		res, _, err := rpc.Call(p, 3, []byte("over tcp"), oncrpc.CallOpts{})
+		res, _, err := rpc.Call(p, 3, func(e *xdr.Encoder) { e.FixedOpaque([]byte("over tcp")) }, oncrpc.CallOpts{})
 		if err != nil || string(res) != "over tcp" {
 			t.Errorf("echo: %q %v", res, err)
 		}
@@ -67,6 +69,35 @@ func TestStreamRPCRoundTrip(t *testing.T) {
 		}
 		if !bytes.Equal(dst.Data, payload) {
 			t.Error("bulk corrupted over stream")
+		}
+	})
+	sim.Run()
+}
+
+// A message that is not an ONC RPC call is counted by the dispatcher, once,
+// and owed no reply; the connection keeps serving.
+func TestStreamCountsNonCalls(t *testing.T) {
+	sim := des.New()
+	fab := ibsim.NewFabric(sim, true)
+	cn := gigeNode(fab, "client")
+	sn := gigeNode(fab, "server")
+	d := oncrpc.NewDispatcher()
+	d.Register(&echoSvc{})
+	l := NewListener(sn, d, Config{})
+	conn := Dial(cn, l)
+	rpc := oncrpc.NewClient(conn, 900, 1, oncrpc.Auth{})
+	sim.Spawn("client", func(p *des.Proc) {
+		sim.Spawn("intruder", func(ip *des.Proc) {
+			conn.Roundtrip(ip, &oncrpc.Request{XID: 1, Header: oncrpc.EncodeReply(1, oncrpc.Success, nil)})
+			t.Error("a message that is not a call was answered")
+		})
+		p.Sleep(time.Millisecond)
+		if n := d.BadCalls(); n != 1 {
+			t.Errorf("BadCalls = %d, want 1", n)
+		}
+		res, _, err := rpc.Call(p, 3, func(e *xdr.Encoder) { e.FixedOpaque([]byte("next")) }, oncrpc.CallOpts{})
+		if err != nil || string(res) != "next" {
+			t.Errorf("call after a non-call: %q %v", res, err)
 		}
 	})
 	sim.Run()

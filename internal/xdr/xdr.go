@@ -5,6 +5,7 @@
 package xdr
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -16,6 +17,11 @@ var ErrShortBuffer = errors.New("xdr: short buffer")
 // ErrTooLong is returned when a counted item exceeds the decoder's sanity
 // limit (guarding protocol code against hostile lengths).
 var ErrTooLong = errors.New("xdr: counted item too long")
+
+// ErrPadding is returned when the bytes padding an item to 4-byte alignment
+// are not zero (RFC 4506 §4.9): only the canonical encoding decodes, so what
+// decodes encodes back to the same bytes.
+var ErrPadding = errors.New("xdr: non-zero padding")
 
 // MaxOpaque bounds variable-length items accepted by the decoder. NFSv3
 // READ/WRITE payloads move as RDMA chunks, not inline XDR, so inline items
@@ -33,6 +39,10 @@ type Encoder struct {
 
 // NewEncoder returns an encoder writing into buf (may be nil).
 func NewEncoder(buf []byte) *Encoder { return &Encoder{buf: buf} }
+
+// Reset makes the encoder append to buf, so that one kept inside a longer
+// lived object needs no allocation of its own.
+func (e *Encoder) Reset(buf []byte) { e.buf = buf }
 
 // Bytes returns the encoded bytes.
 func (e *Encoder) Bytes() []byte { return e.buf }
@@ -154,6 +164,9 @@ func (d *Decoder) Opaque() ([]byte, error) {
 func (d *Decoder) FixedOpaque(n int) ([]byte, error) {
 	if n < 0 || d.Remaining() < n+pad(n) {
 		return nil, ErrShortBuffer
+	}
+	if !bytes.Equal(d.buf[d.off+n:d.off+n+pad(n)], zeros[:pad(n)]) {
+		return nil, ErrPadding
 	}
 	b := d.buf[d.off : d.off+n : d.off+n]
 	d.off += n + pad(n)

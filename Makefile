@@ -50,6 +50,7 @@ check: fmt vet
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCall$$' -fuzztime=10s ./internal/oncrpc/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeHeaderInto$$' -fuzztime=10s ./internal/rpcrdma/
 	$(GO) test -run '^$$' -fuzz '^FuzzDispatch$$' -fuzztime=10s ./internal/nfs3/
+	$(GO) test -run '^$$' -fuzz '^FuzzXDR$$' -fuzztime=10s ./internal/nfs3/
 
 # loc prints the count ROADMAP.md tracks: non-blank, non-comment lines of
 # non-test Go outside benchmark/.

@@ -5,8 +5,8 @@ import (
 )
 
 // This file defines the argument and result messages of every NFSv3
-// procedure with symmetric Encode/Decode, shared by the client stubs and
-// the server dispatcher so the two sides cannot drift.
+// procedure, each with one XDR method that both the client stubs and the
+// server dispatcher code it through, so the two sides cannot drift.
 //
 // READ results and WRITE arguments deliberately exclude the data payload:
 // it travels through the transport's direct-data-placement path (RDMA
@@ -16,14 +16,11 @@ import (
 // GetAttrArgs is GETATTR3args.
 type GetAttrArgs struct{ FH FH }
 
-// Encode marshals the args.
-func (a *GetAttrArgs) Encode(e *xdr.Encoder) { a.FH.Encode(e) }
+// XDR codes the args.
+func (a *GetAttrArgs) XDR(c *xdr.Codec) { a.FH.XDR(c) }
 
-// DecodeGetAttrArgs unmarshals GETATTR3args.
-func DecodeGetAttrArgs(d *xdr.Decoder) (GetAttrArgs, error) {
-	fh, err := DecodeFH(d)
-	return GetAttrArgs{FH: fh}, err
-}
+// Encode appends the args to e.
+func (a *GetAttrArgs) Encode(e *xdr.Encoder) { c := xdr.EncodeTo(e); a.XDR(&c) }
 
 // GetAttrRes is GETATTR3res.
 type GetAttrRes struct {
@@ -31,26 +28,12 @@ type GetAttrRes struct {
 	Attr   FAttr
 }
 
-// Encode marshals the result.
-func (r *GetAttrRes) Encode(e *xdr.Encoder) {
-	e.Uint32(uint32(r.Status))
+// XDR codes the result.
+func (r *GetAttrRes) XDR(c *xdr.Codec) {
+	r.Status.XDR(c)
 	if r.Status == OK {
-		r.Attr.Encode(e)
+		r.Attr.XDR(c)
 	}
-}
-
-// DecodeGetAttrRes unmarshals GETATTR3res.
-func DecodeGetAttrRes(d *xdr.Decoder) (GetAttrRes, error) {
-	var r GetAttrRes
-	st, err := d.Uint32()
-	if err != nil {
-		return r, err
-	}
-	r.Status = Status(st)
-	if r.Status == OK {
-		r.Attr, err = DecodeFAttr(d)
-	}
-	return r, err
 }
 
 // SetAttrArgs is SETATTR3args. Guard, when non-nil, is the sattrguard3
@@ -63,38 +46,16 @@ type SetAttrArgs struct {
 	Guard *NFSTime
 }
 
-// Encode marshals the args.
-func (a *SetAttrArgs) Encode(e *xdr.Encoder) {
-	a.FH.Encode(e)
-	a.Attr.Encode(e)
-	e.Bool(a.Guard != nil)
-	if a.Guard != nil {
-		a.Guard.encode(e)
-	}
-}
-
-// DecodeSetAttrArgs unmarshals SETATTR3args.
-func DecodeSetAttrArgs(d *xdr.Decoder) (SetAttrArgs, error) {
-	var a SetAttrArgs
-	var err error
-	if a.FH, err = DecodeFH(d); err != nil {
-		return a, err
-	}
-	if a.Attr, err = DecodeSAttr(d); err != nil {
-		return a, err
-	}
-	guard, err := d.Bool()
-	if err != nil {
-		return a, err
-	}
-	if guard {
-		t, err := decodeTime(d)
-		if err != nil {
-			return a, err
+// XDR codes the args.
+func (a *SetAttrArgs) XDR(c *xdr.Codec) {
+	a.FH.XDR(c)
+	a.Attr.XDR(c)
+	if guard := a.Guard != nil; c.Optional(&guard) {
+		if a.Guard == nil {
+			a.Guard = new(NFSTime)
 		}
-		a.Guard = &t
+		a.Guard.XDR(c)
 	}
-	return a, nil
 }
 
 // WccRes is the common "status + wcc_data" result shape (SETATTR, REMOVE,
@@ -104,22 +65,10 @@ type WccRes struct {
 	Wcc    WccData
 }
 
-// Encode marshals the result.
-func (r *WccRes) Encode(e *xdr.Encoder) {
-	e.Uint32(uint32(r.Status))
-	r.Wcc.Encode(e)
-}
-
-// DecodeWccRes unmarshals a status + wcc_data result.
-func DecodeWccRes(d *xdr.Decoder) (WccRes, error) {
-	var r WccRes
-	st, err := d.Uint32()
-	if err != nil {
-		return r, err
-	}
-	r.Status = Status(st)
-	r.Wcc, err = DecodeWccData(d)
-	return r, err
+// XDR codes the result.
+func (r *WccRes) XDR(c *xdr.Codec) {
+	r.Status.XDR(c)
+	r.Wcc.XDR(c)
 }
 
 // DirOpArgs is diropargs3 (LOOKUP, REMOVE, RMDIR and friends).
@@ -128,21 +77,10 @@ type DirOpArgs struct {
 	Name string
 }
 
-// Encode marshals the args.
-func (a *DirOpArgs) Encode(e *xdr.Encoder) {
-	a.Dir.Encode(e)
-	e.String(a.Name)
-}
-
-// DecodeDirOpArgs unmarshals diropargs3.
-func DecodeDirOpArgs(d *xdr.Decoder) (DirOpArgs, error) {
-	var a DirOpArgs
-	var err error
-	if a.Dir, err = DecodeFH(d); err != nil {
-		return a, err
-	}
-	a.Name, err = d.String()
-	return a, err
+// XDR codes the args.
+func (a *DirOpArgs) XDR(c *xdr.Codec) {
+	a.Dir.XDR(c)
+	c.String(&a.Name)
 }
 
 // LookupRes is LOOKUP3res.
@@ -153,34 +91,14 @@ type LookupRes struct {
 	DirAttr PostOpAttr
 }
 
-// Encode marshals the result.
-func (r *LookupRes) Encode(e *xdr.Encoder) {
-	e.Uint32(uint32(r.Status))
+// XDR codes the result.
+func (r *LookupRes) XDR(c *xdr.Codec) {
+	r.Status.XDR(c)
 	if r.Status == OK {
-		r.Object.Encode(e)
-		r.ObjAttr.Encode(e)
+		r.Object.XDR(c)
+		r.ObjAttr.XDR(c)
 	}
-	r.DirAttr.Encode(e)
-}
-
-// DecodeLookupRes unmarshals LOOKUP3res.
-func DecodeLookupRes(d *xdr.Decoder) (LookupRes, error) {
-	var r LookupRes
-	st, err := d.Uint32()
-	if err != nil {
-		return r, err
-	}
-	r.Status = Status(st)
-	if r.Status == OK {
-		if r.Object, err = DecodeFH(d); err != nil {
-			return r, err
-		}
-		if r.ObjAttr, err = DecodePostOpAttr(d); err != nil {
-			return r, err
-		}
-	}
-	r.DirAttr, err = DecodePostOpAttr(d)
-	return r, err
+	r.DirAttr.XDR(c)
 }
 
 // AccessArgs is ACCESS3args.
@@ -189,21 +107,10 @@ type AccessArgs struct {
 	Access uint32
 }
 
-// Encode marshals the args.
-func (a *AccessArgs) Encode(e *xdr.Encoder) {
-	a.FH.Encode(e)
-	e.Uint32(a.Access)
-}
-
-// DecodeAccessArgs unmarshals ACCESS3args.
-func DecodeAccessArgs(d *xdr.Decoder) (AccessArgs, error) {
-	var a AccessArgs
-	var err error
-	if a.FH, err = DecodeFH(d); err != nil {
-		return a, err
-	}
-	a.Access, err = d.Uint32()
-	return a, err
+// XDR codes the args.
+func (a *AccessArgs) XDR(c *xdr.Codec) {
+	a.FH.XDR(c)
+	c.Uint32(&a.Access)
 }
 
 // AccessRes is ACCESS3res.
@@ -213,30 +120,13 @@ type AccessRes struct {
 	Access uint32
 }
 
-// Encode marshals the result.
-func (r *AccessRes) Encode(e *xdr.Encoder) {
-	e.Uint32(uint32(r.Status))
-	r.Attr.Encode(e)
+// XDR codes the result.
+func (r *AccessRes) XDR(c *xdr.Codec) {
+	r.Status.XDR(c)
+	r.Attr.XDR(c)
 	if r.Status == OK {
-		e.Uint32(r.Access)
+		c.Uint32(&r.Access)
 	}
-}
-
-// DecodeAccessRes unmarshals ACCESS3res.
-func DecodeAccessRes(d *xdr.Decoder) (AccessRes, error) {
-	var r AccessRes
-	st, err := d.Uint32()
-	if err != nil {
-		return r, err
-	}
-	r.Status = Status(st)
-	if r.Attr, err = DecodePostOpAttr(d); err != nil {
-		return r, err
-	}
-	if r.Status == OK {
-		r.Access, err = d.Uint32()
-	}
-	return r, err
 }
 
 // ReadLinkRes is READLINK3res.
@@ -246,30 +136,13 @@ type ReadLinkRes struct {
 	Path   string
 }
 
-// Encode marshals the result.
-func (r *ReadLinkRes) Encode(e *xdr.Encoder) {
-	e.Uint32(uint32(r.Status))
-	r.Attr.Encode(e)
+// XDR codes the result.
+func (r *ReadLinkRes) XDR(c *xdr.Codec) {
+	r.Status.XDR(c)
+	r.Attr.XDR(c)
 	if r.Status == OK {
-		e.String(r.Path)
+		c.String(&r.Path)
 	}
-}
-
-// DecodeReadLinkRes unmarshals READLINK3res.
-func DecodeReadLinkRes(d *xdr.Decoder) (ReadLinkRes, error) {
-	var r ReadLinkRes
-	st, err := d.Uint32()
-	if err != nil {
-		return r, err
-	}
-	r.Status = Status(st)
-	if r.Attr, err = DecodePostOpAttr(d); err != nil {
-		return r, err
-	}
-	if r.Status == OK {
-		r.Path, err = d.String()
-	}
-	return r, err
 }
 
 // ReadArgs is READ3args.
@@ -279,25 +152,11 @@ type ReadArgs struct {
 	Count  uint32
 }
 
-// Encode marshals the args.
-func (a *ReadArgs) Encode(e *xdr.Encoder) {
-	a.FH.Encode(e)
-	e.Uint64(a.Offset)
-	e.Uint32(a.Count)
-}
-
-// DecodeReadArgs unmarshals READ3args.
-func DecodeReadArgs(d *xdr.Decoder) (ReadArgs, error) {
-	var a ReadArgs
-	var err error
-	if a.FH, err = DecodeFH(d); err != nil {
-		return a, err
-	}
-	if a.Offset, err = d.Uint64(); err != nil {
-		return a, err
-	}
-	a.Count, err = d.Uint32()
-	return a, err
+// XDR codes the args.
+func (a *ReadArgs) XDR(c *xdr.Codec) {
+	a.FH.XDR(c)
+	c.Uint64(&a.Offset)
+	c.Uint32(&a.Count)
 }
 
 // ReadRes is READ3res with the data payload carried out of band.
@@ -308,40 +167,15 @@ type ReadRes struct {
 	EOF    bool
 }
 
-// Encode marshals the result.
-func (r *ReadRes) Encode(e *xdr.Encoder) {
-	e.Uint32(uint32(r.Status))
-	r.Attr.Encode(e)
+// XDR codes the result.
+func (r *ReadRes) XDR(c *xdr.Codec) {
+	r.Status.XDR(c)
+	r.Attr.XDR(c)
 	if r.Status == OK {
-		e.Uint32(r.Count)
-		e.Bool(r.EOF)
-		e.Uint32(r.Count) // data<> length; bytes travel via placement
+		c.Uint32(&r.Count)
+		c.Bool(&r.EOF)
+		c.Const(r.Count) // data<> length; bytes travel via placement
 	}
-}
-
-// DecodeReadRes unmarshals READ3res.
-func DecodeReadRes(d *xdr.Decoder) (ReadRes, error) {
-	var r ReadRes
-	st, err := d.Uint32()
-	if err != nil {
-		return r, err
-	}
-	r.Status = Status(st)
-	if r.Attr, err = DecodePostOpAttr(d); err != nil {
-		return r, err
-	}
-	if r.Status == OK {
-		if r.Count, err = d.Uint32(); err != nil {
-			return r, err
-		}
-		if r.EOF, err = d.Bool(); err != nil {
-			return r, err
-		}
-		if _, err = d.Uint32(); err != nil { // data<> length
-			return r, err
-		}
-	}
-	return r, nil
 }
 
 // WriteArgs is WRITE3args with the data payload carried out of band.
@@ -352,33 +186,13 @@ type WriteArgs struct {
 	Stable uint32
 }
 
-// Encode marshals the args.
-func (a *WriteArgs) Encode(e *xdr.Encoder) {
-	a.FH.Encode(e)
-	e.Uint64(a.Offset)
-	e.Uint32(a.Count)
-	e.Uint32(a.Stable)
-	e.Uint32(a.Count) // data<> length; bytes travel via placement
-}
-
-// DecodeWriteArgs unmarshals WRITE3args.
-func DecodeWriteArgs(d *xdr.Decoder) (WriteArgs, error) {
-	var a WriteArgs
-	var err error
-	if a.FH, err = DecodeFH(d); err != nil {
-		return a, err
-	}
-	if a.Offset, err = d.Uint64(); err != nil {
-		return a, err
-	}
-	if a.Count, err = d.Uint32(); err != nil {
-		return a, err
-	}
-	if a.Stable, err = d.Uint32(); err != nil {
-		return a, err
-	}
-	_, err = d.Uint32() // data<> length
-	return a, err
+// XDR codes the args.
+func (a *WriteArgs) XDR(c *xdr.Codec) {
+	a.FH.XDR(c)
+	c.Uint64(&a.Offset)
+	c.Uint32(&a.Count)
+	c.Uint32(&a.Stable)
+	c.Const(a.Count) // data<> length; bytes travel via placement
 }
 
 // WriteRes is WRITE3res.
@@ -390,67 +204,28 @@ type WriteRes struct {
 	Verf      uint64
 }
 
-// Encode marshals the result.
-func (r *WriteRes) Encode(e *xdr.Encoder) {
-	e.Uint32(uint32(r.Status))
-	r.Wcc.Encode(e)
+// XDR codes the result.
+func (r *WriteRes) XDR(c *xdr.Codec) {
+	r.Status.XDR(c)
+	r.Wcc.XDR(c)
 	if r.Status == OK {
-		e.Uint32(r.Count)
-		e.Uint32(r.Committed)
-		e.Uint64(r.Verf)
+		c.Uint32(&r.Count)
+		c.Uint32(&r.Committed)
+		c.Uint64(&r.Verf)
 	}
 }
 
-// DecodeWriteRes unmarshals WRITE3res.
-func DecodeWriteRes(d *xdr.Decoder) (WriteRes, error) {
-	var r WriteRes
-	st, err := d.Uint32()
-	if err != nil {
-		return r, err
-	}
-	r.Status = Status(st)
-	if r.Wcc, err = DecodeWccData(d); err != nil {
-		return r, err
-	}
-	if r.Status == OK {
-		if r.Count, err = d.Uint32(); err != nil {
-			return r, err
-		}
-		if r.Committed, err = d.Uint32(); err != nil {
-			return r, err
-		}
-		if r.Verf, err = d.Uint64(); err != nil {
-			return r, err
-		}
-	}
-	return r, nil
-}
-
-// CreateArgs is CREATE3args / MKDIR3args (mode UNCHECKED).
+// CreateArgs is CREATE3args in mode UNCHECKED, the one mode served.
 type CreateArgs struct {
 	Where DirOpArgs
 	Attr  SAttr
 }
 
-// Encode marshals the args.
-func (a *CreateArgs) Encode(e *xdr.Encoder) {
-	a.Where.Encode(e)
-	e.Uint32(0) // createmode3 UNCHECKED
-	a.Attr.Encode(e)
-}
-
-// DecodeCreateArgs unmarshals CREATE3args.
-func DecodeCreateArgs(d *xdr.Decoder) (CreateArgs, error) {
-	var a CreateArgs
-	var err error
-	if a.Where, err = DecodeDirOpArgs(d); err != nil {
-		return a, err
-	}
-	if _, err = d.Uint32(); err != nil { // createmode3
-		return a, err
-	}
-	a.Attr, err = DecodeSAttr(d)
-	return a, err
+// XDR codes the args.
+func (a *CreateArgs) XDR(c *xdr.Codec) {
+	a.Where.XDR(c)
+	c.Const(0) // createmode3 UNCHECKED
+	a.Attr.XDR(c)
 }
 
 // MkdirArgs is MKDIR3args (same shape minus createmode).
@@ -459,21 +234,10 @@ type MkdirArgs struct {
 	Attr  SAttr
 }
 
-// Encode marshals the args.
-func (a *MkdirArgs) Encode(e *xdr.Encoder) {
-	a.Where.Encode(e)
-	a.Attr.Encode(e)
-}
-
-// DecodeMkdirArgs unmarshals MKDIR3args.
-func DecodeMkdirArgs(d *xdr.Decoder) (MkdirArgs, error) {
-	var a MkdirArgs
-	var err error
-	if a.Where, err = DecodeDirOpArgs(d); err != nil {
-		return a, err
-	}
-	a.Attr, err = DecodeSAttr(d)
-	return a, err
+// XDR codes the args.
+func (a *MkdirArgs) XDR(c *xdr.Codec) {
+	a.Where.XDR(c)
+	a.Attr.XDR(c)
 }
 
 // SymlinkArgs is SYMLINK3args.
@@ -483,28 +247,14 @@ type SymlinkArgs struct {
 	Target string
 }
 
-// Encode marshals the args.
-func (a *SymlinkArgs) Encode(e *xdr.Encoder) {
-	a.Where.Encode(e)
-	a.Attr.Encode(e)
-	e.String(a.Target)
+// XDR codes the args.
+func (a *SymlinkArgs) XDR(c *xdr.Codec) {
+	a.Where.XDR(c)
+	a.Attr.XDR(c)
+	c.String(&a.Target)
 }
 
-// DecodeSymlinkArgs unmarshals SYMLINK3args.
-func DecodeSymlinkArgs(d *xdr.Decoder) (SymlinkArgs, error) {
-	var a SymlinkArgs
-	var err error
-	if a.Where, err = DecodeDirOpArgs(d); err != nil {
-		return a, err
-	}
-	if a.Attr, err = DecodeSAttr(d); err != nil {
-		return a, err
-	}
-	a.Target, err = d.String()
-	return a, err
-}
-
-// CreateRes is CREATE3res / MKDIR3res / SYMLINK3res.
+// CreateRes is CREATE3res / MKDIR3res / SYMLINK3res / MKNOD3res.
 type CreateRes struct {
 	Status    Status
 	FHPresent bool
@@ -513,42 +263,16 @@ type CreateRes struct {
 	DirWcc    WccData
 }
 
-// Encode marshals the result.
-func (r *CreateRes) Encode(e *xdr.Encoder) {
-	e.Uint32(uint32(r.Status))
+// XDR codes the result.
+func (r *CreateRes) XDR(c *xdr.Codec) {
+	r.Status.XDR(c)
 	if r.Status == OK {
-		e.Bool(r.FHPresent)
-		if r.FHPresent {
-			r.FH.Encode(e)
+		if c.Optional(&r.FHPresent) {
+			r.FH.XDR(c)
 		}
-		r.Attr.Encode(e)
+		r.Attr.XDR(c)
 	}
-	r.DirWcc.Encode(e)
-}
-
-// DecodeCreateRes unmarshals CREATE3res.
-func DecodeCreateRes(d *xdr.Decoder) (CreateRes, error) {
-	var r CreateRes
-	st, err := d.Uint32()
-	if err != nil {
-		return r, err
-	}
-	r.Status = Status(st)
-	if r.Status == OK {
-		if r.FHPresent, err = d.Bool(); err != nil {
-			return r, err
-		}
-		if r.FHPresent {
-			if r.FH, err = DecodeFH(d); err != nil {
-				return r, err
-			}
-		}
-		if r.Attr, err = DecodePostOpAttr(d); err != nil {
-			return r, err
-		}
-	}
-	r.DirWcc, err = DecodeWccData(d)
-	return r, err
+	r.DirWcc.XDR(c)
 }
 
 // RenameArgs is RENAME3args.
@@ -557,21 +281,10 @@ type RenameArgs struct {
 	To   DirOpArgs
 }
 
-// Encode marshals the args.
-func (a *RenameArgs) Encode(e *xdr.Encoder) {
-	a.From.Encode(e)
-	a.To.Encode(e)
-}
-
-// DecodeRenameArgs unmarshals RENAME3args.
-func DecodeRenameArgs(d *xdr.Decoder) (RenameArgs, error) {
-	var a RenameArgs
-	var err error
-	if a.From, err = DecodeDirOpArgs(d); err != nil {
-		return a, err
-	}
-	a.To, err = DecodeDirOpArgs(d)
-	return a, err
+// XDR codes the args.
+func (a *RenameArgs) XDR(c *xdr.Codec) {
+	a.From.XDR(c)
+	a.To.XDR(c)
 }
 
 // RenameRes is RENAME3res.
@@ -581,26 +294,11 @@ type RenameRes struct {
 	ToWcc   WccData
 }
 
-// Encode marshals the result.
-func (r *RenameRes) Encode(e *xdr.Encoder) {
-	e.Uint32(uint32(r.Status))
-	r.FromWcc.Encode(e)
-	r.ToWcc.Encode(e)
-}
-
-// DecodeRenameRes unmarshals RENAME3res.
-func DecodeRenameRes(d *xdr.Decoder) (RenameRes, error) {
-	var r RenameRes
-	st, err := d.Uint32()
-	if err != nil {
-		return r, err
-	}
-	r.Status = Status(st)
-	if r.FromWcc, err = DecodeWccData(d); err != nil {
-		return r, err
-	}
-	r.ToWcc, err = DecodeWccData(d)
-	return r, err
+// XDR codes the result.
+func (r *RenameRes) XDR(c *xdr.Codec) {
+	r.Status.XDR(c)
+	r.FromWcc.XDR(c)
+	r.ToWcc.XDR(c)
 }
 
 // LinkArgs is LINK3args.
@@ -609,21 +307,10 @@ type LinkArgs struct {
 	Link DirOpArgs
 }
 
-// Encode marshals the args.
-func (a *LinkArgs) Encode(e *xdr.Encoder) {
-	a.FH.Encode(e)
-	a.Link.Encode(e)
-}
-
-// DecodeLinkArgs unmarshals LINK3args.
-func DecodeLinkArgs(d *xdr.Decoder) (LinkArgs, error) {
-	var a LinkArgs
-	var err error
-	if a.FH, err = DecodeFH(d); err != nil {
-		return a, err
-	}
-	a.Link, err = DecodeDirOpArgs(d)
-	return a, err
+// XDR codes the args.
+func (a *LinkArgs) XDR(c *xdr.Codec) {
+	a.FH.XDR(c)
+	a.Link.XDR(c)
 }
 
 // LinkRes is LINK3res.
@@ -633,68 +320,32 @@ type LinkRes struct {
 	LinkWcc WccData
 }
 
-// Encode marshals the result.
-func (r *LinkRes) Encode(e *xdr.Encoder) {
-	e.Uint32(uint32(r.Status))
-	r.Attr.Encode(e)
-	r.LinkWcc.Encode(e)
+// XDR codes the result.
+func (r *LinkRes) XDR(c *xdr.Codec) {
+	r.Status.XDR(c)
+	r.Attr.XDR(c)
+	r.LinkWcc.XDR(c)
 }
 
-// DecodeLinkRes unmarshals LINK3res.
-func DecodeLinkRes(d *xdr.Decoder) (LinkRes, error) {
-	var r LinkRes
-	st, err := d.Uint32()
-	if err != nil {
-		return r, err
-	}
-	r.Status = Status(st)
-	if r.Attr, err = DecodePostOpAttr(d); err != nil {
-		return r, err
-	}
-	r.LinkWcc, err = DecodeWccData(d)
-	return r, err
-}
-
-// ReadDirArgs is READDIR3args / READDIRPLUS3args (maxcount collapsed).
+// ReadDirArgs is READDIR3args, or READDIRPLUS3args when Plus is set.
 type ReadDirArgs struct {
 	Dir        FH
 	Cookie     uint64
 	CookieVerf uint64
-	Count      uint32
-	Plus       bool // READDIRPLUS
+	DirCount   uint32 // READDIRPLUS only
+	Count      uint32 // (max)count
+	Plus       bool
 }
 
-// Encode marshals the args.
-func (a *ReadDirArgs) Encode(e *xdr.Encoder) {
-	a.Dir.Encode(e)
-	e.Uint64(a.Cookie)
-	e.Uint64(a.CookieVerf)
+// XDR codes the args.
+func (a *ReadDirArgs) XDR(c *xdr.Codec) {
+	a.Dir.XDR(c)
+	c.Uint64(&a.Cookie)
+	c.Uint64(&a.CookieVerf)
 	if a.Plus {
-		e.Uint32(a.Count) // dircount
+		c.Uint32(&a.DirCount)
 	}
-	e.Uint32(a.Count) // (max)count
-}
-
-// DecodeReadDirArgs unmarshals READDIR3args.
-func DecodeReadDirArgs(d *xdr.Decoder, plus bool) (ReadDirArgs, error) {
-	a := ReadDirArgs{Plus: plus}
-	var err error
-	if a.Dir, err = DecodeFH(d); err != nil {
-		return a, err
-	}
-	if a.Cookie, err = d.Uint64(); err != nil {
-		return a, err
-	}
-	if a.CookieVerf, err = d.Uint64(); err != nil {
-		return a, err
-	}
-	if plus {
-		if _, err = d.Uint32(); err != nil { // dircount
-			return a, err
-		}
-	}
-	a.Count, err = d.Uint32()
-	return a, err
+	c.Uint32(&a.Count)
 }
 
 // DirEntry3 is one READDIR(PLUS) entry.
@@ -708,7 +359,19 @@ type DirEntry3 struct {
 	FH        FH
 }
 
-// ReadDirRes is READDIR3res / READDIRPLUS3res.
+func (e *DirEntry3) xdr(c *xdr.Codec, plus bool) {
+	c.Uint64(&e.FileID)
+	c.String(&e.Name)
+	c.Uint64(&e.Cookie)
+	if plus {
+		e.Attr.XDR(c)
+		if c.Optional(&e.FHPresent) {
+			e.FH.XDR(c)
+		}
+	}
+}
+
+// ReadDirRes is READDIR3res, or READDIRPLUS3res when Plus is set.
 type ReadDirRes struct {
 	Status     Status
 	DirAttr    PostOpAttr
@@ -718,84 +381,21 @@ type ReadDirRes struct {
 	Plus       bool
 }
 
-// Encode marshals the result.
-func (r *ReadDirRes) Encode(e *xdr.Encoder) {
-	e.Uint32(uint32(r.Status))
-	r.DirAttr.Encode(e)
+// XDR codes the result.
+func (r *ReadDirRes) XDR(c *xdr.Codec) {
+	r.Status.XDR(c)
+	r.DirAttr.XDR(c)
 	if r.Status != OK {
 		return
 	}
-	e.Uint64(r.CookieVerf)
-	for i := range r.Entries {
-		ent := &r.Entries[i]
-		e.Bool(true)
-		e.Uint64(ent.FileID)
-		e.String(ent.Name)
-		e.Uint64(ent.Cookie)
-		if r.Plus {
-			ent.Attr.Encode(e)
-			e.Bool(ent.FHPresent)
-			if ent.FHPresent {
-				ent.FH.Encode(e)
-			}
+	c.Uint64(&r.CookieVerf)
+	c.List(len(r.Entries), func(i int) {
+		if c.Decoding() {
+			r.Entries = append(r.Entries, DirEntry3{})
 		}
-	}
-	e.Bool(false) // end of list
-	e.Bool(r.EOF)
-}
-
-// DecodeReadDirRes unmarshals READDIR3res.
-func DecodeReadDirRes(d *xdr.Decoder, plus bool) (ReadDirRes, error) {
-	r := ReadDirRes{Plus: plus}
-	st, err := d.Uint32()
-	if err != nil {
-		return r, err
-	}
-	r.Status = Status(st)
-	if r.DirAttr, err = DecodePostOpAttr(d); err != nil {
-		return r, err
-	}
-	if r.Status != OK {
-		return r, nil
-	}
-	if r.CookieVerf, err = d.Uint64(); err != nil {
-		return r, err
-	}
-	for {
-		more, err := d.Bool()
-		if err != nil {
-			return r, err
-		}
-		if !more {
-			break
-		}
-		var ent DirEntry3
-		if ent.FileID, err = d.Uint64(); err != nil {
-			return r, err
-		}
-		if ent.Name, err = d.String(); err != nil {
-			return r, err
-		}
-		if ent.Cookie, err = d.Uint64(); err != nil {
-			return r, err
-		}
-		if plus {
-			if ent.Attr, err = DecodePostOpAttr(d); err != nil {
-				return r, err
-			}
-			if ent.FHPresent, err = d.Bool(); err != nil {
-				return r, err
-			}
-			if ent.FHPresent {
-				if ent.FH, err = DecodeFH(d); err != nil {
-					return r, err
-				}
-			}
-		}
-		r.Entries = append(r.Entries, ent)
-	}
-	r.EOF, err = d.Bool()
-	return r, err
+		r.Entries[i].xdr(c, r.Plus)
+	})
+	c.Bool(&r.EOF)
 }
 
 // FSStatRes is FSSTAT3res.
@@ -810,43 +410,19 @@ type FSStatRes struct {
 	AFiles uint64
 }
 
-// Encode marshals the result.
-func (r *FSStatRes) Encode(e *xdr.Encoder) {
-	e.Uint32(uint32(r.Status))
-	r.Attr.Encode(e)
+// XDR codes the result.
+func (r *FSStatRes) XDR(c *xdr.Codec) {
+	r.Status.XDR(c)
+	r.Attr.XDR(c)
 	if r.Status == OK {
-		e.Uint64(r.TBytes)
-		e.Uint64(r.FBytes)
-		e.Uint64(r.ABytes)
-		e.Uint64(r.TFiles)
-		e.Uint64(r.FFiles)
-		e.Uint64(r.AFiles)
-		e.Uint32(0) // invarsec
+		c.Uint64(&r.TBytes)
+		c.Uint64(&r.FBytes)
+		c.Uint64(&r.ABytes)
+		c.Uint64(&r.TFiles)
+		c.Uint64(&r.FFiles)
+		c.Uint64(&r.AFiles)
+		c.Const(0) // invarsec
 	}
-}
-
-// DecodeFSStatRes unmarshals FSSTAT3res.
-func DecodeFSStatRes(d *xdr.Decoder) (FSStatRes, error) {
-	var r FSStatRes
-	st, err := d.Uint32()
-	if err != nil {
-		return r, err
-	}
-	r.Status = Status(st)
-	if r.Attr, err = DecodePostOpAttr(d); err != nil {
-		return r, err
-	}
-	if r.Status != OK {
-		return r, nil
-	}
-	vals := []*uint64{&r.TBytes, &r.FBytes, &r.ABytes, &r.TFiles, &r.FFiles, &r.AFiles}
-	for _, v := range vals {
-		if *v, err = d.Uint64(); err != nil {
-			return r, err
-		}
-	}
-	_, err = d.Uint32() // invarsec
-	return r, err
 }
 
 // FSInfoRes is FSINFO3res.
@@ -861,67 +437,23 @@ type FSInfoRes struct {
 	MaxFileSize uint64
 }
 
-// Encode marshals the result.
-func (r *FSInfoRes) Encode(e *xdr.Encoder) {
-	e.Uint32(uint32(r.Status))
-	r.Attr.Encode(e)
+// XDR codes the result.
+func (r *FSInfoRes) XDR(c *xdr.Codec) {
+	r.Status.XDR(c)
+	r.Attr.XDR(c)
 	if r.Status == OK {
-		e.Uint32(r.RTMax)
-		e.Uint32(r.RTPref)
-		e.Uint32(1) // rtmult
-		e.Uint32(r.WTMax)
-		e.Uint32(r.WTPref)
-		e.Uint32(1) // wtmult
-		e.Uint32(r.DTPref)
-		e.Uint64(r.MaxFileSize)
-		NFSTime{Sec: 0, NSec: 1}.encode(e) // time_delta
-		e.Uint32(0x1b)                     // properties: LINK|SYMLINK|HOMOGENEOUS|CANSETTIME
+		c.Uint32(&r.RTMax)
+		c.Uint32(&r.RTPref)
+		c.Const(1) // rtmult
+		c.Uint32(&r.WTMax)
+		c.Uint32(&r.WTPref)
+		c.Const(1) // wtmult
+		c.Uint32(&r.DTPref)
+		c.Uint64(&r.MaxFileSize)
+		c.Const(0)    // time_delta: 0 s
+		c.Const(1)    // and 1 ns
+		c.Const(0x1b) // properties: LINK|SYMLINK|HOMOGENEOUS|CANSETTIME
 	}
-}
-
-// DecodeFSInfoRes unmarshals FSINFO3res.
-func DecodeFSInfoRes(d *xdr.Decoder) (FSInfoRes, error) {
-	var r FSInfoRes
-	st, err := d.Uint32()
-	if err != nil {
-		return r, err
-	}
-	r.Status = Status(st)
-	if r.Attr, err = DecodePostOpAttr(d); err != nil {
-		return r, err
-	}
-	if r.Status != OK {
-		return r, nil
-	}
-	if r.RTMax, err = d.Uint32(); err != nil {
-		return r, err
-	}
-	if r.RTPref, err = d.Uint32(); err != nil {
-		return r, err
-	}
-	if _, err = d.Uint32(); err != nil {
-		return r, err
-	}
-	if r.WTMax, err = d.Uint32(); err != nil {
-		return r, err
-	}
-	if r.WTPref, err = d.Uint32(); err != nil {
-		return r, err
-	}
-	if _, err = d.Uint32(); err != nil {
-		return r, err
-	}
-	if r.DTPref, err = d.Uint32(); err != nil {
-		return r, err
-	}
-	if r.MaxFileSize, err = d.Uint64(); err != nil {
-		return r, err
-	}
-	if _, err = decodeTime(d); err != nil {
-		return r, err
-	}
-	_, err = d.Uint32()
-	return r, err
 }
 
 // PathConfRes is PATHCONF3res.
@@ -932,46 +464,18 @@ type PathConfRes struct {
 	NameMax uint32
 }
 
-// Encode marshals the result.
-func (r *PathConfRes) Encode(e *xdr.Encoder) {
-	e.Uint32(uint32(r.Status))
-	r.Attr.Encode(e)
+// XDR codes the result.
+func (r *PathConfRes) XDR(c *xdr.Codec) {
+	r.Status.XDR(c)
+	r.Attr.XDR(c)
 	if r.Status == OK {
-		e.Uint32(r.LinkMax)
-		e.Uint32(r.NameMax)
-		e.Bool(true)  // no_trunc
-		e.Bool(false) // chown_restricted
-		e.Bool(false) // case_insensitive
-		e.Bool(true)  // case_preserving
+		c.Uint32(&r.LinkMax)
+		c.Uint32(&r.NameMax)
+		c.Const(1) // no_trunc
+		c.Const(0) // chown_restricted
+		c.Const(0) // case_insensitive
+		c.Const(1) // case_preserving
 	}
-}
-
-// DecodePathConfRes unmarshals PATHCONF3res.
-func DecodePathConfRes(d *xdr.Decoder) (PathConfRes, error) {
-	var r PathConfRes
-	st, err := d.Uint32()
-	if err != nil {
-		return r, err
-	}
-	r.Status = Status(st)
-	if r.Attr, err = DecodePostOpAttr(d); err != nil {
-		return r, err
-	}
-	if r.Status != OK {
-		return r, nil
-	}
-	if r.LinkMax, err = d.Uint32(); err != nil {
-		return r, err
-	}
-	if r.NameMax, err = d.Uint32(); err != nil {
-		return r, err
-	}
-	for i := 0; i < 4; i++ {
-		if _, err = d.Bool(); err != nil {
-			return r, err
-		}
-	}
-	return r, nil
 }
 
 // CommitArgs is COMMIT3args.
@@ -981,25 +485,11 @@ type CommitArgs struct {
 	Count  uint32
 }
 
-// Encode marshals the args.
-func (a *CommitArgs) Encode(e *xdr.Encoder) {
-	a.FH.Encode(e)
-	e.Uint64(a.Offset)
-	e.Uint32(a.Count)
-}
-
-// DecodeCommitArgs unmarshals COMMIT3args.
-func DecodeCommitArgs(d *xdr.Decoder) (CommitArgs, error) {
-	var a CommitArgs
-	var err error
-	if a.FH, err = DecodeFH(d); err != nil {
-		return a, err
-	}
-	if a.Offset, err = d.Uint64(); err != nil {
-		return a, err
-	}
-	a.Count, err = d.Uint32()
-	return a, err
+// XDR codes the args.
+func (a *CommitArgs) XDR(c *xdr.Codec) {
+	a.FH.XDR(c)
+	c.Uint64(&a.Offset)
+	c.Uint32(&a.Count)
 }
 
 // CommitRes is COMMIT3res.
@@ -1009,28 +499,11 @@ type CommitRes struct {
 	Verf   uint64
 }
 
-// Encode marshals the result.
-func (r *CommitRes) Encode(e *xdr.Encoder) {
-	e.Uint32(uint32(r.Status))
-	r.Wcc.Encode(e)
+// XDR codes the result.
+func (r *CommitRes) XDR(c *xdr.Codec) {
+	r.Status.XDR(c)
+	r.Wcc.XDR(c)
 	if r.Status == OK {
-		e.Uint64(r.Verf)
+		c.Uint64(&r.Verf)
 	}
-}
-
-// DecodeCommitRes unmarshals COMMIT3res.
-func DecodeCommitRes(d *xdr.Decoder) (CommitRes, error) {
-	var r CommitRes
-	st, err := d.Uint32()
-	if err != nil {
-		return r, err
-	}
-	r.Status = Status(st)
-	if r.Wcc, err = DecodeWccData(d); err != nil {
-		return r, err
-	}
-	if r.Status == OK {
-		r.Verf, err = d.Uint64()
-	}
-	return r, err
 }

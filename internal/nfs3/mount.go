@@ -1,6 +1,9 @@
 package nfs3
 
 import (
+	"maps"
+	"slices"
+
 	"repro/internal/des"
 	"repro/internal/oncrpc"
 	"repro/internal/vfs"
@@ -21,7 +24,6 @@ const (
 const (
 	MountProcNull   = 0
 	MountProcMnt    = 1
-	MountProcDump   = 2
 	MountProcUmnt   = 3
 	MountProcExport = 5
 )
@@ -74,63 +76,71 @@ func (m *MountServer) Version() uint32 { return MountVersion }
 // ActiveMounts returns the number of recorded mounts for a machine.
 func (m *MountServer) ActiveMounts(machine string) int { return len(m.mounts[machine]) }
 
+// MountRes is mountres3: the status and, for MNT3_OK, the export's handle
+// and its one auth flavor, AUTH_SYS.
+type MountRes struct {
+	Status Status
+	FH     FH
+}
+
+// XDR codes the result.
+func (r *MountRes) XDR(c *xdr.Codec) {
+	r.Status.XDR(c)
+	if r.Status == MountOK {
+		r.FH.XDR(c)
+		c.Const(1) // auth flavor count
+		c.Const(uint32(oncrpc.AuthSys))
+	}
+}
+
+// Exports is exports: the export paths, each with an empty group list.
+type Exports []string
+
+// XDR codes the list.
+func (l *Exports) XDR(c *xdr.Codec) {
+	c.List(len(*l), func(i int) {
+		if c.Decoding() {
+			*l = append(*l, "")
+		}
+		c.String(&(*l)[i])
+		c.Const(0) // no groups
+	})
+}
+
 // Handle implements oncrpc.Service.
 func (m *MountServer) Handle(p *des.Proc, req *oncrpc.ServerRequest) oncrpc.ServerResponse {
-	e := &req.Reply
+	args, res := xdr.DecodeFrom(req.Args), xdr.EncodeTo(&req.Reply)
+	var path string
+	machine := req.Header.Cred.Machine
 	switch req.Header.Proc {
 	case MountProcNull:
 	case MountProcMnt:
-		d := xdr.NewDecoder(req.Args)
-		path, err := d.String()
-		if err != nil {
-			e.Uint32(MountErrServerFault)
-			break
+		r := MountRes{Status: MountErrNoEnt}
+		if args.String(&path); args.Err() != nil {
+			r.Status = MountErrServerFault
+		} else if dir, ok := m.exports[path]; ok {
+			r = MountRes{Status: MountOK, FH: FH{FSID: m.nfs.cfg.FSID, FileID: uint64(dir)}}
+			m.mounts[machine] = append(m.mounts[machine], path)
 		}
-		dir, ok := m.exports[path]
-		if !ok {
-			e.Uint32(MountErrNoEnt)
-			break
-		}
-		e.Uint32(MountOK)
-		FH{FSID: m.nfs.cfg.FSID, FileID: uint64(dir)}.Encode(e)
-		e.Uint32(1) // auth flavor count
-		e.Uint32(uint32(oncrpc.AuthSys))
-		m.mounts[req.Header.Cred.Machine] = append(m.mounts[req.Header.Cred.Machine], path)
+		r.XDR(&res)
 	case MountProcUmnt:
-		d := xdr.NewDecoder(req.Args)
-		path, _ := d.String()
-		list := m.mounts[req.Header.Cred.Machine]
+		args.String(&path)
+		list := m.mounts[machine]
 		for i, have := range list {
 			if have == path {
-				m.mounts[req.Header.Cred.Machine] = append(list[:i], list[i+1:]...)
+				m.mounts[machine] = append(list[:i], list[i+1:]...)
 				break
 			}
 		}
 	case MountProcExport:
-		// XDR list of exports: "/" first, then the rest (iteration order of
-		// additional exports is observable only with >2 exports; the
-		// simulator's tests use sorted adds).
-		e.Bool(true)
-		e.String("/")
-		e.Bool(false) // no groups
-		for path := range m.exports {
-			if path == "/" {
-				continue
-			}
-			e.Bool(true)
-			e.String(path)
-			e.Bool(false)
-		}
-		e.Bool(false) // end of list
-	case MountProcDump:
-		for machine, paths := range m.mounts {
-			for _, path := range paths {
-				e.Bool(true)
-				e.String(machine)
-				e.String(path)
+		// "/" first, then the other paths sorted.
+		l := Exports{"/"}
+		for _, path := range slices.Sorted(maps.Keys(m.exports)) {
+			if path != "/" {
+				l = append(l, path)
 			}
 		}
-		e.Bool(false)
+		l.XDR(&res)
 	default:
 		return oncrpc.ServerResponse{Stat: oncrpc.ProcUnavail}
 	}
@@ -138,77 +148,30 @@ func (m *MountServer) Handle(p *des.Proc, req *oncrpc.ServerRequest) oncrpc.Serv
 }
 
 // MountClient speaks the MOUNT program.
-type MountClient struct {
-	rpc     *oncrpc.Client
-	machine string
-}
+type MountClient struct{ c Client }
 
 // NewMountClient wraps a transport as a MOUNT client.
 func NewMountClient(t oncrpc.Transport, machine string) *MountClient {
 	cred := oncrpc.Auth{Flavor: oncrpc.AuthSys, Machine: machine}
-	return &MountClient{rpc: oncrpc.NewClient(t, MountProgram, MountVersion, cred), machine: machine}
+	return &MountClient{Client{rpc: oncrpc.NewClient(t, MountProgram, MountVersion, cred), machine: machine}}
 }
 
 // Mount obtains the root file handle of the export at path.
 func (c *MountClient) Mount(p *des.Proc, path string) (FH, error) {
-	res, _, err := c.rpc.Call(p, MountProcMnt, func(e *xdr.Encoder) { e.String(path) }, oncrpc.CallOpts{})
-	if err != nil {
-		return FH{}, err
-	}
-	d := xdr.NewDecoder(res)
-	st, err := d.Uint32()
-	if err != nil {
-		return FH{}, err
-	}
-	if st != MountOK {
-		return FH{}, Status(st).Err()
-	}
-	fh, err := DecodeFH(d)
-	if err != nil {
-		return FH{}, err
-	}
-	return fh, nil
+	var r MountRes
+	_, err := c.c.call(p, MountProcMnt, func(c *xdr.Codec) { c.String(&path) }, r.XDR, &r.Status, oncrpc.CallOpts{})
+	return r.FH, err
 }
 
 // Unmount releases a mount record at the server.
 func (c *MountClient) Unmount(p *des.Proc, path string) error {
-	_, _, err := c.rpc.Call(p, MountProcUmnt, func(e *xdr.Encoder) { e.String(path) }, oncrpc.CallOpts{})
+	_, err := c.c.call(p, MountProcUmnt, func(c *xdr.Codec) { c.String(&path) }, nil, nil, oncrpc.CallOpts{})
 	return err
 }
 
 // Exports lists the server's export paths.
 func (c *MountClient) Exports(p *des.Proc) ([]string, error) {
-	res, _, err := c.rpc.Call(p, MountProcExport, nil, oncrpc.CallOpts{})
-	if err != nil {
-		return nil, err
-	}
-	d := xdr.NewDecoder(res)
-	var out []string
-	for {
-		more, err := d.Bool()
-		if err != nil {
-			return nil, err
-		}
-		if !more {
-			return out, nil
-		}
-		path, err := d.String()
-		if err != nil {
-			return nil, err
-		}
-		// Group list (empty in this implementation).
-		for {
-			g, err := d.Bool()
-			if err != nil {
-				return nil, err
-			}
-			if !g {
-				break
-			}
-			if _, err := d.String(); err != nil {
-				return nil, err
-			}
-		}
-		out = append(out, path)
-	}
+	var l Exports
+	_, err := c.c.call(p, MountProcExport, nil, l.XDR, nil, oncrpc.CallOpts{})
+	return l, err
 }

@@ -2,6 +2,7 @@ package nfs3
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/des"
@@ -78,6 +79,30 @@ func TestMountSubExport(t *testing.T) {
 		exports, err := mc.Exports(p)
 		if err != nil || len(exports) != 2 {
 			t.Errorf("exports = %v %v", exports, err)
+		}
+	})
+	sim.Run()
+}
+
+// TestMountExportsSorted: EXPORT lists "/" and then the other paths sorted,
+// the same on every call, whatever order they were added in.
+func TestMountExportsSorted(t *testing.T) {
+	sim, mc, ms, srv := mountPair(t)
+	sim.Spawn("m", func(p *des.Proc) {
+		for _, name := range []string{"srv", "home", "data"} {
+			id, _, err := srv.fs.Mkdir(p, srv.fs.Root(), name, 0755)
+			if err != nil {
+				t.Errorf("mkdir %s: %v", name, err)
+				return
+			}
+			ms.AddExport("/"+name, id)
+		}
+		want := []string{"/", "/data", "/home", "/srv"}
+		for i := 0; i < 20; i++ {
+			if got, err := mc.Exports(p); err != nil || !slices.Equal(got, want) {
+				t.Errorf("call %d: exports = %q %v, want %q", i, got, err, want)
+				return
+			}
 		}
 	})
 	sim.Run()

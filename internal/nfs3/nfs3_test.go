@@ -301,21 +301,30 @@ func TestMknodNotSupported(t *testing.T) {
 			Args:   nil,
 		}
 		srv.Handle(p, req)
-		r, err := DecodeWccRes(xdr.NewDecoder(req.Reply.Bytes()))
-		if err != nil || r.Status != ErrNotSupp {
-			t.Errorf("mknod: %+v %v", r, err)
+		var r CreateRes
+		c := xdr.DecodeFrom(req.Reply.Bytes())
+		if r.XDR(&c); c.Err() != nil || r.Status != ErrNotSupp {
+			t.Errorf("mknod: %+v %v", r, c.Err())
 		}
 	})
 	sim.Run()
 }
 
+// quickRoundTrip encodes m and decodes it back, through roundTrip, as the
+// type zero makes; it reports whether every byte of m's encoding decoded.
+func quickRoundTrip(t *testing.T, zero func() message, m message) (message, bool) {
+	t.Helper()
+	e := xdr.NewEncoder(nil)
+	encode(e, m)
+	got, n, err := roundTrip(t, zero, e.Bytes())
+	return got, err == nil && n == e.Len()
+}
+
 func TestFHRoundTrip(t *testing.T) {
 	f := func(fsid, fileid uint64) bool {
-		e := xdr.NewEncoder(nil)
-		FH{FSID: fsid, FileID: fileid}.Encode(e)
-		d := xdr.NewDecoder(e.Bytes())
-		h, err := DecodeFH(d)
-		return err == nil && h.FSID == fsid && h.FileID == fileid && d.Remaining() == 0
+		fh := FH{FSID: fsid, FileID: fileid}
+		got, ok := quickRoundTrip(t, func() message { return new(FH) }, &fh)
+		return ok && *got.(*FH) == fh
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -325,10 +334,8 @@ func TestFHRoundTrip(t *testing.T) {
 func TestQuickFAttrRoundTrip(t *testing.T) {
 	f := func(mode, nlink, uid, gid uint32, size, fileid uint64) bool {
 		a := FAttr{Type: TypeReg, Mode: mode, Nlink: nlink, UID: uid, GID: gid, Size: size, FileID: fileid}
-		e := xdr.NewEncoder(nil)
-		a.Encode(e)
-		got, err := DecodeFAttr(xdr.NewDecoder(e.Bytes()))
-		return err == nil && got == a
+		got, ok := quickRoundTrip(t, func() message { return new(FAttr) }, &a)
+		return ok && *got.(*FAttr) == a
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -336,7 +343,7 @@ func TestQuickFAttrRoundTrip(t *testing.T) {
 }
 
 func TestQuickSAttrRoundTrip(t *testing.T) {
-	f := func(hasMode, hasSize bool, mode uint32, size uint64, setM bool) bool {
+	f := func(hasMode, hasSize bool, mode uint32, size uint64, how, sec uint32) bool {
 		var s SAttr
 		if hasMode {
 			s.Mode = &mode
@@ -344,13 +351,15 @@ func TestQuickSAttrRoundTrip(t *testing.T) {
 		if hasSize {
 			s.Size = &size
 		}
-		s.SetMtime = setM
-		e := xdr.NewEncoder(nil)
-		s.Encode(e)
-		got, err := DecodeSAttr(xdr.NewDecoder(e.Bytes()))
-		if err != nil {
+		s.Mtime.How = how % (SetToClientTime + 1)
+		if s.Mtime.How == SetToClientTime {
+			s.Mtime.Time.Sec = sec
+		}
+		m, ok := quickRoundTrip(t, func() message { return new(SAttr) }, &s)
+		if !ok {
 			return false
 		}
+		got := m.(*SAttr)
 		if (got.Mode == nil) != (s.Mode == nil) || (got.Size == nil) != (s.Size == nil) {
 			return false
 		}
@@ -360,7 +369,7 @@ func TestQuickSAttrRoundTrip(t *testing.T) {
 		if s.Size != nil && *got.Size != *s.Size {
 			return false
 		}
-		return got.SetMtime == s.SetMtime
+		return got.Atime == s.Atime && got.Mtime == s.Mtime
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -376,10 +385,12 @@ func TestQuickReadDirResRoundTrip(t *testing.T) {
 			}
 			res.Entries = append(res.Entries, DirEntry3{FileID: uint64(i + 1), Name: n, Cookie: uint64(i + 1)})
 		}
-		e := xdr.NewEncoder(nil)
-		res.Encode(e)
-		got, err := DecodeReadDirRes(xdr.NewDecoder(e.Bytes()), false)
-		if err != nil || got.EOF != eof || len(got.Entries) != len(res.Entries) {
+		m, ok := quickRoundTrip(t, func() message { return new(ReadDirRes) }, &res)
+		if !ok {
+			return false
+		}
+		got := m.(*ReadDirRes)
+		if got.EOF != eof || len(got.Entries) != len(res.Entries) {
 			return false
 		}
 		for i := range got.Entries {
@@ -404,24 +415,13 @@ func TestSetAttrGuard(t *testing.T) {
 		// Guarded SETATTR with the current ctime succeeds.
 		mode := uint32(0600)
 		args := SetAttrArgs{FH: fh, Attr: SAttr{Mode: &mode}, Guard: &attr.Ctime}
-		res, _, err := c.rpc.Call(p, ProcSetAttr, args.Encode, oncrpc.CallOpts{})
-		if err != nil {
-			t.Errorf("guarded setattr: %v", err)
-			return
-		}
-		r, _ := DecodeWccRes(xdr.NewDecoder(res))
-		if r.Status != OK {
-			t.Errorf("matching guard rejected: %v", r.Status)
+		var r WccRes
+		if _, err := c.call(p, ProcSetAttr, args.XDR, r.XDR, &r.Status, oncrpc.CallOpts{}); err != nil {
+			t.Errorf("matching guard rejected: %v", err)
 		}
 		// The first SETATTR bumped ctime: replaying the stale guard fails.
-		res, _, err = c.rpc.Call(p, ProcSetAttr, args.Encode, oncrpc.CallOpts{})
-		if err != nil {
-			t.Errorf("stale-guard call: %v", err)
-			return
-		}
-		r, _ = DecodeWccRes(xdr.NewDecoder(res))
-		if r.Status != ErrNotSync {
-			t.Errorf("stale guard status = %v, want NFS3ERR_NOT_SYNC", r.Status)
+		if _, err := c.call(p, ProcSetAttr, args.XDR, r.XDR, &r.Status, oncrpc.CallOpts{}); !isStatus(err, ErrNotSync) {
+			t.Errorf("stale guard: %v, want NFS3ERR_NOT_SYNC", err)
 		}
 	})
 	sim.Run()
@@ -432,11 +432,11 @@ func TestSetAttrGuard(t *testing.T) {
 // variable-length tail (READLINK and READDIR[PLUS] with an empty one): none
 // may grow the reply buffer, so a reply costs one allocation, and no hint may
 // exceed its message by more than one of the allocator's size classes. It
-// also pins the handle's wire form, which FH.Encode writes in place.
+// also pins the handle's wire form.
 func TestEncoderCapsCoverFixedMessages(t *testing.T) {
 	fh := FH{FSID: 0x0102030405060708, FileID: 0x1112131415161718}
 	e := xdr.NewEncoder(nil)
-	fh.Encode(e)
+	encode(e, &fh)
 	want := append([]byte{0, 0, 0, 16}, 1, 2, 3, 4, 5, 6, 7, 8, 0x11, 0x12, 0x13, 0x14, 0x15, 0x16, 0x17, 0x18)
 	if !bytes.Equal(e.Bytes(), want) {
 		t.Errorf("handle on the wire:\n got %x\nwant %x", e.Bytes(), want)
@@ -444,29 +444,29 @@ func TestEncoderCapsCoverFixedMessages(t *testing.T) {
 
 	post := PostOpAttr{Present: true}
 	wcc := WccData{PrePresent: true, Post: post}
-	create := (&CreateRes{Status: OK, FHPresent: true, FH: fh, Attr: post, DirWcc: wcc}).Encode
-	results := map[uint32]func(*xdr.Encoder){
-		ProcGetAttr:     (&GetAttrRes{Status: OK}).Encode,
-		ProcSetAttr:     (&WccRes{Status: OK, Wcc: wcc}).Encode,
-		ProcLookup:      (&LookupRes{Status: OK, Object: fh, ObjAttr: post, DirAttr: post}).Encode,
-		ProcAccess:      (&AccessRes{Status: OK, Attr: post}).Encode,
-		ProcReadLink:    (&ReadLinkRes{Status: OK, Attr: post}).Encode,
-		ProcRead:        (&ReadRes{Status: OK, Attr: post, Count: 1 << 20, EOF: true}).Encode,
-		ProcWrite:       (&WriteRes{Status: OK, Wcc: wcc, Count: 1 << 20, Committed: FileSync, Verf: 1}).Encode,
+	create := &CreateRes{Status: OK, FHPresent: true, FH: fh, Attr: post, DirWcc: wcc}
+	results := map[uint32]message{
+		ProcGetAttr:     &GetAttrRes{Status: OK},
+		ProcSetAttr:     &WccRes{Status: OK, Wcc: wcc},
+		ProcLookup:      &LookupRes{Status: OK, Object: fh, ObjAttr: post, DirAttr: post},
+		ProcAccess:      &AccessRes{Status: OK, Attr: post},
+		ProcReadLink:    &ReadLinkRes{Status: OK, Attr: post},
+		ProcRead:        &ReadRes{Status: OK, Attr: post, Count: 1 << 20, EOF: true},
+		ProcWrite:       &WriteRes{Status: OK, Wcc: wcc, Count: 1 << 20, Committed: FileSync, Verf: 1},
 		ProcCreate:      create,
 		ProcMkdir:       create,
 		ProcSymlink:     create,
 		ProcMknod:       create,
-		ProcRemove:      (&WccRes{Status: OK, Wcc: wcc}).Encode,
-		ProcRmdir:       (&WccRes{Status: OK, Wcc: wcc}).Encode,
-		ProcRename:      (&RenameRes{Status: OK, FromWcc: wcc, ToWcc: wcc}).Encode,
-		ProcLink:        (&LinkRes{Status: OK, Attr: post, LinkWcc: wcc}).Encode,
-		ProcReadDir:     (&ReadDirRes{Status: OK, DirAttr: post}).Encode,
-		ProcReadDirPlus: (&ReadDirRes{Status: OK, DirAttr: post, Plus: true}).Encode,
-		ProcFSStat:      (&FSStatRes{Status: OK, Attr: post}).Encode,
-		ProcFSInfo:      (&FSInfoRes{Status: OK, Attr: post}).Encode,
-		ProcPathConf:    (&PathConfRes{Status: OK, Attr: post}).Encode,
-		ProcCommit:      (&CommitRes{Status: OK, Wcc: wcc}).Encode,
+		ProcRemove:      &WccRes{Status: OK, Wcc: wcc},
+		ProcRmdir:       &WccRes{Status: OK, Wcc: wcc},
+		ProcRename:      &RenameRes{Status: OK, FromWcc: wcc, ToWcc: wcc},
+		ProcLink:        &LinkRes{Status: OK, Attr: post, LinkWcc: wcc},
+		ProcReadDir:     &ReadDirRes{Status: OK, DirAttr: post},
+		ProcReadDirPlus: &ReadDirRes{Status: OK, DirAttr: post, Plus: true},
+		ProcFSStat:      &FSStatRes{Status: OK, Attr: post},
+		ProcFSInfo:      &FSInfoRes{Status: OK, Attr: post},
+		ProcPathConf:    &PathConfRes{Status: OK, Attr: post},
+		ProcCommit:      &CommitRes{Status: OK, Wcc: wcc},
 	}
 	// The allocator's small size classes (runtime/sizeclasses.go).
 	classes := []int{0, 8, 16, 24, 32, 48, 64, 80, 96, 112, 128, 144, 160, 176, 192, 208, 224, 240, 256, 288, 320, 352, 384, 416, 448, 480, 512}
@@ -479,14 +479,14 @@ func TestEncoderCapsCoverFixedMessages(t *testing.T) {
 	}
 	srv := NewServer(nil, ServerConfig{})
 	for proc := uint32(ProcGetAttr); proc <= ProcCommit; proc++ {
-		encode, ok := results[proc]
+		res, ok := results[proc]
 		if !ok {
 			t.Errorf("%s: no result to hold its results size to", ProcName(proc))
 			continue
 		}
 		hint := srv.ResultsSize(proc)
 		e := xdr.NewEncoder(make([]byte, 0, hint))
-		encode(e)
+		encode(e, res)
 		if cap(e.Bytes()) != hint {
 			t.Errorf("%s: %d bytes of results outgrew the %d the server sizes them at", ProcName(proc), e.Len(), hint)
 		}

@@ -35,8 +35,15 @@ type Server struct {
 	cfg       ServerConfig
 	writeVerf uint64
 
+	// codec is what the handlers decode arguments and encode results
+	// through. It lives here, not on a handler's stack, because an XDR method
+	// called through a func value would move it to the heap on every call;
+	// the simulation runs one process at a time and no XDR method blocks, so
+	// no two calls use it at once.
+	codec xdr.Codec
+
 	// Ops counts handled procedures by number.
-	Ops [22]int64
+	Ops []int64
 }
 
 var _ oncrpc.Service = (*Server)(nil)
@@ -44,7 +51,7 @@ var _ oncrpc.Service = (*Server)(nil)
 // NewServer exports fs over NFSv3.
 func NewServer(fs vfs.FS, cfg ServerConfig) *Server {
 	cfg.defaults()
-	return &Server{fs: fs, cfg: cfg, writeVerf: 0xc0ffee ^ cfg.FSID}
+	return &Server{fs: fs, cfg: cfg, writeVerf: 0xc0ffee ^ cfg.FSID, Ops: make([]int64, len(procs))}
 }
 
 // Restart bumps the write verifier to a fresh epoch-derived value, as a
@@ -73,34 +80,21 @@ func (s *Server) Version() uint32 { return Version }
 // NFS procedure name instead of the bare service name.
 func (s *Server) ProcName(proc uint32) string { return ProcName(proc) }
 
-// NonIdempotent implements oncrpc.IdempotencyClassifier: these procedures
-// mutate namespace or data in ways a replay would corrupt (a re-executed
-// REMOVE returns ENOENT, a re-executed WRITE can clobber newer data, a
-// re-executed CREATE with exclusive semantics fails), so the DRC must
+// NonIdempotent implements oncrpc.IdempotencyClassifier: the procedures
+// that mutate namespace or data in ways a replay would corrupt (a
+// re-executed REMOVE returns ENOENT, a re-executed WRITE can clobber newer
+// data, a re-executed CREATE with exclusive semantics fails), so the DRC must
 // answer their retransmissions from cache. Reads and attribute queries are
 // safe to re-execute and stay out of the cache — their bulk-carrying
 // replies reference transport staging that is recycled after the first
 // send.
 func (s *Server) NonIdempotent(proc uint32) bool {
-	switch proc {
-	case ProcSetAttr, ProcWrite, ProcCreate, ProcMkdir, ProcSymlink,
-		ProcMknod, ProcRemove, ProcRmdir, ProcRename, ProcLink:
-		return true
-	}
-	return false
+	return int(proc) < len(procs) && procs[proc].nonIdempotent
 }
 
 // RootFH returns the export root handle.
 func (s *Server) RootFH() FH {
 	return FH{FSID: s.cfg.FSID, FileID: uint64(s.fs.Root())}
-}
-
-// fh validates a handle and returns the file id.
-func (s *Server) fh(h FH) (vfs.FileID, Status) {
-	if h.FSID != s.cfg.FSID {
-		return 0, ErrBadHandle
-	}
-	return vfs.FileID(h.FileID), OK
 }
 
 func (s *Server) mkFH(id vfs.FileID) FH {
@@ -113,10 +107,6 @@ func (s *Server) postAttr(p *des.Proc, id vfs.FileID) PostOpAttr {
 		return PostOpAttr{}
 	}
 	return PostOpAttr{Present: true, Attr: AttrFromVFS(s.cfg.FSID, a)}
-}
-
-func (s *Server) wcc(p *des.Proc, id vfs.FileID) WccData {
-	return WccData{Post: s.postAttr(p, id)}
 }
 
 // preOp captures wcc_attr before a mutation so the reply can carry full
@@ -139,201 +129,183 @@ func (s *Server) wccFrom(p *des.Proc, id vfs.FileID, pre WccAttr, ok bool) WccDa
 	return WccData{PrePresent: ok, Pre: pre, Post: s.postAttr(p, id)}
 }
 
-// resultsSize is each procedure's largest result without a variable-length
-// tail (all optional attributes present), and the fixed part of those with
-// one: READLINK's path and READDIR[PLUS]'s entries grow the reply beyond it.
-var resultsSize = map[uint32]int{
-	ProcGetAttr: 88, ProcSetAttr: 120, ProcLookup: 200, ProcAccess: 96, ProcReadLink: 96,
-	ProcRead: 104, ProcWrite: 136, ProcCreate: 232, ProcMkdir: 232, ProcSymlink: 232,
-	ProcMknod: 232, ProcRemove: 120, ProcRmdir: 120, ProcRename: 236, ProcLink: 208,
-	ProcReadDir: 108, ProcReadDirPlus: 108, ProcFSStat: 144, ProcFSInfo: 140,
-	ProcPathConf: 116, ProcCommit: 128,
+// procs describes the procedures by number: the name, the size of the
+// largest results without a variable-length tail (all optional attributes
+// present; READLINK's path and READDIR[PLUS]'s entries grow the reply beyond
+// it), whether a replay would corrupt, and the handler (nil: void results).
+var procs = [...]struct {
+	name          string
+	resultsSize   int
+	nonIdempotent bool
+	handle        func(s *Server, p *des.Proc, req *oncrpc.ServerRequest) *oncrpc.Bulk
+}{
+	ProcNull:        {"NULL", 0, false, nil},
+	ProcGetAttr:     {"GETATTR", 88, false, (*Server).getattr},
+	ProcSetAttr:     {"SETATTR", 120, true, (*Server).setattr},
+	ProcLookup:      {"LOOKUP", 200, false, (*Server).lookup},
+	ProcAccess:      {"ACCESS", 96, false, (*Server).access},
+	ProcReadLink:    {"READLINK", 96, false, (*Server).readlink},
+	ProcRead:        {"READ", 104, false, (*Server).read},
+	ProcWrite:       {"WRITE", 136, true, (*Server).write},
+	ProcCreate:      {"CREATE", 232, true, (*Server).create},
+	ProcMkdir:       {"MKDIR", 232, true, (*Server).mkdir},
+	ProcSymlink:     {"SYMLINK", 232, true, (*Server).symlink},
+	ProcMknod:       {"MKNOD", 232, true, (*Server).mknod},
+	ProcRemove:      {"REMOVE", 120, true, (*Server).remove},
+	ProcRmdir:       {"RMDIR", 120, true, (*Server).remove},
+	ProcRename:      {"RENAME", 236, true, (*Server).rename},
+	ProcLink:        {"LINK", 208, true, (*Server).link},
+	ProcReadDir:     {"READDIR", 108, false, (*Server).readdir},
+	ProcReadDirPlus: {"READDIRPLUS", 108, false, (*Server).readdir},
+	ProcFSStat:      {"FSSTAT", 144, false, (*Server).fsstat},
+	ProcFSInfo:      {"FSINFO", 140, false, (*Server).fsinfo},
+	ProcPathConf:    {"PATHCONF", 116, false, (*Server).pathconf},
+	ProcCommit:      {"COMMIT", 128, false, (*Server).commit},
 }
 
 // ResultsSize implements oncrpc.ResultsSizer.
-func (s *Server) ResultsSize(proc uint32) int { return resultsSize[proc] }
+func (s *Server) ResultsSize(proc uint32) int {
+	if int(proc) < len(procs) {
+		return procs[proc].resultsSize
+	}
+	return 0
+}
 
-// Handle implements oncrpc.Service: it decodes the procedure, runs it
-// against the file system, and appends the encoded result to req.Reply.
+// Handle implements oncrpc.Service: the procedure's handler decodes the
+// arguments, runs them against the file system, and appends the encoded
+// results to req.Reply.
 func (s *Server) Handle(p *des.Proc, req *oncrpc.ServerRequest) oncrpc.ServerResponse {
 	if s.cfg.CPU != nil {
 		s.cfg.CPU.Work(p, s.cfg.PerOpCPU)
 	}
 	proc := req.Header.Proc
-	if proc < uint32(len(s.Ops)) {
-		s.Ops[proc]++
-	}
-	d := xdr.NewDecoder(req.Args)
-	e := &req.Reply
-	var bulk *oncrpc.Bulk
-	switch proc {
-	case ProcNull: // void -> void
-	case ProcGetAttr:
-		s.getattr(p, d, e)
-	case ProcSetAttr:
-		s.setattr(p, d, e)
-	case ProcLookup:
-		s.lookup(p, d, e)
-	case ProcAccess:
-		s.access(p, d, e)
-	case ProcReadLink:
-		s.readlink(p, d, e)
-	case ProcRead:
-		bulk = s.read(p, d, e, req)
-	case ProcWrite:
-		s.write(p, d, e, req.Bulk)
-	case ProcCreate:
-		s.create(p, d, e)
-	case ProcMkdir:
-		s.mkdir(p, d, e)
-	case ProcSymlink:
-		s.symlink(p, d, e)
-	case ProcRemove:
-		s.remove(p, d, e, false)
-	case ProcRmdir:
-		s.remove(p, d, e, true)
-	case ProcRename:
-		s.rename(p, d, e)
-	case ProcLink:
-		s.link(p, d, e)
-	case ProcReadDir:
-		s.readdir(p, d, e, false)
-	case ProcReadDirPlus:
-		s.readdir(p, d, e, true)
-	case ProcFSStat:
-		s.fsstat(p, d, e)
-	case ProcFSInfo:
-		s.fsinfo(p, d, e)
-	case ProcPathConf:
-		s.pathconf(p, d, e)
-	case ProcCommit:
-		s.commit(p, d, e)
-	case ProcMknod:
-		(&WccRes{Status: ErrNotSupp}).Encode(e)
-	default:
+	if proc >= uint32(len(procs)) {
 		return oncrpc.ServerResponse{Stat: oncrpc.ProcUnavail}
+	}
+	s.Ops[proc]++
+	var bulk *oncrpc.Bulk
+	if h := procs[proc].handle; h != nil {
+		bulk = h(s, p, req)
 	}
 	return oncrpc.ServerResponse{Stat: oncrpc.Success, Bulk: bulk}
 }
 
-func (s *Server) getattr(p *des.Proc, d *xdr.Decoder, e *xdr.Encoder) {
-	args, err := DecodeGetAttrArgs(d)
-	if err != nil {
-		(&GetAttrRes{Status: ErrInval}).Encode(e)
-		return
+// decode decodes a call's arguments through args and checks the handles fhs
+// points at in them. When either fails it writes results holding only the
+// status, NFS3ERR_INVAL or NFS3ERR_BADHANDLE, through res and *st, and
+// returns false.
+func (s *Server) decode(req *oncrpc.ServerRequest, args, res func(*xdr.Codec), st *Status, fhs ...*FH) bool {
+	s.codec = xdr.DecodeFrom(req.Args)
+	args(&s.codec)
+	if s.codec.Err() != nil {
+		*st = ErrInval
 	}
-	id, st := s.fh(args.FH)
-	if st != OK {
-		(&GetAttrRes{Status: st}).Encode(e)
-		return
+	for _, h := range fhs {
+		if *st == OK && h.FSID != s.cfg.FSID {
+			*st = ErrBadHandle
+		}
 	}
-	a, verr := s.fs.GetAttr(p, id)
-	if verr != nil {
-		(&GetAttrRes{Status: StatusFromVFS(verr)}).Encode(e)
-		return
+	if *st != OK {
+		s.reply(req, res)
 	}
-	(&GetAttrRes{Status: OK, Attr: AttrFromVFS(s.cfg.FSID, a)}).Encode(e)
+	return *st == OK
 }
 
-func (s *Server) setattr(p *des.Proc, d *xdr.Decoder, e *xdr.Encoder) {
-	args, err := DecodeSetAttrArgs(d)
-	if err != nil {
-		(&WccRes{Status: ErrInval}).Encode(e)
-		return
+// reply appends the results res describes to req.Reply.
+func (s *Server) reply(req *oncrpc.ServerRequest, res func(*xdr.Codec)) {
+	s.codec = xdr.EncodeTo(&req.Reply)
+	res(&s.codec)
+}
+
+func (s *Server) getattr(p *des.Proc, req *oncrpc.ServerRequest) *oncrpc.Bulk {
+	var args GetAttrArgs
+	var res GetAttrRes
+	if s.decode(req, args.XDR, res.XDR, &res.Status, &args.FH) {
+		a, err := s.fs.GetAttr(p, args.FH.file())
+		if res.Status = StatusFromVFS(err); err == nil {
+			res.Attr = AttrFromVFS(s.cfg.FSID, a)
+		}
+		s.reply(req, res.XDR)
 	}
-	id, st := s.fh(args.FH)
-	if st != OK {
-		(&WccRes{Status: st}).Encode(e)
-		return
+	return nil
+}
+
+func (s *Server) setattr(p *des.Proc, req *oncrpc.ServerRequest) *oncrpc.Bulk {
+	var args SetAttrArgs
+	var res WccRes
+	if !s.decode(req, args.XDR, res.XDR, &res.Status, &args.FH) {
+		return nil
 	}
+	id := args.FH.file()
 	pre, preOK := s.preOp(p, id)
 	if args.Guard != nil && preOK && *args.Guard != pre.Ctime {
 		// sattrguard3 mismatch: someone changed the object since the client
 		// sampled its ctime.
-		(&WccRes{Status: ErrNotSync, Wcc: s.wccFrom(p, id, pre, preOK)}).Encode(e)
-		return
+		res.Status = ErrNotSync
+	} else {
+		sa := vfs.SetAttr{Mode: args.Attr.Mode, UID: args.Attr.UID, GID: args.Attr.GID, SetTime: args.Attr.Mtime.How != DontChange}
+		if args.Attr.Size != nil {
+			sz := int64(*args.Attr.Size)
+			sa.Size = &sz
+		}
+		_, err := s.fs.SetAttr(p, id, sa)
+		res.Status = StatusFromVFS(err)
 	}
-	var sa vfs.SetAttr
-	sa.Mode = args.Attr.Mode
-	sa.UID = args.Attr.UID
-	sa.GID = args.Attr.GID
-	if args.Attr.Size != nil {
-		sz := int64(*args.Attr.Size)
-		sa.Size = &sz
-	}
-	sa.SetTime = args.Attr.SetMtime
-	_, verr := s.fs.SetAttr(p, id, sa)
-	(&WccRes{Status: StatusFromVFS(verr), Wcc: s.wccFrom(p, id, pre, preOK)}).Encode(e)
+	res.Wcc = s.wccFrom(p, id, pre, preOK)
+	s.reply(req, res.XDR)
+	return nil
 }
 
-func (s *Server) lookup(p *des.Proc, d *xdr.Decoder, e *xdr.Encoder) {
-	args, err := DecodeDirOpArgs(d)
-	if err != nil {
-		(&LookupRes{Status: ErrInval}).Encode(e)
-		return
+func (s *Server) lookup(p *des.Proc, req *oncrpc.ServerRequest) *oncrpc.Bulk {
+	var args DirOpArgs
+	var res LookupRes
+	if s.decode(req, args.XDR, res.XDR, &res.Status, &args.Dir) {
+		dir := args.Dir.file()
+		id, attr, err := s.fs.Lookup(p, dir, args.Name)
+		res.Status, res.DirAttr = StatusFromVFS(err), s.postAttr(p, dir)
+		if err == nil {
+			res.Object = s.mkFH(id)
+			res.ObjAttr = PostOpAttr{Present: true, Attr: AttrFromVFS(s.cfg.FSID, attr)}
+		}
+		s.reply(req, res.XDR)
 	}
-	dir, st := s.fh(args.Dir)
-	if st != OK {
-		(&LookupRes{Status: st}).Encode(e)
-		return
-	}
-	id, attr, verr := s.fs.Lookup(p, dir, args.Name)
-	res := LookupRes{Status: StatusFromVFS(verr), DirAttr: s.postAttr(p, dir)}
-	if verr == nil {
-		res.Object = s.mkFH(id)
-		res.ObjAttr = PostOpAttr{Present: true, Attr: AttrFromVFS(s.cfg.FSID, attr)}
-	}
-	res.Encode(e)
+	return nil
 }
 
-func (s *Server) access(p *des.Proc, d *xdr.Decoder, e *xdr.Encoder) {
-	args, err := DecodeAccessArgs(d)
-	if err != nil {
-		(&AccessRes{Status: ErrInval}).Encode(e)
-		return
+func (s *Server) access(p *des.Proc, req *oncrpc.ServerRequest) *oncrpc.Bulk {
+	var args AccessArgs
+	var res AccessRes
+	if s.decode(req, args.XDR, res.XDR, &res.Status, &args.FH) {
+		// The simulated export has no permission model: grant what was asked.
+		res.Attr, res.Access = s.postAttr(p, args.FH.file()), args.Access
+		s.reply(req, res.XDR)
 	}
-	id, st := s.fh(args.FH)
-	if st != OK {
-		(&AccessRes{Status: st}).Encode(e)
-		return
-	}
-	// The simulated export has no permission model: grant what was asked.
-	(&AccessRes{Status: OK, Attr: s.postAttr(p, id), Access: args.Access}).Encode(e)
+	return nil
 }
 
-func (s *Server) readlink(p *des.Proc, d *xdr.Decoder, e *xdr.Encoder) {
-	args, err := DecodeGetAttrArgs(d)
-	if err != nil {
-		(&ReadLinkRes{Status: ErrInval}).Encode(e)
-		return
+func (s *Server) readlink(p *des.Proc, req *oncrpc.ServerRequest) *oncrpc.Bulk {
+	var args GetAttrArgs
+	var res ReadLinkRes
+	if s.decode(req, args.XDR, res.XDR, &res.Status, &args.FH) {
+		id := args.FH.file()
+		target, err := s.fs.ReadLink(p, id)
+		res = ReadLinkRes{Status: StatusFromVFS(err), Attr: s.postAttr(p, id), Path: target}
+		s.reply(req, res.XDR)
 	}
-	id, st := s.fh(args.FH)
-	if st != OK {
-		(&ReadLinkRes{Status: st}).Encode(e)
-		return
-	}
-	target, verr := s.fs.ReadLink(p, id)
-	(&ReadLinkRes{Status: StatusFromVFS(verr), Attr: s.postAttr(p, id), Path: target}).Encode(e)
+	return nil
 }
 
 // read runs READ: payload goes to the transport-provided staging buffer
 // (req.ReplyBuf) when present, charged as one server-side copy out of the
 // file system.
-func (s *Server) read(p *des.Proc, d *xdr.Decoder, e *xdr.Encoder, req *oncrpc.ServerRequest) *oncrpc.Bulk {
-	args, err := DecodeReadArgs(d)
-	if err != nil {
-		(&ReadRes{Status: ErrInval}).Encode(e)
+func (s *Server) read(p *des.Proc, req *oncrpc.ServerRequest) *oncrpc.Bulk {
+	var args ReadArgs
+	var res ReadRes
+	if !s.decode(req, args.XDR, res.XDR, &res.Status, &args.FH) {
 		return nil
 	}
-	id, st := s.fh(args.FH)
-	if st != OK {
-		(&ReadRes{Status: st}).Encode(e)
-		return nil
-	}
-	count := int(args.Count)
-	if count > maxTransfer {
-		count = maxTransfer
-	}
+	id := args.FH.file()
+	count := min(int(args.Count), maxTransfer)
 	if req.RecvBulkCap > 0 && count > req.RecvBulkCap {
 		count = req.RecvBulkCap
 	}
@@ -345,40 +317,30 @@ func (s *Server) read(p *des.Proc, d *xdr.Decoder, e *xdr.Encoder, req *oncrpc.S
 	if bulk.Data != nil {
 		dst = bulk.Data[:min(count, len(bulk.Data))]
 	}
-	n, eof, verr := s.fs.Read(p, id, int64(args.Offset), count, dst)
-	if verr != nil {
-		(&ReadRes{Status: StatusFromVFS(verr), Attr: s.postAttr(p, id)}).Encode(e)
+	n, eof, err := s.fs.Read(p, id, int64(args.Offset), count, dst)
+	if err != nil {
+		res.Status, res.Attr = StatusFromVFS(err), s.postAttr(p, id)
+		s.reply(req, res.XDR)
 		return nil
 	}
 	bulk.Len = n
 	if s.cfg.CPU != nil {
 		s.cfg.CPU.Copy(p, n) // file system -> staging buffer
 	}
-	(&ReadRes{Status: OK, Attr: s.postAttr(p, id), Count: uint32(n), EOF: eof}).Encode(e)
+	res = ReadRes{Status: OK, Attr: s.postAttr(p, id), Count: uint32(n), EOF: eof}
+	s.reply(req, res.XDR)
 	return bulk
 }
 
-func (s *Server) write(p *des.Proc, d *xdr.Decoder, e *xdr.Encoder, bulk *oncrpc.Bulk) {
-	args, err := DecodeWriteArgs(d)
-	if err != nil {
-		(&WriteRes{Status: ErrInval}).Encode(e)
-		return
+func (s *Server) write(p *des.Proc, req *oncrpc.ServerRequest) *oncrpc.Bulk {
+	var args WriteArgs
+	var res WriteRes
+	if !s.decode(req, args.XDR, res.XDR, &res.Status, &args.FH) {
+		return nil
 	}
-	id, st := s.fh(args.FH)
-	if st != OK {
-		(&WriteRes{Status: st}).Encode(e)
-		return
-	}
-	count := int(args.Count)
-	if bulk == nil || bulk.Len < count {
-		if bulk != nil {
-			count = bulk.Len
-		} else {
-			count = 0
-		}
-	}
-	if count > maxTransfer {
-		count = maxTransfer
+	id, count, bulk := args.FH.file(), 0, req.Bulk
+	if bulk != nil {
+		count = min(int(args.Count), bulk.Len, maxTransfer)
 	}
 	var data []byte
 	if bulk != nil && bulk.Data != nil {
@@ -388,191 +350,145 @@ func (s *Server) write(p *des.Proc, d *xdr.Decoder, e *xdr.Encoder, bulk *oncrpc
 		s.cfg.CPU.Copy(p, count) // staging buffer -> file system
 	}
 	pre, preOK := s.preOp(p, id)
-	n, verr := s.fs.Write(p, id, int64(args.Offset), count, data, args.Stable == FileSync)
-	res := WriteRes{
-		Status: StatusFromVFS(verr), Wcc: s.wccFrom(p, id, pre, preOK),
+	n, err := s.fs.Write(p, id, int64(args.Offset), count, data, args.Stable == FileSync)
+	res = WriteRes{
+		Status: StatusFromVFS(err), Wcc: s.wccFrom(p, id, pre, preOK),
 		Count: uint32(n), Committed: args.Stable, Verf: s.writeVerf,
 	}
-	if verr == nil && args.Stable == Unstable {
-		res.Committed = Unstable
-	}
-	res.Encode(e)
+	s.reply(req, res.XDR)
+	return nil
 }
 
-func (s *Server) create(p *des.Proc, d *xdr.Decoder, e *xdr.Encoder) {
-	args, err := DecodeCreateArgs(d)
-	if err != nil {
-		(&CreateRes{Status: ErrInval}).Encode(e)
-		return
+func (s *Server) create(p *des.Proc, req *oncrpc.ServerRequest) *oncrpc.Bulk {
+	var args CreateArgs
+	var res CreateRes
+	if s.decode(req, args.XDR, res.XDR, &res.Status, &args.Where.Dir) {
+		dir := args.Where.Dir.file()
+		pre, preOK := s.preOp(p, dir)
+		id, attr, err := s.fs.Create(p, dir, args.Where.Name, modeOr(args.Attr.Mode, 0644))
+		s.made(p, req, dir, pre, preOK, id, attr, err)
 	}
-	dir, st := s.fh(args.Where.Dir)
-	if st != OK {
-		(&CreateRes{Status: st}).Encode(e)
-		return
+	return nil
+}
+
+func (s *Server) mkdir(p *des.Proc, req *oncrpc.ServerRequest) *oncrpc.Bulk {
+	var args MkdirArgs
+	var res CreateRes
+	if s.decode(req, args.XDR, res.XDR, &res.Status, &args.Where.Dir) {
+		dir := args.Where.Dir.file()
+		pre, preOK := s.preOp(p, dir)
+		id, attr, err := s.fs.Mkdir(p, dir, args.Where.Name, modeOr(args.Attr.Mode, 0755))
+		s.made(p, req, dir, pre, preOK, id, attr, err)
 	}
-	mode := uint32(0644)
-	if args.Attr.Mode != nil {
-		mode = *args.Attr.Mode
+	return nil
+}
+
+func (s *Server) symlink(p *des.Proc, req *oncrpc.ServerRequest) *oncrpc.Bulk {
+	var args SymlinkArgs
+	var res CreateRes
+	if s.decode(req, args.XDR, res.XDR, &res.Status, &args.Where.Dir) {
+		dir := args.Where.Dir.file()
+		pre, preOK := s.preOp(p, dir)
+		id, attr, err := s.fs.Symlink(p, dir, args.Where.Name, args.Target)
+		s.made(p, req, dir, pre, preOK, id, attr, err)
 	}
-	pre, preOK := s.preOp(p, dir)
-	id, attr, verr := s.fs.Create(p, dir, args.Where.Name, mode)
-	res := CreateRes{Status: StatusFromVFS(verr), DirWcc: s.wccFrom(p, dir, pre, preOK)}
-	if verr == nil {
-		res.FHPresent = true
-		res.FH = s.mkFH(id)
+	return nil
+}
+
+func modeOr(mode *uint32, def uint32) uint32 {
+	if mode != nil {
+		return *mode
+	}
+	return def
+}
+
+// made writes the results of CREATE, MKDIR or SYMLINK in dir, which made id.
+func (s *Server) made(p *des.Proc, req *oncrpc.ServerRequest, dir vfs.FileID, pre WccAttr, preOK bool, id vfs.FileID, attr vfs.Attr, err error) {
+	res := CreateRes{Status: StatusFromVFS(err), DirWcc: s.wccFrom(p, dir, pre, preOK)}
+	if err == nil {
+		res.FHPresent, res.FH = true, s.mkFH(id)
 		res.Attr = PostOpAttr{Present: true, Attr: AttrFromVFS(s.cfg.FSID, attr)}
 	}
-	res.Encode(e)
+	s.reply(req, res.XDR)
 }
 
-func (s *Server) mkdir(p *des.Proc, d *xdr.Decoder, e *xdr.Encoder) {
-	args, err := DecodeMkdirArgs(d)
-	if err != nil {
-		(&CreateRes{Status: ErrInval}).Encode(e)
-		return
-	}
-	dir, st := s.fh(args.Where.Dir)
-	if st != OK {
-		(&CreateRes{Status: st}).Encode(e)
-		return
-	}
-	mode := uint32(0755)
-	if args.Attr.Mode != nil {
-		mode = *args.Attr.Mode
-	}
-	pre, preOK := s.preOp(p, dir)
-	id, attr, verr := s.fs.Mkdir(p, dir, args.Where.Name, mode)
-	res := CreateRes{Status: StatusFromVFS(verr), DirWcc: s.wccFrom(p, dir, pre, preOK)}
-	if verr == nil {
-		res.FHPresent = true
-		res.FH = s.mkFH(id)
-		res.Attr = PostOpAttr{Present: true, Attr: AttrFromVFS(s.cfg.FSID, attr)}
-	}
-	res.Encode(e)
+// mknod answers MKNOD without decoding it: the file system has no special
+// files.
+func (s *Server) mknod(p *des.Proc, req *oncrpc.ServerRequest) *oncrpc.Bulk {
+	s.reply(req, (&CreateRes{Status: ErrNotSupp}).XDR)
+	return nil
 }
 
-func (s *Server) symlink(p *des.Proc, d *xdr.Decoder, e *xdr.Encoder) {
-	args, err := DecodeSymlinkArgs(d)
-	if err != nil {
-		(&CreateRes{Status: ErrInval}).Encode(e)
-		return
+// remove runs REMOVE and RMDIR.
+func (s *Server) remove(p *des.Proc, req *oncrpc.ServerRequest) *oncrpc.Bulk {
+	var args DirOpArgs
+	var res WccRes
+	if s.decode(req, args.XDR, res.XDR, &res.Status, &args.Dir) {
+		dir := args.Dir.file()
+		pre, preOK := s.preOp(p, dir)
+		var err error
+		if req.Header.Proc == ProcRmdir {
+			err = s.fs.Rmdir(p, dir, args.Name)
+		} else {
+			err = s.fs.Remove(p, dir, args.Name)
+		}
+		res = WccRes{Status: StatusFromVFS(err), Wcc: s.wccFrom(p, dir, pre, preOK)}
+		s.reply(req, res.XDR)
 	}
-	dir, st := s.fh(args.Where.Dir)
-	if st != OK {
-		(&CreateRes{Status: st}).Encode(e)
-		return
-	}
-	pre, preOK := s.preOp(p, dir)
-	id, attr, verr := s.fs.Symlink(p, dir, args.Where.Name, args.Target)
-	res := CreateRes{Status: StatusFromVFS(verr), DirWcc: s.wccFrom(p, dir, pre, preOK)}
-	if verr == nil {
-		res.FHPresent = true
-		res.FH = s.mkFH(id)
-		res.Attr = PostOpAttr{Present: true, Attr: AttrFromVFS(s.cfg.FSID, attr)}
-	}
-	res.Encode(e)
+	return nil
 }
 
-func (s *Server) remove(p *des.Proc, d *xdr.Decoder, e *xdr.Encoder, rmdir bool) {
-	args, err := DecodeDirOpArgs(d)
-	if err != nil {
-		(&WccRes{Status: ErrInval}).Encode(e)
-		return
+func (s *Server) rename(p *des.Proc, req *oncrpc.ServerRequest) *oncrpc.Bulk {
+	var args RenameArgs
+	var res RenameRes
+	if s.decode(req, args.XDR, res.XDR, &res.Status, &args.From.Dir, &args.To.Dir) {
+		from, to := args.From.Dir.file(), args.To.Dir.file()
+		fromPre, fromOK := s.preOp(p, from)
+		toPre, toOK := s.preOp(p, to)
+		err := s.fs.Rename(p, from, args.From.Name, to, args.To.Name)
+		res = RenameRes{
+			Status:  StatusFromVFS(err),
+			FromWcc: s.wccFrom(p, from, fromPre, fromOK),
+			ToWcc:   s.wccFrom(p, to, toPre, toOK),
+		}
+		s.reply(req, res.XDR)
 	}
-	dir, st := s.fh(args.Dir)
-	if st != OK {
-		(&WccRes{Status: st}).Encode(e)
-		return
-	}
-	pre, preOK := s.preOp(p, dir)
-	var verr error
-	if rmdir {
-		verr = s.fs.Rmdir(p, dir, args.Name)
-	} else {
-		verr = s.fs.Remove(p, dir, args.Name)
-	}
-	(&WccRes{Status: StatusFromVFS(verr), Wcc: s.wccFrom(p, dir, pre, preOK)}).Encode(e)
+	return nil
 }
 
-func (s *Server) rename(p *des.Proc, d *xdr.Decoder, e *xdr.Encoder) {
-	args, err := DecodeRenameArgs(d)
-	if err != nil {
-		(&RenameRes{Status: ErrInval}).Encode(e)
-		return
+func (s *Server) link(p *des.Proc, req *oncrpc.ServerRequest) *oncrpc.Bulk {
+	var args LinkArgs
+	var res LinkRes
+	if s.decode(req, args.XDR, res.XDR, &res.Status, &args.FH, &args.Link.Dir) {
+		id, dir := args.FH.file(), args.Link.Dir.file()
+		pre, preOK := s.preOp(p, dir)
+		_, err := s.fs.Link(p, id, dir, args.Link.Name)
+		res = LinkRes{Status: StatusFromVFS(err), Attr: s.postAttr(p, id), LinkWcc: s.wccFrom(p, dir, pre, preOK)}
+		s.reply(req, res.XDR)
 	}
-	from, st := s.fh(args.From.Dir)
-	if st != OK {
-		(&RenameRes{Status: st}).Encode(e)
-		return
-	}
-	to, st := s.fh(args.To.Dir)
-	if st != OK {
-		(&RenameRes{Status: st}).Encode(e)
-		return
-	}
-	fromPre, fromOK := s.preOp(p, from)
-	toPre, toOK := s.preOp(p, to)
-	verr := s.fs.Rename(p, from, args.From.Name, to, args.To.Name)
-	(&RenameRes{
-		Status:  StatusFromVFS(verr),
-		FromWcc: s.wccFrom(p, from, fromPre, fromOK),
-		ToWcc:   s.wccFrom(p, to, toPre, toOK),
-	}).Encode(e)
+	return nil
 }
 
-func (s *Server) link(p *des.Proc, d *xdr.Decoder, e *xdr.Encoder) {
-	args, err := DecodeLinkArgs(d)
-	if err != nil {
-		(&LinkRes{Status: ErrInval}).Encode(e)
-		return
+// readdir runs READDIR and READDIRPLUS.
+func (s *Server) readdir(p *des.Proc, req *oncrpc.ServerRequest) *oncrpc.Bulk {
+	args := ReadDirArgs{Plus: req.Header.Proc == ProcReadDirPlus}
+	res := ReadDirRes{Plus: args.Plus}
+	if !s.decode(req, args.XDR, res.XDR, &res.Status, &args.Dir) {
+		return nil
 	}
-	id, st := s.fh(args.FH)
-	if st != OK {
-		(&LinkRes{Status: st}).Encode(e)
-		return
-	}
-	dir, st := s.fh(args.Link.Dir)
-	if st != OK {
-		(&LinkRes{Status: st}).Encode(e)
-		return
-	}
-	pre, preOK := s.preOp(p, dir)
-	_, verr := s.fs.Link(p, id, dir, args.Link.Name)
-	(&LinkRes{Status: StatusFromVFS(verr), Attr: s.postAttr(p, id), LinkWcc: s.wccFrom(p, dir, pre, preOK)}).Encode(e)
-}
-
-func (s *Server) readdir(p *des.Proc, d *xdr.Decoder, e *xdr.Encoder, plus bool) {
-	args, err := DecodeReadDirArgs(d, plus)
-	if err != nil {
-		(&ReadDirRes{Status: ErrInval, Plus: plus}).Encode(e)
-		return
-	}
-	dir, st := s.fh(args.Dir)
-	if st != OK {
-		(&ReadDirRes{Status: st, Plus: plus}).Encode(e)
-		return
-	}
+	dir := args.Dir.file()
 	// Entry budget from the reply byte budget: ~64 bytes per plain entry,
 	// ~160 with attributes and handle.
 	per := 64
-	if plus {
+	if args.Plus {
 		per = 160
 	}
-	maxEntries := int(args.Count) / per
-	if maxEntries < 1 {
-		maxEntries = 1
-	}
-	ents, eof, verr := s.fs.ReadDir(p, dir, int64(args.Cookie), maxEntries)
-	res := ReadDirRes{
-		Status:  StatusFromVFS(verr),
-		DirAttr: s.postAttr(p, dir),
-		EOF:     eof,
-		Plus:    plus,
-	}
-	if verr == nil {
+	ents, eof, err := s.fs.ReadDir(p, dir, int64(args.Cookie), max(int(args.Count)/per, 1))
+	res.Status, res.DirAttr, res.EOF = StatusFromVFS(err), s.postAttr(p, dir), eof
+	if err == nil {
 		for _, ent := range ents {
 			e3 := DirEntry3{FileID: uint64(ent.FileID), Name: ent.Name, Cookie: uint64(ent.Cookie)}
-			if plus {
+			if args.Plus {
 				e3.Attr = s.postAttr(p, ent.FileID)
 				e3.FHPresent = true
 				e3.FH = s.mkFH(ent.FileID)
@@ -580,80 +496,59 @@ func (s *Server) readdir(p *des.Proc, d *xdr.Decoder, e *xdr.Encoder, plus bool)
 			res.Entries = append(res.Entries, e3)
 		}
 	}
-	res.Encode(e)
+	s.reply(req, res.XDR)
+	return nil
 }
 
-func (s *Server) fsstat(p *des.Proc, d *xdr.Decoder, e *xdr.Encoder) {
-	args, err := DecodeGetAttrArgs(d)
-	if err != nil {
-		(&FSStatRes{Status: ErrInval}).Encode(e)
-		return
+func (s *Server) fsstat(p *des.Proc, req *oncrpc.ServerRequest) *oncrpc.Bulk {
+	var args GetAttrArgs
+	var res FSStatRes
+	if s.decode(req, args.XDR, res.XDR, &res.Status, &args.FH) {
+		total, free := s.fs.FSStat()
+		res = FSStatRes{
+			Status: OK, Attr: s.postAttr(p, args.FH.file()),
+			TBytes: uint64(total), FBytes: uint64(free), ABytes: uint64(free),
+			TFiles: 1 << 20, FFiles: 1 << 19, AFiles: 1 << 19,
+		}
+		s.reply(req, res.XDR)
 	}
-	id, st := s.fh(args.FH)
-	if st != OK {
-		(&FSStatRes{Status: st}).Encode(e)
-		return
-	}
-	total, free := s.fs.FSStat()
-	(&FSStatRes{
-		Status: OK, Attr: s.postAttr(p, id),
-		TBytes: uint64(total), FBytes: uint64(free), ABytes: uint64(free),
-		TFiles: 1 << 20, FFiles: 1 << 19, AFiles: 1 << 19,
-	}).Encode(e)
+	return nil
 }
 
-func (s *Server) fsinfo(p *des.Proc, d *xdr.Decoder, e *xdr.Encoder) {
-	args, err := DecodeGetAttrArgs(d)
-	if err != nil {
-		(&FSInfoRes{Status: ErrInval}).Encode(e)
-		return
+func (s *Server) fsinfo(p *des.Proc, req *oncrpc.ServerRequest) *oncrpc.Bulk {
+	var args GetAttrArgs
+	var res FSInfoRes
+	if s.decode(req, args.XDR, res.XDR, &res.Status, &args.FH) {
+		res = FSInfoRes{
+			Status: OK, Attr: s.postAttr(p, args.FH.file()),
+			RTMax: maxTransfer, RTPref: maxTransfer,
+			WTMax: maxTransfer, WTPref: maxTransfer,
+			DTPref: 64 << 10, MaxFileSize: 1 << 62,
+		}
+		s.reply(req, res.XDR)
 	}
-	id, st := s.fh(args.FH)
-	if st != OK {
-		(&FSInfoRes{Status: st}).Encode(e)
-		return
-	}
-	(&FSInfoRes{
-		Status: OK, Attr: s.postAttr(p, id),
-		RTMax: maxTransfer, RTPref: maxTransfer,
-		WTMax: maxTransfer, WTPref: maxTransfer,
-		DTPref: 64 << 10, MaxFileSize: 1 << 62,
-	}).Encode(e)
+	return nil
 }
 
-func (s *Server) pathconf(p *des.Proc, d *xdr.Decoder, e *xdr.Encoder) {
-	args, err := DecodeGetAttrArgs(d)
-	if err != nil {
-		(&PathConfRes{Status: ErrInval}).Encode(e)
-		return
+func (s *Server) pathconf(p *des.Proc, req *oncrpc.ServerRequest) *oncrpc.Bulk {
+	var args GetAttrArgs
+	var res PathConfRes
+	if s.decode(req, args.XDR, res.XDR, &res.Status, &args.FH) {
+		res = PathConfRes{Status: OK, Attr: s.postAttr(p, args.FH.file()), LinkMax: 32000, NameMax: vfs.MaxNameLen}
+		s.reply(req, res.XDR)
 	}
-	id, st := s.fh(args.FH)
-	if st != OK {
-		(&PathConfRes{Status: st}).Encode(e)
-		return
-	}
-	(&PathConfRes{Status: OK, Attr: s.postAttr(p, id), LinkMax: 32000, NameMax: vfs.MaxNameLen}).Encode(e)
+	return nil
 }
 
-func (s *Server) commit(p *des.Proc, d *xdr.Decoder, e *xdr.Encoder) {
-	args, err := DecodeCommitArgs(d)
-	if err != nil {
-		(&CommitRes{Status: ErrInval}).Encode(e)
-		return
+func (s *Server) commit(p *des.Proc, req *oncrpc.ServerRequest) *oncrpc.Bulk {
+	var args CommitArgs
+	var res CommitRes
+	if s.decode(req, args.XDR, res.XDR, &res.Status, &args.FH) {
+		id := args.FH.file()
+		pre, preOK := s.preOp(p, id)
+		err := s.fs.Commit(p, id, int64(args.Offset), int(args.Count))
+		res = CommitRes{Status: StatusFromVFS(err), Wcc: s.wccFrom(p, id, pre, preOK), Verf: s.writeVerf}
+		s.reply(req, res.XDR)
 	}
-	id, st := s.fh(args.FH)
-	if st != OK {
-		(&CommitRes{Status: st}).Encode(e)
-		return
-	}
-	pre, preOK := s.preOp(p, id)
-	verr := s.fs.Commit(p, id, int64(args.Offset), int(args.Count))
-	(&CommitRes{Status: StatusFromVFS(verr), Wcc: s.wccFrom(p, id, pre, preOK), Verf: s.writeVerf}).Encode(e)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+	return nil
 }

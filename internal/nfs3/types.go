@@ -49,14 +49,8 @@ const (
 
 // ProcName returns the conventional name of a procedure number.
 func ProcName(proc uint32) string {
-	names := []string{
-		"NULL", "GETATTR", "SETATTR", "LOOKUP", "ACCESS", "READLINK",
-		"READ", "WRITE", "CREATE", "MKDIR", "SYMLINK", "MKNOD",
-		"REMOVE", "RMDIR", "RENAME", "LINK", "READDIR", "READDIRPLUS",
-		"FSSTAT", "FSINFO", "PATHCONF", "COMMIT",
-	}
-	if int(proc) < len(names) {
-		return names[proc]
+	if int(proc) < len(procs) {
+		return procs[proc].name
 	}
 	return fmt.Sprintf("PROC%d", proc)
 }
@@ -147,6 +141,9 @@ type StatusError struct{ Status Status }
 
 func (e *StatusError) Error() string { return e.Status.String() }
 
+// XDR codes the status every result starts with.
+func (s *Status) XDR(c *xdr.Codec) { c.Uint32((*uint32)(s)) }
+
 // StatusFromVFS maps substrate errors to protocol status codes.
 func StatusFromVFS(err error) Status {
 	switch {
@@ -186,32 +183,20 @@ type FH struct {
 // MaxFHSize is the nfs_fh3 opaque bound.
 const MaxFHSize = 64
 
-// Encode writes the handle as opaque data: a 16-byte body, so no padding.
-func (h FH) Encode(e *xdr.Encoder) {
-	e.Uint32(16)
-	e.Uint64(h.FSID)
-	e.Uint64(h.FileID)
+// errHandleSize rejects an nfs_fh3 whose body is not 16 bytes, as this
+// server's handles all are.
+var errHandleSize = errors.New("nfs3: bad handle length")
+
+// XDR codes the handle as opaque data: a 16-byte body, so no padding.
+func (h *FH) XDR(c *xdr.Codec) {
+	n := uint32(16)
+	c.Uint32(&n)
+	c.Check(n == 16, errHandleSize)
+	c.Uint64(&h.FSID)
+	c.Uint64(&h.FileID)
 }
 
-// DecodeFH reads an nfs_fh3.
-func DecodeFH(d *xdr.Decoder) (FH, error) {
-	b, err := d.Opaque()
-	if err != nil {
-		return FH{}, err
-	}
-	if len(b) != 16 {
-		return FH{}, fmt.Errorf("nfs3: bad handle length %d", len(b))
-	}
-	id := xdr.NewDecoder(b)
-	var h FH
-	if h.FSID, err = id.Uint64(); err != nil {
-		return FH{}, err
-	}
-	if h.FileID, err = id.Uint64(); err != nil {
-		return FH{}, err
-	}
-	return h, nil
-}
+func (h FH) file() vfs.FileID { return vfs.FileID(h.FileID) }
 
 // FType is ftype3.
 type FType uint32
@@ -238,21 +223,10 @@ func TimeFromSim(t des.Time) NFSTime {
 	return NFSTime{Sec: uint32(int64(t) / 1e9), NSec: uint32(int64(t) % 1e9)}
 }
 
-func (t NFSTime) encode(e *xdr.Encoder) {
-	e.Uint32(t.Sec)
-	e.Uint32(t.NSec)
-}
-
-func decodeTime(d *xdr.Decoder) (NFSTime, error) {
-	var t NFSTime
-	var err error
-	if t.Sec, err = d.Uint32(); err != nil {
-		return t, err
-	}
-	if t.NSec, err = d.Uint32(); err != nil {
-		return t, err
-	}
-	return t, nil
+// XDR codes nfstime3.
+func (t *NFSTime) XDR(c *xdr.Codec) {
+	c.Uint32(&t.Sec)
+	c.Uint32(&t.NSec)
 }
 
 // FAttr is fattr3.
@@ -272,68 +246,22 @@ type FAttr struct {
 	Ctime                NFSTime
 }
 
-// Encode writes fattr3.
-func (a *FAttr) Encode(e *xdr.Encoder) {
-	e.Uint32(uint32(a.Type))
-	e.Uint32(a.Mode)
-	e.Uint32(a.Nlink)
-	e.Uint32(a.UID)
-	e.Uint32(a.GID)
-	e.Uint64(a.Size)
-	e.Uint64(a.Used)
-	e.Uint32(a.RdevMajor)
-	e.Uint32(a.RdevMinor)
-	e.Uint64(a.FSID)
-	e.Uint64(a.FileID)
-	a.Atime.encode(e)
-	a.Mtime.encode(e)
-	a.Ctime.encode(e)
-}
-
-// DecodeFAttr reads fattr3.
-func DecodeFAttr(d *xdr.Decoder) (FAttr, error) {
-	var a FAttr
-	read32 := func(dst *uint32) error {
-		v, err := d.Uint32()
-		*dst = v
-		return err
-	}
-	read64 := func(dst *uint64) error {
-		v, err := d.Uint64()
-		*dst = v
-		return err
-	}
-	var ty uint32
-	steps := []func() error{
-		func() error { return read32(&ty) },
-		func() error { return read32(&a.Mode) },
-		func() error { return read32(&a.Nlink) },
-		func() error { return read32(&a.UID) },
-		func() error { return read32(&a.GID) },
-		func() error { return read64(&a.Size) },
-		func() error { return read64(&a.Used) },
-		func() error { return read32(&a.RdevMajor) },
-		func() error { return read32(&a.RdevMinor) },
-		func() error { return read64(&a.FSID) },
-		func() error { return read64(&a.FileID) },
-	}
-	for _, s := range steps {
-		if err := s(); err != nil {
-			return a, err
-		}
-	}
-	a.Type = FType(ty)
-	var err error
-	if a.Atime, err = decodeTime(d); err != nil {
-		return a, err
-	}
-	if a.Mtime, err = decodeTime(d); err != nil {
-		return a, err
-	}
-	if a.Ctime, err = decodeTime(d); err != nil {
-		return a, err
-	}
-	return a, nil
+// XDR codes fattr3.
+func (a *FAttr) XDR(c *xdr.Codec) {
+	c.Uint32((*uint32)(&a.Type))
+	c.Uint32(&a.Mode)
+	c.Uint32(&a.Nlink)
+	c.Uint32(&a.UID)
+	c.Uint32(&a.GID)
+	c.Uint64(&a.Size)
+	c.Uint64(&a.Used)
+	c.Uint32(&a.RdevMajor)
+	c.Uint32(&a.RdevMinor)
+	c.Uint64(&a.FSID)
+	c.Uint64(&a.FileID)
+	a.Atime.XDR(c)
+	a.Mtime.XDR(c)
+	a.Ctime.XDR(c)
 }
 
 // AttrFromVFS converts substrate attributes to fattr3.
@@ -360,26 +288,11 @@ type PostOpAttr struct {
 	Attr    FAttr
 }
 
-// Encode writes post_op_attr.
-func (a *PostOpAttr) Encode(e *xdr.Encoder) {
-	e.Bool(a.Present)
-	if a.Present {
-		a.Attr.Encode(e)
+// XDR codes post_op_attr.
+func (a *PostOpAttr) XDR(c *xdr.Codec) {
+	if c.Optional(&a.Present) {
+		a.Attr.XDR(c)
 	}
-}
-
-// DecodePostOpAttr reads post_op_attr.
-func DecodePostOpAttr(d *xdr.Decoder) (PostOpAttr, error) {
-	var a PostOpAttr
-	ok, err := d.Bool()
-	if err != nil {
-		return a, err
-	}
-	a.Present = ok
-	if ok {
-		a.Attr, err = DecodeFAttr(d)
-	}
-	return a, err
 }
 
 // WccAttr is wcc_attr (pre-op attributes subset).
@@ -396,132 +309,71 @@ type WccData struct {
 	Post       PostOpAttr
 }
 
-// Encode writes wcc_data.
-func (w *WccData) Encode(e *xdr.Encoder) {
-	e.Bool(w.PrePresent)
-	if w.PrePresent {
-		e.Uint64(w.Pre.Size)
-		w.Pre.Mtime.encode(e)
-		w.Pre.Ctime.encode(e)
+// XDR codes wcc_data.
+func (w *WccData) XDR(c *xdr.Codec) {
+	if c.Optional(&w.PrePresent) {
+		c.Uint64(&w.Pre.Size)
+		w.Pre.Mtime.XDR(c)
+		w.Pre.Ctime.XDR(c)
 	}
-	w.Post.Encode(e)
+	w.Post.XDR(c)
 }
 
-// DecodeWccData reads wcc_data.
-func DecodeWccData(d *xdr.Decoder) (WccData, error) {
-	var w WccData
-	ok, err := d.Bool()
-	if err != nil {
-		return w, err
-	}
-	w.PrePresent = ok
-	if ok {
-		if w.Pre.Size, err = d.Uint64(); err != nil {
-			return w, err
-		}
-		if w.Pre.Mtime, err = decodeTime(d); err != nil {
-			return w, err
-		}
-		if w.Pre.Ctime, err = decodeTime(d); err != nil {
-			return w, err
-		}
-	}
-	w.Post, err = DecodePostOpAttr(d)
-	return w, err
-}
-
-// SAttr is sattr3 (settable attributes).
+// SAttr is sattr3 (settable attributes); a nil field is left unchanged.
 type SAttr struct {
-	Mode *uint32
-	UID  *uint32
-	GID  *uint32
-	Size *uint64
-	// Atime/Mtime handling collapsed to "set to server time" flags.
-	SetAtime bool
-	SetMtime bool
+	Mode  *uint32
+	UID   *uint32
+	GID   *uint32
+	Size  *uint64
+	Atime SetTime
+	Mtime SetTime
 }
 
-// Encode writes sattr3.
-func (s *SAttr) Encode(e *xdr.Encoder) {
-	enc32 := func(v *uint32) {
-		e.Bool(v != nil)
-		if v != nil {
-			e.Uint32(*v)
+// XDR codes sattr3.
+func (s *SAttr) XDR(c *xdr.Codec) {
+	optUint32(c, &s.Mode)
+	optUint32(c, &s.UID)
+	optUint32(c, &s.GID)
+	if set := s.Size != nil; c.Optional(&set) {
+		if s.Size == nil {
+			s.Size = new(uint64)
 		}
+		c.Uint64(s.Size)
 	}
-	enc32(s.Mode)
-	enc32(s.UID)
-	enc32(s.GID)
-	e.Bool(s.Size != nil)
-	if s.Size != nil {
-		e.Uint64(*s.Size)
-	}
-	encTimeHow := func(set bool) {
-		if set {
-			e.Uint32(1) // SET_TO_SERVER_TIME
-		} else {
-			e.Uint32(0) // DONT_CHANGE
-		}
-	}
-	encTimeHow(s.SetAtime)
-	encTimeHow(s.SetMtime)
+	s.Atime.XDR(c)
+	s.Mtime.XDR(c)
 }
 
-// DecodeSAttr reads sattr3.
-func DecodeSAttr(d *xdr.Decoder) (SAttr, error) {
-	var s SAttr
-	dec32 := func() (*uint32, error) {
-		ok, err := d.Bool()
-		if err != nil || !ok {
-			return nil, err
+func optUint32(c *xdr.Codec, v **uint32) {
+	if set := *v != nil; c.Optional(&set) {
+		if *v == nil {
+			*v = new(uint32)
 		}
-		v, err := d.Uint32()
-		if err != nil {
-			return nil, err
-		}
-		return &v, nil
+		c.Uint32(*v)
 	}
-	var err error
-	if s.Mode, err = dec32(); err != nil {
-		return s, err
+}
+
+// time_how values.
+const (
+	DontChange      = 0
+	SetToServerTime = 1
+	SetToClientTime = 2
+)
+
+// SetTime is set_atime / set_mtime: How is a time_how, and Time the time
+// SET_TO_CLIENT_TIME carries.
+type SetTime struct {
+	How  uint32
+	Time NFSTime
+}
+
+// XDR codes set_atime / set_mtime.
+func (t *SetTime) XDR(c *xdr.Codec) {
+	c.Uint32(&t.How)
+	c.Check(t.How <= SetToClientTime, xdr.ErrBadValue)
+	if t.How == SetToClientTime {
+		t.Time.XDR(c)
 	}
-	if s.UID, err = dec32(); err != nil {
-		return s, err
-	}
-	if s.GID, err = dec32(); err != nil {
-		return s, err
-	}
-	ok, err := d.Bool()
-	if err != nil {
-		return s, err
-	}
-	if ok {
-		v, err := d.Uint64()
-		if err != nil {
-			return s, err
-		}
-		s.Size = &v
-	}
-	decTimeHow := func() (bool, error) {
-		how, err := d.Uint32()
-		if err != nil {
-			return false, err
-		}
-		if how == 2 { // SET_TO_CLIENT_TIME carries a time value
-			if _, err := decodeTime(d); err != nil {
-				return false, err
-			}
-			return true, nil
-		}
-		return how == 1, nil
-	}
-	if s.SetAtime, err = decTimeHow(); err != nil {
-		return s, err
-	}
-	if s.SetMtime, err = decTimeHow(); err != nil {
-		return s, err
-	}
-	return s, nil
 }
 
 // ACCESS bits.

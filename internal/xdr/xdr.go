@@ -8,7 +8,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"fmt"
 )
 
 // ErrShortBuffer is returned when a decode runs off the end of the input.
@@ -17,6 +16,13 @@ var ErrShortBuffer = errors.New("xdr: short buffer")
 // ErrTooLong is returned when a counted item exceeds the decoder's sanity
 // limit (guarding protocol code against hostile lengths).
 var ErrTooLong = errors.New("xdr: counted item too long")
+
+// ErrBadBool is returned for a boolean other than 0 or 1 (RFC 4506 §4.4).
+var ErrBadBool = errors.New("xdr: boolean neither 0 nor 1")
+
+// ErrBadValue is returned by a Codec for a word its type does not allow,
+// such as one other than the single value Const writes.
+var ErrBadValue = errors.New("xdr: value outside its type")
 
 // ErrPadding is returned when the bytes padding an item to 4-byte alignment
 // are not zero (RFC 4506 §4.9): only the canonical encoding decodes, so what
@@ -141,11 +147,13 @@ func (d *Decoder) Int64() (int64, error) {
 	return int64(v), err
 }
 
-// Bool decodes a boolean; any non-zero value is true (per RFC 4506 §4.4
-// booleans are 0 or 1, but liberal acceptance aids fuzzing).
+// Bool decodes a boolean: 0 or 1, and any other word is ErrBadBool.
 func (d *Decoder) Bool() (bool, error) {
 	v, err := d.Uint32()
-	return v != 0, err
+	if v > 1 {
+		return false, ErrBadBool
+	}
+	return v == 1, err
 }
 
 // Opaque decodes variable-length opaque data.
@@ -155,7 +163,7 @@ func (d *Decoder) Opaque() ([]byte, error) {
 		return nil, err
 	}
 	if n > MaxOpaque {
-		return nil, fmt.Errorf("%w: %d", ErrTooLong, n)
+		return nil, ErrTooLong
 	}
 	return d.FixedOpaque(int(n))
 }
@@ -177,4 +185,133 @@ func (d *Decoder) FixedOpaque(n int) ([]byte, error) {
 func (d *Decoder) String() (string, error) {
 	b, err := d.Opaque()
 	return string(b), err
+}
+
+// Codec encodes or decodes, as its direction says, so that a type describes
+// its wire form once, in one method taking a *Codec (rpcgen's xdr_T with its
+// x_op, RFC 5531): the method passes each field by pointer, and encoding
+// reads it while decoding stores it. A decoder must not read a field and drop
+// it: it stores it, or checks it against the one value the encoder writes
+// (Const, Check), so what decodes encodes back to the same bytes.
+//
+// The first error sticks: decoding stops there, every later item decodes as
+// zero, and Err reports it.
+type Codec struct {
+	decoding bool
+	enc      *Encoder
+	dec      Decoder
+	err      error
+}
+
+// EncodeTo returns a Codec appending to e.
+func EncodeTo(e *Encoder) Codec { return Codec{enc: e} }
+
+// DecodeFrom returns a Codec reading buf.
+func DecodeFrom(buf []byte) Codec { return Codec{decoding: true, dec: Decoder{buf: buf}} }
+
+// Decoding reports whether the codec decodes.
+func (c *Codec) Decoding() bool { return c.decoding }
+
+// Err returns the first error met.
+func (c *Codec) Err() error { return c.err }
+
+// Offset returns the number of bytes decoded.
+func (c *Codec) Offset() int { return c.dec.off }
+
+func (c *Codec) fail(err error) {
+	if err != nil && c.err == nil {
+		c.err = err
+		c.dec.off = len(c.dec.buf)
+	}
+}
+
+// Check fails the codec with err unless ok: for a field whose type allows
+// fewer values than its wire form carries.
+func (c *Codec) Check(ok bool, err error) {
+	if !ok {
+		c.fail(err)
+	}
+}
+
+// Uint32 codes an unsigned integer.
+func (c *Codec) Uint32(v *uint32) {
+	if !c.decoding {
+		c.enc.Uint32(*v)
+		return
+	}
+	var err error
+	*v, err = c.dec.Uint32()
+	c.fail(err)
+}
+
+// Uint64 codes an unsigned hyper integer.
+func (c *Codec) Uint64(v *uint64) {
+	if !c.decoding {
+		c.enc.Uint64(*v)
+		return
+	}
+	var err error
+	*v, err = c.dec.Uint64()
+	c.fail(err)
+}
+
+// Bool codes a boolean.
+func (c *Codec) Bool(v *bool) {
+	if !c.decoding {
+		c.enc.Bool(*v)
+		return
+	}
+	var err error
+	*v, err = c.dec.Bool()
+	c.fail(err)
+}
+
+// String codes a string.
+func (c *Codec) String(v *string) {
+	if !c.decoding {
+		c.enc.String(*v)
+		return
+	}
+	var err error
+	*v, err = c.dec.String()
+	c.fail(err)
+}
+
+// Opaque codes variable-length opaque data; decoded, it aliases the input.
+func (c *Codec) Opaque(v *[]byte) {
+	if !c.decoding {
+		c.enc.Opaque(*v)
+		return
+	}
+	var err error
+	*v, err = c.dec.Opaque()
+	c.fail(err)
+}
+
+// Const codes a word whose one value is v: decoding any other fails with
+// ErrBadValue.
+func (c *Codec) Const(v uint32) {
+	w := v
+	c.Uint32(&w)
+	c.Check(w == v, ErrBadValue)
+}
+
+// Optional codes the discriminant of optional-data (RFC 4506 §4.19) and
+// reports whether the item follows it.
+func (c *Codec) Optional(present *bool) bool {
+	c.Bool(present)
+	return *present
+}
+
+// List codes a list as optional-data links: TRUE before each item, FALSE
+// after the last. Encoding calls item for each i below n; decoding calls it
+// for each item on the wire, i counting from 0, and item grows what it
+// decodes into.
+func (c *Codec) List(n int, item func(i int)) {
+	for i := 0; ; i++ {
+		if more := i < n; !c.Optional(&more) {
+			return
+		}
+		item(i)
+	}
 }

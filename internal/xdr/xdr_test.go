@@ -84,6 +84,81 @@ func TestHostileLengthRejected(t *testing.T) {
 	}
 }
 
+// TestBoolRejectsNonCanonical: a boolean is 0 or 1 (RFC 4506 §4.4), so any
+// other word is not one, through the Decoder and through a Codec.
+func TestBoolRejectsNonCanonical(t *testing.T) {
+	for _, w := range []uint32{2, 0x80000000, 0xffffffff} {
+		e := NewEncoder(nil)
+		e.Uint32(w)
+		if v, err := NewDecoder(e.Bytes()).Bool(); !errors.Is(err, ErrBadBool) {
+			t.Errorf("Decoder.Bool of %#x = %v, %v; want ErrBadBool", w, v, err)
+		}
+		c, v := DecodeFrom(e.Bytes()), false
+		if c.Bool(&v); !errors.Is(c.Err(), ErrBadBool) {
+			t.Errorf("Codec.Bool of %#x = %v, %v; want ErrBadBool", w, v, c.Err())
+		}
+	}
+}
+
+// codecItems is a type described once for TestCodec.
+type codecItems struct {
+	u32     uint32
+	u64     uint64
+	flag    bool
+	s       string
+	b       []byte
+	present bool
+	list    []uint32
+}
+
+func (v *codecItems) xdr(c *Codec) {
+	c.Uint32(&v.u32)
+	c.Uint64(&v.u64)
+	c.Bool(&v.flag)
+	c.String(&v.s)
+	c.Opaque(&v.b)
+	c.Const(7)
+	if c.Optional(&v.present) {
+		c.Uint32(&v.u32)
+	}
+	c.List(len(v.list), func(i int) {
+		if c.Decoding() {
+			v.list = append(v.list, 0)
+		}
+		c.Uint32(&v.list[i])
+	})
+}
+
+// TestCodec: what one description encodes, it decodes to the same value
+// from exactly those bytes; a word other than Const's fails, and the first
+// error sticks with everything after it decoded as zero.
+func TestCodec(t *testing.T) {
+	in := codecItems{u32: 1, u64: 2 << 40, flag: true, s: "abcde", b: []byte{9, 8}, present: true, list: []uint32{3, 4}}
+	e := NewEncoder(nil)
+	c := EncodeTo(e)
+	in.xdr(&c)
+	var out codecItems
+	c = DecodeFrom(e.Bytes())
+	if out.xdr(&c); c.Err() != nil || c.Offset() != e.Len() {
+		t.Fatalf("decode: %v after %d of %d bytes", c.Err(), c.Offset(), e.Len())
+	}
+	if out.u32 != in.u32 || out.u64 != in.u64 || !out.flag || out.s != in.s || !bytes.Equal(out.b, in.b) ||
+		!out.present || len(out.list) != 2 || out.list[0] != 3 || out.list[1] != 4 {
+		t.Errorf("decoded %+v, encoded %+v", out, in)
+	}
+
+	bad := append([]byte(nil), e.Bytes()...)
+	bad[4+8+4+12+8+3] = 6 // Const's 7, behind u32, u64, flag, s and b
+	c, out = DecodeFrom(bad), codecItems{}
+	if out.xdr(&c); !errors.Is(c.Err(), ErrBadValue) || out.present || out.list != nil {
+		t.Errorf("wrong constant: %v, then %+v", c.Err(), out)
+	}
+	c, out = DecodeFrom(e.Bytes()[:6]), codecItems{}
+	if out.xdr(&c); !errors.Is(c.Err(), ErrShortBuffer) || out.u64 != 0 || out.flag || out.s != "" || out.list != nil {
+		t.Errorf("truncated: %v, then %+v", c.Err(), out)
+	}
+}
+
 func TestQuickOpaqueRoundTrip(t *testing.T) {
 	f := func(b []byte) bool {
 		e := NewEncoder(nil)

@@ -23,17 +23,17 @@ fmt:
 # computes it.
 #
 # The mux capacity sweep at its full 10240 clients belongs to tier-1
-# (`make test`, the plain build): race builds cap it at 2048 — the detector
-# costs ~10x per simulated instruction; see muxCapTestClients — and check
-# does not repeat the full-scale run.
+# (`make test`, the plain build): race builds sweep 512 and 2048 clients —
+# the detector costs ~10x per simulated instruction; see muxCapTestClients —
+# and check does not repeat the full-scale run.
 #
 # go1.24's runtime does not release a coroutine's race-detector context when
 # the coroutine ends (coroexit never reaches racegoend), so under -race every
 # process carrier ever created leaves ~3.5 KB behind until the test binary
-# exits. internal/experiments is where that adds up: its race pass peaks at
-# 12.2 GB and takes ~195 s (three runs: 12.25, 12.16, 12.22 GB), so it runs
-# after the other packages, not beside them. It needed two processes while
-# every QP pinned a send-engine carrier; uninstrumented builds are not
+# exits. internal/experiments is where that adds up: as one binary its race
+# pass peaked at 12.2 GB, so it runs after the other packages, one top-level
+# test per binary (`go test -list` names them), and a binary's peak is its
+# own test's, not the sum over the package. Uninstrumented builds are not
 # affected.
 #
 # The chaos package's soak test widens with CHAOS_SEEDS, e.g.:
@@ -45,7 +45,9 @@ fmt:
 # package's testdata/fuzz/, where it becomes a seed once committed.
 check: fmt vet
 	$(GO) test -race $$($(GO) list ./... | grep -v '/internal/experiments$$')
-	$(GO) test -race ./internal/experiments/
+	for t in $$($(GO) test -race -list . ./internal/experiments/ | grep '^Test'); do \
+		$(GO) test -race -run "^$$t\$$" ./internal/experiments/ || exit 1; \
+	done
 	$(GO) test -run 'TestCapacityReplyFetchServerCPU512' ./internal/experiments/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCall$$' -fuzztime=10s ./internal/oncrpc/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeHeaderInto$$' -fuzztime=10s ./internal/rpcrdma/

@@ -12,6 +12,7 @@ import (
 	"repro/internal/memreg"
 	"repro/internal/profiles"
 	"repro/internal/rpcrdma"
+	"repro/internal/trace"
 )
 
 // TestAllocsPerRPC pins what one simulated RPC costs the host in heap
@@ -32,8 +33,8 @@ func TestAllocsPerRPC(t *testing.T) {
 		null, read, physRead float64
 	}{
 		{rpcrdma.ReadWrite, 7, 16, 15},   // measured 6.00, 15.00 and 14.22
-		{rpcrdma.ReadRead, 15, 28, 32},   // 14.24, 27.25 and 31.57
-		{rpcrdma.ReplyFetch, 26, 36, 33}, // 25.00, 35.00 and 32.28
+		{rpcrdma.ReadRead, 13, 26, 30},   // 12.24, 25.25 and 29.57
+		{rpcrdma.ReplyFetch, 19, 29, 26}, // 18.00, 28.00 and 25.28
 	}
 	for _, pin := range pins {
 		null, read := allocsPerRPC(t, pin.design, memreg.Regular, 8<<10, true, false)
@@ -50,6 +51,68 @@ func TestAllocsPerRPC(t *testing.T) {
 			allocsPerRPC(t, pin.design, memreg.AllPhysical, 64<<10, false, true)
 		}
 	}
+}
+
+// TestProcessesPerRPC pins what one simulated NFS NULL costs the kernel in
+// processes: spawns and parks per steady-state call, one client, one call
+// outstanding, counted from the tracer's spawn instants and blocked spans as
+// the benchmark's des.spawns_per_rpc and des.parks_per_rpc are. Completion
+// handling that blocks only on hardware, time or a CPU charge is a callback
+// chain (DESIGN.md §5.1): a reply that is not pulled spawns nothing, and a
+// park that comes back here is a regression. The pins are exact.
+func TestProcessesPerRPC(t *testing.T) {
+	for _, pin := range []struct {
+		design        rpcrdma.Design
+		spawns, parks float64
+	}{
+		{rpcrdma.ReadWrite, 0, 10},
+		{rpcrdma.ReadRead, 1, 11}, // the spawn is the reply handler, whose pull blocks
+		{rpcrdma.ReplyFetch, 0, 20},
+	} {
+		spawns, parks := processesPerNull(t, pin.design)
+		if spawns != pin.spawns || parks != pin.parks {
+			t.Errorf("%v: %.2f spawns and %.2f parks per NULL, pinned at %.0f and %.0f", pin.design, spawns, parks, pin.spawns, pin.parks)
+		}
+	}
+}
+
+// processesPerNull counts spawns and parks per NULL on a one-client cluster.
+func processesPerNull(t *testing.T, design rpcrdma.Design) (spawns, parks float64) {
+	const calls = 200
+	cluster := NewCluster(Config{
+		Profile:   profiles.LinuxDDR(),
+		Transport: TransportRDMA,
+		Design:    design,
+	})
+	tr := cluster.EnableTracing(1 << 18)
+	cl := cluster.Clients[0]
+	var from, to int
+	cluster.Start("pin", func(p *des.Proc) {
+		for i := 0; i < 2*calls; i++ {
+			if i == calls { // the first half reaches the steady state
+				from = tr.Len()
+			}
+			if err := cl.NFS.Null(p); err != nil {
+				t.Errorf("%v: %v", design, err)
+				return
+			}
+		}
+		to = tr.Len()
+	})
+	cluster.Run()
+	if tr.Dropped() != 0 {
+		t.Fatalf("%v: the trace ring wrapped", design)
+	}
+	var n [2]int
+	for _, e := range tr.Events()[from:to] {
+		switch e.Kind {
+		case trace.KindSpawn:
+			n[0]++
+		case trace.KindBlocked:
+			n[1]++
+		}
+	}
+	return float64(n[0]) / calls, float64(n[1]) / calls
 }
 
 // allocsPerRPC measures heap allocations per NULL and per READ of size bytes

@@ -3,6 +3,7 @@ package core
 import (
 	"container/list"
 	"fmt"
+	"slices"
 
 	"repro/internal/des"
 	"repro/internal/nfs3"
@@ -284,17 +285,26 @@ func (f *File) WriteAtCached(p *des.Proc, src []byte, off int64) (int, error) {
 	return written, nil
 }
 
-// Flush writes every dirty page of the file back and commits (the NFS
-// close/fsync path). The file's validator is refreshed so the client's own
-// writes do not invalidate its cache.
+// Flush writes every dirty page of the file back, in page order, and commits
+// (the NFS close/fsync path). The file's validator is refreshed so the
+// client's own writes do not invalidate its cache.
 func (f *File) Flush(p *des.Proc) error {
 	dc := f.c.dataCache
 	if dc == nil {
 		return nil
 	}
 	cf := dc.file(f.fh)
-	for _, pg := range cf.pages {
+	var dirty []int64
+	for idx, pg := range cf.pages {
 		if pg.dirty {
+			dirty = append(dirty, idx)
+		}
+	}
+	slices.Sort(dirty)
+	for _, idx := range dirty {
+		// A write-back blocks, and meanwhile eviction may have written the
+		// page back or dropped it.
+		if pg := cf.pages[idx]; pg != nil && pg.dirty {
 			if err := dc.writeback(p, pg); err != nil {
 				return err
 			}

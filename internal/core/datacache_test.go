@@ -2,14 +2,17 @@ package core
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/des"
 	"repro/internal/memreg"
 	"repro/internal/nfs3"
+	"repro/internal/oncrpc"
 	"repro/internal/profiles"
 	"repro/internal/rpcrdma"
+	"repro/internal/xdr"
 )
 
 func dataCacheCluster(clients int) *Cluster {
@@ -150,6 +153,64 @@ func TestDataCacheCloseToOpenConsistency(t *testing.T) {
 		}
 	})
 	cluster.Run()
+}
+
+// writeRecorder is a client transport that records the offset of every NFS
+// WRITE sent through it.
+type writeRecorder struct {
+	oncrpc.Transport
+	offsets []uint64
+}
+
+func (r *writeRecorder) Roundtrip(p *des.Proc, req *oncrpc.Request) (*oncrpc.Response, error) {
+	if h, args, err := oncrpc.DecodeCall(req.Header); err == nil && h.Proc == nfs3.ProcWrite {
+		var a nfs3.WriteArgs
+		c := xdr.DecodeFrom(args)
+		if a.XDR(&c); c.Err() == nil {
+			r.offsets = append(r.offsets, a.Offset)
+		}
+	}
+	return r.Transport.Roundtrip(p, req)
+}
+
+// TestDataCacheFlushIsDeterministic: same-seed runs that flush a file with
+// many dirty pages send the server the same WRITEs in the same order — page
+// order, not the order a map happens to range in.
+func TestDataCacheFlushIsDeterministic(t *testing.T) {
+	const pages = 20
+	run := func() []uint64 {
+		cluster := dataCacheCluster(1)
+		cl := cluster.Clients[0]
+		rec := &writeRecorder{}
+		cluster.Start("t", func(p *des.Proc) {
+			rec.Transport = cl.Transport
+			cl.NFS.SetTransport(rec)
+			cl.EnableDataCache(8 << 20)
+			f, err := cl.Create(p, "flush")
+			if err != nil {
+				t.Errorf("create: %v", err)
+				return
+			}
+			if _, err := f.WriteAtCached(p, make([]byte, pages*dataCachePageSize), 0); err != nil {
+				t.Errorf("cached write: %v", err)
+				return
+			}
+			if err := f.Flush(p); err != nil {
+				t.Errorf("flush: %v", err)
+			}
+		})
+		cluster.Run()
+		return rec.offsets
+	}
+	want := make([]uint64, pages)
+	for i := range want {
+		want[i] = uint64(i * dataCachePageSize)
+	}
+	for i := 0; i < 3; i++ {
+		if got := run(); !slices.Equal(got, want) {
+			t.Fatalf("run %d wrote back at offsets %v, want page order %v", i, got, want)
+		}
+	}
 }
 
 func TestDataCacheBounded(t *testing.T) {

@@ -49,13 +49,51 @@ func (m *Model) Work(p *des.Proc, d des.Duration) {
 	m.cores.Use(p, 1, d)
 }
 
+// Charge is the state of one WorkThen in flight, kept in storage its caller
+// owns so that a charge allocates nothing.
+type Charge struct {
+	m   *Model
+	d   des.Duration
+	fn  func(any)
+	arg any
+}
+
+// WorkThen is Work for code running on the scheduler loop: it occupies one
+// core for d, then calls fn(arg). It takes Work's three steps as a chain —
+// Resource.AcquireThen, an event d later, Release — so each happens at the
+// instant and in the place a process calling Work would take it, and keeps
+// Work's short-cut: with d <= 0 it calls fn at once. c holds the chain's
+// state until fn is called.
+func (m *Model) WorkThen(c *Charge, d des.Duration, fn func(any), arg any) {
+	if d <= 0 {
+		fn(arg)
+		return
+	}
+	*c = Charge{m: m, d: d, fn: fn, arg: arg}
+	m.cores.AcquireThen(1, chargeHeld, c)
+}
+
+func chargeHeld(a any) {
+	c := a.(*Charge)
+	s := c.m.sim
+	s.AtArg(s.Now()+des.Time(c.d), chargeDone, c)
+}
+
+func chargeDone(a any) {
+	c := a.(*Charge)
+	c.m.cores.Release(1)
+	fn, arg := c.fn, c.arg
+	*c = Charge{}
+	fn(arg)
+}
+
 // Copy charges the CPU for moving n bytes through a core (one memcpy).
 func (m *Model) Copy(p *des.Proc, n int) {
-	m.Work(p, time.Duration(float64(n)*m.CopyNsPerByte))
+	m.Work(p, m.CopyCost(n))
 }
 
 // CopyCost returns the modelled duration of copying n bytes without
-// charging it, for planning/accounting paths.
+// charging it: what Copy charges, for a caller that charges it with WorkThen.
 func (m *Model) CopyCost(n int) des.Duration {
 	return time.Duration(float64(n) * m.CopyNsPerByte)
 }
@@ -66,6 +104,13 @@ func (m *Model) CopyCost(n int) des.Duration {
 func (m *Model) Interrupt(p *des.Proc) {
 	m.interrupts++
 	m.Work(p, m.InterruptCost)
+}
+
+// InterruptThen is Interrupt for code running on the scheduler loop: it
+// counts the interrupt and charges it with WorkThen.
+func (m *Model) InterruptThen(c *Charge, fn func(any), arg any) {
+	m.interrupts++
+	m.WorkThen(c, m.InterruptCost, fn, arg)
 }
 
 // Syscall charges one kernel crossing.

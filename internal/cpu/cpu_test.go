@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -75,6 +76,54 @@ func TestInterruptsCountedAndCharged(t *testing.T) {
 		}
 	})
 	sim.Run()
+}
+
+// TestWorkThenMatchesWork: charges taken as callback chains finish at the
+// instants the same charges taken by processes do, whatever the mix, and
+// leave no core held.
+func TestWorkThenMatchesWork(t *testing.T) {
+	run := func(chain func(i int) bool) []des.Time {
+		sim := des.New()
+		m := New(sim, "host", 2)
+		m.InterruptCost = 3 * time.Microsecond
+		done := make([]des.Time, 6)
+		charges := make([]Charge, len(done))
+		for i := range done {
+			d := time.Duration(i%3) * 2 * time.Microsecond // 0, 2 and 4 µs
+			at := des.Time(i/2) * des.Time(time.Microsecond)
+			if chain(i) {
+				sim.At(at, func() {
+					m.WorkThen(&charges[i], d, func(any) {
+						m.InterruptThen(&charges[i], func(any) { done[i] = sim.Now() }, nil)
+					}, nil)
+				})
+				continue
+			}
+			sim.SpawnAt(at, "w", func(p *des.Proc) {
+				m.Work(p, d)
+				m.Interrupt(p)
+				done[i] = p.Now()
+			})
+		}
+		sim.Run()
+		if m.Interrupts() != int64(len(done)) {
+			t.Errorf("interrupts = %d, want %d", m.Interrupts(), len(done))
+		}
+		if busy, want := m.TotalBusySeconds(), 30e-6; busy < want-1e-12 || busy > want+1e-12 {
+			t.Errorf("busy = %v s, want %v (a core still held, or a charge lost)", busy, want)
+		}
+		return done
+	}
+	want := run(func(int) bool { return false })
+	for name, chain := range map[string]func(int) bool{
+		"all":  func(int) bool { return true },
+		"odd":  func(i int) bool { return i%2 == 1 },
+		"even": func(i int) bool { return i%2 == 0 },
+	} {
+		if got := run(chain); !slices.Equal(got, want) {
+			t.Errorf("%s chained: finished at %v, processes at %v", name, got, want)
+		}
+	}
 }
 
 func TestZeroCostOpsFree(t *testing.T) {

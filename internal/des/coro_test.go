@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -146,6 +147,58 @@ func TestAtRunsWhereSpawnAtWouldStart(t *testing.T) {
 // instant and wait behind each other, and the users ask for different
 // amounts, so a grant out of arrival order or one event out of place changes
 // the log. The all-process run is the reference.
+// TestQueueWaitThenKeepsFIFOWithProcesses: getters that wait with WaitThen
+// and getters that block in Get take the same items at the same instants,
+// whatever the mix — including those that arrive while items are queued, a
+// woken getter another one beats to its item, and the ones the Close wakes.
+func TestQueueWaitThenKeepsFIFOWithProcesses(t *testing.T) {
+	run := func(chain func(i int) bool) (log []string) {
+		s := New()
+		q := NewQueue(s, "q")
+		took := func(id string, v any, ok bool) {
+			log = append(log, fmt.Sprintf("%s@%d %v %v", id, s.Now(), v, ok))
+		}
+		for k := 0; k < 6; k++ {
+			s.At(Time(k/2*3), func() { q.Put(k) }) // pairs at 0, 3 and 6
+		}
+		s.At(9, q.Close)
+		for i := 0; i < 9; i++ {
+			id, at := fmt.Sprintf("g%d", i), Time(i)
+			if chain(i) {
+				var got func(any)
+				got = func(any) {
+					if v, ok := q.TryGet(); ok || q.closed {
+						took(id, v, ok)
+						return
+					}
+					q.WaitThen(got, nil) // beaten to the item: wait again, at the back
+				}
+				s.At(at, func() { q.WaitThen(got, nil) })
+				continue
+			}
+			s.SpawnAt(at, id, func(p *Proc) {
+				v, ok := q.Get(p)
+				took(id, v, ok)
+			})
+		}
+		s.Run()
+		return log
+	}
+	want := run(func(int) bool { return false })
+	if len(want) != 9 {
+		t.Fatalf("processes: %v, want nine getters served", want)
+	}
+	for name, chain := range map[string]func(int) bool{
+		"all":  func(int) bool { return true },
+		"odd":  func(i int) bool { return i%2 == 1 },
+		"even": func(i int) bool { return i%2 == 0 },
+	} {
+		if got := run(chain); !slices.Equal(got, want) {
+			t.Errorf("%s as callbacks: %v\nall processes:   %v", name, got, want)
+		}
+	}
+}
+
 func TestAcquireThenKeepsFIFOWithProcesses(t *testing.T) {
 	type user struct {
 		id   string

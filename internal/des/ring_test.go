@@ -115,8 +115,8 @@ func TestQueueGetDropsReferences(t *testing.T) {
 			t.Fatalf("items.buf[%d] still references a delivered item", i)
 		}
 	}
-	for i, p := range q.getters.buf {
-		if p != nil {
+	for i, g := range q.getters.buf {
+		if g.proc != nil {
 			t.Fatalf("getters.buf[%d] still references a woken process", i)
 		}
 	}

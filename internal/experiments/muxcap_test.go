@@ -18,41 +18,38 @@ func muxCapDigest(r *MuxCapacity) string {
 // largest of them. The plain build — the tier-1 suite, which owns the
 // full-scale run — sweeps the real 10240-client point; under the race
 // detector, whose instrumentation multiplies host cost roughly tenfold, the
-// top population is capped at 2048 so `make check` stays inside the test
-// timeout. Every assertion below is written against the
+// grid is cut to 512 and 2048 clients so that `make check` stays inside its
+// time and memory budget. Every assertion below is written against the
 // returned counts, so both builds check the same invariants.
 func muxCapTestClients() (counts []int, big int) {
 	if raceDetectorOn {
-		return []int{512, 1024, 2048}, 2048
+		return []int{512, 2048}, 2048
 	}
 	return []int{512, 2048, 10240}, 10240
 }
 
-// muxCapRun is the sweep the three tests below assert on: seed 7 on
-// muxCapTestClients' grid at 1200 MB/s, run twice on eight workers and once
-// on one. It runs once per test binary — each 10240-client sweep costs ten
-// seconds and up — and every test reads what it needs from it.
-type muxCapRun struct {
-	par      *MuxCapacity // eight workers
-	parAgain string       // digest of a second eight-worker run
-	seq      string       // digest of the one-worker run
-}
-
-var muxCapRuns = sync.OnceValue(func() muxCapRun {
+// runMuxCap runs the sweep the three tests below assert on — seed 7 on
+// muxCapTestClients' grid at 1200 MB/s — on the given number of workers.
+func runMuxCap(workers int) *MuxCapacity {
 	counts, _ := muxCapTestClients()
-	opts := CapacityOptions{
+	defer SetParallelism(0)
+	SetParallelism(workers)
+	return RunMuxCapacityWith(testScale, CapacityOptions{
 		ClientCounts:         counts,
 		AggregateOfferedMBps: []float64{1200},
 		Seed:                 7,
-	}
-	defer SetParallelism(0)
-	SetParallelism(8)
-	r := muxCapRun{par: RunMuxCapacityWith(testScale, opts)}
-	r.parAgain = muxCapDigest(RunMuxCapacityWith(testScale, opts))
-	SetParallelism(1)
-	r.seq = muxCapDigest(RunMuxCapacityWith(testScale, opts))
-	return r
-})
+	})
+}
+
+// The sweep on eight workers, a digest of a second eight-worker run and one
+// of a one-worker run. Each runs at most once per test binary, and only for
+// a test that needs it: each 10240-client sweep costs ten seconds and up,
+// and `make check` runs every test of this package in a binary of its own.
+var (
+	muxCapPar      = sync.OnceValue(func() *MuxCapacity { return runMuxCap(8) })
+	muxCapParAgain = sync.OnceValue(func() string { return muxCapDigest(runMuxCap(8)) })
+	muxCapSeq      = sync.OnceValue(func() string { return muxCapDigest(runMuxCap(1)) })
+)
 
 // TestMuxCapacitySameSeed10240 pins determinism at the sweep's largest
 // configuration: two same-seed runs of the grid up to the 10240-client
@@ -60,9 +57,8 @@ var muxCapRuns = sync.OnceValue(func() muxCapRun {
 // must be byte-identical, tables included. (Race builds cap the population;
 // see muxCapTestClients.)
 func TestMuxCapacitySameSeed10240(t *testing.T) {
-	r := muxCapRuns()
-	if a := muxCapDigest(r.par); a != r.parAgain {
-		t.Fatalf("same-seed mux capacity runs differ:\n%s\n---\n%s", a, r.parAgain)
+	if a, b := muxCapDigest(muxCapPar()), muxCapParAgain(); a != b {
+		t.Fatalf("same-seed mux capacity runs differ:\n%s\n---\n%s", a, b)
 	}
 }
 
@@ -70,9 +66,8 @@ func TestMuxCapacitySameSeed10240(t *testing.T) {
 // invisible in the results at full scale: one worker and eight must produce
 // byte-identical output for the 10240-client grid.
 func TestMuxCapacitySeqVsParallel(t *testing.T) {
-	r := muxCapRuns()
-	if par := muxCapDigest(r.par); par != r.seq {
-		t.Fatalf("sequential and parallel mux capacity sweeps differ:\n%s\n---\n%s", r.seq, par)
+	if par, seq := muxCapDigest(muxCapPar()), muxCapSeq(); par != seq {
+		t.Fatalf("sequential and parallel mux capacity sweeps differ:\n%s\n---\n%s", seq, par)
 	}
 }
 
@@ -84,7 +79,7 @@ func TestMuxCapacitySeqVsParallel(t *testing.T) {
 // window) dwarfs the fixed multiplexed pool.
 func TestMuxCapacityMemoryScaling(t *testing.T) {
 	counts, big := muxCapTestClients()
-	r := muxCapRuns().par
+	r := muxCapPar()
 	t.Logf("\n%s\n%s", r.Curves.String(), r.Memory.String())
 
 	byKey := map[[2]interface{}]CapacityPoint{}

@@ -90,10 +90,11 @@ type HCA struct {
 	// mode (NodeConfig.SequentialRkeys); unused under randomized draws.
 	tagSeq uint32
 
-	// watches are write-watch doorbells (see watch.go), keyed by rkey.
-	// Nil until the first WatchWrite, so non-RFP runs pay one nil check
-	// per delivered Write.
-	watches map[uint32][]*WriteWatch
+	// watches are write-watch doorbells (see watch.go): per rkey, the
+	// first of the watches armed on it, linked in arming order. Nil until
+	// the first WatchWrite, so non-RFP runs pay one nil check per delivered
+	// Write.
+	watches map[uint32]*WriteWatch
 
 	// Exposure accounting for the security evaluation.
 	remoteExposedBytes int64

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/cpu"
 	"repro/internal/des"
 	"repro/internal/trace"
 )
@@ -170,10 +171,11 @@ type CQE struct {
 	pooled   bool     // a receive completion from its CQ's free list, which takes it back
 }
 
-// CQ is a completion queue. Waiting on an empty CQ and being woken by a new
-// completion costs the node one interrupt (event-driven mode); finding a
-// completion already queued is a poll and costs nothing — this is how the
-// Read-Write design's interrupt elimination becomes visible in CPU numbers.
+// CQ is a completion queue with one consumer, a process (Wait) or a callback
+// (WaitThen). Waiting on an empty CQ and being woken by a new completion
+// costs the node one interrupt (event-driven mode); finding a completion
+// already queued is a poll and costs nothing — this is how the Read-Write
+// design's interrupt elimination becomes visible in CPU numbers.
 type CQ struct {
 	node   *Node
 	q      *des.Queue
@@ -184,6 +186,13 @@ type CQ struct {
 	// handed last, free those it has handed back by asking for the next.
 	held *CQE
 	free des.FreeList[CQE]
+
+	// A consumer waiting with WaitThen: its callback, and the completion
+	// taken at its wake-up while the interrupt is charged.
+	thenFn  func(any, *CQE)
+	thenArg any
+	woken   *CQE
+	intr    cpu.Charge
 }
 
 // NewCQ creates a completion queue on the node.
@@ -249,6 +258,51 @@ func (cq *CQ) Wait(p *des.Proc) *CQE {
 		cq.node.CPU.Interrupt(p)
 	}
 	return cq.hand(v.(*CQE))
+}
+
+// WaitThen is Wait for a consumer that runs on the scheduler loop: fn(arg, c)
+// runs once with the next completion — at once if one is queued, otherwise
+// when one arrives, after the interrupt that wake-up costs is charged, at the
+// instants a process blocked in Wait would resume and return. c is nil once
+// the CQ is closed and drained. The completion is valid like Wait's. A
+// consumer that takes what is queued with Poll before it waits again is
+// woken, and charged, exactly as a Wait loop is.
+func (cq *CQ) WaitThen(fn func(arg any, c *CQE), arg any) {
+	cq.release()
+	if v, ok := cq.q.TryGet(); ok {
+		fn(arg, cq.hand(v.(*CQE)))
+		return
+	}
+	cq.thenFn, cq.thenArg = fn, arg
+	cq.q.WaitThen(cqWoken, cq) // at once if closed
+}
+
+// cqWoken takes the completion that woke a WaitThen consumer and charges the
+// interrupt, as Wait does once its process resumes.
+func cqWoken(a any) {
+	cq := a.(*CQ)
+	v, ok := cq.q.TryGet()
+	if !ok {
+		cq.then(nil) // closed
+		return
+	}
+	cq.woken = v.(*CQE)
+	cq.node.CPU.InterruptThen(&cq.intr, cqInterrupted, cq)
+}
+
+func cqInterrupted(a any) {
+	cq := a.(*CQ)
+	c := cq.woken
+	cq.woken = nil
+	cq.then(cq.hand(c))
+}
+
+// then hands c to the waiting consumer, disarming it first so that it may
+// wait again from its callback.
+func (cq *CQ) then(c *CQE) {
+	fn, arg := cq.thenFn, cq.thenArg
+	cq.thenFn, cq.thenArg = nil, nil
+	fn(arg, c)
 }
 
 // Poll returns a completion without blocking, valid like Wait's until the

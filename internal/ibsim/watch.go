@@ -1,107 +1,121 @@
 package ibsim
 
-import "repro/internal/des"
-
 // WriteWatch observes incoming RDMA Writes landing in a watched address
 // range — the doorbell primitive of the reply-fetch design. An RNIC raises
 // no target-side completion for an inbound RDMA Write, so a consumer that
 // expects a peer to deposit data (the RFP client waiting for its reply
 // slot) must poll the memory itself. Real implementations spin on the
-// doorbell word; the simulator models the poll loop's detection with an
-// event fired at the instant the overlapping Write is delivered, and the
-// consumer charges its own polling cost on wake.
+// doorbell word; the simulator models the poll loop's detection with a
+// callback scheduled at the instant the overlapping Write is delivered, and
+// the consumer charges its own polling cost from there.
 //
-// A watch fires at most once and deregisters itself on firing. Cancel
-// removes an unfired watch and wakes any waiter with nil so its process
-// can exit.
+// A WriteWatch is storage its owner provides, armed by HCA.WatchWrite, so
+// that arming one allocates nothing. An armed watch fires at most once and
+// disarms itself on firing; Cancel disarms one that has not fired. Either
+// way it may be armed again.
 type WriteWatch struct {
 	hca   *HCA
 	rkey  uint32
 	lo    uint64
 	hi    uint64
-	ev    *des.Event
-	fired bool
+	fn    func(any)
+	arg   any
+	armed bool
+	next  *WriteWatch // the next watch armed on the same rkey
 }
 
-// WatchWrite registers a watch over [addr, addr+length) of the region
-// named by rkey. The returned watch's event fires with a non-nil value
-// when a delivered RDMA Write overlaps the range.
-func (h *HCA) WatchWrite(rkey uint32, addr uint64, length int) *WriteWatch {
-	w := &WriteWatch{
+// WatchWrite arms w over [addr, addr+length) of the region named by rkey:
+// the first delivered RDMA Write that overlaps the range, once its data is
+// placed, schedules fn(arg) at its delivery instant. w must not be armed.
+func (h *HCA) WatchWrite(w *WriteWatch, rkey uint32, addr uint64, length int, fn func(any), arg any) {
+	*w = WriteWatch{
 		hca: h, rkey: rkey,
 		lo: addr, hi: addr + uint64(length),
-		ev: des.NewEvent(h.node.fab.Sim),
+		fn: fn, arg: arg, armed: true,
 	}
 	if h.watches == nil {
-		h.watches = make(map[uint32][]*WriteWatch)
+		h.watches = make(map[uint32]*WriteWatch)
 	}
-	h.watches[rkey] = append(h.watches[rkey], w)
-	return w
-}
-
-// Wait blocks until a Write lands in the watched range (returns true) or
-// the watch is cancelled (returns false).
-func (w *WriteWatch) Wait(p *des.Proc) bool {
-	return w.ev.Wait(p) != nil
-}
-
-// Cancel removes an unfired watch and releases its waiter. Safe to call
-// after firing (no-op).
-func (w *WriteWatch) Cancel() {
-	if !w.fired {
-		w.fired = true
-		w.hca.unwatch(w)
+	last := h.watches[rkey]
+	if last == nil {
+		h.watches[rkey] = w
+		return
 	}
-	w.ev.TryFire(nil)
+	for last.next != nil {
+		last = last.next
+	}
+	last.next = w
 }
 
-func (h *HCA) unwatch(w *WriteWatch) {
-	list := h.watches[w.rkey]
-	for i, o := range list {
-		if o == w {
-			h.watches[w.rkey] = append(list[:i], list[i+1:]...)
-			break
+// Watches returns how many watches are armed on the HCA.
+func (h *HCA) Watches() int {
+	n := 0
+	for _, w := range h.watches {
+		for ; w != nil; w = w.next {
+			n++
 		}
 	}
-	if len(h.watches[w.rkey]) == 0 {
-		delete(h.watches, w.rkey)
+	return n
+}
+
+// Cancel disarms an armed watch; on any other it is a no-op.
+func (w *WriteWatch) Cancel() {
+	if !w.armed {
+		return
 	}
+	w.armed = false
+	h := w.hca
+	if first := h.watches[w.rkey]; first == w {
+		if w.next == nil {
+			delete(h.watches, w.rkey)
+		} else {
+			h.watches[w.rkey] = w.next
+		}
+	} else {
+		for o := first; o != nil; o = o.next {
+			if o.next == w {
+				o.next = w.next
+				break
+			}
+		}
+	}
+	w.next = nil
 }
 
 // notifyWrite fires every watch overlapping a just-delivered RDMA Write.
 // Called from the write delivery path after the data is placed; with no
 // watches registered (every non-RFP workload) it is a nil-map lookup.
-// Watches fire in registration order, keeping wakeups deterministic.
+// Watches fire in arming order, keeping callbacks deterministic.
 func (h *HCA) notifyWrite(rkey uint32, addr uint64, length int) {
 	if h.watches == nil {
 		return
 	}
-	list := h.watches[rkey]
-	if len(list) == 0 {
+	w := h.watches[rkey]
+	if w == nil {
 		return
 	}
 	end := addr + uint64(length)
-	fired := false
-	for _, w := range list {
-		if w.fired || end <= w.lo || addr >= w.hi {
-			continue
+	s := h.node.fab.Sim
+	var first, last *WriteWatch // the watches that stay armed
+	for w != nil {
+		next := w.next
+		w.next = nil
+		if end <= w.lo || addr >= w.hi {
+			if last == nil {
+				first = w
+			} else {
+				last.next = w
+			}
+			last = w
+		} else {
+			w.armed = false
+			s.AtArg(s.Now(), w.fn, w.arg)
 		}
-		w.fired = true
-		fired = true
-		w.ev.TryFire(w)
+		w = next
 	}
-	if !fired {
-		return
-	}
-	keep := list[:0]
-	for _, w := range list {
-		if !w.fired {
-			keep = append(keep, w)
-		}
-	}
-	if len(keep) == 0 {
+	if first == nil {
 		delete(h.watches, rkey)
 	} else {
-		h.watches[rkey] = keep
+		h.watches[rkey] = first
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/cpu"
 	"repro/internal/des"
 	"repro/internal/ibsim"
 	"repro/internal/memreg"
@@ -176,23 +177,22 @@ func (c *Config) defaults() {
 // room.
 func (c *Config) recvBufSize() int { return c.InlineThreshold + 512 }
 
+// rtResult is how a call ends: the response Roundtrip returns, or an error.
 type rtResult struct {
-	body    []byte
-	bulkLen int
-	err     error
+	oncrpc.Response
+	err error
 }
 
 type pending struct {
 	req *oncrpc.Request
 
 	// done is the current attempt's completion, res what a reply handler
-	// completes it with, resp what Roundtrip returns, reply the first reply
-	// on its way to its handler, segs the write and reply chunk lists the
-	// call advertises (in segStore until they outgrow it): all live in the
+	// completes it with (and Roundtrip returns), reply the first reply on its
+	// way to its handler, segs the write and reply chunk lists the call
+	// advertises (in segStore until they outgrow it): all live in the
 	// pending so a call allocates them once, together.
 	done     des.Event
 	res      rtResult
-	resp     oncrpc.Response
 	reply    replyRec
 	segs     []Segment
 	segStore [4]Segment
@@ -203,14 +203,14 @@ type pending struct {
 	// non-zero Roundtrip defers teardown to the last handler, so an RDMA
 	// Read in flight never lands in a released staging buffer.
 	aborted  bool
+	needCopy bool // staging -> caller copy after placement
 	handling int
 
 	// Destination for reply payload placement.
-	destBuf  *ibsim.Buffer
-	destOff  int
-	destReg  *memreg.Registration // external registration (direct I/O)
-	destChk  *memreg.Chunk        // arena staging (buffered path)
-	needCopy bool                 // staging -> caller copy after placement
+	destBuf *ibsim.Buffer
+	destOff int
+	destReg *memreg.Registration // external registration (direct I/O)
+	destChk *memreg.Chunk        // arena staging (buffered path)
 
 	// Source registration for call payload.
 	srcReg *memreg.Registration
@@ -221,10 +221,27 @@ type pending struct {
 	replyChk *memreg.Chunk
 
 	// Reply-fetch slot (ReplyFetch design): a remotely writable chunk the
-	// server deposits the whole reply into, plus the doorbell watch the
-	// fetch poller blocks on.
-	slotChk    *memreg.Chunk
-	fetchWatch *ibsim.WriteWatch
+	// server deposits the whole reply into, and the poller that fetches it.
+	slotChk *memreg.Chunk
+	fetch   *fetcher
+
+	// doneWire is where RDMA_DONE is framed. Pendings are never reused, so
+	// the bytes stay as posted.
+	doneWire [hdrBase]byte
+}
+
+// fetcher is the reply-fetch poller of one call: the doorbell watch on its
+// slot, the reply it copied out at the doorbell's instant, and the CPU
+// charge for that copy. It is a chain of callbacks, not a process: it waits
+// only for hardware (the deposit), for time (the poll delay) and for a CPU
+// charge.
+type fetcher struct {
+	t       *ClientTransport
+	pend    *pending
+	slot    Segment
+	watch   ibsim.WriteWatch
+	fetched []byte
+	copying cpu.Charge
 }
 
 // doorbellBytes is the reply-fetch doorbell word size: the first 8 bytes of
@@ -246,6 +263,8 @@ type ClientTransport struct {
 	serial   *des.Resource // serialized send path (nil when disabled)
 	pending  map[uint32]*pending
 	closed   bool
+
+	replyName string // the Read-Read reply handlers' process name
 
 	// DropDone simulates the malicious/malfunctioning client of §4.1 that
 	// never sends RDMA_DONE, pinning server reply buffers.
@@ -281,16 +300,17 @@ func (t *ClientTransport) OutstandingCalls() int { return t.inflight.Outstanding
 var _ oncrpc.Transport = (*ClientTransport)(nil)
 
 // NewClientTransport builds the client endpoint over an established QP.
-// It posts the connection's receive credits and starts the reply receiver.
+// It posts the connection's receive credits and arms the reply receiver.
 func NewClientTransport(p *des.Proc, qp *ibsim.QP, mgr *memreg.Manager, cfg Config) *ClientTransport {
 	cfg.defaults()
 	t := &ClientTransport{
-		node:     qp.Node(),
-		qp:       qp,
-		mgr:      mgr,
-		cfg:      cfg,
-		inflight: newCreditGate(qp.Node().Sim(), cfg.Credits),
-		pending:  make(map[uint32]*pending),
+		node:      qp.Node(),
+		qp:        qp,
+		mgr:       mgr,
+		cfg:       cfg,
+		inflight:  newCreditGate(qp.Node().Sim(), cfg.Credits),
+		pending:   make(map[uint32]*pending),
+		replyName: qp.Node().Name() + "/reply",
 	}
 	if cfg.hasSerial() {
 		t.serial = des.NewResource(qp.Node().Sim(), qp.Node().Name()+"/rpcrdma-serial", 1)
@@ -298,7 +318,9 @@ func NewClientTransport(p *des.Proc, qp *ibsim.QP, mgr *memreg.Manager, cfg Conf
 	for i := 0; i < cfg.Credits; i++ {
 		qp.PostRecv(uint64(i), cfg.recvBufSize())
 	}
-	qp.Node().Sim().Spawn(qp.Node().Name()+"/rpcrdma-recv", t.receiver)
+	// The receiver first waits where a process spawned here would start.
+	s := qp.Node().Sim()
+	s.AtArg(s.Now(), receive, t)
 	return t
 }
 
@@ -425,7 +447,8 @@ func (t *ClientTransport) Roundtrip(p *des.Proc, req *oncrpc.Request) (*oncrpc.R
 		}
 		pend.slotChk = t.mgr.Get(p, capBytes, ibsim.AccessLocalWrite|ibsim.AccessRemoteWrite)
 		hdr.ReplyChunk = t.expose(p, pend, pend.slotChk.Reg, capBytes)
-		t.armFetch(pend, hdr.ReplyChunk[0])
+		pend.fetch = &fetcher{t: t, pend: pend, slot: hdr.ReplyChunk[0]}
+		pend.fetch.arm()
 	}
 
 	// Long call: an oversized call travels as a position-0 read chunk under
@@ -527,8 +550,7 @@ func (t *ClientTransport) Roundtrip(p *des.Proc, req *oncrpc.Request) (*oncrpc.R
 	if res.err != nil {
 		return nil, res.err
 	}
-	pend.resp = oncrpc.Response{Header: res.body, BulkLen: res.bulkLen}
-	return &pend.resp, nil
+	return &res.Response, nil
 }
 
 // traceExpose records, one instant per segment, that the call advertised a
@@ -628,66 +650,79 @@ func (t *ClientTransport) setupRecvPlacement(p *des.Proc, pend *pending, req *on
 	}
 }
 
-// armFetch spawns the reply-fetch poller for one call: it waits for the
-// server's deposit to land in the slot (write-watch on the doorbell word),
-// models the poll-loop detection delay, then decodes the deposited reply
-// and completes the call exactly as a received Send would. One poller spans
-// every retransmission attempt — the slot advertisement never changes.
-func (t *ClientTransport) armFetch(pend *pending, slot Segment) {
-	watch := t.node.HCA.WatchWrite(slot.Rkey, slot.Addr, doorbellBytes)
-	pend.fetchWatch = watch
-	t.node.Sim().Spawn(t.node.Name()+"/rpcrdma-fetch", func(fp *des.Proc) {
-		for {
-			if !watch.Wait(fp) || pend.aborted || t.closed {
-				return
-			}
-			d := pend.slotChk.Data()
-			if d == nil {
-				return
-			}
-			// Read the doorbell at the delivery instant: a retransmission
-			// racing this wakeup may zero it again, but the reply body
-			// behind it is never reset, so the captured length stays valid.
-			word := int(binary.LittleEndian.Uint64(d[:doorbellBytes]))
-			if word == 0 {
-				// The reset won the race; watch for the next deposit (the
-				// retransmitted call will be answered from the server DRC).
-				watch = t.node.HCA.WatchWrite(slot.Rkey, slot.Addr, doorbellBytes)
-				pend.fetchWatch = watch
-				continue
-			}
-			wireLen := word - 1
-			if wireLen < 0 || doorbellBytes+wireLen > len(d) {
-				return // corrupt deposit; the watchdog will retransmit
-			}
-			wire := append([]byte(nil), d[doorbellBytes:doorbellBytes+wireLen]...)
-			// The poll loop notices the doorbell one granularity later and
-			// copies the reply out of the slot on the client CPU — the fetch
-			// cost RFP shifts from server to client.
-			fp.Sleep(t.cfg.FetchPollDelay)
-			t.node.CPU.Copy(fp, wireLen)
-			if pend.aborted || t.closed {
-				return
-			}
-			var hdr Header
-			body, err := DecodeHeaderInto(&hdr, wire)
-			if err != nil {
-				t.BadHeaders++
-			}
-			if err != nil || hdr.XID != pend.req.XID {
-				return // undecodable deposit; the watchdog will retransmit
-			}
-			t.regrant(hdr.Credits)
-			t.handleReply(fp, pend, &hdr, body)
-			return
-		}
-	})
+// arm starts (or restarts) the reply-fetch poller: it waits for the
+// server's deposit to land in the slot (a write watch on the doorbell word),
+// models the poll-loop detection delay, charges the copy out of the slot on
+// the client CPU, then decodes the deposited reply and completes the call
+// exactly as a received Send would. One poller spans every retransmission
+// attempt — the slot advertisement never changes.
+func (f *fetcher) arm() {
+	f.t.node.HCA.WatchWrite(&f.watch, f.slot.Rkey, f.slot.Addr, doorbellBytes, fetchLanded, f)
+}
+
+// fetchLanded runs at the instant a Write lands on the doorbell.
+func fetchLanded(a any) {
+	f := a.(*fetcher)
+	t, pend := f.t, f.pend
+	if pend.aborted || t.closed {
+		return
+	}
+	d := pend.slotChk.Data()
+	if d == nil {
+		return
+	}
+	// Read the doorbell at the delivery instant: a retransmission racing
+	// this callback may zero it again, but the reply body behind it is never
+	// reset, so the captured length stays valid.
+	word := int(binary.LittleEndian.Uint64(d[:doorbellBytes]))
+	if word == 0 {
+		// The reset won the race; watch for the next deposit (the
+		// retransmitted call will be answered from the server DRC).
+		f.arm()
+		return
+	}
+	wireLen := word - 1
+	if wireLen < 0 || doorbellBytes+wireLen > len(d) {
+		return // corrupt deposit; the watchdog will retransmit
+	}
+	f.fetched = append([]byte(nil), d[doorbellBytes:doorbellBytes+wireLen]...)
+	// The poll loop notices the doorbell one granularity later and copies
+	// the reply out of the slot on the client CPU — the fetch cost RFP
+	// shifts from server to client.
+	s := t.node.Sim()
+	s.AtArg(s.Now()+des.Time(t.cfg.FetchPollDelay), fetchPolled, f)
+}
+
+func fetchPolled(a any) {
+	f := a.(*fetcher)
+	m := f.t.node.CPU
+	m.WorkThen(&f.copying, m.CopyCost(len(f.fetched)), fetchCopied, f)
+}
+
+func fetchCopied(a any) {
+	f := a.(*fetcher)
+	t, pend := f.t, f.pend
+	wire := f.fetched
+	f.fetched = nil
+	if pend.aborted || t.closed {
+		return
+	}
+	var hdr Header
+	body, err := DecodeHeaderInto(&hdr, wire)
+	if err != nil {
+		t.BadHeaders++
+	}
+	if err != nil || hdr.XID != pend.req.XID {
+		return // undecodable deposit; the watchdog will retransmit
+	}
+	t.regrant(hdr.Credits)
+	t.handleReply(nil, pend, &hdr, body)
 }
 
 // stagingCopy moves a buffered reply payload from transport staging to the
 // caller's buffer.
 func (t *ClientTransport) stagingCopy(p *des.Proc, pend *pending, res *rtResult) {
-	if pend.needCopy && res.err == nil && res.bulkLen > 0 && pend.req.RecvBulk != nil {
+	if pend.needCopy && res.err == nil && res.BulkLen > 0 && pend.req.RecvBulk != nil {
 		// The staging-to-caller copy runs in the client's RPC completion
 		// path; under the serialized-stack model it holds the same lock as
 		// the send path, which is what keeps the buffered read path well
@@ -695,12 +730,12 @@ func (t *ClientTransport) stagingCopy(p *des.Proc, pend *pending, res *rtResult)
 		if t.serial != nil {
 			t.serial.Acquire(p, 1)
 		}
-		t.node.CPU.Copy(p, res.bulkLen)
+		t.node.CPU.Copy(p, res.BulkLen)
 		if t.serial != nil {
 			t.serial.Release(1)
 		}
 		if d := pend.destChk.Data(); d != nil && pend.req.RecvBulk.Data != nil {
-			copy(pend.req.RecvBulk.Data, d[:min(res.bulkLen, len(d))])
+			copy(pend.req.RecvBulk.Data, d[:min(res.BulkLen, len(d))])
 		}
 	}
 }
@@ -725,64 +760,75 @@ func (t *ClientTransport) release(p *des.Proc, pend *pending) {
 	if pend.replyChk != nil {
 		t.mgr.Put(p, pend.replyChk)
 	}
-	if pend.fetchWatch != nil {
-		// Wake and retire the fetch poller before the slot goes away.
-		pend.fetchWatch.Cancel()
-	}
 	if pend.slotChk != nil {
+		pend.fetch.watch.Cancel() // no deposit is watched for once the slot goes away
 		t.mgr.Put(p, pend.slotChk)
 	}
 }
 
-// receiver is the client-side reply handler: it matches replies to pending
-// calls, performs Read-Read chunk pulls plus RDMA_DONE, and reconstructs
-// long replies.
-func (t *ClientTransport) receiver(p *des.Proc) {
-	for {
-		cqe := t.qp.RecvCQ.Wait(p)
-		if cqe == nil {
-			return
-		}
+// receive arms the client's reply receiver: a callback on the receive CQ
+// that takes each completion the CQ hands it, then every one already queued,
+// and waits again — woken, and charged an interrupt, exactly as a process
+// looping on Wait would be.
+func receive(a any) {
+	t := a.(*ClientTransport)
+	t.qp.RecvCQ.WaitThen(received, t)
+}
+
+func received(a any, cqe *ibsim.CQE) {
+	if cqe == nil {
+		return // the CQ was closed
+	}
+	t := a.(*ClientTransport)
+	for ok := true; ok; cqe, ok = t.qp.RecvCQ.Poll() {
 		if cqe.Err != nil {
 			t.failAll(fmt.Errorf("%w: %v", ErrTransport, cqe.Err))
 			return
 		}
-		t.qp.PostRecv(cqe.WRID, t.cfg.recvBufSize())
-		var hdr Header
-		body, err := DecodeHeaderInto(&hdr, cqe.Payload)
-		if err != nil {
-			t.BadHeaders++ // drop undecodable frames
-			continue
-		}
-		t.regrant(hdr.Credits)
-		pend, ok := t.pending[hdr.XID]
-		if !ok {
-			continue // duplicate or cancelled
-		}
-		// The call's first reply travels in its pending. A later one (the
-		// answer to a retransmission) can arrive while a Read-Read pull is
-		// still reading the first one's chunk lists, so it gets its own.
-		r := &pend.reply
-		if r.pend != nil {
-			r = new(replyRec)
-		}
-		*r = replyRec{t: t, pend: pend, hdr: hdr, body: body}
-		s := t.node.Sim()
-		if t.cfg.Design != ReadRead {
-			// Nothing to pull, so nothing to block on: finish the call from
-			// the scheduler loop, at the place in this instant's order where
-			// a process spawned here would have started.
-			s.AtArg(s.Now(), runReply, r)
-			continue
-		}
-		// Handle each Read-Read reply on its own process so one reply's RDMA
-		// Reads do not serialize the others — though they all still contend
-		// for the connection's ORD slots, which is exactly the bottleneck the
-		// paper describes.
-		s.Spawn(t.node.Name()+"/reply", func(rp *des.Proc) {
-			t.handleReply(rp, pend, &r.hdr, body)
-		})
+		t.receiveReply(cqe)
 	}
+	t.qp.RecvCQ.WaitThen(received, t)
+}
+
+// receiveReply matches one received reply to its pending call and hands it
+// to a handler, which performs Read-Read chunk pulls plus RDMA_DONE and
+// reconstructs long replies.
+func (t *ClientTransport) receiveReply(cqe *ibsim.CQE) {
+	t.qp.PostRecv(cqe.WRID, t.cfg.recvBufSize())
+	var hdr Header
+	body, err := DecodeHeaderInto(&hdr, cqe.Payload)
+	if err != nil {
+		t.BadHeaders++ // drop undecodable frames
+		return
+	}
+	t.regrant(hdr.Credits)
+	pend, ok := t.pending[hdr.XID]
+	if !ok {
+		return // duplicate or cancelled
+	}
+	// The call's first reply travels in its pending. A later one (the
+	// answer to a retransmission) can arrive while a Read-Read pull is
+	// still reading the first one's chunk lists, so it gets its own.
+	r := &pend.reply
+	if r.pend != nil {
+		r = new(replyRec)
+	}
+	*r = replyRec{t: t, pend: pend, hdr: hdr, body: body}
+	s := t.node.Sim()
+	if t.cfg.Design != ReadRead {
+		// Nothing to pull, so nothing to block on: finish the call from the
+		// scheduler loop, at the place in this instant's order where a
+		// process spawned here would have started.
+		s.AtArg(s.Now(), runReply, r)
+		return
+	}
+	// Handle each Read-Read reply on its own process so one reply's RDMA
+	// Reads do not serialize the others — though they all still contend for
+	// the connection's ORD slots, which is exactly the bottleneck the paper
+	// describes.
+	s.Spawn(t.replyName, func(rp *des.Proc) {
+		t.handleReply(rp, pend, &r.hdr, body)
+	})
 }
 
 // replyRec is one decoded reply between the receiver and its handler.
@@ -822,18 +868,18 @@ func (t *ClientTransport) handleReply(p *des.Proc, pend *pending, hdr *Header, b
 	var res rtResult
 	switch hdr.Type {
 	case MsgRDMA:
-		res.body = body
+		res.Header = body
 		switch t.cfg.Design {
 		case ReadWrite, ReplyFetch:
 			for _, s := range hdr.WriteList {
-				res.bulkLen += int(s.Length)
+				res.BulkLen += int(s.Length)
 			}
 			if t.cfg.Design == ReplyFetch {
 				// The deposit is consumed; recycle the server's parked staging.
-				t.sendDone(hdr.XID)
+				t.sendDone(pend)
 			}
 		case ReadRead:
-			res.bulkLen, res.err = t.pull(p, pend, hdr, false, pend.destBuf, pend.destOff)
+			res.BulkLen, res.err = t.pull(p, pend, hdr, false, pend.destBuf, pend.destOff)
 		}
 	case MsgNoMsg:
 		switch t.cfg.Design {
@@ -854,11 +900,11 @@ func (t *ClientTransport) handleReply(p *des.Proc, pend *pending, hdr *Header, b
 				res.err = fmt.Errorf("%w: long reply overruns chunk", ErrBadHeader)
 				break
 			}
-			res.body = append([]byte(nil), d[:n]...)
+			res.Header = append([]byte(nil), d[:n]...)
 		case ReadRead:
 			// Pull the whole reply message from the server's exposed
 			// buffer, then release it with RDMA_DONE.
-			res.body, res.err = t.pullLongReply(p, pend, hdr)
+			res.Header, res.err = t.pullLongReply(p, pend, hdr)
 		}
 	default:
 		res.err = fmt.Errorf("%w: reply type %v", ErrBadHeader, hdr.Type)
@@ -919,7 +965,7 @@ func (t *ClientTransport) pull(p *des.Proc, pend *pending, hdr *Header, long boo
 		off += n
 		total += n
 	}
-	t.sendDone(hdr.XID)
+	t.sendDone(pend)
 	return total, nil
 }
 
@@ -937,17 +983,20 @@ func (t *ClientTransport) pullLongReply(p *des.Proc, pend *pending, hdr *Header)
 	return append([]byte(nil), staging.Data()[:n]...), nil
 }
 
-// sendDone emits RDMA_DONE unless the transport is configured to misbehave.
-func (t *ClientTransport) sendDone(xid uint32) {
+// sendDone emits RDMA_DONE for pend's reply unless the transport is
+// configured to misbehave. It is framed in the pending: a second DONE (for
+// the reply to a retransmission) writes the same bytes again.
+func (t *ClientTransport) sendDone(pend *pending) {
 	if t.DropDone {
 		return
 	}
+	xid := pend.req.XID
 	t.DoneSent++
 	if tr := t.node.Sim().Tracer(); tr != nil {
 		tr.Instant(int64(t.node.Sim().Now()), trace.LayerRPC, trace.KindDone, t.node.Name(), "done-sent", uint64(xid), 0)
 	}
-	done := &Header{XID: xid, Credits: uint32(t.cfg.Credits), Type: MsgDone}
-	t.send(xid, done.Encode())
+	done := Header{XID: xid, Credits: uint32(t.cfg.Credits), Type: MsgDone}
+	t.send(xid, done.frame(pend.doneWire[:], hdrBase))
 }
 
 // failAll completes every pending call with err. Calls fail in ascending

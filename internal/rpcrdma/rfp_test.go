@@ -2,6 +2,7 @@ package rpcrdma
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"time"
 
@@ -164,6 +165,54 @@ func TestReplyFetchRetransmitReArm(t *testing.T) {
 	}
 	if err := trace.CheckNoRemoteExposure(e.tr.Events(), "server"); err != nil {
 		t.Errorf("server exposure: %v", err)
+	}
+}
+
+// TestReplyFetchAbandonedMidFetch: a call whose only attempt times out after
+// its deposit landed, while the poller waits out the poll delay or while it
+// is charged for the copy out of the slot, decodes nothing and fires
+// nothing: the reply's credit grant (8, against the client's 32) is not
+// installed, and no RDMA_DONE is sent. The copy is still charged in full, as
+// the poll loop it models would spend it. Afterwards no core is held and the
+// client's HCA holds no watch.
+func TestReplyFetchAbandonedMidFetch(t *testing.T) {
+	for _, tc := range []struct {
+		name              string
+		poll, copyPerByte time.Duration
+	}{
+		{"in the poll delay", 5 * time.Millisecond, 100 * time.Nanosecond},
+		{"in the copy charge", time.Microsecond, 100 * time.Microsecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ccfg := Config{Design: ReplyFetch, FetchPollDelay: tc.poll, CallTimeout: time.Millisecond, DynamicCredits: true}
+			newRFPEnv(t, ccfg, Config{Design: ReplyFetch, Workers: 4, Credits: 8}, func(p *des.Proc, e *env) {
+				clientCPU := e.client.CPU
+				clientCPU.CopyNsPerByte = float64(tc.copyPerByte)
+				_, _, err := e.rpc.Call(p, 4, raw([]byte("ping")), oncrpc.CallOpts{})
+				if !errors.Is(err, ErrRetriesExhausted) {
+					t.Fatalf("call: %v, want it abandoned on its timeout", err)
+				}
+				if e.st.Deposits != 1 {
+					t.Fatalf("deposits = %d, want the reply deposited before the timeout", e.st.Deposits)
+				}
+				abandoned := clientCPU.TotalBusySeconds()
+				p.Sleep(20 * time.Millisecond)
+				charged := clientCPU.TotalBusySeconds()
+				if charged <= abandoned {
+					t.Error("the copy out of the slot was not charged after the call was abandoned: the fetch was not in flight")
+				}
+				if e.ct.GrantedCredits() != 32 || e.ct.DoneSent != 0 || e.ct.BadHeaders != 0 {
+					t.Errorf("the abandoned fetch went on: grant %d, %d DONEs sent, %d bad headers", e.ct.GrantedCredits(), e.ct.DoneSent, e.ct.BadHeaders)
+				}
+				if n := e.client.HCA.Watches(); n != 0 {
+					t.Errorf("client HCA holds %d watches", n)
+				}
+				p.Sleep(time.Millisecond)
+				if idle := clientCPU.TotalBusySeconds(); idle != charged {
+					t.Errorf("client CPU busy for %v s while nothing ran: a core is still held", idle-charged)
+				}
+			})
+		})
 	}
 }
 

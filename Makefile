@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check vet fmt bench loc
+.PHONY: build test check vet fmt lint bench loc
 
 build:
 	$(GO) build ./...
@@ -15,8 +15,14 @@ vet:
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
-# check is the CI gate: gofmt and vet, then every suite once under the
-# race detector. The parallel sweep runner makes simulations genuinely
+# lint is the determinism lint: it fails on a range over a map in non-test
+# code under internal/ that is not on the test's allow-list, since Go's map
+# order would make a seed's run differ from itself (see determinism_test.go).
+lint:
+	$(GO) test -run '^TestNoMapOrderInSimulation$$' .
+
+# check is the CI gate: gofmt, vet and the determinism lint, then every suite
+# once under the race detector. The parallel sweep runner makes simulations genuinely
 # concurrent, so -race here guards the "no shared mutable state between
 # sims" invariant, not just test hygiene. One uninstrumented pass follows:
 # the 512-client three-design server-CPU ordering as the plain build
@@ -43,7 +49,7 @@ fmt:
 # Last, each fuzz target gets ten seconds beyond its seed corpus (plain
 # `go test` runs only the seeds). A failing input is written to the
 # package's testdata/fuzz/, where it becomes a seed once committed.
-check: fmt vet
+check: fmt vet lint
 	$(GO) test -race $$($(GO) list ./... | grep -v '/internal/experiments$$')
 	for t in $$($(GO) test -race -list . ./internal/experiments/ | grep '^Test'); do \
 		$(GO) test -race -run "^$$t\$$" ./internal/experiments/ || exit 1; \

@@ -32,9 +32,9 @@ func TestAllocsPerRPC(t *testing.T) {
 		design               rpcrdma.Design
 		null, read, physRead float64
 	}{
-		{rpcrdma.ReadWrite, 7, 16, 15},   // measured 6.00, 15.00 and 14.22
-		{rpcrdma.ReadRead, 13, 26, 30},   // 12.24, 25.25 and 29.57
-		{rpcrdma.ReplyFetch, 19, 29, 26}, // 18.00, 28.00 and 25.28
+		{rpcrdma.ReadWrite, 7, 13, 13},   // measured 6.00, 12.00 and 12.11
+		{rpcrdma.ReadRead, 12, 19, 24},   // 11.24, 18.25 and 23.09
+		{rpcrdma.ReplyFetch, 13, 19, 17}, // 12.00, 18.00 and 16.18
 	}
 	for _, pin := range pins {
 		null, read := allocsPerRPC(t, pin.design, memreg.Regular, 8<<10, true, false)

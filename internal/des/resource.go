@@ -168,10 +168,3 @@ func (r *Resource) Utilization(start Time) float64 {
 	}
 	return r.BusySecondsSince(start) / (float64(r.capacity) * elapsed)
 }
-
-// ResetAccounting zeroes the busy integral; utilization windows then start
-// from the current virtual time.
-func (r *Resource) ResetAccounting() {
-	r.busyIntegral = 0
-	r.lastChange = r.sim.now
-}

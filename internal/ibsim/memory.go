@@ -27,7 +27,6 @@ import (
 // buffer records its physical runs, and physical-mode chunk building must
 // emit one segment per run.
 type Buffer struct {
-	mem   *Memory
 	Base  uint64 // virtual base address (node-local address space)
 	Size  int
 	data  []byte // materialized only when the fabric copies data
@@ -158,16 +157,32 @@ func (m *Memory) dataFor(size int) []byte {
 // Alloc returns a new buffer of the given size. Physical runs are drawn
 // deterministically from the node's RNG: page-aligned, geometric-ish run
 // lengths around MeanPhysRun.
-func (m *Memory) Alloc(size int) *Buffer {
+func (m *Memory) Alloc(size int) *Buffer { return m.AllocInto(new(Buffer), size, false) }
+
+// AllocMaterialized returns a buffer whose bytes are always backed by real
+// storage, even when the fabric runs in phantom-data mode. Protocol engines
+// use it for buffers that carry control information moved by RDMA (long
+// calls, long replies, reply slots and deposits), which must survive the
+// trip byte-exact; file payload belongs in Alloc.
+func (m *Memory) AllocMaterialized(size int) *Buffer { return m.AllocInto(new(Buffer), size, true) }
+
+// AllocInto is Alloc (AllocMaterialized when materialized is set) into a
+// zero Buffer the caller owns, so that a buffer can live inside the object
+// that owns it (memreg.Chunk) and be allocated with it. A buffer is never
+// allocated twice: the address it took dies with it, so b must be fresh.
+func (m *Memory) AllocInto(b *Buffer, size int, materialized bool) *Buffer {
 	if size <= 0 {
 		panic("ibsim: Alloc with non-positive size")
 	}
-	b := &Buffer{mem: m, Base: m.next, Size: size}
+	if b.Size != 0 {
+		panic("ibsim: AllocInto of a buffer already allocated")
+	}
+	b.Base, b.Size = m.next, size
 	m.next += uint64(size)
 	// Keep a guard gap so adjacent buffers are never part of the same
 	// registered range by accident.
 	m.next += pageSize
-	if m.node.fab.CopyData {
+	if materialized || m.node.fab.CopyData {
 		b.data = m.dataFor(size)
 	}
 	// Draw the runs into a stack array first so the list is allocated once,
@@ -215,19 +230,6 @@ func (m *Memory) find(addr uint64) (*Buffer, int) {
 		}
 	}
 	return nil, 0
-}
-
-// AllocMaterialized returns a buffer whose bytes are always backed by real
-// storage, even when the fabric runs in phantom-data mode. Protocol engines
-// use it for buffers that carry control information moved by RDMA (long
-// calls, long replies, reply slots and deposits), which must survive the
-// trip byte-exact; file payload belongs in Alloc.
-func (m *Memory) AllocMaterialized(size int) *Buffer {
-	b := m.Alloc(size)
-	if b.data == nil {
-		b.data = m.dataFor(size)
-	}
-	return b
 }
 
 // AllocContiguous returns a buffer that is physically contiguous (a single

@@ -254,12 +254,11 @@ func (h *HCA) Deregister(p *des.Proc, mr *MR) {
 // and TPT slot were allocated at pool-creation time, so mapping a buffer
 // into it skips the TPT allocation round trip.
 type FMRHandle struct {
-	hca     *HCA
-	rkey    uint32
-	maxLen  int
-	mr      *MR // currently mapped region, nil when unmapped
-	remaps  int
-	created bool
+	hca    *HCA
+	rkey   uint32
+	maxLen int
+	mr     *MR // currently mapped region, nil when unmapped
+	remaps int
 }
 
 // NewFMRHandle pre-allocates an FMR context able to map regions up to
@@ -267,18 +266,12 @@ type FMRHandle struct {
 // so it charges a full registration's base transaction once.
 func (h *HCA) NewFMRHandle(p *des.Proc, maxLen int) *FMRHandle {
 	h.busTxn(p, h.cfg.RegBase)
-	return &FMRHandle{hca: h, rkey: h.allocTag(), maxLen: maxLen, created: true}
+	return &FMRHandle{hca: h, rkey: h.allocTag(), maxLen: maxLen}
 }
-
-// MaxLen returns the largest mappable region.
-func (f *FMRHandle) MaxLen() int { return f.maxLen }
 
 // Rkey returns the handle's current steering tag. Without FMRKeyRotate it is
 // fixed for the handle's lifetime — the property the remap-window tests pin.
 func (f *FMRHandle) Rkey() uint32 { return f.rkey }
-
-// Remaps returns how many times the handle has been mapped.
-func (f *FMRHandle) Remaps() int { return f.remaps }
 
 // Map binds the handle's steering tag to a buffer range. Cost is pin +
 // translate only (host CPU); no I/O-bus wait — this is what makes FMR

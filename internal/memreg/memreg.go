@@ -78,12 +78,15 @@ type Segment struct {
 	Len  int
 }
 
-// Registration is a live registration of some buffer range.
+// Registration is a live registration of some buffer range. A registration
+// of one extent — regular, FMR, or an all-physical buffer that is one
+// physical run — holds its segment itself; only a multi-run all-physical one
+// allocates a list.
 type Registration struct {
-	segs  []Segment
+	segs  []Segment // first[:] unless the range spans several physical runs
+	first [1]Segment
 	mr    *ibsim.MR        // non-nil for regular registrations
 	fmr   *ibsim.FMRHandle // non-nil when mapped through an FMR handle
-	owner *Manager
 }
 
 // Segments returns the RDMA-addressable extents covering the registered
@@ -178,19 +181,29 @@ func sizeClass(size int) int {
 	return c
 }
 
-// Chunk is a transport-owned staging buffer plus its registration.
+// Chunk is a transport-owned staging buffer plus its registration: one heap
+// object holding the buffer, the registration and its first segment. Outside
+// the cache mode (whose slab keeps chunks registered, which is its point) a
+// chunk is never reused: once Put, its address resolves to nothing and its
+// MR stays invalid for good. Buf is the whole allocation, a cache-mode
+// chunk's its size class.
 type Chunk struct {
-	Buf    *ibsim.Buffer
+	Buf    ibsim.Buffer
 	Reg    *Registration // nil until registered, then &reg
 	reg    Registration
-	class  int
-	length int
 	access ibsim.Access
 	seq    int64
 }
 
 // Data returns the materialized bytes of the chunk (nil in phantom mode).
 func (c *Chunk) Data() []byte { return c.Buf.Data() }
+
+// newChunk allocates a chunk of size bytes with its buffer inside it.
+func (m *Manager) newChunk(size int, access ibsim.Access, materialized bool) *Chunk {
+	c := &Chunk{access: access}
+	m.mem.AllocInto(&c.Buf, size, materialized)
+	return c
+}
 
 // Get returns a buffer of at least size bytes registered with the given
 // access, charging whatever the mode costs, for staging that carries
@@ -226,13 +239,7 @@ func (m *Manager) alloc(p *des.Proc, size int, access ibsim.Access, materialized
 	if m.cfg.Mode == Cache {
 		return m.cacheGet(p, size, access)
 	}
-	c := &Chunk{access: access, length: size}
-	if materialized {
-		c.Buf = m.mem.AllocMaterialized(size)
-	} else {
-		c.Buf = m.mem.Alloc(size)
-	}
-	return c
+	return m.newChunk(size, access, materialized)
 }
 
 // RegisterChunk ensures the chunk is registered, charging the mode's cost
@@ -244,10 +251,10 @@ func (m *Manager) RegisterChunk(p *des.Proc, c *Chunk, n int) {
 	if c.Reg != nil {
 		return
 	}
-	if n <= 0 || n > c.length {
-		n = c.length
+	if n <= 0 || n > c.Buf.Size {
+		n = c.Buf.Size
 	}
-	m.register(p, &c.reg, m.cfg.Mode, c.Buf, 0, n, c.access)
+	m.register(p, &c.reg, m.cfg.Mode, &c.Buf, 0, n, c.access)
 	c.Reg = &c.reg
 }
 
@@ -260,7 +267,7 @@ func (m *Manager) Put(p *des.Proc, c *Chunk) {
 	if c.Reg != nil {
 		m.deregister(p, c.Reg)
 	}
-	m.mem.Free(c.Buf)
+	m.mem.Free(&c.Buf)
 }
 
 // RegisterExternal registers caller-owned memory (the direct-I/O path).
@@ -290,11 +297,8 @@ func (m *Manager) register(p *des.Proc, r *Registration, mode Mode, buf *ibsim.B
 			m.fmrFree = m.fmrFree[:len(m.fmrFree)-1]
 			mr := h.Map(p, buf, off, length, access)
 			m.stat.FMRMaps++
-			*r = Registration{
-				segs:  []Segment{{Rkey: mr.Rkey(), Addr: mr.Start(), Len: length}},
-				fmr:   h,
-				owner: m,
-			}
+			*r = Registration{first: [1]Segment{{Rkey: mr.Rkey(), Addr: mr.Start(), Len: length}}, fmr: h}
+			r.segs = r.first[:]
 			return
 		}
 		m.stat.FMRFallback++
@@ -302,11 +306,8 @@ func (m *Manager) register(p *des.Proc, r *Registration, mode Mode, buf *ibsim.B
 	case Regular, Cache:
 		mr := m.hca.Register(p, buf, off, length, access)
 		m.stat.Registers++
-		*r = Registration{
-			segs:  []Segment{{Rkey: mr.Rkey(), Addr: mr.Start(), Len: length}},
-			mr:    mr,
-			owner: m,
-		}
+		*r = Registration{first: [1]Segment{{Rkey: mr.Rkey(), Addr: mr.Start(), Len: length}}, mr: mr}
+		r.segs = r.first[:]
 	case AllPhysical:
 		// No per-operation cost: the global steering tag addresses pinned
 		// physical memory directly, one segment per physically contiguous
@@ -316,13 +317,15 @@ func (m *Manager) register(p *des.Proc, r *Registration, mode Mode, buf *ibsim.B
 			panic("memreg: all-physical mode without global rkey enabled")
 		}
 		runs := buf.PhysicalRuns(off, length)
-		segs := make([]Segment, len(runs))
+		r.segs = r.first[:0]
+		if len(runs) > 1 {
+			r.segs = make([]Segment, 0, len(runs))
+		}
 		pos := off
-		for i, run := range runs {
-			segs[i] = Segment{Rkey: g.Rkey(), Addr: buf.Addr(pos), Len: run}
+		for _, run := range runs {
+			r.segs = append(r.segs, Segment{Rkey: g.Rkey(), Addr: buf.Addr(pos), Len: run})
 			pos += run
 		}
-		*r = Registration{segs: segs, owner: m}
 	default:
 		panic("memreg: unknown mode")
 	}
@@ -358,8 +361,8 @@ func (m *Manager) cacheGet(p *des.Proc, size int, access ibsim.Access) *Chunk {
 		}
 	}
 	m.stat.CacheMisses++
-	c := &Chunk{Buf: m.mem.AllocMaterialized(class), class: class, length: class, access: access}
-	m.register(p, &c.reg, Regular, c.Buf, 0, class, access)
+	c := m.newChunk(class, access, true)
+	m.register(p, &c.reg, Regular, &c.Buf, 0, class, access)
 	c.Reg = &c.reg
 	return c
 }
@@ -369,8 +372,9 @@ func (m *Manager) cacheGet(p *des.Proc, size int, access ibsim.Access) *Chunk {
 func (m *Manager) cachePut(p *des.Proc, c *Chunk) {
 	m.slabSeq++
 	c.seq = m.slabSeq
-	m.slab[c.class] = append(m.slab[c.class], c)
-	m.slabBytes += int64(c.class)
+	class := c.Buf.Size
+	m.slab[class] = append(m.slab[class], c)
+	m.slabBytes += int64(class)
 	for m.slabBytes > m.cfg.CacheMaxBytes {
 		m.evictOldest(p)
 	}
@@ -394,7 +398,7 @@ func (m *Manager) evictOldest(p *des.Proc) {
 	m.slab[victimClass] = append(list[:victimIdx], list[victimIdx+1:]...)
 	m.slabBytes -= int64(victimClass)
 	m.deregister(p, victim.Reg)
-	m.mem.Free(victim.Buf)
+	m.mem.Free(&victim.Buf)
 	m.stat.Evictions++
 }
 

@@ -332,3 +332,62 @@ func TestStagingMaterializedByPurpose(t *testing.T) {
 		}
 	}
 }
+
+// TestChunkIsOneObject pins what a Get plus its Put costs the host: the
+// chunk holds its buffer, its registration and that registration's first
+// segment, so an all-physical chunk of one physical run is one allocation, a
+// regular one two (the chunk and the TPT entry, which stays its own object),
+// and a cache hit none.
+func TestChunkIsOneObject(t *testing.T) {
+	for _, tc := range []struct {
+		mode Mode
+		want float64
+	}{{AllPhysical, 1}, {Regular, 2}, {Cache, 0}} {
+		sim := des.New()
+		node := costNode(sim)
+		sim.Spawn("op", func(p *des.Proc) {
+			m := NewManager(p, node, Config{Mode: tc.mode})
+			m.Put(p, m.Get(p, 4096, ibsim.AccessLocalWrite)) // one page: one physical run; warms the slab
+			allocs := testing.AllocsPerRun(100, func() {
+				m.Put(p, m.Get(p, 4096, ibsim.AccessLocalWrite))
+			})
+			if allocs != tc.want {
+				t.Errorf("%v: Get+Put allocates %.0f objects, want %.0f", tc.mode, allocs, tc.want)
+			}
+		})
+		sim.Run()
+	}
+}
+
+// TestChunkFusedNotRecycled: outside the cache mode a chunk is never reused.
+// Once Put its buffer reports freed, its TPT entry is invalid for good (what
+// a stale rkey or an in-flight Read still holding it sees), and the next Get
+// of the same size is a new chunk at a higher address.
+func TestChunkFusedNotRecycled(t *testing.T) {
+	for _, mode := range []Mode{Regular, FMR, AllPhysical} {
+		sim := des.New()
+		node := costNode(sim)
+		sim.Spawn("op", func(p *des.Proc) {
+			m := NewManager(p, node, Config{Mode: mode, FMRPoolSize: 4})
+			c := m.Get(p, 64<<10, ibsim.AccessLocalWrite|ibsim.AccessRemoteRead)
+			mr := c.Reg.mr
+			if (mr != nil) != (mode == Regular) {
+				t.Errorf("%v: registration MR = %v", mode, mr)
+			}
+			m.Put(p, c)
+			if !c.Buf.Freed() {
+				t.Errorf("%v: a Put chunk's buffer is not freed", mode)
+			}
+			if mr != nil && mr.Valid() { // an FMR's MR lives in its handle, all-physical has none
+				t.Errorf("%v: a Put chunk's MR is still valid", mode)
+			}
+			next := m.Get(p, 64<<10, ibsim.AccessLocalWrite|ibsim.AccessRemoteRead)
+			if next == c || next.Buf.Base <= c.Buf.Base {
+				t.Errorf("%v: the next Get returned chunk %p at %#x after %p at %#x: want a new chunk at a higher address",
+					mode, next, next.Buf.Base, c, c.Buf.Base)
+			}
+			m.Put(p, next)
+		})
+		sim.Run()
+	}
+}

@@ -404,20 +404,21 @@ func (t *ClientTransport) Roundtrip(p *des.Proc, req *oncrpc.Request) (*oncrpc.R
 	// the server to pull, in both designs.
 	if req.SendBulk != nil && req.SendBulk.Len > 0 {
 		buf, off := bulkBuffer(req.SendBulk)
-		var segs []memreg.Segment
+		n := req.SendBulk.Len
+		var reg *memreg.Registration
 		if buf != nil {
-			pend.srcReg = t.mgr.RegisterExternal(p, buf, off, req.SendBulk.Len, ibsim.AccessRemoteRead)
-			segs = pend.srcReg.Segments()
+			pend.srcReg = t.mgr.RegisterExternal(p, buf, off, n, ibsim.AccessRemoteRead)
+			reg = pend.srcReg
 		} else {
-			pend.srcChk = t.mgr.GetPayload(p, req.SendBulk.Len, ibsim.AccessRemoteRead)
+			pend.srcChk = t.mgr.GetPayload(p, n, ibsim.AccessRemoteRead)
 			if d := pend.srcChk.Data(); d != nil && req.SendBulk.Data != nil {
-				copy(d, req.SendBulk.Data[:req.SendBulk.Len])
+				copy(d, req.SendBulk.Data[:n])
 			}
-			t.node.CPU.Copy(p, req.SendBulk.Len)
-			segs = clampSegs(pend.srcChk.Reg.Segments(), req.SendBulk.Len)
+			t.node.CPU.Copy(p, n)
+			reg = pend.srcChk.Reg
 		}
-		t.traceExpose(p, req.XID, segs)
-		hdr.exposeRead(uint32(len(req.Header)), segs)
+		t.traceExpose(p, req.XID, reg.Segments(), n)
+		hdr.ReadList = appendReadSegs(hdr.ReadList, uint32(len(req.Header)), reg.Segments(), n)
 	}
 
 	// Reply payload placement (e.g. READ data).
@@ -464,9 +465,9 @@ func (t *ClientTransport) Roundtrip(p *des.Proc, req *oncrpc.Request) (*oncrpc.R
 		}
 		t.node.CPU.Copy(p, len(req.Header))
 		hdr.Type = MsgNoMsg
-		lsegs := clampSegs(pend.longCall.Reg.Segments(), len(req.Header))
-		t.traceExpose(p, req.XID, lsegs)
-		hdr.exposeRead(0, lsegs)
+		lsegs := pend.longCall.Reg.Segments()
+		t.traceExpose(p, req.XID, lsegs, len(req.Header))
+		hdr.ReadList = appendReadSegs(hdr.ReadList, 0, lsegs, len(req.Header))
 		wire = hdr.Encode()
 	} else {
 		// A header that outgrew the room slides the call: a replay must copy
@@ -553,16 +554,21 @@ func (t *ClientTransport) Roundtrip(p *des.Proc, req *oncrpc.Request) (*oncrpc.R
 	return &res.Response, nil
 }
 
-// traceExpose records, one instant per segment, that the call advertised a
-// remotely accessible rkey to the peer. The instants are what the
-// MR-exposure invariant (trace.CheckExposureBounds) anchors on.
-func (t *ClientTransport) traceExpose(p *des.Proc, xid uint32, segs []memreg.Segment) {
+// traceExpose records, one instant per segment covering the first n bytes,
+// that the call advertised a remotely accessible rkey to the peer. The
+// instants are what the MR-exposure invariant (trace.CheckExposureBounds)
+// anchors on.
+func (t *ClientTransport) traceExpose(p *des.Proc, xid uint32, segs []memreg.Segment, n int) {
 	tr := t.node.Sim().Tracer()
 	if tr == nil {
 		return
 	}
 	for _, s := range segs {
+		if n <= 0 {
+			return
+		}
 		tr.Instant(int64(p.Now()), trace.LayerRPC, trace.KindExpose, t.node.Name(), "expose", uint64(xid), int64(s.Rkey))
+		n -= s.Len
 	}
 }
 
@@ -570,10 +576,9 @@ func (t *ClientTransport) traceExpose(p *des.Proc, xid uint32, segs []memreg.Seg
 // traceExpose instants, plus the wire form a write list or reply chunk
 // carries, kept in the pending after whatever the call advertised before.
 func (t *ClientTransport) expose(p *des.Proc, pend *pending, reg *memreg.Registration, n int) []Segment {
-	segs := clampSegs(reg.Segments(), n)
-	t.traceExpose(p, pend.req.XID, segs)
+	t.traceExpose(p, pend.req.XID, reg.Segments(), n)
 	first := len(pend.segs)
-	pend.segs = appendSegs(pend.segs, segs)
+	pend.segs = appendSegs(pend.segs, reg.Segments(), n)
 	return pend.segs[first:len(pend.segs):len(pend.segs)]
 }
 
@@ -636,7 +641,7 @@ func (t *ClientTransport) setupRecvPlacement(p *des.Proc, pend *pending, req *on
 			// Buffered path: server writes into transport staging; one copy
 			// to the caller afterwards.
 			pend.destChk = t.mgr.GetPayload(p, n, ibsim.AccessLocalWrite|ibsim.AccessRemoteWrite)
-			pend.destBuf, pend.destOff = pend.destChk.Buf, 0
+			pend.destBuf, pend.destOff = &pend.destChk.Buf, 0
 			pend.needCopy = true
 			hdr.WriteList = t.expose(p, pend, pend.destChk.Reg, n)
 		}
@@ -645,7 +650,7 @@ func (t *ClientTransport) setupRecvPlacement(p *des.Proc, pend *pending, req *on
 		// and this client pulls them into local staging, then copies out —
 		// the Read-Read design has no zero-copy path (§5.1).
 		pend.destChk = t.mgr.GetPayload(p, n, ibsim.AccessLocalWrite)
-		pend.destBuf, pend.destOff = pend.destChk.Buf, 0
+		pend.destBuf, pend.destOff = &pend.destChk.Buf, 0
 		pend.needCopy = true
 	}
 }
@@ -977,7 +982,7 @@ func (t *ClientTransport) pullLongReply(p *des.Proc, pend *pending, hdr *Header)
 	}
 	staging := t.mgr.Get(p, n, ibsim.AccessLocalWrite)
 	defer t.mgr.Put(p, staging)
-	if _, err := t.pull(p, pend, hdr, true, staging.Buf, 0); err != nil {
+	if _, err := t.pull(p, pend, hdr, true, &staging.Buf, 0); err != nil {
 		return nil, err
 	}
 	return append([]byte(nil), staging.Data()[:n]...), nil
@@ -1013,20 +1018,4 @@ func (t *ClientTransport) failAll(err error) {
 		delete(t.pending, xid)
 		pend.done.TryFire(&rtResult{err: err})
 	}
-}
-
-// clampSegs truncates registration segments to cover exactly n bytes. The
-// result shares segs' storage unless the last segment had to be shortened.
-func clampSegs(segs []memreg.Segment, n int) []memreg.Segment {
-	for i, s := range segs {
-		if n <= 0 {
-			return segs[:i]
-		}
-		if s.Len > n {
-			s.Len = n
-			return append(segs[:i:i], s)
-		}
-		n -= s.Len
-	}
-	return segs
 }

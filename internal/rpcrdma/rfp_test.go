@@ -237,3 +237,45 @@ func TestReplyFetchDropDonePinsDeposits(t *testing.T) {
 		}
 	})
 }
+
+// TestReplyFetchReadParksTwoChunks: a Reply-Fetch READ parks the most a reply
+// parks, its bulk staging and its deposit, in one map value; its RDMA_DONE
+// releases both, and the server's parked replies and allocated memory return
+// to where they were before the call.
+func TestReplyFetchReadParksTwoChunks(t *testing.T) {
+	newEnv(t, ReplyFetch, memreg.Regular, func(p *des.Proc, e *env) {
+		e.svc.stored = pattern(64<<10, 5)
+		parked, allocated := e.st.ParkedReplies(), e.server.Mem.AllocatedBytes()
+		e.ct.DropDone = true
+		dst := &oncrpc.Bulk{Data: make([]byte, 64<<10), Len: 64 << 10}
+		if _, n, err := e.rpc.Call(p, 2, nil, oncrpc.CallOpts{RecvBulk: dst}); err != nil || n != 64<<10 {
+			t.Fatalf("get: n=%d err=%v", n, err)
+		}
+		p.Sleep(time.Millisecond)
+		if len(e.st.parked) != 1 {
+			t.Fatalf("%d replies parked, want the READ's", len(e.st.parked))
+		}
+		var key connXID
+		var pr parkedReply
+		for key, pr = range e.st.parked { // its one entry
+		}
+		if pr.n != 2 || pr.chunks[0] == nil || pr.chunks[1] == nil || pr.chunks[0] == pr.chunks[1] {
+			t.Fatalf("the READ parked %d chunks (%p, %p), want its bulk staging and its deposit", pr.n, pr.chunks[0], pr.chunks[1])
+		}
+		if e.server.Mem.AllocatedBytes() <= allocated {
+			t.Error("the parked chunks hold no server memory")
+		}
+		done := Header{XID: key.xid, Credits: uint32(e.ct.cfg.Credits), Type: MsgDone}
+		e.ct.send(key.xid, done.Encode())
+		p.Sleep(time.Millisecond)
+		if e.st.ParkedReplies() != parked || e.server.Mem.AllocatedBytes() != allocated {
+			t.Errorf("after the DONE: %d parked replies and %d bytes allocated, want %d and %d",
+				e.st.ParkedReplies(), e.server.Mem.AllocatedBytes(), parked, allocated)
+		}
+		for _, c := range pr.chunks {
+			if !c.Buf.Freed() {
+				t.Errorf("parked chunk %p still allocated after the DONE", c)
+			}
+		}
+	})
+}

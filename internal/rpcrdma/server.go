@@ -19,11 +19,23 @@ type connXID struct {
 }
 
 // parkedReply holds server resources pinned until the client's RDMA_DONE
-// (Read-Read design only). The chunks stay registered — and remotely
-// readable — for as long as the client withholds the DONE, which is the
-// §4.1 resource-pinning and exposure vulnerability.
+// (Read-Read and Reply-Fetch). Under Read-Read the chunks stay registered —
+// and remotely readable — for as long as the client withholds the DONE,
+// which is the §4.1 resource-pinning and exposure vulnerability. It is a map
+// value holding at most two chunks, the most a reply parks: its bulk staging,
+// and its long-reply chunk (Read-Read) or deposit (Reply-Fetch).
 type parkedReply struct {
-	chunks []*memreg.Chunk
+	chunks [2]*memreg.Chunk
+	n      int
+}
+
+// add parks one more chunk with the reply.
+func (r *parkedReply) add(c *memreg.Chunk) {
+	if r.n == len(r.chunks) {
+		panic("rpcrdma: a reply parks at most two chunks")
+	}
+	r.chunks[r.n] = c
+	r.n++
 }
 
 // serverTask is one received call from deliver to the bottom of the worker
@@ -39,12 +51,14 @@ type serverTask struct {
 // serving. A thread serves one call at a time and waits for the reply Send
 // before it takes the next, so what lives only while a call is served is the
 // thread's and reused call after call: the bulk descriptors handed to the
-// dispatcher, the list pushBulk annotates, the reply Send and its completion.
+// dispatcher, the list pushBulk annotates, the read list a Read-Read reply
+// exposes, the reply Send and its completion.
 type nfsd struct {
 	cpu int // CPU placement for the affinity model, -1 when not modelled
 
 	bulkIn, replyBuf oncrpc.Bulk
 	pushed           []Segment
+	exposed          []ReadSeg
 	send             ibsim.SendWQE
 	sent             des.Event
 }
@@ -154,7 +168,7 @@ type ServerTransport struct {
 	mgr        *memreg.Manager
 	cfg        Config
 	dispatcher *oncrpc.Dispatcher
-	parked     map[connXID]*parkedReply
+	parked     map[connXID]parkedReply
 	replySlots *des.Resource // Read-Read reply-buffer pool
 	serial     *des.Resource // serialized send/receive path (nil when disabled)
 	closed     bool
@@ -203,7 +217,7 @@ func NewServerTransport(p *des.Proc, node *ibsim.Node, mgr *memreg.Manager, disp
 		mgr:        mgr,
 		cfg:        cfg,
 		dispatcher: dispatcher,
-		parked:     make(map[connXID]*parkedReply),
+		parked:     make(map[connXID]parkedReply),
 		replySlots: des.NewResource(node.Sim(), node.Name()+"/rpcrdma-replypool", cfg.ReplyBufPool),
 	}
 	if cfg.hasSerial() {
@@ -618,7 +632,7 @@ func (s *ServerTransport) handle(p *des.Proc, task *serverTask, w *nfsd) {
 			s.BulkReads++
 			ev := des.NewEvent(s.node.Sim())
 			wqe := &ibsim.SendWQE{WRID: uint64(hdr.XID), Op: ibsim.OpRead, RemoteKey: seg.Rkey, RemoteAddr: seg.Addr}
-			wqe.SetLocal(bulkInChk.Buf, off, int(seg.Length))
+			wqe.SetLocal(&bulkInChk.Buf, off, int(seg.Length))
 			postWithEvent(task.conn, wqe, ev)
 			events = append(events, ev)
 			off += int(seg.Length)
@@ -650,7 +664,7 @@ func (s *ServerTransport) handle(p *des.Proc, task *serverTask, w *nfsd) {
 		if d := bulkInChk.Data(); d != nil {
 			data = d[:dataLen]
 		}
-		w.bulkIn = oncrpc.Bulk{Data: data, Len: dataLen, Handle: bulkInChk.Buf}
+		w.bulkIn = oncrpc.Bulk{Data: data, Len: dataLen, Handle: &bulkInChk.Buf}
 		bulkIn = &w.bulkIn
 	}
 
@@ -667,7 +681,7 @@ func (s *ServerTransport) handle(p *des.Proc, task *serverTask, w *nfsd) {
 	var replyBuf *oncrpc.Bulk
 	if recvCap > 0 {
 		replyStaging = s.mgr.GetUnregistered(p, recvCap, s.replyAccess())
-		w.replyBuf = oncrpc.Bulk{Data: replyStaging.Data(), Len: 0, Handle: replyStaging.Buf}
+		w.replyBuf = oncrpc.Bulk{Data: replyStaging.Data(), Len: 0, Handle: &replyStaging.Buf}
 		replyBuf = &w.replyBuf
 		if replyBuf.Data != nil && recvCap < len(replyBuf.Data) {
 			replyBuf.Data = replyBuf.Data[:recvCap]
@@ -743,7 +757,7 @@ func (s *ServerTransport) pullLongCall(p *des.Proc, task *serverTask, w *nfsd) (
 		}
 		s.BulkReads++
 		wqe := &ibsim.SendWQE{WRID: uint64(task.hdr.XID), Op: ibsim.OpRead, RemoteKey: seg.Rkey, RemoteAddr: seg.Addr}
-		wqe.SetLocal(staging.Buf, off, int(seg.Length))
+		wqe.SetLocal(&staging.Buf, off, int(seg.Length))
 		cqe := task.conn.postAndWait(p, wqe)
 		s.migrate(p, task.conn, w.cpu)
 		if cqe.Err != nil {
@@ -822,14 +836,15 @@ func (s *ServerTransport) reply(p *des.Proc, task *serverTask, reply []byte, roo
 	}
 
 	// --- Bulk: expose it (Read-Read) or push it (Read-Write, Reply-Fetch) ---
-	var park []*memreg.Chunk
+	var park parkedReply
 	switch {
 	case outLen == 0:
 	case design == ReadRead:
 		if staging != nil {
 			s.mgr.RegisterChunk(p, staging, outLen) // exposes the buffer (RemoteRead)
-			rh.exposeRead(uint32(len(msg)), clampSegs(staging.Reg.Segments(), outLen))
-			park = append(park, staging)
+			w.exposed = appendReadSegs(w.exposed[:0], uint32(len(msg)), staging.Reg.Segments(), outLen)
+			rh.ReadList = w.exposed
+			park.add(staging)
 			staging = nil
 		}
 	case len(call.WriteList) > 0:
@@ -838,7 +853,7 @@ func (s *ServerTransport) reply(p *des.Proc, task *serverTask, reply []byte, roo
 		if staging != nil {
 			s.mgr.RegisterChunk(p, staging, outLen)
 		}
-		pushed, residual := s.pushBulk(p, w, conn, staging.Buf, outLen, call.WriteList)
+		pushed, residual := s.pushBulk(p, w, conn, &staging.Buf, outLen, call.WriteList)
 		if residual > 0 {
 			// The client's advertised write chunks cannot hold the payload.
 			// The annotated WriteList already tells the client how much
@@ -848,7 +863,7 @@ func (s *ServerTransport) reply(p *des.Proc, task *serverTask, reply []byte, roo
 		rh.WriteList = pushed
 		if design == ReplyFetch {
 			// No send completion will say the Writes are placed; the DONE does.
-			park = append(park, staging)
+			park.add(staging)
 			staging = nil
 		}
 	}
@@ -889,7 +904,7 @@ func (s *ServerTransport) reply(p *des.Proc, task *serverTask, reply []byte, roo
 			tr.Instant(int64(p.Now()), trace.LayerRPC, trace.KindBulkWrite, s.node.Name(), "deposit",
 				conn.traceKey(call.XID), int64(wireLen))
 		}
-		park = append(park, depChk)
+		park.add(depChk)
 	case len(msg) <= s.cfg.InlineThreshold:
 		// Inline reply.
 	case design == ReadRead && len(msg) <= s.cfg.recvBufSize():
@@ -921,13 +936,14 @@ func (s *ServerTransport) reply(p *des.Proc, task *serverTask, reply []byte, roo
 		s.node.CPU.Copy(p, len(msg))
 		rh.Type = MsgNoMsg
 		if design == ReadRead {
-			rh.ReadList = rh.ReadList[:0] // a NOMSG reply carries only itself
-			rh.exposeRead(0, clampSegs(longChk.Reg.Segments(), len(msg)))
-			park = append(park, longChk)
+			// A NOMSG reply carries only itself.
+			w.exposed = appendReadSegs(w.exposed[:0], 0, longChk.Reg.Segments(), len(msg))
+			rh.ReadList = w.exposed
+			park.add(longChk)
 			longChk = nil
 		} else {
 			var residual int
-			rh.ReplyChunk, residual = s.pushBulk(p, w, conn, longChk.Buf, len(msg), call.ReplyChunk)
+			rh.ReplyChunk, residual = s.pushBulk(p, w, conn, &longChk.Buf, len(msg), call.ReplyChunk)
 			if residual > 0 {
 				s.shortWrite(p, conn, call.XID, residual)
 			}
@@ -945,8 +961,8 @@ func (s *ServerTransport) reply(p *des.Proc, task *serverTask, reply []byte, roo
 		// port serializes their data, so the doorbell can only land after the
 		// reply (and any bulk pushed above) is already in client memory.
 		slot := call.ReplyChunk[0]
-		conn.write(uint64(call.XID), depChk.Buf, doorbellBytes, wireLen, slot.Rkey, slot.Addr+doorbellBytes)
-		conn.write(uint64(call.XID), depChk.Buf, 0, doorbellBytes, slot.Rkey, slot.Addr)
+		conn.write(uint64(call.XID), &depChk.Buf, doorbellBytes, wireLen, slot.Rkey, slot.Addr+doorbellBytes)
+		conn.write(uint64(call.XID), &depChk.Buf, 0, doorbellBytes, slot.Rkey, slot.Addr)
 		if s.serial != nil {
 			s.serial.Release(1)
 		}
@@ -975,14 +991,14 @@ func (s *ServerTransport) reply(p *des.Proc, task *serverTask, reply []byte, roo
 
 // park pins a built reply's chunks until the client's RDMA_DONE, or settles
 // the reservation when there is nothing (or no one) to park for.
-func (s *ServerTransport) park(p *des.Proc, conn *serverConn, xid uint32, chunks []*memreg.Chunk, reserved bool) {
+func (s *ServerTransport) park(p *des.Proc, conn *serverConn, xid uint32, pr parkedReply, reserved bool) {
 	switch {
-	case len(chunks) > 0 && conn.dead:
+	case pr.n > 0 && conn.dead:
 		// The connection died while this reply was being built: no DONE can
 		// ever release it, so free the buffers and the slot immediately
 		// instead of parking (the leak this lifecycle state machine closes).
-		s.dropReply(p, conn, chunks)
-	case len(chunks) > 0:
+		s.dropReply(p, conn, pr)
+	case pr.n > 0:
 		// The reply-buffer pool bounds how many replies can sit waiting for
 		// DONE (slot reserved above). With the original design's single
 		// shared pool, a client that never sends DONE pins slots until the
@@ -991,10 +1007,10 @@ func (s *ServerTransport) park(p *des.Proc, conn *serverConn, xid uint32, chunks
 		// wedges only itself.
 		conn.parked++
 		conn.parkedOrder = append(conn.parkedOrder, xid)
-		s.parked[connXID{conn, xid}] = &parkedReply{chunks: chunks}
+		s.parked[connXID{conn, xid}] = pr
 		if tr := s.node.Sim().Tracer(); tr != nil {
 			tr.Begin(int64(p.Now()), trace.LayerRPC, trace.KindParked, s.node.Name(), "parked",
-				conn.traceKey(xid), int64(len(chunks)))
+				conn.traceKey(xid), int64(pr.n))
 		}
 	case reserved:
 		// Reserved but nothing ended up parked (e.g. squeezed inline).
@@ -1004,11 +1020,16 @@ func (s *ServerTransport) park(p *des.Proc, conn *serverConn, xid uint32, chunks
 
 // dropReply frees the chunks and the reserved pool slot of a reply that can
 // be neither delivered nor acknowledged.
-func (s *ServerTransport) dropReply(p *des.Proc, conn *serverConn, chunks []*memreg.Chunk) {
-	for _, c := range chunks {
+func (s *ServerTransport) dropReply(p *des.Proc, conn *serverConn, pr parkedReply) {
+	s.putParked(p, pr)
+	conn.slots().Release(1)
+}
+
+// putParked releases a parked reply's chunks, in the order they were parked.
+func (s *ServerTransport) putParked(p *des.Proc, pr parkedReply) {
+	for _, c := range pr.chunks[:pr.n] {
 		s.mgr.Put(p, c)
 	}
-	conn.slots().Release(1)
 }
 
 // pushBulk RDMA-Writes n bytes from src into the peer segments, returning
@@ -1095,9 +1116,7 @@ func (s *ServerTransport) releaseParked(p *des.Proc, key connXID) bool {
 		tr.End(int64(p.Now()), trace.LayerRPC, trace.KindParked, s.node.Name(), "parked",
 			key.conn.traceKey(key.xid), 0)
 	}
-	for _, c := range pr.chunks {
-		s.mgr.Put(p, c)
-	}
+	s.putParked(p, pr)
 	key.conn.pruneParkedOrder(key.xid)
 	key.conn.parked--
 	key.conn.slots().Release(1)

@@ -286,7 +286,7 @@ func (sh *serverShard) worker(p *des.Proc, wcpu int) {
 		// completed, and nothing else held the task or the thread's storage.
 		// Idle, the thread pins no wire message, staging buffer or payload.
 		sh.putTask(task)
-		*w = nfsd{cpu: wcpu, pushed: w.pushed[:0]}
+		*w = nfsd{cpu: wcpu, pushed: w.pushed[:0], exposed: w.exposed[:0]}
 	}
 }
 

@@ -78,7 +78,7 @@ func WriteChrome(w io.Writer, events []Event) error {
 		}
 	}
 
-	open := map[pairKey][]*Event{}
+	open := map[pairKey][]int{} // indices of the Begins still open, per pair
 	for i := range events {
 		e := &events[i]
 		switch e.Phase {
@@ -86,11 +86,11 @@ func WriteChrome(w io.Writer, events []Event) error {
 			span(e, e.T, e.T+e.Dur)
 		case PhaseBegin:
 			k := pairKey{e.Layer, e.Kind, e.Track, e.ID}
-			open[k] = append(open[k], e)
+			open[k] = append(open[k], i)
 		case PhaseEnd:
 			k := pairKey{e.Layer, e.Kind, e.Track, e.ID}
 			if st := open[k]; len(st) > 0 {
-				b := st[len(st)-1]
+				b := &events[st[len(st)-1]]
 				open[k] = st[:len(st)-1]
 				span(b, b.T, e.T)
 			}
@@ -103,11 +103,15 @@ func WriteChrome(w io.Writer, events []Event) error {
 			})
 		}
 	}
-	// Close intervals still live when the simulation stopped.
+	// Close intervals still live when the simulation stopped, in stream
+	// order: the order out is built in decides equal-time ties and the pids.
+	var live []int
 	for _, st := range open {
-		for _, b := range st {
-			span(b, b.T, lastT)
-		}
+		live = append(live, st...)
+	}
+	sort.Ints(live)
+	for _, i := range live {
+		span(&events[i], events[i].T, lastT)
 	}
 
 	sort.SliceStable(out, func(i, j int) bool { return out[i].TS < out[j].TS })

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -75,8 +76,13 @@ func CheckWQECQE(events []Event) error {
 			delete(posted, e.ID)
 		}
 	}
-	for id, t0 := range posted {
-		p.addf("WQE %d posted at %dns but never completed", id, t0)
+	ids := make([]uint64, 0, len(posted))
+	for id := range posted {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		p.addf("WQE %d posted at %dns but never completed", id, posted[id])
 	}
 	return p.err("WQE/CQE pairing")
 }

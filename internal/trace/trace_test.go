@@ -3,6 +3,8 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -320,5 +322,60 @@ func TestWriteChromeRowMetadata(t *testing.T) {
 	}
 	if len(threadMeta) != 3 {
 		t.Fatalf("got %d named thread rows, want 3", len(threadMeta))
+	}
+}
+
+// TestWriteChromeClosesOpenSpansInStreamOrder: intervals still open when the
+// stream ends are closed in the order their Begins appear, so tracks first
+// seen there get their pids in that order and equal-time ties keep it; the
+// same events always render the same document.
+func TestWriteChromeClosesOpenSpansInStreamOrder(t *testing.T) {
+	tr := New(64)
+	tracks := []string{"t5", "t1", "t7", "t3", "t0", "t6", "t2", "t4"}
+	for i, track := range tracks {
+		tr.Begin(100, LayerIbsim, KindWQE, track, track, uint64(i), 0)
+	}
+	tr.Instant(200, LayerRPC, KindTimeout, "end", "timeout", 0, 0)
+	var buf bytes.Buffer
+	if err := WriteChrome(&buf, tr.Events()); err != nil {
+		t.Fatalf("WriteChrome: %v", err)
+	}
+	var doc chromeFile
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("output is not valid JSON: %v", err)
+	}
+	var got []string
+	for _, e := range doc.TraceEvents {
+		if e.Ph == "X" {
+			got = append(got, fmt.Sprintf("%s/pid%d", e.Name, e.PID))
+		}
+	}
+	var want []string
+	for i, track := range tracks {
+		want = append(want, fmt.Sprintf("%s/pid%d", track, i+2)) // pid 1 is "end"
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("open spans closed as %v, want %v (the Begins' stream order)", got, want)
+	}
+}
+
+// TestCheckWQECQEReportsInIDOrder: requests never completed are reported in
+// WQE order, so one stream always yields one message.
+func TestCheckWQECQEReportsInIDOrder(t *testing.T) {
+	tr := New(64)
+	for _, id := range []uint64{6, 2, 8, 4, 1, 7, 3, 5} {
+		tr.Begin(10, LayerIbsim, KindWQE, "c/qp1", "SEND", id, 0)
+	}
+	err := CheckWQECQE(tr.Events())
+	if err == nil {
+		t.Fatal("requests that never completed were not reported")
+	}
+	last := -1
+	for id := 1; id <= 8; id++ {
+		at := strings.Index(err.Error(), fmt.Sprintf("WQE %d posted", id))
+		if at < last {
+			t.Fatalf("unfinished requests not reported in WQE order:\n%v", err)
+		}
+		last = at
 	}
 }

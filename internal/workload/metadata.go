@@ -17,11 +17,13 @@ type MetadataConfig struct {
 	Dirs     int // directories in the working tree
 	Files    int // files per directory, pre-created
 	Ops      int // operations per thread
-	SmallIO  int // size of the occasional small read/write (default 8 KiB)
 	Client   int
 	Seed     uint64
 	UseCache bool // enable the client attribute/lookup cache
 }
+
+// smallIO is the size of the mix's occasional small read or write.
+const smallIO = 8 << 10
 
 // MetadataResult is the measured outcome.
 type MetadataResult struct {
@@ -46,9 +48,6 @@ func RunMetadata(p *des.Proc, cluster *core.Cluster, cfg MetadataConfig) (Metada
 	if cfg.Ops <= 0 {
 		cfg.Ops = 200
 	}
-	if cfg.SmallIO <= 0 {
-		cfg.SmallIO = 8 << 10
-	}
 	cl := cluster.Clients[cfg.Client]
 	if cfg.UseCache && cl.AttrCacheStats() == nil {
 		cl.EnableAttrCache(30 * 1e9)
@@ -65,8 +64,8 @@ func RunMetadata(p *des.Proc, cluster *core.Cluster, cfg MetadataConfig) (Metada
 			file, err := cl.Create(p, fmt.Sprintf("md%02d/f%03d", d, f))
 			check(err)
 			if err == nil {
-				buf := cl.NewBuffer(cfg.SmallIO)
-				_, err = file.WriteAt(p, buf, 0, 0, cfg.SmallIO, false)
+				buf := cl.NewBuffer(smallIO)
+				_, err = file.WriteAt(p, buf, 0, 0, smallIO, false)
 				check(err)
 			}
 		}
@@ -81,7 +80,7 @@ func RunMetadata(p *des.Proc, cluster *core.Cluster, cfg MetadataConfig) (Metada
 	var ops int64
 	parallel(p, "metadata", cfg.Threads, func(wp *des.Proc, i int) {
 		rng := des.NewRand(cfg.Seed*31 + uint64(i) + 1)
-		buf := cl.NewBuffer(cfg.SmallIO)
+		buf := cl.NewBuffer(smallIO)
 		scratch := 0
 		for n := 0; n < cfg.Ops; n++ {
 			dir := fmt.Sprintf("md%02d", rng.Intn(cfg.Dirs))
@@ -94,14 +93,14 @@ func RunMetadata(p *des.Proc, cluster *core.Cluster, cfg MetadataConfig) (Metada
 				f, err := cl.Open(wp, path)
 				check(err)
 				if err == nil {
-					_, _, err = f.ReadAt(wp, buf, 0, 0, cfg.SmallIO, false)
+					_, _, err = f.ReadAt(wp, buf, 0, 0, smallIO, false)
 					check(err)
 				}
 			case 6, 7: // small overwrite
 				f, err := cl.Open(wp, path)
 				check(err)
 				if err == nil {
-					_, err = f.WriteAt(wp, buf, 0, 0, cfg.SmallIO, false)
+					_, err = f.WriteAt(wp, buf, 0, 0, smallIO, false)
 					check(err)
 				}
 			case 8: // create + remove a scratch file

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check vet fmt lint bench loc
+.PHONY: build test check vet fmt lint bench loc allocs
 
 build:
 	$(GO) build ./...
@@ -64,6 +64,12 @@ check: fmt vet lint
 # non-test Go outside benchmark/.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' | xargs cat | grep -v '^\s*$$' | grep -v '^\s*//' | wc -l
+
+# allocs prints the heap allocations one simulated RPC costs per design (an
+# NFS NULL, an 8 KiB direct READ, an all-physical 64 KiB READ) and, under
+# each, the lines that allocate, in allocations per RPC (TestAllocsPerRPC).
+allocs:
+	$(GO) test -count=1 -run 'TestAllocsPerRPC$$' -v ./internal/core/
 
 # bench runs the DES kernel microbenchmarks (schedule->resume path,
 # queue/event/resource wakeups, timer heap, process spawn on a pooled

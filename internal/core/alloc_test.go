@@ -32,9 +32,9 @@ func TestAllocsPerRPC(t *testing.T) {
 		design               rpcrdma.Design
 		null, read, physRead float64
 	}{
-		{rpcrdma.ReadWrite, 7, 13, 13},   // measured 6.00, 12.00 and 12.11
-		{rpcrdma.ReadRead, 12, 19, 24},   // 11.24, 18.25 and 23.09
-		{rpcrdma.ReplyFetch, 13, 19, 17}, // 12.00, 18.00 and 16.18
+		{rpcrdma.ReadWrite, 3, 9, 9},    // measured 2.00, 8.00 and 8.11
+		{rpcrdma.ReadRead, 8, 15, 20},   // 7.24, 14.25 and 19.09
+		{rpcrdma.ReplyFetch, 9, 15, 13}, // 8.00, 14.00 and 12.55
 	}
 	for _, pin := range pins {
 		null, read := allocsPerRPC(t, pin.design, memreg.Regular, 8<<10, true, false)

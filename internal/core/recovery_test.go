@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -239,8 +240,11 @@ func (s *loseFirstCall) Handle(p *des.Proc, req *oncrpc.ServerRequest) oncrpc.Se
 // unchanged once the replay is served, and both executions were handed the
 // same XID and arguments. The all-physical READ advertises more write-list
 // segments than its room counted, so framing slid the call inside its buffer
-// and the replay must copy the call from where it now lies.
+// and the replay must copy the call from where it now lies. The LOOKUP of a
+// 200-byte name outgrows the request's inline store, so the call was moved
+// out of it by append before it was framed.
 func TestReplayFramesACopy(t *testing.T) {
+	long := strings.Repeat("n", 200)
 	for _, tc := range []struct {
 		name string
 		mode memreg.Mode
@@ -248,6 +252,7 @@ func TestReplayFramesACopy(t *testing.T) {
 	}{
 		{"getattr", memreg.Regular, nfs3.ProcGetAttr},
 		{"read all-physical", memreg.AllPhysical, nfs3.ProcRead},
+		{"lookup past the inline store", memreg.Regular, nfs3.ProcLookup},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cluster := NewCluster(Config{
@@ -267,6 +272,11 @@ func TestReplayFramesACopy(t *testing.T) {
 				if _, err := f.WriteAt(p, buf, 0, 0, size, true); err != nil {
 					t.Fatalf("write: %v", err)
 				}
+				if tc.proc == nfs3.ProcLookup {
+					if _, err := cl.Create(p, long); err != nil {
+						t.Fatalf("create: %v", err)
+					}
+				}
 				segs := 0 // segments the first attempt advertised
 				svc := &loseFirstCall{Server: cluster.Server.NFS, proc: tc.proc, kill: func(xid uint32) {
 					for _, e := range tr.Events() {
@@ -283,12 +293,15 @@ func TestReplayFramesACopy(t *testing.T) {
 				cl.EnableRecovery(RetryPolicy{})
 				breakConnection(p, cl) // the next call dials the server above
 
-				if tc.proc == nfs3.ProcRead {
+				switch tc.proc {
+				case nfs3.ProcRead:
 					_, _, err = f.ReadAt(p, buf, 0, 0, size, false)
 					if segs < 2 {
 						t.Errorf("the READ advertised %d segments, want several (no slide)", segs)
 					}
-				} else {
+				case nfs3.ProcLookup:
+					_, _, err = cl.NFS.Lookup(p, cl.Root, long)
+				default:
 					_, err = cl.NFS.GetAttr(p, f.FH())
 				}
 				if err != nil {

@@ -6,9 +6,24 @@ import (
 	"strings"
 	"testing"
 	"time"
+	_ "unsafe" // go:linkname
 
 	"repro/internal/des"
 )
+
+// noReuse is the simulation kernel's test hook: set, every des.FreeList
+// drops what is put back, so every Get allocates.
+//
+//go:linkname noReuse repro/internal/des.noReuse
+var noReuse bool
+
+// TestEngineGoldenWithoutReuse: the fabric's completion log is the same when
+// no work request or completion is ever reused — reuse is unobservable.
+func TestEngineGoldenWithoutReuse(t *testing.T) {
+	noReuse = true
+	defer func() { noReuse = false }()
+	TestEngineGolden(t)
+}
 
 // panicOf runs fn and returns what it panicked with, as text.
 func panicOf(fn func()) (msg string) {

@@ -289,10 +289,11 @@ func TestReadRejectsDataLengthOtherThanCount(t *testing.T) {
 
 // FuzzDispatch sends a raw call through Dispatcher.Dispatch to the NFS server
 // (duplicate request cache on) twice, behind a room of 0 and of 64 bytes, as
-// the stream and RDMA transports ask for it. On any frame it must not panic
-// and must allocate at most 64 objects plus one per byte of frame; a call that
-// decodes gets a reply that DecodeReply reads, with the call's XID, and the
-// room in front of it left zero.
+// the stream and RDMA transports ask for it. On any frame it must not panic;
+// a frame that is not a call must allocate at most one object, and one that
+// is at most 64 objects plus one per byte of frame; a call that decodes gets
+// a reply that DecodeReply reads, with the call's XID, and the room in front
+// of it left zero.
 func FuzzDispatch(f *testing.F) {
 	root := FH{FSID: 0x5eed, FileID: 1}
 	mode := uint32(0644)
@@ -327,15 +328,22 @@ func FuzzDispatch(f *testing.F) {
 		d.EnableDRC(8)
 		sim.Spawn("fuzz", func(p *des.Proc) {
 			for _, room := range []int{0, 64} {
+				opts := oncrpc.DispatchOpts{Room: room}
 				var before, after runtime.MemStats
 				runtime.ReadMemStats(&before)
-				reply, _, err := d.Dispatch(p, call, oncrpc.DispatchOpts{Room: room})
+				reply, _, err := d.Dispatch(p, call, opts)
 				runtime.ReadMemStats(&after)
+				if err != nil {
+					// A rejection changes nothing but BadCalls, so it is measured
+					// over several runs: the fuzzing engine's own goroutines
+					// allocate now and then while one runs.
+					if n := testing.AllocsPerRun(10, func() { d.Dispatch(p, call, opts) }); n > 1 {
+						t.Errorf("room %d: rejecting a %d-byte frame (%v) allocated %.0f objects", room, len(call), err, n)
+					}
+					continue
+				}
 				if n := after.Mallocs - before.Mallocs; n > uint64(64+len(call)) {
 					t.Errorf("room %d: dispatching a %d-byte call allocated %d objects", room, len(call), n)
-				}
-				if err != nil {
-					continue
 				}
 				if !bytes.Equal(reply[:room], make([]byte, room)) {
 					t.Errorf("room %d: written to: %x", room, reply[:room])

@@ -29,19 +29,11 @@ type CallOpts struct {
 	DirectIO     bool
 }
 
-// argsHint is what a call's buffer holds for its arguments: those of every
-// NFS call but SETATTR and the calls naming a file of more than eight bytes
-// or so (CREATE, MKDIR, RENAME). Longer arguments grow the buffer.
-const argsHint = 64
-
-// newWire returns a buffer for one message: room zero bytes kept free for a
-// transport header, and capacity for n more behind them.
-func newWire(room, n int) []byte { return make([]byte, room, room+n) }
-
 // Call marshals and performs one RPC. args appends the procedure's
 // arguments to the call (nil for none); it is called before Call returns and
-// not kept. Call returns the inline result bytes and the number of payload
-// bytes placed into opts.RecvBulk.
+// not kept. The call is marshalled inside its Request (callStore), behind
+// the room a Framer asks for. Call returns the inline result bytes and the
+// number of payload bytes placed into opts.RecvBulk.
 func (c *Client) Call(p *des.Proc, proc uint32, args func(*xdr.Encoder), opts CallOpts) (results []byte, bulkLen int, err error) {
 	c.nextXID++
 	xid := c.nextXID
@@ -57,7 +49,11 @@ func (c *Client) Call(p *des.Proc, proc uint32, args func(*xdr.Encoder), opts Ca
 	}
 	hdr := c.call
 	hdr.XID, hdr.Proc = xid, proc
-	req.wire.Reset(newWire(req.Room, hdr.size()+argsHint))
+	wire := req.store[:]
+	if req.Room > len(wire) {
+		wire = make([]byte, req.Room)
+	}
+	req.wire.Reset(wire[:req.Room])
 	appendCall(&req.wire, &hdr)
 	if args != nil {
 		args(&req.wire)

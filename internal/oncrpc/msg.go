@@ -83,10 +83,20 @@ type Auth struct {
 	Stamp   uint32
 }
 
-// errBadAuth rejects a credential that is not the canonical encoding of a
-// flavour this package speaks: only AUTH_NONE with an empty body and an
-// AUTH_SYS body holding exactly its fields decode.
-var errBadAuth = errors.New("oncrpc: malformed or unsupported credential")
+// What a message is rejected with: made once, so that rejecting one costs the
+// host nothing. errBadAuth rejects a credential that is not the canonical
+// encoding of a flavour this package speaks: only AUTH_NONE with an empty
+// body and an AUTH_SYS body holding exactly its fields decode.
+var (
+	errBadAuth    = errors.New("oncrpc: malformed or unsupported credential")
+	errNotCall    = fmt.Errorf("%w: message type is not CALL", ErrBadReply)
+	errNotReply   = fmt.Errorf("%w: message type is not REPLY", ErrBadReply)
+	errRPCVersion = fmt.Errorf("%w: rpc version is not %d", ErrBadReply, RPCVersion)
+	errGIDCount   = fmt.Errorf("%w: more than %d gids", ErrBadReply, maxGIDs)
+)
+
+// maxGIDs bounds an AUTH_SYS credential's gid list (RFC 5531 appendix A).
+const maxGIDs = 16
 
 // wireSize is the encoded length of the opaque_auth structure.
 func (a *Auth) wireSize() int {
@@ -117,54 +127,71 @@ func (a *Auth) encode(e *xdr.Encoder) {
 	binary.BigEndian.PutUint32(e.Bytes()[start-4:], uint32(e.Len()-start))
 }
 
-func decodeAuth(d *xdr.Decoder) (Auth, error) {
-	var a Auth
+// decodeAuth decodes an opaque_auth into a, all but an AUTH_SYS body's
+// machine name and gid list: those it returns as they lie in the frame, for
+// a.setSys to copy out once the whole message has decoded, so that a message
+// that does not decode allocates nothing.
+func decodeAuth(d *xdr.Decoder, a *Auth) (machine, gids []byte, err error) {
 	f, err := d.Uint32()
 	if err != nil {
-		return a, err
+		return nil, nil, err
 	}
 	a.Flavor = AuthFlavor(f)
 	body, err := d.Opaque()
 	if err != nil {
-		return a, err
+		return nil, nil, err
 	}
 	switch {
 	case a.Flavor == AuthNone && len(body) == 0:
-		return a, nil
+		return nil, nil, nil
 	case a.Flavor != AuthSys:
-		return a, errBadAuth
+		return nil, nil, errBadAuth
 	}
 	bd := xdr.NewDecoder(body)
 	if a.Stamp, err = bd.Uint32(); err != nil {
-		return a, err
+		return nil, nil, err
 	}
-	if a.Machine, err = bd.String(); err != nil {
-		return a, err
+	if machine, err = bd.Opaque(); err != nil {
+		return nil, nil, err
 	}
 	if a.UID, err = bd.Uint32(); err != nil {
-		return a, err
+		return nil, nil, err
 	}
 	if a.GID, err = bd.Uint32(); err != nil {
-		return a, err
+		return nil, nil, err
 	}
 	n, err := bd.Uint32()
 	if err != nil {
-		return a, err
+		return nil, nil, err
 	}
-	if n > 16 {
-		return a, fmt.Errorf("%w: %d gids", ErrBadReply, n)
+	if n > maxGIDs {
+		return nil, nil, errGIDCount
 	}
-	for i := uint32(0); i < n; i++ {
-		g, err := bd.Uint32()
-		if err != nil {
-			return a, err
-		}
-		a.GIDs = append(a.GIDs, g)
+	if gids, err = bd.FixedOpaque(4 * int(n)); err != nil {
+		return nil, nil, err
 	}
 	if bd.Remaining() != 0 {
-		return a, errBadAuth
+		return nil, nil, errBadAuth
 	}
-	return a, nil
+	return machine, gids, nil
+}
+
+// setSys copies out what decodeAuth left in the frame. A machine name equal
+// to peer is peer: an honest client names itself as the transport knows it,
+// and comparing does not allocate. Any other name is a string of its own;
+// nothing is interned, so a hostile client cannot grow state here.
+func (a *Auth) setSys(machine, gids []byte, peer string) {
+	if string(machine) == peer {
+		a.Machine = peer
+	} else {
+		a.Machine = string(machine)
+	}
+	if len(gids) > 0 {
+		a.GIDs = make([]uint32, len(gids)/4)
+		for i := range a.GIDs {
+			a.GIDs[i] = binary.BigEndian.Uint32(gids[4*i:])
+		}
+	}
 }
 
 // CallHeader is the decoded fixed part of an RPC call.
@@ -202,8 +229,10 @@ func EncodeCall(h *CallHeader, args []byte) []byte {
 }
 
 // decodeCall unmarshals an RPC call message into h, returning the argument
-// bytes that follow the header.
-func decodeCall(h *CallHeader, msg []byte) ([]byte, error) {
+// bytes that follow the header. An AUTH_SYS machine name equal to peer is
+// peer (Auth.setSys). Only a message that decodes allocates: its machine
+// names and gid lists.
+func decodeCall(h *CallHeader, msg []byte, peer string) ([]byte, error) {
 	d := xdr.NewDecoder(msg)
 	var err error
 	if h.XID, err = d.Uint32(); err != nil {
@@ -214,14 +243,14 @@ func decodeCall(h *CallHeader, msg []byte) ([]byte, error) {
 		return nil, err
 	}
 	if mt != msgTypeCall {
-		return nil, fmt.Errorf("%w: msg type %d is not a call", ErrBadReply, mt)
+		return nil, errNotCall
 	}
 	rv, err := d.Uint32()
 	if err != nil {
 		return nil, err
 	}
 	if rv != RPCVersion {
-		return nil, fmt.Errorf("%w: rpc version %d", ErrBadReply, rv)
+		return nil, errRPCVersion
 	}
 	if h.Prog, err = d.Uint32(); err != nil {
 		return nil, err
@@ -232,12 +261,16 @@ func decodeCall(h *CallHeader, msg []byte) ([]byte, error) {
 	if h.Proc, err = d.Uint32(); err != nil {
 		return nil, err
 	}
-	if h.Cred, err = decodeAuth(d); err != nil {
+	credMachine, credGIDs, err := decodeAuth(d, &h.Cred)
+	if err != nil {
 		return nil, err
 	}
-	if h.Verf, err = decodeAuth(d); err != nil {
+	verfMachine, verfGIDs, err := decodeAuth(d, &h.Verf)
+	if err != nil {
 		return nil, err
 	}
+	h.Cred.setSys(credMachine, credGIDs, peer)
+	h.Verf.setSys(verfMachine, verfGIDs, peer)
 	return msg[d.Offset():], nil
 }
 
@@ -245,7 +278,7 @@ func decodeCall(h *CallHeader, msg []byte) ([]byte, error) {
 // remaining argument bytes.
 func DecodeCall(msg []byte) (*CallHeader, []byte, error) {
 	var h CallHeader
-	args, err := decodeCall(&h, msg)
+	args, err := decodeCall(&h, msg, "")
 	if err != nil {
 		return nil, nil, err
 	}
@@ -288,7 +321,7 @@ func DecodeReply(msg []byte) (xid uint32, stat AcceptStat, results []byte, err e
 		return
 	}
 	if mt != msgTypeReply {
-		err = fmt.Errorf("%w: msg type %d is not a reply", ErrBadReply, mt)
+		err = errNotReply
 		return
 	}
 	rs, err := d.Uint32()
@@ -299,7 +332,8 @@ func DecodeReply(msg []byte) (xid uint32, stat AcceptStat, results []byte, err e
 		err = ErrDenied
 		return
 	}
-	if _, err = decodeAuth(d); err != nil {
+	var verf Auth
+	if _, _, err = decodeAuth(d, &verf); err != nil {
 		return
 	}
 	st, err := d.Uint32()

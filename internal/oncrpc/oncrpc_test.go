@@ -221,23 +221,28 @@ func encodeDenied(xid uint32) []byte {
 }
 
 // FuzzDecodeCall holds the call decoder to three properties on any frame:
-// it does not panic, it allocates at most one object per byte of frame (a
-// count in the frame sizes nothing by itself), and what decodes encodes back
-// to the same bytes.
+// it does not panic, a frame that is not a call allocates at most one object
+// and one that is at most the header and a machine name and a gid list for
+// each of its two credentials (a count in the frame sizes nothing by itself),
+// and what decodes encodes back to the same bytes.
 func FuzzDecodeCall(f *testing.F) {
 	sys := Auth{Flavor: AuthSys, Machine: "client0", UID: 1000, GID: 100, GIDs: []uint32{100, 2000}, Stamp: 7}
 	f.Add(EncodeCall(&CallHeader{XID: 0x1234, Prog: 100003, Vers: 3, Proc: 6, Cred: sys}, []byte{1, 2, 3, 4, 5, 6, 7, 8}))
 	f.Add(EncodeCall(&CallHeader{XID: 1, Prog: 2, Vers: 3, Proc: 4}, nil))
 	f.Add(EncodeCall(&CallHeader{XID: 99, Prog: 555, Vers: 1, Proc: 1, Cred: Auth{Flavor: AuthSys, Machine: "c0"}}, nil))
+	f.Add(EncodeCall(&CallHeader{XID: 3, Prog: 4, Vers: 5, Proc: 6, Cred: sys, Verf: sys}, nil))
 	f.Add(EncodeReply(1, Success, nil))
 	f.Fuzz(func(t *testing.T, frame []byte) {
-		allocs := testing.AllocsPerRun(1, func() { DecodeCall(frame) })
-		if allocs > float64(len(frame)) {
-			t.Errorf("decoding a %d-byte frame: %.0f allocations", len(frame), allocs)
-		}
+		allocs := testing.AllocsPerRun(10, func() { DecodeCall(frame) })
 		h, args, err := DecodeCall(frame)
 		if err != nil {
+			if allocs > 1 {
+				t.Errorf("rejecting a %d-byte frame (%v): %.0f allocations", len(frame), err, allocs)
+			}
 			return
+		}
+		if allocs > 5 {
+			t.Errorf("decoding a %d-byte call: %.0f allocations", len(frame), allocs)
 		}
 		if again := EncodeCall(h, args); !bytes.Equal(again, frame) {
 			t.Errorf("%x decodes to %+v and %x, which encode to %x", frame, *h, args, again)

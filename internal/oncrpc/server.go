@@ -21,6 +21,32 @@ type Dispatcher struct {
 	services map[[2]uint32]Service
 	drc      *drc  // nil unless EnableDRC was called
 	badCalls int64 // messages dropped because they did not decode as a call
+
+	free  des.FreeList[ServerRequest] // requests between calls, zeroed
+	block []byte                      // what is left of the block replies are carved from
+}
+
+// replyBlock is the size of the blocks reply buffers are carved from.
+const replyBlock = 64 << 10
+
+// newReply returns a buffer for one reply: room zero bytes, then capacity for
+// n more, which ends there, so that a reply outgrowing it moves instead of
+// writing into the next one. The buffer is carved from the current block and
+// no byte is handed out twice: the peer reads a posted reply by reference,
+// so nothing is reused, and a block is collected when the last reply in it
+// is, as the kernel's page-fragment allocator frees skb heads. A reply of
+// more than a quarter block gets a buffer of its own.
+func (d *Dispatcher) newReply(room, n int) []byte {
+	size := room + n
+	if size > replyBlock/4 {
+		return make([]byte, room, size)
+	}
+	if len(d.block) < size {
+		d.block = make([]byte, replyBlock)
+	}
+	b := d.block[:room:size]
+	d.block = d.block[size:]
+	return b
 }
 
 // NewDispatcher returns an empty dispatcher.
@@ -64,22 +90,33 @@ func (d *Dispatcher) BadCalls() int64 { return d.badCalls }
 
 // Dispatch executes one raw call message and returns the marshaled reply,
 // opts.Room zero bytes and then the reply message, in a buffer that is the
-// caller's, plus any reply payload for placement. A nil error with a
-// non-Success accept status is a protocol-level rejection encoded in the
-// reply; a non-nil error means the call could not even be parsed (counted in
-// BadCalls; no reply is owed). That includes a call whose credential or
-// verifier is not AUTH_NONE or AUTH_SYS in its canonical encoding: it is
-// dropped, not answered with MSG_DENIED/AUTH_ERROR, so its sender retransmits
-// until it gives up (the simulated clients send no other). A nil reply with a nil error means the call
-// was a retransmission of a request still executing: the transport must drop
-// it silently — the original execution will produce the reply.
+// caller's, plus any reply payload for placement.
+//
+// A nil error with a non-Success accept status is a protocol-level rejection
+// encoded in the reply. A non-nil error means the call could not even be
+// parsed (counted in BadCalls; no reply is owed, and nothing is allocated).
+// That includes a call whose credential or verifier is not AUTH_NONE or
+// AUTH_SYS in its canonical encoding: it is dropped, not answered with
+// MSG_DENIED/AUTH_ERROR, so its sender retransmits until it gives up (the
+// simulated clients send no other). A nil reply with a nil error means the
+// call was a retransmission of a request still executing: the transport must
+// drop it silently — the original execution will produce the reply.
+//
+// The ServerRequest the service sees is the dispatcher's, reused once
+// Dispatch returns; the reply is carved from the dispatcher's blocks
+// (newReply) and is never reused.
 func (d *Dispatcher) Dispatch(p *des.Proc, rawCall []byte, opts DispatchOpts) (reply []byte, bulkOut *Bulk, err error) {
-	req := &ServerRequest{Bulk: opts.Bulk, RecvBulkCap: opts.RecvBulkCap, ReplyBuf: opts.ReplyBuf}
-	hdr := &req.Header
-	if req.Args, err = decodeCall(hdr, rawCall); err != nil {
+	var call CallHeader
+	args, err := decodeCall(&call, rawCall, opts.Peer)
+	if err != nil {
 		d.badCalls++
 		return nil, nil, err
 	}
+	req := d.free.Get()
+	defer d.put(req)
+	req.Header, req.Args = call, args
+	req.Bulk, req.RecvBulkCap, req.ReplyBuf = opts.Bulk, opts.RecvBulkCap, opts.ReplyBuf
+	hdr := &req.Header
 	tr := p.Sim().Tracer()
 	key := clientKey{xid: hdr.XID, prog: hdr.Prog, proc: hdr.Proc}
 	// DRC identity: the transport-authenticated peer when the transport
@@ -97,7 +134,7 @@ func (d *Dispatcher) Dispatch(p *des.Proc, rawCall []byte, opts DispatchOpts) (r
 			if tr != nil {
 				tr.Instant(int64(p.Now()), trace.LayerONCRPC, trace.KindDRCHit, hdr.Cred.Machine, "drc-hit", uint64(hdr.XID), int64(hdr.Proc))
 			}
-			return append(newWire(opts.Room, len(e.reply)), e.reply...), e.bulk, nil
+			return append(d.newReply(opts.Room, len(e.reply)), e.reply...), e.bulk, nil
 		case drcExecuting:
 			// The original call is still in a handler; drop this copy.
 			if tr != nil {
@@ -114,7 +151,7 @@ func (d *Dispatcher) Dispatch(p *des.Proc, rawCall []byte, opts DispatchOpts) (r
 	if rs, sized := svc.(ResultsSizer); sized {
 		size += rs.ResultsSize(hdr.Proc)
 	}
-	req.Reply.Reset(newWire(opts.Room, size))
+	req.Reply.Reset(d.newReply(opts.Room, size))
 	appendReply(&req.Reply, hdr.XID, ProgUnavail)
 	if !ok {
 		return req.Reply.Bytes(), nil, nil
@@ -146,3 +183,15 @@ func (d *Dispatcher) Dispatch(p *des.Proc, rawCall []byte, opts DispatchOpts) (r
 	}
 	return reply, resp.Bulk, nil
 }
+
+// put takes a request back once Dispatch is done with it. Nothing keeps it:
+// the reply is in a block, the descriptors are the transport's and the DRC
+// copies what it caches.
+func (d *Dispatcher) put(req *ServerRequest) {
+	*req = ServerRequest{}
+	d.free.Put(req)
+}
+
+// FreeRequests returns how many requests wait for reuse: at most as many as
+// calls were ever in their handlers at once.
+func (d *Dispatcher) FreeRequests() int { return len(d.free) }

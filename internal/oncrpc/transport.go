@@ -58,12 +58,20 @@ type Request struct {
 	// zero-copy direct-I/O placement path (no staging copy at the client).
 	DirectIO bool
 
-	// wire is where Call marshals the call: Room bytes, then Header. The
-	// encoder lives in the request so that marshalling allocates only the
-	// buffer.
+	// wire is where Call marshals the call: Room bytes, then Header. It
+	// appends to store, so that a call that fits there allocates nothing but
+	// the request; one that outgrows it moves by append.
 	wire   xdr.Encoder
 	framed bool
+	store  [callStore]byte
 }
+
+// callStore is how many bytes a Request holds for its call inline: the
+// room, the header and the arguments of every NFS call but SETATTR and those
+// naming a file of more than two or three dozen bytes. It makes a Request
+// 288 bytes, one size class. A posted call is read by reference at the
+// server, so a request is never reused: it lives as long as its call.
+const callStore = 184
 
 // Frame returns the call behind its room, for a Framer to write its header
 // into the first Room bytes in place. What a transport posts belongs to the

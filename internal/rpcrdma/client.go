@@ -189,21 +189,20 @@ type pending struct {
 	// done is the current attempt's completion, res what a reply handler
 	// completes it with (and Roundtrip returns), reply the first reply on its
 	// way to its handler, segs the write and reply chunk lists the call
-	// advertises (in segStore until they outgrow it): all live in the
-	// pending so a call allocates them once, together.
-	done     des.Event
-	res      rtResult
-	reply    replyRec
-	segs     []Segment
-	segStore [4]Segment
+	// advertises (in segStore until they outgrow it), readStore where the
+	// call's read list is built until it outgrows it (a WRITE's data under
+	// dynamic registration is one segment): all live in the pending so a
+	// call allocates them once, together.
+	done      des.Event
+	res       rtResult
+	reply     replyRec
+	segs      []Segment
+	segStore  [4]Segment
+	readStore [1]ReadSeg
 
-	// aborted is set once Roundtrip has returned: a reply handler still in
-	// flight must not fire the (already consumed) done event. handling
-	// counts reply handlers currently working on this call; while it is
-	// non-zero Roundtrip defers teardown to the last handler, so an RDMA
-	// Read in flight never lands in a released staging buffer.
-	aborted  bool
-	needCopy bool // staging -> caller copy after placement
+	// handling counts reply handlers currently working on this call; while
+	// it is non-zero Roundtrip defers teardown to the last handler, so an
+	// RDMA Read in flight never lands in a released staging buffer.
 	handling int
 
 	// Destination for reply payload placement.
@@ -228,6 +227,13 @@ type pending struct {
 	// doneWire is where RDMA_DONE is framed. Pendings are never reused, so
 	// the bytes stay as posted.
 	doneWire [hdrBase]byte
+
+	// aborted is set once Roundtrip has returned: a reply handler still in
+	// flight must not fire the (already consumed) done event. It and
+	// needCopy sit in doneWire's padding, which keeps a pending in its size
+	// class (TestPendingFitsItsSizeClass).
+	aborted  bool
+	needCopy bool // staging -> caller copy after placement
 }
 
 // fetcher is the reply-fetch poller of one call: the doorbell watch on its
@@ -384,7 +390,7 @@ func (t *ClientTransport) Roundtrip(p *des.Proc, req *oncrpc.Request) (*oncrpc.R
 	pend := &pending{req: req}
 	pend.done.Init(t.node.Sim())
 	pend.segs = pend.segStore[:0]
-	hdr := &Header{XID: req.XID, Credits: uint32(t.cfg.Credits), Type: MsgRDMA}
+	hdr := &Header{XID: req.XID, Credits: uint32(t.cfg.Credits), Type: MsgRDMA, ReadList: pend.readStore[:0]}
 
 	// The client send path — chunk marshalling, registrations, posting —
 	// runs under the transport's serialized section when modelled.

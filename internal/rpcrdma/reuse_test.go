@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/des"
 	"repro/internal/ibsim"
@@ -13,11 +14,12 @@ import (
 )
 
 // freeLists is the length of every free list a server run fills: the fabric's
-// work requests, and per shard its tasks and its CQ's receive completions.
-type freeLists struct{ wqes, tasks, cqes int }
+// work requests, per shard its tasks and its CQ's receive completions, and
+// the dispatcher's requests.
+type freeLists struct{ wqes, tasks, cqes, requests int }
 
 func (e *scaleEnv) freeLists() freeLists {
-	fl := freeLists{wqes: e.fab.FreeWQEs()}
+	fl := freeLists{wqes: e.fab.FreeWQEs(), requests: e.disp.FreeRequests()}
 	groups := e.st.shards
 	if e.st.legacy != nil {
 		groups = append(groups, e.st.legacy)
@@ -36,7 +38,8 @@ func (e *scaleEnv) freeLists() freeLists {
 // use. After a 2048-deep Reply-Fetch burst has drained the lists are therefore
 // no longer than the burst was deep — a task per call, a receive completion
 // per call and per RDMA_DONE, a request per call Send, deposit Write pair and
-// DONE — and a second identical burst runs entirely on what the first left:
+// DONE, a dispatcher request per worker (only a worker's call is in its
+// handler) — and a second identical burst runs entirely on what the first left:
 // no list grows. What waits on a list is zeroed, so it pins no connection,
 // wire message or buffer meanwhile.
 func TestFreeListsBoundedByBurstDepth(t *testing.T) {
@@ -80,8 +83,8 @@ func TestFreeListsBoundedByBurstDepth(t *testing.T) {
 		if queued < clients*depth/2 {
 			t.Fatalf("work queues peaked at %d tasks in all: not the %d-deep burst this test is about", queued, clients*depth)
 		}
-		if max := (freeLists{wqes: 4 * clients * depth, tasks: queued + cfg.Workers + 2*cfg.Shards, cqes: 2 * clients * depth}); first.wqes > max.wqes || first.tasks > max.tasks || first.cqes > max.cqes ||
-			first.wqes == 0 || first.tasks == 0 || first.cqes == 0 {
+		if max := (freeLists{wqes: 4 * clients * depth, tasks: queued + cfg.Workers + 2*cfg.Shards, cqes: 2 * clients * depth, requests: cfg.Workers}); first.wqes > max.wqes || first.tasks > max.tasks || first.cqes > max.cqes || first.requests > max.requests ||
+			first.wqes == 0 || first.tasks == 0 || first.cqes == 0 || first.requests == 0 {
 			t.Errorf("free lists after the burst = %+v, want each used and at most the peak in flight %+v", first, max)
 		}
 		burst()
@@ -98,6 +101,16 @@ func TestFreeListsBoundedByBurstDepth(t *testing.T) {
 		}
 	})
 	sim.Run()
+}
+
+// TestPendingFitsItsSizeClass pins a pending at 480 bytes, one of the
+// allocator's size classes: one more field, or a larger read-list store,
+// costs every call the next class (+32 bytes), so what goes in must come out
+// of padding or another field.
+func TestPendingFitsItsSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(pending{}); n != 480 {
+		t.Errorf("a pending is %d bytes, want 480", n)
+	}
 }
 
 // The answer to a retransmission can arrive while the first reply is still

@@ -20,6 +20,7 @@ type scaleEnv struct {
 	server  *ibsim.Node
 	clients []*ibsim.Node
 	st      *ServerTransport
+	disp    *oncrpc.Dispatcher
 	svc     *blobService
 }
 
@@ -35,9 +36,9 @@ func newScaleEnv(sim *des.Sim, nclients int) *scaleEnv {
 
 func (e *scaleEnv) startServer(p *des.Proc, cfg Config) {
 	smgr := memreg.NewManager(p, e.server, memreg.Config{})
-	disp := oncrpc.NewDispatcher()
-	disp.Register(e.svc)
-	e.st = NewServerTransport(p, e.server, smgr, disp, cfg)
+	e.disp = oncrpc.NewDispatcher()
+	e.disp.Register(e.svc)
+	e.st = NewServerTransport(p, e.server, smgr, e.disp, cfg)
 }
 
 // dial connects client i; ok reports whether admission accepted it.

@@ -66,8 +66,10 @@ loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' | xargs cat | grep -v '^\s*$$' | grep -v '^\s*//' | wc -l
 
 # allocs prints the heap allocations one simulated RPC costs per design (an
-# NFS NULL, an 8 KiB direct READ, an all-physical 64 KiB READ) and, under
-# each, the lines that allocate, in allocations per RPC (TestAllocsPerRPC).
+# NFS NULL, an 8 KiB direct READ, an all-physical 64 KiB READ), then for the
+# fan-in server (8 shards, multiplexed, affinity, Reply-Fetch: a NULL and the
+# all-physical READ) and, under each, the lines that allocate, in
+# allocations per RPC (TestAllocsPerRPC).
 allocs:
 	$(GO) test -count=1 -run 'TestAllocsPerRPC$$' -v ./internal/core/
 

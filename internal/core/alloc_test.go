@@ -19,10 +19,12 @@ import (
 // allocations: one client, one call outstanding, tracing off; per design an
 // NFS NULL (two Sends), an 8 KiB direct READ under dynamic registration, and
 // a 64 KiB buffered READ under all-physical registration (the fan-in
-// workloads' call: multi-segment chunk lists, client staging). The benchmark
-// reports the same count per workload (host_allocs_per_rpc); this fails in
-// under a second when a change to the message path adds an allocation,
-// instead of ten minutes later. The pins are the measured counts plus one.
+// workloads' call: multi-segment chunk lists, client staging); then a NULL
+// and that READ on fanin_mux_telemetry's server (8 shards, multiplexed,
+// completion affinity, Reply-Fetch). The benchmark reports the same count
+// per workload (host_allocs_per_rpc); this fails in under a second when a
+// change to the message path adds an allocation, instead of ten minutes
+// later. The pins are the measured counts plus one, rounded up.
 //
 // A design over a pin is measured again with every allocation profiled, and
 // the sites are logged as file:line and allocations per RPC, so the failure
@@ -32,13 +34,15 @@ func TestAllocsPerRPC(t *testing.T) {
 		design               rpcrdma.Design
 		null, read, physRead float64
 	}{
-		{rpcrdma.ReadWrite, 3, 9, 9},    // measured 2.00, 8.00 and 8.11
-		{rpcrdma.ReadRead, 8, 15, 20},   // 7.24, 14.25 and 19.09
-		{rpcrdma.ReplyFetch, 9, 15, 13}, // 8.00, 14.00 and 12.55
+		{rpcrdma.ReadWrite, 2, 7, 6},    // measured 1.00, 6.00 and 4.25
+		{rpcrdma.ReadRead, 8, 14, 17},   // 6.24, 12.25 and 15.15
+		{rpcrdma.ReplyFetch, 8, 13, 10}, // 7.00, 12.00 and 8.66
 	}
 	for _, pin := range pins {
-		null, read := allocsPerRPC(t, pin.design, memreg.Regular, 8<<10, true, false)
-		_, physRead := allocsPerRPC(t, pin.design, memreg.AllPhysical, 64<<10, false, false)
+		regular := Config{Design: pin.design, RegMode: memreg.Regular}
+		physical := Config{Design: pin.design, RegMode: memreg.AllPhysical}
+		null, read := allocsPerRPC(t, regular, 8<<10, true, false)
+		_, physRead := allocsPerRPC(t, physical, 64<<10, false, false)
 		t.Logf("%v: %.2f allocs per NULL, %.2f per 8 KiB direct READ, %.2f per all-physical 64 KiB buffered READ",
 			pin.design, null, read, physRead)
 		over := null > pin.null || read > pin.read || physRead > pin.physRead
@@ -47,9 +51,20 @@ func TestAllocsPerRPC(t *testing.T) {
 				pin.design, null, pin.null, read, pin.read, physRead, pin.physRead)
 		}
 		if over || testing.Verbose() {
-			allocsPerRPC(t, pin.design, memreg.Regular, 8<<10, true, true)
-			allocsPerRPC(t, pin.design, memreg.AllPhysical, 64<<10, false, true)
+			allocsPerRPC(t, regular, 8<<10, true, true)
+			allocsPerRPC(t, physical, 64<<10, false, true)
 		}
+	}
+	fanIn := Config{Design: rpcrdma.ReplyFetch, RegMode: memreg.AllPhysical, ServerShards: 8, Multiplex: true, Affinity: true}
+	const fanInNull, fanInRead = 6, 10 // measured 5.00 and 8.66
+	null, read := allocsPerRPC(t, fanIn, 64<<10, false, false)
+	t.Logf("fan-in (%v, 8 shards, multiplexed, affinity): %.2f allocs per NULL, %.2f per all-physical 64 KiB buffered READ", fanIn.Design, null, read)
+	over := null > fanInNull || read > fanInRead
+	if over {
+		t.Errorf("fan-in: %.2f allocs per NULL (pin %d), %.2f per all-physical 64 KiB READ (pin %d)", null, fanInNull, read, fanInRead)
+	}
+	if over || testing.Verbose() {
+		allocsPerRPC(t, fanIn, 64<<10, false, true)
 	}
 }
 
@@ -116,20 +131,21 @@ func processesPerNull(t *testing.T, design rpcrdma.Design) (spawns, parks float6
 }
 
 // allocsPerRPC measures heap allocations per NULL and per READ of size bytes
-// on a one-client cluster. With sites set it profiles every allocation and
-// logs where those of the measured calls were made.
-func allocsPerRPC(t *testing.T, design rpcrdma.Design, mode memreg.Mode, size int, direct, sites bool) (null, read float64) {
+// on a one-client LinuxDDR RDMA cluster configured as cfg. With sites set it
+// profiles every allocation and logs where those of the measured calls were
+// made.
+func allocsPerRPC(t *testing.T, cfg Config, size int, direct, sites bool) (null, read float64) {
 	const calls = 500
 	if sites {
 		defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
 		runtime.MemProfileRate = 1
 	}
-	cluster := NewCluster(Config{
-		Profile:   profiles.LinuxDDR(),
-		Transport: TransportRDMA,
-		Design:    design,
-		RegMode:   mode,
-	})
+	cfg.Profile, cfg.Transport = profiles.LinuxDDR(), TransportRDMA
+	design, label := cfg.Design, fmt.Sprintf("%v, %v", cfg.Design, cfg.RegMode)
+	if cfg.Multiplex {
+		label += ", multiplexed"
+	}
+	cluster := NewCluster(cfg)
 	cl := cluster.Clients[0]
 	cluster.Start("pin", func(p *des.Proc) {
 		f, err := cl.Create(p, "pin.bin")
@@ -159,7 +175,7 @@ func allocsPerRPC(t *testing.T, design rpcrdma.Design, mode memreg.Mode, size in
 			}
 			runtime.ReadMemStats(&after)
 			if sites {
-				logAllocSites(t, fmt.Sprintf("%v, %v %s", design, mode, what), sitesBefore, allocSites(), calls)
+				logAllocSites(t, label+" "+what, sitesBefore, allocSites(), calls)
 			}
 			return float64(after.Mallocs-before.Mallocs) / calls
 		}

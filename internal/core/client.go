@@ -27,20 +27,22 @@ type Client struct {
 	dataCache *DataCache           // nil unless EnableDataCache was called
 	recovery  *recoveringTransport // nil unless EnableRecovery was called
 
-	// Transport counters carried over from connections retired by Reconnect,
-	// so TransportStats stays cumulative across transport swaps.
-	lostTimeouts    int64
-	lostRetransmits int64
+	// counts are the timeouts and retransmissions of every RDMA transport
+	// this client has used: each adds to them for as long as it lives.
+	counts rpcrdma.CallCounts
 }
 
-// install makes t the client's RDMA transport and the one Totals.RDMA sums
-// for this client. The transport it replaces, if any, leaves the sum, so
-// calls still failing back on it cannot disturb the totals.
+// install makes t the client's RDMA transport and the one whose credits
+// Totals.RDMA sums for this client. The transport it replaces, if any, leaves
+// the credit sums, so calls still failing back on it cannot disturb them; its
+// timeouts and retransmissions still count, in the client's counts and the
+// cluster's, as t's will.
 func (c *Client) install(t *rpcrdma.ClientTransport) {
 	if c.RDMA != nil {
 		c.RDMA.SumInto(new(rpcrdma.ClientTotals))
 	}
 	t.SumInto(&c.cluster.Totals.RDMA)
+	t.CountInto(&c.counts, &c.cluster.Totals.RDMA.CallCounts)
 	c.RDMA = t
 }
 
@@ -48,12 +50,7 @@ func (c *Client) install(t *rpcrdma.ClientTransport) {
 // retransmission counts across every connection this client has used,
 // including ones replaced by Reconnect. Zeros on TCP transports.
 func (c *Client) TransportStats() (timeouts, retransmits int64) {
-	timeouts, retransmits = c.lostTimeouts, c.lostRetransmits
-	if c.RDMA != nil {
-		timeouts += c.RDMA.Timeouts
-		retransmits += c.RDMA.Retransmits
-	}
-	return timeouts, retransmits
+	return c.counts.Timeouts, c.counts.Retransmits
 }
 
 // Buffer is client application memory used for file I/O: it is backed by a

@@ -251,10 +251,10 @@ type Cluster struct {
 // values change: the client transports' credit gates and call loops
 // (RDMA), the recovery layer, and the attribute and data caches.
 type Totals struct {
-	// RDMA sums the transports installed in Clients[i].RDMA (a transport
-	// replaced by Reconnect leaves at the swap) plus, in Timeouts and
-	// Retransmits, what Reconnect banked from retired ones: the sum over
-	// clients of TransportStats.
+	// RDMA sums the credits of the transports installed in Clients[i].RDMA
+	// (a transport replaced by Reconnect leaves at the swap) and, in Timeouts
+	// and Retransmits, the events of every transport a client has used: the
+	// sum over clients of TransportStats.
 	RDMA rpcrdma.ClientTotals
 
 	Reconnects, Replays  int64 // recovery layer, all clients

@@ -24,12 +24,6 @@ func (c *Client) Reconnect(p *des.Proc) error {
 	if c.RDMA == nil {
 		return fmt.Errorf("core: reconnect applies to RDMA transports only")
 	}
-	// Bank the retired connection's counters so TransportStats stays
-	// cumulative across the swap; the cluster totals bank them with it.
-	c.lostTimeouts += c.RDMA.Timeouts
-	c.lostRetransmits += c.RDMA.Retransmits
-	c.cluster.Totals.RDMA.Timeouts += c.RDMA.Timeouts
-	c.cluster.Totals.RDMA.Retransmits += c.RDMA.Retransmits
 	c.RDMA.Close()
 	nt, err := connectRDMA(p, c)
 	if err != nil {

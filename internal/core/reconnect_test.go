@@ -71,6 +71,74 @@ func TestReconnectRestoresService(t *testing.T) {
 	cluster.Run()
 }
 
+// TestReconnectCountsEveryTimeoutOnce: a transport's timeouts stay counted,
+// exactly once, in TransportStats and in Totals.RDMA however Reconnect replaces
+// it. With one credit, a NULL waits for the credit of another that the server
+// crash fails; it then posts on the dead connection and times out 100 µs
+// later, on a transport Reconnect is already retiring. In "during the dial"
+// the timeout expires while Reconnect redials a server that is down; in
+// "failed redial" it expires first, the redial fails (the transport stays
+// installed) and a later one succeeds.
+func TestReconnectCountsEveryTimeoutOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		wait    des.Duration // from the crash to the first Reconnect
+		failing bool         // the first Reconnect runs out of dial attempts
+	}{
+		{"during the dial", 10 * time.Microsecond, false},
+		{"failed redial", 300 * time.Microsecond, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			prof := profiles.LinuxSDR()
+			prof.RDMAClient.Credits = 1
+			prof.RDMAClient.CallTimeout = 100 * time.Microsecond
+			cluster := NewCluster(Config{Profile: prof, Transport: TransportRDMA, Design: rpcrdma.ReadWrite})
+			cl := cluster.Clients[0]
+			check := func(when string) {
+				t.Helper()
+				if to, _ := cl.TransportStats(); to != 1 || cluster.Totals.RDMA.Timeouts != 1 {
+					t.Errorf("%s: TransportStats timeouts %d, Totals.RDMA.Timeouts %d, want 1 and 1", when, to, cluster.Totals.RDMA.Timeouts)
+				}
+			}
+			cluster.Start("t", func(p *des.Proc) {
+				failed := des.NewQueue(p.Sim(), "failed")
+				for i := 0; i < 2; i++ {
+					p.Sim().Spawn("null", func(np *des.Proc) { failed.Put(cl.NFS.Null(np)) })
+				}
+				p.Sleep(5 * time.Microsecond) // the first NULL is in flight, the second waits for its credit
+				cluster.CrashServer(p)
+				p.Sleep(tc.wait)
+				if tc.failing {
+					if err := cl.Reconnect(p); err == nil {
+						t.Fatal("reconnect to a crashed server succeeded")
+					}
+					check("after a failed redial")
+					cluster.RestartServer(p)
+				} else {
+					cluster.Sim.Spawn("restart", func(rp *des.Proc) {
+						rp.Sleep(300 * time.Microsecond)
+						cluster.RestartServer(rp)
+					})
+				}
+				if err := cl.Reconnect(p); err != nil {
+					t.Fatalf("reconnect: %v", err)
+				}
+				for i := 0; i < 2; i++ {
+					if v, _ := failed.Get(p); v == nil {
+						t.Errorf("a NULL on the crashed connection succeeded")
+					}
+				}
+				check("after the reconnect")
+				if err := cl.NFS.Null(p); err != nil {
+					t.Errorf("NULL after the reconnect: %v", err)
+				}
+				check("after a call on the new connection")
+			})
+			cluster.Run()
+		})
+	}
+}
+
 // TestBrokenConnectionReleasesParkedReplies: reply buffers a dead client
 // never acknowledged must be reclaimed when the connection drops — without
 // this, §4.1's resource pinning would outlive the attacker.

@@ -67,6 +67,11 @@ var _ oncrpc.Framer = (*recoveringTransport)(nil)
 // call for that (oncrpc.Request.Frame).
 func (r *recoveringTransport) Room(req *oncrpc.Request) int { return r.cl.RDMA.Room(req) }
 
+// NewRequest implements oncrpc.Framer: the request comes with the call state
+// of the RDMA transport underneath. A replay on a fresh connection gets state
+// of its own there.
+func (r *recoveringTransport) NewRequest() *oncrpc.Request { return r.cl.RDMA.NewRequest() }
+
 // isTransportError reports whether err means the connection (not the call)
 // failed: such calls are safe to replay on a fresh connection because the
 // server's DRC answers retransmissions of anything that already executed.

@@ -497,26 +497,29 @@ func TestPhysicalRunsCoverBuffer(t *testing.T) {
 	sim := des.New()
 	fab := NewFabric(sim, false)
 	n := fab.AddNode(NodeConfig{Name: "n", MeanPhysRun: 32 << 10})
+	count := func(b *Buffer) int {
+		runs, next := 0, 0
+		b.EachRun(0, b.Size, func(off, n int) {
+			if off != next || n <= 0 {
+				t.Fatalf("run at %d of %d bytes follows one ending at %d", off, n, next)
+			}
+			runs, next = runs+1, off+n
+		})
+		if next != b.Size {
+			t.Fatalf("runs cover %d bytes, want %d", next, b.Size)
+		}
+		return runs
+	}
 	for _, size := range []int{4096, 128 << 10, 1 << 20} {
-		b := n.Mem.Alloc(size)
-		runs := b.PhysicalRuns(0, size)
-		sum := 0
-		for _, r := range runs {
-			sum += r
-		}
-		if sum != size {
-			t.Fatalf("runs sum to %d, want %d", sum, size)
-		}
+		count(n.Mem.Alloc(size))
 	}
 	// A 128 KiB buffer with 32 KiB mean runs should need several segments.
-	b := n.Mem.Alloc(128 << 10)
-	if runs := b.PhysicalRuns(0, 128<<10); len(runs) < 2 {
-		t.Fatalf("expected fragmentation, got %d runs", len(runs))
+	if runs := count(n.Mem.Alloc(128 << 10)); runs < 2 {
+		t.Fatalf("expected fragmentation, got %d runs", runs)
 	}
 	// A contiguous allocation is one run.
-	cb := n.Mem.AllocContiguous(128 << 10)
-	if runs := cb.PhysicalRuns(0, 128<<10); len(runs) != 1 {
-		t.Fatalf("contiguous alloc has %d runs", len(runs))
+	if runs := count(n.Mem.AllocContiguous(128 << 10)); runs != 1 {
+		t.Fatalf("contiguous alloc has %d runs", runs)
 	}
 }
 

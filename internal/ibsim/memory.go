@@ -56,36 +56,29 @@ func (b *Buffer) Bytes(off, n int) []byte {
 	return b.data[off : off+n]
 }
 
-// PhysicalRuns returns the lengths of the physically contiguous extents
-// covering [off, off+n) of the buffer, in order. DMA addressed by physical
-// pages (the all-physical / global steering tag mode) needs one descriptor —
-// and hence one RPC/RDMA chunk segment — per run.
-//
-// The result may alias the buffer's own run list (it does for a whole-buffer
-// request) and must not be modified.
-func (b *Buffer) PhysicalRuns(off, n int) []int {
+// EachRun calls f with each physically contiguous extent covering
+// [off, off+n) of the buffer, in order: the offset in the buffer it starts at
+// and its length. DMA addressed by physical pages (the all-physical / global
+// steering tag mode) needs one descriptor — and hence one RPC/RDMA chunk
+// segment — per run. The walk allocates nothing, so a registration keeps no
+// list of them.
+func (b *Buffer) EachRun(off, n int, f func(off, n int)) {
 	if off < 0 || n < 0 || off+n > b.Size {
-		panic(fmt.Sprintf("ibsim: PhysicalRuns [%d,%d) outside size %d", off, off+n, b.Size))
+		panic(fmt.Sprintf("ibsim: EachRun [%d,%d) outside size %d", off, off+n, b.Size))
 	}
-	if off == 0 && n == b.Size {
-		return b.runs[:len(b.runs):len(b.runs)]
-	}
-	out := make([]int, 0, len(b.runs))
 	pos := 0
 	for _, run := range b.runs {
-		runStart, runEnd := pos, pos+run
-		pos = runEnd
-		if runEnd <= off {
+		start, end := pos, pos+run
+		pos = end
+		if end <= off {
 			continue
 		}
-		if runStart >= off+n {
-			break
+		if start >= off+n {
+			return
 		}
-		s := max(runStart, off)
-		e := min(runEnd, off+n)
-		out = append(out, e-s)
+		s := max(start, off)
+		f(s, min(end, off+n)-s)
 	}
-	return out
 }
 
 // Freed reports whether the buffer has been released.

@@ -78,20 +78,31 @@ type Segment struct {
 	Len  int
 }
 
-// Registration is a live registration of some buffer range. A registration
-// of one extent — regular, FMR, or an all-physical buffer that is one
-// physical run — holds its segment itself; only a multi-run all-physical one
-// allocates a list.
+// Registration is a live registration of some buffer range: the range as
+// one extent (steering tag, start address, length) and, under all-physical
+// registration, the buffer whose physical runs split it into segments. No
+// registration holds a list of segments: Each walks them.
 type Registration struct {
-	segs  []Segment // first[:] unless the range spans several physical runs
-	first [1]Segment
-	mr    *ibsim.MR        // non-nil for regular registrations
-	fmr   *ibsim.FMRHandle // non-nil when mapped through an FMR handle
+	extent Segment
+	buf    *ibsim.Buffer    // non-nil for all-physical registrations
+	mr     *ibsim.MR        // non-nil for regular registrations
+	fmr    *ibsim.FMRHandle // non-nil when mapped through an FMR handle
 }
 
-// Segments returns the RDMA-addressable extents covering the registered
-// range, in order.
-func (r *Registration) Segments() []Segment { return r.segs }
+// Each calls f with each RDMA-addressable extent covering the registered
+// range, in order: the range itself, or under all-physical registration one
+// segment per physically contiguous run of it. A deregistered registration
+// has none.
+func (r *Registration) Each(f func(Segment)) {
+	switch {
+	case r.buf != nil:
+		r.buf.EachRun(int(r.extent.Addr-r.buf.Base), r.extent.Len, func(off, n int) {
+			f(Segment{Rkey: r.extent.Rkey, Addr: r.buf.Addr(off), Len: n})
+		})
+	case r.extent.Len > 0:
+		f(r.extent)
+	}
+}
 
 // Config tunes a Manager.
 type Config struct {
@@ -182,7 +193,7 @@ func sizeClass(size int) int {
 }
 
 // Chunk is a transport-owned staging buffer plus its registration: one heap
-// object holding the buffer, the registration and its first segment. Outside
+// object holding the buffer and the registration. Outside
 // the cache mode (whose slab keeps chunks registered, which is its point) a
 // chunk is never reused: once Put, its address resolves to nothing and its
 // MR stays invalid for good. Buf is the whole allocation, a cache-mode
@@ -297,8 +308,7 @@ func (m *Manager) register(p *des.Proc, r *Registration, mode Mode, buf *ibsim.B
 			m.fmrFree = m.fmrFree[:len(m.fmrFree)-1]
 			mr := h.Map(p, buf, off, length, access)
 			m.stat.FMRMaps++
-			*r = Registration{first: [1]Segment{{Rkey: mr.Rkey(), Addr: mr.Start(), Len: length}}, fmr: h}
-			r.segs = r.first[:]
+			*r = Registration{extent: Segment{Rkey: mr.Rkey(), Addr: mr.Start(), Len: length}, fmr: h}
 			return
 		}
 		m.stat.FMRFallback++
@@ -306,26 +316,16 @@ func (m *Manager) register(p *des.Proc, r *Registration, mode Mode, buf *ibsim.B
 	case Regular, Cache:
 		mr := m.hca.Register(p, buf, off, length, access)
 		m.stat.Registers++
-		*r = Registration{first: [1]Segment{{Rkey: mr.Rkey(), Addr: mr.Start(), Len: length}}, mr: mr}
-		r.segs = r.first[:]
+		*r = Registration{extent: Segment{Rkey: mr.Rkey(), Addr: mr.Start(), Len: length}, mr: mr}
 	case AllPhysical:
 		// No per-operation cost: the global steering tag addresses pinned
 		// physical memory directly, one segment per physically contiguous
-		// run.
+		// run (Each).
 		g := m.hca.GlobalMR()
 		if g == nil {
 			panic("memreg: all-physical mode without global rkey enabled")
 		}
-		runs := buf.PhysicalRuns(off, length)
-		r.segs = r.first[:0]
-		if len(runs) > 1 {
-			r.segs = make([]Segment, 0, len(runs))
-		}
-		pos := off
-		for _, run := range runs {
-			r.segs = append(r.segs, Segment{Rkey: g.Rkey(), Addr: buf.Addr(pos), Len: run})
-			pos += run
-		}
+		*r = Registration{extent: Segment{Rkey: g.Rkey(), Addr: buf.Addr(off), Len: length}, buf: buf}
 	default:
 		panic("memreg: unknown mode")
 	}
@@ -336,12 +336,10 @@ func (m *Manager) deregister(p *des.Proc, r *Registration) {
 	case r.fmr != nil:
 		r.fmr.Unmap(p)
 		m.fmrFree = append(m.fmrFree, r.fmr)
-		r.fmr = nil
 	case r.mr != nil:
 		m.hca.Deregister(p, r.mr)
-		r.mr = nil
 	}
-	r.segs = nil
+	*r = Registration{}
 }
 
 // cacheGet serves a buffer from the slab, registering only on miss.

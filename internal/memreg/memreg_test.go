@@ -44,8 +44,8 @@ func TestRegularChargesFullCost(t *testing.T) {
 	took := timeOp(t, node, func(p *des.Proc) {
 		m := NewManager(p, node, Config{Mode: Regular})
 		c := m.Get(p, 128<<10, ibsim.AccessLocalWrite)
-		if len(c.Reg.Segments()) != 1 {
-			t.Errorf("segments = %d, want 1", len(c.Reg.Segments()))
+		if n := len(segments(c.Reg)); n != 1 {
+			t.Errorf("segments = %d, want 1", n)
 		}
 		m.Put(p, c)
 	})
@@ -130,9 +130,9 @@ func TestAllPhysicalZeroCostButFragmented(t *testing.T) {
 	took := timeOp(t, node, func(p *des.Proc) {
 		m := NewManager(p, node, Config{Mode: AllPhysical})
 		c := m.Get(p, 128<<10, ibsim.AccessLocalWrite)
-		segs = len(c.Reg.Segments())
+		segs = len(segments(c.Reg))
 		total := 0
-		for _, s := range c.Reg.Segments() {
+		for _, s := range segments(c.Reg) {
 			if s.Rkey != node.HCA.GlobalMR().Rkey() {
 				t.Error("segment not using global rkey")
 			}
@@ -246,7 +246,7 @@ func TestExternalRegistrationModes(t *testing.T) {
 				user := node.Mem.Alloc(256 << 10)
 				r := m.RegisterExternal(p, user, 4096, 128<<10, ibsim.AccessRemoteWrite)
 				total := 0
-				for _, s := range r.Segments() {
+				for _, s := range segments(r) {
 					total += s.Len
 				}
 				if total != 128<<10 {
@@ -317,7 +317,7 @@ func TestStagingMaterializedByPurpose(t *testing.T) {
 						t.Errorf("copy=%v %v: %s materialized = %v, want %v", copyData, mode, name, got, wantPayload)
 					}
 					covered := 0
-					for _, s := range c.Reg.Segments() {
+					for _, s := range segments(c.Reg) {
 						covered += s.Len
 					}
 					if covered < size {
@@ -334,25 +334,28 @@ func TestStagingMaterializedByPurpose(t *testing.T) {
 }
 
 // TestChunkIsOneObject pins what a Get plus its Put costs the host: the
-// chunk holds its buffer, its registration and that registration's first
-// segment, so an all-physical chunk of one physical run is one allocation, a
-// regular one two (the chunk and the TPT entry, which stays its own object),
-// and a cache hit none.
+// chunk holds its buffer and its registration, which stores no segment list,
+// so an all-physical chunk is one allocation however many physical runs it
+// spans, a regular one two (the chunk and the TPT entry, which stays its own
+// object), and a cache hit none.
 func TestChunkIsOneObject(t *testing.T) {
 	for _, tc := range []struct {
 		mode Mode
+		size int // 4 KiB is one physical run, 128 KiB several
 		want float64
-	}{{AllPhysical, 1}, {Regular, 2}, {Cache, 0}} {
+	}{{AllPhysical, 4096, 1}, {AllPhysical, 128 << 10, 1}, {Regular, 4096, 2}, {Cache, 4096, 0}} {
 		sim := des.New()
 		node := costNode(sim)
 		sim.Spawn("op", func(p *des.Proc) {
 			m := NewManager(p, node, Config{Mode: tc.mode})
-			m.Put(p, m.Get(p, 4096, ibsim.AccessLocalWrite)) // one page: one physical run; warms the slab
+			m.Put(p, m.Get(p, tc.size, ibsim.AccessLocalWrite)) // warms the slab
 			allocs := testing.AllocsPerRun(100, func() {
-				m.Put(p, m.Get(p, 4096, ibsim.AccessLocalWrite))
+				c := m.Get(p, tc.size, ibsim.AccessLocalWrite)
+				c.Reg.Each(func(Segment) {})
+				m.Put(p, c)
 			})
 			if allocs != tc.want {
-				t.Errorf("%v: Get+Put allocates %.0f objects, want %.0f", tc.mode, allocs, tc.want)
+				t.Errorf("%v, %d bytes: Get+Put allocates %.0f objects, want %.0f", tc.mode, tc.size, allocs, tc.want)
 			}
 		})
 		sim.Run()

@@ -293,7 +293,9 @@ func TestReadRejectsDataLengthOtherThanCount(t *testing.T) {
 // a frame that is not a call must allocate at most one object, and one that
 // is at most 64 objects plus one per byte of frame; a call that decodes gets
 // a reply that DecodeReply reads, with the call's XID, and the room in front
-// of it left zero.
+// of it left zero; a call that is denied (another RPC version, a credential
+// or verifier not accepted) gets a MSG_DENIED reply with its XID, the room in
+// front of it left zero, or no reply when the frame is not a call at all.
 func FuzzDispatch(f *testing.F) {
 	root := FH{FSID: 0x5eed, FileID: 1}
 	mode := uint32(0644)
@@ -334,11 +336,18 @@ func FuzzDispatch(f *testing.F) {
 				reply, _, err := d.Dispatch(p, call, opts)
 				runtime.ReadMemStats(&after)
 				if err != nil {
-					// A rejection changes nothing but BadCalls, so it is measured
-					// over several runs: the fuzzing engine's own goroutines
-					// allocate now and then while one runs.
+					// A rejection changes nothing but BadCalls, and carves a
+					// denied call's reply from the dispatcher's block, so it is
+					// measured over several runs: the fuzzing engine's own
+					// goroutines allocate now and then while one runs.
 					if n := testing.AllocsPerRun(10, func() { d.Dispatch(p, call, opts) }); n > 1 {
 						t.Errorf("room %d: rejecting a %d-byte frame (%v) allocated %.0f objects", room, len(call), err, n)
+					}
+					if reply == nil {
+						continue
+					}
+					if xid, _, _, derr := oncrpc.DecodeReply(reply[room:]); derr != oncrpc.ErrDenied || xid != binary.BigEndian.Uint32(call) || !bytes.Equal(reply[:room], make([]byte, room)) {
+						t.Errorf("room %d: a call rejected with %v is answered %x: XID %#x, %v; want MSG_DENIED to %#x behind a zero room", room, err, reply, xid, derr, binary.BigEndian.Uint32(call))
 					}
 					continue
 				}

@@ -32,19 +32,22 @@ type CallOpts struct {
 // Call marshals and performs one RPC. args appends the procedure's
 // arguments to the call (nil for none); it is called before Call returns and
 // not kept. The call is marshalled inside its Request (callStore), behind
-// the room a Framer asks for. Call returns the inline result bytes and the
-// number of payload bytes placed into opts.RecvBulk.
+// the room a Framer asks for, in a Request the Framer allocated. Call returns
+// the inline result bytes and the number of payload bytes placed into
+// opts.RecvBulk.
 func (c *Client) Call(p *des.Proc, proc uint32, args func(*xdr.Encoder), opts CallOpts) (results []byte, bulkLen int, err error) {
 	c.nextXID++
 	xid := c.nextXID
-	req := &Request{
-		XID:          xid,
-		SendBulk:     opts.SendBulk,
-		RecvBulk:     opts.RecvBulk,
-		LongReplyCap: opts.LongReplyCap,
-		DirectIO:     opts.DirectIO,
+	f, framer := c.transport.(Framer)
+	var req *Request
+	if framer {
+		req = f.NewRequest()
+	} else {
+		req = new(Request)
 	}
-	if f, ok := c.transport.(Framer); ok {
+	req.XID, req.DirectIO = xid, opts.DirectIO
+	req.SendBulk, req.RecvBulk, req.LongReplyCap = opts.SendBulk, opts.RecvBulk, opts.LongReplyCap
+	if framer {
 		req.Room = f.Room(req)
 	}
 	hdr := c.call

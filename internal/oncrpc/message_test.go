@@ -2,6 +2,7 @@ package oncrpc
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
 	"testing"
 	"unsafe"
@@ -133,4 +134,59 @@ func TestMessagesOutgrowingTheirStores(t *testing.T) {
 		}
 	})
 	sim.Run()
+}
+
+// TestDispatchDeniesWhatItDoesNotSpeak: a call that decoded as far as its XID
+// but is of another RPC version, or carries a credential or verifier this
+// package does not accept, is answered with RFC 5531's MSG_DENIED reply,
+// behind the transport's room, and counted in BadCalls; a frame that is not
+// a call gets no reply. Denying allocates nothing once the reply block is
+// there.
+func TestDispatchDeniesWhatItDoesNotSpeak(t *testing.T) {
+	call := func(h CallHeader) []byte { h.XID, h.Prog, h.Vers = 9, 777, 1; return EncodeCall(&h, nil) }
+	version := call(CallHeader{})
+	version[11] = 3 // rpcvers
+	manyGIDs := Auth{Flavor: AuthSys, Machine: "c", GIDs: make([]uint32, maxGIDs+1)}
+	for _, tc := range []struct {
+		name  string
+		frame []byte
+		words []uint32 // what follows the XID, or nil for no reply
+	}{
+		{"rpc version 3", version, []uint32{msgTypeReply, replyStatDenied, rejectRPCMismatch, 2, 2}},
+		{"RPCSEC_GSS credential", call(CallHeader{Cred: Auth{Flavor: 6}}), []uint32{msgTypeReply, replyStatDenied, rejectAuthError, authBadCred}},
+		{"AUTH_SYS with 17 gids", call(CallHeader{Cred: manyGIDs}), []uint32{msgTypeReply, replyStatDenied, rejectAuthError, authBadCred}},
+		{"RPCSEC_GSS verifier", call(CallHeader{Verf: Auth{Flavor: 6}}), []uint32{msgTypeReply, replyStatDenied, rejectAuthError, authBadVerf}},
+		{"truncated", version[:10], nil},
+		{"a reply", EncodeReply(9, Success, nil), nil},
+	} {
+		d := NewDispatcher()
+		d.Register(echoService{})
+		sim := des.New()
+		sim.Spawn("t", func(p *des.Proc) {
+			reply, _, err := d.Dispatch(p, tc.frame, DispatchOpts{Room: 28})
+			if err == nil || d.BadCalls() != 1 {
+				t.Errorf("%s: err %v, BadCalls %d; want an error, counted", tc.name, err, d.BadCalls())
+			}
+			if tc.words == nil {
+				if reply != nil {
+					t.Errorf("%s: reply %x, want none", tc.name, reply)
+				}
+				return
+			}
+			want := binary.BigEndian.AppendUint32(make([]byte, 28), 9)
+			for _, w := range tc.words {
+				want = binary.BigEndian.AppendUint32(want, w)
+			}
+			if !bytes.Equal(reply, want) {
+				t.Errorf("%s: reply %x, want %x", tc.name, reply, want)
+			}
+			if _, _, _, err := DecodeReply(reply[28:]); err != ErrDenied {
+				t.Errorf("%s: the reply decodes with %v, want ErrDenied", tc.name, err)
+			}
+			if allocs := testing.AllocsPerRun(10, func() { d.Dispatch(p, tc.frame, DispatchOpts{Room: 28}) }); allocs != 0 {
+				t.Errorf("%s: denying allocates %.0f objects", tc.name, allocs)
+			}
+		})
+		sim.Run()
+	}
 }

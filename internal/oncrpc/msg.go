@@ -23,6 +23,12 @@ const (
 
 	replyStatAccepted = 0
 	replyStatDenied   = 1
+
+	// Why a call is denied: its reject_stat and, for AUTH_ERROR, auth_stat.
+	rejectRPCMismatch = 0
+	rejectAuthError   = 1
+	authBadCred       = 1
+	authBadVerf       = 3
 )
 
 // AcceptStat is the accepted-reply status.
@@ -84,15 +90,16 @@ type Auth struct {
 }
 
 // What a message is rejected with: made once, so that rejecting one costs the
-// host nothing. errBadAuth rejects a credential that is not the canonical
-// encoding of a flavour this package speaks: only AUTH_NONE with an empty
-// body and an AUTH_SYS body holding exactly its fields decode.
+// host nothing. errBadAuth rejects a credential, errBadVerf a verifier, that
+// is not the canonical encoding of a flavour this package speaks: only
+// AUTH_NONE with an empty body and an AUTH_SYS body holding exactly its
+// fields, at most maxGIDs of them, decode.
 var (
 	errBadAuth    = errors.New("oncrpc: malformed or unsupported credential")
+	errBadVerf    = errors.New("oncrpc: malformed or unsupported verifier")
 	errNotCall    = fmt.Errorf("%w: message type is not CALL", ErrBadReply)
 	errNotReply   = fmt.Errorf("%w: message type is not REPLY", ErrBadReply)
 	errRPCVersion = fmt.Errorf("%w: rpc version is not %d", ErrBadReply, RPCVersion)
-	errGIDCount   = fmt.Errorf("%w: more than %d gids", ErrBadReply, maxGIDs)
 )
 
 // maxGIDs bounds an AUTH_SYS credential's gid list (RFC 5531 appendix A).
@@ -130,7 +137,8 @@ func (a *Auth) encode(e *xdr.Encoder) {
 // decodeAuth decodes an opaque_auth into a, all but an AUTH_SYS body's
 // machine name and gid list: those it returns as they lie in the frame, for
 // a.setSys to copy out once the whole message has decoded, so that a message
-// that does not decode allocates nothing.
+// that does not decode allocates nothing. A body that the frame holds but that
+// is not one decodeAuth accepts is errBadAuth.
 func decodeAuth(d *xdr.Decoder, a *Auth) (machine, gids []byte, err error) {
 	f, err := d.Uint32()
 	if err != nil {
@@ -149,28 +157,22 @@ func decodeAuth(d *xdr.Decoder, a *Auth) (machine, gids []byte, err error) {
 	}
 	bd := xdr.NewDecoder(body)
 	if a.Stamp, err = bd.Uint32(); err != nil {
-		return nil, nil, err
+		return nil, nil, errBadAuth
 	}
 	if machine, err = bd.Opaque(); err != nil {
-		return nil, nil, err
+		return nil, nil, errBadAuth
 	}
 	if a.UID, err = bd.Uint32(); err != nil {
-		return nil, nil, err
+		return nil, nil, errBadAuth
 	}
 	if a.GID, err = bd.Uint32(); err != nil {
-		return nil, nil, err
+		return nil, nil, errBadAuth
 	}
 	n, err := bd.Uint32()
-	if err != nil {
-		return nil, nil, err
+	if err != nil || n > maxGIDs {
+		return nil, nil, errBadAuth
 	}
-	if n > maxGIDs {
-		return nil, nil, errGIDCount
-	}
-	if gids, err = bd.FixedOpaque(4 * int(n)); err != nil {
-		return nil, nil, err
-	}
-	if bd.Remaining() != 0 {
+	if gids, err = bd.FixedOpaque(4 * int(n)); err != nil || bd.Remaining() != 0 {
 		return nil, nil, errBadAuth
 	}
 	return machine, gids, nil
@@ -266,6 +268,9 @@ func decodeCall(h *CallHeader, msg []byte, peer string) ([]byte, error) {
 		return nil, err
 	}
 	verfMachine, verfGIDs, err := decodeAuth(d, &h.Verf)
+	if err == errBadAuth {
+		err = errBadVerf
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -285,6 +290,30 @@ func DecodeCall(msg []byte) (*CallHeader, []byte, error) {
 	out := h // only a header that decoded reaches the heap
 	return &out, args, nil
 }
+
+// denial returns what follows reply_stat in the MSG_DENIED reply (RFC 5531)
+// owed to a call decodeCall rejected with err once its XID had decoded: for
+// an RPC version other than 2, RPC_MISMATCH and 2 as the lowest and highest
+// version spoken; for a credential or verifier not accepted, AUTH_ERROR and
+// AUTH_BADCRED or AUTH_BADVERF. Any other rejection is of a frame that is not
+// a call, owed nothing: denial returns nil.
+func denial(err error) []uint32 {
+	switch err {
+	case errRPCVersion:
+		return deniedVersion
+	case errBadAuth:
+		return deniedCred
+	case errBadVerf:
+		return deniedVerf
+	}
+	return nil
+}
+
+var (
+	deniedVersion = []uint32{rejectRPCMismatch, RPCVersion, RPCVersion}
+	deniedCred    = []uint32{rejectAuthError, authBadCred}
+	deniedVerf    = []uint32{rejectAuthError, authBadVerf}
+)
 
 // replyPrefix is the encoded length of an accepted reply up to its results:
 // XID, message type, reply status, an AUTH_NONE verifier and the accept

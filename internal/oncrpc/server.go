@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/des"
 	"repro/internal/trace"
+	"repro/internal/xdr"
 )
 
 // ProcNamer is implemented by services that can name their procedures for
@@ -84,8 +85,8 @@ type DispatchOpts struct {
 	Peer string
 }
 
-// BadCalls returns how many messages Dispatch dropped because they did not
-// decode as an ONC RPC call.
+// BadCalls returns how many messages Dispatch rejected because they did not
+// decode as an ONC RPC call it accepts: those it dropped, and those it denied.
 func (d *Dispatcher) BadCalls() int64 { return d.badCalls }
 
 // Dispatch executes one raw call message and returns the marshaled reply,
@@ -93,14 +94,16 @@ func (d *Dispatcher) BadCalls() int64 { return d.badCalls }
 // caller's, plus any reply payload for placement.
 //
 // A nil error with a non-Success accept status is a protocol-level rejection
-// encoded in the reply. A non-nil error means the call could not even be
-// parsed (counted in BadCalls; no reply is owed, and nothing is allocated).
-// That includes a call whose credential or verifier is not AUTH_NONE or
-// AUTH_SYS in its canonical encoding: it is dropped, not answered with
-// MSG_DENIED/AUTH_ERROR, so its sender retransmits until it gives up (the
-// simulated clients send no other). A nil reply with a nil error means the
-// call was a retransmission of a request still executing: the transport must
-// drop it silently — the original execution will produce the reply.
+// encoded in the reply. A non-nil error means the call did not decode, and is
+// counted in BadCalls. A call of an RPC version other than 2, or whose
+// credential or verifier is not AUTH_NONE or AUTH_SYS in its canonical
+// encoding, is still owed a reply once its XID decoded: the MSG_DENIED reply
+// comes back with the error (RFC 5531 RPC_MISMATCH, AUTH_ERROR), so that its
+// sender fails at once instead of retransmitting until it gives up. Any other
+// error comes with no reply, and nothing is allocated. A nil reply with a nil
+// error means the call was a retransmission of a request still executing: the
+// transport must drop it silently — the original execution will produce the
+// reply.
 //
 // The ServerRequest the service sees is the dispatcher's, reused once
 // Dispatch returns; the reply is carved from the dispatcher's blocks
@@ -110,7 +113,7 @@ func (d *Dispatcher) Dispatch(p *des.Proc, rawCall []byte, opts DispatchOpts) (r
 	args, err := decodeCall(&call, rawCall, opts.Peer)
 	if err != nil {
 		d.badCalls++
-		return nil, nil, err
+		return d.deny(call.XID, err, opts.Room), nil, err
 	}
 	req := d.free.Get()
 	defer d.put(req)
@@ -182,6 +185,24 @@ func (d *Dispatcher) Dispatch(p *des.Proc, rawCall []byte, opts DispatchOpts) (r
 		d.drc.commit(drcID, key, reply[opts.Room:], resp.Bulk)
 	}
 	return reply, resp.Bulk, nil
+}
+
+// deny returns the MSG_DENIED reply a call with XID xid that decodeCall
+// rejected with err is owed, behind room zero bytes, or nil (denial).
+func (d *Dispatcher) deny(xid uint32, err error, room int) []byte {
+	stat := denial(err)
+	if stat == nil {
+		return nil
+	}
+	var e xdr.Encoder
+	e.Reset(d.newReply(room, 4*(3+len(stat))))
+	e.Uint32(xid)
+	e.Uint32(msgTypeReply)
+	e.Uint32(replyStatDenied)
+	for _, w := range stat {
+		e.Uint32(w)
+	}
+	return e.Bytes()
 }
 
 // put takes a request back once Dispatch is done with it. Nothing keeps it:

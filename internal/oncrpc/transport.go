@@ -30,6 +30,11 @@ func NewBulk(data []byte) *Bulk {
 type Request struct {
 	XID uint32
 
+	// DirectIO marks RecvBulk as application memory eligible for the
+	// zero-copy direct-I/O placement path (no staging copy at the client).
+	DirectIO bool
+	framed   bool // Frame handed out the room (kept beside XID: one word)
+
 	// Header is the fully marshaled RPC call (header + inline args).
 	Header []byte
 
@@ -54,16 +59,16 @@ type Request struct {
 	// expected size, letting RDMA transports set up a reply chunk.
 	LongReplyCap int
 
-	// DirectIO marks RecvBulk as application memory eligible for the
-	// zero-copy direct-I/O placement path (no staging copy at the client).
-	DirectIO bool
+	// State is the transport's own state for this call when the transport
+	// made the request (Framer.NewRequest), nil otherwise: what lets it keep
+	// the two in one object.
+	State any
 
 	// wire is where Call marshals the call: Room bytes, then Header. It
 	// appends to store, so that a call that fits there allocates nothing but
 	// the request; one that outgrows it moves by append.
-	wire   xdr.Encoder
-	framed bool
-	store  [callStore]byte
+	wire  xdr.Encoder
+	store [callStore]byte
 }
 
 // callStore is how many bytes a Request holds for its call inline: the
@@ -109,8 +114,12 @@ type Transport interface {
 // call (RPC/RDMA). Call marshals the call Room(req) bytes into its buffer so
 // that the transport writes that header in place (Request.Frame) instead of
 // copying the call behind it. Room sees the request before Header is built.
+//
+// NewRequest returns the zero Request Call fills in, allocated with the
+// transport's state for the call (Request.State), as one object.
 type Framer interface {
 	Room(req *Request) int
+	NewRequest() *Request
 }
 
 // ServerRequest is one received call as seen by the service dispatcher.

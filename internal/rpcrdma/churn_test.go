@@ -116,14 +116,16 @@ func TestClientTotalsFollowChurn(t *testing.T) {
 			e := newScaleEnv(sim, 1)
 			var tot ClientTotals
 			var cur *ClientTransport
-			var banked ClientTotals // counters of retired members, as core.Client.Reconnect banks them
+			var all []*ClientTransport // every member so far: the call counts are cumulative
 			check := func(when string) {
 				t.Helper()
-				want := banked
+				var want ClientTotals
 				if cur != nil {
 					want.Outstanding, want.Granted = int64(cur.OutstandingCalls()), int64(cur.GrantedCredits())
-					want.Timeouts += cur.Timeouts
-					want.Retransmits += cur.Retransmits
+				}
+				for _, ct := range all {
+					want.Timeouts += ct.Timeouts
+					want.Retransmits += ct.Retransmits
 				}
 				if tot != want {
 					t.Fatalf("%s: totals %+v, walk %+v", when, tot, want)
@@ -146,14 +148,12 @@ func TestClientTotalsFollowChurn(t *testing.T) {
 						t.Fatalf("cycle %d: dial rejected", i)
 					}
 					if cur != nil {
-						banked.Timeouts += cur.Timeouts
-						banked.Retransmits += cur.Retransmits
-						tot.Timeouts += cur.Timeouts
-						tot.Retransmits += cur.Retransmits
 						cur.SumInto(new(ClientTotals))
 					}
 					ct.SumInto(&tot)
+					ct.CountInto(&tot.CallCounts)
 					cur = ct
+					all = append(all, ct)
 					check("after the swap")
 					for c := 0; c < callers; c++ {
 						sim.Spawn("caller", func(cp *des.Proc) {

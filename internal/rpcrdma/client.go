@@ -183,7 +183,10 @@ type rtResult struct {
 	err error
 }
 
+// pending is one call's state on the transport it runs on. A Request from
+// NewRequest is allocated with one, as one object (call).
 type pending struct {
+	t   *ClientTransport
 	req *oncrpc.Request
 
 	// done is the current attempt's completion, res what a reply handler
@@ -192,18 +195,15 @@ type pending struct {
 	// advertises (in segStore until they outgrow it), readStore where the
 	// call's read list is built until it outgrows it (a WRITE's data under
 	// dynamic registration is one segment): all live in the pending so a
-	// call allocates them once, together.
+	// call allocates them once, together. Once the call is framed nothing
+	// reads the two stores again, and its first reply decodes its read and
+	// write lists into them (replyHeader).
 	done      des.Event
 	res       rtResult
 	reply     replyRec
 	segs      []Segment
 	segStore  [4]Segment
 	readStore [1]ReadSeg
-
-	// handling counts reply handlers currently working on this call; while
-	// it is non-zero Roundtrip defers teardown to the last handler, so an
-	// RDMA Read in flight never lands in a released staging buffer.
-	handling int
 
 	// Destination for reply payload placement.
 	destBuf *ibsim.Buffer
@@ -229,11 +229,15 @@ type pending struct {
 	doneWire [hdrBase]byte
 
 	// aborted is set once Roundtrip has returned: a reply handler still in
-	// flight must not fire the (already consumed) done event. It and
-	// needCopy sit in doneWire's padding, which keeps a pending in its size
-	// class (TestPendingFitsItsSizeClass).
+	// flight must not fire the (already consumed) done event. handling
+	// counts reply handlers currently working on this call; while it is
+	// non-zero Roundtrip defers teardown to the last handler, so an RDMA Read
+	// in flight never lands in a released staging buffer. The three sit in
+	// doneWire's padding, which keeps a call in its size class
+	// (TestCallFillsItsSizeClass).
 	aborted  bool
 	needCopy bool // staging -> caller copy after placement
+	handling int16
 }
 
 // fetcher is the reply-fetch poller of one call: the doorbell watch on its
@@ -242,7 +246,6 @@ type pending struct {
 // only for hardware (the deposit), for time (the poll delay) and for a CPU
 // charge.
 type fetcher struct {
-	t       *ClientTransport
 	pend    *pending
 	slot    Segment
 	watch   ibsim.WriteWatch
@@ -283,6 +286,8 @@ type ClientTransport struct {
 	Timeouts    int64 // per-call timer expiries
 	Retransmits int64 // XID-stable retransmissions sent
 	BadHeaders  int64 // received frames and slot deposits dropped because their header did not decode
+
+	counted []*CallCounts // where Timeouts and Retransmits are also added (CountInto)
 }
 
 // QP exposes the underlying queue pair (tests and failure injection).
@@ -303,7 +308,28 @@ func (t *ClientTransport) GrantedCredits() int { return t.inflight.Granted() }
 // OutstandingCalls returns the in-flight call count.
 func (t *ClientTransport) OutstandingCalls() int { return t.inflight.Outstanding() }
 
-var _ oncrpc.Transport = (*ClientTransport)(nil)
+var (
+	_ oncrpc.Transport = (*ClientTransport)(nil)
+	_ oncrpc.Framer    = (*ClientTransport)(nil)
+)
+
+// call is a Request and the state of the call it carries, allocated together
+// (NewRequest): 760 bytes, which the allocator's header for a large object
+// with pointers makes 768, one size class — what the two apart cost, in one
+// allocation instead of two.
+type call struct {
+	pending
+	req oncrpc.Request
+}
+
+// NewRequest implements oncrpc.Framer. The state in the request serves one
+// Roundtrip, on this transport: a replay of the request on a fresh
+// connection, or a second Roundtrip of it here, gets a pending of its own.
+func (t *ClientTransport) NewRequest() *oncrpc.Request {
+	c := &call{pending: pending{t: t}}
+	c.req.State = &c.pending
+	return &c.req
+}
 
 // NewClientTransport builds the client endpoint over an established QP.
 // It posts the connection's receive credits and arms the reply receiver.
@@ -387,7 +413,11 @@ func (t *ClientTransport) Roundtrip(p *des.Proc, req *oncrpc.Request) (*oncrpc.R
 	}
 	defer t.inflight.release()
 
-	pend := &pending{req: req}
+	pend, _ := req.State.(*pending)
+	if pend == nil || pend.t != t || pend.req != nil {
+		pend = &pending{t: t}
+	}
+	pend.req = req
 	pend.done.Init(t.node.Sim())
 	pend.segs = pend.segStore[:0]
 	hdr := &Header{XID: req.XID, Credits: uint32(t.cfg.Credits), Type: MsgRDMA, ReadList: pend.readStore[:0]}
@@ -423,8 +453,8 @@ func (t *ClientTransport) Roundtrip(p *des.Proc, req *oncrpc.Request) (*oncrpc.R
 			t.node.CPU.Copy(p, n)
 			reg = pend.srcChk.Reg
 		}
-		t.traceExpose(p, req.XID, reg.Segments(), n)
-		hdr.ReadList = appendReadSegs(hdr.ReadList, uint32(len(req.Header)), reg.Segments(), n)
+		t.traceExpose(p, req.XID, reg, n)
+		hdr.ReadList = appendReadSegs(hdr.ReadList, uint32(len(req.Header)), reg, n)
 	}
 
 	// Reply payload placement (e.g. READ data).
@@ -454,7 +484,7 @@ func (t *ClientTransport) Roundtrip(p *des.Proc, req *oncrpc.Request) (*oncrpc.R
 		}
 		pend.slotChk = t.mgr.Get(p, capBytes, ibsim.AccessLocalWrite|ibsim.AccessRemoteWrite)
 		hdr.ReplyChunk = t.expose(p, pend, pend.slotChk.Reg, capBytes)
-		pend.fetch = &fetcher{t: t, pend: pend, slot: hdr.ReplyChunk[0]}
+		pend.fetch = &fetcher{pend: pend, slot: hdr.ReplyChunk[0]}
 		pend.fetch.arm()
 	}
 
@@ -471,9 +501,8 @@ func (t *ClientTransport) Roundtrip(p *des.Proc, req *oncrpc.Request) (*oncrpc.R
 		}
 		t.node.CPU.Copy(p, len(req.Header))
 		hdr.Type = MsgNoMsg
-		lsegs := pend.longCall.Reg.Segments()
-		t.traceExpose(p, req.XID, lsegs, len(req.Header))
-		hdr.ReadList = appendReadSegs(hdr.ReadList, 0, lsegs, len(req.Header))
+		t.traceExpose(p, req.XID, pend.longCall.Reg, len(req.Header))
+		hdr.ReadList = appendReadSegs(hdr.ReadList, 0, pend.longCall.Reg, len(req.Header))
 		wire = hdr.Encode()
 	} else {
 		// A header that outgrew the room slides the call: a replay must copy
@@ -502,7 +531,9 @@ func (t *ClientTransport) Roundtrip(p *des.Proc, req *oncrpc.Request) (*oncrpc.R
 			break
 		}
 		t.Timeouts++
-		t.inflight.sum.Timeouts++
+		for _, c := range t.counted {
+			c.Timeouts++
+		}
 		if tr != nil {
 			tr.Instant(int64(p.Now()), trace.LayerRPC, trace.KindTimeout, t.node.Name(), "timeout", uint64(req.XID), int64(attempt))
 		}
@@ -511,7 +542,9 @@ func (t *ClientTransport) Roundtrip(p *des.Proc, req *oncrpc.Request) (*oncrpc.R
 		}
 		attempt++
 		t.Retransmits++
-		t.inflight.sum.Retransmits++
+		for _, c := range t.counted {
+			c.Retransmits++
+		}
 		if tr != nil {
 			tr.Instant(int64(p.Now()), trace.LayerRPC, trace.KindRetransmit, t.node.Name(), "retransmit", uint64(req.XID), int64(attempt))
 		}
@@ -564,27 +597,26 @@ func (t *ClientTransport) Roundtrip(p *des.Proc, req *oncrpc.Request) (*oncrpc.R
 // that the call advertised a remotely accessible rkey to the peer. The
 // instants are what the MR-exposure invariant (trace.CheckExposureBounds)
 // anchors on.
-func (t *ClientTransport) traceExpose(p *des.Proc, xid uint32, segs []memreg.Segment, n int) {
+func (t *ClientTransport) traceExpose(p *des.Proc, xid uint32, reg *memreg.Registration, n int) {
 	tr := t.node.Sim().Tracer()
 	if tr == nil {
 		return
 	}
-	for _, s := range segs {
-		if n <= 0 {
-			return
+	reg.Each(func(s memreg.Segment) {
+		if n > 0 {
+			tr.Instant(int64(p.Now()), trace.LayerRPC, trace.KindExpose, t.node.Name(), "expose", uint64(xid), int64(s.Rkey))
+			n -= s.Len
 		}
-		tr.Instant(int64(p.Now()), trace.LayerRPC, trace.KindExpose, t.node.Name(), "expose", uint64(xid), int64(s.Rkey))
-		n -= s.Len
-	}
+	})
 }
 
 // expose advertises the first n bytes of reg for the peer to write into: the
 // traceExpose instants, plus the wire form a write list or reply chunk
 // carries, kept in the pending after whatever the call advertised before.
 func (t *ClientTransport) expose(p *des.Proc, pend *pending, reg *memreg.Registration, n int) []Segment {
-	t.traceExpose(p, pend.req.XID, reg.Segments(), n)
+	t.traceExpose(p, pend.req.XID, reg, n)
 	first := len(pend.segs)
-	pend.segs = appendSegs(pend.segs, reg.Segments(), n)
+	pend.segs = appendSegs(pend.segs, reg, n)
 	return pend.segs[first:len(pend.segs):len(pend.segs)]
 }
 
@@ -610,21 +642,14 @@ func (t *ClientTransport) attemptTimeout(attempt int) des.Duration {
 
 // armTimer arms a watchdog that fires done with ErrTimeout at the
 // deadline. Losing the race to a real reply makes it a harmless no-op, so
-// stale timers from completed attempts never need cancelling. The two hops
-// are deliberate: same-instant events run in the order they were scheduled,
-// and the deadline takes its place in that order when the first hop runs —
-// where the recorded golden digests and chaos fingerprints have it — not
-// when armTimer is called. Scheduling it directly would move it ahead of
-// whatever else this instant schedules for the same deadline.
+// stale timers from completed attempts never need cancelling.
 func (t *ClientTransport) armTimer(done *des.Event, d des.Duration) {
 	if d <= 0 {
 		return
 	}
 	s := t.node.Sim()
-	s.At(s.Now(), func() {
-		s.At(s.Now()+des.Time(d), func() {
-			done.TryFire(&rtResult{err: fmt.Errorf("%w after %v", ErrTimeout, d)})
-		})
+	s.At(s.Now()+des.Time(d), func() {
+		done.TryFire(&rtResult{err: fmt.Errorf("%w after %v", ErrTimeout, d)})
 	})
 }
 
@@ -668,13 +693,14 @@ func (t *ClientTransport) setupRecvPlacement(p *des.Proc, pend *pending, req *on
 // exactly as a received Send would. One poller spans every retransmission
 // attempt — the slot advertisement never changes.
 func (f *fetcher) arm() {
-	f.t.node.HCA.WatchWrite(&f.watch, f.slot.Rkey, f.slot.Addr, doorbellBytes, fetchLanded, f)
+	f.pend.t.node.HCA.WatchWrite(&f.watch, f.slot.Rkey, f.slot.Addr, doorbellBytes, fetchLanded, f)
 }
 
 // fetchLanded runs at the instant a Write lands on the doorbell.
 func fetchLanded(a any) {
 	f := a.(*fetcher)
-	t, pend := f.t, f.pend
+	pend := f.pend
+	t := pend.t
 	if pend.aborted || t.closed {
 		return
 	}
@@ -706,19 +732,22 @@ func fetchLanded(a any) {
 
 func fetchPolled(a any) {
 	f := a.(*fetcher)
-	m := f.t.node.CPU
+	m := f.pend.t.node.CPU
 	m.WorkThen(&f.copying, m.CopyCost(len(f.fetched)), fetchCopied, f)
 }
 
 func fetchCopied(a any) {
 	f := a.(*fetcher)
-	t, pend := f.t, f.pend
+	pend := f.pend
+	t := pend.t
 	wire := f.fetched
 	f.fetched = nil
 	if pend.aborted || t.closed {
 		return
 	}
-	var hdr Header
+	// The reply is handled before this returns, so every deposit can decode
+	// into the call's storage.
+	hdr := pend.replyHeader()
 	body, err := DecodeHeaderInto(&hdr, wire)
 	if err != nil {
 		t.BadHeaders++
@@ -806,25 +835,34 @@ func received(a any, cqe *ibsim.CQE) {
 // reconstructs long replies.
 func (t *ClientTransport) receiveReply(cqe *ibsim.CQE) {
 	t.qp.PostRecv(cqe.WRID, t.cfg.recvBufSize())
+	// The call's first reply travels in its pending and decodes its chunk
+	// lists into the call's storage. A later one (the answer to a
+	// retransmission) can arrive while a Read-Read pull is still reading the
+	// first one's, so it gets a record and lists of its own. The call is
+	// found by the XID the header begins with.
+	var pend *pending
+	if len(cqe.Payload) >= 4 {
+		pend = t.pending[binary.BigEndian.Uint32(cqe.Payload)]
+	}
+	first := pend != nil && pend.reply.pend == nil
 	var hdr Header
+	if first {
+		hdr = pend.replyHeader()
+	}
 	body, err := DecodeHeaderInto(&hdr, cqe.Payload)
 	if err != nil {
 		t.BadHeaders++ // drop undecodable frames
 		return
 	}
 	t.regrant(hdr.Credits)
-	pend, ok := t.pending[hdr.XID]
-	if !ok {
+	if pend == nil {
 		return // duplicate or cancelled
 	}
-	// The call's first reply travels in its pending. A later one (the
-	// answer to a retransmission) can arrive while a Read-Read pull is
-	// still reading the first one's chunk lists, so it gets its own.
 	r := &pend.reply
-	if r.pend != nil {
+	if !first {
 		r = new(replyRec)
 	}
-	*r = replyRec{t: t, pend: pend, hdr: hdr, body: body}
+	*r = replyRec{pend: pend, hdr: hdr, body: body}
 	s := t.node.Sim()
 	if t.cfg.Design != ReadRead {
 		// Nothing to pull, so nothing to block on: finish the call from the
@@ -844,7 +882,6 @@ func (t *ClientTransport) receiveReply(cqe *ibsim.CQE) {
 
 // replyRec is one decoded reply between the receiver and its handler.
 type replyRec struct {
-	t    *ClientTransport
 	pend *pending
 	hdr  Header
 	body []byte
@@ -852,7 +889,13 @@ type replyRec struct {
 
 func runReply(a any) {
 	r := a.(*replyRec)
-	r.t.handleReply(nil, r.pend, &r.hdr, r.body)
+	r.pend.t.handleReply(nil, r.pend, &r.hdr, r.body)
+}
+
+// replyHeader returns a header for a reply to pend to decode into, with the
+// call's read and write list stores for its lists.
+func (pend *pending) replyHeader() Header {
+	return Header{ReadList: pend.readStore[:0], WriteList: pend.segStore[:0]}
 }
 
 // regrant installs the flow-control grant carried by a reply header.

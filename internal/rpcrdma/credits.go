@@ -38,33 +38,40 @@ func newCreditGate(sim *des.Sim, initial int) *creditGate {
 // transports themselves at the statements where the summed values change,
 // so whoever owns the set (core.Cluster, for its telemetry probes) reads
 // four cells instead of walking the transports. A transport is in exactly
-// one set at a time; SumInto moves it.
+// one set at a time for the credit sums; SumInto moves it. The call counts
+// are cumulative and never move (CountInto).
 type ClientTotals struct {
 	Outstanding int64 // calls holding a credit
 	Granted     int64 // flow-control grants
-	Timeouts    int64 // ClientTransport.Timeouts
-	Retransmits int64 // ClientTransport.Retransmits
+	CallCounts
 }
 
-// SumInto takes the transport's contribution out of the totals it has been
-// adding to and puts it into sum; from here on its changes land in sum.
+// CallCounts count what happened to calls: timer expiries and XID-stable
+// retransmissions (ClientTransport.Timeouts and .Retransmits).
+type CallCounts struct {
+	Timeouts    int64
+	Retransmits int64
+}
+
+// SumInto takes the transport's credits out of the totals they have been
+// adding to and puts them into sum; from here on their changes land in sum.
 // Retiring a transport is SumInto(new(ClientTotals)): calls still unwinding
 // on it keep a consistent place to subtract from, and the owner's totals no
 // longer see it.
 func (t *ClientTransport) SumInto(sum *ClientTotals) {
 	g := t.inflight
-	mine := ClientTotals{int64(g.outstanding), int64(g.granted), t.Timeouts, t.Retransmits}
-	g.sum.add(-1, mine)
-	sum.add(+1, mine)
+	g.sum.Outstanding -= int64(g.outstanding)
+	g.sum.Granted -= int64(g.granted)
+	sum.Outstanding += int64(g.outstanding)
+	sum.Granted += int64(g.granted)
 	g.sum = sum
 }
 
-func (c *ClientTotals) add(sign int64, d ClientTotals) {
-	c.Outstanding += sign * d.Outstanding
-	c.Granted += sign * d.Granted
-	c.Timeouts += sign * d.Timeouts
-	c.Retransmits += sign * d.Retransmits
-}
+// CountInto makes the transport add every timeout and retransmission to each
+// of cells too, for as long as it lives. Unlike the credit sums the cells do
+// not move when the transport is retired: an event is counted once, where and
+// when it happens, also on a transport that was already replaced.
+func (t *ClientTransport) CountInto(cells ...*CallCounts) { t.counted = cells }
 
 // acquire blocks until a credit is available, then consumes it.
 func (g *creditGate) acquire(p *des.Proc) {

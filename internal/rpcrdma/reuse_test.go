@@ -103,13 +103,14 @@ func TestFreeListsBoundedByBurstDepth(t *testing.T) {
 	sim.Run()
 }
 
-// TestPendingFitsItsSizeClass pins a pending at 480 bytes, one of the
-// allocator's size classes: one more field, or a larger read-list store,
-// costs every call the next class (+32 bytes), so what goes in must come out
-// of padding or another field.
+// TestPendingFitsItsSizeClass pins a pending at 472 bytes: on its own (a
+// replay's) in the allocator's 480-byte size class, and inside a call
+// (TestCallFillsItsSizeClass) what keeps that one class. One more field, or a
+// larger store, costs every call the next class, so what goes in must come
+// out of padding or another field.
 func TestPendingFitsItsSizeClass(t *testing.T) {
-	if n := unsafe.Sizeof(pending{}); n != 480 {
-		t.Errorf("a pending is %d bytes, want 480", n)
+	if n := unsafe.Sizeof(pending{}); n != 472 {
+		t.Errorf("a pending is %d bytes, want 472", n)
 	}
 }
 
@@ -154,5 +155,33 @@ func TestDuplicateReplyDuringPullKeepsFirstHeader(t *testing.T) {
 		if _, n, err := rpc.Call(p, 2, nil, oncrpc.CallOpts{RecvBulk: dst}); err != nil || n != size || !bytes.Equal(dst.Data, e.svc.stored) {
 			t.Errorf("GET during which a duplicate reply arrived: n=%d err=%v, bytes equal %v", n, err, bytes.Equal(dst.Data, e.svc.stored))
 		}
+	})
+}
+
+// The first reply to a call decodes its chunk lists into the call's own
+// stores; a second one, received before the first one's handler has run (or
+// while it still pulls), must not decode into them too. Both replies here
+// carry a one-segment read list, which fits the store, and are received back
+// to back, before either handler runs.
+func TestSecondReplyKeepsFirstRepliesLists(t *testing.T) {
+	newEnv(t, ReadRead, memreg.Regular, func(p *des.Proc, e *env) {
+		const xid = 77
+		pend := &pending{t: e.ct}
+		e.ct.pending[xid] = pend
+		reply := func(rkey uint32) []byte {
+			h := Header{XID: xid, Credits: 1, Type: MsgRDMA, ReadList: []ReadSeg{{Position: 24, Segment: Segment{Rkey: rkey, Length: 8, Addr: 0x1000}}}}
+			return h.frame(append(make([]byte, h.wireSize()), oncrpc.EncodeReply(xid, oncrpc.Success, nil)...), h.wireSize())
+		}
+		e.ct.receiveReply(&ibsim.CQE{Payload: reply(1)})
+		first := append([]ReadSeg(nil), pend.reply.hdr.ReadList...)
+		if &pend.reply.hdr.ReadList[0] != &pend.readStore[0] {
+			t.Error("the first reply's read list is not in the call's store")
+		}
+		e.ct.receiveReply(&ibsim.CQE{Payload: reply(2)})
+		if got := pend.reply.hdr.ReadList; !reflect.DeepEqual(got, first) {
+			t.Errorf("first reply's read list is %v after a second reply was received, was %v", got, first)
+		}
+		pend.aborted = true // the handlers, which run next, leave the made-up call alone
+		delete(e.ct.pending, xid)
 	})
 }

@@ -700,7 +700,7 @@ func (s *ServerTransport) handle(p *des.Proc, task *serverTask, w *nfsd) {
 	if s.cfg.Design == ReadRead {
 		room = hdrBase + readSegSize
 	}
-	reply, bulkOut, err := s.dispatcher.Dispatch(p, callBytes, oncrpc.DispatchOpts{
+	reply, bulkOut, _ := s.dispatcher.Dispatch(p, callBytes, oncrpc.DispatchOpts{
 		Bulk:        bulkIn,
 		RecvBulkCap: recvCap,
 		ReplyBuf:    replyBuf,
@@ -710,9 +710,10 @@ func (s *ServerTransport) handle(p *des.Proc, task *serverTask, w *nfsd) {
 	if bulkInChk != nil {
 		s.mgr.Put(p, bulkInChk)
 	}
-	if err != nil || reply == nil {
-		// err: not a call (the dispatcher counts it). reply == nil: the
-		// dispatcher suppressed a duplicate of a call still executing (DRC
+	if reply == nil {
+		// Not a call (the dispatcher counts it; a call it denies comes with
+		// its MSG_DENIED reply, sent below like any other), or a duplicate of
+		// a call still executing that the dispatcher suppressed (DRC
 		// in-progress entry) — the original execution will produce the
 		// reply; this copy just drops.
 		if replyStaging != nil {
@@ -842,7 +843,7 @@ func (s *ServerTransport) reply(p *des.Proc, task *serverTask, reply []byte, roo
 	case design == ReadRead:
 		if staging != nil {
 			s.mgr.RegisterChunk(p, staging, outLen) // exposes the buffer (RemoteRead)
-			w.exposed = appendReadSegs(w.exposed[:0], uint32(len(msg)), staging.Reg.Segments(), outLen)
+			w.exposed = appendReadSegs(w.exposed[:0], uint32(len(msg)), staging.Reg, outLen)
 			rh.ReadList = w.exposed
 			park.add(staging)
 			staging = nil
@@ -937,7 +938,7 @@ func (s *ServerTransport) reply(p *des.Proc, task *serverTask, reply []byte, roo
 		rh.Type = MsgNoMsg
 		if design == ReadRead {
 			// A NOMSG reply carries only itself.
-			w.exposed = appendReadSegs(w.exposed[:0], 0, longChk.Reg.Segments(), len(msg))
+			w.exposed = appendReadSegs(w.exposed[:0], 0, longChk.Reg, len(msg))
 			rh.ReadList = w.exposed
 			park.add(longChk)
 			longChk = nil

@@ -263,13 +263,14 @@ func (l *Listener) worker(p *des.Proc) {
 func (l *Listener) handle(p *des.Proc, msg *message) {
 	l.Requests++
 	l.node.CPU.Work(p, l.cfg.PerOpCPU)
-	reply, bulkOut, err := l.dispatcher.Dispatch(p, msg.hdr, oncrpc.DispatchOpts{
+	reply, bulkOut, _ := l.dispatcher.Dispatch(p, msg.hdr, oncrpc.DispatchOpts{
 		Bulk:        msg.bulk,
 		RecvBulkCap: maxBulk,
 	})
-	if err != nil || reply == nil {
-		// err: not a call (the dispatcher counts it). nil reply: duplicate of
-		// a call still executing — drop silently.
+	if reply == nil {
+		// Not a call (the dispatcher counts it; a denied call comes with its
+		// MSG_DENIED reply), or a duplicate of a call still executing: drop
+		// silently.
 		return
 	}
 	bulkLen := 0

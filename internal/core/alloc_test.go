@@ -68,47 +68,79 @@ func TestAllocsPerRPC(t *testing.T) {
 	}
 }
 
-// TestProcessesPerRPC pins what one simulated NFS NULL costs the kernel in
+// TestProcessesPerRPC pins what one simulated RPC costs the kernel in
 // processes: spawns and parks per steady-state call, one client, one call
 // outstanding, counted from the tracer's spawn instants and blocked spans as
-// the benchmark's des.spawns_per_rpc and des.parks_per_rpc are. Completion
-// handling that blocks only on hardware, time or a CPU charge is a callback
-// chain (DESIGN.md §5.1): a reply that is not pulled spawns nothing, and a
-// park that comes back here is a regression. The pins are exact.
+// the benchmark's des.spawns_per_rpc and des.parks_per_rpc are; per design a
+// NULL, and on Read-Write a 128 KiB direct READ and WRITE under dynamic
+// registration (the Fig. 5 point). Everything on the RPC path that waits
+// only for hardware, time, a FIFO resource or a CPU is a chain of callbacks
+// (DESIGN.md §5.1), so the caller parks once, for its reply, and a Read-Read
+// reply spawns its handler, whose pull blocks. A park that comes back here
+// is a regression; the failure names the processes that parked. The pins
+// are exact.
 func TestProcessesPerRPC(t *testing.T) {
 	for _, pin := range []struct {
 		design        rpcrdma.Design
+		op            string
 		spawns, parks float64
 	}{
-		{rpcrdma.ReadWrite, 0, 10},
-		{rpcrdma.ReadRead, 1, 11}, // the spawn is the reply handler, whose pull blocks
-		{rpcrdma.ReplyFetch, 0, 20},
+		{rpcrdma.ReadWrite, "null", 0, 1},
+		{rpcrdma.ReadRead, "null", 1, 1}, // the spawn is the reply handler, whose pull blocks
+		{rpcrdma.ReplyFetch, "null", 0, 1},
+		{rpcrdma.ReadWrite, "read", 0, 1},
+		{rpcrdma.ReadWrite, "write", 0, 1},
 	} {
-		spawns, parks := processesPerNull(t, pin.design)
+		spawns, parks, byProc := processesPerRPC(t, pin.design, pin.op)
 		if spawns != pin.spawns || parks != pin.parks {
-			t.Errorf("%v: %.2f spawns and %.2f parks per NULL, pinned at %.0f and %.0f", pin.design, spawns, parks, pin.spawns, pin.parks)
+			t.Errorf("%v %s: %.2f spawns and %.2f parks per RPC, pinned at %.0f and %.0f; parks by process: %v",
+				pin.design, pin.op, spawns, parks, pin.spawns, pin.parks, byProc)
 		}
 	}
 }
 
-// processesPerNull counts spawns and parks per NULL on a one-client cluster.
-func processesPerNull(t *testing.T, design rpcrdma.Design) (spawns, parks float64) {
-	const calls = 200
+// processesPerRPC counts spawns and parks per RPC on a one-client cluster,
+// and parks per RPC by the name of the process that parked: op is "null", or
+// "read" or "write" of 128 KiB, direct, under dynamic registration.
+func processesPerRPC(t *testing.T, design rpcrdma.Design, op string) (spawns, parks float64, byProc map[string]float64) {
+	const calls, size = 200, 128 << 10
 	cluster := NewCluster(Config{
 		Profile:   profiles.LinuxDDR(),
 		Transport: TransportRDMA,
 		Design:    design,
+		RegMode:   memreg.Regular,
 	})
 	tr := cluster.EnableTracing(1 << 18)
 	cl := cluster.Clients[0]
 	var from, to int
 	cluster.Start("pin", func(p *des.Proc) {
+		f, err := cl.Create(p, "pin.bin")
+		if err != nil {
+			t.Errorf("%v: create: %v", design, err)
+			return
+		}
+		buf := cl.NewBuffer(size)
+		call := func() error {
+			switch op {
+			case "read":
+				_, _, err := f.ReadAt(p, buf, 0, 0, size, true)
+				return err
+			case "write":
+				_, err := f.WriteAt(p, buf, 0, 0, size, true)
+				return err
+			}
+			return cl.NFS.Null(p)
+		}
+		if _, err := f.WriteAt(p, buf, 0, 0, size, true); err != nil {
+			t.Errorf("%v: write: %v", design, err)
+			return
+		}
 		for i := 0; i < 2*calls; i++ {
 			if i == calls { // the first half reaches the steady state
 				from = tr.Len()
 			}
-			if err := cl.NFS.Null(p); err != nil {
-				t.Errorf("%v: %v", design, err)
+			if err := call(); err != nil {
+				t.Errorf("%v %s: %v", design, op, err)
 				return
 			}
 		}
@@ -119,15 +151,17 @@ func processesPerNull(t *testing.T, design rpcrdma.Design) (spawns, parks float6
 		t.Fatalf("%v: the trace ring wrapped", design)
 	}
 	var n [2]int
+	byProc = map[string]float64{}
 	for _, e := range tr.Events()[from:to] {
 		switch e.Kind {
 		case trace.KindSpawn:
 			n[0]++
 		case trace.KindBlocked:
 			n[1]++
+			byProc[e.Track] += 1.0 / calls
 		}
 	}
-	return float64(n[0]) / calls, float64(n[1]) / calls
+	return float64(n[0]) / calls, float64(n[1]) / calls, byProc
 }
 
 // allocsPerRPC measures heap allocations per NULL and per READ of size bytes

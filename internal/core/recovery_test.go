@@ -222,7 +222,9 @@ type loseFirstCall struct {
 	first []byte // the first call's arguments as they were received
 }
 
-func (s *loseFirstCall) Handle(p *des.Proc, req *oncrpc.ServerRequest) oncrpc.ServerResponse {
+// HandleThen records the call and kills the connection of the first, then
+// serves it: the dispatcher runs an NFS service's calls through HandleThen.
+func (s *loseFirstCall) HandleThen(req *oncrpc.ServerRequest, resp *oncrpc.ServerResponse, fn func(any), arg any) {
 	if req.Header.Proc == s.proc {
 		s.xids = append(s.xids, req.Header.XID)
 		s.args = append(s.args, req.Args)
@@ -231,7 +233,7 @@ func (s *loseFirstCall) Handle(p *des.Proc, req *oncrpc.ServerRequest) oncrpc.Se
 			s.kill(req.Header.XID)
 		}
 	}
-	return s.Server.Handle(p, req)
+	s.Server.HandleThen(req, resp, fn, arg)
 }
 
 // TestReplayFramesACopy: the recovery layer replays a call on a fresh

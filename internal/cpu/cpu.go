@@ -51,40 +51,19 @@ func (m *Model) Work(p *des.Proc, d des.Duration) {
 
 // Charge is the state of one WorkThen in flight, kept in storage its caller
 // owns so that a charge allocates nothing.
-type Charge struct {
-	m   *Model
-	d   des.Duration
-	fn  func(any)
-	arg any
-}
+type Charge = des.Hold
 
 // WorkThen is Work for code running on the scheduler loop: it occupies one
-// core for d, then calls fn(arg). It takes Work's three steps as a chain —
-// Resource.AcquireThen, an event d later, Release — so each happens at the
-// instant and in the place a process calling Work would take it, and keeps
-// Work's short-cut: with d <= 0 it calls fn at once. c holds the chain's
-// state until fn is called.
+// core for d with Resource.UseThen, so each step happens at the instant and
+// in the place a process calling Work would take it, and keeps Work's
+// short-cut: with d <= 0 it calls fn at once. c holds the chain's state until
+// fn is called.
 func (m *Model) WorkThen(c *Charge, d des.Duration, fn func(any), arg any) {
 	if d <= 0 {
 		fn(arg)
 		return
 	}
-	*c = Charge{m: m, d: d, fn: fn, arg: arg}
-	m.cores.AcquireThen(1, chargeHeld, c)
-}
-
-func chargeHeld(a any) {
-	c := a.(*Charge)
-	s := c.m.sim
-	s.AtArg(s.Now()+des.Time(c.d), chargeDone, c)
-}
-
-func chargeDone(a any) {
-	c := a.(*Charge)
-	c.m.cores.Release(1)
-	fn, arg := c.fn, c.arg
-	*c = Charge{}
-	fn(arg)
+	m.cores.UseThen(c, d, fn, arg)
 }
 
 // Copy charges the CPU for moving n bytes through a core (one memcpy).
@@ -127,19 +106,21 @@ func (m *Model) PinFor(i int) int {
 	return i % m.Cores()
 }
 
-// Migrate charges the cost of handing work completed on complCPU to code
-// running on runCPU. When the two differ the waking thread finds its request
-// state cache-cold on another core and pays MigrationCost (the xprtrdma
-// "spread reply processing" effect: completion steering decides whether reply
-// handling is a warm-cache local wake or a cross-CPU migration). Same-CPU
-// handoffs are free and counted separately.
-func (m *Model) Migrate(p *des.Proc, complCPU, runCPU int) {
+// MigrateThen charges the cost of handing work completed on complCPU to
+// code running on runCPU, then calls fn(arg). When the two differ the waking
+// thread finds its request state cache-cold on another core and pays
+// MigrationCost (the xprtrdma "spread reply processing" effect: completion
+// steering decides whether reply handling is a warm-cache local wake or a
+// cross-CPU migration), charged with WorkThen. Same-CPU handoffs are free and
+// counted separately.
+func (m *Model) MigrateThen(c *Charge, complCPU, runCPU int, fn func(any), arg any) {
 	if complCPU == runCPU {
 		m.localWakes++
+		fn(arg)
 		return
 	}
 	m.migrations++
-	m.Work(p, m.MigrationCost)
+	m.WorkThen(c, m.MigrationCost, fn, arg)
 }
 
 // Migrations returns cross-CPU completion handoffs since the last

@@ -28,10 +28,12 @@
 // same way, so a body that never parks runs at the same point under either.
 // A callback has no *Proc, so it cannot Sleep, Wait, Get or Acquire; it may
 // do everything else (Fire, Put, Release, TryAcquire, Spawn, At, Stop). An
-// activity that only ever waits for time and for resources — simulated
-// hardware — is written as a chain of callbacks: AtArg where a process would
-// Sleep, Resource.AcquireThen where it would Acquire. Chains and processes
-// queue for a resource together and are granted in arrival order.
+// activity that only ever waits for time, hardware, a FIFO resource or a CPU
+// is written as a chain of callbacks: AtArg where a process would Sleep,
+// Resource.AcquireThen where it would Acquire, Resource.UseThen where it would
+// Use. Chains and processes queue for a resource together and are granted in
+// arrival order. A process that waits for a chain to finish Suspends, and the
+// chain's last callback Resumes it in place, which costs no event.
 //
 // The hot path — schedule an event, pop it, resume the target process — is
 // allocation-free in steady state: events are typed records (kind + target
@@ -83,6 +85,7 @@ type Sim struct {
 	starting []*Proc       // spawned but not yet started processes
 	tracer   *trace.Tracer // structured event sink, nil when disabled
 	procSeq  uint64
+	pools    map[any]any // Pool's free lists, by element type
 }
 
 // New creates an empty simulation positioned at virtual time zero.
@@ -300,6 +303,7 @@ type Proc struct {
 	startEv   *event // pending start event, nil once started
 	id        uint64 // stable process id for trace pairing
 	blockT    Time   // park time, recorded only while tracing
+	resumed   bool   // Resumed before it could Suspend
 }
 
 // Sim returns the simulation this process belongs to.
@@ -416,6 +420,49 @@ func (s *Sim) unpark(p *Proc) {
 func (s *Sim) wake(p *Proc) {
 	s.unpark(p)
 	s.schedule(s.now, evResume, p)
+}
+
+// Suspend parks the process until a chain it waits for Resumes it. It
+// arranges no wake-up of its own: the chain's last callback resumes the
+// process in place, at the instant and in the place in the event order where
+// the process would have resumed from a wait of its own, so the wait costs
+// the process one park and the kernel no event. A chain that ended before
+// the process suspended (every step of it was free) resumed it already, and
+// Suspend returns at once.
+func (p *Proc) Suspend() {
+	if p.resumed {
+		p.resumed = false
+		return
+	}
+	p.park()
+	p.resumed = false
+}
+
+// Resume hands control to p, which waits in Suspend: at once, returning when
+// p parks again or returns, when a callback on the scheduler loop calls it;
+// by making p's next Suspend return at once when p calls it itself, the
+// chain it started having ended before it could suspend. Any other caller
+// panics.
+func (s *Sim) Resume(p *Proc) {
+	switch {
+	case s.running == p:
+		p.resumed = true
+	case s.running != nil:
+		panic(fmt.Sprintf("des: Resume of %q from process %q; only a callback may resume in place", p.name, s.running.name))
+	case p.parkedIdx < 0:
+		panic(fmt.Sprintf("des: Resume of %q, which is not parked", p.name))
+	default:
+		s.unpark(p)
+		s.resumeProc(p)
+	}
+}
+
+// Resumer is Resume as the last step of a chain: a process hands it and
+// itself to a chain's ...Then and Suspends, which is how every process form
+// of a chain (memreg.Manager.Get of GetThen, say) waits.
+func Resumer(p any) {
+	q := p.(*Proc)
+	q.sim.Resume(q)
 }
 
 // abandonedPanic unwinds a process whose simulation has stopped.

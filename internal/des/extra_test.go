@@ -2,6 +2,7 @@ package des
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -147,4 +148,56 @@ func TestPermIsPermutation(t *testing.T) {
 		}
 		seen[v] = true
 	}
+}
+
+// A process that Suspends for a chain continues where the chain's last
+// callback Resumes it — at that callback's instant and place in the event
+// order, with no event of its own — and one whose chain ended before it
+// could suspend goes straight on.
+func TestSuspendResumesInPlace(t *testing.T) {
+	s := New()
+	var order []string
+	s.Spawn("waiter", func(p *Proc) {
+		s.AtArg(5, func(a any) {
+			order = append(order, "chain")
+			Resumer(a)
+			order = append(order, "after resume")
+		}, p)
+		s.At(5, func() { order = append(order, "next event") })
+		p.Suspend()
+		order = append(order, fmt.Sprintf("waiter at %v", p.Now()))
+		Resumer(p) // a chain that ends at once, on the process itself
+		p.Suspend()
+		order = append(order, "no park")
+	})
+	s.Run()
+	want := []string{"chain", "waiter at 5ns", "no park", "after resume", "next event"}
+	if !reflect.DeepEqual(order, want) {
+		t.Fatalf("order %q, want %q", order, want)
+	}
+}
+
+// Resume only hands control from a callback to a suspended process.
+func TestResumeMisuse(t *testing.T) {
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
+		}()
+		f()
+	}
+	s := New()
+	idle := s.Spawn("idle", func(p *Proc) { p.Sleep(10) })
+	s.Spawn("other", func(p *Proc) {
+		p.Yield()
+		mustPanic("Resume from another process", func() { s.Resume(idle) })
+	})
+	s.At(1, func() {})
+	s.Run()
+	s2 := New()
+	never := s2.SpawnAt(5, "later", func(*Proc) {})
+	s2.At(1, func() { mustPanic("Resume of a process that is not parked", func() { s2.Resume(never) }) })
+	s2.Run()
 }

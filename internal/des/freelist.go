@@ -35,3 +35,22 @@ func (f *FreeList[T]) Put(x *T) {
 	}
 	*f = append(*f, x)
 }
+
+// Pool returns the free list of Ts that everything in simulation s shares,
+// making it on first use. Objects whose number follows how much of the
+// simulation is in flight at once — the state of a call, say — belong in
+// one list per simulation, not one per owner: a list per client grows with
+// each client's own peak, and a simulation of thousands of clients would
+// keep allocating long after the whole stopped growing.
+func Pool[T any](s *Sim) *FreeList[T] {
+	key := any((*T)(nil)) // one key per T
+	if l, ok := s.pools[key]; ok {
+		return l.(*FreeList[T])
+	}
+	if s.pools == nil {
+		s.pools = make(map[any]any)
+	}
+	l := new(FreeList[T])
+	s.pools[key] = l
+	return l
+}

@@ -30,6 +30,9 @@ func NewQueue(s *Sim, name string) *Queue { return &Queue{sim: s, name: name} }
 // Len returns the number of queued items.
 func (q *Queue) Len() int { return q.items.Len() }
 
+// Closed reports whether Close was called.
+func (q *Queue) Closed() bool { return q.closed }
+
 // Put appends v and wakes the longest-waiting getter, if any.
 func (q *Queue) Put(v any) {
 	if q.closed {

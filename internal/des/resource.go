@@ -131,6 +131,42 @@ func (r *Resource) Use(p *Proc, n int, d Duration) {
 	r.Release(n)
 }
 
+// Hold is the state of one UseThen in flight, kept in storage its caller
+// owns (and reuses) so that a chain's occupancy allocates nothing.
+type Hold struct {
+	r   *Resource
+	d   Duration
+	fn  func(any)
+	arg any
+}
+
+// UseThen is Use of one unit for code running on the scheduler loop: it
+// takes Use's three steps as a chain — AcquireThen, an event d later,
+// Release — so each happens at the instant and in the place a process
+// calling Use would take it, then calls fn(arg). h holds the chain's state
+// until fn is called.
+func (r *Resource) UseThen(h *Hold, d Duration, fn func(any), arg any) {
+	if d < 0 {
+		d = 0
+	}
+	h.r, h.d, h.fn, h.arg = r, d, fn, arg
+	r.AcquireThen(1, held, h)
+}
+
+func held(a any) {
+	h := a.(*Hold)
+	s := h.r.sim
+	s.AtArg(s.now+Time(h.d), heldDone, h)
+}
+
+func heldDone(a any) {
+	h := a.(*Hold)
+	h.r.Release(1)
+	fn, arg := h.fn, h.arg
+	h.fn, h.arg = nil, nil
+	fn(arg)
+}
+
 // BusySeconds returns the integral of units-in-use over virtual time, in
 // unit-seconds, up to the current instant. It does not disturb lastChange,
 // so windowed queries keep their exact current segment.

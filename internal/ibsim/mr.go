@@ -96,6 +96,10 @@ type HCA struct {
 	// Write.
 	watches map[uint32]*WriteWatch
 
+	// ops holds the step states of the process forms (Register, ...) between
+	// calls.
+	ops des.FreeList[RegOp]
+
 	// Exposure accounting for the security evaluation.
 	remoteExposedBytes int64
 	remoteExposedEver  int64 // cumulative count of remotely accessible MRs
@@ -117,6 +121,16 @@ func (h *HCA) busTxn(p *des.Proc, d des.Duration) {
 		return
 	}
 	h.tptEngine.Use(p, 1, d)
+}
+
+// busThen is busTxn for a chain: it occupies the TPT engine for d, then calls
+// next(op).
+func (h *HCA) busThen(op *RegOp, d des.Duration, next func(any)) {
+	if d <= 0 {
+		next(op)
+		return
+	}
+	h.tptEngine.UseThen(&op.hold, d, next, op)
 }
 
 // TPTEngineUtilization reports how loaded the registration path is.
@@ -206,48 +220,131 @@ func (h *HCA) RemoteExposedBytes() int64 { return h.remoteExposedBytes }
 // at zero for its lifetime.
 func (h *HCA) RemoteExposedEver() int64 { return h.remoteExposedEver }
 
+// RegOp is the state of one registration step in flight — RegisterThen,
+// DeregisterThen, FMRHandle.MapThen or UnmapThen — kept in storage its caller
+// owns and reuses, so that a step allocates nothing but the MR it installs.
+// A step is a chain of callbacks: it waits for the host CPU and the TPT
+// engine, at the instants and in the places a process would.
+type RegOp struct {
+	h      *HCA
+	f      *FMRHandle
+	buf    *Buffer
+	off    int
+	length int
+	access Access
+	mr     *MR
+	start  des.Time
+	hold   des.Hold
+	fn     func(any)
+	arg    any
+}
+
+// MR returns the region the step registered or mapped.
+func (op *RegOp) MR() *MR { return op.mr }
+
+// begin readies op for a step of h ending in fn(arg). Its fields are set
+// one by one: a step is on the path of every registering RPC, and a
+// whole-struct assignment copies its hold too.
+func (op *RegOp) begin(h *HCA, fmr *FMRHandle, buf *Buffer, off, length int, access Access, mr *MR, fn func(any), arg any) {
+	op.h, op.f, op.buf, op.off, op.length, op.access, op.mr = h, fmr, buf, off, length, access, mr
+	op.start, op.fn, op.arg = h.node.fab.Sim.Now(), fn, arg
+}
+
+// finish ends the step: fn(arg), with the op left holding only its MR.
+func (op *RegOp) finish() {
+	fn, arg := op.fn, op.arg
+	op.fn, op.arg, op.buf = nil, nil, nil
+	fn(arg)
+}
+
+// await runs a step on p: the process forms of the steps are this around
+// their chains.
+func (h *HCA) await(p *des.Proc, start func(op *RegOp)) *MR {
+	op := h.ops.Get()
+	start(op)
+	p.Suspend()
+	mr := op.mr
+	*op = RegOp{}
+	h.ops.Put(op)
+	return mr
+}
+
 // Register performs a full dynamic registration: pin and translate each
 // page (host CPU), then one I/O-bus transaction to install the TPT entry
 // (the caller waits for the HCA response). This is the paper's "regular
 // registration" whose critical-path cost motivates §4.3.
 func (h *HCA) Register(p *des.Proc, buf *Buffer, off, length int, access Access) *MR {
+	return h.await(p, func(op *RegOp) { h.RegisterThen(op, buf, off, length, access, des.Resumer, p) })
+}
+
+// RegisterThen is Register for a chain: fn(arg) runs once the region is
+// installed, and op.MR() is the region.
+func (h *HCA) RegisterThen(op *RegOp, buf *Buffer, off, length int, access Access, fn func(any), arg any) {
 	if off < 0 || length <= 0 || off+length > buf.Size {
 		panic(fmt.Sprintf("ibsim: register [%d,%d) outside buffer size %d", off, off+length, buf.Size))
 	}
-	pages := h.pages(length)
-	start := p.Now()
-	h.node.CPU.Work(p, des.Duration(pages)*h.cfg.RegPerPageCPU)
-	h.busTxn(p, h.cfg.RegBase+des.Duration(pages)*h.cfg.RegPerPageBus)
+	op.begin(h, nil, buf, off, length, access, nil, fn, arg)
+	h.node.CPU.WorkThen(&op.hold, des.Duration(h.pages(length))*h.cfg.RegPerPageCPU, regPinned, op)
+}
+
+func regPinned(a any) {
+	op := a.(*RegOp)
+	h := op.h
+	h.busThen(op, h.cfg.RegBase+des.Duration(h.pages(op.length))*h.cfg.RegPerPageBus, regInstalled)
+}
+
+func regInstalled(a any) {
+	op := a.(*RegOp)
+	h := op.h
 	mr := &MR{
-		hca: h, buf: buf, bufOff: off,
-		start: buf.Addr(off), length: length,
-		rkey: h.allocTag(), access: access,
+		hca: h, buf: op.buf, bufOff: op.off,
+		start: op.buf.Addr(op.off), length: op.length,
+		rkey: h.allocTag(), access: op.access,
 	}
 	h.install(mr)
+	h.traceReg(op, mr, "register", "reg.register")
+	op.mr = mr
+	op.finish()
+}
+
+// traceReg records a registration step's span and latency.
+func (h *HCA) traceReg(op *RegOp, mr *MR, name, hist string) {
 	if tr := h.node.fab.Sim.Tracer(); tr != nil {
-		tr.Span(int64(start), int64(p.Now()), trace.LayerIbsim, trace.KindRegCall, h.node.name, "register",
-			uint64(mr.rkey), int64(length))
-		tr.Observe("reg.register", (p.Now() - start).Micros())
+		now := h.node.fab.Sim.Now()
+		tr.Span(int64(op.start), int64(now), trace.LayerIbsim, trace.KindRegCall, h.node.name, name,
+			uint64(mr.rkey), int64(mr.length))
+		tr.Observe(hist, (now - op.start).Micros())
 	}
-	return mr
 }
 
 // Deregister tears a registration down: TPT invalidate (I/O-bus
 // transaction), then per-page unpinning on the host CPU.
 func (h *HCA) Deregister(p *des.Proc, mr *MR) {
+	h.await(p, func(op *RegOp) { h.DeregisterThen(op, mr, des.Resumer, p) })
+}
+
+// DeregisterThen is Deregister for a chain: fn(arg) runs once the region is
+// gone.
+func (h *HCA) DeregisterThen(op *RegOp, mr *MR, fn func(any), arg any) {
 	if mr.global {
 		panic("ibsim: cannot deregister the global steering tag")
 	}
-	pages := h.pages(mr.length)
-	start := p.Now()
-	h.busTxn(p, h.cfg.DeregBase+des.Duration(pages)*h.cfg.DeregPerPageBus)
-	h.node.CPU.Work(p, des.Duration(pages)*h.cfg.DeregPerPageCPU)
-	h.remove(mr)
-	if tr := h.node.fab.Sim.Tracer(); tr != nil {
-		tr.Span(int64(start), int64(p.Now()), trace.LayerIbsim, trace.KindRegCall, h.node.name, "deregister",
-			uint64(mr.rkey), int64(mr.length))
-		tr.Observe("reg.deregister", (p.Now() - start).Micros())
-	}
+	op.begin(h, nil, nil, 0, 0, 0, mr, fn, arg)
+	h.busThen(op, h.cfg.DeregBase+des.Duration(h.pages(mr.length))*h.cfg.DeregPerPageBus, deregInvalidated)
+}
+
+func deregInvalidated(a any) {
+	op := a.(*RegOp)
+	h := op.h
+	h.node.CPU.WorkThen(&op.hold, des.Duration(h.pages(op.mr.length))*h.cfg.DeregPerPageCPU, deregUnpinned, op)
+}
+
+func deregUnpinned(a any) {
+	op := a.(*RegOp)
+	h := op.h
+	h.remove(op.mr)
+	h.traceReg(op, op.mr, "deregister", "reg.deregister")
+	op.finish()
 }
 
 // FMRHandle is a pre-allocated fast-registration context: the steering tag
@@ -277,6 +374,12 @@ func (f *FMRHandle) Rkey() uint32 { return f.rkey }
 // translate only (host CPU); no I/O-bus wait — this is what makes FMR
 // "considerably faster than a regular registration call" (§4.3).
 func (f *FMRHandle) Map(p *des.Proc, buf *Buffer, off, length int, access Access) *MR {
+	return f.hca.await(p, func(op *RegOp) { f.MapThen(op, buf, off, length, access, des.Resumer, p) })
+}
+
+// MapThen is Map for a chain: fn(arg) runs once the mapping is installed, and
+// op.MR() is the region.
+func (f *FMRHandle) MapThen(op *RegOp, buf *Buffer, off, length int, access Access, fn func(any), arg any) {
 	if f.mr != nil {
 		panic("ibsim: FMR handle already mapped")
 	}
@@ -296,37 +399,54 @@ func (f *FMRHandle) Map(p *des.Proc, buf *Buffer, off, length int, access Access
 			h.node.fab.hot.fmrRemapReuse.Inc()
 		}
 	}
-	pages := h.pages(length)
-	start := p.Now()
-	h.node.CPU.Work(p, des.Duration(pages)*h.cfg.FMRMapCPU)
-	h.busTxn(p, des.Duration(pages)*h.cfg.FMRMapPerPageBus)
+	op.begin(h, f, buf, off, length, access, nil, fn, arg)
+	h.node.CPU.WorkThen(&op.hold, des.Duration(h.pages(length))*h.cfg.FMRMapCPU, fmrPinned, op)
+}
+
+func fmrPinned(a any) {
+	op := a.(*RegOp)
+	h := op.h
+	h.busThen(op, des.Duration(h.pages(op.length))*h.cfg.FMRMapPerPageBus, fmrMapped)
+}
+
+func fmrMapped(a any) {
+	op := a.(*RegOp)
+	h, f := op.h, op.f
 	mr := &MR{
-		hca: h, buf: buf, bufOff: off,
-		start: buf.Addr(off), length: length,
-		rkey: f.rkey, access: access, fmr: true,
+		hca: h, buf: op.buf, bufOff: op.off,
+		start: op.buf.Addr(op.off), length: op.length,
+		rkey: f.rkey, access: op.access, fmr: true,
 	}
 	h.install(mr)
-	if tr := h.node.fab.Sim.Tracer(); tr != nil {
-		tr.Span(int64(start), int64(p.Now()), trace.LayerIbsim, trace.KindRegCall, h.node.name, "fmr-map",
-			uint64(mr.rkey), int64(length))
-		tr.Observe("reg.fmr_map", (p.Now() - start).Micros())
-	}
+	h.traceReg(op, mr, "fmr-map", "reg.fmr_map")
 	f.mr = mr
 	f.remaps++
-	return mr
+	op.mr = mr
+	op.finish()
 }
 
 // Unmap releases the current mapping; the steering tag remains allocated
 // for reuse. Unmapping is deferred-cheap (batched invalidation in the
 // Mellanox implementation), modelled as per-page CPU only.
 func (f *FMRHandle) Unmap(p *des.Proc) {
+	f.hca.await(p, func(op *RegOp) { f.UnmapThen(op, des.Resumer, p) })
+}
+
+// UnmapThen is Unmap for a chain: fn(arg) runs once the mapping is gone.
+func (f *FMRHandle) UnmapThen(op *RegOp, fn func(any), arg any) {
 	if f.mr == nil {
 		panic("ibsim: FMR handle not mapped")
 	}
 	h := f.hca
-	h.node.CPU.Work(p, des.Duration(h.pages(f.mr.length))*h.cfg.FMRMapCPU/2)
-	h.remove(f.mr)
-	f.mr = nil
+	op.begin(h, f, nil, 0, 0, 0, nil, fn, arg)
+	h.node.CPU.WorkThen(&op.hold, des.Duration(h.pages(f.mr.length))*h.cfg.FMRMapCPU/2, fmrUnmapped, op)
+}
+
+func fmrUnmapped(a any) {
+	op := a.(*RegOp)
+	op.h.remove(op.f.mr)
+	op.f.mr = nil
+	op.finish()
 }
 
 // EnableGlobalRkey installs the all-physical global steering tag: one TPT

@@ -73,6 +73,14 @@ type SendWQE struct {
 	// the CQ.
 	Done *des.Event
 
+	// OnDone, when non-nil, is called with OnDoneArg and the completion
+	// where Done is fired, for a chain waiting for this request: the
+	// completion is valid only during the call, and the chain schedules its
+	// next step where the resume of a process waiting on Done would go. A
+	// request from GetWQE goes back to the free list after the call.
+	OnDone    func(arg any, c *CQE)
+	OnDoneArg any
+
 	// Stream addresses one logical endpoint of a multiplexed (shared) QP:
 	// on a mux QP it selects which attached endpoint the request targets,
 	// and the receive CQE at the far side carries it for demultiplexing.
@@ -632,22 +640,27 @@ func (q *QP) complete(w *SendWQE, err error, bytes int) {
 		}
 	}
 	w.state = wqeIdle
-	if !w.Signaled && w.Done == nil {
-		// Nobody can see the completion, and a request from GetWQE has no
-		// other holder: zeroed, so that it pins no payload, buffer or QP.
-		if w.pooled {
-			*w = SendWQE{state: wqeFree}
-			q.node.fab.freeWQEs.Put(w)
+	if w.Signaled || w.Done != nil || w.OnDone != nil {
+		cqe := &w.cqe
+		*cqe = CQE{WRID: w.WRID, Op: w.Op, Err: err, Bytes: bytes, QP: q, Stream: w.Stream}
+		if w.Signaled {
+			q.SendCQ.post(cqe)
 		}
-		return
+		if w.Done != nil {
+			w.Done.Fire(cqe)
+		}
+		if w.OnDone != nil {
+			w.OnDone(w.OnDoneArg, cqe)
+		}
+		if w.Signaled || w.Done != nil {
+			return
+		}
 	}
-	cqe := &w.cqe
-	*cqe = CQE{WRID: w.WRID, Op: w.Op, Err: err, Bytes: bytes, QP: q, Stream: w.Stream}
-	if w.Signaled {
-		q.SendCQ.post(cqe)
-	}
-	if w.Done != nil {
-		w.Done.Fire(cqe)
+	// Nobody can see the completion any more, and a request from GetWQE has
+	// no other holder: zeroed, so that it pins no payload, buffer or QP.
+	if w.pooled {
+		*w = SendWQE{state: wqeFree}
+		q.node.fab.freeWQEs.Put(w)
 	}
 }
 

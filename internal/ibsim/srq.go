@@ -41,8 +41,9 @@ type SRQ struct {
 	cfg  SRQConfig
 	pool des.Ring[RecvWQE]
 
-	limitArmed bool
-	limitEv    *des.Event
+	// The armed limit event: the consumer's callback, nil when disarmed.
+	limitFn  func(any)
+	limitArg any
 
 	// pooledBytes is the receive capacity currently sitting in the pool;
 	// commitBytes is its high-water mark — the ring the driver actually
@@ -95,25 +96,26 @@ func (s *SRQ) PostRecv(wrid uint64, capacity int) bool {
 // memory a driver would have allocated for this SRQ's ring.
 func (s *SRQ) CommittedBytes() int64 { return s.commitBytes }
 
-// ArmLimit arms the low-watermark event and returns it: the event fires the
-// next time a take leaves fewer than Limit buffers available (immediately,
-// if the pool is already below the watermark), then disarms. The consumer's
-// refill loop waits on it, reposts, and re-arms — the IB SRQ limit
-// asynchronous-event pattern.
-func (s *SRQ) ArmLimit() *des.Event {
-	s.limitEv = des.NewEvent(s.node.fab.Sim)
-	s.limitArmed = true
+// ArmLimit arms the low-watermark event for fn(arg): the event fires the
+// next time a take leaves fewer than Limit buffers available, then disarms,
+// and fn runs as an event at that instant. Already below the watermark, the
+// event fires at once: ArmLimit reports true and does not call fn, so that
+// the consumer refills and arms again. The consumer's refill chain is this —
+// the IB SRQ limit asynchronous-event pattern.
+func (s *SRQ) ArmLimit(fn func(any), arg any) bool {
+	s.limitFn, s.limitArg = fn, arg
 	if s.pool.Len() < s.cfg.Limit {
 		s.fireLimit()
+		return true
 	}
-	return s.limitEv
+	return false
 }
 
+// fireLimit fires the armed event: disarms it and counts it.
 func (s *SRQ) fireLimit() {
-	s.limitArmed = false
+	s.limitFn, s.limitArg = nil, nil
 	s.LimitEvents++
 	s.node.fab.Counters.Inc("srq.limit")
-	s.limitEv.Fire(s.pool.Len())
 }
 
 // take pops the next pooled WQE for an arriving send, firing the armed
@@ -128,8 +130,11 @@ func (s *SRQ) take() (RecvWQE, bool) {
 	r := s.pool.Pop()
 	s.Consumed++
 	s.pooledBytes -= int64(r.Cap)
-	if s.limitArmed && s.cfg.Limit > 0 && s.pool.Len() < s.cfg.Limit {
+	if s.limitFn != nil && s.cfg.Limit > 0 && s.pool.Len() < s.cfg.Limit {
+		fn, arg := s.limitFn, s.limitArg
 		s.fireLimit()
+		sim := s.node.fab.Sim
+		sim.AtArg(sim.Now(), fn, arg)
 	}
 	return r, true
 }

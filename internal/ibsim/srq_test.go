@@ -41,7 +41,8 @@ func TestSRQPostTakeFIFO(t *testing.T) {
 
 // TestSRQLimitEventFiresOnce verifies the armed low-watermark event fires
 // exactly once when consumption crosses the limit, and re-arming after a
-// refill makes the next crossing fire again.
+// refill makes the next crossing fire again. A firing schedules the armed
+// callback at its instant.
 func TestSRQLimitEventFiresOnce(t *testing.T) {
 	sim := des.New()
 	fab := NewFabric(sim, false)
@@ -50,40 +51,48 @@ func TestSRQLimitEventFiresOnce(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		srq.PostRecv(uint64(i), 1024)
 	}
-	ev := srq.ArmLimit()
+	called := 0
+	limit := func(any) { called++ }
+	if srq.ArmLimit(limit, nil) {
+		t.Fatal("armed event fired with pool above watermark")
+	}
 	// Takes 8→7→6→5→4→3: still at or above the watermark.
 	for i := 0; i < 5; i++ {
 		srq.take()
-		if ev.Fired() {
+		if srq.LimitEvents != 0 {
 			t.Fatalf("limit fired early at avail %d", srq.Avail())
 		}
 	}
 	srq.take() // 3→2: crossed
-	if !ev.Fired() {
+	if srq.LimitEvents != 1 {
 		t.Fatal("limit event did not fire on crossing")
 	}
 	srq.take() // further takes must not re-fire a disarmed event
 	if srq.LimitEvents != 1 {
 		t.Fatalf("LimitEvents = %d, want 1", srq.LimitEvents)
 	}
+	sim.Run()
+	if called != 1 {
+		t.Fatalf("callback ran %d times, want 1", called)
+	}
 	// Refill, re-arm, cross again.
 	for i := 0; i < 6; i++ {
 		srq.PostRecv(uint64(10+i), 1024)
 	}
-	ev2 := srq.ArmLimit()
-	if ev2.Fired() {
+	if srq.ArmLimit(limit, nil) {
 		t.Fatal("re-armed event fired with pool above watermark")
 	}
 	for srq.Avail() >= srq.Limit() {
 		srq.take()
 	}
-	if !ev2.Fired() || srq.LimitEvents != 2 {
-		t.Fatalf("second crossing: fired=%v events=%d", ev2.Fired(), srq.LimitEvents)
+	sim.Run()
+	if called != 2 || srq.LimitEvents != 2 {
+		t.Fatalf("second crossing: called=%d events=%d", called, srq.LimitEvents)
 	}
 }
 
 // TestSRQArmBelowWatermarkFiresImmediately covers arming when the pool is
-// already depleted: the event must fire at once, or the refill loop would
+// already depleted: the event must fire at once, or the refill chain would
 // sleep through an empty pool.
 func TestSRQArmBelowWatermarkFiresImmediately(t *testing.T) {
 	sim := des.New()
@@ -91,9 +100,10 @@ func TestSRQArmBelowWatermarkFiresImmediately(t *testing.T) {
 	n := fab.AddNode(NodeConfig{Name: "srv"})
 	srq := NewSRQ(n, "srv/srq", SRQConfig{Depth: 8, Limit: 4})
 	srq.PostRecv(0, 1024)
-	if ev := srq.ArmLimit(); !ev.Fired() {
+	if !srq.ArmLimit(func(any) { t.Fatal("callback of an event that fired at once") }, nil) {
 		t.Fatal("arming below the watermark did not fire immediately")
 	}
+	sim.Run()
 }
 
 // TestSRQSharedAcrossQPs drives sends over two QPs attached to one SRQ and

@@ -143,6 +143,8 @@ type Manager struct {
 	slab      map[int][]*Chunk // size class -> free registered chunks
 	slabBytes int64
 	slabSeq   int64
+
+	ops des.FreeList[Op] // the process forms' step states between calls
 }
 
 // Stats counts strategy activity for the experiment reports.
@@ -216,23 +218,98 @@ func (m *Manager) newChunk(size int, access ibsim.Access, materialized bool) *Ch
 	return c
 }
 
+// Op is the state of one Manager step in flight — GetThen, RegisterChunkThen,
+// PutThen and the rest — kept in storage its caller owns and reuses, so that
+// a step allocates nothing it does not hand out. A step is a chain of
+// callbacks: it waits for the HCA's registration steps, which wait for the
+// host CPU and the TPT engine, at the instants and in the places a process
+// would. Every process form (Get, Put, ...) is its chain run on a process
+// that Suspends until the chain Resumes it.
+type Op struct {
+	m      *Manager
+	reg    ibsim.RegOp
+	c      *Chunk        // the chunk got, registered or put; an eviction's victim
+	r      *Registration // the registration being made or torn down
+	fmr    *ibsim.FMRHandle
+	length int
+	next   func(*Op) // the step after a registration or deregistration
+	fn     func(any)
+	arg    any
+}
+
+// Chunk returns the chunk a GetThen, GetPayloadThen or GetUnregisteredThen
+// got.
+func (op *Op) Chunk() *Chunk { return op.c }
+
+// Registration returns the registration a RegisterExternalThen made.
+func (op *Op) Registration() *Registration { return op.r }
+
+// begin readies op for a step ending in fn(arg). It sets the fields one by
+// one: a step is on the path of every staging or registering RPC, and a
+// whole-struct assignment copies the HCA step state too.
+func (op *Op) begin(m *Manager, fn func(any), arg any) {
+	op.m, op.c, op.r, op.fmr, op.next, op.fn, op.arg = m, nil, nil, nil, nil, fn, arg
+}
+
+// finish ends the step: fn(arg), with op still holding the step's results.
+func (op *Op) finish() {
+	fn, arg := op.fn, op.arg
+	op.fn, op.arg, op.next = nil, nil, nil
+	fn(arg)
+}
+
+func finishOp(op *Op) { op.finish() }
+
+// await runs the step start begins on p and returns its results: the
+// process forms are this around their chains.
+func (m *Manager) await(p *des.Proc, start func(op *Op)) (*Chunk, *Registration) {
+	op := m.ops.Get()
+	start(op)
+	p.Suspend()
+	c, r := op.c, op.r
+	*op = Op{}
+	m.ops.Put(op)
+	return c, r
+}
+
 // Get returns a buffer of at least size bytes registered with the given
 // access, charging whatever the mode costs, for staging that carries
 // protocol bytes (long calls and replies, reply slots and deposits): its
 // bytes are real even in phantom-data mode, because the peer decodes them.
 func (m *Manager) Get(p *des.Proc, size int, access ibsim.Access) *Chunk {
-	c := m.alloc(p, size, access, true)
-	m.RegisterChunk(p, c, 0)
+	c, _ := m.await(p, func(op *Op) { m.GetThen(op, size, access, des.Resumer, p) })
 	return c
+}
+
+// GetThen is Get for a chain: fn(arg) runs once op.Chunk() is registered.
+func (m *Manager) GetThen(op *Op, size int, access ibsim.Access, fn func(any), arg any) {
+	op.begin(m, fn, arg)
+	m.getRegistered(op, size, access, true)
 }
 
 // GetPayload is Get for staging that carries file payload: nobody reads the
 // bytes but the application, so they exist only when the fabric copies data
 // (ibsim.Fabric.CopyData), exactly like the caller's own buffers.
 func (m *Manager) GetPayload(p *des.Proc, size int, access ibsim.Access) *Chunk {
-	c := m.GetUnregistered(p, size, access)
-	m.RegisterChunk(p, c, 0)
+	c, _ := m.await(p, func(op *Op) { m.GetPayloadThen(op, size, access, des.Resumer, p) })
 	return c
+}
+
+// GetPayloadThen is GetPayload for a chain.
+func (m *Manager) GetPayloadThen(op *Op, size int, access ibsim.Access, fn func(any), arg any) {
+	op.begin(m, fn, arg)
+	m.getRegistered(op, size, access, false)
+}
+
+// getRegistered allocates a chunk and registers it (a cache-mode chunk comes
+// registered).
+func (m *Manager) getRegistered(op *Op, size int, access ibsim.Access, materialized bool) {
+	if m.cfg.Mode == Cache {
+		m.cacheGet(op, size, access)
+		return
+	}
+	op.c = m.newChunk(size, access, materialized)
+	m.registerChunk(op, 0)
 }
 
 // GetUnregistered allocates payload staging without (necessarily) paying
@@ -240,17 +317,20 @@ func (m *Manager) GetPayload(p *des.Proc, size int, access ibsim.Access) *Chunk 
 // registers when control returns from the file system. Under the cache
 // mode a slab hit arrives already registered, which is the whole point.
 func (m *Manager) GetUnregistered(p *des.Proc, size int, access ibsim.Access) *Chunk {
-	return m.alloc(p, size, access, false)
+	c, _ := m.await(p, func(op *Op) { m.GetUnregisteredThen(op, size, access, des.Resumer, p) })
+	return c
 }
 
-// alloc returns an unregistered chunk (a registered one under the cache
-// mode, whose slab chunks serve payload and protocol staging alike and are
-// therefore always materialized).
-func (m *Manager) alloc(p *des.Proc, size int, access ibsim.Access, materialized bool) *Chunk {
+// GetUnregisteredThen is GetUnregistered for a chain. Outside the cache mode
+// it calls fn at once.
+func (m *Manager) GetUnregisteredThen(op *Op, size int, access ibsim.Access, fn func(any), arg any) {
+	op.begin(m, fn, arg)
 	if m.cfg.Mode == Cache {
-		return m.cacheGet(p, size, access)
+		m.cacheGet(op, size, access)
+		return
 	}
-	return m.newChunk(size, access, materialized)
+	op.c = m.newChunk(size, access, false)
+	op.finish()
 }
 
 // RegisterChunk ensures the chunk is registered, charging the mode's cost
@@ -259,64 +339,106 @@ func (m *Manager) alloc(p *des.Proc, size int, access ibsim.Access, materialized
 // staging allocation. Cache-mode chunks keep their full-class registration
 // (that is what makes them reusable); n <= 0 registers the full length.
 func (m *Manager) RegisterChunk(p *des.Proc, c *Chunk, n int) {
+	m.await(p, func(op *Op) { m.RegisterChunkThen(op, c, n, des.Resumer, p) })
+}
+
+// RegisterChunkThen is RegisterChunk for a chain. A chunk already registered
+// calls fn at once.
+func (m *Manager) RegisterChunkThen(op *Op, c *Chunk, n int, fn func(any), arg any) {
+	op.begin(m, fn, arg)
+	op.c = c
+	m.registerChunk(op, n)
+}
+
+func (m *Manager) registerChunk(op *Op, n int) {
+	c := op.c
 	if c.Reg != nil {
+		op.finish()
 		return
 	}
 	if n <= 0 || n > c.Buf.Size {
 		n = c.Buf.Size
 	}
-	m.register(p, &c.reg, m.cfg.Mode, &c.Buf, 0, n, c.access)
-	c.Reg = &c.reg
+	m.register(op, &c.reg, m.cfg.Mode, &c.Buf, 0, n, c.access, chunkRegistered)
+}
+
+func chunkRegistered(op *Op) {
+	op.c.Reg = &op.c.reg
+	op.finish()
 }
 
 // Put releases a chunk obtained from Get, GetPayload or GetUnregistered.
 func (m *Manager) Put(p *des.Proc, c *Chunk) {
+	m.await(p, func(op *Op) { m.PutThen(op, c, des.Resumer, p) })
+}
+
+// PutThen is Put for a chain.
+func (m *Manager) PutThen(op *Op, c *Chunk, fn func(any), arg any) {
+	op.begin(m, fn, arg)
 	if m.cfg.Mode == Cache {
-		m.cachePut(p, c)
+		m.cachePut(op, c)
 		return
 	}
+	op.c = c
 	if c.Reg != nil {
-		m.deregister(p, c.Reg)
+		m.deregister(op, c.Reg, chunkDeregistered)
+		return
 	}
-	m.mem.Free(&c.Buf)
+	chunkDeregistered(op)
+}
+
+func chunkDeregistered(op *Op) {
+	op.m.mem.Free(&op.c.Buf)
+	op.c = nil
+	op.finish()
 }
 
 // RegisterExternal registers caller-owned memory (the direct-I/O path).
 // The cache mode cannot apply here — it is allocation-linked by design — so
 // it falls back to dynamic registration.
 func (m *Manager) RegisterExternal(p *des.Proc, buf *ibsim.Buffer, off, length int, access ibsim.Access) *Registration {
+	_, r := m.await(p, func(op *Op) { m.RegisterExternalThen(op, buf, off, length, access, des.Resumer, p) })
+	return r
+}
+
+// RegisterExternalThen is RegisterExternal for a chain: fn(arg) runs once
+// op.Registration() is made.
+func (m *Manager) RegisterExternalThen(op *Op, buf *ibsim.Buffer, off, length int, access ibsim.Access, fn func(any), arg any) {
+	op.begin(m, fn, arg)
 	mode := m.cfg.Mode
 	if mode == Cache {
 		mode = Regular
 	}
-	r := new(Registration)
-	m.register(p, r, mode, buf, off, length, access)
-	return r
+	m.register(op, new(Registration), mode, buf, off, length, access, finishOp)
 }
 
 // DeregisterExternal releases a RegisterExternal registration.
 func (m *Manager) DeregisterExternal(p *des.Proc, r *Registration) {
-	m.deregister(p, r)
+	m.await(p, func(op *Op) { m.DeregisterExternalThen(op, r, des.Resumer, p) })
 }
 
-// register fills r with a registration of buf[off, off+length) under mode.
-func (m *Manager) register(p *des.Proc, r *Registration, mode Mode, buf *ibsim.Buffer, off, length int, access ibsim.Access) {
+// DeregisterExternalThen is DeregisterExternal for a chain.
+func (m *Manager) DeregisterExternalThen(op *Op, r *Registration, fn func(any), arg any) {
+	op.begin(m, fn, arg)
+	m.deregister(op, r, finishOp)
+}
+
+// register fills r with a registration of buf[off, off+length) under mode,
+// then calls next(op) with op.r = r.
+func (m *Manager) register(op *Op, r *Registration, mode Mode, buf *ibsim.Buffer, off, length int, access ibsim.Access, next func(*Op)) {
+	op.r, op.length, op.next = r, length, next
 	switch mode {
 	case FMR:
 		if length <= m.cfg.FMRMaxLen && len(m.fmrFree) > 0 {
-			h := m.fmrFree[len(m.fmrFree)-1]
+			op.fmr = m.fmrFree[len(m.fmrFree)-1]
 			m.fmrFree = m.fmrFree[:len(m.fmrFree)-1]
-			mr := h.Map(p, buf, off, length, access)
-			m.stat.FMRMaps++
-			*r = Registration{extent: Segment{Rkey: mr.Rkey(), Addr: mr.Start(), Len: length}, fmr: h}
+			op.fmr.MapThen(&op.reg, buf, off, length, access, fmrMapped, op)
 			return
 		}
 		m.stat.FMRFallback++
 		fallthrough
 	case Regular, Cache:
-		mr := m.hca.Register(p, buf, off, length, access)
-		m.stat.Registers++
-		*r = Registration{extent: Segment{Rkey: mr.Rkey(), Addr: mr.Start(), Len: length}, mr: mr}
+		m.hca.RegisterThen(&op.reg, buf, off, length, access, mrRegistered, op)
 	case AllPhysical:
 		// No per-operation cost: the global steering tag addresses pinned
 		// physical memory directly, one segment per physically contiguous
@@ -326,27 +448,68 @@ func (m *Manager) register(p *des.Proc, r *Registration, mode Mode, buf *ibsim.B
 			panic("memreg: all-physical mode without global rkey enabled")
 		}
 		*r = Registration{extent: Segment{Rkey: g.Rkey(), Addr: buf.Addr(off), Len: length}, buf: buf}
+		op.step()
 	default:
 		panic("memreg: unknown mode")
 	}
 }
 
-func (m *Manager) deregister(p *des.Proc, r *Registration) {
-	switch {
-	case r.fmr != nil:
-		r.fmr.Unmap(p)
-		m.fmrFree = append(m.fmrFree, r.fmr)
-	case r.mr != nil:
-		m.hca.Deregister(p, r.mr)
-	}
-	*r = Registration{}
+// step calls the step after a registration or deregistration.
+func (op *Op) step() {
+	next := op.next
+	op.next = nil
+	next(op)
 }
 
-// cacheGet serves a buffer from the slab, registering only on miss.
+func fmrMapped(a any) {
+	op := a.(*Op)
+	mr := op.reg.MR()
+	op.m.stat.FMRMaps++
+	*op.r = Registration{extent: Segment{Rkey: mr.Rkey(), Addr: mr.Start(), Len: op.length}, fmr: op.fmr}
+	op.fmr = nil
+	op.step()
+}
+
+func mrRegistered(a any) {
+	op := a.(*Op)
+	mr := op.reg.MR()
+	op.m.stat.Registers++
+	*op.r = Registration{extent: Segment{Rkey: mr.Rkey(), Addr: mr.Start(), Len: op.length}, mr: mr}
+	op.step()
+}
+
+// deregister tears r down, then calls next(op).
+func (m *Manager) deregister(op *Op, r *Registration, next func(*Op)) {
+	op.r, op.next = r, next
+	switch {
+	case r.fmr != nil:
+		r.fmr.UnmapThen(&op.reg, fmrUnmapped, op)
+	case r.mr != nil:
+		m.hca.DeregisterThen(&op.reg, r.mr, mrDeregistered, op)
+	default:
+		mrDeregistered(op)
+	}
+}
+
+func fmrUnmapped(a any) {
+	op := a.(*Op)
+	op.m.fmrFree = append(op.m.fmrFree, op.r.fmr)
+	mrDeregistered(op)
+}
+
+func mrDeregistered(a any) {
+	op := a.(*Op)
+	*op.r = Registration{}
+	op.r = nil
+	op.step()
+}
+
+// cacheGet serves a buffer from the slab, registering only on miss, and
+// finishes op with it.
 // Cached buffers whose existing registration lacks the requested access are
 // re-registered (counted as a miss): in practice the server requests the
 // same local-only access every time, so steady state is all hits.
-func (m *Manager) cacheGet(p *des.Proc, size int, access ibsim.Access) *Chunk {
+func (m *Manager) cacheGet(op *Op, size int, access ibsim.Access) {
 	class := sizeClass(size)
 	free := m.slab[class]
 	for i := len(free) - 1; i >= 0; i-- {
@@ -355,30 +518,35 @@ func (m *Manager) cacheGet(p *des.Proc, size int, access ibsim.Access) *Chunk {
 			m.slab[class] = append(free[:i], free[i+1:]...)
 			m.slabBytes -= int64(class)
 			m.stat.CacheHits++
-			return c
+			op.c = c
+			op.finish()
+			return
 		}
 	}
 	m.stat.CacheMisses++
-	c := m.newChunk(class, access, true)
-	m.register(p, &c.reg, Regular, &c.Buf, 0, class, access)
-	c.Reg = &c.reg
-	return c
+	op.c = m.newChunk(class, access, true)
+	m.register(op, &op.c.reg, Regular, &op.c.Buf, 0, class, access, chunkRegistered)
 }
 
 // cachePut returns a chunk to the slab, evicting the oldest entries beyond
-// the byte bound (the link to the system slab reclaim the paper describes).
-func (m *Manager) cachePut(p *des.Proc, c *Chunk) {
+// the byte bound (the link to the system slab reclaim the paper describes),
+// and finishes op.
+func (m *Manager) cachePut(op *Op, c *Chunk) {
 	m.slabSeq++
 	c.seq = m.slabSeq
 	class := c.Buf.Size
 	m.slab[class] = append(m.slab[class], c)
 	m.slabBytes += int64(class)
-	for m.slabBytes > m.cfg.CacheMaxBytes {
-		m.evictOldest(p)
-	}
+	m.evictOldest(op)
 }
 
-func (m *Manager) evictOldest(p *des.Proc) {
+// evictOldest evicts the oldest slab entry while the slab is over its bound,
+// then finishes op.
+func (m *Manager) evictOldest(op *Op) {
+	if m.slabBytes <= m.cfg.CacheMaxBytes {
+		op.finish()
+		return
+	}
 	var victimClass int
 	var victimIdx int
 	var victim *Chunk
@@ -390,14 +558,22 @@ func (m *Manager) evictOldest(p *des.Proc) {
 		}
 	}
 	if victim == nil {
+		op.finish()
 		return
 	}
 	list := m.slab[victimClass]
 	m.slab[victimClass] = append(list[:victimIdx], list[victimIdx+1:]...)
 	m.slabBytes -= int64(victimClass)
-	m.deregister(p, victim.Reg)
-	m.mem.Free(&victim.Buf)
+	op.c = victim
+	m.deregister(op, victim.Reg, evicted)
+}
+
+func evicted(op *Op) {
+	m := op.m
+	m.mem.Free(&op.c.Buf)
+	op.c = nil
 	m.stat.Evictions++
+	m.evictOldest(op)
 }
 
 // CachedBytes returns the bytes currently held registered in the slab.

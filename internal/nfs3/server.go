@@ -44,9 +44,11 @@ type Server struct {
 
 	// Ops counts handled procedures by number.
 	Ops []int64
+
+	calls des.FreeList[call] // HandleThen's states between calls, zeroed
 }
 
-var _ oncrpc.Service = (*Server)(nil)
+var _ oncrpc.ChainService = (*Server)(nil)
 
 // NewServer exports fs over NFSv3.
 func NewServer(fs vfs.FS, cfg ServerConfig) *Server {
@@ -133,34 +135,38 @@ func (s *Server) wccFrom(p *des.Proc, id vfs.FileID, pre WccAttr, ok bool) WccDa
 // largest results without a variable-length tail (all optional attributes
 // present; READLINK's path and READDIR[PLUS]'s entries grow the reply beyond
 // it), whether a replay would corrupt, and the handler (nil: void results).
+//
+// READ, WRITE and COMMIT reach the store, which may wait for the disk: their
+// handlers are chains (then), which HandleThen runs instead of handle.
 var procs = [...]struct {
 	name          string
 	resultsSize   int
 	nonIdempotent bool
 	handle        func(s *Server, p *des.Proc, req *oncrpc.ServerRequest) *oncrpc.Bulk
+	then          func(s *Server, c *call)
 }{
-	ProcNull:        {"NULL", 0, false, nil},
-	ProcGetAttr:     {"GETATTR", 88, false, (*Server).getattr},
-	ProcSetAttr:     {"SETATTR", 120, true, (*Server).setattr},
-	ProcLookup:      {"LOOKUP", 200, false, (*Server).lookup},
-	ProcAccess:      {"ACCESS", 96, false, (*Server).access},
-	ProcReadLink:    {"READLINK", 96, false, (*Server).readlink},
-	ProcRead:        {"READ", 104, false, (*Server).read},
-	ProcWrite:       {"WRITE", 136, true, (*Server).write},
-	ProcCreate:      {"CREATE", 232, true, (*Server).create},
-	ProcMkdir:       {"MKDIR", 232, true, (*Server).mkdir},
-	ProcSymlink:     {"SYMLINK", 232, true, (*Server).symlink},
-	ProcMknod:       {"MKNOD", 232, true, (*Server).mknod},
-	ProcRemove:      {"REMOVE", 120, true, (*Server).remove},
-	ProcRmdir:       {"RMDIR", 120, true, (*Server).remove},
-	ProcRename:      {"RENAME", 236, true, (*Server).rename},
-	ProcLink:        {"LINK", 208, true, (*Server).link},
-	ProcReadDir:     {"READDIR", 108, false, (*Server).readdir},
-	ProcReadDirPlus: {"READDIRPLUS", 108, false, (*Server).readdir},
-	ProcFSStat:      {"FSSTAT", 144, false, (*Server).fsstat},
-	ProcFSInfo:      {"FSINFO", 140, false, (*Server).fsinfo},
-	ProcPathConf:    {"PATHCONF", 116, false, (*Server).pathconf},
-	ProcCommit:      {"COMMIT", 128, false, (*Server).commit},
+	ProcNull:        {"NULL", 0, false, nil, nil},
+	ProcGetAttr:     {"GETATTR", 88, false, (*Server).getattr, nil},
+	ProcSetAttr:     {"SETATTR", 120, true, (*Server).setattr, nil},
+	ProcLookup:      {"LOOKUP", 200, false, (*Server).lookup, nil},
+	ProcAccess:      {"ACCESS", 96, false, (*Server).access, nil},
+	ProcReadLink:    {"READLINK", 96, false, (*Server).readlink, nil},
+	ProcRead:        {"READ", 104, false, nil, (*Server).read},
+	ProcWrite:       {"WRITE", 136, true, nil, (*Server).write},
+	ProcCreate:      {"CREATE", 232, true, (*Server).create, nil},
+	ProcMkdir:       {"MKDIR", 232, true, (*Server).mkdir, nil},
+	ProcSymlink:     {"SYMLINK", 232, true, (*Server).symlink, nil},
+	ProcMknod:       {"MKNOD", 232, true, (*Server).mknod, nil},
+	ProcRemove:      {"REMOVE", 120, true, (*Server).remove, nil},
+	ProcRmdir:       {"RMDIR", 120, true, (*Server).remove, nil},
+	ProcRename:      {"RENAME", 236, true, (*Server).rename, nil},
+	ProcLink:        {"LINK", 208, true, (*Server).link, nil},
+	ProcReadDir:     {"READDIR", 108, false, (*Server).readdir, nil},
+	ProcReadDirPlus: {"READDIRPLUS", 108, false, (*Server).readdir, nil},
+	ProcFSStat:      {"FSSTAT", 144, false, (*Server).fsstat, nil},
+	ProcFSInfo:      {"FSINFO", 140, false, (*Server).fsinfo, nil},
+	ProcPathConf:    {"PATHCONF", 116, false, (*Server).pathconf, nil},
+	ProcCommit:      {"COMMIT", 128, false, nil, (*Server).commit},
 }
 
 // ResultsSize implements oncrpc.ResultsSizer.
@@ -171,23 +177,86 @@ func (s *Server) ResultsSize(proc uint32) int {
 	return 0
 }
 
-// Handle implements oncrpc.Service: the procedure's handler decodes the
-// arguments, runs them against the file system, and appends the encoded
-// results to req.Reply.
+// Handle implements oncrpc.Service: HandleThen run on p.
 func (s *Server) Handle(p *des.Proc, req *oncrpc.ServerRequest) oncrpc.ServerResponse {
+	return oncrpc.HandleOn(p, s, req)
+}
+
+// call is the state of one HandleThen in flight, kept for reuse by the
+// server: the request, where the response goes, and what a READ, WRITE or
+// COMMIT carries across its copy charge and its store call.
+type call struct {
+	s      *Server
+	req    *oncrpc.ServerRequest
+	resp   *oncrpc.ServerResponse
+	fn     func(any)
+	arg    any
+	charge cpu.Charge
+
+	id     vfs.FileID
+	off    int64
+	count  int
+	buf    []byte // READ's destination, WRITE's data
+	bulk   *oncrpc.Bulk
+	stable uint32 // WRITE's stable_how
+	eof    bool
+	pre    WccAttr
+	preOK  bool
+}
+
+// HandleThen implements oncrpc.ChainService: the procedure's handler decodes
+// the arguments, runs them against the file system, and appends the encoded
+// results to req.Reply. The CPU charges are chained; a READ, WRITE or COMMIT
+// the store cannot serve from memory makes its store call on the server
+// thread's process (req.Thread).
+func (s *Server) HandleThen(req *oncrpc.ServerRequest, resp *oncrpc.ServerResponse, fn func(any), arg any) {
+	c := s.calls.Get() // zeroed by done
+	c.s, c.req, c.resp, c.fn, c.arg = s, req, resp, fn, arg
 	if s.cfg.CPU != nil {
-		s.cfg.CPU.Work(p, s.cfg.PerOpCPU)
+		s.cfg.CPU.WorkThen(&c.charge, s.cfg.PerOpCPU, handleCall, c)
+		return
 	}
+	handleCall(c)
+}
+
+func handleCall(a any) {
+	c := a.(*call)
+	s, req := c.s, c.req
 	proc := req.Header.Proc
 	if proc >= uint32(len(procs)) {
-		return oncrpc.ServerResponse{Stat: oncrpc.ProcUnavail}
+		c.done(oncrpc.ProcUnavail, nil)
+		return
 	}
 	s.Ops[proc]++
-	var bulk *oncrpc.Bulk
-	if h := procs[proc].handle; h != nil {
-		bulk = h(s, p, req)
+	switch h := &procs[proc]; {
+	case h.then != nil:
+		h.then(s, c)
+	case h.handle != nil:
+		c.done(oncrpc.Success, h.handle(s, req.Thread.Proc(), req))
+	default:
+		c.done(oncrpc.Success, nil)
 	}
-	return oncrpc.ServerResponse{Stat: oncrpc.Success, Bulk: bulk}
+}
+
+// done answers the call and takes its state back.
+func (c *call) done(stat oncrpc.AcceptStat, bulk *oncrpc.Bulk) {
+	*c.resp = oncrpc.ServerResponse{Stat: stat, Bulk: bulk}
+	s, fn, arg := c.s, c.fn, c.arg
+	*c = call{}
+	s.calls.Put(c)
+	fn(arg)
+}
+
+// store makes the call's store call op, fn: on the scheduler loop when the
+// store serves it from memory, on the server thread's process when it may
+// wait for the disk.
+func (c *call) store(op vfs.StoreOp, fn func(p *des.Proc, c any)) {
+	th := c.req.Thread
+	if c.s.fs.Resident(c.id, c.off, c.count, op) {
+		fn(th.Proc(), c)
+		return
+	}
+	th.Run(fn, c)
 }
 
 // decode decodes a call's arguments through args and checks the handles fhs
@@ -298,65 +367,99 @@ func (s *Server) readlink(p *des.Proc, req *oncrpc.ServerRequest) *oncrpc.Bulk {
 // read runs READ: payload goes to the transport-provided staging buffer
 // (req.ReplyBuf) when present, charged as one server-side copy out of the
 // file system.
-func (s *Server) read(p *des.Proc, req *oncrpc.ServerRequest) *oncrpc.Bulk {
+func (s *Server) read(c *call) {
+	req := c.req
 	var args ReadArgs
 	var res ReadRes
 	if !s.decode(req, args.XDR, res.XDR, &res.Status, &args.FH) {
-		return nil
+		c.done(oncrpc.Success, nil)
+		return
 	}
-	id := args.FH.file()
-	count := min(int(args.Count), maxTransfer)
-	if req.RecvBulkCap > 0 && count > req.RecvBulkCap {
-		count = req.RecvBulkCap
+	c.id, c.off = args.FH.file(), int64(args.Offset)
+	c.count = min(int(args.Count), maxTransfer)
+	if req.RecvBulkCap > 0 && c.count > req.RecvBulkCap {
+		c.count = req.RecvBulkCap
 	}
-	bulk := req.ReplyBuf
-	if bulk == nil {
-		bulk = &oncrpc.Bulk{Data: make([]byte, count)}
+	c.bulk = req.ReplyBuf
+	if c.bulk == nil {
+		c.bulk = &oncrpc.Bulk{Data: make([]byte, c.count)}
 	}
-	var dst []byte
-	if bulk.Data != nil {
-		dst = bulk.Data[:min(count, len(bulk.Data))]
+	if c.bulk.Data != nil {
+		c.buf = c.bulk.Data[:min(c.count, len(c.bulk.Data))]
 	}
-	n, eof, err := s.fs.Read(p, id, int64(args.Offset), count, dst)
-	if err != nil {
-		res.Status, res.Attr = StatusFromVFS(err), s.postAttr(p, id)
-		s.reply(req, res.XDR)
-		return nil
-	}
-	bulk.Len = n
-	if s.cfg.CPU != nil {
-		s.cfg.CPU.Copy(p, n) // file system -> staging buffer
-	}
-	res = ReadRes{Status: OK, Attr: s.postAttr(p, id), Count: uint32(n), EOF: eof}
-	s.reply(req, res.XDR)
-	return bulk
+	c.store(vfs.StoreRead, readStore)
 }
 
-func (s *Server) write(p *des.Proc, req *oncrpc.ServerRequest) *oncrpc.Bulk {
+func readStore(p *des.Proc, a any) {
+	c := a.(*call)
+	s := c.s
+	n, eof, err := s.fs.Read(p, c.id, c.off, c.count, c.buf)
+	if err != nil {
+		res := ReadRes{Status: StatusFromVFS(err), Attr: s.postAttr(p, c.id)}
+		s.reply(c.req, res.XDR)
+		c.done(oncrpc.Success, nil)
+		return
+	}
+	c.bulk.Len, c.count, c.eof = n, n, eof
+	if s.cfg.CPU != nil {
+		// file system -> staging buffer
+		s.cfg.CPU.WorkThen(&c.charge, s.cfg.CPU.CopyCost(n), readCopied, c)
+		return
+	}
+	readCopied(c)
+}
+
+func readCopied(a any) {
+	c := a.(*call)
+	s := c.s
+	res := ReadRes{Status: OK, Attr: s.postAttr(c.req.Thread.Proc(), c.id), Count: uint32(c.count), EOF: c.eof}
+	s.reply(c.req, res.XDR)
+	c.done(oncrpc.Success, c.bulk)
+}
+
+func (s *Server) write(c *call) {
+	req := c.req
 	var args WriteArgs
 	var res WriteRes
 	if !s.decode(req, args.XDR, res.XDR, &res.Status, &args.FH) {
-		return nil
+		c.done(oncrpc.Success, nil)
+		return
 	}
-	id, count, bulk := args.FH.file(), 0, req.Bulk
-	if bulk != nil {
-		count = min(int(args.Count), bulk.Len, maxTransfer)
-	}
-	var data []byte
-	if bulk != nil && bulk.Data != nil {
-		data = bulk.Data[:count]
+	c.id, c.off, c.stable = args.FH.file(), int64(args.Offset), args.Stable
+	if bulk := req.Bulk; bulk != nil {
+		c.count = min(int(args.Count), bulk.Len, maxTransfer)
+		if bulk.Data != nil {
+			c.buf = bulk.Data[:c.count]
+		}
 	}
 	if s.cfg.CPU != nil {
-		s.cfg.CPU.Copy(p, count) // staging buffer -> file system
+		// staging buffer -> file system
+		s.cfg.CPU.WorkThen(&c.charge, s.cfg.CPU.CopyCost(c.count), writeCopied, c)
+		return
 	}
-	pre, preOK := s.preOp(p, id)
-	n, err := s.fs.Write(p, id, int64(args.Offset), count, data, args.Stable == FileSync)
-	res = WriteRes{
-		Status: StatusFromVFS(err), Wcc: s.wccFrom(p, id, pre, preOK),
-		Count: uint32(n), Committed: args.Stable, Verf: s.writeVerf,
+	writeCopied(c)
+}
+
+func writeCopied(a any) {
+	c := a.(*call)
+	c.pre, c.preOK = c.s.preOp(c.req.Thread.Proc(), c.id)
+	op := vfs.StoreWrite
+	if c.stable == FileSync {
+		op = vfs.StoreSync
 	}
-	s.reply(req, res.XDR)
-	return nil
+	c.store(op, writeStore)
+}
+
+func writeStore(p *des.Proc, a any) {
+	c := a.(*call)
+	s := c.s
+	n, err := s.fs.Write(p, c.id, c.off, c.count, c.buf, c.stable == FileSync)
+	res := WriteRes{
+		Status: StatusFromVFS(err), Wcc: s.wccFrom(p, c.id, c.pre, c.preOK),
+		Count: uint32(n), Committed: c.stable, Verf: s.writeVerf,
+	}
+	s.reply(c.req, res.XDR)
+	c.done(oncrpc.Success, nil)
 }
 
 func (s *Server) create(p *des.Proc, req *oncrpc.ServerRequest) *oncrpc.Bulk {
@@ -540,15 +643,24 @@ func (s *Server) pathconf(p *des.Proc, req *oncrpc.ServerRequest) *oncrpc.Bulk {
 	return nil
 }
 
-func (s *Server) commit(p *des.Proc, req *oncrpc.ServerRequest) *oncrpc.Bulk {
+func (s *Server) commit(c *call) {
+	req := c.req
 	var args CommitArgs
 	var res CommitRes
-	if s.decode(req, args.XDR, res.XDR, &res.Status, &args.FH) {
-		id := args.FH.file()
-		pre, preOK := s.preOp(p, id)
-		err := s.fs.Commit(p, id, int64(args.Offset), int(args.Count))
-		res = CommitRes{Status: StatusFromVFS(err), Wcc: s.wccFrom(p, id, pre, preOK), Verf: s.writeVerf}
-		s.reply(req, res.XDR)
+	if !s.decode(req, args.XDR, res.XDR, &res.Status, &args.FH) {
+		c.done(oncrpc.Success, nil)
+		return
 	}
-	return nil
+	c.id, c.off, c.count = args.FH.file(), int64(args.Offset), int(args.Count)
+	c.pre, c.preOK = s.preOp(req.Thread.Proc(), c.id)
+	c.store(vfs.StoreSync, commitStore)
+}
+
+func commitStore(p *des.Proc, a any) {
+	c := a.(*call)
+	s := c.s
+	err := s.fs.Commit(p, c.id, c.off, c.count)
+	res := CommitRes{Status: StatusFromVFS(err), Wcc: s.wccFrom(p, c.id, c.pre, c.preOK), Verf: s.writeVerf}
+	s.reply(c.req, res.XDR)
+	c.done(oncrpc.Success, nil)
 }

@@ -24,6 +24,7 @@ type Dispatcher struct {
 	badCalls int64 // messages dropped because they did not decode as a call
 
 	free  des.FreeList[ServerRequest] // requests between calls, zeroed
+	calls des.FreeList[procCall]      // Dispatch's states between calls, zeroed
 	block []byte                      // what is left of the block replies are carved from
 }
 
@@ -107,43 +108,91 @@ func (d *Dispatcher) BadCalls() int64 { return d.badCalls }
 //
 // The ServerRequest the service sees is the dispatcher's, reused once
 // Dispatch returns; the reply is carved from the dispatcher's blocks
-// (newReply) and is never reused.
+// (newReply) and is never reused. Dispatch is DispatchThen run on p.
 func (d *Dispatcher) Dispatch(p *des.Proc, rawCall []byte, opts DispatchOpts) (reply []byte, bulkOut *Bulk, err error) {
+	c := d.calls.Get()
+	c.th = Thread{p: p, running: true}
+	d.DispatchThen(&c.st, &c.th, rawCall, opts, EndThread, &c.th)
+	c.th.Serve(p)
+	reply, bulkOut, err = c.st.Reply, c.st.Bulk, c.st.Err
+	*c = procCall{}
+	d.calls.Put(c)
+	return reply, bulkOut, err
+}
+
+// procCall is the state of one Dispatch, kept for reuse by the dispatcher.
+type procCall struct {
+	st Serving
+	th Thread
+}
+
+// Serving is the state of one DispatchThen in flight, kept in storage its
+// caller owns and reuses, and its outcome: Dispatch's three results.
+type Serving struct {
+	Reply []byte
+	Bulk  *Bulk
+	Err   error
+
+	d     *Dispatcher
+	req   *ServerRequest
+	svc   Service
+	resp  ServerResponse
+	room  int
+	cache bool
+	drcID string
+	key   clientKey
+	start des.Time
+	tr    *trace.Tracer // the tracer when the dispatch began
+	fn    func(any)
+	arg   any
+}
+
+// DispatchThen is Dispatch as a chain: th is the server thread serving the
+// call, and fn(arg) runs once st holds the outcome. The procedure runs as a
+// chain when its service is a ChainService, else on th's process.
+func (d *Dispatcher) DispatchThen(st *Serving, th *Thread, rawCall []byte, opts DispatchOpts, fn func(any), arg any) {
+	st.begin(d, opts.Room, fn, arg)
 	var call CallHeader
 	args, err := decodeCall(&call, rawCall, opts.Peer)
 	if err != nil {
 		d.badCalls++
-		return d.deny(call.XID, err, opts.Room), nil, err
+		st.Reply, st.Err = d.deny(call.XID, err, opts.Room), err
+		st.finish()
+		return
 	}
 	req := d.free.Get()
-	defer d.put(req)
-	req.Header, req.Args = call, args
+	st.req = req
+	req.Header, req.Args, req.Thread = call, args, th
 	req.Bulk, req.RecvBulkCap, req.ReplyBuf = opts.Bulk, opts.RecvBulkCap, opts.ReplyBuf
 	hdr := &req.Header
-	tr := p.Sim().Tracer()
-	key := clientKey{xid: hdr.XID, prog: hdr.Prog, proc: hdr.Proc}
+	sim := th.p.Sim()
+	tr := sim.Tracer()
+	st.key = clientKey{xid: hdr.XID, prog: hdr.Prog, proc: hdr.Proc}
 	// DRC identity: the transport-authenticated peer when the transport
 	// knows one, else the (spoofable) credential machine name. Trace labels
 	// keep the credential — what the client *claimed* is the interesting
 	// datum when the two diverge.
-	drcID := hdr.Cred.Machine
+	st.drcID = hdr.Cred.Machine
 	if opts.Peer != "" {
-		drcID = opts.Peer
+		st.drcID = opts.Peer
 	}
 	if d.drc != nil {
-		switch e, state := d.drc.lookup(drcID, key); state {
+		switch e, state := d.drc.lookup(st.drcID, st.key); state {
 		case drcHit:
 			// Retransmission: replay the cached reply without re-executing.
 			if tr != nil {
-				tr.Instant(int64(p.Now()), trace.LayerONCRPC, trace.KindDRCHit, hdr.Cred.Machine, "drc-hit", uint64(hdr.XID), int64(hdr.Proc))
+				tr.Instant(int64(sim.Now()), trace.LayerONCRPC, trace.KindDRCHit, hdr.Cred.Machine, "drc-hit", uint64(hdr.XID), int64(hdr.Proc))
 			}
-			return append(d.newReply(opts.Room, len(e.reply)), e.reply...), e.bulk, nil
+			st.Reply, st.Bulk = append(d.newReply(opts.Room, len(e.reply)), e.reply...), e.bulk
+			st.finish()
+			return
 		case drcExecuting:
 			// The original call is still in a handler; drop this copy.
 			if tr != nil {
-				tr.Instant(int64(p.Now()), trace.LayerONCRPC, trace.KindDRCSuppress, hdr.Cred.Machine, "drc-suppress", uint64(hdr.XID), int64(hdr.Proc))
+				tr.Instant(int64(sim.Now()), trace.LayerONCRPC, trace.KindDRCSuppress, hdr.Cred.Machine, "drc-suppress", uint64(hdr.XID), int64(hdr.Proc))
 			}
-			return nil, nil, nil
+			st.finish()
+			return
 		}
 	}
 	// The reply is built where the service writes its results: behind the
@@ -157,34 +206,142 @@ func (d *Dispatcher) Dispatch(p *des.Proc, rawCall []byte, opts DispatchOpts) (r
 	req.Reply.Reset(d.newReply(opts.Room, size))
 	appendReply(&req.Reply, hdr.XID, ProgUnavail)
 	if !ok {
-		return req.Reply.Bytes(), nil, nil
+		st.Reply = req.Reply.Bytes()
+		st.finish()
+		return
 	}
 	// Cache when the service cannot classify (conservative: everything) or
 	// classifies this procedure as non-idempotent. The placeholder goes in
 	// before Handle so a duplicate arriving mid-execution is suppressed.
-	cache := d.drc != nil
-	if cl, ok := svc.(IdempotencyClassifier); ok && cache {
-		cache = cl.NonIdempotent(hdr.Proc)
+	st.cache = d.drc != nil
+	if cl, ok := svc.(IdempotencyClassifier); ok && st.cache {
+		st.cache = cl.NonIdempotent(hdr.Proc)
 	}
-	if cache {
-		d.drc.begin(drcID, key)
+	if st.cache {
+		d.drc.begin(st.drcID, st.key)
 	}
-	dispatchStart := p.Now()
-	resp := svc.Handle(p, req)
-	if tr != nil {
+	st.svc, st.start, st.tr = svc, sim.Now(), tr
+	if cs, ok := svc.(ChainService); ok {
+		cs.HandleThen(req, &st.resp, handled, st)
+		return
+	}
+	th.Run(handleOnThread, st)
+}
+
+// handleOnThread runs a service that is not a ChainService on the thread's
+// process.
+func handleOnThread(p *des.Proc, a any) {
+	st := a.(*Serving)
+	st.resp = st.svc.Handle(p, st.req)
+	handled(st)
+}
+
+// handled completes a dispatch once the service has answered.
+func handled(a any) {
+	st := a.(*Serving)
+	req, svc := st.req, st.svc
+	hdr := &req.Header
+	sim := req.Thread.p.Sim()
+	if tr := st.tr; tr != nil {
 		name := svc.Name()
 		if pn, ok := svc.(ProcNamer); ok {
 			name = pn.ProcName(hdr.Proc)
 		}
-		tr.Span(int64(dispatchStart), int64(p.Now()), trace.LayerONCRPC, trace.KindDispatch,
+		tr.Span(int64(st.start), int64(sim.Now()), trace.LayerONCRPC, trace.KindDispatch,
 			hdr.Cred.Machine, name, uint64(hdr.XID), int64(hdr.Proc))
 	}
-	reply = req.Reply.Bytes()
-	binary.BigEndian.PutUint32(reply[opts.Room+replyPrefix-4:], uint32(resp.Stat))
-	if cache {
-		d.drc.commit(drcID, key, reply[opts.Room:], resp.Bulk)
+	reply := req.Reply.Bytes()
+	binary.BigEndian.PutUint32(reply[st.room+replyPrefix-4:], uint32(st.resp.Stat))
+	if st.cache {
+		st.d.drc.commit(st.drcID, st.key, reply[st.room:], st.resp.Bulk)
 	}
-	return reply, resp.Bulk, nil
+	st.Reply, st.Bulk = reply, st.resp.Bulk
+	st.finish()
+}
+
+// begin readies st for a dispatch ending in fn(arg). It sets the fields one
+// by one, as finish clears them: a whole-struct assignment would copy st
+// twice per call.
+func (st *Serving) begin(d *Dispatcher, room int, fn func(any), arg any) {
+	st.Reply, st.Bulk, st.Err = nil, nil, nil
+	st.d, st.req, st.room, st.cache, st.fn, st.arg = d, nil, room, false, fn, arg
+}
+
+// finish hands the request back and ends the dispatch: fn(arg), with st
+// holding only the outcome.
+func (st *Serving) finish() {
+	if st.req != nil {
+		st.d.put(st.req)
+	}
+	fn, arg := st.fn, st.arg
+	st.d, st.req, st.svc, st.resp, st.tr, st.fn, st.arg = nil, nil, nil, ServerResponse{}, nil, nil, nil
+	st.drcID = ""
+	fn(arg)
+}
+
+// Thread is a server thread's process, for the steps of a chained call that
+// must block on software (the disk): the process waits in Serve, and Run
+// hands it a step by resuming it in place. A thread's process does nothing
+// else, so what it runs takes its instant and its place in the event order
+// from the callback that hands it over.
+type Thread struct {
+	p       *des.Proc
+	fn      func(*des.Proc, any)
+	arg     any
+	running bool // the process is running, so Run calls the step itself
+	done    bool // EndThread ended Serve
+}
+
+// Serve is the body of the thread's process p: it runs the steps Run hands
+// it until EndThread.
+func (t *Thread) Serve(p *des.Proc) {
+	t.p, t.running = p, true
+	for !t.done {
+		t.running = false
+		p.Suspend()
+		t.running = true
+		if fn, arg := t.fn, t.arg; fn != nil {
+			t.fn, t.arg = nil, nil
+			fn(p, arg)
+		}
+	}
+	t.done = false
+}
+
+// Run runs fn(p, arg) on the thread's process p: at once when p is running,
+// else by resuming it in place from the callback calling Run.
+func (t *Thread) Run(fn func(p *des.Proc, arg any), arg any) {
+	if t.running {
+		fn(t.p, arg)
+		return
+	}
+	t.fn, t.arg = fn, arg
+	t.p.Sim().Resume(t.p)
+}
+
+// Proc returns the thread's process.
+func (t *Thread) Proc() *des.Proc { return t.p }
+
+// HandleOn runs svc.HandleThen on p for req, standing in for Handle: what a
+// ChainService's process form is.
+func HandleOn(p *des.Proc, svc ChainService, req *ServerRequest) ServerResponse {
+	th, saved := &Thread{p: p, running: true}, req.Thread
+	var resp ServerResponse
+	req.Thread = th
+	svc.HandleThen(req, &resp, EndThread, th)
+	th.Serve(p)
+	req.Thread = saved
+	return resp
+}
+
+// EndThread ends the Serve of the *Thread a: the last step of the chain a
+// process form (Dispatch) waits for.
+func EndThread(a any) {
+	t := a.(*Thread)
+	t.done = true
+	if !t.running {
+		t.p.Sim().Resume(t.p)
+	}
 }
 
 // deny returns the MSG_DENIED reply a call with XID xid that decodeCall

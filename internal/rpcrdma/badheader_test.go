@@ -124,7 +124,7 @@ func TestClientCountsUndecodableFrames(t *testing.T) {
 			// Beat the real deposit into the slot: garbage body, then a
 			// doorbell claiming it, exactly as the server orders its Writes.
 			for _, pend := range e.ct.pending {
-				slot := pend.fetch.slot
+				slot := pend.rt.fetch.slot
 				dep := e.server.Mem.AllocMaterialized(doorbellBytes + len(garbage))
 				binary.LittleEndian.PutUint64(dep.Data(), uint64(len(garbage))+1)
 				copy(dep.Data()[doorbellBytes:], garbage)

@@ -2,7 +2,6 @@ package rpcrdma
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -82,7 +81,7 @@ type Config struct {
 	MaxConns int
 
 	// SRQDepth bounds the receive WQEs pooled in each shard's shared receive
-	// queue (default 4096 when Shards > 0); the refill loop wakes at the low
+	// queue (default 4096 when Shards > 0); the refill chain wakes at the low
 	// watermark SRQDepth/8.
 	SRQDepth int
 
@@ -220,9 +219,11 @@ type pending struct {
 	replyChk *memreg.Chunk
 
 	// Reply-fetch slot (ReplyFetch design): a remotely writable chunk the
-	// server deposits the whole reply into, and the poller that fetches it.
+	// server deposits the whole reply into.
 	slotChk *memreg.Chunk
-	fetch   *fetcher
+
+	// rt is the Roundtrip running the call, nil once it returned.
+	rt *roundtrip
 
 	// doneWire is where RDMA_DONE is framed. Pendings are never reused, so
 	// the bytes stay as posted.
@@ -274,6 +275,8 @@ type ClientTransport struct {
 	closed   bool
 
 	replyName string // the Read-Read reply handlers' process name
+
+	rts *des.FreeList[roundtrip] // Roundtrip's states between calls, the simulation's
 
 	// DropDone simulates the malicious/malfunctioning client of §4.1 that
 	// never sends RDMA_DONE, pinning server reply buffers.
@@ -343,6 +346,7 @@ func NewClientTransport(p *des.Proc, qp *ibsim.QP, mgr *memreg.Manager, cfg Conf
 		inflight:  newCreditGate(qp.Node().Sim(), cfg.Credits),
 		pending:   make(map[uint32]*pending),
 		replyName: qp.Node().Name() + "/reply",
+		rts:       des.Pool[roundtrip](qp.Node().Sim()),
 	}
 	if cfg.hasSerial() {
 		t.serial = des.NewResource(qp.Node().Sim(), qp.Node().Name()+"/rpcrdma-serial", 1)
@@ -393,218 +397,18 @@ func (t *ClientTransport) Room(req *oncrpc.Request) int {
 	return n
 }
 
-// Roundtrip implements oncrpc.Transport: one full RPC exchange under the
-// configured design.
-func (t *ClientTransport) Roundtrip(p *des.Proc, req *oncrpc.Request) (*oncrpc.Response, error) {
-	if t.closed {
-		return nil, ErrClosed
-	}
-	if err := t.qp.Err(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrTransport, err)
-	}
-	t.Calls++
-	tr := t.node.Sim().Tracer()
-	rtStart := p.Now()
-	t.node.CPU.Work(p, t.cfg.PerOpCPU)
-	creditStart := p.Now()
-	t.inflight.acquire(p)
-	if tr != nil && p.Now() > creditStart {
-		tr.Span(int64(creditStart), int64(p.Now()), trace.LayerRPC, trace.KindCreditWait, t.node.Name(), "credit-wait", uint64(req.XID), int64(t.inflight.Granted()))
-	}
-	defer t.inflight.release()
-
-	pend, _ := req.State.(*pending)
-	if pend == nil || pend.t != t || pend.req != nil {
-		pend = &pending{t: t}
-	}
-	pend.req = req
-	pend.done.Init(t.node.Sim())
-	pend.segs = pend.segStore[:0]
-	hdr := &Header{XID: req.XID, Credits: uint32(t.cfg.Credits), Type: MsgRDMA, ReadList: pend.readStore[:0]}
-
-	// The client send path — chunk marshalling, registrations, posting —
-	// runs under the transport's serialized section when modelled.
-	if t.serial != nil {
-		t.serial.Acquire(p, 1)
-		bulkBytes := 0
-		if req.SendBulk != nil {
-			bulkBytes += req.SendBulk.Len
-		}
-		if req.RecvBulk != nil {
-			bulkBytes += req.RecvBulk.Len
-		}
-		p.Sleep(t.cfg.serialHold(bulkBytes))
-	}
-
-	// Call payload (e.g. WRITE data): advertised as a read chunk list for
-	// the server to pull, in both designs.
-	if req.SendBulk != nil && req.SendBulk.Len > 0 {
-		buf, off := bulkBuffer(req.SendBulk)
-		n := req.SendBulk.Len
-		var reg *memreg.Registration
-		if buf != nil {
-			pend.srcReg = t.mgr.RegisterExternal(p, buf, off, n, ibsim.AccessRemoteRead)
-			reg = pend.srcReg
-		} else {
-			pend.srcChk = t.mgr.GetPayload(p, n, ibsim.AccessRemoteRead)
-			if d := pend.srcChk.Data(); d != nil && req.SendBulk.Data != nil {
-				copy(d, req.SendBulk.Data[:n])
-			}
-			t.node.CPU.Copy(p, n)
-			reg = pend.srcChk.Reg
-		}
-		t.traceExpose(p, req.XID, reg, n)
-		hdr.ReadList = appendReadSegs(hdr.ReadList, uint32(len(req.Header)), reg, n)
-	}
-
-	// Reply payload placement (e.g. READ data).
-	if req.RecvBulk != nil && req.RecvBulk.Len > 0 {
-		t.setupRecvPlacement(p, pend, req, hdr)
-	}
-
-	// Long reply staging (Read-Write design): the client must advertise a
-	// reply chunk big enough for the whole reply message.
-	if req.LongReplyCap > 0 && t.cfg.Design == ReadWrite {
-		capBytes := req.LongReplyCap + 256
-		pend.replyChk = t.mgr.Get(p, capBytes, ibsim.AccessLocalWrite|ibsim.AccessRemoteWrite)
-		hdr.ReplyChunk = t.expose(p, pend, pend.replyChk.Reg, capBytes)
-	}
-
-	// Reply slot (ReplyFetch design): every call pre-registers a remotely
-	// writable slot — doorbell word plus reply capacity — and advertises it
-	// as the reply chunk. The whole reply (header, inline body, long
-	// replies included) is deposited there, so the slot subsumes the
-	// Read-Write long-reply chunk. This per-call MR is RFP's structural
-	// exposure: it is the *client* that opens its memory, which is exactly
-	// what the expose instants below let the invariant checkers price.
-	if t.cfg.Design == ReplyFetch {
-		capBytes := doorbellBytes + t.cfg.recvBufSize()
-		if req.LongReplyCap > 0 && req.LongReplyCap+256 > t.cfg.recvBufSize() {
-			capBytes = doorbellBytes + req.LongReplyCap + 256
-		}
-		pend.slotChk = t.mgr.Get(p, capBytes, ibsim.AccessLocalWrite|ibsim.AccessRemoteWrite)
-		hdr.ReplyChunk = t.expose(p, pend, pend.slotChk.Reg, capBytes)
-		pend.fetch = &fetcher{pend: pend, slot: hdr.ReplyChunk[0]}
-		pend.fetch.arm()
-	}
-
-	// Long call: an oversized call travels as a position-0 read chunk under
-	// RDMA_NOMSG; the server pulls the message body with RDMA Read. Any other
-	// call is framed in place, in the room Call kept in front of it.
-	var wire []byte
-	if len(req.Header) > t.cfg.InlineThreshold {
-		pend.longCall = t.mgr.Get(p, len(req.Header), ibsim.AccessRemoteRead)
-		if d := pend.longCall.Data(); d != nil {
-			copy(d, req.Header)
-		} else {
-			panic("rpcrdma: long-call staging must be materialized")
-		}
-		t.node.CPU.Copy(p, len(req.Header))
-		hdr.Type = MsgNoMsg
-		t.traceExpose(p, req.XID, pend.longCall.Reg, len(req.Header))
-		hdr.ReadList = appendReadSegs(hdr.ReadList, 0, pend.longCall.Reg, len(req.Header))
-		wire = hdr.Encode()
-	} else {
-		// A header that outgrew the room slides the call: a replay must copy
-		// it from where it now lies.
-		wire = hdr.frame(req.Frame(), req.Room)
-		req.Header = wire[len(wire)-len(req.Header):]
-	}
-	t.pending[req.XID] = pend
-	attempt := 0
-	t.armTimer(&pend.done, t.attemptTimeout(attempt))
-	t.send(req.XID, wire)
-	if t.serial != nil {
-		t.serial.Release(1)
-	}
-
-	// Wait for the reply, retransmitting on timer expiry. Registrations and
-	// wire bytes are built once above: a retransmission reuses them verbatim
-	// (same XID, same chunk advertisements), which is what lets the server's
-	// DRC recognise the duplicate. Each attempt gets a fresh done event; a
-	// reply racing the timer fires whichever event is current (TryFire), so
-	// a late reply to an earlier attempt still completes the call.
-	var res *rtResult
-	for {
-		res = pend.done.Wait(p).(*rtResult)
-		if res.err == nil || !errors.Is(res.err, ErrTimeout) {
-			break
-		}
-		t.Timeouts++
-		for _, c := range t.counted {
-			c.Timeouts++
-		}
-		if tr != nil {
-			tr.Instant(int64(p.Now()), trace.LayerRPC, trace.KindTimeout, t.node.Name(), "timeout", uint64(req.XID), int64(attempt))
-		}
-		if attempt >= t.cfg.RetryLimit || t.Broken() {
-			break
-		}
-		attempt++
-		t.Retransmits++
-		for _, c := range t.counted {
-			c.Retransmits++
-		}
-		if tr != nil {
-			tr.Instant(int64(p.Now()), trace.LayerRPC, trace.KindRetransmit, t.node.Name(), "retransmit", uint64(req.XID), int64(attempt))
-		}
-		// Reset in place: the only other holder of the event was the timer
-		// that just expired.
-		pend.done.Init(t.node.Sim())
-		if t.cfg.Design == ReplyFetch && pend.slotChk != nil {
-			// Re-arm the reply slot: zero the doorbell so the retransmitted
-			// call (same slot advertisement, same XID) gets a fresh deposit
-			// signal. The registration is reused verbatim — the wire bytes
-			// must be identical for the server's DRC to recognise the
-			// duplicate.
-			if d := pend.slotChk.Data(); d != nil {
-				clear(d[:doorbellBytes])
-			}
-		}
-		t.armTimer(&pend.done, t.attemptTimeout(attempt))
-		t.send(req.XID, wire)
-	}
-	if res.err != nil && errors.Is(res.err, ErrTimeout) && attempt >= t.cfg.RetryLimit {
-		// Every retransmission timed out: surface the typed terminal error
-		// rather than a bare timeout, which would read as "retry later".
-		res.err = fmt.Errorf("%w: %w (%d attempts)", ErrRetriesExhausted, res.err, attempt+1)
-	}
-	delete(t.pending, req.XID)
-	pend.aborted = true
-	// A reply handler still pulling chunks for this call owns the buffer
-	// release from here on (see handleReply), so its in-flight RDMA Reads
-	// cannot land in recycled staging. The staging copy still happens here,
-	// while the chunk is guaranteed alive.
-	handlerReleases := pend.handling > 0
-	t.stagingCopy(p, pend, res)
-	if !handlerReleases {
-		t.release(p, pend)
-	}
-	if tr != nil {
-		var errFlag int64
-		if res.err != nil {
-			errFlag = 1
-		}
-		tr.Span(int64(rtStart), int64(p.Now()), trace.LayerRPC, trace.KindRPC, t.node.Name(), "rpc", uint64(req.XID), errFlag)
-	}
-	if res.err != nil {
-		return nil, res.err
-	}
-	return &res.Response, nil
-}
-
 // traceExpose records, one instant per segment covering the first n bytes,
 // that the call advertised a remotely accessible rkey to the peer. The
 // instants are what the MR-exposure invariant (trace.CheckExposureBounds)
 // anchors on.
-func (t *ClientTransport) traceExpose(p *des.Proc, xid uint32, reg *memreg.Registration, n int) {
+func (t *ClientTransport) traceExpose(xid uint32, reg *memreg.Registration, n int) {
 	tr := t.node.Sim().Tracer()
 	if tr == nil {
 		return
 	}
 	reg.Each(func(s memreg.Segment) {
 		if n > 0 {
-			tr.Instant(int64(p.Now()), trace.LayerRPC, trace.KindExpose, t.node.Name(), "expose", uint64(xid), int64(s.Rkey))
+			tr.Instant(int64(t.node.Sim().Now()), trace.LayerRPC, trace.KindExpose, t.node.Name(), "expose", uint64(xid), int64(s.Rkey))
 			n -= s.Len
 		}
 	})
@@ -613,8 +417,8 @@ func (t *ClientTransport) traceExpose(p *des.Proc, xid uint32, reg *memreg.Regis
 // expose advertises the first n bytes of reg for the peer to write into: the
 // traceExpose instants, plus the wire form a write list or reply chunk
 // carries, kept in the pending after whatever the call advertised before.
-func (t *ClientTransport) expose(p *des.Proc, pend *pending, reg *memreg.Registration, n int) []Segment {
-	t.traceExpose(p, pend.req.XID, reg, n)
+func (t *ClientTransport) expose(pend *pending, reg *memreg.Registration, n int) []Segment {
+	t.traceExpose(pend.req.XID, reg, n)
 	first := len(pend.segs)
 	pend.segs = appendSegs(pend.segs, reg, n)
 	return pend.segs[first:len(pend.segs):len(pend.segs)]
@@ -640,50 +444,20 @@ func (t *ClientTransport) attemptTimeout(attempt int) des.Duration {
 	return t.cfg.CallTimeout << attempt
 }
 
-// armTimer arms a watchdog that fires done with ErrTimeout at the
-// deadline. Losing the race to a real reply makes it a harmless no-op, so
-// stale timers from completed attempts never need cancelling.
-func (t *ClientTransport) armTimer(done *des.Event, d des.Duration) {
+// armTimer arms a watchdog that fires the call's done event with
+// ErrTimeout at the deadline. Losing the race to a real reply makes it a
+// harmless no-op, so stale timers from completed attempts never need
+// cancelling.
+func (t *ClientTransport) armTimer(pend *pending, d des.Duration) {
 	if d <= 0 {
 		return
 	}
 	s := t.node.Sim()
 	s.At(s.Now()+des.Time(d), func() {
-		done.TryFire(&rtResult{err: fmt.Errorf("%w after %v", ErrTimeout, d)})
-	})
-}
-
-// setupRecvPlacement prepares the reply-payload destination per design.
-func (t *ClientTransport) setupRecvPlacement(p *des.Proc, pend *pending, req *oncrpc.Request, hdr *Header) {
-	n := req.RecvBulk.Len
-	buf, off := bulkBuffer(req.RecvBulk)
-	switch t.cfg.Design {
-	case ReadWrite, ReplyFetch:
-		// ReplyFetch keeps the Read-Write bulk path: data still lands by
-		// server RDMA Write into the advertised write list; only the reply
-		// *message* moves to the slot-deposit flow.
-		if buf != nil && req.DirectIO {
-			// Zero-copy direct I/O: expose the caller's buffer for the
-			// server's RDMA Write; data lands in place.
-			pend.destBuf, pend.destOff = buf, off
-			pend.destReg = t.mgr.RegisterExternal(p, buf, off, n, ibsim.AccessLocalWrite|ibsim.AccessRemoteWrite)
-			hdr.WriteList = t.expose(p, pend, pend.destReg, n)
-		} else {
-			// Buffered path: server writes into transport staging; one copy
-			// to the caller afterwards.
-			pend.destChk = t.mgr.GetPayload(p, n, ibsim.AccessLocalWrite|ibsim.AccessRemoteWrite)
-			pend.destBuf, pend.destOff = &pend.destChk.Buf, 0
-			pend.needCopy = true
-			hdr.WriteList = t.expose(p, pend, pend.destChk.Reg, n)
+		if pend.done.TryFire(&rtResult{err: fmt.Errorf("%w after %v", ErrTimeout, d)}) {
+			pend.woken()
 		}
-	case ReadRead:
-		// Nothing is advertised: the server will expose chunks in its reply
-		// and this client pulls them into local staging, then copies out —
-		// the Read-Read design has no zero-copy path (§5.1).
-		pend.destChk = t.mgr.GetPayload(p, n, ibsim.AccessLocalWrite)
-		pend.destBuf, pend.destOff = &pend.destChk.Buf, 0
-		pend.needCopy = true
-	}
+	})
 }
 
 // arm starts (or restarts) the reply-fetch poller: it waits for the
@@ -757,53 +531,6 @@ func fetchCopied(a any) {
 	}
 	t.regrant(hdr.Credits)
 	t.handleReply(nil, pend, &hdr, body)
-}
-
-// stagingCopy moves a buffered reply payload from transport staging to the
-// caller's buffer.
-func (t *ClientTransport) stagingCopy(p *des.Proc, pend *pending, res *rtResult) {
-	if pend.needCopy && res.err == nil && res.BulkLen > 0 && pend.req.RecvBulk != nil {
-		// The staging-to-caller copy runs in the client's RPC completion
-		// path; under the serialized-stack model it holds the same lock as
-		// the send path, which is what keeps the buffered read path well
-		// below the direct-I/O one on the Solaris profile.
-		if t.serial != nil {
-			t.serial.Acquire(p, 1)
-		}
-		t.node.CPU.Copy(p, res.BulkLen)
-		if t.serial != nil {
-			t.serial.Release(1)
-		}
-		if d := pend.destChk.Data(); d != nil && pend.req.RecvBulk.Data != nil {
-			copy(pend.req.RecvBulk.Data, d[:min(res.BulkLen, len(d))])
-		}
-	}
-}
-
-// release frees the call's registrations and staging chunks.
-func (t *ClientTransport) release(p *des.Proc, pend *pending) {
-	if pend.destReg != nil {
-		t.mgr.DeregisterExternal(p, pend.destReg)
-	}
-	if pend.destChk != nil {
-		t.mgr.Put(p, pend.destChk)
-	}
-	if pend.srcReg != nil {
-		t.mgr.DeregisterExternal(p, pend.srcReg)
-	}
-	if pend.srcChk != nil {
-		t.mgr.Put(p, pend.srcChk)
-	}
-	if pend.longCall != nil {
-		t.mgr.Put(p, pend.longCall)
-	}
-	if pend.replyChk != nil {
-		t.mgr.Put(p, pend.replyChk)
-	}
-	if pend.slotChk != nil {
-		pend.fetch.watch.Cancel() // no deposit is watched for once the slot goes away
-		t.mgr.Put(p, pend.slotChk)
-	}
 }
 
 // receive arms the client's reply receiver: a callback on the receive CQ
@@ -968,7 +695,9 @@ func (t *ClientTransport) handleReply(p *des.Proc, pend *pending, hdr *Header, b
 		if pend.handling == 0 {
 			// Roundtrip returned while we were in flight and deferred the
 			// buffer release to us (the staging copy, if any, already ran).
-			t.release(p, pend)
+			r := &teardown{}
+			r.release(t, pend, nil, des.Resumer, p)
+			p.Suspend()
 		}
 		return
 	}
@@ -979,6 +708,7 @@ func (t *ClientTransport) handleReply(p *des.Proc, pend *pending, hdr *Header, b
 	if !pend.done.Fired() {
 		pend.res = res
 		pend.done.Fire(&pend.res)
+		pend.woken()
 	}
 }
 
@@ -1065,6 +795,8 @@ func (t *ClientTransport) failAll(err error) {
 	for _, xid := range xids {
 		pend := t.pending[xid]
 		delete(t.pending, xid)
-		pend.done.TryFire(&rtResult{err: err})
+		if pend.done.TryFire(&rtResult{err: err}) {
+			pend.woken()
+		}
 	}
 }

@@ -16,18 +16,25 @@ import (
 
 // creditGate bounds in-flight calls by a grant that can change at runtime
 // (a plain counting semaphore cannot shrink). Waiters queue in a ring
-// buffer so draining the front drops the fired events instead of pinning
-// them in the slice's backing array.
+// buffer so draining the front drops them instead of pinning them in the
+// slice's backing array.
 type creditGate struct {
 	sim         *des.Sim
 	granted     int
 	outstanding int
-	waiters     des.Ring[*des.Event]
+	waiters     des.Ring[*creditWait]
 
 	// sum receives every change to granted and outstanding as it happens
 	// (see ClientTotals). It is never nil: a gate nobody sums keeps a private
 	// one, so the call path adds through the pointer without a test.
 	sum *ClientTotals
+}
+
+// creditWait is one acquireThen in flight, kept in storage its caller owns.
+type creditWait struct {
+	g   *creditGate
+	fn  func(any)
+	arg any
 }
 
 func newCreditGate(sim *des.Sim, initial int) *creditGate {
@@ -75,14 +82,34 @@ func (t *ClientTransport) CountInto(cells ...*CallCounts) { t.counted = cells }
 
 // acquire blocks until a credit is available, then consumes it.
 func (g *creditGate) acquire(p *des.Proc) {
-	for g.outstanding >= g.granted {
-		ev := des.NewEvent(g.sim)
-		g.waiters.Push(ev)
-		ev.Wait(p)
+	g.acquireThen(&creditWait{}, des.Resumer, p)
+	p.Suspend()
+}
+
+// acquireThen is acquire for a chain: it consumes a credit and calls fn(arg),
+// at once when one is available, otherwise once a grant or a release lets
+// it — woken where a process waiting in acquire would resume, and then
+// checking again, as such a process does. w holds the wait until fn is
+// called.
+func (g *creditGate) acquireThen(w *creditWait, fn func(any), arg any) {
+	*w = creditWait{g: g, fn: fn, arg: arg}
+	w.try()
+}
+
+func (w *creditWait) try() {
+	g := w.g
+	if g.outstanding >= g.granted {
+		g.waiters.Push(w)
+		return
 	}
 	g.outstanding++
 	g.sum.Outstanding++
+	fn, arg := w.fn, w.arg
+	*w = creditWait{}
+	fn(arg)
 }
+
+func creditRetry(a any) { a.(*creditWait).try() }
 
 // release returns a credit and wakes waiters up to the grant.
 func (g *creditGate) release() {
@@ -110,7 +137,7 @@ func (g *creditGate) setGranted(n int) {
 func (g *creditGate) wake() {
 	free := g.granted - g.outstanding
 	for free > 0 && g.waiters.Len() > 0 {
-		g.waiters.Pop().Fire(nil)
+		g.sim.AtArg(g.sim.Now(), creditRetry, g.waiters.Pop())
 		free--
 	}
 }

@@ -28,7 +28,7 @@ func TestConnDeathReleasesParkedReplies(t *testing.T) {
 			t.Fatalf("ParkedReplies = %d before death, want 3", got)
 		}
 		e.ct.QP().InjectError(nil)
-		p.Sleep(time.Millisecond) // let conn-recv observe and tear down
+		p.Sleep(time.Millisecond) // let the receive loop observe and tear down
 		if got := e.st.ParkedReplies(); got != 0 {
 			t.Errorf("ParkedReplies = %d after death, want 0", got)
 		}

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/des"
 	"repro/internal/ibsim"
-	"repro/internal/trace"
 )
 
 // serverShard is one dispatch shard of a scaled-out server transport. Each
@@ -50,6 +49,9 @@ type serverShard struct {
 	// reuse: never more than were queued or being served at once.
 	free des.FreeList[serverTask]
 
+	// loop is the shard's receive loop over cq.
+	loop recvLoop
+
 	// Stats.
 	nconns        int   // live connections attached to this shard
 	requests      int64 // messages dispatched by this shard's receive loop
@@ -80,8 +82,12 @@ func newServerShard(s *ServerTransport, id int) *serverShard {
 	if workers < 1 {
 		workers = 1
 	}
-	node.Sim().Spawn(fmt.Sprintf("%s/shard%d/recv", node.Name(), id), sh.recvLoop)
-	node.Sim().Spawn(fmt.Sprintf("%s/shard%d/refill", node.Name(), id), sh.refillLoop)
+	// The receive loop and the refill chain first wait where processes
+	// spawned here would start.
+	sh.loop = recvLoop{sh: sh, cq: sh.cq}
+	sim := node.Sim()
+	sim.AtArg(sim.Now(), recvWait, &sh.loop)
+	sim.AtArg(sim.Now(), srqArm, sh)
 	for i := 0; i < workers; i++ {
 		// With affinity on, the shard's workers live on its completion CPU
 		// (warm-cache local wakes); off, they spread round-robin over all
@@ -91,9 +97,7 @@ func newServerShard(s *ServerTransport, id int) *serverShard {
 			wcpu = node.CPU.PinFor(s.workerSeq)
 			s.workerSeq++
 		}
-		node.Sim().Spawn(fmt.Sprintf("%s/shard%d/nfsd-%d", node.Name(), id, i), func(p *des.Proc) {
-			sh.worker(p, wcpu)
-		})
+		newNFSD(sh, wcpu, fmt.Sprintf("%s/shard%d/nfsd-%d", node.Name(), id, i))
 	}
 	return sh
 }
@@ -109,9 +113,7 @@ func newLegacyGroup(s *ServerTransport) *serverShard {
 		track: node.Name(),
 	}
 	for i := 0; i < s.cfg.Workers; i++ {
-		node.Sim().Spawn(fmt.Sprintf("%s/nfsd-%d", node.Name(), i), func(p *des.Proc) {
-			sh.worker(p, -1)
-		})
+		newNFSD(sh, -1, fmt.Sprintf("%s/nfsd-%d", node.Name(), i))
 	}
 	return sh
 }
@@ -127,52 +129,129 @@ func (sh *serverShard) armMuxQP() {
 	sh.muxQP.AttachSRQ(sh.srq)
 }
 
-// recvLoop is the shard's completion-polling loop: one loop serves every
-// connection on the shard, demultiplexing by CQE.QP (dedicated connections)
-// or CQE.Stream (endpoints on the shared QP). A connection error kills only
-// that connection; the shard — and every other connection on it — keeps
-// running. Only a shared-QP-scope error (mux CQE with stream 0) takes the
-// whole shard's population down, and even then the shard re-arms a fresh
-// shared QP so redialing clients can come back.
-func (sh *serverShard) recvLoop(p *des.Proc) {
-	s := sh.srv
+// recvLoop is a receive loop: the shard's, serving every connection on the
+// shard and demultiplexing by CQE.QP (dedicated connections) or CQE.Stream
+// (endpoints on the shared QP), or a connection's own on the per-connection
+// receive path. It waits only for completions and for the release chain of
+// an RDMA_DONE or a dead connection, so it is a chain of callbacks: it waits
+// with CQ.WaitThen — woken, and charged the interrupt, exactly as a process
+// looping on CQ.Wait would be — takes what is already queued with Poll, and
+// pauses while a release chain runs.
+//
+// On a shard a connection error kills only that connection; the shard — and
+// every other connection on it — keeps running. Only a shared-QP-scope error
+// (mux CQE with stream 0) takes the whole shard's population down, and even
+// then the shard re-arms a fresh shared QP so redialing clients can come
+// back.
+type recvLoop struct {
+	sh     *serverShard
+	cq     *ibsim.CQ
+	conn   *serverConn // a per-connection loop's connection; nil on a shard
+	rel    release
+	conns  []*serverConn // sharedQPDead's snapshot still to tear down
+	busy   bool          // a release chain is in flight
+	inside bool          // receive is running: a chain ending now returns to it
+}
+
+func recvWait(a any) {
+	l := a.(*recvLoop)
+	l.cq.WaitThen(recvReceived, l)
+}
+
+func recvReceived(a any, cqe *ibsim.CQE) {
+	l := a.(*recvLoop)
 	for {
-		cqe := sh.cq.Wait(p)
-		if cqe == nil {
-			return
+		l.inside = true
+		more := l.receive(cqe)
+		l.inside = false
+		if !more {
+			return // paused or ended
 		}
-		var conn *serverConn
-		if cqe.QP != nil && cqe.QP.IsMux() {
-			if cqe.QP != sh.muxQP {
-				continue // flush stragglers from a replaced shared QP
-			}
-			if cqe.Err != nil && cqe.Stream == 0 {
-				sh.sharedQPDead(p)
-				continue
-			}
-			conn = sh.eps[cqe.Stream]
-		} else {
-			conn = sh.conns[cqe.QP]
+		var ok bool
+		if cqe, ok = l.cq.Poll(); !ok {
+			break
 		}
-		if cqe.Err != nil {
-			if conn != nil {
-				s.connDead(p, conn)
-			}
-			continue
-		}
-		sh.deliver(p, conn, cqe)
 	}
+	recvWait(l)
+}
+
+// resumed ends a release chain the loop paused for.
+func recvResumed(a any) {
+	l := a.(*recvLoop)
+	l.busy = false
+	if !l.inside {
+		recvWait(l)
+	}
+}
+
+func recvEnded(any) {}
+
+// receive takes one completion and reports whether the loop goes on with
+// the next.
+func (l *recvLoop) receive(cqe *ibsim.CQE) bool {
+	sh := l.sh
+	s := sh.srv
+	if conn := l.conn; conn != nil {
+		switch {
+		case cqe == nil || cqe.Err != nil:
+			l.rel.connDead(s, conn, recvEnded, l)
+			return false
+		case conn.dead:
+			// A crash (Shutdown) marked the connection dead while data
+			// completions were still queued ahead of the error CQE; the work
+			// queue is closed, so drop them and end.
+			for ; cqe != nil; cqe, _ = l.cq.Poll() {
+				if cqe.Err == nil {
+					s.TasksDropped++
+				}
+			}
+			return false
+		}
+		return sh.deliver(l, conn, cqe)
+	}
+	if cqe == nil {
+		return false // the CQ was destroyed
+	}
+	var conn *serverConn
+	if cqe.QP != nil && cqe.QP.IsMux() {
+		if cqe.QP != sh.muxQP {
+			// A straggler from a replaced shared QP.
+			if cqe.Err == nil {
+				s.TasksDropped++
+			}
+			return true
+		}
+		if cqe.Err != nil && cqe.Stream == 0 {
+			l.busy = true
+			l.sharedQPDead()
+			return !l.busy // the chain resumes the loop unless it already ended
+		}
+		conn = sh.eps[cqe.Stream]
+	} else {
+		conn = sh.conns[cqe.QP]
+	}
+	if cqe.Err != nil {
+		if conn != nil {
+			l.busy = true
+			l.rel.connDead(s, conn, recvResumed, l)
+			return !l.busy // the chain resumes the loop unless it already ended
+		}
+		return true
+	}
+	return sh.deliver(l, conn, cqe)
 }
 
 // deliver is the one receive step, shared by the shard loop and the
 // per-connection loops, which differ only in the CQ they wait on and how a
 // completion maps to its connection: repost the receive, authenticate the
-// sender, decode, then serve (RDMA_DONE) or enqueue (everything else).
-func (sh *serverShard) deliver(p *des.Proc, conn *serverConn, cqe *ibsim.CQE) {
+// sender, decode, then serve (RDMA_DONE) or enqueue (everything else). Every
+// frame it drops it counts. It reports whether the loop goes on at once,
+// false while a DONE's release chain runs.
+func (sh *serverShard) deliver(l *recvLoop, conn *serverConn, cqe *ibsim.CQE) bool {
 	s := sh.srv
 	if sh.srq != nil {
 		// Return the consumed WQE to the shared pool straight away; the
-		// refill loop is only a safety net for bursts that outrun this.
+		// refill chain is only a safety net for bursts that outrun this.
 		sh.srq.PostRecv(cqe.WRID, s.cfg.recvBufSize())
 	} else {
 		conn.qp.PostRecv(cqe.WRID, s.cfg.recvBufSize())
@@ -184,18 +263,14 @@ func (sh *serverShard) deliver(p *des.Proc, conn *serverConn, cqe *ibsim.CQE) {
 		// the DRC). Drop it and score the *authentic* sender — the
 		// claimed endpoint is the victim, not the offender.
 		s.SpoofDrops++
-		s.penalize(p, sh.eps[cqe.SrcStream])
-		return
+		s.penalize(sh.eps[cqe.SrcStream])
+		return true
 	}
-	if conn == nil || conn.dead {
-		return
-	}
-	if s.closed {
-		// Shutdown parks while it releases parked replies, and a connection
-		// admitted during that drain is not in the snapshot it kills: its loop
-		// is still receiving when the work queues close.
+	if conn == nil || conn.dead || s.closed {
+		// A frame for a connection that is gone, or, once Shutdown closed
+		// the work queues, for any.
 		s.TasksDropped++
-		return
+		return true
 	}
 	// Decode straight into a task: one that turns out undecodable or an
 	// RDMA_DONE goes back at once, so neither leaves anything to collect.
@@ -204,15 +279,16 @@ func (sh *serverShard) deliver(p *des.Proc, conn *serverConn, cqe *ibsim.CQE) {
 	if task.body, err = DecodeHeaderInto(&task.hdr, cqe.Payload); err != nil {
 		s.BadHeaders++
 		sh.putTask(task)
-		return
+		return true
 	}
 	if task.hdr.Type == MsgDone {
 		// Served inline: a DONE queued behind data calls can deadlock
 		// the reply-slot pool (see handleDone).
 		xid := task.hdr.XID
 		sh.putTask(task)
-		s.handleDone(p, conn, xid, cqe.SrcStream)
-		return
+		l.busy = true
+		l.rel.handleDone(s, conn, xid, cqe.SrcStream, recvResumed, l)
+		return !l.busy // the chain resumes the loop unless it already ended
 	}
 	sh.requests++
 	if d := sh.workQ.Len(); d > sh.maxQueueDepth {
@@ -220,6 +296,7 @@ func (sh *serverShard) deliver(p *des.Proc, conn *serverConn, cqe *ibsim.CQE) {
 	}
 	task.conn = conn
 	sh.workQ.Put(task)
+	return true
 }
 
 // putTask takes back a task nothing refers to any more. It is zeroed but for
@@ -236,57 +313,51 @@ func (sh *serverShard) putTask(t *serverTask) {
 // client-side QPs), so tear their connections down in accept order, then —
 // unless the transport is closing — arm a replacement shared QP for the
 // reconnects that follow.
-func (sh *serverShard) sharedQPDead(p *des.Proc) {
-	s := sh.srv
+func (l *recvLoop) sharedQPDead() {
 	// connDead prunes s.conns, so walk a snapshot.
-	for _, conn := range slices.Clone(s.conns) {
+	l.conns = slices.Clone(l.sh.srv.conns)
+	l.tearDown()
+}
+
+func (l *recvLoop) tearDown() {
+	sh := l.sh
+	s := sh.srv
+	for len(l.conns) > 0 {
+		conn := l.conns[0]
+		l.conns = l.conns[1:]
 		if conn.shard == sh && conn.stream != 0 && !conn.dead {
-			s.connDead(p, conn)
+			l.rel.connDead(s, conn, tornDown, l)
+			return
 		}
 	}
+	l.conns = nil
 	if !s.closed && !s.draining {
 		sh.armMuxQP()
 	}
+	recvResumed(l)
 }
 
-// refillLoop tops the SRQ back up whenever the low-watermark limit event
-// fires — the IB SRQ_LIMIT asynchronous-event pattern.
-func (sh *serverShard) refillLoop(p *des.Proc) {
-	for {
-		sh.srq.ArmLimit().Wait(p)
-		for sh.srq.PostRecv(sh.nextWRID, sh.srv.cfg.recvBufSize()) {
-			sh.nextWRID++
-		}
+func tornDown(a any) { a.(*recvLoop).tearDown() }
+
+// srqArm arms the SRQ's low-watermark event for the refill chain, topping
+// the pool up first for as long as it is below the watermark already — the
+// IB SRQ_LIMIT asynchronous-event pattern.
+func srqArm(a any) {
+	sh := a.(*serverShard)
+	for sh.srq.ArmLimit(srqLow, sh) {
+		sh.refill()
 	}
 }
 
-// worker is one server thread (nfsd) draining the group's work queue through
-// the shared handler. wcpu is where this worker runs; picking a task
-// enqueued by the shard's completion loop is itself a completion handoff, so
-// it pays the affinity toll before any protocol work starts. While tracing,
-// each call is wrapped in a serve span on the group's track, so the exported
-// trace shows per-shard dispatch balance as separate rows.
-func (sh *serverShard) worker(p *des.Proc, wcpu int) {
-	s := sh.srv
-	w := &nfsd{cpu: wcpu}
-	for {
-		v, ok := sh.workQ.Get(p)
-		if !ok {
-			return
-		}
-		task := v.(*serverTask)
-		s.migrate(p, task.conn, wcpu)
-		tr, start := s.node.Sim().Tracer(), p.Now()
-		s.handle(p, task, w)
-		if tr != nil {
-			tr.Span(int64(start), int64(p.Now()), trace.LayerRPC, trace.KindServe, sh.track,
-				task.hdr.Type.String(), task.conn.traceKey(task.hdr.XID), 0)
-		}
-		// handle has returned: the reply Send, if one was posted, has
-		// completed, and nothing else held the task or the thread's storage.
-		// Idle, the thread pins no wire message, staging buffer or payload.
-		sh.putTask(task)
-		*w = nfsd{cpu: wcpu, pushed: w.pushed[:0], exposed: w.exposed[:0]}
+func srqLow(a any) {
+	sh := a.(*serverShard)
+	sh.refill()
+	srqArm(sh)
+}
+
+func (sh *serverShard) refill() {
+	for sh.srq.PostRecv(sh.nextWRID, sh.srv.cfg.recvBufSize()) {
+		sh.nextWRID++
 	}
 }
 

@@ -126,10 +126,10 @@ type Engine struct {
 
 	running bool
 	// gen identifies the current sampler incarnation. Each Start bumps it
-	// and the spawned loop captures the value; a loop whose generation no
-	// longer matches exits without sampling. This is what makes
+	// and the sampling chain keeps the value; a chain whose generation no
+	// longer matches ends without sampling. This is what makes
 	// Stop-then-Start safe: the old sampler may not see the stop until its
-	// next timer tick, and by then a restart has already spawned its
+	// next timer tick, and by then a restart has already started its
 	// replacement — without the generation check both would keep sampling
 	// forever, doubling the tick rate off-phase.
 	gen int
@@ -236,17 +236,31 @@ func (e *Engine) Start(p *des.Proc) {
 	}
 	e.running = true
 	e.gen++
-	gen := e.gen
 	e.sampleOnce(int64(p.Now()))
-	e.sim.Spawn("telemetry-sampler", func(sp *des.Proc) {
-		for {
-			sp.Sleep(e.interval)
-			if gen != e.gen || !e.running {
-				return
-			}
-			e.sampleOnce(int64(sp.Now()))
-		}
-	})
+	// The sampler waits only for time, so it is a chain of callbacks, not a
+	// process: its first wait begins where a process spawned here would
+	// start.
+	e.sim.AtArg(e.sim.Now(), samplerWait, &sampler{e: e, gen: e.gen})
+}
+
+// sampler is one incarnation of the sampling chain.
+type sampler struct {
+	e   *Engine
+	gen int
+}
+
+func samplerWait(a any) {
+	s := a.(*sampler)
+	sim := s.e.sim
+	sim.AtArg(sim.Now()+des.Time(s.e.interval), samplerTick, s)
+}
+
+func samplerTick(a any) {
+	s := a.(*sampler)
+	if e := s.e; s.gen == e.gen && e.running {
+		e.sampleOnce(int64(e.sim.Now()))
+		samplerWait(s)
+	}
 }
 
 // Stop takes one final tail sample at the current instant and stops the

@@ -366,6 +366,22 @@ func (ns *Namespace) Write(p *des.Proc, id FileID, off int64, count int, data []
 	return count, nil
 }
 
+// Resident implements FS. A read or unstable write that fails before it
+// reaches the store waits for nothing.
+func (ns *Namespace) Resident(id FileID, off int64, count int, op StoreOp) bool {
+	ino, err := ns.get(id)
+	switch {
+	case err != nil:
+		return true
+	case op == StoreSync:
+	case ino.attr.Type == TypeDir || off < 0 || count < 0:
+		return true
+	case op == StoreWrite && ns.total > 0 && ns.used+int64(count) > ns.total:
+		return true
+	}
+	return ns.store.Resident(id, ino.attr.Size, off, count, op)
+}
+
 // Commit implements FS.
 func (ns *Namespace) Commit(p *des.Proc, id FileID, off int64, count int) error {
 	if _, err := ns.get(id); err != nil {

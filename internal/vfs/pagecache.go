@@ -44,7 +44,8 @@ type pageKey struct {
 type page struct {
 	key   pageKey
 	dirty bool
-	elem  *list.Element
+	elem  *list.Element // in lru
+	delem *list.Element // in dirtyLRU while dirty
 }
 
 // PageCache is an LRU cache of file pages in front of a DiskArray. It is
@@ -59,6 +60,10 @@ type PageCache struct {
 	lru   *list.List // front = most recent
 	dirty int64
 
+	// dirtyLRU holds the dirty pages in lru's order, so that the writeback
+	// of the least recently used dirty page does not walk the clean ones.
+	dirtyLRU *list.List
+
 	// next expected sequential read offset per file, for readahead.
 	nextSeq map[FileID]int64
 
@@ -69,11 +74,12 @@ type PageCache struct {
 func NewPageCache(disk *DiskArray, cfg PageCacheConfig) *PageCache {
 	cfg.defaults()
 	return &PageCache{
-		cfg:     cfg,
-		disk:    disk,
-		pages:   make(map[pageKey]*page),
-		lru:     list.New(),
-		nextSeq: make(map[FileID]int64),
+		cfg:      cfg,
+		disk:     disk,
+		pages:    make(map[pageKey]*page),
+		lru:      list.New(),
+		dirtyLRU: list.New(),
+		nextSeq:  make(map[FileID]int64),
 	}
 }
 
@@ -96,7 +102,28 @@ func diskOffset(id FileID, pageIdx int64, pageSize int) int64 {
 }
 
 // touch marks a resident page most recently used.
-func (c *PageCache) touch(pg *page) { c.lru.MoveToFront(pg.elem) }
+func (c *PageCache) touch(pg *page) {
+	c.lru.MoveToFront(pg.elem)
+	if pg.dirty {
+		c.dirtyLRU.MoveToFront(pg.delem)
+	}
+}
+
+// markDirty dirties a clean page that is, or is about to be, the most
+// recently used.
+func (c *PageCache) markDirty(pg *page) {
+	pg.dirty = true
+	pg.delem = c.dirtyLRU.PushFront(pg)
+	c.dirty += int64(c.cfg.PageSize)
+}
+
+// markClean cleans a dirty page.
+func (c *PageCache) markClean(pg *page) {
+	pg.dirty = false
+	c.dirtyLRU.Remove(pg.delem)
+	pg.delem = nil
+	c.dirty -= int64(c.cfg.PageSize)
+}
 
 // insert adds a page, evicting from the LRU tail as needed. Dirty victims
 // are written back on the caller's clock (the simple writeback model).
@@ -112,16 +139,15 @@ func (c *PageCache) insert(p *des.Proc, key pageKey, dirty bool) *page {
 		c.lru.Remove(tail)
 		delete(c.pages, victim.key)
 		if victim.dirty {
-			victim.dirty = false
-			c.dirty -= int64(c.cfg.PageSize)
+			c.markClean(victim)
 			c.disk.Write(p, diskOffset(victim.key.id, victim.key.page, c.cfg.PageSize), c.cfg.PageSize)
 		}
 	}
-	pg := &page{key: key, dirty: dirty}
+	pg := &page{key: key}
 	pg.elem = c.lru.PushFront(pg)
 	c.pages[key] = pg
 	if dirty {
-		c.dirty += int64(c.cfg.PageSize)
+		c.markDirty(pg)
 	}
 	return pg
 }
@@ -169,6 +195,36 @@ func (c *PageCache) Read(p *des.Proc, id FileID, off int64, n int) {
 	c.nextSeq[id] = off + int64(n)
 }
 
+// resident reports whether every page of [off, off+n) of file id is cached,
+// so that Read touches no disk.
+func (c *PageCache) resident(id FileID, off int64, n int) bool {
+	ps := int64(c.cfg.PageSize)
+	for pg := off / ps; pg <= (off+int64(n)-1)/ps; pg++ {
+		if _, ok := c.pages[pageKey{id, pg}]; !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// absorbs reports whether Write of [off, off+n) of file id touches no disk:
+// its new pages fit without an eviction, and what it dirties stays within
+// the dirty limit.
+func (c *PageCache) absorbs(id FileID, off int64, n int) bool {
+	ps := int64(c.cfg.PageSize)
+	missing, dirtied := 0, int64(0)
+	for pg := off / ps; pg <= (off+int64(n)-1)/ps; pg++ {
+		p, ok := c.pages[pageKey{id, pg}]
+		if !ok {
+			missing++
+		}
+		if !ok || !p.dirty {
+			dirtied += ps
+		}
+	}
+	return len(c.pages)+missing <= c.capacityPages() && c.dirty+dirtied <= c.cfg.DirtyLimitBytes
+}
+
 // Write dirties [off, off+n) of file id, throttling the writer once the
 // dirty limit is reached by synchronously writing back LRU-tail dirty
 // pages.
@@ -180,8 +236,7 @@ func (c *PageCache) Write(p *des.Proc, id FileID, off int64, n int) {
 		key := pageKey{id, pgIdx}
 		if pg, ok := c.pages[key]; ok {
 			if !pg.dirty {
-				pg.dirty = true
-				c.dirty += int64(c.cfg.PageSize)
+				c.markDirty(pg)
 			}
 			c.touch(pg)
 		} else {
@@ -195,18 +250,16 @@ func (c *PageCache) Write(p *des.Proc, id FileID, off int64, n int) {
 
 // writebackOldest flushes the least recently used dirty page.
 func (c *PageCache) writebackOldest(p *des.Proc) {
-	for e := c.lru.Back(); e != nil; e = e.Prev() {
-		pg := e.Value.(*page)
-		if pg.dirty {
-			// Mark clean before the blocking write so a concurrent throttled
-			// writer picks a different victim.
-			pg.dirty = false
-			c.dirty -= int64(c.cfg.PageSize)
-			c.disk.Write(p, diskOffset(pg.key.id, pg.key.page, c.cfg.PageSize), c.cfg.PageSize)
-			return
-		}
+	e := c.dirtyLRU.Back()
+	if e == nil {
+		c.dirty = 0 // nothing dirty found; resynchronize
+		return
 	}
-	c.dirty = 0 // nothing dirty found; resynchronize
+	// Mark clean before the blocking write so a concurrent throttled writer
+	// picks a different victim.
+	pg := e.Value.(*page)
+	c.markClean(pg)
+	c.disk.Write(p, diskOffset(pg.key.id, pg.key.page, c.cfg.PageSize), c.cfg.PageSize)
 }
 
 // Commit flushes all dirty pages of file id (0,0 = whole file). Victims are
@@ -214,9 +267,10 @@ func (c *PageCache) writebackOldest(p *des.Proc) {
 // blocked worker.
 func (c *PageCache) Commit(p *des.Proc, id FileID, off int64, count int) {
 	var victims []*page
-	for e := c.lru.Back(); e != nil; e = e.Prev() {
+	for e := c.dirtyLRU.Back(); e != nil; {
 		pg := e.Value.(*page)
-		if pg.key.id != id || !pg.dirty {
+		e = e.Prev()
+		if pg.key.id != id {
 			continue
 		}
 		if count > 0 {
@@ -226,8 +280,7 @@ func (c *PageCache) Commit(p *des.Proc, id FileID, off int64, count int) {
 				continue
 			}
 		}
-		pg.dirty = false
-		c.dirty -= int64(c.cfg.PageSize)
+		c.markClean(pg)
 		victims = append(victims, pg)
 	}
 	for _, pg := range victims {
@@ -243,6 +296,7 @@ func (c *PageCache) Commit(p *des.Proc, id FileID, off int64, count int) {
 func (c *PageCache) Crash() {
 	c.pages = make(map[pageKey]*page)
 	c.lru.Init()
+	c.dirtyLRU.Init()
 	c.dirty = 0
 	c.nextSeq = make(map[FileID]int64)
 }
@@ -254,7 +308,7 @@ func (c *PageCache) Drop(id FileID) {
 		pg := e.Value.(*page)
 		if pg.key.id == id {
 			if pg.dirty {
-				c.dirty -= int64(c.cfg.PageSize)
+				c.markClean(pg)
 			}
 			c.lru.Remove(e)
 			delete(c.pages, pg.key)
@@ -299,6 +353,22 @@ func (s *DiskStore) Write(p *des.Proc, id FileID, off int64, count int, data []b
 	if stable {
 		s.cache.Commit(p, id, off, count)
 	}
+}
+
+// Resident implements Store: a read whose pages are all cached, or an
+// unstable write the cache absorbs without evicting or writing back; never a
+// stable write or a commit.
+func (s *DiskStore) Resident(id FileID, size, off int64, count int, op StoreOp) bool {
+	switch op {
+	case StoreRead:
+		if off >= size {
+			return true
+		}
+		return s.cache.resident(id, off, int(min(int64(count), size-off)))
+	case StoreWrite:
+		return s.cache.absorbs(id, off, count)
+	}
+	return false
 }
 
 // Commit implements Store.

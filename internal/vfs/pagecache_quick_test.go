@@ -63,6 +63,53 @@ func TestResidentPageCostsNoDisk(t *testing.T) {
 	sim.Run()
 }
 
+// TestQuickResidentCallsCostNoDisk: a store call that DiskStore.Resident
+// says completes from memory — the server then makes it on the scheduler
+// loop, where it cannot wait — moves no disk byte and takes no time. One
+// cache throttles writers before it fills, the other lets dirty pages fill
+// it, so that an eviction writes back.
+func TestQuickResidentCallsCostNoDisk(t *testing.T) {
+	for _, cfg := range []PageCacheConfig{
+		{CapacityBytes: 2 << 20, PageSize: 64 << 10, DirtyLimitBytes: 512 << 10},
+		{CapacityBytes: 1 << 20, PageSize: 64 << 10, DirtyLimitBytes: 1 << 20},
+	} {
+		f := func(ops []uint32) bool {
+			ok := true
+			sim := des.New()
+			arr := NewDiskArray(sim, "raid", DiskArrayConfig{})
+			ds := NewDiskStore(NewPageCache(arr, cfg))
+			sim.Spawn("ops", func(p *des.Proc) {
+				for _, op := range ops {
+					id := FileID(op%3 + 1)
+					off := int64(op%37) * 32 << 10
+					n := int(op%5+1) * 32 << 10
+					const size = 4 << 20
+					kind := StoreOp(op / 7 % 3)
+					resident := ds.Resident(id, size, off, n, kind)
+					before, at := arr.BytesRead+arr.BytesWritten, p.Now()
+					switch kind {
+					case StoreRead:
+						ds.Read(p, id, size, off, n, nil)
+					case StoreWrite:
+						ds.Write(p, id, off, n, nil, false)
+					default:
+						ds.Write(p, id, off, n, nil, true)
+					}
+					if resident && (arr.BytesRead+arr.BytesWritten != before || p.Now() != at) {
+						ok = false
+						return
+					}
+				}
+			})
+			sim.Run()
+			return ok
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+			t.Fatalf("%+v: %v", cfg, err)
+		}
+	}
+}
+
 // TestQuickDiskStoreMatchesMemStoreSemantics drives the same random op
 // sequence through a MemStore-backed namespace and a DiskStore-backed one
 // and checks that sizes, read counts and EOF flags agree (the disk layer

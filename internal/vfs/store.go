@@ -16,11 +16,25 @@ type Store interface {
 	Write(p *des.Proc, id FileID, off int64, count int, data []byte, stable bool)
 	// Commit flushes dirty data in [off, off+count) (0,0 = whole file).
 	Commit(p *des.Proc, id FileID, off int64, count int)
+	// Resident reports whether the call op of [off, off+count) of file id,
+	// size bytes long, completes without waiting for the medium: a server
+	// thread whose call it serves from memory need not be a process.
+	Resident(id FileID, size, off int64, count int, op StoreOp) bool
 	// Truncate adjusts stored data to the new size.
 	Truncate(id FileID, size int64)
 	// Drop discards all data of a removed file.
 	Drop(id FileID)
 }
+
+// StoreOp is what a store call does with a range, for Resident.
+type StoreOp uint8
+
+// Store calls.
+const (
+	StoreRead  StoreOp = iota // Read
+	StoreWrite                // an unstable Write
+	StoreSync                 // a stable Write, or a Commit: data bound for the medium
+)
 
 // MemStore is the tmpfs-equivalent data store: all file contents live in
 // memory, reads and writes cost nothing beyond the copies charged at the
@@ -76,6 +90,9 @@ func (s *MemStore) Write(p *des.Proc, id FileID, off int64, count int, data []by
 
 // Commit implements Store (memory is always "stable").
 func (s *MemStore) Commit(p *des.Proc, id FileID, off int64, count int) {}
+
+// Resident implements Store: memory never waits for a disk.
+func (s *MemStore) Resident(id FileID, size, off int64, count int, op StoreOp) bool { return true }
 
 // Truncate implements Store.
 func (s *MemStore) Truncate(id FileID, size int64) {

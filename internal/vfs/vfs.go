@@ -97,6 +97,11 @@ type FS interface {
 	// Commit flushes [off, off+count) (NFSv3 COMMIT).
 	Commit(p *des.Proc, id FileID, off int64, count int) error
 
+	// Resident reports whether the call op (a Read, a Write, a stable Write
+	// or a Commit) of [off, off+count) of file id completes without waiting
+	// for the disk.
+	Resident(id FileID, off int64, count int, op StoreOp) bool
+
 	ReadDir(p *des.Proc, dir FileID, cookie int64, maxEntries int) ([]DirEntry, bool, error)
 
 	// FSStat returns total and free bytes.

@@ -93,8 +93,17 @@ func TestProcessesPerRPC(t *testing.T) {
 	} {
 		spawns, parks, byProc := processesPerRPC(t, pin.design, pin.op)
 		if spawns != pin.spawns || parks != pin.parks {
-			t.Errorf("%v %s: %.2f spawns and %.2f parks per RPC, pinned at %.0f and %.0f; parks by process: %v",
-				pin.design, pin.op, spawns, parks, pin.spawns, pin.parks, byProc)
+			names := make([]string, 0, len(byProc))
+			for name := range byProc {
+				names = append(names, name)
+			}
+			sort.Strings(names)
+			var by strings.Builder
+			for _, name := range names {
+				fmt.Fprintf(&by, " %s %.3f", name, byProc[name])
+			}
+			t.Errorf("%v %s: %.2f spawns and %.2f parks per RPC, pinned at %.0f and %.0f; parks per RPC by process:%s",
+				pin.design, pin.op, spawns, parks, pin.spawns, pin.parks, by.String())
 		}
 	}
 }

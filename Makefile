@@ -69,9 +69,10 @@ loc:
 # NFS NULL, an 8 KiB direct READ, an all-physical 64 KiB READ), then for the
 # fan-in server (8 shards, multiplexed, affinity, Reply-Fetch: a NULL and the
 # all-physical READ) and, under each, the lines that allocate, in
-# allocations per RPC (TestAllocsPerRPC).
+# allocations per RPC (TestAllocsPerRPC); then the spawns and parks one RPC
+# costs the kernel (TestProcessesPerRPC).
 allocs:
-	$(GO) test -count=1 -run 'TestAllocsPerRPC$$' -v ./internal/core/
+	$(GO) test -count=1 -run 'TestAllocsPerRPC$$|TestProcessesPerRPC$$' -v ./internal/core/
 
 # bench runs the DES kernel microbenchmarks (schedule->resume path,
 # queue/event/resource wakeups, timer heap, process spawn on a pooled

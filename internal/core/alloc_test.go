@@ -35,7 +35,7 @@ func TestAllocsPerRPC(t *testing.T) {
 		null, read, physRead float64
 	}{
 		{rpcrdma.ReadWrite, 2, 7, 6},    // measured 1.00, 6.00 and 4.25
-		{rpcrdma.ReadRead, 8, 14, 17},   // 6.24, 12.25 and 15.15
+		{rpcrdma.ReadRead, 6, 10, 10},   // 4.24, 8.25 and 8.18
 		{rpcrdma.ReplyFetch, 8, 13, 10}, // 7.00, 12.00 and 8.66
 	}
 	for _, pin := range pins {
@@ -72,26 +72,31 @@ func TestAllocsPerRPC(t *testing.T) {
 // processes: spawns and parks per steady-state call, one client, one call
 // outstanding, counted from the tracer's spawn instants and blocked spans as
 // the benchmark's des.spawns_per_rpc and des.parks_per_rpc are; per design a
-// NULL, and on Read-Write a 128 KiB direct READ and WRITE under dynamic
-// registration (the Fig. 5 point). Everything on the RPC path that waits
-// only for hardware, time, a FIFO resource or a CPU is a chain of callbacks
-// (DESIGN.md §5.1), so the caller parks once, for its reply, and a Read-Read
-// reply spawns its handler, whose pull blocks. A park that comes back here
-// is a regression; the failure names the processes that parked. The pins
-// are exact.
+// NULL, on Read-Write a 128 KiB direct READ and WRITE under dynamic
+// registration (the Fig. 5 point), and on Read-Read an 8 KiB direct READ
+// (its reply's pull reads one chunk) and a READDIRPLUS of 32 entries (a long
+// reply, pulled at position 0). Everything on the RPC path that waits only
+// for hardware, time, a FIFO resource or a CPU is a chain of callbacks
+// (DESIGN.md §5.1), so the caller parks once, for its reply, and nothing
+// spawns. A park that comes back here is a regression; the failure names
+// the processes that parked. The pins are exact.
 func TestProcessesPerRPC(t *testing.T) {
 	for _, pin := range []struct {
 		design        rpcrdma.Design
 		op            string
+		size          int
 		spawns, parks float64
 	}{
-		{rpcrdma.ReadWrite, "null", 0, 1},
-		{rpcrdma.ReadRead, "null", 1, 1}, // the spawn is the reply handler, whose pull blocks
-		{rpcrdma.ReplyFetch, "null", 0, 1},
-		{rpcrdma.ReadWrite, "read", 0, 1},
-		{rpcrdma.ReadWrite, "write", 0, 1},
+		{rpcrdma.ReadWrite, "null", 0, 0, 1},
+		{rpcrdma.ReadRead, "null", 0, 0, 1},
+		{rpcrdma.ReplyFetch, "null", 0, 0, 1},
+		{rpcrdma.ReadWrite, "read", 128 << 10, 0, 1},
+		{rpcrdma.ReadWrite, "write", 128 << 10, 0, 1},
+		{rpcrdma.ReadRead, "read", 8 << 10, 0, 1},
+		{rpcrdma.ReadRead, "readdirplus", 0, 0, 1},
 	} {
-		spawns, parks, byProc := processesPerRPC(t, pin.design, pin.op)
+		spawns, parks, byProc := processesPerRPC(t, pin.design, pin.op, pin.size)
+		t.Logf("%v %s: %.2f spawns and %.2f parks per RPC", pin.design, pin.op, spawns, parks)
 		if spawns != pin.spawns || parks != pin.parks {
 			names := make([]string, 0, len(byProc))
 			for name := range byProc {
@@ -109,10 +114,11 @@ func TestProcessesPerRPC(t *testing.T) {
 }
 
 // processesPerRPC counts spawns and parks per RPC on a one-client cluster,
-// and parks per RPC by the name of the process that parked: op is "null", or
-// "read" or "write" of 128 KiB, direct, under dynamic registration.
-func processesPerRPC(t *testing.T, design rpcrdma.Design, op string) (spawns, parks float64, byProc map[string]float64) {
-	const calls, size = 200, 128 << 10
+// and parks per RPC by the name of the process that parked: op is "null",
+// "read" or "write" of size bytes, direct, under dynamic registration, or
+// "readdirplus" of a directory of 32 files.
+func processesPerRPC(t *testing.T, design rpcrdma.Design, op string, size int) (spawns, parks float64, byProc map[string]float64) {
+	const calls, files = 200, 32
 	cluster := NewCluster(Config{
 		Profile:   profiles.LinuxDDR(),
 		Transport: TransportRDMA,
@@ -128,7 +134,22 @@ func processesPerRPC(t *testing.T, design rpcrdma.Design, op string) (spawns, pa
 			t.Errorf("%v: create: %v", design, err)
 			return
 		}
-		buf := cl.NewBuffer(size)
+		if err := cl.Mkdir(p, "pin"); err != nil {
+			t.Errorf("%v: mkdir: %v", design, err)
+			return
+		}
+		for i := 0; i < files; i++ {
+			if _, err := cl.Create(p, fmt.Sprintf("pin/f%02d", i)); err != nil {
+				t.Errorf("%v: create: %v", design, err)
+				return
+			}
+		}
+		dir, _, err := cl.NFS.Lookup(p, cl.Root, "pin")
+		if err != nil {
+			t.Errorf("%v: lookup: %v", design, err)
+			return
+		}
+		buf := cl.NewBuffer(max(size, 1))
 		call := func() error {
 			switch op {
 			case "read":
@@ -136,6 +157,12 @@ func processesPerRPC(t *testing.T, design rpcrdma.Design, op string) (spawns, pa
 				return err
 			case "write":
 				_, err := f.WriteAt(p, buf, 0, 0, size, true)
+				return err
+			case "readdirplus":
+				rd, err := cl.NFS.ReadDir(p, dir, 0, 8192, true)
+				if err == nil && len(rd.Entries) < files {
+					err = fmt.Errorf("READDIRPLUS returned %d of %d entries", len(rd.Entries), files)
+				}
 				return err
 			}
 			return cl.NFS.Null(p)

@@ -581,9 +581,10 @@ func (q *QP) PostSend(w *SendWQE) {
 	}
 }
 
-// PostAndWait posts a work request and blocks until its completion, which it
-// returns. This is the synchronous pattern kernel RPC threads use (e.g. the
-// server blocking on its RDMA Read of a write chunk).
+// PostAndWait posts a work request and blocks p until its completion, which
+// it returns, charging the completion interrupt when p had to wait. It is for
+// code that is a process by nature, such as the adversary's attackers; the
+// RPC path waits for a request with OnDone instead, as a chain.
 func (q *QP) PostAndWait(p *des.Proc, w *SendWQE) *CQE {
 	w.Done = des.NewEvent(q.node.fab.Sim)
 	q.PostSend(w)

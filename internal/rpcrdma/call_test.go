@@ -101,7 +101,7 @@ func TestReplayGetsItsOwnCallState(t *testing.T) {
 				wire := stale.frame(append(make([]byte, hdrBase), oncrpc.EncodeReply(xid, oncrpc.Success, []byte("stale!!!"))...), hdrBase)
 				old.receiveReply(&ibsim.CQE{Payload: wire})
 				hdr, body, _ := DecodeHeader(wire)
-				old.handleReply(nil, first, hdr, body)
+				old.handleReply(first, hdr, body)
 				if pend.done.Fired() {
 					t.Error("a late reply on the retired transport completed the replay")
 				}

@@ -274,9 +274,8 @@ type ClientTransport struct {
 	pending  map[uint32]*pending
 	closed   bool
 
-	replyName string // the Read-Read reply handlers' process name
-
-	rts *des.FreeList[roundtrip] // Roundtrip's states between calls, the simulation's
+	rts     *des.FreeList[roundtrip] // Roundtrip's states between calls, the simulation's
+	pullers *des.FreeList[puller]    // Read-Read reply pulls' states, the simulation's
 
 	// DropDone simulates the malicious/malfunctioning client of §4.1 that
 	// never sends RDMA_DONE, pinning server reply buffers.
@@ -339,14 +338,14 @@ func (t *ClientTransport) NewRequest() *oncrpc.Request {
 func NewClientTransport(p *des.Proc, qp *ibsim.QP, mgr *memreg.Manager, cfg Config) *ClientTransport {
 	cfg.defaults()
 	t := &ClientTransport{
-		node:      qp.Node(),
-		qp:        qp,
-		mgr:       mgr,
-		cfg:       cfg,
-		inflight:  newCreditGate(qp.Node().Sim(), cfg.Credits),
-		pending:   make(map[uint32]*pending),
-		replyName: qp.Node().Name() + "/reply",
-		rts:       des.Pool[roundtrip](qp.Node().Sim()),
+		node:     qp.Node(),
+		qp:       qp,
+		mgr:      mgr,
+		cfg:      cfg,
+		inflight: newCreditGate(qp.Node().Sim(), cfg.Credits),
+		pending:  make(map[uint32]*pending),
+		rts:      des.Pool[roundtrip](qp.Node().Sim()),
+		pullers:  des.Pool[puller](qp.Node().Sim()),
 	}
 	if cfg.hasSerial() {
 		t.serial = des.NewResource(qp.Node().Sim(), qp.Node().Name()+"/rpcrdma-serial", 1)
@@ -530,7 +529,7 @@ func fetchCopied(a any) {
 		return // undecodable deposit; the watchdog will retransmit
 	}
 	t.regrant(hdr.Credits)
-	t.handleReply(nil, pend, &hdr, body)
+	t.handleReply(pend, &hdr, body)
 }
 
 // receive arms the client's reply receiver: a callback on the receive CQ
@@ -558,7 +557,7 @@ func received(a any, cqe *ibsim.CQE) {
 }
 
 // receiveReply matches one received reply to its pending call and hands it
-// to a handler, which performs Read-Read chunk pulls plus RDMA_DONE and
+// to its handler, which performs Read-Read chunk pulls plus RDMA_DONE and
 // reconstructs long replies.
 func (t *ClientTransport) receiveReply(cqe *ibsim.CQE) {
 	t.qp.PostRecv(cqe.WRID, t.cfg.recvBufSize())
@@ -590,21 +589,14 @@ func (t *ClientTransport) receiveReply(cqe *ibsim.CQE) {
 		r = new(replyRec)
 	}
 	*r = replyRec{pend: pend, hdr: hdr, body: body}
-	s := t.node.Sim()
-	if t.cfg.Design != ReadRead {
-		// Nothing to pull, so nothing to block on: finish the call from the
-		// scheduler loop, at the place in this instant's order where a
-		// process spawned here would have started.
-		s.AtArg(s.Now(), runReply, r)
-		return
-	}
-	// Handle each Read-Read reply on its own process so one reply's RDMA
-	// Reads do not serialize the others — though they all still contend for
-	// the connection's ORD slots, which is exactly the bottleneck the paper
+	// The handler runs on the scheduler loop, at the place in this instant's
+	// order where a process spawned here would have started. A Read-Read
+	// reply's pull is a chain of its own (puller), so one reply's RDMA Reads
+	// do not serialize the others' — though they all still contend for the
+	// connection's ORD slots, which is exactly the bottleneck the paper
 	// describes.
-	s.Spawn(t.replyName, func(rp *des.Proc) {
-		t.handleReply(rp, pend, &r.hdr, body)
-	})
+	s := t.node.Sim()
+	s.AtArg(s.Now(), runReply, r)
 }
 
 // replyRec is one decoded reply between the receiver and its handler.
@@ -616,7 +608,7 @@ type replyRec struct {
 
 func runReply(a any) {
 	r := a.(*replyRec)
-	r.pend.t.handleReply(nil, r.pend, &r.hdr, r.body)
+	r.pend.t.handleReply(r.pend, &r.hdr, r.body)
 }
 
 // replyHeader returns a header for a reply to pend to decode into, with the
@@ -638,10 +630,10 @@ func (t *ClientTransport) regrant(credits uint32) {
 	}
 }
 
-// handleReply completes pend with a decoded reply. p is the process it runs
-// on, or nil on the scheduler loop: only a Read-Read reply pulls, and only a
-// pull blocks (or lets Roundtrip return, and hand over the release, midway).
-func (t *ClientTransport) handleReply(p *des.Proc, pend *pending, hdr *Header, body []byte) {
+// handleReply completes pend with a decoded reply. A Read-Read reply hands
+// the rest to its pull chain, which lets Roundtrip return, and hand over the
+// release, midway.
+func (t *ClientTransport) handleReply(pend *pending, hdr *Header, body []byte) {
 	if pend.aborted {
 		return // caller gave up; staging buffers already released
 	}
@@ -660,7 +652,10 @@ func (t *ClientTransport) handleReply(p *des.Proc, pend *pending, hdr *Header, b
 				t.sendDone(pend)
 			}
 		case ReadRead:
-			res.BulkLen, res.err = t.pull(p, pend, hdr, false, pend.destBuf, pend.destOff)
+			u := t.newPuller(pend, hdr, false)
+			u.res.Header, u.dst, u.off = body, pend.destBuf, pend.destOff
+			u.pull(pulledBulk)
+			return
 		}
 	case MsgNoMsg:
 		switch t.cfg.Design {
@@ -685,86 +680,220 @@ func (t *ClientTransport) handleReply(p *des.Proc, pend *pending, hdr *Header, b
 		case ReadRead:
 			// Pull the whole reply message from the server's exposed
 			// buffer, then release it with RDMA_DONE.
-			res.Header, res.err = t.pullLongReply(p, pend, hdr)
+			n := hdr.readBytes(true)
+			if n == 0 {
+				res.err = fmt.Errorf("%w: empty long reply", ErrBadHeader)
+				break
+			}
+			u := t.newPuller(pend, hdr, true)
+			u.length = n
+			t.mgr.GetThen(&u.down.op, n, ibsim.AccessLocalWrite, stagedLongReply, u)
+			return
 		}
 	default:
 		res.err = fmt.Errorf("%w: reply type %v", ErrBadHeader, hdr.Type)
 	}
+	pend.handled(&res)
+}
+
+// handled ends a handler's work on pend with res, and reports whether the
+// handler releases the call's buffers: Roundtrip returned while it was in
+// flight, and it is the last handler.
+func (pend *pending) handled(res *rtResult) (release bool) {
 	pend.handling--
 	if pend.aborted {
-		if pend.handling == 0 {
-			// Roundtrip returned while we were in flight and deferred the
-			// buffer release to us (the staging copy, if any, already ran).
-			r := &teardown{}
-			r.release(t, pend, nil, des.Resumer, p)
-			p.Suspend()
-		}
-		return
+		return pend.handling == 0
 	}
 	// A retransmission timer may have consumed this attempt's event already;
 	// if Roundtrip re-armed, pend.done is the live attempt and this (valid,
 	// XID-matched) reply completes it. The first completion wins, so the
 	// result it points at is never overwritten.
 	if !pend.done.Fired() {
-		pend.res = res
+		pend.res = *res
 		pend.done.Fire(&pend.res)
 		pend.woken()
 	}
+	return false
 }
 
-// pull performs a Read-Read pull: RDMA Read each advertised chunk of one
-// kind — the reply message itself (position 0, long) or its bulk payload
-// (position > 0) — into dst from off, then send RDMA_DONE. It returns the
-// bytes pulled.
-func (t *ClientTransport) pull(p *des.Proc, pend *pending, hdr *Header, long bool, dst *ibsim.Buffer, off int) (int, error) {
-	name, what := "bulk-read", "chunk read"
-	if long {
-		name, what = "long-reply-read", "long reply read"
-	}
-	total := 0
-	for _, seg := range hdr.ReadList {
-		if (seg.Position == 0) != long {
+// A Read-Read reply's handling — an RDMA Read of each chunk it advertises,
+// one at a time, with the completion interrupt of each that was not complete
+// at its post; a long reply's staging; RDMA_DONE; the call's completion —
+// waits only for the HCA, a CPU and registration. So it is a chain of
+// callbacks on the scheduler loop too, each step taken at the instant and in
+// the place in the event order where a process running the handler would
+// take it, with its state in a puller the simulation reuses.
+//
+//	pull             post the next Read (readDone is its completion), or
+//	                 send RDMA_DONE once every chunk is read
+//	readWoken        the interrupt of a Read that blocked
+//	read             its span; stop on an abandoned call or an error
+//	stagedLongReply  a long reply's staging, then pull into it
+//	pulledLongReply  copy the reply out, put the staging back
+//	pullEnd          complete the call, or release an abandoned one's buffers
+
+// puller is the state of one Read-Read reply's pull chain.
+type puller struct {
+	t    *ClientTransport
+	pend *pending
+	hdr  Header // the reply's; its lists are the call's or the reply record's
+	res  rtResult
+	next func(*puller) // the step after the pull
+
+	long       bool          // pulling a long reply (position 0), not bulk
+	dst        *ibsim.Buffer // where the chunks land, from off
+	off, total int
+	length     int      // a long reply's length
+	seg        int      // the read list entry the pull is at
+	start      des.Time // when the Read in flight was posted
+	waiting    bool     // for the Read in flight: its completion wakes the chain
+	completed  bool     // the Read in flight completed, with readErr
+	readErr    error
+	wqe        ibsim.SendWQE
+	intr       cpu.Charge
+	staging    *memreg.Chunk
+	down       teardown // its op stages a long reply; the teardown is an abandoned call's release
+}
+
+// newPuller returns a puller for a reply to pend.
+func (t *ClientTransport) newPuller(pend *pending, hdr *Header, long bool) *puller {
+	u := t.pullers.Get()
+	u.t, u.pend, u.hdr, u.long = t, pend, *hdr, long
+	return u
+}
+
+// pull reads every chunk of the reply of its kind — the reply message itself
+// (position 0, long) or its bulk payload (position > 0) — into dst from off,
+// then sends RDMA_DONE, then calls next; u.total is the bytes pulled. Reads
+// stay one at a time, as a process posting each and waiting for it would
+// take them.
+func (u *puller) pull(next func(*puller)) {
+	u.next = next
+	u.readNext()
+}
+
+func (u *puller) readNext() {
+	t, hdr := u.t, &u.hdr
+	for ; u.seg < len(hdr.ReadList); u.seg++ {
+		seg := hdr.ReadList[u.seg]
+		if (seg.Position == 0) != u.long {
 			continue
 		}
 		n := int(seg.Length)
-		if dst == nil || off+n > dst.Size {
-			return total, fmt.Errorf("%w: chunk overruns destination", ErrBadHeader)
+		if u.dst == nil || u.off+n > u.dst.Size {
+			u.pulled(fmt.Errorf("%w: chunk overruns destination", ErrBadHeader))
+			return
 		}
 		t.BulkReads++
-		brStart := p.Now()
-		wqe := &ibsim.SendWQE{WRID: uint64(hdr.XID), Op: ibsim.OpRead, RemoteKey: seg.Rkey, RemoteAddr: seg.Addr}
-		wqe.SetLocal(dst, off, n)
-		cqe := t.qp.PostAndWait(p, wqe)
-		if tr := t.node.Sim().Tracer(); tr != nil {
-			tr.Span(int64(brStart), int64(p.Now()), trace.LayerRPC, trace.KindBulkRead, t.node.Name(), name, uint64(hdr.XID), int64(n))
+		u.start = t.node.Sim().Now()
+		u.wqe = ibsim.SendWQE{WRID: uint64(hdr.XID), Op: ibsim.OpRead, RemoteKey: seg.Rkey, RemoteAddr: seg.Addr,
+			OnDone: readDone, OnDoneArg: u}
+		u.wqe.SetLocal(u.dst, u.off, n)
+		u.completed = false
+		t.qp.PostSend(&u.wqe)
+		if !u.completed {
+			u.waiting = true
+			return
 		}
-		// Stop pulling bulk nobody will copy out once the caller has given
-		// up; a long reply is pulled to the end and acknowledged regardless.
-		if !long && pend.aborted {
-			return total, fmt.Errorf("%w: call abandoned mid-pull", ErrClosed)
-		}
-		if cqe.Err != nil {
-			return total, fmt.Errorf("%w: %s: %v", ErrTransport, what, cqe.Err)
-		}
-		off += n
-		total += n
+		u.read() // completed at its post (a flushed QP): nothing blocked, no interrupt
+		return
 	}
-	t.sendDone(pend)
-	return total, nil
+	t.sendDone(u.pend)
+	u.pulled(nil)
 }
 
-// pullLongReply fetches a Read-Read long reply (position-0 chunks).
-func (t *ClientTransport) pullLongReply(p *des.Proc, pend *pending, hdr *Header) ([]byte, error) {
-	n := hdr.readBytes(true)
-	if n == 0 {
-		return nil, fmt.Errorf("%w: empty long reply", ErrBadHeader)
+// readDone runs where the fabric completes the Read, and wakes the chain
+// where the resume of a process waiting for it would go.
+func readDone(a any, c *ibsim.CQE) {
+	u := a.(*puller)
+	u.completed, u.readErr = true, c.Err
+	if u.waiting {
+		u.waiting = false
+		s := u.t.node.Sim()
+		s.AtArg(s.Now(), readWoken, u)
 	}
-	staging := t.mgr.Get(p, n, ibsim.AccessLocalWrite)
-	defer t.mgr.Put(p, staging)
-	if _, err := t.pull(p, pend, hdr, true, &staging.Buf, 0); err != nil {
-		return nil, err
+}
+
+func readWoken(a any) {
+	u := a.(*puller)
+	u.t.node.CPU.InterruptThen(&u.intr, readInterrupted, u)
+}
+
+func readInterrupted(a any) { a.(*puller).read() }
+
+// read ends the Read in flight and moves on to the next chunk.
+func (u *puller) read() {
+	t, n := u.t, u.wqe.Size()
+	name, what := "bulk-read", "chunk read"
+	if u.long {
+		name, what = "long-reply-read", "long reply read"
 	}
-	return append([]byte(nil), staging.Data()[:n]...), nil
+	if tr := t.node.Sim().Tracer(); tr != nil {
+		tr.Span(int64(u.start), int64(t.node.Sim().Now()), trace.LayerRPC, trace.KindBulkRead, t.node.Name(), name, uint64(u.hdr.XID), int64(n))
+	}
+	// Stop pulling bulk nobody will copy out once the caller has given up; a
+	// long reply is pulled to the end and acknowledged regardless.
+	if !u.long && u.pend.aborted {
+		u.pulled(fmt.Errorf("%w: call abandoned mid-pull", ErrClosed))
+		return
+	}
+	if u.readErr != nil {
+		u.pulled(fmt.Errorf("%w: %s: %v", ErrTransport, what, u.readErr))
+		return
+	}
+	u.off += n
+	u.total += n
+	u.seg++
+	u.readNext()
+}
+
+// pulled ends the pull with err.
+func (u *puller) pulled(err error) {
+	u.res.err, u.readErr = err, nil
+	next := u.next
+	u.next = nil
+	next(u)
+}
+
+func pulledBulk(u *puller) {
+	u.res.BulkLen = u.total
+	pullEnd(u)
+}
+
+func stagedLongReply(a any) {
+	u := a.(*puller)
+	u.staging = u.down.op.Chunk()
+	u.dst = &u.staging.Buf
+	u.pull(pulledLongReply)
+}
+
+func pulledLongReply(u *puller) {
+	if u.res.err == nil {
+		u.res.Header = append([]byte(nil), u.staging.Data()[:u.length]...)
+	}
+	u.t.mgr.PutThen(&u.down.op, u.staging, pullerThen, u)
+}
+
+func pullerThen(a any) { pullEnd(a.(*puller)) }
+
+// pullEnd completes the call with what the pull got; the last handler of a
+// call Roundtrip has returned from releases its buffers (the staging copy,
+// if any, already ran).
+func pullEnd(u *puller) {
+	if u.pend.handled(&u.res) {
+		// down's op served the long reply's staging and is done; the
+		// teardown's own fields are still zero.
+		u.down.release(u.t, u.pend, nil, pullerFree, u)
+		return
+	}
+	pullerFree(u)
+}
+
+func pullerFree(a any) {
+	u := a.(*puller)
+	pullers := u.t.pullers
+	*u = puller{}
+	pullers.Put(u)
 }
 
 // sendDone emits RDMA_DONE for pend's reply unless the transport is

@@ -415,8 +415,8 @@ func rtWoken(a any) {
 	rt.wait()
 }
 
-// rtEnd ends the call: a reply handler still pulling chunks for it owns the
-// buffer release from here on (see handleReply), so its in-flight RDMA Reads
+// rtEnd ends the call: a Read-Read pull still reading chunks for it owns the
+// buffer release from here on (see pullEnd), so its in-flight RDMA Reads
 // cannot land in recycled staging; the staging copy still happens here,
 // while the chunk is guaranteed alive.
 func rtEnd(rt *roundtrip) {

@@ -282,12 +282,13 @@ type ClientTransport struct {
 	DropDone bool
 
 	// Stats.
-	Calls       int64
-	DoneSent    int64
-	BulkReads   int64
-	Timeouts    int64 // per-call timer expiries
-	Retransmits int64 // XID-stable retransmissions sent
-	BadHeaders  int64 // received frames and slot deposits dropped because their header did not decode
+	Calls        int64
+	DoneSent     int64
+	BulkReads    int64
+	Timeouts     int64 // per-call timer expiries
+	Retransmits  int64 // XID-stable retransmissions sent
+	BadHeaders   int64 // received frames and slot deposits dropped because their header did not decode
+	StrayReplies int64 // replies and deposits that served no call: none was live, or Roundtrip returned before it was read
 
 	counted []*CallCounts // where Timeouts and Retransmits are also added (CountInto)
 }
@@ -474,7 +475,7 @@ func fetchLanded(a any) {
 	f := a.(*fetcher)
 	pend := f.pend
 	t := pend.t
-	if pend.aborted || t.closed {
+	if t.closed {
 		return
 	}
 	d := pend.slotChk.Data()
@@ -485,6 +486,12 @@ func fetchLanded(a any) {
 	// this callback may zero it again, but the reply body behind it is never
 	// reset, so the captured length stays valid.
 	word := int(binary.LittleEndian.Uint64(d[:doorbellBytes]))
+	if pend.aborted {
+		if word != 0 {
+			t.stray(pend, pend.req.XID, true) // a deposit after Roundtrip returned
+		}
+		return
+	}
 	if word == 0 {
 		// The reset won the race; watch for the next deposit (the
 		// retransmitted call will be answered from the server DRC).
@@ -515,7 +522,11 @@ func fetchCopied(a any) {
 	t := pend.t
 	wire := f.fetched
 	f.fetched = nil
-	if pend.aborted || t.closed {
+	if t.closed {
+		return
+	}
+	if pend.aborted {
+		t.stray(pend, pend.req.XID, true) // Roundtrip returned while the deposit was copied
 		return
 	}
 	// The reply is handled before this returns, so every deposit can decode
@@ -582,7 +593,10 @@ func (t *ClientTransport) receiveReply(cqe *ibsim.CQE) {
 	}
 	t.regrant(hdr.Credits)
 	if pend == nil {
-		return // duplicate or cancelled
+		// The answer to a retransmission of a call that ended, or to a call
+		// that was abandoned.
+		t.stray(nil, hdr.XID, t.parks(&hdr))
+		return
 	}
 	r := &pend.reply
 	if !first {
@@ -635,7 +649,8 @@ func (t *ClientTransport) regrant(credits uint32) {
 // release, midway.
 func (t *ClientTransport) handleReply(pend *pending, hdr *Header, body []byte) {
 	if pend.aborted {
-		return // caller gave up; staging buffers already released
+		t.stray(pend, hdr.XID, t.parks(hdr)) // caller gave up; staging buffers already released
+		return
 	}
 	pend.handling++
 	var res rtResult
@@ -702,6 +717,7 @@ func (t *ClientTransport) handleReply(pend *pending, hdr *Header, body []byte) {
 func (pend *pending) handled(res *rtResult) (release bool) {
 	pend.handling--
 	if pend.aborted {
+		pend.t.StrayReplies++ // a Read-Read pull Roundtrip returned from
 		return pend.handling == 0
 	}
 	// A retransmission timer may have consumed this attempt's event already;
@@ -798,7 +814,6 @@ func (u *puller) readNext() {
 		u.read() // completed at its post (a flushed QP): nothing blocked, no interrupt
 		return
 	}
-	t.sendDone(u.pend)
 	u.pulled(nil)
 }
 
@@ -847,8 +862,14 @@ func (u *puller) read() {
 	u.readNext()
 }
 
-// pulled ends the pull with err.
+// pulled ends the pull with err. Whatever ended it — every chunk read, an
+// abandoned call, a chunk the destination cannot hold — the client reads the
+// reply no more, so RDMA_DONE releases it at the server; unless a Read failed
+// the connection, whose death releases it there.
 func (u *puller) pulled(err error) {
+	if err == nil || u.t.qp.Err() == nil {
+		u.t.sendDone(u.pend)
+	}
 	u.res.err, u.readErr = err, nil
 	next := u.next
 	u.next = nil
@@ -896,20 +917,45 @@ func pullerFree(a any) {
 	pullers.Put(u)
 }
 
-// sendDone emits RDMA_DONE for pend's reply unless the transport is
-// configured to misbehave. It is framed in the pending: a second DONE (for
-// the reply to a retransmission) writes the same bytes again.
-func (t *ClientTransport) sendDone(pend *pending) {
+// parks reports whether the server keeps a reply with this header parked
+// until RDMA_DONE: a Read-Read reply that exposes chunks. (Every Reply-Fetch
+// deposit parks, but a deposit is not a received reply.)
+func (t *ClientTransport) parks(hdr *Header) bool {
+	return t.cfg.Design == ReadRead && len(hdr.ReadList) > 0
+}
+
+// stray counts a reply to xid that serves no call — it came for no live
+// call, or the call's Roundtrip returned before the reply was read — and,
+// when the server keeps it parked, releases it with RDMA_DONE, framed in
+// pend when there is one.
+func (t *ClientTransport) stray(pend *pending, xid uint32, parked bool) {
+	t.StrayReplies++
+	switch {
+	case !parked:
+	case pend != nil:
+		t.sendDoneFor(xid, pend.doneWire[:])
+	default:
+		t.sendDoneFor(xid, make([]byte, hdrBase))
+	}
+}
+
+// sendDone emits RDMA_DONE for pend's reply. It is framed in the pending: a
+// second DONE (for the reply to a retransmission) writes the same bytes
+// again.
+func (t *ClientTransport) sendDone(pend *pending) { t.sendDoneFor(pend.req.XID, pend.doneWire[:]) }
+
+// sendDoneFor emits RDMA_DONE for xid, framed in wire (hdrBase bytes, the
+// fabric's from here on), unless the transport is configured to misbehave.
+func (t *ClientTransport) sendDoneFor(xid uint32, wire []byte) {
 	if t.DropDone {
 		return
 	}
-	xid := pend.req.XID
 	t.DoneSent++
 	if tr := t.node.Sim().Tracer(); tr != nil {
 		tr.Instant(int64(t.node.Sim().Now()), trace.LayerRPC, trace.KindDone, t.node.Name(), "done-sent", uint64(xid), 0)
 	}
 	done := Header{XID: xid, Credits: uint32(t.cfg.Credits), Type: MsgDone}
-	t.send(xid, done.frame(pend.doneWire[:], hdrBase))
+	t.send(xid, done.frame(wire, hdrBase))
 }
 
 // failAll completes every pending call with err. Calls fail in ascending

@@ -114,46 +114,51 @@ func TestPendingFitsItsSizeClass(t *testing.T) {
 	}
 }
 
-// The answer to a retransmission can arrive while the first reply is still
-// being pulled (Read-Read, call timeout shorter than the pull; all-physical
+// A second reply for a call can reach the client while the first one is
+// still being pulled: a stale or forged one, since a server parks one reply
+// per (connection, XID) and sends no other while it is parked (all-physical
 // registration makes the pull many short Reads, between which the second
-// reply gets the wire). The first reply travels in the call's pending, and its
-// handler reads the chunk list there until the pull ends, so the second one
-// must get a record of its own: both handlers run at once, the first one's
-// header stays what it was, and the call completes with the right bytes.
+// reply is received). The first reply travels in the call's pending, and its
+// pull reads the chunk list there until it ends, so the second one must get a
+// record of its own: both pulls run at once, the first one's header stays
+// what it was, and the call completes with the right bytes. The second reply
+// here is the first one's, its chunks exposed from another server buffer
+// holding the same bytes.
 func TestDuplicateReplyDuringPullKeepsFirstHeader(t *testing.T) {
 	const size = 256 << 10
 	newEnv(t, ReadRead, memreg.AllPhysical, func(p *des.Proc, e *env) {
 		e.svc.stored = pattern(size, 3)
-		cq, sq := e.fab.Connect(e.client, e.server, ibsim.QPConfig{})
-		e.st.TryServe(sq)
-		cmgr := memreg.NewManager(p, e.client, memreg.Config{Mode: memreg.AllPhysical})
-		ct := NewClientTransport(p, cq, cmgr, Config{Design: ReadRead, CallTimeout: 100 * time.Microsecond, RetryLimit: 6})
 		e.sim.Spawn("probe", func(pp *des.Proc) {
+			smgr := memreg.NewManager(pp, e.server, memreg.Config{Mode: memreg.AllPhysical})
+			copyChk := smgr.Get(pp, size, ibsim.AccessRemoteRead)
+			copy(copyChk.Data(), e.svc.stored)
 			var pend *pending
-			var first []ReadSeg
-			for pend == nil || pend.handling < 2 {
-				if pp.Sleep(5 * time.Microsecond); pp.Now() > des.Time(time.Millisecond) {
-					t.Error("no second reply handler within 1 ms: the duplicate did not arrive during the pull")
+			for pend == nil || pend.handling == 0 {
+				if pp.Sleep(time.Microsecond); pp.Now() > des.Time(time.Millisecond) {
+					t.Error("no reply pulled within 1 ms")
 					return
 				}
-				for _, pend = range ct.pending {
-				}
-				if pend != nil && pend.handling == 1 && first == nil {
-					first = append(first, pend.reply.hdr.ReadList...)
+				for _, pend = range e.ct.pending {
 				}
 			}
-			if ct.Retransmits == 0 || len(first) < 2 {
-				t.Fatalf("retransmits %d, first reply's read list %v: not the race this test is about", ct.Retransmits, first)
+			first := append([]ReadSeg(nil), pend.reply.hdr.ReadList...)
+			if len(first) < 2 {
+				t.Fatalf("first reply's read list %v: not the race this test is about", first)
+			}
+			dup := pend.reply.hdr
+			dup.ReadList = appendReadSegs(nil, first[0].Position, copyChk.Reg, size)
+			e.ct.receiveReply(&ibsim.CQE{Payload: dup.frame(append(make([]byte, dup.wireSize()), pend.reply.body...), dup.wireSize())})
+			pp.Yield() // the second reply's handler starts
+			if pend.handling != 2 {
+				t.Errorf("%d pulls running after a second reply was received during the first's, want 2", pend.handling)
 			}
 			if got := pend.reply.hdr.ReadList; !reflect.DeepEqual(got, first) {
-				t.Errorf("first reply's read list is %v with the duplicate's handler running, was %v", got, first)
+				t.Errorf("first reply's read list is %v with the second reply's pull running, was %v", got, first)
 			}
 		})
 		dst := &oncrpc.Bulk{Data: make([]byte, size), Len: size}
-		rpc := oncrpc.NewClient(ct, 4242, 1, oncrpc.Auth{})
-		if _, n, err := rpc.Call(p, 2, nil, oncrpc.CallOpts{RecvBulk: dst}); err != nil || n != size || !bytes.Equal(dst.Data, e.svc.stored) {
-			t.Errorf("GET during which a duplicate reply arrived: n=%d err=%v, bytes equal %v", n, err, bytes.Equal(dst.Data, e.svc.stored))
+		if _, n, err := e.rpc.Call(p, 2, nil, oncrpc.CallOpts{RecvBulk: dst}); err != nil || n != size || !bytes.Equal(dst.Data, e.svc.stored) {
+			t.Errorf("GET during which a second reply arrived: n=%d err=%v, bytes equal %v", n, err, bytes.Equal(dst.Data, e.svc.stored))
 		}
 	})
 }

@@ -172,9 +172,10 @@ func TestReplyFetchRetransmitReArm(t *testing.T) {
 // its deposit landed, while the poller waits out the poll delay or while it
 // is charged for the copy out of the slot, decodes nothing and fires
 // nothing: the reply's credit grant (8, against the client's 32) is not
-// installed, and no RDMA_DONE is sent. The copy is still charged in full, as
-// the poll loop it models would spend it. Afterwards no core is held and the
-// client's HCA holds no watch.
+// installed. The deposit is counted as stray and released with one
+// RDMA_DONE, so nothing stays parked at the server. The copy is still charged
+// in full, as the poll loop it models would spend it. Afterwards no core is
+// held and the client's HCA holds no watch.
 func TestReplyFetchAbandonedMidFetch(t *testing.T) {
 	for _, tc := range []struct {
 		name              string
@@ -201,8 +202,12 @@ func TestReplyFetchAbandonedMidFetch(t *testing.T) {
 				if charged <= abandoned {
 					t.Error("the copy out of the slot was not charged after the call was abandoned: the fetch was not in flight")
 				}
-				if e.ct.GrantedCredits() != 32 || e.ct.DoneSent != 0 || e.ct.BadHeaders != 0 {
-					t.Errorf("the abandoned fetch went on: grant %d, %d DONEs sent, %d bad headers", e.ct.GrantedCredits(), e.ct.DoneSent, e.ct.BadHeaders)
+				if e.ct.GrantedCredits() != 32 || e.ct.BadHeaders != 0 {
+					t.Errorf("the abandoned fetch went on: grant %d, %d bad headers", e.ct.GrantedCredits(), e.ct.BadHeaders)
+				}
+				if e.ct.DoneSent != 1 || e.ct.StrayReplies != 1 || e.st.ParkedReplies() != 0 {
+					t.Errorf("%d DONEs sent, %d stray replies, %d replies parked: want the abandoned deposit counted and released once",
+						e.ct.DoneSent, e.ct.StrayReplies, e.st.ParkedReplies())
 				}
 				if n := e.client.HCA.Watches(); n != 0 {
 					t.Errorf("client HCA holds %d watches", n)

@@ -481,7 +481,11 @@ func replyReserved(a any) {
 		// first deposit still sits parked (the client never fetched it, so no
 		// DONE came). Retire the stale park first — one DONE will arrive for
 		// this XID at most, and it must release the fresh deposit, not leak it.
-		w.rel.releaseParked(s, connXID{w.task.conn, w.task.hdr.XID}, nfsdReleased, w)
+		key := connXID{w.task.conn, w.task.hdr.XID}
+		if _, ok := s.parked[key]; ok {
+			s.RepliesDeclined++
+		}
+		w.rel.releaseParked(s, key, nfsdReleased, w)
 		return
 	}
 	replySerial(w)
@@ -573,7 +577,7 @@ func placeMessage(w *nfsd) {
 			// client's watchdog will time out and the retransmission hits the
 			// DRC — same terminal behaviour as an undeliverable long reply.
 			s.shortWrite(conn, call.XID, over)
-			w.rel.dropReply(s, conn, w.park, depositDropped, w)
+			w.rel.dropReply(s, conn, w.park, replyUnsent, w)
 			return
 		}
 		// Stage the deposit: [doorbell word | header | message] in one
@@ -609,7 +613,8 @@ func placeMessage(w *nfsd) {
 	messagePlaced(w)
 }
 
-func depositDropped(a any) {
+// replyUnsent ends the pass of a reply dropped before it was posted.
+func replyUnsent(a any) {
 	w := a.(*nfsd)
 	w.park = parkedReply{}
 	if s := w.sh.srv; s.serial != nil {
@@ -693,6 +698,15 @@ func post(w *nfsd) {
 			s.serial.Release(1)
 		}
 		w.parkReply(passDone)
+		return
+	}
+	if _, ok := s.parked[connXID{conn, call.XID}]; ok && w.park.n > 0 {
+		// A retransmission's reply while the first is still parked: the
+		// client reads that one, or releases it unread, with the one DONE it
+		// sends for this XID. Parking this one over it would leave the first
+		// parked, and exposed, for good; so it is not sent.
+		s.RepliesDeclined++
+		w.rel.dropReply(s, conn, w.park, replyUnsent, w)
 		return
 	}
 	w.parkReply(postSend)

@@ -183,6 +183,11 @@ type ServerTransport struct {
 	TasksDropped  int64 // messages discarded because their connection died or the server shut down
 	Deposits      int64 // reply-fetch replies deposited into client slots (no Send)
 	BadHeaders    int64 // received frames dropped because their header did not decode
+	// RepliesDeclined counts replies not kept parked because another for the
+	// same (connection, XID) is: a Read-Read retransmission's reply while
+	// the first is parked (dropped unsent), a Reply-Fetch deposit the
+	// retransmission's replaces.
+	RepliesDeclined int64
 
 	// Hardening stats (see the adversary engine).
 	DoneRejected     int64 // DONEs naming no parked reply on the sender's connection

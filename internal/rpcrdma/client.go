@@ -669,7 +669,7 @@ func (t *ClientTransport) handleReply(pend *pending, hdr *Header, body []byte) {
 		case ReadRead:
 			u := t.newPuller(pend, hdr, false)
 			u.res.Header, u.dst, u.off = body, pend.destBuf, pend.destOff
-			u.pull(pulledBulk)
+			u.pull()
 			return
 		}
 	case MsgNoMsg:
@@ -701,7 +701,6 @@ func (t *ClientTransport) handleReply(pend *pending, hdr *Header, body []byte) {
 				break
 			}
 			u := t.newPuller(pend, hdr, true)
-			u.length = n
 			t.mgr.GetThen(&u.down.op, n, ibsim.AccessLocalWrite, stagedLongReply, u)
 			return
 		}
@@ -740,12 +739,12 @@ func (pend *pending) handled(res *rtResult) (release bool) {
 // the place in the event order where a process running the handler would
 // take it, with its state in a puller the simulation reuses.
 //
-//	pull             post the next Read (readDone is its completion), or
-//	                 send RDMA_DONE once every chunk is read
+//	stagedLongReply  a long reply's staging, then pull into it
+//	pull             post the next Read (readDone is its completion)
 //	readWoken        the interrupt of a Read that blocked
 //	read             its span; stop on an abandoned call or an error
-//	stagedLongReply  a long reply's staging, then pull into it
-//	pulledLongReply  copy the reply out, put the staging back
+//	pulled           RDMA_DONE, however the pull ended; a long reply's copy
+//	                 out of the staging, and the staging put back
 //	pullEnd          complete the call, or release an abandoned one's buffers
 
 // puller is the state of one Read-Read reply's pull chain.
@@ -754,12 +753,10 @@ type puller struct {
 	pend *pending
 	hdr  Header // the reply's; its lists are the call's or the reply record's
 	res  rtResult
-	next func(*puller) // the step after the pull
 
 	long       bool          // pulling a long reply (position 0), not bulk
 	dst        *ibsim.Buffer // where the chunks land, from off
 	off, total int
-	length     int      // a long reply's length
 	seg        int      // the read list entry the pull is at
 	start      des.Time // when the Read in flight was posted
 	waiting    bool     // for the Read in flight: its completion wakes the chain
@@ -778,17 +775,11 @@ func (t *ClientTransport) newPuller(pend *pending, hdr *Header, long bool) *pull
 	return u
 }
 
-// pull reads every chunk of the reply of its kind — the reply message itself
-// (position 0, long) or its bulk payload (position > 0) — into dst from off,
-// then sends RDMA_DONE, then calls next; u.total is the bytes pulled. Reads
-// stay one at a time, as a process posting each and waiting for it would
-// take them.
-func (u *puller) pull(next func(*puller)) {
-	u.next = next
-	u.readNext()
-}
-
-func (u *puller) readNext() {
+// pull reads the next chunk of the reply of its kind — the reply message
+// itself (position 0, long) or its bulk payload (position > 0) — into dst
+// from off; u.total counts the bytes pulled. Reads stay one at a time, as a
+// process posting each and waiting for it would take them.
+func (u *puller) pull() {
 	t, hdr := u.t, &u.hdr
 	for ; u.seg < len(hdr.ReadList); u.seg++ {
 		seg := hdr.ReadList[u.seg]
@@ -859,7 +850,7 @@ func (u *puller) read() {
 	u.off += n
 	u.total += n
 	u.seg++
-	u.readNext()
+	u.pull()
 }
 
 // pulled ends the pull with err. Whatever ended it — every chunk read, an
@@ -871,28 +862,22 @@ func (u *puller) pulled(err error) {
 		u.t.sendDone(u.pend)
 	}
 	u.res.err, u.readErr = err, nil
-	next := u.next
-	u.next = nil
-	next(u)
-}
-
-func pulledBulk(u *puller) {
-	u.res.BulkLen = u.total
-	pullEnd(u)
+	if !u.long {
+		u.res.BulkLen = u.total
+		pullEnd(u)
+		return
+	}
+	if err == nil {
+		u.res.Header = append([]byte(nil), u.staging.Data()[:u.total]...)
+	}
+	u.t.mgr.PutThen(&u.down.op, u.staging, pullerThen, u)
 }
 
 func stagedLongReply(a any) {
 	u := a.(*puller)
 	u.staging = u.down.op.Chunk()
 	u.dst = &u.staging.Buf
-	u.pull(pulledLongReply)
-}
-
-func pulledLongReply(u *puller) {
-	if u.res.err == nil {
-		u.res.Header = append([]byte(nil), u.staging.Data()[:u.length]...)
-	}
-	u.t.mgr.PutThen(&u.down.op, u.staging, pullerThen, u)
+	u.pull()
 }
 
 func pullerThen(a any) { pullEnd(a.(*puller)) }

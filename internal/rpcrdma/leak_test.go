@@ -31,26 +31,9 @@ func TestRetransmittedRepliesAreReleased(t *testing.T) {
 		for _, retries := range []int{6, 0} {
 			for _, timeout := range []time.Duration{20 * time.Microsecond, 30 * time.Microsecond, 40 * time.Microsecond, 50 * time.Microsecond} {
 				t.Run(fmt.Sprintf("%v/retries=%d/timeout=%v", design, retries, timeout), func(t *testing.T) {
-					e := &env{}
-					e.sim = des.New()
-					e.fab = ibsim.NewFabric(e.sim, true)
-					nodeCfg := ibsim.NodeConfig{
-						Cores: 4, PortBandwidth: 900e6, PortLatency: 3 * time.Microsecond,
-						RegPerPageCPU: 200 * time.Nanosecond, RegBase: 5 * time.Microsecond, RegPerPageBus: 200 * time.Nanosecond,
-						DeregPerPageCPU: 100 * time.Nanosecond, DeregBase: 2 * time.Microsecond, DeregPerPageBus: 100 * time.Nanosecond,
-						WQEOverhead: 300 * time.Nanosecond,
-					}
-					cCfg, sCfg := nodeCfg, nodeCfg
-					cCfg.Name, cCfg.Seed = "client", 11
-					sCfg.Name, sCfg.Seed = "server", 22
-					e.client, e.server = e.fab.AddNode(cCfg), e.fab.AddNode(sCfg)
-					e.svc = &blobService{stored: pattern(size, 3)}
-					e.sim.Spawn("setup", func(p *des.Proc) {
+					newEnv(t, design, memreg.Regular, func(p *des.Proc, e *env) {
+						e.svc.stored = pattern(size, 3)
 						cq, sq := e.fab.Connect(e.client, e.server, ibsim.QPConfig{})
-						disp := oncrpc.NewDispatcher()
-						disp.Register(e.svc)
-						e.st = NewServerTransport(p, e.server, memreg.NewManager(p, e.server, memreg.Config{Mode: memreg.Regular}), disp,
-							Config{Design: design, Workers: 4})
 						e.st.TryServe(sq)
 						e.ct = NewClientTransport(p, cq, memreg.NewManager(p, e.client, memreg.Config{Mode: memreg.Regular}),
 							Config{Design: design, CallTimeout: timeout, RetryLimit: retries})
@@ -89,7 +72,6 @@ func TestRetransmittedRepliesAreReleased(t *testing.T) {
 								e.ct.DoneSent, e.st.DoneRecv, e.st.DoneRejected)
 						}
 					})
-					e.sim.Run()
 				})
 			}
 		}

@@ -17,9 +17,11 @@ fmt:
 
 # lint is the determinism lint: it fails on a range over a map in non-test
 # code under internal/ that is not on the test's allow-list, since Go's map
-# order would make a seed's run differ from itself (see determinism_test.go).
+# order would make a seed's run differ from itself; and the process lint: it
+# fails on a call of Sim.Spawn or Sim.SpawnAt in non-test code of the
+# packages on the RPC path, whose waits are chains (see determinism_test.go).
 lint:
-	$(GO) test -run '^TestNoMapOrderInSimulation$$' .
+	$(GO) test -run '^(TestNoMapOrderInSimulation|TestNoSpawnOnRPCPath)$$' .
 
 # check is the CI gate: gofmt, vet and the determinism lint, then every suite
 # once under the race detector. The parallel sweep runner makes simulations genuinely

@@ -8,6 +8,7 @@ import (
 	"go/types"
 	"io/fs"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -42,15 +43,74 @@ var mapRangeAllowed = map[string]string{
 // and fails on each range over a map-typed expression outside
 // mapRangeAllowed, and on an allow-list entry that no longer matches one.
 func TestNoMapOrderInSimulation(t *testing.T) {
+	seen := map[string]bool{}
+	eachDecl(t, nil, func(fset *token.FileSet, info *types.Info, fn string, decl ast.Decl) {
+		ast.Inspect(decl, func(n ast.Node) bool {
+			rs, ok := n.(*ast.RangeStmt)
+			if !ok {
+				return true
+			}
+			if _, isMap := info.TypeOf(rs.X).Underlying().(*types.Map); !isMap {
+				return true
+			}
+			seen[fn] = true
+			if _, ok := mapRangeAllowed[fn]; !ok {
+				t.Errorf("%v: %s ranges over the map %s: iterate in a defined order (sorted keys, a slice kept beside the map), or add %s to mapRangeAllowed with why the order cannot be observed",
+					fset.Position(rs.For), fn, types.ExprString(rs.X), fn)
+			}
+			return true
+		})
+	})
+	var stale []string
+	for fn := range mapRangeAllowed {
+		if !seen[fn] {
+			stale = append(stale, fn)
+		}
+	}
+	sort.Strings(stale)
+	for _, fn := range stale {
+		t.Errorf("mapRangeAllowed lists %s, which ranges over no map: delete the entry", fn)
+	}
+}
+
+// TestNoSpawnOnRPCPath is the process lint (DESIGN.md §5.1): what an RPC
+// waits for in the fabric, the transports, the RPC layer, the NFS server
+// and the file system — hardware, time, a FIFO resource, a CPU — is a chain
+// of callbacks, so no non-test code in those packages calls Sim.Spawn or
+// Sim.SpawnAt.
+func TestNoSpawnOnRPCPath(t *testing.T) {
+	rpcPath := []string{"ibsim", "memreg", "rpcrdma", "oncrpc", "nfs3", "vfs"}
+	eachDecl(t, rpcPath, func(fset *token.FileSet, info *types.Info, fn string, decl ast.Decl) {
+		ast.Inspect(decl, func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok || (sel.Sel.Name != "Spawn" && sel.Sel.Name != "SpawnAt") {
+				return true
+			}
+			if tv, ok := info.Types[sel.X]; ok && types.TypeString(tv.Type, nil) == "*repro/internal/des.Sim" {
+				t.Errorf("%v: %s calls Sim.%s: make what it runs a chain of callbacks",
+					fset.Position(sel.Sel.Pos()), fn, sel.Sel.Name)
+			}
+			return true
+		})
+	})
+}
+
+// eachDecl type-checks each non-test package under internal/ from source —
+// those named in only, when only is not nil — and calls visit with every
+// top-level declaration, named pkg.Func, pkg.(*Recv).Method or
+// pkg.(package scope).
+func eachDecl(t *testing.T, only []string, visit func(fset *token.FileSet, info *types.Info, fn string, decl ast.Decl)) {
 	fset := token.NewFileSet()
 	imp := importer.ForCompiler(fset, "source", nil)
-	seen := map[string]bool{}
 	err := filepath.WalkDir("internal", func(dir string, d fs.DirEntry, err error) error {
 		if err != nil || !d.IsDir() {
 			return err
 		}
 		if d.Name() == "testdata" {
 			return filepath.SkipDir
+		}
+		if only != nil && !slices.Contains(only, d.Name()) {
+			return nil
 		}
 		pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {
 			return !strings.HasSuffix(fi.Name(), "_test.go")
@@ -83,21 +143,7 @@ func TestNoMapOrderInSimulation(t *testing.T) {
 						}
 						fn = p.Name + "." + name
 					}
-					ast.Inspect(decl, func(n ast.Node) bool {
-						rs, ok := n.(*ast.RangeStmt)
-						if !ok {
-							return true
-						}
-						if _, isMap := info.TypeOf(rs.X).Underlying().(*types.Map); !isMap {
-							return true
-						}
-						seen[fn] = true
-						if _, ok := mapRangeAllowed[fn]; !ok {
-							t.Errorf("%v: %s ranges over the map %s: iterate in a defined order (sorted keys, a slice kept beside the map), or add %s to mapRangeAllowed with why the order cannot be observed",
-								fset.Position(rs.For), fn, types.ExprString(rs.X), fn)
-						}
-						return true
-					})
+					visit(fset, info, fn, decl)
 				}
 			}
 		}
@@ -105,15 +151,5 @@ func TestNoMapOrderInSimulation(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	var stale []string
-	for fn := range mapRangeAllowed {
-		if !seen[fn] {
-			stale = append(stale, fn)
-		}
-	}
-	sort.Strings(stale)
-	for _, fn := range stale {
-		t.Errorf("mapRangeAllowed lists %s, which ranges over no map: delete the entry", fn)
 	}
 }

@@ -75,28 +75,33 @@ func TestAllocsPerRPC(t *testing.T) {
 // NULL, on Read-Write a 128 KiB direct READ and WRITE under dynamic
 // registration (the Fig. 5 point), and on Read-Read an 8 KiB direct READ
 // (its reply's pull reads one chunk) and a READDIRPLUS of 32 entries (a long
-// reply, pulled at position 0). Everything on the RPC path that waits only
-// for hardware, time, a FIFO resource or a CPU is a chain of callbacks
+// reply, pulled at position 0); and on the RAID-0 back end (Read-Write) the
+// FILE_SYNC WRITE, which the disk must take, and a READ that misses the page
+// cache. Everything on the RPC path that waits only for hardware — the disk
+// array included —, time, a FIFO resource or a CPU is a chain of callbacks
 // (DESIGN.md §5.1), so the caller parks once, for its reply, and nothing
 // spawns. A park that comes back here is a regression; the failure names
 // the processes that parked. The pins are exact.
 func TestProcessesPerRPC(t *testing.T) {
 	for _, pin := range []struct {
+		backend       Backend
 		design        rpcrdma.Design
 		op            string
 		size          int
 		spawns, parks float64
 	}{
-		{rpcrdma.ReadWrite, "null", 0, 0, 1},
-		{rpcrdma.ReadRead, "null", 0, 0, 1},
-		{rpcrdma.ReplyFetch, "null", 0, 0, 1},
-		{rpcrdma.ReadWrite, "read", 128 << 10, 0, 1},
-		{rpcrdma.ReadWrite, "write", 128 << 10, 0, 1},
-		{rpcrdma.ReadRead, "read", 8 << 10, 0, 1},
-		{rpcrdma.ReadRead, "readdirplus", 0, 0, 1},
+		{BackendTmpfs, rpcrdma.ReadWrite, "null", 0, 0, 1},
+		{BackendTmpfs, rpcrdma.ReadRead, "null", 0, 0, 1},
+		{BackendTmpfs, rpcrdma.ReplyFetch, "null", 0, 0, 1},
+		{BackendTmpfs, rpcrdma.ReadWrite, "read", 128 << 10, 0, 1},
+		{BackendTmpfs, rpcrdma.ReadWrite, "write", 128 << 10, 0, 1},
+		{BackendTmpfs, rpcrdma.ReadRead, "read", 8 << 10, 0, 1},
+		{BackendTmpfs, rpcrdma.ReadRead, "readdirplus", 0, 0, 1},
+		{BackendDisk, rpcrdma.ReadWrite, "write", 128 << 10, 0, 1},
+		{BackendDisk, rpcrdma.ReadWrite, "read", 128 << 10, 0, 1},
 	} {
-		spawns, parks, byProc := processesPerRPC(t, pin.design, pin.op, pin.size)
-		t.Logf("%v %s: %.2f spawns and %.2f parks per RPC", pin.design, pin.op, spawns, parks)
+		spawns, parks, byProc := processesPerRPC(t, pin.backend, pin.design, pin.op, pin.size)
+		t.Logf("%v %v %s: %.2f spawns and %.2f parks per RPC", pin.backend, pin.design, pin.op, spawns, parks)
 		if spawns != pin.spawns || parks != pin.parks {
 			names := make([]string, 0, len(byProc))
 			for name := range byProc {
@@ -107,23 +112,26 @@ func TestProcessesPerRPC(t *testing.T) {
 			for _, name := range names {
 				fmt.Fprintf(&by, " %s %.3f", name, byProc[name])
 			}
-			t.Errorf("%v %s: %.2f spawns and %.2f parks per RPC, pinned at %.0f and %.0f; parks per RPC by process:%s",
-				pin.design, pin.op, spawns, parks, pin.spawns, pin.parks, by.String())
+			t.Errorf("%v %v %s: %.2f spawns and %.2f parks per RPC, pinned at %.0f and %.0f; parks per RPC by process:%s",
+				pin.backend, pin.design, pin.op, spawns, parks, pin.spawns, pin.parks, by.String())
 		}
 	}
 }
 
-// processesPerRPC counts spawns and parks per RPC on a one-client cluster,
-// and parks per RPC by the name of the process that parked: op is "null",
-// "read" or "write" of size bytes, direct, under dynamic registration, or
-// "readdirplus" of a directory of 32 files.
-func processesPerRPC(t *testing.T, design rpcrdma.Design, op string, size int) (spawns, parks float64, byProc map[string]float64) {
-	const calls, files = 200, 32
+// processesPerRPC counts spawns and parks per RPC on a one-client cluster
+// over backend, and parks per RPC by the name of the process that parked: op
+// is "null", "read" or "write" of size bytes, direct, under dynamic
+// registration, or "readdirplus" of a directory of 32 files. On the disk
+// back end each read is stride bytes past the last, beyond its readahead, so
+// that every one misses the page cache.
+func processesPerRPC(t *testing.T, backend Backend, design rpcrdma.Design, op string, size int) (spawns, parks float64, byProc map[string]float64) {
+	const calls, files, stride = 200, 32, 4 << 20
 	cluster := NewCluster(Config{
 		Profile:   profiles.LinuxDDR(),
 		Transport: TransportRDMA,
 		Design:    design,
 		RegMode:   memreg.Regular,
+		Backend:   backend,
 	})
 	tr := cluster.EnableTracing(1 << 18)
 	cl := cluster.Clients[0]
@@ -150,10 +158,20 @@ func processesPerRPC(t *testing.T, design rpcrdma.Design, op string, size int) (
 			return
 		}
 		buf := cl.NewBuffer(max(size, 1))
+		var off, end int64 // where the next read is, and the file's last byte
+		if backend == BackendDisk {
+			end = 2 * calls * stride
+		}
 		call := func() error {
 			switch op {
 			case "read":
-				_, _, err := f.ReadAt(p, buf, 0, 0, size, true)
+				n, _, err := f.ReadAt(p, buf, 0, off, size, true)
+				if err == nil && n != size {
+					err = fmt.Errorf("READ at %d returned %d of %d bytes", off, n, size)
+				}
+				if backend == BackendDisk {
+					off += stride
+				}
 				return err
 			case "write":
 				_, err := f.WriteAt(p, buf, 0, 0, size, true)
@@ -167,7 +185,7 @@ func processesPerRPC(t *testing.T, design rpcrdma.Design, op string, size int) (
 			}
 			return cl.NFS.Null(p)
 		}
-		if _, err := f.WriteAt(p, buf, 0, 0, size, true); err != nil {
+		if _, err := f.WriteAt(p, buf, 0, end, size, true); err != nil {
 			t.Errorf("%v: write: %v", design, err)
 			return
 		}

@@ -87,16 +87,14 @@ func TestCrashRestartRecovery(t *testing.T) {
 }
 
 // blackholeService accepts NFS calls and never finishes handling them: every
-// dispatched request parks its worker forever, so no reply is ever sent and
+// dispatched request holds its worker forever, so no reply is ever sent and
 // clients see pure per-call timeouts (not connection deaths).
 type blackholeService struct{}
 
 func (blackholeService) Name() string    { return "blackhole" }
 func (blackholeService) Program() uint32 { return 100003 }
 func (blackholeService) Version() uint32 { return 3 }
-func (blackholeService) Handle(p *des.Proc, req *oncrpc.ServerRequest) oncrpc.ServerResponse {
-	p.Sleep(des.Duration(time.Hour))
-	return oncrpc.ServerResponse{}
+func (blackholeService) HandleThen(req *oncrpc.ServerRequest, resp *oncrpc.ServerResponse, fn func(any), arg any) {
 }
 
 // TestRecoveryPropagatesRetriesExhausted pins the typed-error contract

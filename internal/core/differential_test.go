@@ -11,6 +11,7 @@ import (
 	"repro/internal/memreg"
 	"repro/internal/profiles"
 	"repro/internal/rpcrdma"
+	"repro/internal/vfs"
 )
 
 // The cross-configuration differential oracle: one seeded operation sequence
@@ -192,7 +193,10 @@ func runDifferential(t *testing.T, dc diffConfig, ops []diffOp) (transcript []st
 				t.Errorf("%s: getattr %s: %v", dc.name, e.Name, err)
 			}
 			content := make([]byte, attr.Size)
-			if n, _, err := fs.Read(p, e.FileID, 0, len(content), content); err != nil || n != len(content) {
+			var op vfs.Op
+			fs.ReadThen(&op, e.FileID, 0, len(content), content, des.Resumer, p)
+			p.Suspend()
+			if n, err := op.N, op.Err; err != nil || n != len(content) {
 				t.Errorf("%s: server read %s: n=%d of %d, %v", dc.name, e.Name, n, len(content), err)
 			}
 			diffDigest(&b, e.Name, content)

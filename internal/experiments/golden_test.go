@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/adversary"
 	"repro/internal/chaos"
+	"repro/internal/core"
 	"repro/internal/memreg"
 	"repro/internal/rpcrdma"
 	"repro/internal/telemetry"
@@ -33,6 +34,15 @@ func goldenDigest() string {
 		AggregateOfferedMBps: []float64{2400},
 		Seed:                 3,
 	})))
+	b.WriteString("\n")
+
+	// Fig. 10 at 4 GB: the only point here whose READs and WRITEs reach the
+	// disk array, over RDMA and over the stream transport.
+	b.WriteString("fig10 4GB 1-4 clients\n")
+	fig10 := RunFigure10(testScale, 4<<30, 4)
+	for _, tr := range []core.Transport{core.TransportRDMA, core.TransportIPoIB, core.TransportGigE} {
+		fmt.Fprintf(&b, "%+v\n", fig10.Series[tr])
+	}
 	b.WriteString("\n")
 
 	designs := []rpcrdma.Design{rpcrdma.ReadRead, rpcrdma.ReadWrite, rpcrdma.ReplyFetch}

@@ -19,13 +19,13 @@
 //     registration-cache correctness problem, and bounded so the slab can
 //     be reclaimed.
 //
-// A Manager exposes two paths: Get/GetPayload/Put for transport-owned
+// A Manager exposes two paths: Get/GetPayloadThen/Put for transport-owned
 // staging buffers (where the cache applies), and RegisterExternal for
 // caller-owned memory (the zero-copy direct-I/O path, where a cache keyed by
 // allocation cannot apply and the dynamic strategy of the mode is used).
 // Staging is materialized by purpose: bytes exist where a protocol reads
-// them (Get); payload is phantom unless the fabric copies data (GetPayload,
-// GetUnregistered).
+// them (Get); payload is phantom unless the fabric copies data
+// (GetPayloadThen, GetUnregisteredThen).
 package memreg
 
 import (
@@ -287,15 +287,9 @@ func (m *Manager) GetThen(op *Op, size int, access ibsim.Access, fn func(any), a
 	m.getRegistered(op, size, access, true)
 }
 
-// GetPayload is Get for staging that carries file payload: nobody reads the
-// bytes but the application, so they exist only when the fabric copies data
-// (ibsim.Fabric.CopyData), exactly like the caller's own buffers.
-func (m *Manager) GetPayload(p *des.Proc, size int, access ibsim.Access) *Chunk {
-	c, _ := m.await(p, func(op *Op) { m.GetPayloadThen(op, size, access, des.Resumer, p) })
-	return c
-}
-
-// GetPayloadThen is GetPayload for a chain.
+// GetPayloadThen is GetThen for staging that carries file payload: nobody
+// reads the bytes but the application, so they exist only when the fabric
+// copies data (ibsim.Fabric.CopyData), exactly like the caller's own buffers.
 func (m *Manager) GetPayloadThen(op *Op, size int, access ibsim.Access, fn func(any), arg any) {
 	op.begin(m, fn, arg)
 	m.getRegistered(op, size, access, false)
@@ -312,17 +306,11 @@ func (m *Manager) getRegistered(op *Op, size int, access ibsim.Access, materiali
 	m.registerChunk(op, 0)
 }
 
-// GetUnregistered allocates payload staging without (necessarily) paying
-// registration yet — the paper's server flow allocates at RPC receipt and
-// registers when control returns from the file system. Under the cache
+// GetUnregisteredThen allocates payload staging without (necessarily)
+// paying registration yet — the paper's server flow allocates at RPC receipt
+// and registers when control returns from the file system. Under the cache
 // mode a slab hit arrives already registered, which is the whole point.
-func (m *Manager) GetUnregistered(p *des.Proc, size int, access ibsim.Access) *Chunk {
-	c, _ := m.await(p, func(op *Op) { m.GetUnregisteredThen(op, size, access, des.Resumer, p) })
-	return c
-}
-
-// GetUnregisteredThen is GetUnregistered for a chain. Outside the cache mode
-// it calls fn at once.
+// Outside the cache mode it calls fn at once.
 func (m *Manager) GetUnregisteredThen(op *Op, size int, access ibsim.Access, fn func(any), arg any) {
 	op.begin(m, fn, arg)
 	if m.cfg.Mode == Cache {
@@ -333,17 +321,12 @@ func (m *Manager) GetUnregisteredThen(op *Op, size int, access ibsim.Access, fn 
 	op.finish()
 }
 
-// RegisterChunk ensures the chunk is registered, charging the mode's cost
-// if it is not already. n bounds the registered prefix: the paper's server
-// registers exactly the bytes the file system produced, not the whole
-// staging allocation. Cache-mode chunks keep their full-class registration
-// (that is what makes them reusable); n <= 0 registers the full length.
-func (m *Manager) RegisterChunk(p *des.Proc, c *Chunk, n int) {
-	m.await(p, func(op *Op) { m.RegisterChunkThen(op, c, n, des.Resumer, p) })
-}
-
-// RegisterChunkThen is RegisterChunk for a chain. A chunk already registered
-// calls fn at once.
+// RegisterChunkThen ensures the chunk is registered, charging the mode's
+// cost if it is not already, then calls fn(arg). n bounds the registered
+// prefix: the paper's server registers exactly the bytes the file system
+// produced, not the whole staging allocation. Cache-mode chunks keep their
+// full-class registration (that is what makes them reusable); n <= 0
+// registers the full length. A chunk already registered calls fn at once.
 func (m *Manager) RegisterChunkThen(op *Op, c *Chunk, n int, fn func(any), arg any) {
 	op.begin(m, fn, arg)
 	op.c = c
@@ -367,7 +350,8 @@ func chunkRegistered(op *Op) {
 	op.finish()
 }
 
-// Put releases a chunk obtained from Get, GetPayload or GetUnregistered.
+// Put releases a chunk obtained from Get, GetPayloadThen or
+// GetUnregisteredThen.
 func (m *Manager) Put(p *des.Proc, c *Chunk) {
 	m.await(p, func(op *Op) { m.PutThen(op, c, des.Resumer, p) })
 }

@@ -292,7 +292,7 @@ func TestQuickCacheAlwaysCoversRequest(t *testing.T) {
 }
 
 // TestStagingMaterializedByPurpose pins which staging has bytes: protocol
-// staging (Get) always, payload staging (GetPayload, GetUnregistered) only
+// staging (Get) always, payload staging (GetPayloadThen, GetUnregisteredThen) only
 // when the fabric copies data — except under the cache mode, whose slab
 // chunks serve both and are always materialized. Registration does not
 // depend on it: the segments cover the chunk either way.
@@ -305,14 +305,14 @@ func TestStagingMaterializedByPurpose(t *testing.T) {
 				m := NewManager(p, node, Config{Mode: mode, FMRPoolSize: 4})
 				const size = 64 << 10
 				protocol := m.Get(p, size, ibsim.AccessLocalWrite)
-				payload := m.GetPayload(p, size, ibsim.AccessLocalWrite)
-				deferred := m.GetUnregistered(p, size, ibsim.AccessLocalWrite)
-				m.RegisterChunk(p, deferred, size)
+				payload, _ := m.await(p, func(op *Op) { m.GetPayloadThen(op, size, ibsim.AccessLocalWrite, des.Resumer, p) })
+				deferred, _ := m.await(p, func(op *Op) { m.GetUnregisteredThen(op, size, ibsim.AccessLocalWrite, des.Resumer, p) })
+				m.await(p, func(op *Op) { m.RegisterChunkThen(op, deferred, size, des.Resumer, p) })
 				if protocol.Data() == nil {
 					t.Errorf("copy=%v %v: protocol staging has no bytes", copyData, mode)
 				}
 				wantPayload := copyData || mode == Cache
-				for name, c := range map[string]*Chunk{"GetPayload": payload, "GetUnregistered": deferred} {
+				for name, c := range map[string]*Chunk{"GetPayloadThen": payload, "GetUnregisteredThen": deferred} {
 					if got := c.Data() != nil; got != wantPayload {
 						t.Errorf("copy=%v %v: %s materialized = %v, want %v", copyData, mode, name, got, wantPayload)
 					}

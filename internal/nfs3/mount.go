@@ -107,8 +107,9 @@ func (l *Exports) XDR(c *xdr.Codec) {
 	})
 }
 
-// Handle implements oncrpc.Service.
-func (m *MountServer) Handle(p *des.Proc, req *oncrpc.ServerRequest) oncrpc.ServerResponse {
+// HandleThen implements oncrpc.Service. No procedure waits.
+func (m *MountServer) HandleThen(req *oncrpc.ServerRequest, resp *oncrpc.ServerResponse, fn func(any), arg any) {
+	*resp = oncrpc.ServerResponse{Stat: oncrpc.Success}
 	args, res := xdr.DecodeFrom(req.Args), xdr.EncodeTo(&req.Reply)
 	var path string
 	machine := req.Header.Cred.Machine
@@ -142,9 +143,9 @@ func (m *MountServer) Handle(p *des.Proc, req *oncrpc.ServerRequest) oncrpc.Serv
 		}
 		l.XDR(&res)
 	default:
-		return oncrpc.ServerResponse{Stat: oncrpc.ProcUnavail}
+		resp.Stat = oncrpc.ProcUnavail
 	}
-	return oncrpc.ServerResponse{Stat: oncrpc.Success}
+	fn(arg)
 }
 
 // MountClient speaks the MOUNT program.

@@ -39,6 +39,14 @@ func (lt *loopback) Roundtrip(p *des.Proc, req *oncrpc.Request) (*oncrpc.Respons
 
 func (lt *loopback) Close() {}
 
+// handle serves req on p, without a dispatcher.
+func handle(p *des.Proc, srv *Server, req *oncrpc.ServerRequest) oncrpc.ServerResponse {
+	var resp oncrpc.ServerResponse
+	srv.HandleThen(req, &resp, des.Resumer, p)
+	p.Suspend()
+	return resp
+}
+
 func newPair(t *testing.T) (*des.Sim, *Client, *Server) {
 	t.Helper()
 	sim := des.New()
@@ -300,7 +308,7 @@ func TestMknodNotSupported(t *testing.T) {
 			Header: oncrpc.CallHeader{Proc: ProcMknod},
 			Args:   nil,
 		}
-		srv.Handle(p, req)
+		handle(p, srv, req)
 		var r CreateRes
 		c := xdr.DecodeFrom(req.Reply.Bytes())
 		if r.XDR(&c); c.Err() != nil || r.Status != ErrNotSupp {

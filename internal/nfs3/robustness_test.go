@@ -196,7 +196,7 @@ func TestServerRejectsGarbageArgs(t *testing.T) {
 				Header: oncrpc.CallHeader{Proc: proc},
 				Args:   garbage,
 			}
-			if srv.Handle(p, req).Stat != oncrpc.Success {
+			if handle(p, srv, req).Stat != oncrpc.Success {
 				continue // RPC-level rejection is also acceptable
 			}
 			d := xdr.NewDecoder(req.Reply.Bytes())
@@ -251,7 +251,7 @@ func TestServerRejectsNonCanonicalArgs(t *testing.T) {
 			{"data length 3, count 2", ProcWrite, args(FH{FSID: root.FSID, FileID: uint64(file)}, 0, 0, 2, FileSync, 3)},
 		} {
 			req := &oncrpc.ServerRequest{Header: oncrpc.CallHeader{Proc: c.proc}, Args: c.args, Bulk: oncrpc.NewBulk([]byte("ab"))}
-			srv.Handle(p, req)
+			handle(p, srv, req)
 			if st := Status(binary.BigEndian.Uint32(req.Reply.Bytes())); st != ErrInval {
 				t.Errorf("%s %s: status %v, want NFS3ERR_INVAL", ProcName(c.proc), c.what, st)
 			}
@@ -267,11 +267,12 @@ type badReadService struct{}
 func (badReadService) Name() string    { return "bad-read" }
 func (badReadService) Program() uint32 { return Program }
 func (badReadService) Version() uint32 { return Version }
-func (badReadService) Handle(p *des.Proc, req *oncrpc.ServerRequest) oncrpc.ServerResponse {
+func (badReadService) HandleThen(req *oncrpc.ServerRequest, resp *oncrpc.ServerResponse, fn func(any), arg any) {
 	for _, w := range []uint32{uint32(OK), 0, 4, 1, 8} { // status, no attributes, count, eof, data<> length
 		req.Reply.Uint32(w)
 	}
-	return oncrpc.ServerResponse{Stat: oncrpc.Success}
+	*resp = oncrpc.ServerResponse{Stat: oncrpc.Success}
+	fn(arg)
 }
 
 func TestReadRejectsDataLengthOtherThanCount(t *testing.T) {

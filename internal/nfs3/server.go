@@ -48,7 +48,7 @@ type Server struct {
 	calls des.FreeList[call] // HandleThen's states between calls, zeroed
 }
 
-var _ oncrpc.ChainService = (*Server)(nil)
+var _ oncrpc.Service = (*Server)(nil)
 
 // NewServer exports fs over NFSv3.
 func NewServer(fs vfs.FS, cfg ServerConfig) *Server {
@@ -103,8 +103,8 @@ func (s *Server) mkFH(id vfs.FileID) FH {
 	return FH{FSID: s.cfg.FSID, FileID: uint64(id)}
 }
 
-func (s *Server) postAttr(p *des.Proc, id vfs.FileID) PostOpAttr {
-	a, err := s.fs.GetAttr(p, id)
+func (s *Server) postAttr(id vfs.FileID) PostOpAttr {
+	a, err := s.fs.GetAttr(nil, id)
 	if err != nil {
 		return PostOpAttr{}
 	}
@@ -113,8 +113,8 @@ func (s *Server) postAttr(p *des.Proc, id vfs.FileID) PostOpAttr {
 
 // preOp captures wcc_attr before a mutation so the reply can carry full
 // weak-cache-consistency data.
-func (s *Server) preOp(p *des.Proc, id vfs.FileID) (WccAttr, bool) {
-	a, err := s.fs.GetAttr(p, id)
+func (s *Server) preOp(id vfs.FileID) (WccAttr, bool) {
+	a, err := s.fs.GetAttr(nil, id)
 	if err != nil {
 		return WccAttr{}, false
 	}
@@ -127,8 +127,8 @@ func (s *Server) preOp(p *des.Proc, id vfs.FileID) (WccAttr, bool) {
 
 // wccFrom builds wcc_data from a captured pre-op state plus fresh post-op
 // attributes.
-func (s *Server) wccFrom(p *des.Proc, id vfs.FileID, pre WccAttr, ok bool) WccData {
-	return WccData{PrePresent: ok, Pre: pre, Post: s.postAttr(p, id)}
+func (s *Server) wccFrom(id vfs.FileID, pre WccAttr, ok bool) WccData {
+	return WccData{PrePresent: ok, Pre: pre, Post: s.postAttr(id)}
 }
 
 // procs describes the procedures by number: the name, the size of the
@@ -142,7 +142,7 @@ var procs = [...]struct {
 	name          string
 	resultsSize   int
 	nonIdempotent bool
-	handle        func(s *Server, p *des.Proc, req *oncrpc.ServerRequest) *oncrpc.Bulk
+	handle        func(s *Server, req *oncrpc.ServerRequest)
 	then          func(s *Server, c *call)
 }{
 	ProcNull:        {"NULL", 0, false, nil, nil},
@@ -177,11 +177,6 @@ func (s *Server) ResultsSize(proc uint32) int {
 	return 0
 }
 
-// Handle implements oncrpc.Service: HandleThen run on p.
-func (s *Server) Handle(p *des.Proc, req *oncrpc.ServerRequest) oncrpc.ServerResponse {
-	return oncrpc.HandleOn(p, s, req)
-}
-
 // call is the state of one HandleThen in flight, kept for reuse by the
 // server: the request, where the response goes, and what a READ, WRITE or
 // COMMIT carries across its copy charge and its store call.
@@ -192,6 +187,7 @@ type call struct {
 	fn     func(any)
 	arg    any
 	charge cpu.Charge
+	op     vfs.Op
 
 	id     vfs.FileID
 	off    int64
@@ -199,16 +195,14 @@ type call struct {
 	buf    []byte // READ's destination, WRITE's data
 	bulk   *oncrpc.Bulk
 	stable uint32 // WRITE's stable_how
-	eof    bool
 	pre    WccAttr
 	preOK  bool
 }
 
-// HandleThen implements oncrpc.ChainService: the procedure's handler decodes
-// the arguments, runs them against the file system, and appends the encoded
-// results to req.Reply. The CPU charges are chained; a READ, WRITE or COMMIT
-// the store cannot serve from memory makes its store call on the server
-// thread's process (req.Thread).
+// HandleThen implements oncrpc.Service: the procedure's handler decodes the
+// arguments, runs them against the file system, and appends the encoded
+// results to req.Reply. The CPU charges and the store calls of READ, WRITE
+// and COMMIT, which may wait for the disk, are chained.
 func (s *Server) HandleThen(req *oncrpc.ServerRequest, resp *oncrpc.ServerResponse, fn func(any), arg any) {
 	c := s.calls.Get() // zeroed by done
 	c.s, c.req, c.resp, c.fn, c.arg = s, req, resp, fn, arg
@@ -228,14 +222,15 @@ func handleCall(a any) {
 		return
 	}
 	s.Ops[proc]++
-	switch h := &procs[proc]; {
-	case h.then != nil:
+	h := &procs[proc]
+	if h.then != nil {
 		h.then(s, c)
-	case h.handle != nil:
-		c.done(oncrpc.Success, h.handle(s, req.Thread.Proc(), req))
-	default:
-		c.done(oncrpc.Success, nil)
+		return
 	}
+	if h.handle != nil {
+		h.handle(s, req)
+	}
+	c.done(oncrpc.Success, nil)
 }
 
 // done answers the call and takes its state back.
@@ -245,18 +240,6 @@ func (c *call) done(stat oncrpc.AcceptStat, bulk *oncrpc.Bulk) {
 	*c = call{}
 	s.calls.Put(c)
 	fn(arg)
-}
-
-// store makes the call's store call op, fn: on the scheduler loop when the
-// store serves it from memory, on the server thread's process when it may
-// wait for the disk.
-func (c *call) store(op vfs.StoreOp, fn func(p *des.Proc, c any)) {
-	th := c.req.Thread
-	if c.s.fs.Resident(c.id, c.off, c.count, op) {
-		fn(th.Proc(), c)
-		return
-	}
-	th.Run(fn, c)
 }
 
 // decode decodes a call's arguments through args and checks the handles fhs
@@ -286,27 +269,26 @@ func (s *Server) reply(req *oncrpc.ServerRequest, res func(*xdr.Codec)) {
 	res(&s.codec)
 }
 
-func (s *Server) getattr(p *des.Proc, req *oncrpc.ServerRequest) *oncrpc.Bulk {
+func (s *Server) getattr(req *oncrpc.ServerRequest) {
 	var args GetAttrArgs
 	var res GetAttrRes
 	if s.decode(req, args.XDR, res.XDR, &res.Status, &args.FH) {
-		a, err := s.fs.GetAttr(p, args.FH.file())
+		a, err := s.fs.GetAttr(nil, args.FH.file())
 		if res.Status = StatusFromVFS(err); err == nil {
 			res.Attr = AttrFromVFS(s.cfg.FSID, a)
 		}
 		s.reply(req, res.XDR)
 	}
-	return nil
 }
 
-func (s *Server) setattr(p *des.Proc, req *oncrpc.ServerRequest) *oncrpc.Bulk {
+func (s *Server) setattr(req *oncrpc.ServerRequest) {
 	var args SetAttrArgs
 	var res WccRes
 	if !s.decode(req, args.XDR, res.XDR, &res.Status, &args.FH) {
-		return nil
+		return
 	}
 	id := args.FH.file()
-	pre, preOK := s.preOp(p, id)
+	pre, preOK := s.preOp(id)
 	if args.Guard != nil && preOK && *args.Guard != pre.Ctime {
 		// sattrguard3 mismatch: someone changed the object since the client
 		// sampled its ctime.
@@ -317,51 +299,47 @@ func (s *Server) setattr(p *des.Proc, req *oncrpc.ServerRequest) *oncrpc.Bulk {
 			sz := int64(*args.Attr.Size)
 			sa.Size = &sz
 		}
-		_, err := s.fs.SetAttr(p, id, sa)
+		_, err := s.fs.SetAttr(nil, id, sa)
 		res.Status = StatusFromVFS(err)
 	}
-	res.Wcc = s.wccFrom(p, id, pre, preOK)
+	res.Wcc = s.wccFrom(id, pre, preOK)
 	s.reply(req, res.XDR)
-	return nil
 }
 
-func (s *Server) lookup(p *des.Proc, req *oncrpc.ServerRequest) *oncrpc.Bulk {
+func (s *Server) lookup(req *oncrpc.ServerRequest) {
 	var args DirOpArgs
 	var res LookupRes
 	if s.decode(req, args.XDR, res.XDR, &res.Status, &args.Dir) {
 		dir := args.Dir.file()
-		id, attr, err := s.fs.Lookup(p, dir, args.Name)
-		res.Status, res.DirAttr = StatusFromVFS(err), s.postAttr(p, dir)
+		id, attr, err := s.fs.Lookup(nil, dir, args.Name)
+		res.Status, res.DirAttr = StatusFromVFS(err), s.postAttr(dir)
 		if err == nil {
 			res.Object = s.mkFH(id)
 			res.ObjAttr = PostOpAttr{Present: true, Attr: AttrFromVFS(s.cfg.FSID, attr)}
 		}
 		s.reply(req, res.XDR)
 	}
-	return nil
 }
 
-func (s *Server) access(p *des.Proc, req *oncrpc.ServerRequest) *oncrpc.Bulk {
+func (s *Server) access(req *oncrpc.ServerRequest) {
 	var args AccessArgs
 	var res AccessRes
 	if s.decode(req, args.XDR, res.XDR, &res.Status, &args.FH) {
 		// The simulated export has no permission model: grant what was asked.
-		res.Attr, res.Access = s.postAttr(p, args.FH.file()), args.Access
+		res.Attr, res.Access = s.postAttr(args.FH.file()), args.Access
 		s.reply(req, res.XDR)
 	}
-	return nil
 }
 
-func (s *Server) readlink(p *des.Proc, req *oncrpc.ServerRequest) *oncrpc.Bulk {
+func (s *Server) readlink(req *oncrpc.ServerRequest) {
 	var args GetAttrArgs
 	var res ReadLinkRes
 	if s.decode(req, args.XDR, res.XDR, &res.Status, &args.FH) {
 		id := args.FH.file()
-		target, err := s.fs.ReadLink(p, id)
-		res = ReadLinkRes{Status: StatusFromVFS(err), Attr: s.postAttr(p, id), Path: target}
+		target, err := s.fs.ReadLink(nil, id)
+		res = ReadLinkRes{Status: StatusFromVFS(err), Attr: s.postAttr(id), Path: target}
 		s.reply(req, res.XDR)
 	}
-	return nil
 }
 
 // read runs READ: payload goes to the transport-provided staging buffer
@@ -387,20 +365,20 @@ func (s *Server) read(c *call) {
 	if c.bulk.Data != nil {
 		c.buf = c.bulk.Data[:min(c.count, len(c.bulk.Data))]
 	}
-	c.store(vfs.StoreRead, readStore)
+	s.fs.ReadThen(&c.op, c.id, c.off, c.count, c.buf, readStored, c)
 }
 
-func readStore(p *des.Proc, a any) {
+func readStored(a any) {
 	c := a.(*call)
 	s := c.s
-	n, eof, err := s.fs.Read(p, c.id, c.off, c.count, c.buf)
-	if err != nil {
-		res := ReadRes{Status: StatusFromVFS(err), Attr: s.postAttr(p, c.id)}
+	if err := c.op.Err; err != nil {
+		res := ReadRes{Status: StatusFromVFS(err), Attr: s.postAttr(c.id)}
 		s.reply(c.req, res.XDR)
 		c.done(oncrpc.Success, nil)
 		return
 	}
-	c.bulk.Len, c.count, c.eof = n, n, eof
+	n := c.op.N
+	c.bulk.Len, c.count = n, n
 	if s.cfg.CPU != nil {
 		// file system -> staging buffer
 		s.cfg.CPU.WorkThen(&c.charge, s.cfg.CPU.CopyCost(n), readCopied, c)
@@ -412,7 +390,7 @@ func readStore(p *des.Proc, a any) {
 func readCopied(a any) {
 	c := a.(*call)
 	s := c.s
-	res := ReadRes{Status: OK, Attr: s.postAttr(c.req.Thread.Proc(), c.id), Count: uint32(c.count), EOF: c.eof}
+	res := ReadRes{Status: OK, Attr: s.postAttr(c.id), Count: uint32(c.count), EOF: c.op.EOF}
 	s.reply(c.req, res.XDR)
 	c.done(oncrpc.Success, c.bulk)
 }
@@ -442,60 +420,53 @@ func (s *Server) write(c *call) {
 
 func writeCopied(a any) {
 	c := a.(*call)
-	c.pre, c.preOK = c.s.preOp(c.req.Thread.Proc(), c.id)
-	op := vfs.StoreWrite
-	if c.stable == FileSync {
-		op = vfs.StoreSync
-	}
-	c.store(op, writeStore)
+	s := c.s
+	c.pre, c.preOK = s.preOp(c.id)
+	s.fs.WriteThen(&c.op, c.id, c.off, c.count, c.buf, c.stable == FileSync, writeStored, c)
 }
 
-func writeStore(p *des.Proc, a any) {
+func writeStored(a any) {
 	c := a.(*call)
 	s := c.s
-	n, err := s.fs.Write(p, c.id, c.off, c.count, c.buf, c.stable == FileSync)
 	res := WriteRes{
-		Status: StatusFromVFS(err), Wcc: s.wccFrom(p, c.id, c.pre, c.preOK),
-		Count: uint32(n), Committed: c.stable, Verf: s.writeVerf,
+		Status: StatusFromVFS(c.op.Err), Wcc: s.wccFrom(c.id, c.pre, c.preOK),
+		Count: uint32(c.op.N), Committed: c.stable, Verf: s.writeVerf,
 	}
 	s.reply(c.req, res.XDR)
 	c.done(oncrpc.Success, nil)
 }
 
-func (s *Server) create(p *des.Proc, req *oncrpc.ServerRequest) *oncrpc.Bulk {
+func (s *Server) create(req *oncrpc.ServerRequest) {
 	var args CreateArgs
 	var res CreateRes
 	if s.decode(req, args.XDR, res.XDR, &res.Status, &args.Where.Dir) {
 		dir := args.Where.Dir.file()
-		pre, preOK := s.preOp(p, dir)
-		id, attr, err := s.fs.Create(p, dir, args.Where.Name, modeOr(args.Attr.Mode, 0644))
-		s.made(p, req, dir, pre, preOK, id, attr, err)
+		pre, preOK := s.preOp(dir)
+		id, attr, err := s.fs.Create(nil, dir, args.Where.Name, modeOr(args.Attr.Mode, 0644))
+		s.made(req, dir, pre, preOK, id, attr, err)
 	}
-	return nil
 }
 
-func (s *Server) mkdir(p *des.Proc, req *oncrpc.ServerRequest) *oncrpc.Bulk {
+func (s *Server) mkdir(req *oncrpc.ServerRequest) {
 	var args MkdirArgs
 	var res CreateRes
 	if s.decode(req, args.XDR, res.XDR, &res.Status, &args.Where.Dir) {
 		dir := args.Where.Dir.file()
-		pre, preOK := s.preOp(p, dir)
-		id, attr, err := s.fs.Mkdir(p, dir, args.Where.Name, modeOr(args.Attr.Mode, 0755))
-		s.made(p, req, dir, pre, preOK, id, attr, err)
+		pre, preOK := s.preOp(dir)
+		id, attr, err := s.fs.Mkdir(nil, dir, args.Where.Name, modeOr(args.Attr.Mode, 0755))
+		s.made(req, dir, pre, preOK, id, attr, err)
 	}
-	return nil
 }
 
-func (s *Server) symlink(p *des.Proc, req *oncrpc.ServerRequest) *oncrpc.Bulk {
+func (s *Server) symlink(req *oncrpc.ServerRequest) {
 	var args SymlinkArgs
 	var res CreateRes
 	if s.decode(req, args.XDR, res.XDR, &res.Status, &args.Where.Dir) {
 		dir := args.Where.Dir.file()
-		pre, preOK := s.preOp(p, dir)
-		id, attr, err := s.fs.Symlink(p, dir, args.Where.Name, args.Target)
-		s.made(p, req, dir, pre, preOK, id, attr, err)
+		pre, preOK := s.preOp(dir)
+		id, attr, err := s.fs.Symlink(nil, dir, args.Where.Name, args.Target)
+		s.made(req, dir, pre, preOK, id, attr, err)
 	}
-	return nil
 }
 
 func modeOr(mode *uint32, def uint32) uint32 {
@@ -506,8 +477,8 @@ func modeOr(mode *uint32, def uint32) uint32 {
 }
 
 // made writes the results of CREATE, MKDIR or SYMLINK in dir, which made id.
-func (s *Server) made(p *des.Proc, req *oncrpc.ServerRequest, dir vfs.FileID, pre WccAttr, preOK bool, id vfs.FileID, attr vfs.Attr, err error) {
-	res := CreateRes{Status: StatusFromVFS(err), DirWcc: s.wccFrom(p, dir, pre, preOK)}
+func (s *Server) made(req *oncrpc.ServerRequest, dir vfs.FileID, pre WccAttr, preOK bool, id vfs.FileID, attr vfs.Attr, err error) {
+	res := CreateRes{Status: StatusFromVFS(err), DirWcc: s.wccFrom(dir, pre, preOK)}
 	if err == nil {
 		res.FHPresent, res.FH = true, s.mkFH(id)
 		res.Attr = PostOpAttr{Present: true, Attr: AttrFromVFS(s.cfg.FSID, attr)}
@@ -517,67 +488,63 @@ func (s *Server) made(p *des.Proc, req *oncrpc.ServerRequest, dir vfs.FileID, pr
 
 // mknod answers MKNOD without decoding it: the file system has no special
 // files.
-func (s *Server) mknod(p *des.Proc, req *oncrpc.ServerRequest) *oncrpc.Bulk {
+func (s *Server) mknod(req *oncrpc.ServerRequest) {
 	s.reply(req, (&CreateRes{Status: ErrNotSupp}).XDR)
-	return nil
 }
 
 // remove runs REMOVE and RMDIR.
-func (s *Server) remove(p *des.Proc, req *oncrpc.ServerRequest) *oncrpc.Bulk {
+func (s *Server) remove(req *oncrpc.ServerRequest) {
 	var args DirOpArgs
 	var res WccRes
 	if s.decode(req, args.XDR, res.XDR, &res.Status, &args.Dir) {
 		dir := args.Dir.file()
-		pre, preOK := s.preOp(p, dir)
+		pre, preOK := s.preOp(dir)
 		var err error
 		if req.Header.Proc == ProcRmdir {
-			err = s.fs.Rmdir(p, dir, args.Name)
+			err = s.fs.Rmdir(nil, dir, args.Name)
 		} else {
-			err = s.fs.Remove(p, dir, args.Name)
+			err = s.fs.Remove(nil, dir, args.Name)
 		}
-		res = WccRes{Status: StatusFromVFS(err), Wcc: s.wccFrom(p, dir, pre, preOK)}
+		res = WccRes{Status: StatusFromVFS(err), Wcc: s.wccFrom(dir, pre, preOK)}
 		s.reply(req, res.XDR)
 	}
-	return nil
 }
 
-func (s *Server) rename(p *des.Proc, req *oncrpc.ServerRequest) *oncrpc.Bulk {
+func (s *Server) rename(req *oncrpc.ServerRequest) {
 	var args RenameArgs
 	var res RenameRes
 	if s.decode(req, args.XDR, res.XDR, &res.Status, &args.From.Dir, &args.To.Dir) {
 		from, to := args.From.Dir.file(), args.To.Dir.file()
-		fromPre, fromOK := s.preOp(p, from)
-		toPre, toOK := s.preOp(p, to)
-		err := s.fs.Rename(p, from, args.From.Name, to, args.To.Name)
+		fromPre, fromOK := s.preOp(from)
+		toPre, toOK := s.preOp(to)
+		err := s.fs.Rename(nil, from, args.From.Name, to, args.To.Name)
 		res = RenameRes{
 			Status:  StatusFromVFS(err),
-			FromWcc: s.wccFrom(p, from, fromPre, fromOK),
-			ToWcc:   s.wccFrom(p, to, toPre, toOK),
+			FromWcc: s.wccFrom(from, fromPre, fromOK),
+			ToWcc:   s.wccFrom(to, toPre, toOK),
 		}
 		s.reply(req, res.XDR)
 	}
-	return nil
 }
 
-func (s *Server) link(p *des.Proc, req *oncrpc.ServerRequest) *oncrpc.Bulk {
+func (s *Server) link(req *oncrpc.ServerRequest) {
 	var args LinkArgs
 	var res LinkRes
 	if s.decode(req, args.XDR, res.XDR, &res.Status, &args.FH, &args.Link.Dir) {
 		id, dir := args.FH.file(), args.Link.Dir.file()
-		pre, preOK := s.preOp(p, dir)
-		_, err := s.fs.Link(p, id, dir, args.Link.Name)
-		res = LinkRes{Status: StatusFromVFS(err), Attr: s.postAttr(p, id), LinkWcc: s.wccFrom(p, dir, pre, preOK)}
+		pre, preOK := s.preOp(dir)
+		_, err := s.fs.Link(nil, id, dir, args.Link.Name)
+		res = LinkRes{Status: StatusFromVFS(err), Attr: s.postAttr(id), LinkWcc: s.wccFrom(dir, pre, preOK)}
 		s.reply(req, res.XDR)
 	}
-	return nil
 }
 
 // readdir runs READDIR and READDIRPLUS.
-func (s *Server) readdir(p *des.Proc, req *oncrpc.ServerRequest) *oncrpc.Bulk {
+func (s *Server) readdir(req *oncrpc.ServerRequest) {
 	args := ReadDirArgs{Plus: req.Header.Proc == ProcReadDirPlus}
 	res := ReadDirRes{Plus: args.Plus}
 	if !s.decode(req, args.XDR, res.XDR, &res.Status, &args.Dir) {
-		return nil
+		return
 	}
 	dir := args.Dir.file()
 	// Entry budget from the reply byte budget: ~64 bytes per plain entry,
@@ -586,13 +553,13 @@ func (s *Server) readdir(p *des.Proc, req *oncrpc.ServerRequest) *oncrpc.Bulk {
 	if args.Plus {
 		per = 160
 	}
-	ents, eof, err := s.fs.ReadDir(p, dir, int64(args.Cookie), max(int(args.Count)/per, 1))
-	res.Status, res.DirAttr, res.EOF = StatusFromVFS(err), s.postAttr(p, dir), eof
+	ents, eof, err := s.fs.ReadDir(nil, dir, int64(args.Cookie), max(int(args.Count)/per, 1))
+	res.Status, res.DirAttr, res.EOF = StatusFromVFS(err), s.postAttr(dir), eof
 	if err == nil {
 		for _, ent := range ents {
 			e3 := DirEntry3{FileID: uint64(ent.FileID), Name: ent.Name, Cookie: uint64(ent.Cookie)}
 			if args.Plus {
-				e3.Attr = s.postAttr(p, ent.FileID)
+				e3.Attr = s.postAttr(ent.FileID)
 				e3.FHPresent = true
 				e3.FH = s.mkFH(ent.FileID)
 			}
@@ -600,47 +567,43 @@ func (s *Server) readdir(p *des.Proc, req *oncrpc.ServerRequest) *oncrpc.Bulk {
 		}
 	}
 	s.reply(req, res.XDR)
-	return nil
 }
 
-func (s *Server) fsstat(p *des.Proc, req *oncrpc.ServerRequest) *oncrpc.Bulk {
+func (s *Server) fsstat(req *oncrpc.ServerRequest) {
 	var args GetAttrArgs
 	var res FSStatRes
 	if s.decode(req, args.XDR, res.XDR, &res.Status, &args.FH) {
 		total, free := s.fs.FSStat()
 		res = FSStatRes{
-			Status: OK, Attr: s.postAttr(p, args.FH.file()),
+			Status: OK, Attr: s.postAttr(args.FH.file()),
 			TBytes: uint64(total), FBytes: uint64(free), ABytes: uint64(free),
 			TFiles: 1 << 20, FFiles: 1 << 19, AFiles: 1 << 19,
 		}
 		s.reply(req, res.XDR)
 	}
-	return nil
 }
 
-func (s *Server) fsinfo(p *des.Proc, req *oncrpc.ServerRequest) *oncrpc.Bulk {
+func (s *Server) fsinfo(req *oncrpc.ServerRequest) {
 	var args GetAttrArgs
 	var res FSInfoRes
 	if s.decode(req, args.XDR, res.XDR, &res.Status, &args.FH) {
 		res = FSInfoRes{
-			Status: OK, Attr: s.postAttr(p, args.FH.file()),
+			Status: OK, Attr: s.postAttr(args.FH.file()),
 			RTMax: maxTransfer, RTPref: maxTransfer,
 			WTMax: maxTransfer, WTPref: maxTransfer,
 			DTPref: 64 << 10, MaxFileSize: 1 << 62,
 		}
 		s.reply(req, res.XDR)
 	}
-	return nil
 }
 
-func (s *Server) pathconf(p *des.Proc, req *oncrpc.ServerRequest) *oncrpc.Bulk {
+func (s *Server) pathconf(req *oncrpc.ServerRequest) {
 	var args GetAttrArgs
 	var res PathConfRes
 	if s.decode(req, args.XDR, res.XDR, &res.Status, &args.FH) {
-		res = PathConfRes{Status: OK, Attr: s.postAttr(p, args.FH.file()), LinkMax: 32000, NameMax: vfs.MaxNameLen}
+		res = PathConfRes{Status: OK, Attr: s.postAttr(args.FH.file()), LinkMax: 32000, NameMax: vfs.MaxNameLen}
 		s.reply(req, res.XDR)
 	}
-	return nil
 }
 
 func (s *Server) commit(c *call) {
@@ -652,15 +615,14 @@ func (s *Server) commit(c *call) {
 		return
 	}
 	c.id, c.off, c.count = args.FH.file(), int64(args.Offset), int(args.Count)
-	c.pre, c.preOK = s.preOp(req.Thread.Proc(), c.id)
-	c.store(vfs.StoreSync, commitStore)
+	c.pre, c.preOK = s.preOp(c.id)
+	s.fs.CommitThen(&c.op, c.id, c.off, c.count, commitStored, c)
 }
 
-func commitStore(p *des.Proc, a any) {
+func commitStored(a any) {
 	c := a.(*call)
 	s := c.s
-	err := s.fs.Commit(p, c.id, c.off, c.count)
-	res := CommitRes{Status: StatusFromVFS(err), Wcc: s.wccFrom(p, c.id, c.pre, c.preOK), Verf: s.writeVerf}
+	res := CommitRes{Status: StatusFromVFS(c.op.Err), Wcc: s.wccFrom(c.id, c.pre, c.preOK), Verf: s.writeVerf}
 	s.reply(c.req, res.XDR)
 	c.done(oncrpc.Success, nil)
 }

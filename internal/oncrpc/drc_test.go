@@ -15,10 +15,11 @@ type countingService struct{ calls int }
 func (s *countingService) Name() string    { return "count" }
 func (s *countingService) Program() uint32 { return 555 }
 func (s *countingService) Version() uint32 { return 1 }
-func (s *countingService) Handle(p *des.Proc, req *ServerRequest) ServerResponse {
+func (s *countingService) HandleThen(req *ServerRequest, resp *ServerResponse, fn func(any), arg any) {
 	s.calls++
 	req.Reply.Uint32(uint32(s.calls))
-	return ServerResponse{Stat: Success}
+	*resp = ServerResponse{Stat: Success}
+	fn(arg)
 }
 
 func TestDRCReplaysWithoutReexecution(t *testing.T) {
@@ -108,6 +109,7 @@ func TestDRCKeepsItsOwnCopy(t *testing.T) {
 // slowService executes for a fixed virtual duration, so a test can land a
 // retransmission while the original call is still inside the handler.
 type slowService struct {
+	sim   *des.Sim
 	calls int
 	delay time.Duration
 }
@@ -115,19 +117,21 @@ type slowService struct {
 func (s *slowService) Name() string    { return "slow" }
 func (s *slowService) Program() uint32 { return 556 }
 func (s *slowService) Version() uint32 { return 1 }
-func (s *slowService) Handle(p *des.Proc, req *ServerRequest) ServerResponse {
+func (s *slowService) HandleThen(req *ServerRequest, resp *ServerResponse, fn func(any), arg any) {
 	s.calls++
-	p.Sleep(s.delay)
-	req.Reply.Uint32(uint32(s.calls))
-	return ServerResponse{Stat: Success}
+	s.sim.At(s.sim.Now()+des.Time(s.delay), func() {
+		req.Reply.Uint32(uint32(s.calls))
+		*resp = ServerResponse{Stat: Success}
+		fn(arg)
+	})
 }
 
 func TestDRCSuppressesDuplicateWhileExecuting(t *testing.T) {
 	d := NewDispatcher()
-	svc := &slowService{delay: time.Millisecond}
+	sim := des.New()
+	svc := &slowService{sim: sim, delay: time.Millisecond}
 	d.Register(svc)
 	d.EnableDRC(8)
-	sim := des.New()
 	hdr := &CallHeader{XID: 42, Prog: 556, Vers: 1, Proc: 1,
 		Cred: Auth{Flavor: AuthSys, Machine: "c0"}}
 	raw := EncodeCall(hdr, nil)
@@ -165,9 +169,10 @@ func (s *classifierService) Name() string                { return "classified" }
 func (s *classifierService) Program() uint32             { return 557 }
 func (s *classifierService) Version() uint32             { return 1 }
 func (s *classifierService) NonIdempotent(p uint32) bool { return p == 7 }
-func (s *classifierService) Handle(p *des.Proc, req *ServerRequest) ServerResponse {
+func (s *classifierService) HandleThen(req *ServerRequest, resp *ServerResponse, fn func(any), arg any) {
 	s.calls[req.Header.Proc]++
-	return ServerResponse{Stat: Success}
+	*resp = ServerResponse{Stat: Success}
+	fn(arg)
 }
 
 func TestDRCHonorsIdempotencyClassifier(t *testing.T) {
@@ -272,12 +277,12 @@ func TestDRCEvictSkipsExecutingHead(t *testing.T) {
 // only completed entries, and the slow call must still replay afterwards.
 func TestDRCEvictionAroundExecutingCall(t *testing.T) {
 	d := NewDispatcher()
-	slow := &slowService{delay: time.Millisecond}
+	sim := des.New()
+	slow := &slowService{sim: sim, delay: time.Millisecond}
 	fast := &countingService{}
 	d.Register(slow)
 	d.Register(fast)
 	d.EnableDRC(2)
-	sim := des.New()
 	slowHdr := &CallHeader{XID: 1, Prog: 556, Vers: 1, Proc: 1, Cred: Auth{Flavor: AuthSys, Machine: "c0"}}
 	slowRaw := EncodeCall(slowHdr, nil)
 	sim.Spawn("original", func(p *des.Proc) {
@@ -311,10 +316,10 @@ func TestDRCEvictionAroundExecutingCall(t *testing.T) {
 // removes, skewing the client count. Post-fix, no empty window may linger.
 func TestDRCCrashMidExecution(t *testing.T) {
 	d := NewDispatcher()
-	svc := &slowService{delay: time.Millisecond}
+	sim := des.New()
+	svc := &slowService{sim: sim, delay: time.Millisecond}
 	d.Register(svc)
 	d.EnableDRC(8)
-	sim := des.New()
 	hdr := &CallHeader{XID: 7, Prog: 556, Vers: 1, Proc: 1,
 		Cred: Auth{Flavor: AuthSys, Machine: "c0"}}
 	raw := EncodeCall(hdr, nil)
@@ -400,10 +405,10 @@ func (c *drc) walkEntries() int {
 // a walk over the windows. A wipe leaves exactly zero.
 func TestDRCEntriesEqualsWalk(t *testing.T) {
 	d := NewDispatcher()
-	d.Register(&slowService{delay: 50 * time.Microsecond})
+	sim := des.New()
+	d.Register(&slowService{sim: sim, delay: 50 * time.Microsecond})
 	d.Register(&countingService{})
 	d.EnableDRC(3)
-	sim := des.New()
 	rng := des.NewRand(16)
 	check := func(when string) {
 		t.Helper()

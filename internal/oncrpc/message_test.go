@@ -26,9 +26,10 @@ type machineService struct{ machines []string }
 func (*machineService) Name() string    { return "machine" }
 func (*machineService) Program() uint32 { return 778 }
 func (*machineService) Version() uint32 { return 1 }
-func (s *machineService) Handle(p *des.Proc, req *ServerRequest) ServerResponse {
+func (s *machineService) HandleThen(req *ServerRequest, resp *ServerResponse, fn func(any), arg any) {
 	s.machines = append(s.machines, req.Header.Cred.Machine)
-	return ServerResponse{Stat: Success}
+	*resp = ServerResponse{Stat: Success}
+	fn(arg)
 }
 
 // TestDispatchNullAllocatesNothing: in steady state, a call with no arguments
@@ -93,12 +94,13 @@ func (sizedService) Name() string                { return "sized" }
 func (sizedService) Program() uint32             { return 779 }
 func (sizedService) Version() uint32             { return 1 }
 func (sizedService) ResultsSize(proc uint32) int { return 8 }
-func (sizedService) Handle(p *des.Proc, req *ServerRequest) ServerResponse {
+func (sizedService) HandleThen(req *ServerRequest, resp *ServerResponse, fn func(any), arg any) {
 	req.Reply.FixedOpaque(req.Args)
 	if len(req.Args) > 0 && req.Args[0] == 'x' {
 		req.Reply.FixedOpaque(bytes.Repeat([]byte{0xee}, 64))
 	}
-	return ServerResponse{Stat: Success}
+	*resp = ServerResponse{Stat: Success}
+	fn(arg)
 }
 
 // TestMessagesOutgrowingTheirStores: a call larger than its request's inline

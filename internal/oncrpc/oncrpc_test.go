@@ -100,13 +100,13 @@ type echoService struct{}
 func (echoService) Name() string    { return "echo" }
 func (echoService) Program() uint32 { return 777 }
 func (echoService) Version() uint32 { return 1 }
-func (echoService) Handle(p *des.Proc, req *ServerRequest) ServerResponse {
+func (echoService) HandleThen(req *ServerRequest, resp *ServerResponse, fn func(any), arg any) {
 	req.Reply.FixedOpaque(req.Args)
-	var bulk *Bulk
+	*resp = ServerResponse{Stat: Success}
 	if req.Bulk != nil {
-		bulk = &Bulk{Data: req.Bulk.Data, Len: req.Bulk.Len}
+		resp.Bulk = &Bulk{Data: req.Bulk.Data, Len: req.Bulk.Len}
 	}
-	return ServerResponse{Stat: Success, Bulk: bulk}
+	fn(arg)
 }
 
 // loopbackTransport dispatches calls directly, with no simulated network.

@@ -16,15 +16,16 @@ type ProcNamer interface {
 }
 
 // Dispatcher routes decoded calls to registered services and encodes
-// replies. Server transports (RPC/RDMA, stream) own the worker model and
-// call Dispatch from their worker processes.
+// replies. Server transports own the worker model: RPC/RDMA's server
+// threads call DispatchThen from their chains, the stream transport calls
+// Dispatch from its worker processes.
 type Dispatcher struct {
 	services map[[2]uint32]Service
 	drc      *drc  // nil unless EnableDRC was called
 	badCalls int64 // messages dropped because they did not decode as a call
 
 	free  des.FreeList[ServerRequest] // requests between calls, zeroed
-	calls des.FreeList[procCall]      // Dispatch's states between calls, zeroed
+	calls des.FreeList[Serving]       // Dispatch's states between calls, zeroed
 	block []byte                      // what is left of the block replies are carved from
 }
 
@@ -110,20 +111,13 @@ func (d *Dispatcher) BadCalls() int64 { return d.badCalls }
 // Dispatch returns; the reply is carved from the dispatcher's blocks
 // (newReply) and is never reused. Dispatch is DispatchThen run on p.
 func (d *Dispatcher) Dispatch(p *des.Proc, rawCall []byte, opts DispatchOpts) (reply []byte, bulkOut *Bulk, err error) {
-	c := d.calls.Get()
-	c.th = Thread{p: p, running: true}
-	d.DispatchThen(&c.st, &c.th, rawCall, opts, EndThread, &c.th)
-	c.th.Serve(p)
-	reply, bulkOut, err = c.st.Reply, c.st.Bulk, c.st.Err
-	*c = procCall{}
-	d.calls.Put(c)
+	st := d.calls.Get()
+	d.DispatchThen(p.Sim(), st, rawCall, opts, des.Resumer, p)
+	p.Suspend()
+	reply, bulkOut, err = st.Reply, st.Bulk, st.Err
+	*st = Serving{}
+	d.calls.Put(st)
 	return reply, bulkOut, err
-}
-
-// procCall is the state of one Dispatch, kept for reuse by the dispatcher.
-type procCall struct {
-	st Serving
-	th Thread
 }
 
 // Serving is the state of one DispatchThen in flight, kept in storage its
@@ -134,6 +128,7 @@ type Serving struct {
 	Err   error
 
 	d     *Dispatcher
+	sim   *des.Sim
 	req   *ServerRequest
 	svc   Service
 	resp  ServerResponse
@@ -147,11 +142,10 @@ type Serving struct {
 	arg   any
 }
 
-// DispatchThen is Dispatch as a chain: th is the server thread serving the
-// call, and fn(arg) runs once st holds the outcome. The procedure runs as a
-// chain when its service is a ChainService, else on th's process.
-func (d *Dispatcher) DispatchThen(st *Serving, th *Thread, rawCall []byte, opts DispatchOpts, fn func(any), arg any) {
-	st.begin(d, opts.Room, fn, arg)
+// DispatchThen is Dispatch as a chain on sim: fn(arg) runs once st holds
+// the outcome.
+func (d *Dispatcher) DispatchThen(sim *des.Sim, st *Serving, rawCall []byte, opts DispatchOpts, fn func(any), arg any) {
+	st.begin(d, sim, opts.Room, fn, arg)
 	var call CallHeader
 	args, err := decodeCall(&call, rawCall, opts.Peer)
 	if err != nil {
@@ -162,10 +156,9 @@ func (d *Dispatcher) DispatchThen(st *Serving, th *Thread, rawCall []byte, opts 
 	}
 	req := d.free.Get()
 	st.req = req
-	req.Header, req.Args, req.Thread = call, args, th
+	req.Header, req.Args = call, args
 	req.Bulk, req.RecvBulkCap, req.ReplyBuf = opts.Bulk, opts.RecvBulkCap, opts.ReplyBuf
 	hdr := &req.Header
-	sim := th.p.Sim()
 	tr := sim.Tracer()
 	st.key = clientKey{xid: hdr.XID, prog: hdr.Prog, proc: hdr.Proc}
 	// DRC identity: the transport-authenticated peer when the transport
@@ -197,7 +190,7 @@ func (d *Dispatcher) DispatchThen(st *Serving, th *Thread, rawCall []byte, opts 
 	}
 	// The reply is built where the service writes its results: behind the
 	// room and the accepted-reply header, whose status word says ProgUnavail
-	// until Handle has said what it is.
+	// until HandleThen has said what it is.
 	svc, ok := d.services[[2]uint32{hdr.Prog, hdr.Vers}]
 	size := replyPrefix
 	if rs, sized := svc.(ResultsSizer); sized {
@@ -212,7 +205,7 @@ func (d *Dispatcher) DispatchThen(st *Serving, th *Thread, rawCall []byte, opts 
 	}
 	// Cache when the service cannot classify (conservative: everything) or
 	// classifies this procedure as non-idempotent. The placeholder goes in
-	// before Handle so a duplicate arriving mid-execution is suppressed.
+	// before HandleThen so a duplicate arriving mid-execution is suppressed.
 	st.cache = d.drc != nil
 	if cl, ok := svc.(IdempotencyClassifier); ok && st.cache {
 		st.cache = cl.NonIdempotent(hdr.Proc)
@@ -221,19 +214,7 @@ func (d *Dispatcher) DispatchThen(st *Serving, th *Thread, rawCall []byte, opts 
 		d.drc.begin(st.drcID, st.key)
 	}
 	st.svc, st.start, st.tr = svc, sim.Now(), tr
-	if cs, ok := svc.(ChainService); ok {
-		cs.HandleThen(req, &st.resp, handled, st)
-		return
-	}
-	th.Run(handleOnThread, st)
-}
-
-// handleOnThread runs a service that is not a ChainService on the thread's
-// process.
-func handleOnThread(p *des.Proc, a any) {
-	st := a.(*Serving)
-	st.resp = st.svc.Handle(p, st.req)
-	handled(st)
+	svc.HandleThen(req, &st.resp, handled, st)
 }
 
 // handled completes a dispatch once the service has answered.
@@ -241,13 +222,12 @@ func handled(a any) {
 	st := a.(*Serving)
 	req, svc := st.req, st.svc
 	hdr := &req.Header
-	sim := req.Thread.p.Sim()
 	if tr := st.tr; tr != nil {
 		name := svc.Name()
 		if pn, ok := svc.(ProcNamer); ok {
 			name = pn.ProcName(hdr.Proc)
 		}
-		tr.Span(int64(st.start), int64(sim.Now()), trace.LayerONCRPC, trace.KindDispatch,
+		tr.Span(int64(st.start), int64(st.sim.Now()), trace.LayerONCRPC, trace.KindDispatch,
 			hdr.Cred.Machine, name, uint64(hdr.XID), int64(hdr.Proc))
 	}
 	reply := req.Reply.Bytes()
@@ -262,9 +242,9 @@ func handled(a any) {
 // begin readies st for a dispatch ending in fn(arg). It sets the fields one
 // by one, as finish clears them: a whole-struct assignment would copy st
 // twice per call.
-func (st *Serving) begin(d *Dispatcher, room int, fn func(any), arg any) {
+func (st *Serving) begin(d *Dispatcher, sim *des.Sim, room int, fn func(any), arg any) {
 	st.Reply, st.Bulk, st.Err = nil, nil, nil
-	st.d, st.req, st.room, st.cache, st.fn, st.arg = d, nil, room, false, fn, arg
+	st.d, st.sim, st.req, st.room, st.cache, st.fn, st.arg = d, sim, nil, room, false, fn, arg
 }
 
 // finish hands the request back and ends the dispatch: fn(arg), with st
@@ -274,74 +254,9 @@ func (st *Serving) finish() {
 		st.d.put(st.req)
 	}
 	fn, arg := st.fn, st.arg
-	st.d, st.req, st.svc, st.resp, st.tr, st.fn, st.arg = nil, nil, nil, ServerResponse{}, nil, nil, nil
+	st.d, st.sim, st.req, st.svc, st.resp, st.tr, st.fn, st.arg = nil, nil, nil, nil, ServerResponse{}, nil, nil, nil
 	st.drcID = ""
 	fn(arg)
-}
-
-// Thread is a server thread's process, for the steps of a chained call that
-// must block on software (the disk): the process waits in Serve, and Run
-// hands it a step by resuming it in place. A thread's process does nothing
-// else, so what it runs takes its instant and its place in the event order
-// from the callback that hands it over.
-type Thread struct {
-	p       *des.Proc
-	fn      func(*des.Proc, any)
-	arg     any
-	running bool // the process is running, so Run calls the step itself
-	done    bool // EndThread ended Serve
-}
-
-// Serve is the body of the thread's process p: it runs the steps Run hands
-// it until EndThread.
-func (t *Thread) Serve(p *des.Proc) {
-	t.p, t.running = p, true
-	for !t.done {
-		t.running = false
-		p.Suspend()
-		t.running = true
-		if fn, arg := t.fn, t.arg; fn != nil {
-			t.fn, t.arg = nil, nil
-			fn(p, arg)
-		}
-	}
-	t.done = false
-}
-
-// Run runs fn(p, arg) on the thread's process p: at once when p is running,
-// else by resuming it in place from the callback calling Run.
-func (t *Thread) Run(fn func(p *des.Proc, arg any), arg any) {
-	if t.running {
-		fn(t.p, arg)
-		return
-	}
-	t.fn, t.arg = fn, arg
-	t.p.Sim().Resume(t.p)
-}
-
-// Proc returns the thread's process.
-func (t *Thread) Proc() *des.Proc { return t.p }
-
-// HandleOn runs svc.HandleThen on p for req, standing in for Handle: what a
-// ChainService's process form is.
-func HandleOn(p *des.Proc, svc ChainService, req *ServerRequest) ServerResponse {
-	th, saved := &Thread{p: p, running: true}, req.Thread
-	var resp ServerResponse
-	req.Thread = th
-	svc.HandleThen(req, &resp, EndThread, th)
-	th.Serve(p)
-	req.Thread = saved
-	return resp
-}
-
-// EndThread ends the Serve of the *Thread a: the last step of the chain a
-// process form (Dispatch) waits for.
-func EndThread(a any) {
-	t := a.(*Thread)
-	t.done = true
-	if !t.running {
-		t.p.Sim().Resume(t.p)
-	}
 }
 
 // deny returns the MSG_DENIED reply a call with XID xid that decodeCall

@@ -144,14 +144,9 @@ type ServerRequest struct {
 	ReplyBuf *Bulk
 
 	// Reply is the reply under construction: Dispatch leaves the transport's
-	// room and the accepted-reply header in it, and Handle appends the
+	// room and the accepted-reply header in it, and HandleThen appends the
 	// procedure's results.
 	Reply xdr.Encoder
-
-	// Thread is the server thread serving the call, for a ChainService
-	// step that must block on software (the disk): Thread.Run runs it on
-	// the thread's process.
-	Thread *Thread
 }
 
 // ServerResponse is what a service hands back to the server transport.
@@ -162,24 +157,14 @@ type ServerResponse struct {
 	Bulk *Bulk
 }
 
-// Service handles decoded calls for one (program, version).
+// Service handles decoded calls for one (program, version). Its procedures
+// run as chains of callbacks on the scheduler loop: HandleThen executes one,
+// appending its results to req.Reply, writes the response into resp and
+// then calls fn(arg).
 type Service interface {
 	Name() string
 	Program() uint32
 	Version() uint32
-	// Handle executes one procedure, appending its results to req.Reply. It
-	// runs on a server worker process and may block on simulated I/O.
-	Handle(p *des.Proc, req *ServerRequest) ServerResponse
-}
-
-// ChainService is a Service whose procedures run as chains of callbacks on
-// the scheduler loop wherever they wait only for time or a CPU: HandleThen
-// does what Handle does, at the same instants and in the same places in the
-// event order, writes the response into resp and then calls fn(arg). A step
-// that must block on software (the disk) runs on req.Thread (Thread.Run).
-// Dispatch prefers HandleThen to Handle.
-type ChainService interface {
-	Service
 	HandleThen(req *ServerRequest, resp *ServerResponse, fn func(any), arg any)
 }
 

@@ -80,17 +80,10 @@ func (t *ClientTransport) SumInto(sum *ClientTotals) {
 // when it happens, also on a transport that was already replaced.
 func (t *ClientTransport) CountInto(cells ...*CallCounts) { t.counted = cells }
 
-// acquire blocks until a credit is available, then consumes it.
-func (g *creditGate) acquire(p *des.Proc) {
-	g.acquireThen(&creditWait{}, des.Resumer, p)
-	p.Suspend()
-}
-
-// acquireThen is acquire for a chain: it consumes a credit and calls fn(arg),
-// at once when one is available, otherwise once a grant or a release lets
-// it — woken where a process waiting in acquire would resume, and then
-// checking again, as such a process does. w holds the wait until fn is
-// called.
+// acquireThen consumes a credit and calls fn(arg), at once when one is
+// available, otherwise once a grant or a release lets it — woken where a
+// process waiting for a credit would resume, and then checking again, as
+// such a process does. w holds the wait until fn is called.
 func (g *creditGate) acquireThen(w *creditWait, fn func(any), arg any) {
 	*w = creditWait{g: g, fn: fn, arg: arg}
 	w.try()

@@ -10,6 +10,12 @@ import (
 	"repro/internal/oncrpc"
 )
 
+// acquire takes a credit of g on p.
+func acquire(p *des.Proc, g *creditGate) {
+	g.acquireThen(&creditWait{}, des.Resumer, p)
+	p.Suspend()
+}
+
 func TestCreditGateBasics(t *testing.T) {
 	sim := des.New()
 	g := newCreditGate(sim, 2)
@@ -17,7 +23,7 @@ func TestCreditGateBasics(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		i := i
 		sim.Spawn("w", func(p *des.Proc) {
-			g.acquire(p)
+			acquire(p, g)
 			order = append(order, i)
 			p.Sleep(10 * time.Microsecond)
 			g.release()
@@ -39,7 +45,7 @@ func TestCreditGateShrinkAndGrow(t *testing.T) {
 	active := 0
 	for i := 0; i < 12; i++ {
 		sim.Spawn("w", func(p *des.Proc) {
-			g.acquire(p)
+			acquire(p, g)
 			active++
 			if active > maxConcurrent {
 				maxConcurrent = active
@@ -74,7 +80,7 @@ func TestCreditGateWaiterChurnDrains(t *testing.T) {
 	completed := 0
 	for i := 0; i < 200; i++ {
 		sim.Spawn("w", func(p *des.Proc) {
-			g.acquire(p)
+			acquire(p, g)
 			p.Sleep(time.Microsecond)
 			g.release()
 			completed++
@@ -105,7 +111,7 @@ func TestCreditGateNeverRevokesLastCredit(t *testing.T) {
 	}
 	done := false
 	sim.Spawn("w", func(p *des.Proc) {
-		g.acquire(p)
+		acquire(p, g)
 		done = true
 		g.release()
 	})

@@ -25,7 +25,12 @@ func (s *blobService) Name() string    { return "blob" }
 func (s *blobService) Program() uint32 { return 4242 }
 func (s *blobService) Version() uint32 { return 1 }
 
-func (s *blobService) Handle(p *des.Proc, req *oncrpc.ServerRequest) oncrpc.ServerResponse {
+func (s *blobService) HandleThen(req *oncrpc.ServerRequest, resp *oncrpc.ServerResponse, fn func(any), arg any) {
+	*resp = s.handle(req)
+	fn(arg)
+}
+
+func (s *blobService) handle(req *oncrpc.ServerRequest) oncrpc.ServerResponse {
 	switch req.Header.Proc {
 	case 1: // PUT
 		if req.Bulk != nil {

@@ -13,15 +13,12 @@ import (
 
 // A server thread's pass over one call — the paper's two-part state machine
 // (Fig. 1): receive path, file system, return path — waits only for the
-// host CPU, the HCA (registration, RDMA Reads, the reply Send), time and FIFO
-// resources (the serialized section, the reply-slot pool), unless the file
-// system must reach the disk. So a pass is a chain of callbacks on the
-// scheduler loop, each step taken at the instant and in the place in the
-// event order where a process running the pass would take it, with its state
-// in the thread's storage (nfsd). A thread still has a process of its own
-// (nfsd.th), which waits, and runs only what must block on software: the
-// store call of a READ, WRITE or COMMIT the page cache cannot serve from
-// memory, and a service that is not an oncrpc.ChainService.
+// host CPU, the HCA (registration, RDMA Reads, the reply Send), the disk
+// array, time and FIFO resources (the serialized section, the reply-slot
+// pool). So a pass is a chain of callbacks on the scheduler loop, each step
+// taken at the instant and in the place in the event order where a process
+// running the pass would take it, with its state in the thread's storage
+// (nfsd). A thread has no process.
 //
 // The steps, in order (a step a call does not need calls the next at once):
 //
@@ -39,15 +36,14 @@ import (
 //	               park or release, wait for the Send and its interrupt
 //	passDone       the serve span; idle again
 
-// nfsd is one server thread: a slot of the worker pool, where it runs, the
-// process for what must block, and the storage of the call it serves. A
+// nfsd is one server thread: a slot of the worker pool, where it runs, and
+// the storage of the call it serves. A
 // thread serves one call at a time and waits for the reply Send before it
 // takes the next, so what lives only while a call is served is the thread's
 // and reused call after call.
 type nfsd struct {
 	sh  *serverShard
 	cpu int // CPU placement for the affinity model, -1 when not modelled
-	th  oncrpc.Thread
 
 	charge cpu.Charge
 	op     memreg.Op
@@ -85,13 +81,12 @@ type pass struct {
 	send             ibsim.SendWQE
 }
 
-// newNFSD starts a thread of group sh running on wcpu, named name. Its pass
-// chain first waits for work where a process spawned here would start.
-func newNFSD(sh *serverShard, wcpu int, name string) {
+// newNFSD starts a thread of group sh running on wcpu. Its pass chain first
+// waits for work where a process spawned here would start.
+func newNFSD(sh *serverShard, wcpu int) {
 	w := &nfsd{sh: sh, cpu: wcpu}
 	sim := sh.srv.node.Sim()
 	sim.AtArg(sim.Now(), nfsdIdle, w)
-	sim.Spawn(name, w.th.Serve)
 }
 
 func nfsdIdle(a any) {
@@ -386,7 +381,7 @@ func dispatch(w *nfsd) {
 	if w.staging != nil {
 		opts.ReplyBuf = &w.replyBuf
 	}
-	s.dispatcher.DispatchThen(&w.st, &w.th, w.callBytes, opts, dispatched, w)
+	s.dispatcher.DispatchThen(s.node.Sim(), &w.st, w.callBytes, opts, dispatched, w)
 }
 
 func dispatched(a any) {

@@ -97,7 +97,7 @@ func newServerShard(s *ServerTransport, id int) *serverShard {
 			wcpu = node.CPU.PinFor(s.workerSeq)
 			s.workerSeq++
 		}
-		newNFSD(sh, wcpu, fmt.Sprintf("%s/shard%d/nfsd-%d", node.Name(), id, i))
+		newNFSD(sh, wcpu)
 	}
 	return sh
 }
@@ -113,7 +113,7 @@ func newLegacyGroup(s *ServerTransport) *serverShard {
 		track: node.Name(),
 	}
 	for i := 0; i < s.cfg.Workers; i++ {
-		newNFSD(sh, -1, fmt.Sprintf("%s/nfsd-%d", node.Name(), i))
+		newNFSD(sh, -1)
 	}
 	return sh
 }

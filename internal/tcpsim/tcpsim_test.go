@@ -17,7 +17,12 @@ type echoSvc struct{ stored []byte }
 func (s *echoSvc) Name() string    { return "echo" }
 func (s *echoSvc) Program() uint32 { return 900 }
 func (s *echoSvc) Version() uint32 { return 1 }
-func (s *echoSvc) Handle(p *des.Proc, req *oncrpc.ServerRequest) oncrpc.ServerResponse {
+func (s *echoSvc) HandleThen(req *oncrpc.ServerRequest, resp *oncrpc.ServerResponse, fn func(any), arg any) {
+	*resp = s.handle(req)
+	fn(arg)
+}
+
+func (s *echoSvc) handle(req *oncrpc.ServerRequest) oncrpc.ServerResponse {
 	switch req.Header.Proc {
 	case 1: // PUT
 		if req.Bulk != nil && req.Bulk.Data != nil {

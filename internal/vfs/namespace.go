@@ -324,71 +324,83 @@ func (ns *Namespace) Link(p *des.Proc, id FileID, dir FileID, name string) (Attr
 	return ino.attr, nil
 }
 
-// Read implements FS.
-func (ns *Namespace) Read(p *des.Proc, id FileID, off int64, count int, dst []byte) (int, bool, error) {
-	ino, err := ns.get(id)
+// ReadThen implements FS.
+func (ns *Namespace) ReadThen(op *Op, id FileID, off int64, count int, dst []byte, fn func(any), arg any) {
+	ino, err := ns.begin(op, id, off, count, fn, arg)
 	if err != nil {
-		return 0, false, err
+		op.finish(err)
+		return
 	}
-	if ino.attr.Type == TypeDir {
-		return 0, false, ErrIsDir
-	}
-	if off < 0 || count < 0 {
-		return 0, false, ErrInval
-	}
-	n := ns.store.Read(p, id, ino.attr.Size, off, count, dst)
-	ino.attr.Atime = ns.sim.Now()
-	return n, off+int64(n) >= ino.attr.Size, nil
+	ns.store.ReadThen(op, id, ino.attr.Size, off, count, dst, nsRead)
 }
 
-// Write implements FS.
-func (ns *Namespace) Write(p *des.Proc, id FileID, off int64, count int, data []byte, stable bool) (int, error) {
-	ino, err := ns.get(id)
+// nsRead ends a read once the store has served it.
+func nsRead(op *Op) {
+	op.ino.attr.Atime = op.ns.sim.Now()
+	op.EOF = op.off+int64(op.N) >= op.ino.attr.Size
+	op.finish(nil)
+}
+
+// WriteThen implements FS.
+func (ns *Namespace) WriteThen(op *Op, id FileID, off int64, count int, data []byte, stable bool, fn func(any), arg any) {
+	_, err := ns.begin(op, id, off, count, fn, arg)
+	if err == nil && ns.total > 0 && ns.used+int64(count) > ns.total {
+		err = ErrNoSpace
+	}
 	if err != nil {
-		return 0, err
+		op.finish(err)
+		return
 	}
-	if ino.attr.Type == TypeDir {
-		return 0, ErrIsDir
-	}
-	if off < 0 || count < 0 {
-		return 0, ErrInval
-	}
-	if ns.total > 0 && ns.used+int64(count) > ns.total {
-		return 0, ErrNoSpace
-	}
-	ns.store.Write(p, id, off, count, data, stable)
-	if off+int64(count) > ino.attr.Size {
-		ns.used += off + int64(count) - ino.attr.Size
-		ino.attr.Size = off + int64(count)
+	op.N = count
+	ns.store.WriteThen(op, id, off, count, data, stable, nsWritten)
+}
+
+// nsWritten ends a write once the store has taken it.
+func nsWritten(op *Op) {
+	ns, ino := op.ns, op.ino
+	if end := op.off + int64(op.N); end > ino.attr.Size {
+		ns.used += end - ino.attr.Size
+		ino.attr.Size = end
 	}
 	now := ns.sim.Now()
 	ino.attr.Mtime, ino.attr.Ctime = now, now
-	return count, nil
+	op.finish(nil)
 }
 
-// Resident implements FS. A read or unstable write that fails before it
-// reaches the store waits for nothing.
-func (ns *Namespace) Resident(id FileID, off int64, count int, op StoreOp) bool {
+// begin readies op for a read or write of [off, off+count) of file id that
+// ends in fn(arg), and returns the file, or why the call fails before it
+// reaches the store.
+func (ns *Namespace) begin(op *Op, id FileID, off int64, count int, fn func(any), arg any) (*inode, error) {
+	op.ns, op.fn, op.arg, op.off, op.N, op.EOF = ns, fn, arg, off, 0, false
 	ino, err := ns.get(id)
 	switch {
 	case err != nil:
-		return true
-	case op == StoreSync:
-	case ino.attr.Type == TypeDir || off < 0 || count < 0:
-		return true
-	case op == StoreWrite && ns.total > 0 && ns.used+int64(count) > ns.total:
-		return true
+		return nil, err
+	case ino.attr.Type == TypeDir:
+		return nil, ErrIsDir
+	case off < 0 || count < 0:
+		return nil, ErrInval
 	}
-	return ns.store.Resident(id, ino.attr.Size, off, count, op)
+	op.ino = ino
+	return ino, nil
 }
 
-// Commit implements FS.
-func (ns *Namespace) Commit(p *des.Proc, id FileID, off int64, count int) error {
+// CommitThen implements FS.
+func (ns *Namespace) CommitThen(op *Op, id FileID, off int64, count int, fn func(any), arg any) {
+	op.fn, op.arg = fn, arg
 	if _, err := ns.get(id); err != nil {
-		return err
+		op.finish(err)
+		return
 	}
-	ns.store.Commit(p, id, off, count)
-	return nil
+	ns.store.CommitThen(op, id, off, count, committed)
+}
+
+func committed(op *Op) { op.finish(nil) }
+
+// finish ends op's call with err: the caller's continuation.
+func (op *Op) finish(err error) {
+	op.Err = err
+	op.fn(op.arg)
 }
 
 // ReadDir implements FS.

@@ -67,6 +67,8 @@ type PageCache struct {
 	// next expected sequential read offset per file, for readahead.
 	nextSeq map[FileID]int64
 
+	ops des.FreeList[Op] // Read's and Write's calls between uses, zeroed
+
 	Hits, Misses int64
 }
 
@@ -125,9 +127,48 @@ func (c *PageCache) markClean(pg *page) {
 	c.dirty -= int64(c.cfg.PageSize)
 }
 
-// insert adds a page, evicting from the LRU tail as needed. Dirty victims
-// are written back on the caller's clock (the simple writeback model).
-func (c *PageCache) insert(p *des.Proc, key pageKey, dirty bool) *page {
+// Read is ReadThen on p.
+func (c *PageCache) Read(p *des.Proc, id FileID, off int64, n int) {
+	c.await(p, id, off, n, c.ReadThen)
+}
+
+// Write is WriteThen on p.
+func (c *PageCache) Write(p *des.Proc, id FileID, off int64, n int) {
+	c.await(p, id, off, n, c.WriteThen)
+}
+
+// await makes the call start on [off, off+n) of file id on p: the process
+// forms are this around their chains.
+func (c *PageCache) await(p *des.Proc, id FileID, off int64, n int, start func(*Op, FileID, int64, int, func(*Op))) {
+	op := c.ops.Get()
+	op.arg = p
+	start(op, id, off, n, resume)
+	p.Suspend()
+	*op = Op{}
+	c.ops.Put(op)
+}
+
+func resume(op *Op) { des.Resumer(op.arg) }
+
+// begin readies op for a call on [off, off+n) of file id ending in next.
+func (c *PageCache) begin(op *Op, id FileID, off int64, n int, next func(*Op)) {
+	ps := int64(c.cfg.PageSize)
+	op.cache, op.id, op.off, op.n, op.done = c, id, off, n, next
+	op.pg, op.last = off/ps, (off+int64(n)-1)/ps
+	op.missStart, op.missEnd = -1, -1
+}
+
+// insert adds a page, evicting from the LRU tail as needed, and reports
+// whether it is done. Dirty victims are written back on the caller's clock
+// (the simple writeback model): then it calls next(op) once the page is in.
+func (c *PageCache) insert(op *Op, key pageKey, dirty bool, next func(*Op)) bool {
+	op.key, op.dirty, op.inserted = key, dirty, next
+	return c.evict(op)
+}
+
+// evict makes room for op.key and puts it in; it reports false when it
+// waits for a victim's writeback, after which it goes on by itself.
+func (c *PageCache) evict(op *Op) bool {
 	for len(c.pages) >= c.capacityPages() {
 		tail := c.lru.Back()
 		if tail == nil {
@@ -140,133 +181,152 @@ func (c *PageCache) insert(p *des.Proc, key pageKey, dirty bool) *page {
 		delete(c.pages, victim.key)
 		if victim.dirty {
 			c.markClean(victim)
-			c.disk.Write(p, diskOffset(victim.key.id, victim.key.page, c.cfg.PageSize), c.cfg.PageSize)
-		}
-	}
-	pg := &page{key: key}
-	pg.elem = c.lru.PushFront(pg)
-	c.pages[key] = pg
-	if dirty {
-		c.markDirty(pg)
-	}
-	return pg
-}
-
-// Read brings [off, off+n) of file id resident, charging disk time for
-// misses, with sequential readahead.
-func (c *PageCache) Read(p *des.Proc, id FileID, off int64, n int) {
-	ps := int64(c.cfg.PageSize)
-	first := off / ps
-	last := (off + int64(n) - 1) / ps
-	var missStart, missEnd int64 = -1, -1
-	flushMisses := func() {
-		if missStart < 0 {
-			return
-		}
-		count := missEnd - missStart + 1
-		// Sequential detection: extend with readahead when this miss run
-		// continues the previous read.
-		raPages := int64(0)
-		if missStart*ps <= c.nextSeq[id] && c.nextSeq[id] <= missEnd*ps+ps {
-			raPages = readAhead / ps
-		}
-		c.disk.Read(p, diskOffset(id, missStart, c.cfg.PageSize), int((count+raPages)*ps))
-		for pg := missStart; pg <= missEnd+raPages; pg++ {
-			if _, ok := c.pages[pageKey{id, pg}]; !ok {
-				c.insert(p, pageKey{id, pg}, false)
-			}
-		}
-		missStart, missEnd = -1, -1
-	}
-	for pgIdx := first; pgIdx <= last; pgIdx++ {
-		if pg, ok := c.pages[pageKey{id, pgIdx}]; ok {
-			c.Hits++
-			c.touch(pg)
-			flushMisses()
-			continue
-		}
-		c.Misses++
-		if missStart < 0 {
-			missStart = pgIdx
-		}
-		missEnd = pgIdx
-	}
-	flushMisses()
-	c.nextSeq[id] = off + int64(n)
-}
-
-// resident reports whether every page of [off, off+n) of file id is cached,
-// so that Read touches no disk.
-func (c *PageCache) resident(id FileID, off int64, n int) bool {
-	ps := int64(c.cfg.PageSize)
-	for pg := off / ps; pg <= (off+int64(n)-1)/ps; pg++ {
-		if _, ok := c.pages[pageKey{id, pg}]; !ok {
+			c.disk.writeThen(op, diskOffset(victim.key.id, victim.key.page, c.cfg.PageSize), c.cfg.PageSize, evicted)
 			return false
 		}
+	}
+	pg := &page{key: op.key}
+	pg.elem = c.lru.PushFront(pg)
+	c.pages[op.key] = pg
+	if op.dirty {
+		c.markDirty(pg)
 	}
 	return true
 }
 
-// absorbs reports whether Write of [off, off+n) of file id touches no disk:
-// its new pages fit without an eviction, and what it dirties stays within
-// the dirty limit.
-func (c *PageCache) absorbs(id FileID, off int64, n int) bool {
-	ps := int64(c.cfg.PageSize)
-	missing, dirtied := 0, int64(0)
-	for pg := off / ps; pg <= (off+int64(n)-1)/ps; pg++ {
-		p, ok := c.pages[pageKey{id, pg}]
-		if !ok {
-			missing++
-		}
-		if !ok || !p.dirty {
-			dirtied += ps
-		}
+// evicted goes on with an insert after a victim's writeback.
+func evicted(op *Op) {
+	if op.cache.evict(op) {
+		op.inserted(op)
 	}
-	return len(c.pages)+missing <= c.capacityPages() && c.dirty+dirtied <= c.cfg.DirtyLimitBytes
 }
 
-// Write dirties [off, off+n) of file id, throttling the writer once the
-// dirty limit is reached by synchronously writing back LRU-tail dirty
-// pages.
-func (c *PageCache) Write(p *des.Proc, id FileID, off int64, n int) {
+// ReadThen brings [off, off+n) of file id resident, charging disk time for
+// misses, with sequential readahead, then calls next(op).
+func (c *PageCache) ReadThen(op *Op, id FileID, off int64, n int, next func(*Op)) {
+	c.begin(op, id, off, n, next)
+	readScan(op)
+}
+
+// readScan passes the pages from op.pg on: a hit ends the run of misses
+// before it, which is read from the disk before the scan goes on.
+func readScan(op *Op) {
+	c := op.cache
+	for ; op.pg <= op.last; op.pg++ {
+		pg, ok := c.pages[pageKey{op.id, op.pg}]
+		if !ok {
+			c.Misses++
+			if op.missStart < 0 {
+				op.missStart = op.pg
+			}
+			op.missEnd = op.pg
+			continue
+		}
+		c.Hits++
+		c.touch(pg)
+		if op.missStart >= 0 {
+			op.pg++
+			c.readMisses(op, readScan)
+			return
+		}
+	}
+	if op.missStart >= 0 {
+		c.readMisses(op, readDone)
+		return
+	}
+	readDone(op)
+}
+
+func readDone(op *Op) {
+	op.cache.nextSeq[op.id] = op.off + int64(op.n)
+	op.done(op)
+}
+
+// readMisses reads the run of missed pages from the disk, extended with
+// readahead when it continues the previous read, puts the pages it brought
+// in, then calls next(op).
+func (c *PageCache) readMisses(op *Op, next func(*Op)) {
 	ps := int64(c.cfg.PageSize)
-	first := off / ps
-	last := (off + int64(n) - 1) / ps
-	for pgIdx := first; pgIdx <= last; pgIdx++ {
-		key := pageKey{id, pgIdx}
+	count := op.missEnd - op.missStart + 1
+	raPages := int64(0)
+	if seq := c.nextSeq[op.id]; op.missStart*ps <= seq && seq <= op.missEnd*ps+ps {
+		raPages = readAhead / ps
+	}
+	op.fill, op.filled = op.missEnd+raPages, next
+	c.disk.readThen(op, diskOffset(op.id, op.missStart, c.cfg.PageSize), int((count+raPages)*ps), fillPages)
+}
+
+// fillPages inserts the pages a miss run read, from op.missStart on.
+func fillPages(op *Op) {
+	c := op.cache
+	for ; op.missStart <= op.fill; op.missStart++ {
+		key := pageKey{op.id, op.missStart}
+		if _, ok := c.pages[key]; !ok && !c.insert(op, key, false, pageFilled) {
+			return
+		}
+	}
+	op.missStart, op.missEnd = -1, -1
+	op.filled(op)
+}
+
+func pageFilled(op *Op) {
+	op.missStart++
+	fillPages(op)
+}
+
+// WriteThen dirties [off, off+n) of file id, throttling the writer once the
+// dirty limit is reached by writing back LRU-tail dirty pages, then calls
+// next(op).
+func (c *PageCache) WriteThen(op *Op, id FileID, off int64, n int, next func(*Op)) {
+	c.begin(op, id, off, n, next)
+	writeScan(op)
+}
+
+func writeScan(op *Op) {
+	c := op.cache
+	for ; op.pg <= op.last; op.pg++ {
+		key := pageKey{op.id, op.pg}
 		if pg, ok := c.pages[key]; ok {
 			if !pg.dirty {
 				c.markDirty(pg)
 			}
 			c.touch(pg)
-		} else {
-			c.insert(p, key, true)
+		} else if !c.insert(op, key, true, pageWritten) {
+			return
 		}
 	}
-	for c.dirty > c.cfg.DirtyLimitBytes {
-		c.writebackOldest(p)
-	}
+	throttle(op)
 }
 
-// writebackOldest flushes the least recently used dirty page.
-func (c *PageCache) writebackOldest(p *des.Proc) {
-	e := c.dirtyLRU.Back()
-	if e == nil {
-		c.dirty = 0 // nothing dirty found; resynchronize
-		return
-	}
-	// Mark clean before the blocking write so a concurrent throttled writer
-	// picks a different victim.
-	pg := e.Value.(*page)
-	c.markClean(pg)
-	c.disk.Write(p, diskOffset(pg.key.id, pg.key.page, c.cfg.PageSize), c.cfg.PageSize)
+func pageWritten(op *Op) {
+	op.pg++
+	writeScan(op)
 }
 
-// Commit flushes all dirty pages of file id (0,0 = whole file). Victims are
-// collected first: the flush writes block, and the LRU may change under a
-// blocked worker.
-func (c *PageCache) Commit(p *des.Proc, id FileID, off int64, count int) {
-	var victims []*page
+// throttle writes back the least recently used dirty page while the cache
+// is over its dirty limit. The page is marked clean before the disk write
+// so a concurrent throttled writer picks a different victim.
+func throttle(op *Op) {
+	c := op.cache
+	if c.dirty > c.cfg.DirtyLimitBytes {
+		e := c.dirtyLRU.Back()
+		if e == nil {
+			c.dirty = 0 // nothing dirty found; resynchronize
+		} else {
+			pg := e.Value.(*page)
+			c.markClean(pg)
+			c.disk.writeThen(op, diskOffset(pg.key.id, pg.key.page, c.cfg.PageSize), c.cfg.PageSize, throttle)
+			return
+		}
+	}
+	op.done(op)
+}
+
+// CommitThen flushes all dirty pages of file id in [off, off+count) (0,0 =
+// whole file), then calls next(op). Victims are collected first: the flush
+// writes wait, and the LRU may change meanwhile.
+func (c *PageCache) CommitThen(op *Op, id FileID, off int64, count int, next func(*Op)) {
+	op.cache, op.done = c, next
 	for e := c.dirtyLRU.Back(); e != nil; {
 		pg := e.Value.(*page)
 		e = e.Prev()
@@ -281,11 +341,22 @@ func (c *PageCache) Commit(p *des.Proc, id FileID, off int64, count int) {
 			}
 		}
 		c.markClean(pg)
-		victims = append(victims, pg)
+		op.victims = append(op.victims, pg)
 	}
-	for _, pg := range victims {
-		c.disk.Write(p, diskOffset(pg.key.id, pg.key.page, c.cfg.PageSize), c.cfg.PageSize)
+	flush(op)
+}
+
+// flush writes the commit's victims back one after another.
+func flush(op *Op) {
+	c := op.cache
+	if len(op.victims) == 0 {
+		op.victims = nil
+		op.done(op)
+		return
 	}
+	pg := op.victims[0]
+	op.victims = op.victims[1:]
+	c.disk.writeThen(op, diskOffset(pg.key.id, pg.key.page, c.cfg.PageSize), c.cfg.PageSize, flush)
 }
 
 // Crash discards the entire cache without writeback: resident pages, dirty
@@ -331,49 +402,38 @@ func NewDiskStore(cache *PageCache) *DiskStore { return &DiskStore{cache: cache}
 // Cache returns the underlying page cache.
 func (s *DiskStore) Cache() *PageCache { return s.cache }
 
-// Read implements Store.
-func (s *DiskStore) Read(p *des.Proc, id FileID, size, off int64, count int, dst []byte) int {
+// ReadThen implements Store.
+func (s *DiskStore) ReadThen(op *Op, id FileID, size, off int64, count int, dst []byte, next func(*Op)) {
 	if off >= size {
-		return 0
+		op.N = 0
+		next(op)
+		return
 	}
-	n := count
-	if int64(n) > size-off {
-		n = int(size - off)
-	}
-	s.cache.Read(p, id, off, n)
+	op.N = min(count, int(size-off))
 	if dst != nil {
-		clear(dst[:n])
+		clear(dst[:op.N])
 	}
-	return n
+	s.cache.ReadThen(op, id, off, op.N, next)
 }
 
-// Write implements Store.
-func (s *DiskStore) Write(p *des.Proc, id FileID, off int64, count int, data []byte, stable bool) {
-	s.cache.Write(p, id, off, count)
-	if stable {
-		s.cache.Commit(p, id, off, count)
+// WriteThen implements Store.
+func (s *DiskStore) WriteThen(op *Op, id FileID, off int64, count int, data []byte, stable bool, next func(*Op)) {
+	if !stable {
+		s.cache.WriteThen(op, id, off, count, next)
+		return
 	}
+	op.synced = next
+	s.cache.WriteThen(op, id, off, count, commitWritten)
 }
 
-// Resident implements Store: a read whose pages are all cached, or an
-// unstable write the cache absorbs without evicting or writing back; never a
-// stable write or a commit.
-func (s *DiskStore) Resident(id FileID, size, off int64, count int, op StoreOp) bool {
-	switch op {
-	case StoreRead:
-		if off >= size {
-			return true
-		}
-		return s.cache.resident(id, off, int(min(int64(count), size-off)))
-	case StoreWrite:
-		return s.cache.absorbs(id, off, count)
-	}
-	return false
+// commitWritten commits what a stable write wrote.
+func commitWritten(op *Op) {
+	op.cache.CommitThen(op, op.id, op.off, op.n, op.synced)
 }
 
-// Commit implements Store.
-func (s *DiskStore) Commit(p *des.Proc, id FileID, off int64, count int) {
-	s.cache.Commit(p, id, off, count)
+// CommitThen implements Store.
+func (s *DiskStore) CommitThen(op *Op, id FileID, off int64, count int, next func(*Op)) {
+	s.cache.CommitThen(op, id, off, count, next)
 }
 
 // Truncate implements Store.

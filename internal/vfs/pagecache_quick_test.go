@@ -48,10 +48,14 @@ func TestQuickCacheCapacityInvariant(t *testing.T) {
 	}
 }
 
+// TestResidentPageCostsNoDisk: what the cache holds costs no disk byte and
+// no virtual time — a re-read of resident pages, and an unstable write that
+// fits under the capacity and the dirty limit — and a write past the dirty
+// limit writes back exactly the oldest dirty pages.
 func TestResidentPageCostsNoDisk(t *testing.T) {
 	sim := des.New()
 	arr := NewDiskArray(sim, "raid", DiskArrayConfig{})
-	pc := NewPageCache(arr, PageCacheConfig{CapacityBytes: 64 << 20, PageSize: 64 << 10})
+	pc := NewPageCache(arr, PageCacheConfig{CapacityBytes: 64 << 20, PageSize: 64 << 10, DirtyLimitBytes: 1 << 20})
 	sim.Spawn("io", func(p *des.Proc) {
 		pc.Read(p, 1, 0, 1<<20)
 		before := arr.BytesRead
@@ -59,55 +63,22 @@ func TestResidentPageCostsNoDisk(t *testing.T) {
 		if arr.BytesRead != before {
 			t.Errorf("resident re-read touched the disks (%d extra bytes)", arr.BytesRead-before)
 		}
+		at := p.Now()
+		pc.Write(p, 2, 0, 1<<20) // 16 pages, up to the dirty limit
+		if arr.BytesWritten != 0 || p.Now() != at {
+			t.Errorf("absorbed write moved %d bytes to the disks and took %v", arr.BytesWritten, p.Now()-at)
+		}
+		pc.Write(p, 3, 0, 256<<10) // 4 pages past it
+		if arr.BytesWritten != 256<<10 {
+			t.Errorf("write past the dirty limit wrote back %d bytes, want the 4 pages over it", arr.BytesWritten)
+		}
+		for i := int64(0); i < 16; i++ {
+			if dirty := pc.pages[pageKey{2, i}].dirty; dirty != (i >= 4) {
+				t.Errorf("page %d of the first file: dirty=%v; the writeback takes the 4 oldest", i, dirty)
+			}
+		}
 	})
 	sim.Run()
-}
-
-// TestQuickResidentCallsCostNoDisk: a store call that DiskStore.Resident
-// says completes from memory — the server then makes it on the scheduler
-// loop, where it cannot wait — moves no disk byte and takes no time. One
-// cache throttles writers before it fills, the other lets dirty pages fill
-// it, so that an eviction writes back.
-func TestQuickResidentCallsCostNoDisk(t *testing.T) {
-	for _, cfg := range []PageCacheConfig{
-		{CapacityBytes: 2 << 20, PageSize: 64 << 10, DirtyLimitBytes: 512 << 10},
-		{CapacityBytes: 1 << 20, PageSize: 64 << 10, DirtyLimitBytes: 1 << 20},
-	} {
-		f := func(ops []uint32) bool {
-			ok := true
-			sim := des.New()
-			arr := NewDiskArray(sim, "raid", DiskArrayConfig{})
-			ds := NewDiskStore(NewPageCache(arr, cfg))
-			sim.Spawn("ops", func(p *des.Proc) {
-				for _, op := range ops {
-					id := FileID(op%3 + 1)
-					off := int64(op%37) * 32 << 10
-					n := int(op%5+1) * 32 << 10
-					const size = 4 << 20
-					kind := StoreOp(op / 7 % 3)
-					resident := ds.Resident(id, size, off, n, kind)
-					before, at := arr.BytesRead+arr.BytesWritten, p.Now()
-					switch kind {
-					case StoreRead:
-						ds.Read(p, id, size, off, n, nil)
-					case StoreWrite:
-						ds.Write(p, id, off, n, nil, false)
-					default:
-						ds.Write(p, id, off, n, nil, true)
-					}
-					if resident && (arr.BytesRead+arr.BytesWritten != before || p.Now() != at) {
-						ok = false
-						return
-					}
-				}
-			})
-			sim.Run()
-			return ok
-		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-			t.Fatalf("%+v: %v", cfg, err)
-		}
-	}
 }
 
 // TestQuickDiskStoreMatchesMemStoreSemantics drives the same random op
@@ -132,15 +103,15 @@ func TestQuickDiskStoreMatchesMemStoreSemantics(t *testing.T) {
 			for _, o := range ops {
 				off, n := int64(o.Off), int(o.N)+1
 				if o.Write {
-					mn, merr := mem.Write(p, mID, off, n, nil, false)
-					dn, derr := disk.Write(p, dID, off, n, nil, false)
+					mn, merr := fsWrite(p, mem, mID, off, n, nil, false)
+					dn, derr := fsWrite(p, disk, dID, off, n, nil, false)
 					if mn != dn || (merr == nil) != (derr == nil) {
 						ok = false
 						return
 					}
 				} else {
-					mn, meof, merr := mem.Read(p, mID, off, n, nil)
-					dn, deof, derr := disk.Read(p, dID, off, n, nil)
+					mn, meof, merr := fsRead(p, mem, mID, off, n, nil)
+					dn, deof, derr := fsRead(p, disk, dID, off, n, nil)
 					if mn != dn || meof != deof || (merr == nil) != (derr == nil) {
 						ok = false
 						return

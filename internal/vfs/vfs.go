@@ -69,8 +69,10 @@ var (
 	ErrNameTooLong = errors.New("vfs: name too long")
 )
 
-// FS is the interface the NFS server drives. Calls run on server worker
-// processes and may block on simulated I/O.
+// FS is the interface the NFS server drives. The data calls are chains that
+// wait for the disk, when they reach it, on the scheduler loop and leave
+// their results in an Op the caller owns; the metadata calls never wait, and
+// never use their process, which may be nil.
 type FS interface {
 	Root() FileID
 	Lookup(p *des.Proc, dir FileID, name string) (FileID, Attr, error)
@@ -85,22 +87,20 @@ type FS interface {
 	Rename(p *des.Proc, fromDir FileID, fromName string, toDir FileID, toName string) error
 	Link(p *des.Proc, id FileID, dir FileID, name string) (Attr, error)
 
-	// Read fills dst (when non-nil) with up to count bytes from off and
-	// returns the byte count and EOF flag. dst==nil runs the same timing
-	// path without materializing data (phantom mode).
-	Read(p *des.Proc, id FileID, off int64, count int, dst []byte) (n int, eof bool, err error)
+	// ReadThen fills dst (when non-nil) with up to count bytes from off,
+	// then calls fn(arg) with the byte count and EOF flag in op.N and
+	// op.EOF, or the error in op.Err. dst==nil runs the same timing path
+	// without materializing data (phantom mode).
+	ReadThen(op *Op, id FileID, off int64, count int, dst []byte, fn func(any), arg any)
 
-	// Write stores count bytes at off (data may be nil in phantom mode).
-	// stable requests synchronous durability (NFSv3 FILE_SYNC).
-	Write(p *des.Proc, id FileID, off int64, count int, data []byte, stable bool) (n int, err error)
+	// WriteThen stores count bytes at off (data may be nil in phantom
+	// mode), then calls fn(arg) with the count in op.N or the error in
+	// op.Err. stable requests synchronous durability (NFSv3 FILE_SYNC).
+	WriteThen(op *Op, id FileID, off int64, count int, data []byte, stable bool, fn func(any), arg any)
 
-	// Commit flushes [off, off+count) (NFSv3 COMMIT).
-	Commit(p *des.Proc, id FileID, off int64, count int) error
-
-	// Resident reports whether the call op (a Read, a Write, a stable Write
-	// or a Commit) of [off, off+count) of file id completes without waiting
-	// for the disk.
-	Resident(id FileID, off int64, count int, op StoreOp) bool
+	// CommitThen flushes [off, off+count) (NFSv3 COMMIT), then calls
+	// fn(arg) with the error in op.Err.
+	CommitThen(op *Op, id FileID, off int64, count int, fn func(any), arg any)
 
 	ReadDir(p *des.Proc, dir FileID, cookie int64, maxEntries int) ([]DirEntry, bool, error)
 

@@ -5,12 +5,43 @@ import (
 	"fmt"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/des"
 )
 
 func memFS(sim *des.Sim) *Namespace {
 	return NewNamespace(sim, NewMemStore(true), 1<<40)
+}
+
+// fsRead, fsWrite and fsCommit make the FS data calls on p.
+func fsRead(p *des.Proc, fs FS, id FileID, off int64, count int, dst []byte) (int, bool, error) {
+	var op Op
+	fs.ReadThen(&op, id, off, count, dst, des.Resumer, p)
+	p.Suspend()
+	return op.N, op.EOF, op.Err
+}
+
+func fsWrite(p *des.Proc, fs FS, id FileID, off int64, count int, data []byte, stable bool) (int, error) {
+	var op Op
+	fs.WriteThen(&op, id, off, count, data, stable, des.Resumer, p)
+	p.Suspend()
+	return op.N, op.Err
+}
+
+func fsCommit(p *des.Proc, fs FS, id FileID, off int64, count int) error {
+	var op Op
+	fs.CommitThen(&op, id, off, count, des.Resumer, p)
+	p.Suspend()
+	return op.Err
+}
+
+// diskRead is a striped read of n bytes at off on p.
+func diskRead(p *des.Proc, a *DiskArray, off int64, n int) {
+	var op Op
+	op.arg = p
+	a.readThen(&op, off, n, resume)
+	p.Suspend()
 }
 
 // inProc runs fn inside a simulation process and completes the sim.
@@ -32,7 +63,7 @@ func TestCreateLookupReadWrite(t *testing.T) {
 			t.Fatalf("attr = %+v", attr)
 		}
 		data := []byte("the quick brown fox")
-		if _, err := fs.Write(p, id, 0, len(data), data, false); err != nil {
+		if _, err := fsWrite(p, fs, id, 0, len(data), data, false); err != nil {
 			t.Fatal(err)
 		}
 		got, gotAttr, err := fs.Lookup(p, fs.Root(), "hello.txt")
@@ -43,7 +74,7 @@ func TestCreateLookupReadWrite(t *testing.T) {
 			t.Fatalf("size = %d", gotAttr.Size)
 		}
 		buf := make([]byte, 64)
-		n, eof, err := fs.Read(p, id, 0, 64, buf)
+		n, eof, err := fsRead(p, fs, id, 0, 64, buf)
 		if err != nil || !eof || n != len(data) {
 			t.Fatalf("read: n=%d eof=%v err=%v", n, eof, err)
 		}
@@ -57,11 +88,11 @@ func TestSparseWriteReadsZeros(t *testing.T) {
 	inProc(t, func(sim *des.Sim, p *des.Proc) {
 		fs := memFS(sim)
 		id, _, _ := fs.Create(p, fs.Root(), "sparse", 0644)
-		if _, err := fs.Write(p, id, 1000, 4, []byte("tail"), false); err != nil {
+		if _, err := fsWrite(p, fs, id, 1000, 4, []byte("tail"), false); err != nil {
 			t.Fatal(err)
 		}
 		buf := make([]byte, 8)
-		n, _, err := fs.Read(p, id, 0, 8, buf)
+		n, _, err := fsRead(p, fs, id, 0, 8, buf)
 		if err != nil || n != 8 {
 			t.Fatalf("n=%d err=%v", n, err)
 		}
@@ -168,16 +199,16 @@ func TestHardLink(t *testing.T) {
 		if err != nil || attr.Nlink != 2 {
 			t.Fatalf("link: %+v %v", attr, err)
 		}
-		fs.Write(p, id, 0, 3, []byte("abc"), false)
+		fsWrite(p, fs, id, 0, 3, []byte("abc"), false)
 		id2, _, _ := fs.Lookup(p, fs.Root(), "f2")
 		buf := make([]byte, 3)
-		fs.Read(p, id2, 0, 3, buf)
+		fsRead(p, fs, id2, 0, 3, buf)
 		if string(buf) != "abc" {
 			t.Fatalf("link content = %q", buf)
 		}
 		// Removing one name keeps the data alive.
 		fs.Remove(p, fs.Root(), "f")
-		if _, _, err := fs.Read(p, id2, 0, 3, buf); err != nil {
+		if _, _, err := fsRead(p, fs, id2, 0, 3, buf); err != nil {
 			t.Fatal(err)
 		}
 		fs.Remove(p, fs.Root(), "f2")
@@ -223,14 +254,14 @@ func TestTruncateViaSetAttr(t *testing.T) {
 	inProc(t, func(sim *des.Sim, p *des.Proc) {
 		fs := memFS(sim)
 		id, _, _ := fs.Create(p, fs.Root(), "f", 0644)
-		fs.Write(p, id, 0, 10, []byte("0123456789"), false)
+		fsWrite(p, fs, id, 0, 10, []byte("0123456789"), false)
 		size := int64(4)
 		attr, err := fs.SetAttr(p, id, SetAttr{Size: &size})
 		if err != nil || attr.Size != 4 {
 			t.Fatalf("setattr: %+v %v", attr, err)
 		}
 		buf := make([]byte, 10)
-		n, eof, _ := fs.Read(p, id, 0, 10, buf)
+		n, eof, _ := fsRead(p, fs, id, 0, 10, buf)
 		if n != 4 || !eof {
 			t.Fatalf("read after truncate: n=%d eof=%v", n, eof)
 		}
@@ -259,7 +290,7 @@ func TestNoSpace(t *testing.T) {
 	inProc(t, func(sim *des.Sim, p *des.Proc) {
 		fs := NewNamespace(sim, NewMemStore(true), 1000)
 		id, _, _ := fs.Create(p, fs.Root(), "f", 0644)
-		if _, err := fs.Write(p, id, 0, 2000, make([]byte, 2000), false); !errors.Is(err, ErrNoSpace) {
+		if _, err := fsWrite(p, fs, id, 0, 2000, make([]byte, 2000), false); !errors.Is(err, ErrNoSpace) {
 			t.Fatalf("want ENOSPC, got %v", err)
 		}
 	})
@@ -283,7 +314,7 @@ func TestQuickReadAfterWrite(t *testing.T) {
 					continue
 				}
 				off := int64(o.Off)
-				fs.Write(p, id, off, len(o.Data), o.Data, false)
+				fsWrite(p, fs, id, off, len(o.Data), o.Data, false)
 				end := off + int64(len(o.Data))
 				if int64(len(ref)) < end {
 					grown := make([]byte, end)
@@ -293,7 +324,7 @@ func TestQuickReadAfterWrite(t *testing.T) {
 				copy(ref[off:end], o.Data)
 			}
 			buf := make([]byte, len(ref))
-			n, _, err := fs.Read(p, id, 0, len(ref), buf)
+			n, _, err := fsRead(p, fs, id, 0, len(ref), buf)
 			if err != nil || n != len(ref) {
 				okResult = false
 				return
@@ -318,10 +349,10 @@ func TestDiskArrayParallelStripes(t *testing.T) {
 	var big, small des.Time
 	sim.Spawn("io", func(p *des.Proc) {
 		start := p.Now()
-		arr.Read(p, 0, 8*64<<10) // spans all 8 disks
+		diskRead(p, arr, 0, 8*64<<10) // spans all 8 disks
 		big = des.Time(p.Now() - start)
 		start = p.Now()
-		arr.Read(p, 8*64<<10, 64<<10) // single stripe, sequential continuation on disk 0? (new position)
+		diskRead(p, arr, 8*64<<10, 64<<10) // single stripe, sequential continuation on disk 0? (new position)
 		small = des.Time(p.Now() - start)
 	})
 	sim.Run()
@@ -331,6 +362,92 @@ func TestDiskArrayParallelStripes(t *testing.T) {
 	}
 }
 
+// TestXferMatchesProcesses runs one seeded schedule of overlapping striped
+// transfers, beside a process that takes one of the disks directly, twice:
+// on the array's chains, and on the process per stripe unit they replace
+// (its caller waiting for the units in offset order). Every transfer and
+// every turn of the other process must end at the same instant and in the
+// same place in the event order, which the order of the log shows.
+func TestXferMatchesProcesses(t *testing.T) {
+	type xfer struct {
+		off   int64
+		n     int
+		yield bool
+	}
+	rng := des.NewRand(7)
+	var work [8][]xfer
+	for w := range work {
+		for i := 0; i < 40; i++ {
+			work[w] = append(work[w], xfer{int64(rng.Intn(64)) * 16 << 10, (1 + rng.Intn(24)) * 16 << 10, rng.Intn(3) == 0})
+		}
+	}
+	run := func(chain bool) []string {
+		sim := des.New()
+		a := NewDiskArray(sim, "raid", DiskArrayConfig{Disks: 4})
+		var log []string
+		for w, xs := range work {
+			sim.SpawnAt(des.Time(w%3)*des.Time(time.Millisecond), "w", func(p *des.Proc) {
+				for i, x := range xs {
+					if chain {
+						diskRead(p, a, x.off, x.n)
+					} else {
+						xferByProcesses(a, p, x.off, x.n)
+					}
+					log = append(log, fmt.Sprintf("%v w%d x%d", p.Now(), w, i))
+					if x.yield {
+						p.Yield()
+					}
+				}
+			})
+		}
+		// A second user of disk 0, which queues with the stripe units.
+		sim.Spawn("other", func(p *des.Proc) {
+			for i := 0; i < 300; i++ {
+				a.disks[0].Use(p, 1, des.Duration(64<<10/a.cfg.DiskBandwidth*1e9))
+				log = append(log, fmt.Sprintf("%v other %d", p.Now(), i))
+			}
+		})
+		sim.Run()
+		return log
+	}
+	chain, procs := run(true), run(false)
+	if len(chain) != len(procs) {
+		t.Fatalf("%d log entries on the chains, %d on processes", len(chain), len(procs))
+	}
+	for i := range procs {
+		if chain[i] != procs[i] {
+			t.Fatalf("entry %d of the log: chains %q, processes %q", i, chain[i], procs[i])
+		}
+	}
+}
+
+// xferByProcesses is a striped read of n bytes at off as a process per
+// stripe unit, the caller waiting for their events one after another.
+func xferByProcesses(a *DiskArray, p *des.Proc, off int64, n int) {
+	stripe := int64(a.cfg.StripeSize)
+	var events []*des.Event
+	for pos, remaining := off, n; remaining > 0; {
+		unit := int(min(stripe-pos%stripe, int64(remaining)))
+		disk, blockPos, ev := int((pos/stripe)%int64(a.cfg.Disks)), pos, des.NewEvent(a.sim)
+		events = append(events, ev)
+		a.sim.Spawn("stripe-io", func(sp *des.Proc) {
+			r := a.disks[disk]
+			r.Acquire(sp, 1)
+			cost := des.Duration(float64(unit) / a.cfg.DiskBandwidth * 1e9)
+			if blockPos < a.lastPos[disk] || blockPos-a.lastPos[disk] > 8<<20 {
+				cost += a.cfg.SeekTime
+			}
+			sp.Sleep(cost)
+			a.lastPos[disk] = blockPos + int64(unit)
+			r.Release(1)
+			ev.Fire(nil)
+		})
+		pos += int64(unit)
+		remaining -= unit
+	}
+	des.WaitAll(p, events...)
+}
+
 func TestDiskArrayAggregateBandwidth(t *testing.T) {
 	sim := des.New()
 	arr := NewDiskArray(sim, "raid", DiskArrayConfig{Disks: 8, StripeSize: 64 << 10, DiskBandwidth: 30e6})
@@ -338,7 +455,7 @@ func TestDiskArrayAggregateBandwidth(t *testing.T) {
 	var elapsed des.Time
 	sim.Spawn("io", func(p *des.Proc) {
 		start := p.Now()
-		arr.Read(p, 0, total)
+		diskRead(p, arr, 0, total)
 		elapsed = des.Time(p.Now() - start)
 	})
 	sim.Run()
@@ -410,9 +527,9 @@ func TestDiskStoreCommitFlushes(t *testing.T) {
 	fs := NewNamespace(sim, store, 1<<40)
 	sim.Spawn("io", func(p *des.Proc) {
 		id, _, _ := fs.Create(p, fs.Root(), "f", 0644)
-		fs.Write(p, id, 0, 1<<20, nil, false)
+		fsWrite(p, fs, id, 0, 1<<20, nil, false)
 		written := arr.BytesWritten
-		if err := fs.Commit(p, id, 0, 0); err != nil {
+		if err := fsCommit(p, fs, id, 0, 0); err != nil {
 			t.Fatal(err)
 		}
 		if arr.BytesWritten <= written {
@@ -422,7 +539,7 @@ func TestDiskStoreCommitFlushes(t *testing.T) {
 	sim.Run()
 }
 
-// TestMemStoreReadTable pins MemStore.Read against the file's content and
+// TestMemStoreReadTable pins MemStore.ReadThen against the file's content and
 // size: bytes below the content's end are the content, bytes between it and
 // the size (a hole: the size grew past what was written) are zero, bytes of
 // dst beyond what was read are untouched. dst starts as 0xAA so a hole that
@@ -451,7 +568,8 @@ func TestMemStoreReadTable(t *testing.T) {
 	}
 	for _, tc := range cases {
 		s := NewMemStore(true)
-		s.Write(nil, id, 0, len(content), content, false)
+		var op Op
+		s.WriteThen(&op, id, 0, len(content), content, false, func(*Op) {})
 		if tc.truncate >= 0 {
 			s.Truncate(id, tc.truncate)
 		}
@@ -459,7 +577,8 @@ func TestMemStoreReadTable(t *testing.T) {
 		for i := range dst {
 			dst[i] = 0xAA
 		}
-		n := s.Read(nil, id, tc.size, tc.off, tc.count, dst[:tc.count])
+		s.ReadThen(&op, id, tc.size, tc.off, tc.count, dst[:tc.count], func(*Op) {})
+		n := op.N
 		if n != tc.wantN {
 			t.Errorf("%s: read %d bytes, want %d", tc.name, n, tc.wantN)
 			continue
@@ -481,7 +600,9 @@ func TestMemStoreReadTable(t *testing.T) {
 	}
 	// A store that keeps sizes only never touches dst.
 	dst := []byte{0xAA, 0xAA}
-	if n := NewMemStore(false).Read(nil, id, 8, 0, 2, dst); n != 2 || dst[0] != 0xAA || dst[1] != 0xAA {
+	var op Op
+	NewMemStore(false).ReadThen(&op, id, 8, 0, 2, dst, func(*Op) {})
+	if n := op.N; n != 2 || dst[0] != 0xAA || dst[1] != 0xAA {
 		t.Errorf("phantom store: n=%d dst=%x, want 2 and dst untouched", n, dst)
 	}
 }

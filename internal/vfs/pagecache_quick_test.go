@@ -81,6 +81,83 @@ func TestResidentPageCostsNoDisk(t *testing.T) {
 	sim.Run()
 }
 
+// holds reports whether the cache serves a DiskStore call from memory: a
+// read whose pages are all cached, or an unstable write whose new pages fit
+// without an eviction and whose dirtied pages stay within the dirty limit.
+// A stable write never is: it commits what it dirtied.
+func holds(c *PageCache, id FileID, size, off int64, n int, write, stable bool) bool {
+	if !write {
+		if off >= size {
+			return true
+		}
+		n = int(min(int64(n), size-off))
+	} else if stable {
+		return false
+	}
+	ps := int64(c.cfg.PageSize)
+	missing, dirtied := 0, int64(0)
+	for pg := off / ps; pg <= (off+int64(n)-1)/ps; pg++ {
+		p, ok := c.pages[pageKey{id, pg}]
+		if !ok {
+			missing++
+		}
+		if !ok || !p.dirty {
+			dirtied += ps
+		}
+	}
+	if !write {
+		return missing == 0
+	}
+	return len(c.pages)+missing <= c.capacityPages() && c.dirty+dirtied <= c.cfg.DirtyLimitBytes
+}
+
+// TestQuickResidentCallsCostNoDisk: a DiskStore call the page cache holds
+// moves no disk byte and takes no virtual time. One cache throttles writers
+// before it fills, the other lets dirty pages fill it, so that an eviction
+// writes back.
+func TestQuickResidentCallsCostNoDisk(t *testing.T) {
+	for _, cfg := range []PageCacheConfig{
+		{CapacityBytes: 2 << 20, PageSize: 64 << 10, DirtyLimitBytes: 512 << 10},
+		{CapacityBytes: 1 << 20, PageSize: 64 << 10, DirtyLimitBytes: 1 << 20},
+	} {
+		f := func(ops []uint32) bool {
+			ok := true
+			sim := des.New()
+			arr := NewDiskArray(sim, "raid", DiskArrayConfig{})
+			pc := NewPageCache(arr, cfg)
+			ds := NewDiskStore(pc)
+			sim.Spawn("ops", func(p *des.Proc) {
+				for _, op := range ops {
+					id := FileID(op%3 + 1)
+					off := int64(op%37) * 32 << 10
+					n := int(op%5+1) * 32 << 10
+					const size = 4 << 20
+					kind := op / 7 % 3
+					write, stable := kind != 0, kind == 2
+					resident := holds(pc, id, size, off, n, write, stable)
+					before, at := arr.BytesRead+arr.BytesWritten, p.Now()
+					o := Op{arg: p}
+					if write {
+						ds.WriteThen(&o, id, off, n, nil, stable, resume)
+					} else {
+						ds.ReadThen(&o, id, size, off, n, nil, resume)
+					}
+					p.Suspend()
+					if resident && (arr.BytesRead+arr.BytesWritten != before || p.Now() != at) {
+						ok = false
+						return
+					}
+				}
+			})
+			sim.Run()
+			return ok
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+			t.Fatalf("%+v: %v", cfg, err)
+		}
+	}
+}
+
 // TestQuickDiskStoreMatchesMemStoreSemantics drives the same random op
 // sequence through a MemStore-backed namespace and a DiskStore-backed one
 // and checks that sizes, read counts and EOF flags agree (the disk layer

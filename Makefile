@@ -68,13 +68,16 @@ loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' | xargs cat | grep -v '^\s*$$' | grep -v '^\s*//' | wc -l
 
 # allocs prints the heap allocations one simulated RPC costs per design (an
-# NFS NULL, an 8 KiB direct READ, an all-physical 64 KiB READ), then for the
+# NFS NULL, an 8 KiB direct READ, the Fig. 5 point's 128 KiB direct WRITE
+# under dynamic registration, an all-physical 64 KiB READ), then for the
 # fan-in server (8 shards, multiplexed, affinity, Reply-Fetch: a NULL and the
 # all-physical READ) and, under each, the lines that allocate, in
 # allocations per RPC (TestAllocsPerRPC); then the spawns and parks one RPC
-# costs the kernel (TestProcessesPerRPC).
+# costs the kernel (TestProcessesPerRPC); then what a staging chunk's Get+Put
+# and a replay-cache entry cost (TestChunkIsOneObject, TestDRCEntryIsItsReplyCopy).
 allocs:
 	$(GO) test -count=1 -run 'TestAllocsPerRPC$$|TestProcessesPerRPC$$' -v ./internal/core/
+	$(GO) test -count=1 -run 'TestChunkIsOneObject$$|TestDRCEntryIsItsReplyCopy$$' -v ./internal/memreg/ ./internal/oncrpc/
 
 # bench runs the DES kernel microbenchmarks (schedule->resume path,
 # queue/event/resource wakeups, timer heap, process spawn on a pooled

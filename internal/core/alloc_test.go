@@ -17,11 +17,12 @@ import (
 
 // TestAllocsPerRPC pins what one simulated RPC costs the host in heap
 // allocations: one client, one call outstanding, tracing off; per design an
-// NFS NULL (two Sends), an 8 KiB direct READ under dynamic registration, and
-// a 64 KiB buffered READ under all-physical registration (the fan-in
-// workloads' call: multi-segment chunk lists, client staging); then a NULL
-// and that READ on fanin_mux_telemetry's server (8 shards, multiplexed,
-// completion affinity, Reply-Fetch). The benchmark reports the same count
+// NFS NULL (two Sends), an 8 KiB direct READ and a 128 KiB direct UNSTABLE
+// WRITE under dynamic registration (the WRITE is the Fig. 5 point's, and
+// goes through the replay cache), and a 64 KiB buffered READ under
+// all-physical registration (the fan-in workloads' call: multi-segment chunk
+// lists, client staging); then a NULL and that READ on fanin_mux_telemetry's
+// server (8 shards, multiplexed, completion affinity, Reply-Fetch). The benchmark reports the same count
 // per workload (host_allocs_per_rpc); this fails in under a second when a
 // change to the message path adds an allocation, instead of ten minutes
 // later. The pins are the measured counts plus one, rounded up.
@@ -31,40 +32,42 @@ import (
 // names the line that allocates; -v logs them for every design.
 func TestAllocsPerRPC(t *testing.T) {
 	pins := []struct {
-		design               rpcrdma.Design
-		null, read, physRead float64
+		design                      rpcrdma.Design
+		null, read, write, physRead float64
 	}{
-		{rpcrdma.ReadWrite, 2, 7, 6},    // measured 1.00, 6.00 and 4.25
-		{rpcrdma.ReadRead, 6, 10, 10},   // 4.24, 8.25 and 8.18
-		{rpcrdma.ReplyFetch, 8, 13, 10}, // 7.00, 12.00 and 8.66
+		{rpcrdma.ReadWrite, 2, 5, 7, 6},    // measured 1.00, 4.00, 5.43 and 4.25
+		{rpcrdma.ReadRead, 6, 8, 10, 10},   // 4.24, 6.25, 8.63 and 8.18
+		{rpcrdma.ReplyFetch, 6, 9, 11, 10}, // 5.00, 8.00, 9.43 and 8.66
 	}
 	for _, pin := range pins {
 		regular := Config{Design: pin.design, RegMode: memreg.Regular}
 		physical := Config{Design: pin.design, RegMode: memreg.AllPhysical}
-		null, read := allocsPerRPC(t, regular, 8<<10, true, false)
-		_, physRead := allocsPerRPC(t, physical, 64<<10, false, false)
-		t.Logf("%v: %.2f allocs per NULL, %.2f per 8 KiB direct READ, %.2f per all-physical 64 KiB buffered READ",
-			pin.design, null, read, physRead)
-		over := null > pin.null || read > pin.read || physRead > pin.physRead
+		null, read := allocsPerRPC(t, regular, "direct READ", 8<<10, false)
+		_, write := allocsPerRPC(t, regular, "WRITE", 128<<10, false)
+		_, physRead := allocsPerRPC(t, physical, "READ", 64<<10, false)
+		t.Logf("%v: %.2f allocs per NULL, %.2f per 8 KiB direct READ, %.2f per 128 KiB direct WRITE, %.2f per all-physical 64 KiB buffered READ",
+			pin.design, null, read, write, physRead)
+		over := null > pin.null || read > pin.read || write > pin.write || physRead > pin.physRead
 		if over {
-			t.Errorf("%v: %.2f allocs per NULL (pin %.0f), %.2f per 8 KiB READ (pin %.0f), %.2f per all-physical 64 KiB READ (pin %.0f)",
-				pin.design, null, pin.null, read, pin.read, physRead, pin.physRead)
+			t.Errorf("%v: %.2f allocs per NULL (pin %.0f), %.2f per 8 KiB READ (pin %.0f), %.2f per 128 KiB WRITE (pin %.0f), %.2f per all-physical 64 KiB READ (pin %.0f)",
+				pin.design, null, pin.null, read, pin.read, write, pin.write, physRead, pin.physRead)
 		}
 		if over || testing.Verbose() {
-			allocsPerRPC(t, regular, 8<<10, true, true)
-			allocsPerRPC(t, physical, 64<<10, false, true)
+			allocsPerRPC(t, regular, "direct READ", 8<<10, true)
+			allocsPerRPC(t, regular, "WRITE", 128<<10, true)
+			allocsPerRPC(t, physical, "READ", 64<<10, true)
 		}
 	}
 	fanIn := Config{Design: rpcrdma.ReplyFetch, RegMode: memreg.AllPhysical, ServerShards: 8, Multiplex: true, Affinity: true}
 	const fanInNull, fanInRead = 6, 10 // measured 5.00 and 8.66
-	null, read := allocsPerRPC(t, fanIn, 64<<10, false, false)
+	null, read := allocsPerRPC(t, fanIn, "READ", 64<<10, false)
 	t.Logf("fan-in (%v, 8 shards, multiplexed, affinity): %.2f allocs per NULL, %.2f per all-physical 64 KiB buffered READ", fanIn.Design, null, read)
 	over := null > fanInNull || read > fanInRead
 	if over {
 		t.Errorf("fan-in: %.2f allocs per NULL (pin %d), %.2f per all-physical 64 KiB READ (pin %d)", null, fanInNull, read, fanInRead)
 	}
 	if over || testing.Verbose() {
-		allocsPerRPC(t, fanIn, 64<<10, false, true)
+		allocsPerRPC(t, fanIn, "READ", 64<<10, true)
 	}
 }
 
@@ -218,11 +221,11 @@ func processesPerRPC(t *testing.T, backend Backend, design rpcrdma.Design, op st
 	return float64(n[0]) / calls, float64(n[1]) / calls, byProc
 }
 
-// allocsPerRPC measures heap allocations per NULL and per READ of size bytes
-// on a one-client LinuxDDR RDMA cluster configured as cfg. With sites set it
-// profiles every allocation and logs where those of the measured calls were
-// made.
-func allocsPerRPC(t *testing.T, cfg Config, size int, direct, sites bool) (null, read float64) {
+// allocsPerRPC measures heap allocations per NULL and per op of size bytes on
+// a one-client LinuxDDR RDMA cluster configured as cfg: op is "READ",
+// "direct READ" or "WRITE" (UNSTABLE). With sites set it profiles every
+// allocation and logs where those of the measured calls were made.
+func allocsPerRPC(t *testing.T, cfg Config, op string, size int, sites bool) (null, call float64) {
 	const calls = 500
 	if sites {
 		defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
@@ -268,13 +271,17 @@ func allocsPerRPC(t *testing.T, cfg Config, size int, direct, sites bool) (null,
 			return float64(after.Mallocs-before.Mallocs) / calls
 		}
 		null = perCall("NULL", func() error { return cl.NFS.Null(p) })
-		read = perCall(fmt.Sprintf("%d KiB READ", size>>10), func() error {
-			_, _, err := f.ReadAt(p, buf, 0, 0, size, direct)
+		call = perCall(fmt.Sprintf("%d KiB %s", size>>10, op), func() error {
+			if op == "WRITE" {
+				_, err := f.WriteAt(p, buf, 0, 0, size, false)
+				return err
+			}
+			_, _, err := f.ReadAt(p, buf, 0, 0, size, op == "direct READ")
 			return err
 		})
 	})
 	cluster.Run()
-	return null, read
+	return null, call
 }
 
 // allocSites returns the objects allocated so far per allocation site: the

@@ -91,28 +91,23 @@ func (b *Buffer) bulk(off, n int) *oncrpc.Bulk {
 // resolvePath walks a '/'-separated path from the root, returning the
 // containing directory handle and the final component.
 func (c *Client) resolvePath(p *des.Proc, path string) (dir nfs3.FH, name string, err error) {
-	parts := splitPath(path)
-	if len(parts) == 0 {
-		return c.Root, ".", nil
-	}
-	dir = c.Root
-	for _, comp := range parts[:len(parts)-1] {
-		dir, _, err = c.lookup(p, dir, comp)
-		if err != nil {
-			return nfs3.FH{}, "", err
+	// name is the last component seen, "." until there is one: each
+	// component after it makes it a directory to look up.
+	dir, name = c.Root, "."
+	for rest, more := path, true; more; {
+		var comp string
+		comp, rest, more = strings.Cut(rest, "/")
+		if comp == "" || comp == "." {
+			continue
 		}
-	}
-	return dir, parts[len(parts)-1], nil
-}
-
-func splitPath(path string) []string {
-	var out []string
-	for _, s := range strings.Split(path, "/") {
-		if s != "" && s != "." {
-			out = append(out, s)
+		if name != "." {
+			if dir, _, err = c.lookup(p, dir, name); err != nil {
+				return nfs3.FH{}, "", err
+			}
 		}
+		name = comp
 	}
-	return out
+	return dir, name, nil
 }
 
 // File is an open file on the mount. NFSv3 is stateless: a File is just a

@@ -222,7 +222,8 @@ func (h *HCA) RemoteExposedEver() int64 { return h.remoteExposedEver }
 
 // RegOp is the state of one registration step in flight — RegisterThen,
 // DeregisterThen, FMRHandle.MapThen or UnmapThen — kept in storage its caller
-// owns and reuses, so that a step allocates nothing but the MR it installs.
+// owns and reuses, so that a step allocates nothing of its own: only an FMR
+// mapping and a registration given no MR storage allocate the MR they install.
 // A step is a chain of callbacks: it waits for the host CPU and the TPT
 // engine, at the instants and in the places a process would.
 type RegOp struct {
@@ -274,16 +275,26 @@ func (h *HCA) await(p *des.Proc, start func(op *RegOp)) *MR {
 // (the caller waits for the HCA response). This is the paper's "regular
 // registration" whose critical-path cost motivates §4.3.
 func (h *HCA) Register(p *des.Proc, buf *Buffer, off, length int, access Access) *MR {
-	return h.await(p, func(op *RegOp) { h.RegisterThen(op, buf, off, length, access, des.Resumer, p) })
+	return h.await(p, func(op *RegOp) { h.RegisterThen(op, nil, buf, off, length, access, des.Resumer, p) })
 }
 
 // RegisterThen is Register for a chain: fn(arg) runs once the region is
-// installed, and op.MR() is the region.
-func (h *HCA) RegisterThen(op *RegOp, buf *Buffer, off, length int, access Access, fn func(any), arg any) {
+// installed, and op.MR() is the region. The region is installed into mr, a
+// zero MR the caller owns, so that it can live inside the object that owns
+// the registration and be allocated with it; nil makes a new one. MR storage
+// serves one registration: a deregistered MR keeps its fields and stays
+// invalid for good, since a stale rkey or an RDMA Read in flight may still
+// hold it.
+func (h *HCA) RegisterThen(op *RegOp, mr *MR, buf *Buffer, off, length int, access Access, fn func(any), arg any) {
 	if off < 0 || length <= 0 || off+length > buf.Size {
 		panic(fmt.Sprintf("ibsim: register [%d,%d) outside buffer size %d", off, off+length, buf.Size))
 	}
-	op.begin(h, nil, buf, off, length, access, nil, fn, arg)
+	if mr == nil {
+		mr = new(MR)
+	} else if *mr != (MR{}) {
+		panic("ibsim: register into an MR already used")
+	}
+	op.begin(h, nil, buf, off, length, access, mr, fn, arg)
 	h.node.CPU.WorkThen(&op.hold, des.Duration(h.pages(length))*h.cfg.RegPerPageCPU, regPinned, op)
 }
 
@@ -295,15 +306,14 @@ func regPinned(a any) {
 
 func regInstalled(a any) {
 	op := a.(*RegOp)
-	h := op.h
-	mr := &MR{
+	h, mr := op.h, op.mr
+	*mr = MR{
 		hca: h, buf: op.buf, bufOff: op.off,
 		start: op.buf.Addr(op.off), length: op.length,
 		rkey: h.allocTag(), access: op.access,
 	}
 	h.install(mr)
 	h.traceReg(op, mr, "register", "reg.register")
-	op.mr = mr
 	op.finish()
 }
 

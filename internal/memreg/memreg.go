@@ -85,7 +85,7 @@ type Segment struct {
 type Registration struct {
 	extent Segment
 	buf    *ibsim.Buffer    // non-nil for all-physical registrations
-	mr     *ibsim.MR        // non-nil for regular registrations
+	mr     *ibsim.MR        // non-nil for regular registrations; until one is made, its MR storage if any
 	fmr    *ibsim.FMRHandle // non-nil when mapped through an FMR handle
 }
 
@@ -195,7 +195,8 @@ func sizeClass(size int) int {
 }
 
 // Chunk is a transport-owned staging buffer plus its registration: one heap
-// object holding the buffer and the registration. Outside
+// object holding the buffer and the registration, and under the modes that
+// register through the TPT (Regular and Cache) the MR too. Outside
 // the cache mode (whose slab keeps chunks registered, which is its point) a
 // chunk is never reused: once Put, its address resolves to nothing and its
 // MR stays invalid for good. Buf is the whole allocation, a cache-mode
@@ -211,9 +212,21 @@ type Chunk struct {
 // Data returns the materialized bytes of the chunk (nil in phantom mode).
 func (c *Chunk) Data() []byte { return c.Buf.Data() }
 
-// newChunk allocates a chunk of size bytes with its buffer inside it.
+// newChunk allocates a chunk of size bytes with its buffer inside it and,
+// under Regular and Cache, the storage of the MR its registration installs.
 func (m *Manager) newChunk(size int, access ibsim.Access, materialized bool) *Chunk {
-	c := &Chunk{access: access}
+	var c *Chunk
+	if mode := m.cfg.Mode; mode == Regular || mode == Cache {
+		withMR := &struct {
+			Chunk
+			mr ibsim.MR
+		}{}
+		c = &withMR.Chunk
+		c.reg.mr = &withMR.mr
+	} else {
+		c = new(Chunk)
+	}
+	c.access = access
 	m.mem.AllocInto(&c.Buf, size, materialized)
 	return c
 }
@@ -390,10 +403,18 @@ func (m *Manager) RegisterExternal(p *des.Proc, buf *ibsim.Buffer, off, length i
 func (m *Manager) RegisterExternalThen(op *Op, buf *ibsim.Buffer, off, length int, access ibsim.Access, fn func(any), arg any) {
 	op.begin(m, fn, arg)
 	mode := m.cfg.Mode
-	if mode == Cache {
-		mode = Regular
+	var r *Registration
+	if mode == Regular || mode == Cache {
+		withMR := &struct {
+			Registration
+			mr ibsim.MR
+		}{}
+		mode, r = Regular, &withMR.Registration
+		r.mr = &withMR.mr
+	} else {
+		r = new(Registration)
 	}
-	m.register(op, new(Registration), mode, buf, off, length, access, finishOp)
+	m.register(op, r, mode, buf, off, length, access, finishOp)
 }
 
 // DeregisterExternal releases a RegisterExternal registration.
@@ -408,7 +429,9 @@ func (m *Manager) DeregisterExternalThen(op *Op, r *Registration, fn func(any), 
 }
 
 // register fills r with a registration of buf[off, off+length) under mode,
-// then calls next(op) with op.r = r.
+// then calls next(op) with op.r = r. A regular registration installs its MR
+// into the storage r.mr points to, if any; deregistering clears r, never the
+// MR.
 func (m *Manager) register(op *Op, r *Registration, mode Mode, buf *ibsim.Buffer, off, length int, access ibsim.Access, next func(*Op)) {
 	op.r, op.length, op.next = r, length, next
 	switch mode {
@@ -422,7 +445,7 @@ func (m *Manager) register(op *Op, r *Registration, mode Mode, buf *ibsim.Buffer
 		m.stat.FMRFallback++
 		fallthrough
 	case Regular, Cache:
-		m.hca.RegisterThen(&op.reg, buf, off, length, access, mrRegistered, op)
+		m.hca.RegisterThen(&op.reg, r.mr, buf, off, length, access, mrRegistered, op)
 	case AllPhysical:
 		// No per-operation cost: the global steering tag addresses pinned
 		// physical memory directly, one segment per physically contiguous

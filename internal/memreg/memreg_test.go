@@ -1,9 +1,11 @@
 package memreg
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"repro/internal/des"
 	"repro/internal/ibsim"
@@ -219,18 +221,36 @@ func TestCacheNeverExposesBuffersRemotely(t *testing.T) {
 	sim.Run()
 }
 
+// TestCacheAccessMismatchReRegisters: a slab chunk whose access falls short
+// is not served, a new chunk is registered instead, and that registration
+// has an MR of its own. The slab bound evicts the first chunk when the
+// second is Put: its MR object outlives the registration, invalid, with the
+// rkey it had.
 func TestCacheAccessMismatchReRegisters(t *testing.T) {
 	sim := des.New()
 	node := costNode(sim)
 	sim.Spawn("op", func(p *des.Proc) {
-		m := NewManager(p, node, Config{Mode: Cache})
+		m := NewManager(p, node, Config{Mode: Cache, CacheMaxBytes: 4096})
 		c := m.Get(p, 4096, ibsim.AccessLocalWrite)
+		mr := c.Reg.mr
+		rkey := mr.Rkey()
 		m.Put(p, c)
 		c2 := m.Get(p, 4096, ibsim.AccessLocalWrite|ibsim.AccessRemoteRead)
 		if m.Stats().CacheMisses != 2 {
 			t.Errorf("misses = %d, want 2 (access mismatch must not hit)", m.Stats().CacheMisses)
 		}
+		mr2 := c2.Reg.mr
 		m.Put(p, c2)
+		if m.Stats().Evictions != 1 {
+			t.Errorf("evictions = %d, want 1", m.Stats().Evictions)
+			return
+		}
+		if mr2 == mr || !mr2.Valid() {
+			t.Errorf("the re-registration's MR %p (valid %v) is the first one's %p", mr2, mr2.Valid(), mr)
+		}
+		if mr.Valid() || mr.Rkey() != rkey {
+			t.Errorf("the evicted chunk's MR: valid %v, rkey %#x, want invalid with rkey %#x", mr.Valid(), mr.Rkey(), rkey)
+		}
 	})
 	sim.Run()
 }
@@ -336,24 +356,25 @@ func TestStagingMaterializedByPurpose(t *testing.T) {
 // TestChunkIsOneObject pins what a Get plus its Put costs the host: the
 // chunk holds its buffer and its registration, which stores no segment list,
 // so an all-physical chunk is one allocation however many physical runs it
-// spans, a regular one two (the chunk and the TPT entry, which stays its own
-// object), and a cache hit none.
+// spans, a regular one too (the TPT entry is in the chunk), an FMR one two
+// (the mapping's MR is the handle's to make), and a cache hit none.
 func TestChunkIsOneObject(t *testing.T) {
 	for _, tc := range []struct {
 		mode Mode
 		size int // 4 KiB is one physical run, 128 KiB several
 		want float64
-	}{{AllPhysical, 4096, 1}, {AllPhysical, 128 << 10, 1}, {Regular, 4096, 2}, {Cache, 4096, 0}} {
+	}{{AllPhysical, 4096, 1}, {AllPhysical, 128 << 10, 1}, {Regular, 4096, 1}, {FMR, 4096, 2}, {Cache, 4096, 0}} {
 		sim := des.New()
 		node := costNode(sim)
 		sim.Spawn("op", func(p *des.Proc) {
-			m := NewManager(p, node, Config{Mode: tc.mode})
+			m := NewManager(p, node, Config{Mode: tc.mode, FMRPoolSize: 4})
 			m.Put(p, m.Get(p, tc.size, ibsim.AccessLocalWrite)) // warms the slab
 			allocs := testing.AllocsPerRun(100, func() {
 				c := m.Get(p, tc.size, ibsim.AccessLocalWrite)
 				c.Reg.Each(func(Segment) {})
 				m.Put(p, c)
 			})
+			t.Logf("%v, %d bytes: Get+Put allocates %.0f objects", tc.mode, tc.size, allocs)
 			if allocs != tc.want {
 				t.Errorf("%v, %d bytes: Get+Put allocates %.0f objects, want %.0f", tc.mode, tc.size, allocs, tc.want)
 			}
@@ -393,4 +414,63 @@ func TestChunkFusedNotRecycled(t *testing.T) {
 		})
 		sim.Run()
 	}
+}
+
+// TestChunkSizes: a Registration is 48 bytes and a Chunk, all that an
+// all-physical or FMR chunk allocates, at most 176. MR storage is allocated
+// with them only under the modes that register through the TPT.
+func TestChunkSizes(t *testing.T) {
+	if n := unsafe.Sizeof(Registration{}); n != 48 {
+		t.Errorf("a Registration is %d bytes, want 48", n)
+	}
+	if n := unsafe.Sizeof(Chunk{}); n > 176 {
+		t.Errorf("a Chunk is %d bytes, want at most 176", n)
+	}
+}
+
+// TestReadInFlightOverPutChunk: a peer's RDMA Read that the responder has
+// accepted is still on the wire when the Regular chunk it reads is Put. The
+// Read completes, and brings no byte of the chunk allocated next: the dead
+// chunk's MR keeps its fields, so the Read resolves to the freed buffer.
+func TestReadInFlightOverPutChunk(t *testing.T) {
+	sim := des.New()
+	fab := ibsim.NewFabric(sim, true)
+	srv := fab.AddNode(ibsim.NodeConfig{Name: "srv", Cores: 4, DeregBase: 5 * time.Microsecond})
+	peer := fab.AddNode(ibsim.NodeConfig{Name: "peer", Cores: 1})
+	qp, _ := fab.Connect(peer, srv, ibsim.QPConfig{})
+	const size = 64 << 10 // 73 µs on the wire at the default 900 MB/s
+	sim.Spawn("srv", func(p *des.Proc) {
+		m := NewManager(p, srv, Config{Mode: Regular})
+		c := m.Get(p, size, ibsim.AccessLocalWrite|ibsim.AccessRemoteRead)
+		mr := c.Reg.mr
+		for i := range c.Data() {
+			c.Data()[i] = 0x11
+		}
+		var next *Chunk
+		sim.Spawn("peer", func(p *des.Proc) {
+			local := peer.Mem.AllocMaterialized(size)
+			cqe := qp.PostAndWait(p, &ibsim.SendWQE{
+				Op: ibsim.OpRead, Local: []ibsim.LocalSeg{{Buf: local, Len: size}},
+				RemoteKey: mr.Rkey(), RemoteAddr: mr.Start(),
+			})
+			if cqe.Err != nil || cqe.Bytes != size {
+				t.Errorf("the Read completed with %v, %d bytes", cqe.Err, cqe.Bytes)
+				return
+			}
+			if mr.Valid() || !c.Buf.Freed() || next == nil {
+				t.Errorf("the Read landed before the chunk was Put and another allocated: MR valid %v, freed %v", mr.Valid(), c.Buf.Freed())
+				return
+			}
+			if bytes.IndexByte(local.Data(), 0x5a) >= 0 {
+				t.Error("the Read brought bytes of the chunk allocated after the Put")
+			}
+		})
+		p.Sleep(10 * time.Microsecond) // the Read is accepted, its data on the wire
+		m.Put(p, c)
+		next = m.Get(p, size, ibsim.AccessLocalWrite|ibsim.AccessRemoteRead)
+		for i := range next.Data() {
+			next.Data()[i] = 0x5a
+		}
+	})
+	sim.Run()
 }

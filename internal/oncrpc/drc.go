@@ -38,8 +38,9 @@ type clientKey struct {
 	proc uint32
 }
 
+// drcEntry is one call in a replay window, kept in the window's map by
+// value: an entry costs no allocation of its own, only its reply's copy.
 type drcEntry struct {
-	key       clientKey
 	executing bool
 	reply     []byte
 	bulk      *Bulk
@@ -47,7 +48,7 @@ type drcEntry struct {
 
 // drcClient is one client's bounded FIFO replay window.
 type drcClient struct {
-	entries map[clientKey]*drcEntry
+	entries map[clientKey]drcEntry
 	order   []clientKey
 }
 
@@ -162,22 +163,23 @@ func (d *Dispatcher) DRCInProgressDrops() int64 {
 func (c *drc) client(machine string) *drcClient {
 	cl, ok := c.clients[machine]
 	if !ok {
-		cl = &drcClient{entries: make(map[clientKey]*drcEntry)}
+		cl = &drcClient{entries: make(map[clientKey]drcEntry)}
 		c.clients[machine] = cl
 	}
 	return cl
 }
 
-func (c *drc) lookup(machine string, k clientKey) (*drcEntry, drcState) {
+// lookup returns a copy of the entry for k and what state it is in.
+func (c *drc) lookup(machine string, k clientKey) (drcEntry, drcState) {
 	cl, ok := c.clients[machine]
 	if !ok {
 		c.Misses++
-		return nil, drcMiss
+		return drcEntry{}, drcMiss
 	}
 	e, ok := cl.entries[k]
 	if !ok {
 		c.Misses++
-		return nil, drcMiss
+		return drcEntry{}, drcMiss
 	}
 	if e.executing {
 		c.InProgressDrops++
@@ -196,7 +198,7 @@ func (c *drc) begin(machine string, k clientKey) {
 		return
 	}
 	c.entries += 1 - cl.evict(c.capacity-1)
-	cl.entries[k] = &drcEntry{key: k, executing: true}
+	cl.entries[k] = drcEntry{executing: true}
 	cl.order = append(cl.order, k)
 }
 
@@ -222,5 +224,6 @@ func (c *drc) commit(machine string, k clientKey, reply []byte, bulk *Bulk) {
 			b := *bulk // a copy: the descriptor is the transport's, which reuses it
 			e.bulk = &b
 		}
+		cl.entries[k] = e
 	}
 }

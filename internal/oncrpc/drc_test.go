@@ -67,6 +67,27 @@ func TestDRCReplaysWithoutReexecution(t *testing.T) {
 	sim.Run()
 }
 
+// TestDRCEntryIsItsReplyCopy: a replay-cache entry lives in its window's map
+// by value, so caching a call, its begin and its commit, allocates one
+// object, the exact copy of its reply, once the window is full.
+func TestDRCEntryIsItsReplyCopy(t *testing.T) {
+	c := &drc{capacity: 8, clients: make(map[string]*drcClient)}
+	reply := make([]byte, 40)
+	var xid uint32
+	cache := func() {
+		xid++
+		k := clientKey{xid: xid, prog: 1, proc: 1}
+		c.begin("c0", k)
+		c.commit("c0", k, reply, nil)
+	}
+	for range 2 * c.capacity {
+		cache()
+	}
+	if allocs := testing.AllocsPerRun(100, cache); allocs != 1 {
+		t.Errorf("a begin and its commit allocate %.2f objects, want 1", allocs)
+	}
+}
+
 // TestDRCKeepsItsOwnCopy: a cached reply is an exact copy of the message
 // (no room, no spare capacity) sharing no memory with the wire it was
 // committed from — that wire is the transport's to post — so writing over
@@ -233,10 +254,10 @@ func TestDRCPerClientBounds(t *testing.T) {
 // entry is never evicted), remove completed entries beyond it, and leave
 // order and entries consistent.
 func TestDRCEvictSkipsExecutingHead(t *testing.T) {
-	cl := &drcClient{entries: make(map[clientKey]*drcEntry)}
+	cl := &drcClient{entries: make(map[clientKey]drcEntry)}
 	add := func(xid uint32, executing bool) {
 		k := clientKey{xid: xid, prog: 1, proc: 1}
-		cl.entries[k] = &drcEntry{key: k, executing: executing}
+		cl.entries[k] = drcEntry{executing: executing}
 		cl.order = append(cl.order, k)
 	}
 	add(1, true) // head: in flight, must survive
@@ -259,10 +280,10 @@ func TestDRCEvictSkipsExecutingHead(t *testing.T) {
 		}
 	}
 	// All-executing window: eviction tolerates transient over-capacity.
-	cl2 := &drcClient{entries: make(map[clientKey]*drcEntry)}
+	cl2 := &drcClient{entries: make(map[clientKey]drcEntry)}
 	for xid := uint32(1); xid <= 3; xid++ {
 		k := clientKey{xid: xid, prog: 1, proc: 1}
-		cl2.entries[k] = &drcEntry{key: k, executing: true}
+		cl2.entries[k] = drcEntry{executing: true}
 		cl2.order = append(cl2.order, k)
 	}
 	cl2.evict(1)

@@ -69,15 +69,17 @@ loc:
 
 # allocs prints the heap allocations one simulated RPC costs per design (an
 # NFS NULL, an 8 KiB direct READ, the Fig. 5 point's 128 KiB direct WRITE
-# under dynamic registration, an all-physical 64 KiB READ), then for the
-# fan-in server (8 shards, multiplexed, affinity, Reply-Fetch: a NULL and the
-# all-physical READ) and, under each, the lines that allocate, in
-# allocations per RPC (TestAllocsPerRPC); then the spawns and parks one RPC
-# costs the kernel (TestProcessesPerRPC); then what a staging chunk's Get+Put
-# and a replay-cache entry cost (TestChunkIsOneObject, TestDRCEntryIsItsReplyCopy).
+# under dynamic registration, an all-physical 64 KiB READ, a READDIRPLUS of
+# 32 entries), then for the fan-in server (8 shards, multiplexed, affinity,
+# Reply-Fetch: a NULL and the all-physical READ) and, under each, the lines
+# that allocate, in allocations per RPC (TestAllocsPerRPC); then the spawns
+# and parks one RPC costs the kernel (TestProcessesPerRPC); then what a
+# staging chunk's Get+Put, a replay-cache entry and a namespace ReadDir into
+# a reused slice cost (TestChunkIsOneObject, TestDRCEntryIsItsReplyCopy,
+# TestReadDirIntoReusedSliceAllocatesNothing).
 allocs:
 	$(GO) test -count=1 -run 'TestAllocsPerRPC$$|TestProcessesPerRPC$$' -v ./internal/core/
-	$(GO) test -count=1 -run 'TestChunkIsOneObject$$|TestDRCEntryIsItsReplyCopy$$' -v ./internal/memreg/ ./internal/oncrpc/
+	$(GO) test -count=1 -run 'TestChunkIsOneObject$$|TestDRCEntryIsItsReplyCopy$$|TestReadDirIntoReusedSliceAllocatesNothing$$' -v ./internal/memreg/ ./internal/oncrpc/ ./internal/vfs/
 
 # bench runs the DES kernel microbenchmarks (schedule->resume path,
 # queue/event/resource wakeups, timer heap, process spawn on a pooled

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/des"
 	"repro/internal/memreg"
+	"repro/internal/nfs3"
 	"repro/internal/profiles"
 	"repro/internal/rpcrdma"
 	"repro/internal/trace"
@@ -19,9 +20,11 @@ import (
 // allocations: one client, one call outstanding, tracing off; per design an
 // NFS NULL (two Sends), an 8 KiB direct READ and a 128 KiB direct UNSTABLE
 // WRITE under dynamic registration (the WRITE is the Fig. 5 point's, and
-// goes through the replay cache), and a 64 KiB buffered READ under
+// goes through the replay cache), a 64 KiB buffered READ under
 // all-physical registration (the fan-in workloads' call: multi-segment chunk
-// lists, client staging); then a NULL and that READ on fanin_mux_telemetry's
+// lists, client staging) and a READDIRPLUS of 32 entries (meta_mix's long
+// reply, pulled under Read-Read; 32 allocations are the names the client
+// decodes); then a NULL and that READ on fanin_mux_telemetry's
 // server (8 shards, multiplexed, completion affinity, Reply-Fetch). The benchmark reports the same count
 // per workload (host_allocs_per_rpc); this fails in under a second when a
 // change to the message path adds an allocation, instead of ten minutes
@@ -32,12 +35,12 @@ import (
 // names the line that allocates; -v logs them for every design.
 func TestAllocsPerRPC(t *testing.T) {
 	pins := []struct {
-		design                      rpcrdma.Design
-		null, read, write, physRead float64
+		design                                   rpcrdma.Design
+		null, read, write, physRead, readDirPlus float64
 	}{
-		{rpcrdma.ReadWrite, 2, 5, 7, 6},    // measured 1.00, 4.00, 5.43 and 4.25
-		{rpcrdma.ReadRead, 6, 8, 10, 10},   // 4.24, 6.25, 8.63 and 8.18
-		{rpcrdma.ReplyFetch, 6, 9, 11, 10}, // 5.00, 8.00, 9.43 and 8.66
+		{rpcrdma.ReadWrite, 2, 5, 7, 6, 41},    // measured 1.00, 4.00, 5.43, 4.25 and 39.07
+		{rpcrdma.ReadRead, 6, 8, 10, 10, 43},   // 4.24, 6.25, 8.63, 8.18 and 41.28
+		{rpcrdma.ReplyFetch, 6, 9, 11, 10, 40}, // 5.00, 8.00, 9.43, 8.66 and 38.07
 	}
 	for _, pin := range pins {
 		regular := Config{Design: pin.design, RegMode: memreg.Regular}
@@ -45,17 +48,19 @@ func TestAllocsPerRPC(t *testing.T) {
 		null, read := allocsPerRPC(t, regular, "direct READ", 8<<10, false)
 		_, write := allocsPerRPC(t, regular, "WRITE", 128<<10, false)
 		_, physRead := allocsPerRPC(t, physical, "READ", 64<<10, false)
-		t.Logf("%v: %.2f allocs per NULL, %.2f per 8 KiB direct READ, %.2f per 128 KiB direct WRITE, %.2f per all-physical 64 KiB buffered READ",
-			pin.design, null, read, write, physRead)
-		over := null > pin.null || read > pin.read || write > pin.write || physRead > pin.physRead
+		_, readDirPlus := allocsPerRPC(t, regular, "READDIRPLUS", 0, false)
+		t.Logf("%v: %.2f allocs per NULL, %.2f per 8 KiB direct READ, %.2f per 128 KiB direct WRITE, %.2f per all-physical 64 KiB buffered READ, %.2f per READDIRPLUS of 32",
+			pin.design, null, read, write, physRead, readDirPlus)
+		over := null > pin.null || read > pin.read || write > pin.write || physRead > pin.physRead || readDirPlus > pin.readDirPlus
 		if over {
-			t.Errorf("%v: %.2f allocs per NULL (pin %.0f), %.2f per 8 KiB READ (pin %.0f), %.2f per 128 KiB WRITE (pin %.0f), %.2f per all-physical 64 KiB READ (pin %.0f)",
-				pin.design, null, pin.null, read, pin.read, write, pin.write, physRead, pin.physRead)
+			t.Errorf("%v: %.2f allocs per NULL (pin %.0f), %.2f per 8 KiB READ (pin %.0f), %.2f per 128 KiB WRITE (pin %.0f), %.2f per all-physical 64 KiB READ (pin %.0f), %.2f per READDIRPLUS of 32 (pin %.0f)",
+				pin.design, null, pin.null, read, pin.read, write, pin.write, physRead, pin.physRead, readDirPlus, pin.readDirPlus)
 		}
 		if over || testing.Verbose() {
 			allocsPerRPC(t, regular, "direct READ", 8<<10, true)
 			allocsPerRPC(t, regular, "WRITE", 128<<10, true)
 			allocsPerRPC(t, physical, "READ", 64<<10, true)
+			allocsPerRPC(t, regular, "READDIRPLUS", 0, true)
 		}
 	}
 	fanIn := Config{Design: rpcrdma.ReplyFetch, RegMode: memreg.AllPhysical, ServerShards: 8, Multiplex: true, Affinity: true}
@@ -223,8 +228,9 @@ func processesPerRPC(t *testing.T, backend Backend, design rpcrdma.Design, op st
 
 // allocsPerRPC measures heap allocations per NULL and per op of size bytes on
 // a one-client LinuxDDR RDMA cluster configured as cfg: op is "READ",
-// "direct READ" or "WRITE" (UNSTABLE). With sites set it profiles every
-// allocation and logs where those of the measured calls were made.
+// "direct READ" or "WRITE" (UNSTABLE), or "READDIRPLUS" of a directory of 32
+// files. With sites set it profiles every allocation and logs where those of
+// the measured calls were made.
 func allocsPerRPC(t *testing.T, cfg Config, op string, size int, sites bool) (null, call float64) {
 	const calls = 500
 	if sites {
@@ -244,10 +250,24 @@ func allocsPerRPC(t *testing.T, cfg Config, op string, size int, sites bool) (nu
 			t.Errorf("%v: create: %v", design, err)
 			return
 		}
-		buf := cl.NewBuffer(size)
+		buf := cl.NewBuffer(max(size, 1))
 		if _, err := f.WriteAt(p, buf, 0, 0, size, true); err != nil {
 			t.Errorf("%v: write: %v", design, err)
 			return
+		}
+		var dir nfs3.FH
+		if op == "READDIRPLUS" {
+			if err := cl.Mkdir(p, "pin"); err != nil {
+				t.Errorf("%v: mkdir: %v", design, err)
+				return
+			}
+			for i := range 32 {
+				if _, err := cl.Create(p, fmt.Sprintf("pin/f%02d", i)); err != nil {
+					t.Errorf("%v: create: %v", design, err)
+					return
+				}
+			}
+			dir, _, _ = cl.NFS.Lookup(p, cl.Root, "pin")
 		}
 		perCall := func(what string, call func() error) float64 {
 			var before, after runtime.MemStats
@@ -272,8 +292,15 @@ func allocsPerRPC(t *testing.T, cfg Config, op string, size int, sites bool) (nu
 		}
 		null = perCall("NULL", func() error { return cl.NFS.Null(p) })
 		call = perCall(fmt.Sprintf("%d KiB %s", size>>10, op), func() error {
-			if op == "WRITE" {
+			switch op {
+			case "WRITE":
 				_, err := f.WriteAt(p, buf, 0, 0, size, false)
+				return err
+			case "READDIRPLUS":
+				rd, err := cl.NFS.ReadDir(p, dir, 0, 8192, true)
+				if err == nil && len(rd.Entries) != 32 {
+					err = fmt.Errorf("READDIRPLUS returned %d of 32 entries", len(rd.Entries))
+				}
 				return err
 			}
 			_, _, err := f.ReadAt(p, buf, 0, 0, size, op == "direct READ")

@@ -2,13 +2,19 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/des"
 	"repro/internal/memreg"
+	"repro/internal/nfs3"
 	"repro/internal/profiles"
 	"repro/internal/rpcrdma"
+	"repro/internal/xdr"
 )
 
 // TestEndToEndIntegrity writes and reads back a patterned file on every
@@ -144,6 +150,148 @@ func TestDirectoryTreeOverCluster(t *testing.T) {
 		}
 	})
 	cluster.Run()
+}
+
+// TestReadDirPagesFitCount: a READDIR3resok or READDIRPLUS3resok must fit in
+// the count the client asked for (RFC 1813 §3.3.16–17). Over Read-Write,
+// whose reply chunk is sized by count, a directory of 40 files with 200-byte
+// names listed by cookie comes back in pages that each fit count, every name
+// once, and no call times out; a count too small for one entry is answered
+// NFS3ERR_TOOSMALL, not with an empty page that is not the end.
+func TestReadDirPagesFitCount(t *testing.T) {
+	const files = 40
+	cluster := NewCluster(Config{
+		Profile: profiles.LinuxDDR(), Transport: TransportRDMA,
+		Design: rpcrdma.ReadWrite, RegMode: memreg.Regular,
+	})
+	cl := cluster.Clients[0]
+	cluster.Start("ls", func(p *des.Proc) {
+		if err := cl.Mkdir(p, "long"); err != nil {
+			t.Errorf("mkdir: %v", err)
+			return
+		}
+		for i := range files {
+			if _, err := cl.Create(p, fmt.Sprintf("long/%03d%s", i, strings.Repeat("n", 197))); err != nil {
+				t.Errorf("create %d: %v", i, err)
+				return
+			}
+		}
+		dir, _, err := cl.NFS.Lookup(p, cl.Root, "long")
+		if err != nil {
+			t.Errorf("lookup: %v", err)
+			return
+		}
+		for _, tc := range []struct {
+			count uint32
+			plus  bool
+		}{{1024, false}, {8192, true}} {
+			seen := map[string]int{}
+			for cookie, eof := uint64(0), false; !eof; {
+				res, err := cl.NFS.ReadDir(p, dir, cookie, tc.count, tc.plus)
+				if err != nil {
+					t.Errorf("count %d, plus %v: cookie %d: %v", tc.count, tc.plus, cookie, err)
+					return
+				}
+				var e xdr.Encoder
+				c := xdr.EncodeTo(&e)
+				res.XDR(&c)
+				if e.Len() > int(tc.count) {
+					t.Errorf("count %d, plus %v: a %d-byte page", tc.count, tc.plus, e.Len())
+				}
+				if len(res.Entries) == 0 && !res.EOF {
+					t.Errorf("count %d, plus %v: an empty page before the end", tc.count, tc.plus)
+					return
+				}
+				for _, ent := range res.Entries {
+					seen[ent.Name]++
+					cookie = ent.Cookie
+				}
+				eof = res.EOF
+			}
+			if len(seen) != files {
+				t.Errorf("count %d, plus %v: listed %d names, want %d", tc.count, tc.plus, len(seen), files)
+			}
+			for name, n := range seen {
+				if n != 1 {
+					t.Errorf("count %d, plus %v: %.8s… listed %d times", tc.count, tc.plus, name, n)
+				}
+			}
+		}
+		var se *nfs3.StatusError
+		if _, err := cl.NFS.ReadDir(p, dir, 0, 256, false); !errors.As(err, &se) || se.Status != nfs3.ErrTooSmall {
+			t.Errorf("count 256: %v, want NFS3ERR_TOOSMALL", err)
+		}
+	})
+	cluster.Run()
+	if timeouts, _ := cl.TransportStats(); timeouts != 0 {
+		t.Errorf("%d calls timed out", timeouts)
+	}
+}
+
+// TestReadDirEntriesAreTheCallers: the NFS client and server keep the lists a
+// listing is built and decoded in, and none of them may leak into what a
+// call returns. Two processes on one client each have a READDIRPLUS of a
+// different 32-entry directory in flight at once over Read-Read (long
+// replies, pulled), and each gets its own directory's entries; a READDIR
+// after both leaves what the first returned as it was.
+func TestReadDirEntriesAreTheCallers(t *testing.T) {
+	cluster := NewCluster(Config{
+		Profile: profiles.LinuxDDR(), Transport: TransportRDMA,
+		Design: rpcrdma.ReadRead, RegMode: memreg.Regular,
+	})
+	cl := cluster.Clients[0]
+	var got [2][]nfs3.DirEntry3
+	var start, end [2]des.Time
+	cluster.Start("ls", func(p *des.Proc) {
+		var dirs [2]nfs3.FH
+		for d, name := range []string{"a", "b"} {
+			if err := cl.Mkdir(p, name); err != nil {
+				t.Errorf("mkdir: %v", err)
+				return
+			}
+			for i := range 32 {
+				if _, err := cl.Create(p, fmt.Sprintf("%s/%s%02d", name, name, i)); err != nil {
+					t.Errorf("create: %v", err)
+					return
+				}
+			}
+			dirs[d], _, _ = cl.NFS.Lookup(p, cl.Root, name)
+		}
+		done := [2]*des.Event{des.NewEvent(cluster.Sim), des.NewEvent(cluster.Sim)}
+		for d := range dirs {
+			cluster.Sim.Spawn("ls"+fmt.Sprint(d), func(p *des.Proc) {
+				start[d] = p.Now()
+				res, err := cl.NFS.ReadDir(p, dirs[d], 0, 8192, true)
+				if err != nil {
+					t.Errorf("dir %d: %v", d, err)
+				}
+				got[d], end[d] = res.Entries, p.Now()
+				done[d].Fire(nil)
+			})
+		}
+		des.WaitAll(p, done[:]...)
+		first := slices.Clone(got[0])
+		if _, err := cl.NFS.ReadDir(p, dirs[1], 0, 8192, false); err != nil {
+			t.Errorf("second READDIR: %v", err)
+		}
+		if !reflect.DeepEqual(got[0], first) {
+			t.Error("a second READDIR changed the entries the first returned")
+		}
+	})
+	cluster.Run()
+	if start[1] >= end[0] || start[0] >= end[1] {
+		t.Errorf("the listings ran at [%d, %d] and [%d, %d], not at once", start[0], end[0], start[1], end[1])
+	}
+	for d, name := range []string{"a", "b"} {
+		if len(got[d]) != 32 {
+			t.Errorf("dir %s: %d entries, want 32", name, len(got[d]))
+		}
+		for i, e := range got[d] {
+			if want := fmt.Sprintf("%s%02d", name, i); e.Name != want || !e.FHPresent {
+				t.Errorf("dir %s: entry %d is %q (handle %v), want %q with its handle", name, i, e.Name, e.FHPresent, want)
+			}
+		}
+	}
 }
 
 func TestMultipleClientsShareNamespace(t *testing.T) {

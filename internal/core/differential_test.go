@@ -182,7 +182,7 @@ func runDifferential(t *testing.T, dc diffConfig, ops []diffOp) (transcript []st
 		}
 		// The server's state, not a client's view of it: walk the export.
 		fs := cluster.Server.FS
-		entries, _, err := fs.ReadDir(p, fs.Root(), 0, 0)
+		entries, _, err := fs.ReadDir(p, fs.Root(), 0, 0, nil)
 		if err != nil {
 			t.Errorf("%s: readdir: %v", dc.name, err)
 		}

@@ -1,6 +1,8 @@
 package nfs3
 
 import (
+	"slices"
+
 	"repro/internal/des"
 	"repro/internal/oncrpc"
 	"repro/internal/stats"
@@ -32,6 +34,10 @@ type Client struct {
 	// one process at a time and no XDR method blocks, so no two calls use it
 	// at once.
 	codec xdr.Codec
+
+	// entries is what ReadDir decodes a listing into before it copies it
+	// out, taken when a reply decodes, not while its call waits.
+	entries []DirEntry3
 
 	// latency, when non-nil, records one histogram per procedure.
 	latency []*stats.Histogram
@@ -237,7 +243,8 @@ func (c *Client) Link(p *des.Proc, fh FH, dir FH, name string) error {
 
 // ReadDir performs READDIR (or READDIRPLUS when plus is set). Directory
 // listings larger than the inline threshold exercise the transport's
-// long-reply path — the paper's RPC Long Reply.
+// long-reply path — the paper's RPC Long Reply. The entries are the
+// caller's: a copy of what the client decoded them into.
 func (c *Client) ReadDir(p *des.Proc, dir FH, cookie uint64, count uint32, plus bool) (ReadDirRes, error) {
 	proc := uint32(ProcReadDir)
 	if plus {
@@ -245,7 +252,13 @@ func (c *Client) ReadDir(p *des.Proc, dir FH, cookie uint64, count uint32, plus 
 	}
 	r := ReadDirRes{Plus: plus}
 	args := ReadDirArgs{Dir: dir, Cookie: cookie, DirCount: count, Count: count, Plus: plus}
-	_, err := c.call(p, proc, args.XDR, r.XDR, &r.Status, oncrpc.CallOpts{LongReplyCap: int(count) + 512})
+	res := func(cd *xdr.Codec) {
+		r.Entries = c.entries[:0]
+		r.XDR(cd)
+		c.entries = r.Entries
+	}
+	_, err := c.call(p, proc, args.XDR, res, &r.Status, oncrpc.CallOpts{LongReplyCap: int(count) + 512})
+	r.Entries = slices.Clone(r.Entries)
 	return r, err
 }
 

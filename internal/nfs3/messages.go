@@ -359,6 +359,16 @@ type DirEntry3 struct {
 	FH        FH
 }
 
+// size is the entry's encoded length in a list, its value_follows word
+// included; with plus, its name_handle is present.
+func (e *DirEntry3) size(plus bool) int {
+	n := 4 + 8 + 4 + (len(e.Name)+3)&^3 + 8
+	if plus {
+		n += e.Attr.size() + 4 + 4 + 16
+	}
+	return n
+}
+
 func (e *DirEntry3) xdr(c *xdr.Codec, plus bool) {
 	c.Uint64(&e.FileID)
 	c.String(&e.Name)

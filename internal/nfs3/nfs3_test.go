@@ -435,13 +435,13 @@ func TestSetAttrGuard(t *testing.T) {
 	sim.Run()
 }
 
-// TestEncoderCapsCoverFixedMessages pins the per-procedure results sizes the
-// server gives Dispatch against each procedure's largest result without a
-// variable-length tail (READLINK and READDIR[PLUS] with an empty one): none
-// may grow the reply buffer, so a reply costs one allocation, and no hint may
-// exceed its message by more than one of the allocator's size classes. It
-// also pins the handle's wire form.
-func TestEncoderCapsCoverFixedMessages(t *testing.T) {
+// TestDispatchRepliesAreExact: every reply Dispatch returns — one per NFS
+// procedure, each answered NFS3_OK, READDIR[PLUS] a long one, and an
+// unknown program's PROG_UNAVAIL — is its room and its message in a buffer
+// of exactly that size, carved once the reply is built: nothing appended to
+// a reply can reach the one carved next to it. It also pins the handle's
+// wire form.
+func TestDispatchRepliesAreExact(t *testing.T) {
 	fh := FH{FSID: 0x0102030405060708, FileID: 0x1112131415161718}
 	e := xdr.NewEncoder(nil)
 	encode(e, &fh)
@@ -450,56 +450,73 @@ func TestEncoderCapsCoverFixedMessages(t *testing.T) {
 		t.Errorf("handle on the wire:\n got %x\nwant %x", e.Bytes(), want)
 	}
 
-	post := PostOpAttr{Present: true}
-	wcc := WccData{PrePresent: true, Post: post}
-	create := &CreateRes{Status: OK, FHPresent: true, FH: fh, Attr: post, DirWcc: wcc}
-	results := map[uint32]message{
-		ProcGetAttr:     &GetAttrRes{Status: OK},
-		ProcSetAttr:     &WccRes{Status: OK, Wcc: wcc},
-		ProcLookup:      &LookupRes{Status: OK, Object: fh, ObjAttr: post, DirAttr: post},
-		ProcAccess:      &AccessRes{Status: OK, Attr: post},
-		ProcReadLink:    &ReadLinkRes{Status: OK, Attr: post},
-		ProcRead:        &ReadRes{Status: OK, Attr: post, Count: 1 << 20, EOF: true},
-		ProcWrite:       &WriteRes{Status: OK, Wcc: wcc, Count: 1 << 20, Committed: FileSync, Verf: 1},
-		ProcCreate:      create,
-		ProcMkdir:       create,
-		ProcSymlink:     create,
-		ProcMknod:       create,
-		ProcRemove:      &WccRes{Status: OK, Wcc: wcc},
-		ProcRmdir:       &WccRes{Status: OK, Wcc: wcc},
-		ProcRename:      &RenameRes{Status: OK, FromWcc: wcc, ToWcc: wcc},
-		ProcLink:        &LinkRes{Status: OK, Attr: post, LinkWcc: wcc},
-		ProcReadDir:     &ReadDirRes{Status: OK, DirAttr: post},
-		ProcReadDirPlus: &ReadDirRes{Status: OK, DirAttr: post, Plus: true},
-		ProcFSStat:      &FSStatRes{Status: OK, Attr: post},
-		ProcFSInfo:      &FSInfoRes{Status: OK, Attr: post},
-		ProcPathConf:    &PathConfRes{Status: OK, Attr: post},
-		ProcCommit:      &CommitRes{Status: OK, Wcc: wcc},
+	sim := des.New()
+	fs := vfs.NewNamespace(sim, vfs.NewMemStore(false), 1<<30)
+	srv := NewServer(fs, ServerConfig{})
+	d := oncrpc.NewDispatcher()
+	d.Register(srv)
+	root := srv.RootFH()
+	id, _, _ := fs.Create(nil, fs.Root(), "file", 0644)
+	link, _, _ := fs.Symlink(nil, fs.Root(), "link", "file")
+	for i := range 32 {
+		fs.Create(nil, fs.Root(), fmt.Sprintf("f%02d", i), 0644)
 	}
-	// The allocator's small size classes (runtime/sizeclasses.go).
-	classes := []int{0, 8, 16, 24, 32, 48, 64, 80, 96, 112, 128, 144, 160, 176, 192, 208, 224, 240, 256, 288, 320, 352, 384, 416, 448, 480, 512}
-	class := func(n int) int {
-		i := 0
-		for i < len(classes)-1 && classes[i] < n {
-			i++
-		}
-		return i
+	file, mode := srv.mkFH(id), uint32(0644)
+	calls := []struct {
+		proc uint32
+		args message
+	}{
+		{ProcNull, nil},
+		{ProcGetAttr, &GetAttrArgs{FH: file}},
+		{ProcSetAttr, &SetAttrArgs{FH: file, Attr: SAttr{Mode: &mode}}},
+		{ProcLookup, &DirOpArgs{Dir: root, Name: "file"}},
+		{ProcAccess, &AccessArgs{FH: file, Access: 0x1f}},
+		{ProcReadLink, &GetAttrArgs{FH: srv.mkFH(link)}},
+		{ProcRead, &ReadArgs{FH: file, Count: 8192}},
+		{ProcWrite, &WriteArgs{FH: file, Stable: FileSync}},
+		{ProcCreate, &CreateArgs{Where: DirOpArgs{Dir: root, Name: "new"}, Attr: SAttr{Mode: &mode}}},
+		{ProcMkdir, &MkdirArgs{Where: DirOpArgs{Dir: root, Name: "dir"}, Attr: SAttr{Mode: &mode}}},
+		{ProcSymlink, &SymlinkArgs{Where: DirOpArgs{Dir: root, Name: "sym"}, Target: "file"}},
+		{ProcMknod, nil},
+		{ProcRemove, &DirOpArgs{Dir: root, Name: "new"}},
+		{ProcRmdir, &DirOpArgs{Dir: root, Name: "dir"}},
+		{ProcRename, &RenameArgs{From: DirOpArgs{Dir: root, Name: "sym"}, To: DirOpArgs{Dir: root, Name: "sym2"}}},
+		{ProcLink, &LinkArgs{FH: file, Link: DirOpArgs{Dir: root, Name: "hard"}}},
+		{ProcReadDir, &ReadDirArgs{Dir: root, Count: 4096}},
+		{ProcReadDirPlus, &ReadDirArgs{Dir: root, Count: 8192, Plus: true}},
+		{ProcFSStat, &GetAttrArgs{FH: root}},
+		{ProcFSInfo, &GetAttrArgs{FH: root}},
+		{ProcPathConf, &GetAttrArgs{FH: root}},
+		{ProcCommit, &CommitArgs{FH: file}},
 	}
-	srv := NewServer(nil, ServerConfig{})
-	for proc := uint32(ProcGetAttr); proc <= ProcCommit; proc++ {
-		res, ok := results[proc]
-		if !ok {
-			t.Errorf("%s: no result to hold its results size to", ProcName(proc))
-			continue
-		}
-		hint := srv.ResultsSize(proc)
-		e := xdr.NewEncoder(make([]byte, 0, hint))
-		encode(e, res)
-		if cap(e.Bytes()) != hint {
-			t.Errorf("%s: %d bytes of results outgrew the %d the server sizes them at", ProcName(proc), e.Len(), hint)
-		}
-		if class(hint) > class(e.Len())+1 {
-			t.Errorf("%s: results size %d is more than one size class above the %d-byte message", ProcName(proc), hint, e.Len())
-		}
+	if len(calls) != len(procs) {
+		t.Fatalf("%d calls for %d procedures", len(calls), len(procs))
 	}
+	sim.Spawn("t", func(p *des.Proc) {
+		dispatch := func(prog, proc uint32, args message) []byte {
+			e := xdr.NewEncoder(nil)
+			if args != nil {
+				encode(e, args)
+			}
+			call := oncrpc.EncodeCall(&oncrpc.CallHeader{XID: proc, Prog: prog, Vers: Version, Proc: proc}, e.Bytes())
+			reply, _, err := d.Dispatch(p, call, oncrpc.DispatchOpts{Room: 28})
+			if err != nil {
+				t.Fatalf("%s: %v", ProcName(proc), err)
+			}
+			if cap(reply) != len(reply) {
+				t.Errorf("program %d, %s: a %d-byte reply in a buffer of %d", prog, ProcName(proc), len(reply), cap(reply))
+			}
+			return reply[28:]
+		}
+		for _, c := range calls {
+			_, stat, results, err := oncrpc.DecodeReply(dispatch(Program, c.proc, c.args))
+			if st, _ := xdr.NewDecoder(results).Uint32(); err != nil || stat != oncrpc.Success || c.proc != ProcNull && c.proc != ProcMknod && Status(st) != OK {
+				t.Errorf("%s: %v, %v, results %x", ProcName(c.proc), err, stat, results)
+			}
+		}
+		if _, stat, _, err := oncrpc.DecodeReply(dispatch(4242, ProcNull, nil)); err != nil || stat != oncrpc.ProgUnavail {
+			t.Errorf("an unknown program: %v, %v", err, stat)
+		}
+	})
+	sim.Run()
 }

@@ -45,6 +45,11 @@ type Server struct {
 	// Ops counts handled procedures by number.
 	Ops []int64
 
+	// dirents and entries are what readdir fills, kept between calls:
+	// nothing waits between its ReadDir and its encode.
+	dirents []vfs.DirEntry
+	entries []DirEntry3
+
 	calls des.FreeList[call] // HandleThen's states between calls, zeroed
 }
 
@@ -131,50 +136,39 @@ func (s *Server) wccFrom(id vfs.FileID, pre WccAttr, ok bool) WccData {
 	return WccData{PrePresent: ok, Pre: pre, Post: s.postAttr(id)}
 }
 
-// procs describes the procedures by number: the name, the size of the
-// largest results without a variable-length tail (all optional attributes
-// present; READLINK's path and READDIR[PLUS]'s entries grow the reply beyond
-// it), whether a replay would corrupt, and the handler (nil: void results).
+// procs describes the procedures by number: the name, whether a replay
+// would corrupt, and the handler (nil: void results).
 //
 // READ, WRITE and COMMIT reach the store, which may wait for the disk: their
 // handlers are chains (then), which HandleThen runs instead of handle.
 var procs = [...]struct {
 	name          string
-	resultsSize   int
 	nonIdempotent bool
 	handle        func(s *Server, req *oncrpc.ServerRequest)
 	then          func(s *Server, c *call)
 }{
-	ProcNull:        {"NULL", 0, false, nil, nil},
-	ProcGetAttr:     {"GETATTR", 88, false, (*Server).getattr, nil},
-	ProcSetAttr:     {"SETATTR", 120, true, (*Server).setattr, nil},
-	ProcLookup:      {"LOOKUP", 200, false, (*Server).lookup, nil},
-	ProcAccess:      {"ACCESS", 96, false, (*Server).access, nil},
-	ProcReadLink:    {"READLINK", 96, false, (*Server).readlink, nil},
-	ProcRead:        {"READ", 104, false, nil, (*Server).read},
-	ProcWrite:       {"WRITE", 136, true, nil, (*Server).write},
-	ProcCreate:      {"CREATE", 232, true, (*Server).create, nil},
-	ProcMkdir:       {"MKDIR", 232, true, (*Server).mkdir, nil},
-	ProcSymlink:     {"SYMLINK", 232, true, (*Server).symlink, nil},
-	ProcMknod:       {"MKNOD", 232, true, (*Server).mknod, nil},
-	ProcRemove:      {"REMOVE", 120, true, (*Server).remove, nil},
-	ProcRmdir:       {"RMDIR", 120, true, (*Server).remove, nil},
-	ProcRename:      {"RENAME", 236, true, (*Server).rename, nil},
-	ProcLink:        {"LINK", 208, true, (*Server).link, nil},
-	ProcReadDir:     {"READDIR", 108, false, (*Server).readdir, nil},
-	ProcReadDirPlus: {"READDIRPLUS", 108, false, (*Server).readdir, nil},
-	ProcFSStat:      {"FSSTAT", 144, false, (*Server).fsstat, nil},
-	ProcFSInfo:      {"FSINFO", 140, false, (*Server).fsinfo, nil},
-	ProcPathConf:    {"PATHCONF", 116, false, (*Server).pathconf, nil},
-	ProcCommit:      {"COMMIT", 128, false, nil, (*Server).commit},
-}
-
-// ResultsSize implements oncrpc.ResultsSizer.
-func (s *Server) ResultsSize(proc uint32) int {
-	if int(proc) < len(procs) {
-		return procs[proc].resultsSize
-	}
-	return 0
+	ProcNull:        {"NULL", false, nil, nil},
+	ProcGetAttr:     {"GETATTR", false, (*Server).getattr, nil},
+	ProcSetAttr:     {"SETATTR", true, (*Server).setattr, nil},
+	ProcLookup:      {"LOOKUP", false, (*Server).lookup, nil},
+	ProcAccess:      {"ACCESS", false, (*Server).access, nil},
+	ProcReadLink:    {"READLINK", false, (*Server).readlink, nil},
+	ProcRead:        {"READ", false, nil, (*Server).read},
+	ProcWrite:       {"WRITE", true, nil, (*Server).write},
+	ProcCreate:      {"CREATE", true, (*Server).create, nil},
+	ProcMkdir:       {"MKDIR", true, (*Server).mkdir, nil},
+	ProcSymlink:     {"SYMLINK", true, (*Server).symlink, nil},
+	ProcMknod:       {"MKNOD", true, (*Server).mknod, nil},
+	ProcRemove:      {"REMOVE", true, (*Server).remove, nil},
+	ProcRmdir:       {"RMDIR", true, (*Server).remove, nil},
+	ProcRename:      {"RENAME", true, (*Server).rename, nil},
+	ProcLink:        {"LINK", true, (*Server).link, nil},
+	ProcReadDir:     {"READDIR", false, (*Server).readdir, nil},
+	ProcReadDirPlus: {"READDIRPLUS", false, (*Server).readdir, nil},
+	ProcFSStat:      {"FSSTAT", false, (*Server).fsstat, nil},
+	ProcFSInfo:      {"FSINFO", false, (*Server).fsinfo, nil},
+	ProcPathConf:    {"PATHCONF", false, (*Server).pathconf, nil},
+	ProcCommit:      {"COMMIT", false, nil, (*Server).commit},
 }
 
 // call is the state of one HandleThen in flight, kept for reuse by the
@@ -539,7 +533,9 @@ func (s *Server) link(req *oncrpc.ServerRequest) {
 	}
 }
 
-// readdir runs READDIR and READDIRPLUS.
+// readdir runs READDIR and READDIRPLUS. A page ends at the entry cap, or
+// before the entry that would take the results past count (RFC 1813
+// §3.3.16–17): a count too small for one entry is NFS3ERR_TOOSMALL.
 func (s *Server) readdir(req *oncrpc.ServerRequest) {
 	args := ReadDirArgs{Plus: req.Header.Proc == ProcReadDirPlus}
 	res := ReadDirRes{Plus: args.Plus}
@@ -547,25 +543,33 @@ func (s *Server) readdir(req *oncrpc.ServerRequest) {
 		return
 	}
 	dir := args.Dir.file()
-	// Entry budget from the reply byte budget: ~64 bytes per plain entry,
+	// Entry cap from the reply byte budget: ~64 bytes per plain entry,
 	// ~160 with attributes and handle.
 	per := 64
 	if args.Plus {
 		per = 160
 	}
-	ents, eof, err := s.fs.ReadDir(nil, dir, int64(args.Cookie), max(int(args.Count)/per, 1))
-	res.Status, res.DirAttr, res.EOF = StatusFromVFS(err), s.postAttr(dir), eof
-	if err == nil {
-		for _, ent := range ents {
-			e3 := DirEntry3{FileID: uint64(ent.FileID), Name: ent.Name, Cookie: uint64(ent.Cookie)}
-			if args.Plus {
-				e3.Attr = s.postAttr(ent.FileID)
-				e3.FHPresent = true
-				e3.FH = s.mkFH(ent.FileID)
-			}
-			res.Entries = append(res.Entries, e3)
+	var err error
+	s.dirents, res.EOF, err = s.fs.ReadDir(nil, dir, int64(args.Cookie), max(int(args.Count)/per, 1), s.dirents[:0])
+	res.Status, res.DirAttr, res.Entries = StatusFromVFS(err), s.postAttr(dir), s.entries[:0]
+	size := 4 + res.DirAttr.size() + 8 + 4 + 4 // status, dir_attributes, cookieverf, list end, eof
+	for _, ent := range s.dirents {
+		e3 := DirEntry3{FileID: uint64(ent.FileID), Name: ent.Name, Cookie: uint64(ent.Cookie)}
+		if args.Plus {
+			e3.Attr = s.postAttr(ent.FileID)
+			e3.FHPresent = true
+			e3.FH = s.mkFH(ent.FileID)
 		}
+		if size += e3.size(args.Plus); size > int(args.Count) {
+			res.EOF = false
+			break
+		}
+		res.Entries = append(res.Entries, e3)
 	}
+	if len(res.Entries) == 0 && len(s.dirents) > 0 {
+		res.Status = ErrTooSmall
+	}
+	s.entries = res.Entries
 	s.reply(req, res.XDR)
 }
 

@@ -295,6 +295,14 @@ func (a *PostOpAttr) XDR(c *xdr.Codec) {
 	}
 }
 
+// size is the encoded length of post_op_attr: a fattr3 is 84 bytes.
+func (a *PostOpAttr) size() int {
+	if a.Present {
+		return 4 + 84
+	}
+	return 4
+}
+
 // WccAttr is wcc_attr (pre-op attributes subset).
 type WccAttr struct {
 	Size  uint64

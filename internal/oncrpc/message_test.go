@@ -34,9 +34,10 @@ func (s *machineService) HandleThen(req *ServerRequest, resp *ServerResponse, fn
 
 // TestDispatchNullAllocatesNothing: in steady state, a call with no arguments
 // and no results whose credential names the transport's peer costs Dispatch
-// no allocation — the request is the dispatcher's, the reply is carved from
-// its block and the machine name is the peer's string — and the request it
-// takes back is zeroed.
+// no allocation — the request is the dispatcher's, the reply is built in its
+// scratch and carved from the dispatcher's block, and the machine name is the
+// peer's string — and the request it takes back is zeroed but for its
+// scratch, which is kept empty.
 func TestDispatchNullAllocatesNothing(t *testing.T) {
 	d := NewDispatcher()
 	d.Register(echoService{})
@@ -51,8 +52,10 @@ func TestDispatchNullAllocatesNothing(t *testing.T) {
 	sim.Run()
 	if len(d.free) != 1 {
 		t.Errorf("%d free requests after one call at a time, want 1", len(d.free))
-	} else if !reflect.DeepEqual(*d.free[0], ServerRequest{}) {
-		t.Errorf("free request = %+v, want it zeroed", *d.free[0])
+	} else if req := *d.free[0]; req.Reply.Len() != 0 || cap(req.Reply.Bytes()) == 0 {
+		t.Errorf("free request's reply scratch: %d bytes of %d, want it kept, empty", req.Reply.Len(), cap(req.Reply.Bytes()))
+	} else if req.Reply = (xdr.Encoder{}); !reflect.DeepEqual(req, ServerRequest{}) {
+		t.Errorf("free request = %+v, want it zeroed but for its reply scratch", req)
 	}
 }
 
@@ -86,14 +89,13 @@ func TestMachineNameIsThePeersOnlyWhenEqual(t *testing.T) {
 	}
 }
 
-// sizedService claims results of 8 bytes, echoes its arguments, and appends
-// fill bytes of 0xee when the first argument byte asks for them.
+// sizedService echoes its arguments, and appends fill bytes of 0xee when the
+// first argument byte asks for them.
 type sizedService struct{}
 
-func (sizedService) Name() string                { return "sized" }
-func (sizedService) Program() uint32             { return 779 }
-func (sizedService) Version() uint32             { return 1 }
-func (sizedService) ResultsSize(proc uint32) int { return 8 }
+func (sizedService) Name() string    { return "sized" }
+func (sizedService) Program() uint32 { return 779 }
+func (sizedService) Version() uint32 { return 1 }
 func (sizedService) HandleThen(req *ServerRequest, resp *ServerResponse, fn func(any), arg any) {
 	req.Reply.FixedOpaque(req.Args)
 	if len(req.Args) > 0 && req.Args[0] == 'x' {
@@ -105,8 +107,8 @@ func (sizedService) HandleThen(req *ServerRequest, resp *ServerResponse, fn func
 
 // TestMessagesOutgrowingTheirStores: a call larger than its request's inline
 // store and a reply larger than its share of a block both round-trip, and a
-// reply that outgrows the size the service announced moves out of the block
-// instead of writing over the reply carved next to it.
+// reply that outgrew the scratch it was built in is carved at its exact size,
+// as is the smaller one carved next to it, which does not write over it.
 func TestMessagesOutgrowingTheirStores(t *testing.T) {
 	d := NewDispatcher()
 	d.Register(sizedService{})
@@ -131,8 +133,9 @@ func TestMessagesOutgrowingTheirStores(t *testing.T) {
 		if !bytes.Equal(first, firstCopy) {
 			t.Error("the second reply was written over the first")
 		}
-		if cap(second) != 16+replyPrefix+8 {
-			t.Errorf("a reply's capacity is %d, want its room and announced size, %d", cap(second), 16+replyPrefix+8)
+		if cap(first) != len(first) || cap(second) != len(second) || len(second) != 16+replyPrefix+4 {
+			t.Errorf("replies of %d and %d bytes in buffers of %d and %d, want %d and %d in exact ones",
+				len(first), len(second), cap(first), cap(second), len(first), 16+replyPrefix+4)
 		}
 	})
 	sim.Run()

@@ -33,12 +33,12 @@ type Dispatcher struct {
 const replyBlock = 64 << 10
 
 // newReply returns a buffer for one reply: room zero bytes, then capacity for
-// n more, which ends there, so that a reply outgrowing it moves instead of
-// writing into the next one. The buffer is carved from the current block and
-// no byte is handed out twice: the peer reads a posted reply by reference,
-// so nothing is reused, and a block is collected when the last reply in it
-// is, as the kernel's page-fragment allocator frees skb heads. A reply of
-// more than a quarter block gets a buffer of its own.
+// exactly the n bytes of the reply, which the caller appends. The buffer is
+// carved from the current block and no byte is handed out twice: the peer
+// reads a posted reply by reference, so nothing is reused, and a block is
+// collected when the last reply in it is, as the kernel's page-fragment
+// allocator frees skb heads. A reply of more than a quarter block gets a
+// buffer of its own.
 func (d *Dispatcher) newReply(room, n int) []byte {
 	size := room + n
 	if size > replyBlock/4 {
@@ -108,8 +108,9 @@ func (d *Dispatcher) BadCalls() int64 { return d.badCalls }
 // reply.
 //
 // The ServerRequest the service sees is the dispatcher's, reused once
-// Dispatch returns; the reply is carved from the dispatcher's blocks
-// (newReply) and is never reused. Dispatch is DispatchThen run on p.
+// Dispatch returns, and the reply is built in its scratch; what Dispatch
+// returns is a copy carved at its exact size from the dispatcher's blocks
+// (newReply), never reused. Dispatch is DispatchThen run on p.
 func (d *Dispatcher) Dispatch(p *des.Proc, rawCall []byte, opts DispatchOpts) (reply []byte, bulkOut *Bulk, err error) {
 	st := d.calls.Get()
 	d.DispatchThen(p.Sim(), st, rawCall, opts, des.Resumer, p)
@@ -188,18 +189,13 @@ func (d *Dispatcher) DispatchThen(sim *des.Sim, st *Serving, rawCall []byte, opt
 			return
 		}
 	}
-	// The reply is built where the service writes its results: behind the
-	// room and the accepted-reply header, whose status word says ProgUnavail
-	// until HandleThen has said what it is.
+	// The reply is built in the request's scratch, where the service appends
+	// its results behind the accepted-reply header, whose status word says
+	// ProgUnavail until HandleThen has said what it is.
 	svc, ok := d.services[[2]uint32{hdr.Prog, hdr.Vers}]
-	size := replyPrefix
-	if rs, sized := svc.(ResultsSizer); sized {
-		size += rs.ResultsSize(hdr.Proc)
-	}
-	req.Reply.Reset(d.newReply(opts.Room, size))
 	appendReply(&req.Reply, hdr.XID, ProgUnavail)
 	if !ok {
-		st.Reply = req.Reply.Bytes()
+		st.Reply = append(d.newReply(opts.Room, req.Reply.Len()), req.Reply.Bytes()...)
 		st.finish()
 		return
 	}
@@ -231,11 +227,11 @@ func handled(a any) {
 			hdr.Cred.Machine, name, uint64(hdr.XID), int64(hdr.Proc))
 	}
 	reply := req.Reply.Bytes()
-	binary.BigEndian.PutUint32(reply[st.room+replyPrefix-4:], uint32(st.resp.Stat))
+	binary.BigEndian.PutUint32(reply[replyPrefix-4:], uint32(st.resp.Stat))
 	if st.cache {
-		st.d.drc.commit(st.drcID, st.key, reply[st.room:], st.resp.Bulk)
+		st.d.drc.commit(st.drcID, st.key, reply, st.resp.Bulk)
 	}
-	st.Reply, st.Bulk = reply, st.resp.Bulk
+	st.Reply, st.Bulk = append(st.d.newReply(st.room, len(reply)), reply...), st.resp.Bulk
 	st.finish()
 }
 
@@ -277,11 +273,13 @@ func (d *Dispatcher) deny(xid uint32, err error, room int) []byte {
 	return e.Bytes()
 }
 
-// put takes a request back once Dispatch is done with it. Nothing keeps it:
-// the reply is in a block, the descriptors are the transport's and the DRC
-// copies what it caches.
+// put takes a request back once Dispatch is done with it, keeping only its
+// reply scratch, emptied: the reply was copied out of it, the descriptors are
+// the transport's and the DRC copies what it caches.
 func (d *Dispatcher) put(req *ServerRequest) {
+	scratch := req.Reply.Bytes()[:0]
 	*req = ServerRequest{}
+	req.Reply.Reset(scratch)
 	d.free.Put(req)
 }
 

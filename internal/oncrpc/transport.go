@@ -143,9 +143,10 @@ type ServerRequest struct {
 	// payload must use it when present and set ServerResponse.Bulk to it.
 	ReplyBuf *Bulk
 
-	// Reply is the reply under construction: Dispatch leaves the transport's
-	// room and the accepted-reply header in it, and HandleThen appends the
-	// procedure's results.
+	// Reply is the reply under construction: Dispatch leaves the
+	// accepted-reply header in it, and HandleThen appends the procedure's
+	// results. It writes into scratch the request keeps across calls, so
+	// Dispatch copies the reply out once the service has answered.
 	Reply xdr.Encoder
 }
 
@@ -166,11 +167,4 @@ type Service interface {
 	Program() uint32
 	Version() uint32
 	HandleThen(req *ServerRequest, resp *ServerResponse, fn func(any), arg any)
-}
-
-// ResultsSizer is optionally implemented by services that know how large a
-// procedure's results are: Dispatch sizes the reply buffer by it, so that
-// results that fit append without growing it.
-type ResultsSizer interface {
-	ResultsSize(proc uint32) int
 }

@@ -26,6 +26,7 @@ type Namespace struct {
 	root   FileID
 	total  int64 // advertised capacity
 	used   int64
+	names  []string // ReadDir's sorted child names, kept between calls
 }
 
 var _ FS = (*Namespace)(nil)
@@ -404,28 +405,29 @@ func (op *Op) finish(err error) {
 }
 
 // ReadDir implements FS.
-func (ns *Namespace) ReadDir(p *des.Proc, dir FileID, cookie int64, maxEntries int) ([]DirEntry, bool, error) {
+func (ns *Namespace) ReadDir(p *des.Proc, dir FileID, cookie int64, maxEntries int, into []DirEntry) ([]DirEntry, bool, error) {
 	d, err := ns.getDir(dir)
 	if err != nil {
-		return nil, false, err
+		return into, false, err
 	}
-	names := make([]string, 0, len(d.children))
+	names := ns.names[:0]
 	for name := range d.children {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	var out []DirEntry
+	ns.names = names
+	n := len(into)
 	for i, name := range names {
 		ck := int64(i + 1)
 		if ck <= cookie {
 			continue
 		}
-		if maxEntries > 0 && len(out) >= maxEntries {
-			return out, false, nil
+		if maxEntries > 0 && len(into)-n >= maxEntries {
+			return into, false, nil
 		}
-		out = append(out, DirEntry{FileID: d.children[name], Name: name, Cookie: ck})
+		into = append(into, DirEntry{FileID: d.children[name], Name: name, Cookie: ck})
 	}
-	return out, true, nil
+	return into, true, nil
 }
 
 // FSStat implements FS.

@@ -102,7 +102,10 @@ type FS interface {
 	// fn(arg) with the error in op.Err.
 	CommitThen(op *Op, id FileID, off int64, count int, fn func(any), arg any)
 
-	ReadDir(p *des.Proc, dir FileID, cookie int64, maxEntries int) ([]DirEntry, bool, error)
+	// ReadDir appends to into, which the caller owns, up to maxEntries (0:
+	// all) of dir's entries after cookie, in name order, each with its
+	// cookie, and reports whether the listing ended.
+	ReadDir(p *des.Proc, dir FileID, cookie int64, maxEntries int, into []DirEntry) ([]DirEntry, bool, error)
 
 	// FSStat returns total and free bytes.
 	FSStat() (total, free int64)

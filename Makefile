@@ -19,9 +19,12 @@ fmt:
 # code under internal/ that is not on the test's allow-list, since Go's map
 # order would make a seed's run differ from itself; and the process lint: it
 # fails on a call of Sim.Spawn or Sim.SpawnAt in non-test code of the
-# packages on the RPC path, whose waits are chains (see determinism_test.go).
+# packages on the RPC path, whose waits are chains (see determinism_test.go);
+# and the docs lint: it fails when README.md, EXPERIMENTS.md, DESIGN.md or the
+# verify skill pass nfsrdma-bench or nfsrdma-experiments a flag the command
+# does not define (see docs_test.go).
 lint:
-	$(GO) test -run '^(TestNoMapOrderInSimulation|TestNoSpawnOnRPCPath)$$' .
+	$(GO) test -run '^(TestNoMapOrderInSimulation|TestNoSpawnOnRPCPath|TestDocsNameOnlyDefinedFlags)$$' .
 
 # check is the CI gate: gofmt, vet and the determinism lint, then every suite
 # once under the race detector. The parallel sweep runner makes simulations genuinely

@@ -43,7 +43,7 @@ func main() {
 	only := flag.String("only", "", "comma-separated subset: "+strings.Join(known, ","))
 	workers := flag.Int("workers", 0, "concurrent simulations per sweep (0 = one per core, 1 = sequential)")
 	traceOut := flag.String("trace", "", "write the fig4 run's Chrome trace-event JSON to this file (implies fig4)")
-	telemetryPrefix := flag.String("telemetry", "", "per-point telemetry for capacity/muxcap: write <prefix>-<clients>-<mode>-<design>-<load>.csv series and print detector findings")
+	telemetryPrefix := flag.String("telemetry", "", "per-point telemetry for capacity/muxcap: write <prefix>-<clients>-<mode>-<design>-<load>.csv series and print each point's dashboard")
 	telemetryIval := flag.Duration("telemetry-interval", 100*time.Microsecond, "virtual-time sampling period for -telemetry")
 	flag.Parse()
 
@@ -192,8 +192,8 @@ func main() {
 	}
 }
 
-// emitTelemetry writes one sweep point's series to <name>.csv and prints its
-// detector findings; a no-op when telemetry was not requested for the run.
+// emitTelemetry writes one sweep point's series to <name>.csv and prints
+// its dashboard; a no-op when telemetry was not requested for the run.
 func emitTelemetry(prefix, name string, r *telemetry.Report) {
 	if prefix == "" || r == nil {
 		return
@@ -203,13 +203,5 @@ func emitTelemetry(prefix, name string, r *telemetry.Report) {
 		fmt.Fprintf(os.Stderr, "telemetry: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Printf("telemetry: %s (%d samples)", path, len(r.TimesS))
-	if len(r.Findings) == 0 {
-		fmt.Println("  no findings")
-		return
-	}
-	fmt.Println()
-	for _, fd := range r.Findings {
-		fmt.Printf("  %s\n", fd)
-	}
+	fmt.Printf("%s: %s", path, r.Dashboard())
 }

@@ -103,9 +103,7 @@ type Config struct {
 	// Faults > 0 composes a chaos fault schedule under the attack — QP
 	// errors, link flaps, server crashes — generated from Seed with the
 	// generator's defaults (see chaos.GenConfig).
-	Faults     int
-	MaxCrashes int
-	Horizon    des.Duration
+	Faults int
 }
 
 func (c *Config) defaults() {
@@ -217,12 +215,7 @@ func Run(cfg Config) *Result {
 	oracle := chaos.NewOracle()
 	res := &Result{}
 	if cfg.Faults > 0 {
-		sched := chaos.Generate(cfg.Seed, chaos.GenConfig{
-			Faults:     cfg.Faults,
-			Clients:    cfg.Clients,
-			Horizon:    cfg.Horizon,
-			MaxCrashes: cfg.MaxCrashes,
-		})
+		sched := chaos.Generate(cfg.Seed, chaos.GenConfig{Faults: cfg.Faults, Clients: cfg.Clients})
 		sched.Apply(cluster, oracle)
 		res.FaultCount = len(sched.Faults)
 	}

@@ -267,8 +267,8 @@ func (a *attacker) spoofDoneDedicated(p *des.Proc) {
 // claims.
 func (a *attacker) drcForge(p *des.Proc) {
 	mgr := memreg.NewManager(p, a.node, memreg.Config{Mode: a.cfg.RegMode})
-	t := a.dialTransport(p, mgr)
-	if t == nil {
+	t, err := a.cluster.ConnectRDMA(p, a.node, mgr)
+	if err != nil {
 		return
 	}
 	defer t.Close()
@@ -296,34 +296,6 @@ func (a *attacker) drcForge(p *des.Proc) {
 		}
 		a.res.ForgeSent++
 	}
-}
-
-// dialTransport builds the attacker's full client transport, honouring the
-// cluster's connection mode, with the same backoff honest dialers use.
-func (a *attacker) dialTransport(p *des.Proc, mgr *memreg.Manager) *rpcrdma.ClientTransport {
-	cfgC := a.cluster.Cfg.Profile.RDMAClient
-	cfgC.Design = a.cfg.Design
-	backoff := des.Duration(50 * time.Microsecond)
-	for try := 0; try < 12; try++ {
-		if a.cluster.Cfg.Multiplex {
-			cfgC.Multiplex = true
-			if q, grant, ok := a.cluster.Server.RDMA.TryAttach(a.node); ok {
-				if grant > 0 && grant < cfgC.Credits {
-					cfgC.Credits = grant
-				}
-				return rpcrdma.NewClientTransport(p, q, mgr, cfgC)
-			}
-		} else {
-			cq, sq := a.cluster.Fabric.Connect(a.node, a.cluster.Server.Node, ibsim.QPConfig{})
-			if a.cluster.Server.RDMA.TryServe(sq) {
-				return rpcrdma.NewClientTransport(p, cq, mgr, cfgC)
-			}
-			cq.Close()
-		}
-		p.Sleep(backoff)
-		backoff *= 2
-	}
-	return nil
 }
 
 // staleProbe replays the scan's discovered keys after a quiet period. A

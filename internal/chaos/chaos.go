@@ -33,11 +33,10 @@ type Config struct {
 
 	Clients int
 
-	// Faults/MaxCrashes/Horizon feed the schedule generator, whose defaults
-	// apply (see GenConfig).
+	// Faults/MaxCrashes feed the schedule generator, whose defaults apply
+	// (see GenConfig).
 	Faults     int
 	MaxCrashes int
-	Horizon    des.Duration
 
 	// Schedule overrides generation: the exact fault list to apply
 	// (shrinking replays candidates this way). Seed is still used for the
@@ -159,7 +158,6 @@ func Run(cfg Config) *Result {
 	sched := Generate(cfg.Seed, GenConfig{
 		Faults:     cfg.Faults,
 		Clients:    cfg.Clients,
-		Horizon:    cfg.Horizon,
 		MaxCrashes: cfg.MaxCrashes,
 	})
 	if cfg.Schedule != nil {

@@ -1,0 +1,62 @@
+package chaos
+
+import (
+	"fmt"
+
+	"repro/internal/rpcrdma"
+)
+
+// ExampleShrink is the broken-server demonstration: with the duplicate
+// request cache disabled, seed 12's six-fault schedule makes a replayed
+// RENAME re-execute, the oracle flags the NFS3ERR_NOENT no correct server
+// can return outside a crash, and the shrinker cuts the schedule down to
+// the one fault that causes it. With the cache on, that fault is harmless.
+func ExampleShrink() {
+	cfg := Config{
+		Seed: 12, Design: rpcrdma.ReadWrite,
+		Faults: 6, MaxCrashes: 1, DisableDRC: true,
+		TraceCapacity: 1 << 20,
+	}
+	res := Run(cfg)
+	fmt.Println("schedule:", res.Schedule)
+	fmt.Printf("crashes=%d reconnects=%d replays=%d timeouts=%d retrans=%d drcHits=%d drcMisses=%d\n",
+		res.Crashes, res.Reconnects, res.Replays, res.Timeouts, res.Retransmits, res.DRCHits, res.DRCMisses)
+	fmt.Printf("writes acked=%d failed=%d   oracle reads=%d   renames ok=%d enoent=%d failed=%d\n",
+		res.Load.WritesAcked, res.Load.WritesFailed, res.OracleReads,
+		res.Load.RenamesOK, res.Load.RenameENOENTs, res.Load.RenamesFailed)
+	fmt.Println("fingerprint:", res.Fingerprint)
+	printVerdict(res)
+
+	minimal := Shrink(res.Schedule, func(s Schedule) bool {
+		c := cfg
+		c.Schedule = &s
+		return Run(c).Failed()
+	})
+	fmt.Printf("minimal reproducer (%d faults): %v\n", len(minimal.Faults), minimal)
+	cfg.Schedule, cfg.DisableDRC = &minimal, false
+	fmt.Print("with the DRC on: ")
+	printVerdict(Run(cfg))
+	// Output:
+	// schedule: seed=12 [t=964µs flap(client0); t=999µs qperr(client1); t=1327µs flap(client1); t=2020µs flap(client0); t=2043µs crash(down=2062µs); t=2278µs qperr(client1)]
+	// crashes=1 reconnects=6 replays=9 timeouts=4 retrans=0 drcHits=0 drcMisses=0
+	// writes acked=36 failed=0   oracle reads=24   renames ok=7 enoent=1 failed=0
+	// fingerprint: t=8804351 crashes=1 rc=6 rp=9 to=4 rt=0 drc=0/0 wi=36 wa=36 wf=0 reads=24 ren=7/1/0 viol=1 inv=0
+	// verdict: FAILED
+	//   oracle: RENAME got NFS3ERR_NOENT at t=[882052,1071905] with no overlapping server crash: duplicate RENAME re-executed (DRC replay failure)
+	// minimal reproducer (1 faults): seed=12 [t=964µs flap(client0)]
+	// with the DRC on: verdict: CLEAN (oracle and trace invariants satisfied)
+}
+
+func printVerdict(res *Result) {
+	if !res.Failed() {
+		fmt.Println("verdict: CLEAN (oracle and trace invariants satisfied)")
+		return
+	}
+	fmt.Println("verdict: FAILED")
+	for _, v := range res.Violations {
+		fmt.Println("  oracle:", v)
+	}
+	for _, v := range res.InvariantViolations {
+		fmt.Println("  invariant:", v)
+	}
+}

@@ -99,9 +99,6 @@ type GenConfig struct {
 	Faults int
 	// Clients is the cluster size faults target.
 	Clients int
-	// Horizon is the workload's expected span; fault times are drawn from
-	// [Horizon/8, 3·Horizon/4] so they land while work is in flight.
-	Horizon des.Duration
 	// MaxCrashes bounds how many of the faults may be server crashes.
 	MaxCrashes int
 }
@@ -113,16 +110,16 @@ func (c *GenConfig) defaults() {
 	if c.Clients <= 0 {
 		c.Clients = 1
 	}
-	if c.Horizon <= 0 {
-		c.Horizon = 4 * time.Millisecond
-	}
 	if c.MaxCrashes <= 0 {
 		c.MaxCrashes = 2
 	}
 }
 
-// Crash downtimes are drawn from [minDowntime, maxDowntime).
+// horizon is the workload's expected span: fault times are drawn from
+// [horizon/8, 3·horizon/4] so they land while work is in flight. Crash
+// downtimes are drawn from [minDowntime, maxDowntime).
 const (
+	horizon     = 4 * time.Millisecond
 	minDowntime = 200 * time.Microsecond
 	maxDowntime = minDowntime + 2*time.Millisecond
 )
@@ -132,8 +129,8 @@ const (
 func Generate(seed uint64, cfg GenConfig) Schedule {
 	cfg.defaults()
 	rng := des.NewRand(seed*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d)
-	lo := int64(cfg.Horizon) / 8
-	hi := int64(cfg.Horizon) * 3 / 4
+	lo := int64(horizon) / 8
+	hi := int64(horizon) * 3 / 4
 	crashes := 0
 	faults := make([]Fault, 0, cfg.Faults)
 	for i := 0; i < cfg.Faults; i++ {

@@ -348,7 +348,7 @@ func NewCluster(cfg Config) *Cluster {
 			srv.RDMA = rpcrdma.NewServerTransport(p, srvNode, srv.Mgr, dispatcher, sCfg)
 			for _, cl := range c.Clients {
 				cl.Mgr = memreg.NewManager(p, cl.Node, memreg.Config{Mode: cfg.RegMode, CacheMaxBytes: cfg.CacheMaxBytes})
-				t, err := connectRDMA(p, cl)
+				t, err := c.ConnectRDMA(p, cl.Node, cl.Mgr)
 				if err != nil {
 					panic(err.Error())
 				}
@@ -382,42 +382,27 @@ func NewCluster(cfg Config) *Cluster {
 	return c
 }
 
-// newClientTransport builds an RPC/RDMA client endpoint with the cluster's
-// configured design, shared by initial wiring and Reconnect. In multiplexed
-// mode the transport is sized to the server's initial credit grant (its
-// sub-account of the shard's pooled receives) and honors regrants carried in
-// replies.
-func newClientTransport(p *des.Proc, cq *ibsim.QP, cl *Client, grant int) *rpcrdma.ClientTransport {
-	cfg := cl.cluster.Cfg.Profile.RDMAClient
-	cfg.Design = cl.cluster.Cfg.Design
-	if cl.cluster.Cfg.Multiplex {
-		cfg.Multiplex = true
-		if grant > 0 && grant < cfg.Credits {
-			cfg.Credits = grant
-		}
-	}
-	return rpcrdma.NewClientTransport(p, cq, cl.Mgr, cfg)
-}
-
-// connectRDMA dials the server for one client, honouring admission control:
-// a rejected connection is closed and redialled with exponential backoff
-// until the server has room. Used by both initial wiring and Reconnect, in
-// both connection modes — a dedicated QP pair per client, or (Multiplex) a
-// lightweight endpoint attached to a shard's shared QP. The retry budget is
-// finite; a nil transport and an error mean every attempt was rejected —
-// because MaxConns starves this client, or because the server is down
-// (crashed) for longer than the whole dial window. Initial wiring treats
-// that as fatal; the recovery layer keeps redialling.
-func connectRDMA(p *des.Proc, cl *Client) (*rpcrdma.ClientTransport, error) {
-	cluster := cl.cluster
+// ConnectRDMA dials the server from node and builds a client transport
+// over mgr with the cluster's design, honouring admission control: a
+// rejected connection is closed and redialled with exponential backoff
+// until the server has room. Initial wiring, Reconnect and the adversary's
+// attacker all dial through it, in both connection modes — a dedicated QP
+// pair per client, or (Multiplex) a lightweight endpoint attached to a
+// shard's shared QP, sized to the server's initial credit grant (its
+// sub-account of the shard's pooled receives). The retry budget is finite;
+// a nil transport and an error mean every attempt was rejected — because
+// MaxConns starves this node, or because the server is down (crashed) for
+// longer than the whole dial window. Initial wiring treats that as fatal;
+// the recovery layer keeps redialling.
+func (c *Cluster) ConnectRDMA(p *des.Proc, node *ibsim.Node, mgr *memreg.Manager) (*rpcrdma.ClientTransport, error) {
 	// One admission attempt; both modes share the surrounding backoff loop
 	// so redial policy cannot drift between them.
 	dial := func() (*ibsim.QP, int, bool) {
-		if cluster.Cfg.Multiplex {
-			return cluster.Server.RDMA.TryAttach(cl.Node)
+		if c.Cfg.Multiplex {
+			return c.Server.RDMA.TryAttach(node)
 		}
-		cq, sq := cluster.Fabric.Connect(cl.Node, cluster.Server.Node, ibsim.QPConfig{})
-		if !cluster.Server.RDMA.TryServe(sq) {
+		cq, sq := c.Fabric.Connect(node, c.Server.Node, ibsim.QPConfig{})
+		if !c.Server.RDMA.TryServe(sq) {
 			cq.Close()
 			return nil, 0, false
 		}
@@ -426,11 +411,19 @@ func connectRDMA(p *des.Proc, cl *Client) (*rpcrdma.ClientTransport, error) {
 	backoff := admissionBackoffBase
 	for attempt := 0; ; attempt++ {
 		if cq, grant, ok := dial(); ok {
-			return newClientTransport(p, cq, cl, grant), nil
+			cfg := c.Cfg.Profile.RDMAClient
+			cfg.Design = c.Cfg.Design
+			if c.Cfg.Multiplex {
+				cfg.Multiplex = true
+				if grant > 0 && grant < cfg.Credits {
+					cfg.Credits = grant
+				}
+			}
+			return rpcrdma.NewClientTransport(p, cq, mgr, cfg), nil
 		}
 		if attempt >= admissionRetryLimit {
 			return nil, fmt.Errorf("core: %s rejected by server %d times (MaxConns=%d too small for %d clients, or server down?)",
-				cl.Node.Name(), attempt+1, cluster.Cfg.MaxConns, cluster.Cfg.Clients)
+				node.Name(), attempt+1, c.Cfg.MaxConns, c.Cfg.Clients)
 		}
 		p.Sleep(backoff)
 		backoff *= 2

@@ -8,8 +8,7 @@ import (
 
 // Reconnect replaces a failed RDMA connection with a fresh queue pair and
 // client transport, re-attaching it to the server. The new transport is
-// built by the same constructor as initial wiring (newClientTransport), so
-// it inherits the cluster's design, profile, and timeout policy. The NFS
+// dialled as in initial wiring (Cluster.ConnectRDMA), so it inherits the cluster's design, profile, and timeout policy. The NFS
 // client keeps its XID stream across the swap, so the server's duplicate
 // request cache stays coherent: retried non-idempotent calls replay their
 // cached replies instead of re-executing.
@@ -25,7 +24,7 @@ func (c *Client) Reconnect(p *des.Proc) error {
 		return fmt.Errorf("core: reconnect applies to RDMA transports only")
 	}
 	c.RDMA.Close()
-	nt, err := connectRDMA(p, c)
+	nt, err := c.cluster.ConnectRDMA(p, c.Node, c.Mgr)
 	if err != nil {
 		// Dial window exhausted — e.g. the server is crashed for longer than
 		// the whole redial budget. The old transport stays installed (closed,

@@ -15,9 +15,9 @@ import (
 	"repro/internal/workload"
 )
 
-// CapacityPoint is one open-loop measurement, of either capacity sweep or of
-// nfsrdma-bench -openloop: the cluster it ran on, what the generator measured
-// there, and the server transport's shard-path evidence.
+// CapacityPoint is one open-loop measurement of either capacity sweep: the
+// cluster it ran on, what the generator measured there, and the server
+// transport's shard-path evidence.
 type CapacityPoint struct {
 	Clients   int
 	Multiplex bool
@@ -183,56 +183,42 @@ func capacityConfig(clients int, design rpcrdma.Design, opts CapacityOptions) co
 	}
 }
 
-// runCapacityPoint measures one sweep point on cfg's cluster: 64 KiB reads
-// of a scale-sized file for the scaled window (never below 1/80 of the full
+// runCapacityPoint measures one sweep point on cfg's cluster: the
+// open-loop generator offers aggMBps in aggregate as 64 KiB reads of a
+// scale-sized file for the scaled window (never below 1/80 of the full
 // one). A point that cannot run is a bug in the sweep, so it panics.
 func runCapacityPoint(cfg core.Config, aggMBps float64, window des.Duration, scale Scale, telemetryInterval des.Duration) CapacityPoint {
 	const recSize = 64 << 10
-	var prepare func(*core.Cluster)
-	if telemetryInterval > 0 {
-		prepare = func(c *core.Cluster) { c.EnableTelemetry(telemetry.Options{Interval: telemetryInterval}) }
-	}
-	pt, _, err := RunOpenLoop(cfg, aggMBps, workload.OpenLoopConfig{
-		RecordSize:     recSize,
-		FileSize:       max(scale.div64(4<<20), recSize),
-		Duration:       max(des.Duration(scale.div64(int64(window))), window/80),
-		MaxOutstanding: 32,
-		Seed:           cfg.Seed,
-	}, prepare)
-	if err != nil {
-		panic(fmt.Sprintf("capacity: open-loop run failed: %v", err))
-	}
-	return pt
-}
-
-// RunOpenLoop builds cfg's cluster, offers it aggMBps in aggregate through
-// the open-loop generator and returns the measured point with the finished
-// cluster. prepare, if not nil, sees the cluster before it runs (to enable
-// telemetry on it).
-func RunOpenLoop(cfg core.Config, aggMBps float64, ol workload.OpenLoopConfig, prepare func(*core.Cluster)) (CapacityPoint, *core.Cluster, error) {
 	cluster := core.NewCluster(cfg)
-	if prepare != nil {
-		prepare(cluster)
+	if telemetryInterval > 0 {
+		cluster.EnableTelemetry(telemetry.Options{Interval: telemetryInterval})
 	}
-	clients := len(cluster.Clients)
-	ol.OfferedPerClientBps = aggMBps * 1e6 / float64(clients)
-	pt := CapacityPoint{Clients: clients, Multiplex: cfg.Multiplex, Design: cfg.Design}
+	ol := workload.OpenLoopConfig{
+		RecordSize:          recSize,
+		FileSize:            max(scale.div64(4<<20), recSize),
+		Duration:            max(des.Duration(scale.div64(int64(window))), window/80),
+		MaxOutstanding:      32,
+		Seed:                cfg.Seed,
+		OfferedPerClientBps: aggMBps * 1e6 / float64(len(cluster.Clients)),
+	}
+	pt := CapacityPoint{Clients: len(cluster.Clients), Multiplex: cfg.Multiplex, Design: cfg.Design}
 	var err error
 	cluster.Start("openloop-driver", func(p *des.Proc) {
 		if pt.OpenLoopResult, err = workload.RunOpenLoop(p, cluster, ol); err != nil {
 			return
 		}
-		if rdma := cluster.Server.RDMA; rdma != nil {
-			for _, s := range rdma.ShardStats() {
-				pt.SRQStarved += s.SRQStarved
-				pt.SRQLimitEvents += s.SRQLimitEvents
-				pt.MaxQueueDepth = max(pt.MaxQueueDepth, s.MaxQueueDepth)
-				pt.Endpoints += s.Endpoints
-				pt.MuxSlots += s.MuxSlots
-			}
+		for _, s := range cluster.Server.RDMA.ShardStats() {
+			pt.SRQStarved += s.SRQStarved
+			pt.SRQLimitEvents += s.SRQLimitEvents
+			pt.MaxQueueDepth = max(pt.MaxQueueDepth, s.MaxQueueDepth)
+			pt.Endpoints += s.Endpoints
+			pt.MuxSlots += s.MuxSlots
 		}
 		pt.Telemetry = cluster.TelemetryReport()
 	})
 	cluster.Run()
-	return pt, cluster, err
+	if err != nil {
+		panic(fmt.Sprintf("capacity: open-loop run failed: %v", err))
+	}
+	return pt
 }

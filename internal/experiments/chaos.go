@@ -24,7 +24,7 @@ type ChaosPoint struct {
 	OracleReads int64
 	RenamesOK   int64
 	Failures    int      // runs with oracle or invariant violations
-	FailedSeeds []uint64 // which seeds failed (reproduce with nfsrdma-bench -chaos-seed)
+	FailedSeeds []uint64 // which seeds failed (reproduce with chaos.Run at that Seed)
 }
 
 // Chaos is the chaos soak result.

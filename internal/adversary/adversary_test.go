@@ -1,6 +1,8 @@
 package adversary
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/memreg"
@@ -213,5 +215,37 @@ func TestDRCForgeIsolatedByPeerKeying(t *testing.T) {
 	}
 	if len(r.Violations) != 0 {
 		t.Fatalf("peer-keyed DRC leaked attacker entries to victims: %v", r.Violations)
+	}
+}
+
+// TestClusterSetUpSurvivesFaults: a fault schedule under the attack may hit
+// cluster set-up too (the MOUNT included), and the recovery policy set in the
+// cluster's configuration rides it out like any other call. Every design,
+// registration mode and connection mode, with and without faults, over four
+// seeds: no run may die in set-up.
+func TestClusterSetUpSurvivesFaults(t *testing.T) {
+	var died []string
+	for _, design := range []rpcrdma.Design{rpcrdma.ReadWrite, rpcrdma.ReadRead, rpcrdma.ReplyFetch} {
+		for _, mode := range []memreg.Mode{memreg.Regular, memreg.FMR, memreg.AllPhysical, memreg.Cache} {
+			for _, mux := range []bool{false, true} {
+				for _, faults := range []int{0, 4} {
+					for seed := uint64(1); seed <= 4; seed++ {
+						cfg := Config{Seed: seed, Design: design, RegMode: mode, Multiplex: mux, Faults: faults}
+						func() {
+							defer func() {
+								if err := recover(); err != nil {
+									first, _, _ := strings.Cut(fmt.Sprint(err), "\n")
+									died = append(died, fmt.Sprintf("%v/%v/mux=%t/faults=%d/seed=%d: %s", design, mode, mux, faults, seed, first))
+								}
+							}()
+							Run(cfg)
+						}()
+					}
+				}
+			}
+		}
+	}
+	if len(died) > 0 {
+		t.Errorf("%d of 192 runs died:\n%s", len(died), strings.Join(died, "\n"))
 	}
 }

@@ -26,7 +26,6 @@ var mapRangeAllowed = map[string]string{
 	"ibsim.(*HCA).Watches":               "a count",
 	"memreg.(*Manager).evictOldest":      "a minimum over the unique seq of the slab's chunks",
 	"rpcrdma.(*ClientTransport).failAll": "collects the pending XIDs, sorted before any call is failed",
-	"stats.(*Counters).Slot":             "copies the map into a new one",
 	"stats.(*Counters).Reset":            "zeroes every slot",
 	"stats.(*Counters).Snapshot":         "collects the counters, sorted by name before they are returned",
 	"trace.WriteChrome":                  "collects the still-open Begins' stream indices and the track names, each sorted before use",

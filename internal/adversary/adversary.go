@@ -199,6 +199,7 @@ func Run(cfg Config) *Result {
 		ServerShards: cfg.Shards,
 		Multiplex:    cfg.Multiplex,
 		Affinity:     cfg.Multiplex,
+		Recovery:     chaos.Policy(),
 		Seed:         cfg.Seed,
 		Security:     security,
 	})
@@ -221,9 +222,6 @@ func Run(cfg Config) *Result {
 	}
 
 	cluster.Start("victims", func(p *des.Proc) {
-		for _, cl := range cluster.Clients {
-			cl.EnableRecovery(chaos.Policy())
-		}
 		load, err := workload.RunChaosLoad(p, cluster, oracle)
 		if err != nil {
 			oracle.Violation("victim workload error: %v", err)

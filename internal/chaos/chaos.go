@@ -82,7 +82,6 @@ type Result struct {
 	Crashes             int64
 	Reconnects, Replays int64
 	Timeouts            int64
-	Retransmits         int64
 	DRCHits, DRCMisses  int64
 	Load                workload.ChaosLoadResult
 	WritesIssued        int64
@@ -105,20 +104,19 @@ func (r *Result) Failed() bool {
 }
 
 // Profile arms per-call watchdogs on LinuxSDR so silent losses (e.g. a reply
-// swallowed by a crash) time out and retransmit instead of hanging. The
-// adversary engine's victims run on it too.
+// swallowed by a crash) time out, end their connection and are replayed on a
+// new one instead of hanging. The adversary engine's victims run on it too.
 func Profile() profiles.Profile {
 	prof := profiles.LinuxSDR()
 	prof.RDMAClient.CallTimeout = 1 * time.Millisecond
-	prof.RDMAClient.RetryLimit = 4
 	return prof
 }
 
 // Policy is the recovery budget: generous enough to ride out every outage a
 // generated schedule can produce, so terminal failures stay rare and the
 // oracle's pending sets stay small.
-func Policy() core.RetryPolicy {
-	return core.RetryPolicy{
+func Policy() *core.RetryPolicy {
+	return &core.RetryPolicy{
 		MaxReconnects: 40,
 		Backoff:       50 * time.Microsecond,
 		MaxBackoff:    1 * time.Millisecond,
@@ -144,6 +142,7 @@ func Run(cfg Config) *Result {
 		ServerShards: cfg.Shards,
 		Multiplex:    cfg.Multiplex,
 		Affinity:     cfg.Affinity,
+		Recovery:     Policy(),
 		Seed:         cfg.Seed,
 	})
 	var tr *trace.Tracer
@@ -167,9 +166,6 @@ func Run(cfg Config) *Result {
 
 	res := &Result{Schedule: sched}
 	cluster.Start("chaos", func(p *des.Proc) {
-		for _, cl := range cluster.Clients {
-			cl.EnableRecovery(Policy())
-		}
 		load, err := workload.RunChaosLoad(p, cluster, oracle)
 		if err != nil {
 			oracle.Violation("workload error: %v", err)
@@ -182,7 +178,7 @@ func Run(cfg Config) *Result {
 	res.Crashes = cluster.Crashes
 	tot := &cluster.Totals
 	res.Reconnects, res.Replays = tot.Reconnects, tot.Replays
-	res.Timeouts, res.Retransmits = tot.RDMA.Timeouts, tot.RDMA.Retransmits
+	res.Timeouts = tot.RDMA.Timeouts
 	res.DRCHits, res.DRCMisses = cluster.Server.Dispatcher.DRCStats()
 	res.WritesIssued = oracle.WritesIssued
 	res.OracleReads = oracle.ReadsChecked
@@ -198,9 +194,9 @@ func Run(cfg Config) *Result {
 	}
 
 	res.Fingerprint = fmt.Sprintf(
-		"t=%d crashes=%d rc=%d rp=%d to=%d rt=%d drc=%d/%d wi=%d wa=%d wf=%d reads=%d ren=%d/%d/%d viol=%d inv=%d",
+		"t=%d crashes=%d rc=%d rp=%d to=%d drc=%d/%d wi=%d wa=%d wf=%d reads=%d ren=%d/%d/%d viol=%d inv=%d",
 		int64(res.FinalTime), res.Crashes, res.Reconnects, res.Replays,
-		res.Timeouts, res.Retransmits, res.DRCHits, res.DRCMisses,
+		res.Timeouts, res.DRCHits, res.DRCMisses,
 		res.WritesIssued, res.Load.WritesAcked, res.Load.WritesFailed,
 		res.OracleReads, res.Load.RenamesOK, res.Load.RenameENOENTs, res.Load.RenamesFailed,
 		len(res.Violations), len(res.InvariantViolations))

@@ -19,8 +19,8 @@ func ExampleShrink() {
 	}
 	res := Run(cfg)
 	fmt.Println("schedule:", res.Schedule)
-	fmt.Printf("crashes=%d reconnects=%d replays=%d timeouts=%d retrans=%d drcHits=%d drcMisses=%d\n",
-		res.Crashes, res.Reconnects, res.Replays, res.Timeouts, res.Retransmits, res.DRCHits, res.DRCMisses)
+	fmt.Printf("crashes=%d reconnects=%d replays=%d timeouts=%d drcHits=%d drcMisses=%d\n",
+		res.Crashes, res.Reconnects, res.Replays, res.Timeouts, res.DRCHits, res.DRCMisses)
 	fmt.Printf("writes acked=%d failed=%d   oracle reads=%d   renames ok=%d enoent=%d failed=%d\n",
 		res.Load.WritesAcked, res.Load.WritesFailed, res.OracleReads,
 		res.Load.RenamesOK, res.Load.RenameENOENTs, res.Load.RenamesFailed)
@@ -38,9 +38,9 @@ func ExampleShrink() {
 	printVerdict(Run(cfg))
 	// Output:
 	// schedule: seed=12 [t=964µs flap(client0); t=999µs qperr(client1); t=1327µs flap(client1); t=2020µs flap(client0); t=2043µs crash(down=2062µs); t=2278µs qperr(client1)]
-	// crashes=1 reconnects=6 replays=9 timeouts=4 retrans=0 drcHits=0 drcMisses=0
+	// crashes=1 reconnects=6 replays=9 timeouts=4 drcHits=0 drcMisses=0
 	// writes acked=36 failed=0   oracle reads=24   renames ok=7 enoent=1 failed=0
-	// fingerprint: t=8804351 crashes=1 rc=6 rp=9 to=4 rt=0 drc=0/0 wi=36 wa=36 wf=0 reads=24 ren=7/1/0 viol=1 inv=0
+	// fingerprint: t=8804351 crashes=1 rc=6 rp=9 to=4 drc=0/0 wi=36 wa=36 wf=0 reads=24 ren=7/1/0 viol=1 inv=0
 	// verdict: FAILED
 	//   oracle: RENAME got NFS3ERR_NOENT at t=[882052,1071905] with no overlapping server crash: duplicate RENAME re-executed (DRC replay failure)
 	// minimal reproducer (1 faults): seed=12 [t=964µs flap(client0)]

@@ -25,18 +25,18 @@ type Client struct {
 
 	attrCache *AttrCache           // nil unless EnableAttrCache was called
 	dataCache *DataCache           // nil unless EnableDataCache was called
-	recovery  *recoveringTransport // nil unless EnableRecovery was called
+	recovery  *recoveringTransport // nil unless Config.Recovery is set
 
-	// counts are the timeouts and retransmissions of every RDMA transport
-	// this client has used: each adds to them for as long as it lives.
+	// counts are the timeouts of every RDMA transport this client has used:
+	// each adds to them for as long as it lives.
 	counts rpcrdma.CallCounts
 }
 
 // install makes t the client's RDMA transport and the one whose credits
 // Totals.RDMA sums for this client. The transport it replaces, if any, leaves
 // the credit sums, so calls still failing back on it cannot disturb them; its
-// timeouts and retransmissions still count, in the client's counts and the
-// cluster's, as t's will.
+// timeouts still count, in the client's counts and the cluster's, as t's
+// will.
 func (c *Client) install(t *rpcrdma.ClientTransport) {
 	if c.RDMA != nil {
 		c.RDMA.SumInto(new(rpcrdma.ClientTotals))
@@ -46,11 +46,13 @@ func (c *Client) install(t *rpcrdma.ClientTransport) {
 	c.RDMA = t
 }
 
-// TransportStats returns cumulative RDMA transport timeout and
-// retransmission counts across every connection this client has used,
-// including ones replaced by Reconnect. Zeros on TCP transports.
-func (c *Client) TransportStats() (timeouts, retransmits int64) {
-	return c.counts.Timeouts, c.counts.Retransmits
+// TransportStats returns the client's RDMA call timeouts, across every
+// connection it has used (each timeout ended one), and its retransmissions:
+// the calls the recovery layer replayed on a new connection, the one way a
+// call is retransmitted. Zeros on TCP transports.
+func (c *Client) TransportStats() (timeouts, replays int64) {
+	_, replays = c.RecoveryStats()
+	return c.counts.Timeouts, replays
 }
 
 // Buffer is client application memory used for file I/O: it is backed by a

@@ -130,9 +130,11 @@ type Config struct {
 	// multiplexed mode keeps the fixed default.
 	SRQDepth int
 
-	// MigrationCost overrides the server's cross-CPU completion-handoff
-	// penalty (zero keeps the profile's value; see cpu.Model.Migrate).
-	MigrationCost des.Duration
+	// Recovery, when set, installs transparent reconnect-and-replay on every
+	// RDMA client before its MOUNT, so set-up traffic is replayed like any
+	// other call (see RetryPolicy). Nil leaves transport errors to the
+	// caller.
+	Recovery *RetryPolicy
 
 	// Security is the posture of every node and of the server transport
 	// (see Security). The adversary engine is the only caller that moves it
@@ -252,9 +254,8 @@ type Cluster struct {
 // (RDMA), the recovery layer, and the attribute and data caches.
 type Totals struct {
 	// RDMA sums the credits of the transports installed in Clients[i].RDMA
-	// (a transport replaced by Reconnect leaves at the swap) and, in Timeouts
-	// and Retransmits, the events of every transport a client has used: the
-	// sum over clients of TransportStats.
+	// (a transport replaced by Reconnect leaves at the swap) and, in
+	// Timeouts, the timeouts of every transport a client has used.
 	RDMA rpcrdma.ClientTotals
 
 	Reconnects, Replays  int64 // recovery layer, all clients
@@ -282,9 +283,6 @@ func NewCluster(cfg Config) *Cluster {
 	}
 	serverNodeCfg.Name = "server"
 	serverNodeCfg.Seed = cfg.Seed * 31
-	if cfg.MigrationCost > 0 {
-		serverNodeCfg.MigrationCost = cfg.MigrationCost
-	}
 	srvNode := fab.AddNode(serverNodeCfg)
 
 	srv := &Server{Node: srvNode}
@@ -345,7 +343,7 @@ func NewCluster(cfg Config) *Cluster {
 				sCfg.SRQDepth = cfg.SRQDepth
 			}
 			c.serverRDMACfg = sCfg
-			srv.RDMA = rpcrdma.NewServerTransport(p, srvNode, srv.Mgr, dispatcher, sCfg)
+			srv.RDMA = rpcrdma.NewServerTransport(srvNode, srv.Mgr, dispatcher, sCfg)
 			for _, cl := range c.Clients {
 				cl.Mgr = memreg.NewManager(p, cl.Node, memreg.Config{Mode: cfg.RegMode, CacheMaxBytes: cfg.CacheMaxBytes})
 				t, err := c.ConnectRDMA(p, cl.Node, cl.Mgr)
@@ -354,6 +352,10 @@ func NewCluster(cfg Config) *Cluster {
 				}
 				cl.install(t)
 				cl.Transport = cl.RDMA
+				if cfg.Recovery != nil {
+					cl.recovery = &recoveringTransport{cl: cl, policy: cfg.Recovery.withDefaults()}
+					cl.Transport = cl.recovery
+				}
 			}
 		case TransportIPoIB, TransportGigE:
 			tcpCfg := cfg.Profile.TCP
@@ -419,7 +421,7 @@ func (c *Cluster) ConnectRDMA(p *des.Proc, node *ibsim.Node, mgr *memreg.Manager
 					cfg.Credits = grant
 				}
 			}
-			return rpcrdma.NewClientTransport(p, cq, mgr, cfg), nil
+			return rpcrdma.NewClientTransport(cq, mgr, cfg), nil
 		}
 		if attempt >= admissionRetryLimit {
 			return nil, fmt.Errorf("core: %s rejected by server %d times (MaxConns=%d too small for %d clients, or server down?)",

@@ -19,8 +19,8 @@ import (
 //	page cache (dirty too)
 //	write verifier (bumped)
 //
-// Clients notice the crash as QP deaths, reconnect through the existing
-// EnableRecovery path once TryServe accepts again, and replay in-flight
+// Clients notice the crash as QP deaths, reconnect through the recovery
+// layer (Config.Recovery) once TryServe accepts again, and replay in-flight
 // calls with their original XIDs. Because the DRC died, a replayed
 // non-idempotent call (WRITE, RENAME, ...) RE-EXECUTES — the NFSv3
 // semantics the data-integrity oracle in internal/chaos makes explicit:
@@ -61,7 +61,7 @@ func (c *Cluster) RestartServer(p *des.Proc) {
 	}
 	srv := c.Server
 	srv.Mgr = memreg.NewManager(p, srv.Node, memreg.Config{Mode: c.Cfg.RegMode, CacheMaxBytes: c.Cfg.CacheMaxBytes})
-	srv.RDMA = rpcrdma.NewServerTransport(p, srv.Node, srv.Mgr, srv.Dispatcher, c.serverRDMACfg)
+	srv.RDMA = rpcrdma.NewServerTransport(srv.Node, srv.Mgr, srv.Dispatcher, c.serverRDMACfg)
 	srv.NFS.Restart(uint64(c.Crashes))
 	c.serverDown = false
 }

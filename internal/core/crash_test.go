@@ -22,6 +22,7 @@ func TestCrashRestartRecovery(t *testing.T) {
 	cluster := NewCluster(Config{
 		Profile: recoveryProfile(), Transport: TransportRDMA,
 		Design: rpcrdma.ReadWrite, RegMode: memreg.Regular, CopyData: true,
+		Recovery: &RetryPolicy{MaxReconnects: 20, Backoff: 50 * time.Microsecond, MaxBackoff: 500 * time.Microsecond},
 	})
 	cl := cluster.Clients[0]
 	const (
@@ -29,9 +30,6 @@ func TestCrashRestartRecovery(t *testing.T) {
 		recSize = 128 << 10
 	)
 	cluster.Start("t", func(p *des.Proc) {
-		cl.EnableRecovery(RetryPolicy{
-			MaxReconnects: 20, Backoff: 50 * time.Microsecond, MaxBackoff: 500 * time.Microsecond,
-		})
 		verfBefore := cluster.Server.NFS.WriteVerf()
 		cluster.ScheduleServerCrash(p.Now()+des.Time(1*time.Millisecond), 300*time.Microsecond)
 
@@ -97,19 +95,18 @@ func (blackholeService) Version() uint32 { return 3 }
 func (blackholeService) HandleThen(req *oncrpc.ServerRequest, resp *oncrpc.ServerResponse, fn func(any), arg any) {
 }
 
-// TestRecoveryPropagatesRetriesExhausted pins the typed-error contract
-// through the recovery layer: when every attempt times out (server accepts
-// connections but never replies), the error that finally surfaces to the
-// application after the reconnect budget is spent must still match
-// rpcrdma.ErrRetriesExhausted — recovery wraps and retries, it does not
-// flatten the sentinel or hang.
-func TestRecoveryPropagatesRetriesExhausted(t *testing.T) {
+// TestRecoveryGivesUpWithTimeout: when every replay times out (the server
+// accepts connections but never replies), each timeout ends its connection,
+// recovery replays the call on a new one until its reconnect budget is
+// spent, and then the last ErrTimeout reaches the application instead of a
+// hang.
+func TestRecoveryGivesUpWithTimeout(t *testing.T) {
 	prof := profiles.LinuxSDR()
 	prof.RDMAClient.CallTimeout = 1 * time.Millisecond
-	prof.RDMAClient.RetryLimit = 2
 	cluster := NewCluster(Config{
 		Profile: prof, Transport: TransportRDMA,
 		Design: rpcrdma.ReadWrite, RegMode: memreg.Regular, CopyData: true,
+		Recovery: &RetryPolicy{MaxReconnects: 2, Backoff: 50 * time.Microsecond},
 	})
 	cl := cluster.Clients[0]
 	cluster.Start("t", func(p *des.Proc) {
@@ -118,23 +115,21 @@ func TestRecoveryPropagatesRetriesExhausted(t *testing.T) {
 		silent := oncrpc.NewDispatcher()
 		silent.Register(blackholeService{})
 		mgr := memreg.NewManager(p, cluster.Server.Node, memreg.Config{Mode: memreg.Regular})
-		cluster.Server.RDMA = rpcrdma.NewServerTransport(p, cluster.Server.Node, mgr, silent, cluster.serverRDMACfg)
+		cluster.Server.RDMA = rpcrdma.NewServerTransport(cluster.Server.Node, mgr, silent, cluster.serverRDMACfg)
 
-		cl.EnableRecovery(RetryPolicy{MaxReconnects: 2, Backoff: 50 * time.Microsecond})
 		breakConnection(p, cl)
 		_, err := cl.Stat(p, "anything")
-		if err == nil {
-			t.Fatal("call against a never-replying server succeeded")
-		}
-		if !errors.Is(err, rpcrdma.ErrRetriesExhausted) {
-			t.Errorf("surfaced err = %v, want errors.Is(err, ErrRetriesExhausted)", err)
-		}
 		if !errors.Is(err, rpcrdma.ErrTimeout) {
-			t.Errorf("surfaced err = %v, must still match ErrTimeout", err)
+			t.Errorf("surfaced err = %v, want errors.Is(err, ErrTimeout)", err)
 		}
-		rc, _ := cl.RecoveryStats()
-		if rc < 1 {
-			t.Errorf("reconnects = %d, want >= 1 (the broken connection was never replaced)", rc)
+		rc, rp := cl.RecoveryStats()
+		timeouts, replays := cl.TransportStats()
+		if rc != 2 || rp != 2 || replays != rp || timeouts != 2 {
+			t.Errorf("%d reconnects, %d replays (%d in TransportStats), %d timeouts: want the call replayed on each of 2 new connections, each ended by its timeout",
+				rc, rp, replays, timeouts)
+		}
+		if !cl.RDMA.Broken() {
+			t.Error("the last timeout left its connection open")
 		}
 	})
 	cluster.RunUntil(des.Time(time.Second))
@@ -153,16 +148,15 @@ func TestCheckExposureBoundsWatchdogMidPull(t *testing.T) {
 			// 512 KiB at 900 MB/s is ~580 µs on the wire: a 200 µs watchdog
 			// always fires mid-pull.
 			prof.RDMAClient.CallTimeout = 200 * time.Microsecond
-			prof.RDMAClient.RetryLimit = 1
 			cluster := NewCluster(Config{
 				Profile: prof, Transport: TransportRDMA,
 				Design: design, RegMode: memreg.Regular, CopyData: true,
+				Recovery: &RetryPolicy{MaxReconnects: 2, Backoff: 50 * time.Microsecond},
 			})
 			tr := cluster.EnableTracing(1 << 20)
 			cl := cluster.Clients[0]
 			timedOut := false
 			cluster.Start("t", func(p *des.Proc) {
-				cl.EnableRecovery(RetryPolicy{MaxReconnects: 2, Backoff: 50 * time.Microsecond})
 				cluster.Fabric.ScheduleLinkFlap(p.Now()+des.Time(500*time.Microsecond), cl.Node, cluster.Server.Node)
 				f, err := cl.Create(p, "big")
 				if err != nil {

@@ -209,6 +209,7 @@ func TestMuxClientChurnNoSlotLeak(t *testing.T) {
 func TestMuxCrashRestartRecovery(t *testing.T) {
 	cfg := muxConfig(rpcrdma.ReadWrite, 2)
 	cfg.Profile = recoveryProfile()
+	cfg.Recovery = &RetryPolicy{MaxReconnects: 20, Backoff: 50 * time.Microsecond, MaxBackoff: 500 * time.Microsecond}
 	cluster := NewCluster(cfg)
 	cl := cluster.Clients[0]
 	const (
@@ -216,11 +217,6 @@ func TestMuxCrashRestartRecovery(t *testing.T) {
 		recSize = 64 << 10
 	)
 	cluster.Start("t", func(p *des.Proc) {
-		for _, c := range cluster.Clients {
-			c.EnableRecovery(RetryPolicy{
-				MaxReconnects: 20, Backoff: 50 * time.Microsecond, MaxBackoff: 500 * time.Microsecond,
-			})
-		}
 		cluster.ScheduleServerCrash(p.Now()+des.Time(500*time.Microsecond), 300*time.Microsecond)
 
 		f, err := cl.Create(p, "data")

@@ -8,16 +8,17 @@ import (
 
 // Reconnect replaces a failed RDMA connection with a fresh queue pair and
 // client transport, re-attaching it to the server. The new transport is
-// dialled as in initial wiring (Cluster.ConnectRDMA), so it inherits the cluster's design, profile, and timeout policy. The NFS
+// dialled as in initial wiring (Cluster.ConnectRDMA), so it inherits the
+// cluster's design, profile, and timeout policy. The NFS
 // client keeps its XID stream across the swap, so the server's duplicate
 // request cache stays coherent: retried non-idempotent calls replay their
 // cached replies instead of re-executing.
 //
 // In-flight calls on the old connection have already failed back to their
-// callers with transport errors. With recovery enabled (EnableRecovery)
+// callers with transport errors. With recovery enabled (Config.Recovery)
 // the recovering transport replays them transparently after this
 // reconnect; without it the caller retries by hand. Either way the
-// retransmission carries the original XID, which is what makes retrying
+// replay carries the original XID, which is what makes retrying
 // non-idempotent procedures safe against the DRC.
 func (c *Client) Reconnect(p *des.Proc) error {
 	if c.RDMA == nil {

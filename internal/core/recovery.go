@@ -10,15 +10,14 @@ import (
 	"repro/internal/trace"
 )
 
-// RetryPolicy tunes transparent connection recovery (EnableRecovery).
+// RetryPolicy tunes transparent connection recovery (Config.Recovery).
 type RetryPolicy struct {
 	// MaxReconnects bounds how many reconnect+replay cycles one call may
 	// drive before its transport error surfaces to the application.
 	MaxReconnects int
 
 	// Backoff is the wait before the first reconnect attempt; it doubles
-	// per cycle (exponential backoff, mirroring the transport's per-call
-	// retransmission policy one layer down).
+	// per cycle (exponential backoff).
 	Backoff des.Duration
 
 	// MaxBackoff caps the doubling. With large MaxReconnects budgets —
@@ -41,9 +40,10 @@ func (r RetryPolicy) withDefaults() RetryPolicy {
 }
 
 // recoveringTransport wraps the client's RDMA transport with transparent
-// reconnect-and-replay: a call that fails with a transport-level error
-// (connection death, exhausted retransmissions) re-establishes the
-// connection and replays the request with its original XID, so the
+// reconnect-and-replay, the one path on which a call is retransmitted: a
+// call that fails with a transport-level error (connection death, or its
+// own timeout, which ended the connection) re-establishes the connection
+// and replays the request with its original XID on the new one, so the
 // server's duplicate request cache suppresses re-execution of
 // non-idempotent procedures. Callers — the NFS client above — never see
 // the failure unless the retry policy is exhausted.
@@ -147,22 +147,8 @@ func (r *recoveringTransport) ensureConnected(p *des.Proc) error {
 	return nil
 }
 
-// EnableRecovery installs transparent reconnect-and-replay on the client's
-// RDMA transport. Call it after the cluster is wired (inside Start) and
-// before issuing I/O. The per-call timeout that detects silent failures is
-// configured separately, via Profile.RDMAClient.CallTimeout/RetryLimit.
-func (c *Client) EnableRecovery(policy RetryPolicy) {
-	if c.RDMA == nil {
-		panic("core: recovery applies to RDMA transports only")
-	}
-	r := &recoveringTransport{cl: c, policy: policy.withDefaults()}
-	c.recovery = r
-	c.Transport = r
-	c.NFS.SetTransport(r)
-}
-
 // RecoveryStats returns (reconnects, replays) performed by the recovery
-// layer, or zeros when EnableRecovery was not called.
+// layer, or zeros without Config.Recovery.
 func (c *Client) RecoveryStats() (reconnects, replays int64) {
 	if c.recovery == nil {
 		return 0, 0

@@ -17,12 +17,11 @@ import (
 )
 
 // recoveryProfile is LinuxSDR with per-call timeouts armed, so calls whose
-// retransmission was silently dropped by the server (duplicate of a
-// still-executing request) eventually retransmit again instead of hanging.
+// replay was silently dropped by the server (duplicate of a still-executing
+// request) time out and are replayed again instead of hanging.
 func recoveryProfile() profiles.Profile {
 	prof := profiles.LinuxSDR()
 	prof.RDMAClient.CallTimeout = 5 * time.Millisecond
-	prof.RDMAClient.RetryLimit = 6
 	return prof
 }
 
@@ -37,6 +36,7 @@ func TestRecoveryReplaysInFlightWrites(t *testing.T) {
 			cluster := NewCluster(Config{
 				Profile: recoveryProfile(), Transport: TransportRDMA,
 				Design: design, RegMode: memreg.Regular, CopyData: true,
+				Recovery: &RetryPolicy{},
 			})
 			cl := cluster.Clients[0]
 			const (
@@ -45,7 +45,6 @@ func TestRecoveryReplaysInFlightWrites(t *testing.T) {
 				recSize   = 128 << 10
 			)
 			cluster.Start("t", func(p *des.Proc) {
-				cl.EnableRecovery(RetryPolicy{})
 				// Three faults spaced through the burst. ScheduleLinkFlap
 				// resolves live connections at fire time, so later flaps kill
 				// the replacement connections too.
@@ -171,10 +170,10 @@ func TestRecoverySurfacesErrorWhenExhausted(t *testing.T) {
 	cluster := NewCluster(Config{
 		Profile: recoveryProfile(), Transport: TransportRDMA,
 		Design: rpcrdma.ReadWrite, RegMode: memreg.Regular, CopyData: true,
+		Recovery: &RetryPolicy{MaxReconnects: 2, Backoff: 50 * time.Microsecond},
 	})
 	cl := cluster.Clients[0]
 	cluster.Start("t", func(p *des.Proc) {
-		cl.EnableRecovery(RetryPolicy{MaxReconnects: 2, Backoff: 50 * time.Microsecond})
 		f, err := cl.Create(p, "doomed")
 		if err != nil {
 			t.Fatalf("create: %v", err)
@@ -260,6 +259,7 @@ func TestReplayFramesACopy(t *testing.T) {
 			cluster := NewCluster(Config{
 				Profile: recoveryProfile(), Transport: TransportRDMA,
 				Design: rpcrdma.ReadWrite, RegMode: tc.mode, CopyData: true,
+				Recovery: &RetryPolicy{},
 			})
 			tr := trace.New(0)
 			cluster.Sim.SetTracer(tr)
@@ -291,8 +291,7 @@ func TestReplayFramesACopy(t *testing.T) {
 				disp := oncrpc.NewDispatcher()
 				disp.Register(svc)
 				mgr := memreg.NewManager(p, cluster.Server.Node, memreg.Config{Mode: tc.mode})
-				cluster.Server.RDMA = rpcrdma.NewServerTransport(p, cluster.Server.Node, mgr, disp, cluster.serverRDMACfg)
-				cl.EnableRecovery(RetryPolicy{})
+				cluster.Server.RDMA = rpcrdma.NewServerTransport(cluster.Server.Node, mgr, disp, cluster.serverRDMACfg)
 				breakConnection(p, cl) // the next call dials the server above
 
 				switch tc.proc {

@@ -88,7 +88,6 @@ func (c *Cluster) EnableTelemetry(opts telemetry.Options) *telemetry.Engine {
 		row{"rpcrdma.parked_replies", telemetry.Gauge, up((*rpcrdma.ServerTransport).ParkedReplies)},
 		row{"rpcrdma.live_conns", telemetry.Gauge, up((*rpcrdma.ServerTransport).LiveConns)},
 		row{"rpcrdma.requests", telemetry.Rate, ever(func(t *rpcrdma.ServerTransport) int64 { return t.Requests })},
-		row{"rpcrdma.retransmits", telemetry.Rate, cell(&tot.RDMA.Retransmits)},
 		row{"rpcrdma.timeouts", telemetry.Rate, cell(&tot.RDMA.Timeouts)},
 
 		// oncrpc: duplicate request cache occupancy and effectiveness.

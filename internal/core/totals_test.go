@@ -24,9 +24,8 @@ func walkTotals(c *core.Cluster) core.Totals {
 			w.RDMA.Outstanding += int64(cl.RDMA.OutstandingCalls())
 			w.RDMA.Granted += int64(cl.RDMA.GrantedCredits())
 		}
-		to, rt := cl.TransportStats()
+		to, _ := cl.TransportStats()
 		w.RDMA.Timeouts += to
-		w.RDMA.Retransmits += rt
 		rc, rp := cl.RecoveryStats()
 		w.Reconnects += rc
 		w.Replays += rp
@@ -76,14 +75,14 @@ func checkBaseline(t *testing.T, c *core.Cluster) {
 }
 
 // chaosCluster is the cluster chaos.Run builds: per-call watchdogs armed so
-// silent losses time out and retransmit.
+// silent losses time out and are replayed on a new connection.
 func chaosCluster(design rpcrdma.Design, mux bool, seed uint64) *core.Cluster {
 	prof := profiles.LinuxSDR()
 	prof.RDMAClient.CallTimeout = time.Millisecond
-	prof.RDMAClient.RetryLimit = 4
 	cfg := core.Config{
 		Profile: prof, Transport: core.TransportRDMA, Design: design,
 		Clients: 3, Backend: core.BackendTmpfs, CopyData: true, Seed: seed,
+		Recovery: &core.RetryPolicy{MaxReconnects: 40, Backoff: 50 * time.Microsecond, MaxBackoff: time.Millisecond},
 	}
 	if mux {
 		cfg.ServerShards, cfg.Multiplex, cfg.Affinity = 2, true, true
@@ -93,7 +92,7 @@ func chaosCluster(design rpcrdma.Design, mux bool, seed uint64) *core.Cluster {
 
 // TestTotalsEqualWalkUnderChaos drives the integrity-checked chaos workload
 // through a server crash that lands on in-flight calls, QP errors, a link
-// flap (timeouts, retransmissions) and the reconnects all of them force,
+// flap (timeouts) and the reconnects all of them force,
 // and on every telemetry tick compares each maintained total with a walk
 // over the clients. Reconnect swaps transports while calls are still
 // failing back on the old one, which is where a total kept by increments
@@ -122,9 +121,6 @@ func TestTotalsEqualWalkUnderChaos(t *testing.T) {
 				{At: us(3000), Kind: chaos.FaultServerCrash, Downtime: 300 * time.Microsecond},
 			}}.Apply(c, oracle)
 			c.Start("chaos", func(p *des.Proc) {
-				for _, cl := range c.Clients {
-					cl.EnableRecovery(core.RetryPolicy{MaxReconnects: 40, Backoff: 50 * time.Microsecond, MaxBackoff: time.Millisecond})
-				}
 				if _, err := workload.RunChaosLoad(p, c, oracle); err != nil {
 					t.Errorf("workload: %v", err)
 				}
@@ -162,6 +158,7 @@ func TestTotalsEqualWalkMuxRegrant(t *testing.T) {
 	c := core.NewCluster(core.Config{
 		Profile: prof, Transport: core.TransportRDMA, Design: rpcrdma.ReadRead,
 		RegMode: memreg.Regular, Clients: 16, Multiplex: true, ServerShards: 2, SRQDepth: 64,
+		Recovery: &core.RetryPolicy{},
 	})
 	ticks := checkTotalsEveryTick(t, c)
 	regranted := false
@@ -175,7 +172,6 @@ func TestTotalsEqualWalkMuxRegrant(t *testing.T) {
 		done := des.NewQueue(c.Sim, "done")
 		for i, cl := range c.Clients {
 			i, cl := i, cl
-			cl.EnableRecovery(core.RetryPolicy{})
 			c.Sim.Spawn("reader", func(rp *des.Proc) {
 				defer done.Put(i)
 				f, err := cl.Create(rp, "f")

@@ -60,7 +60,7 @@ func (e *Event) Fire(value any) {
 // TryFire fires the event if it has not fired yet and reports whether it
 // did. Unlike Fire, a lost race is not a bug: protocol engines use it when
 // two legitimate sources can complete the same wait — a reply arriving and
-// a retransmission timer expiring, for example — and whichever fires first
+// a call timer expiring, for example — and whichever fires first
 // wins while the loser becomes a no-op.
 func (e *Event) TryFire(value any) bool {
 	if e.fired {

@@ -94,9 +94,8 @@ func RunFigure4Design(scale Scale, design rpcrdma.Design) *Figure4 {
 		out.Transport.AddRow(nh.Name, nh.Hist.Count(), nh.Hist.Mean(),
 			nh.Hist.Quantile(0.50), nh.Hist.Quantile(0.95), nh.Hist.Quantile(0.99), nh.Hist.Max())
 	}
-	timeouts, retransmits := cl.TransportStats()
+	timeouts, _ := cl.TransportStats()
 	out.Counters.AddRow("client timeouts", timeouts)
-	out.Counters.AddRow("client retransmits", retransmits)
 	out.Counters.AddRow("server short writes", cluster.Server.RDMA.ShortWrites)
 	out.Counters.AddRow("server deposits", cluster.Server.RDMA.Deposits)
 	out.Counters.AddRow("trace events kept", out.Tracer.Len())

@@ -21,12 +21,11 @@ type RecoveryPoint struct {
 	WriteMBps  float64
 	Reconnects int64
 	Replays    int64
-	// Transport-level fault evidence: call timeouts and retransmissions
-	// accumulated across every connection the client used (reconnects swap
-	// transports; TransportStats banks the retired counters), plus server
-	// RDMA Write attempts cut short by a dying connection.
+	// Transport-level fault evidence: call timeouts accumulated across every
+	// connection the client used (reconnects swap transports; TransportStats
+	// banks the retired counters), plus server RDMA Write attempts cut short
+	// by a dying connection.
 	Timeouts    int64
-	Retransmits int64
 	ShortWrites int64
 	// ServerWrites is the number of WRITE procedures the server actually
 	// executed; equality with the number issued proves the duplicate
@@ -54,7 +53,7 @@ type Recovery struct {
 func RunRecovery(scale Scale) *Recovery {
 	out := &Recovery{
 		Table: stats.NewTable("Recovery ablation: injected connection failures, 4 writers, 128 KiB records, Linux profile",
-			"faults", "design", "write MB/s", "reconnects", "replays", "timeouts", "retrans", "shortw", "WRITEs exec/issued", "data"),
+			"faults", "design", "write MB/s", "reconnects", "replays", "timeouts", "shortw", "WRITEs exec/issued", "data"),
 	}
 	faultCounts := []int{0, 1, 3, 6}
 	fileSize := scale.div64(8 << 20)
@@ -71,7 +70,7 @@ func RunRecovery(scale Scale) *Recovery {
 		}
 		out.Points = append(out.Points, r)
 		out.Table.AddRow(faultCounts[c[0]], r.Design.String(), r.WriteMBps,
-			r.Reconnects, r.Replays, r.Timeouts, r.Retransmits, r.ShortWrites,
+			r.Reconnects, r.Replays, r.Timeouts, r.ShortWrites,
 			fmt.Sprintf("%d/%d", r.ServerWrites, r.WritesIssued), ok)
 	}
 	return out
@@ -95,10 +94,10 @@ func runRecoveryPoint(faults int, design rpcrdma.Design, fileSize int64) Recover
 
 	prof := profiles.LinuxSDR()
 	prof.RDMAClient.CallTimeout = 5 * time.Millisecond
-	prof.RDMAClient.RetryLimit = 6
 	cluster := core.NewCluster(core.Config{
 		Profile: prof, Transport: core.TransportRDMA,
 		Design: design, RegMode: memreg.Regular, CopyData: true,
+		Recovery: &core.RetryPolicy{},
 	})
 	cl := cluster.Clients[0]
 
@@ -129,7 +128,6 @@ func runRecoveryPoint(faults int, design rpcrdma.Design, fileSize int64) Recover
 	pt := RecoveryPoint{Faults: faults, Design: design, WritesIssued: int64(totalWrites), DataOK: true}
 
 	cluster.Start("recovery-driver", func(p *des.Proc) {
-		cl.EnableRecovery(core.RetryPolicy{})
 		f, err := cl.Create(p, "data")
 		if err != nil {
 			panic(fmt.Sprintf("recovery: create: %v", err))
@@ -202,7 +200,7 @@ func runRecoveryPoint(faults int, design rpcrdma.Design, fileSize int64) Recover
 			pt.DataOK = false
 		}
 		pt.Reconnects, pt.Replays = cl.RecoveryStats()
-		pt.Timeouts, pt.Retransmits = cl.TransportStats()
+		pt.Timeouts, _ = cl.TransportStats()
 		pt.ShortWrites = cluster.Server.RDMA.ShortWrites
 		pt.ServerWrites = cluster.Server.NFS.Ops[nfs3.ProcWrite]
 		if cluster.Server.NFS.Ops[nfs3.ProcRename] != renames {

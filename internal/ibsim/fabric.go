@@ -28,8 +28,8 @@ type Fabric struct {
 	// a payload byte costs the host neither memory nor time.
 	CopyData bool
 	Counters *stats.Counters
-	// hot binds the per-WQE counters to pre-registered atomic slots so the
-	// data path never takes the counter set's mutex; see hotCounters.
+	// hot binds the per-WQE counters to pre-registered slots so the data
+	// path never looks a name up; see hotCounters.
 	hot   hotCounters
 	nodes []*Node
 	qpn   int
@@ -55,13 +55,11 @@ func NewFabric(sim *des.Sim, copyData bool) *Fabric {
 }
 
 // hotCounters are the fabric counters incremented on every data-path work
-// request, completion or memory registration. They live on the
-// stats.Counters atomic-slot fast path: the named-counter mutex would
-// otherwise serialize each WQE against telemetry sampling and cross-shard
-// traffic at high client counts. Cold
-// events (QP errors, protection faults, injected faults) stay on the plain
-// named path. Snapshot output is unchanged — slots merge into the same
-// sorted listing and never-fired names stay absent.
+// request, completion or memory registration, kept as stats.Slot cells so an
+// increment is an add, not a map lookup. A fabric belongs to one simulation,
+// which runs on one goroutine, so the cells need no lock. Cold events (QP
+// errors, protection faults, injected faults) go by name. Snapshot lists
+// both alike, and never-fired names stay absent.
 type hotCounters struct {
 	opSend, bytesSend   *stats.Slot
 	opWrite, bytesWrite *stats.Slot

@@ -551,8 +551,8 @@ var guardSend func(q *QP, w *SendWQE, c *CQE)
 
 // PostSend enqueues a work request for the send engine. Posting to a closed
 // endpoint completes the request with a flush error instead of panicking:
-// with connection recovery in play, a reply handler or retransmission timer
-// can legitimately race a Close issued by the reconnect path.
+// with connection recovery in play, a reply handler or a call timer can
+// legitimately race a Close issued by the reconnect path.
 func (q *QP) PostSend(w *SendWQE) {
 	if w.state != wqeIdle {
 		panic(fmt.Sprintf("ibsim: PostSend on %s of a %v request that is %v", q.track, w.Op, w.state))

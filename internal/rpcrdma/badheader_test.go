@@ -94,7 +94,8 @@ func TestServerCountsUndecodableFrames(t *testing.T) {
 // garbage Send from the server side must be counted by the receiver and
 // leave the connection usable. A garbage deposit in a reply-fetch slot must
 // be counted by the fetch poller; that call is lost to its watchdog (the
-// poller has retired), but the connection and the next call are fine.
+// poller has retired), whose timeout ends the connection, and the next call,
+// on a new one, is fine.
 func TestClientCountsUndecodableFrames(t *testing.T) {
 	t.Run("receiver", func(t *testing.T) {
 		newEnv(t, ReadWrite, memreg.Regular, func(p *des.Proc, e *env) {
@@ -138,9 +139,10 @@ func TestClientCountsUndecodableFrames(t *testing.T) {
 			if !errors.Is(callErr, ErrTimeout) {
 				t.Errorf("call with a garbage deposit: err=%v, want a timeout", callErr)
 			}
-			if e.ct.BadHeaders != 1 {
-				t.Errorf("client BadHeaders = %d, want 1", e.ct.BadHeaders)
+			if e.ct.BadHeaders != 1 || !e.ct.Broken() {
+				t.Errorf("client BadHeaders = %d, broken %v: want 1, and the connection ended", e.ct.BadHeaders, e.ct.Broken())
 			}
+			e.reconnect(p, Config{Design: ReplyFetch})
 			res, _, err := e.rpc.Call(p, 4, raw([]byte("then")), oncrpc.CallOpts{})
 			if err != nil || string(res) != "then" || e.ct.Broken() {
 				t.Errorf("call after garbage: res=%q err=%v broken=%v", res, err, e.ct.Broken())

@@ -75,7 +75,7 @@ func TestReplayGetsItsOwnCallState(t *testing.T) {
 			r := &replaying{cur: old, dial: func() *ClientTransport {
 				cq, sq := e.fab.Connect(e.client, e.server, ibsim.QPConfig{})
 				e.st.TryServe(sq)
-				return NewClientTransport(p, cq, mgr, Config{Design: design})
+				return NewClientTransport(cq, mgr, Config{Design: design})
 			}}
 			e.sim.Spawn("probe", func(pp *des.Proc) {
 				for len(old.pending) == 0 {
@@ -119,8 +119,8 @@ func TestReplayGetsItsOwnCallState(t *testing.T) {
 
 // TestDeniedCallFailsFast: a call whose credential the server does not speak
 // is answered MSG_DENIED / AUTH_ERROR, so the client fails it with
-// oncrpc.ErrDenied at once instead of retransmitting until its timer gives
-// up; the server counts it in BadCalls.
+// oncrpc.ErrDenied at once instead of waiting until its timer gives up; the
+// server counts it in BadCalls.
 func TestDeniedCallFailsFast(t *testing.T) {
 	testBothDesigns(t, func(t *testing.T, design Design) {
 		newEnv(t, design, memreg.Regular, func(p *des.Proc, e *env) {
@@ -128,15 +128,15 @@ func TestDeniedCallFailsFast(t *testing.T) {
 			cq, sq := e.fab.Connect(e.client, e.server, ibsim.QPConfig{})
 			e.st.TryServe(sq)
 			mgr := memreg.NewManager(p, e.client, memreg.Config{Mode: memreg.Regular})
-			ct := NewClientTransport(p, cq, mgr, Config{Design: design, CallTimeout: timeout, RetryLimit: 3})
+			ct := NewClientTransport(cq, mgr, Config{Design: design, CallTimeout: timeout})
 			rpc := oncrpc.NewClient(ct, 4242, 1, oncrpc.Auth{Flavor: 6}) // RPCSEC_GSS
 			start := p.Now()
 			_, _, err := rpc.Call(p, 4, raw([]byte("ping")), oncrpc.CallOpts{})
 			if !errors.Is(err, oncrpc.ErrDenied) {
 				t.Errorf("call with an unsupported credential: %v, want ErrDenied", err)
 			}
-			if took := des.Duration(p.Now() - start); took >= timeout || ct.Timeouts != 0 || ct.Retransmits != 0 {
-				t.Errorf("denied after %v, %d timeouts, %d retransmits: want at once", took, ct.Timeouts, ct.Retransmits)
+			if took := des.Duration(p.Now() - start); took >= timeout || ct.Timeouts != 0 || ct.Broken() {
+				t.Errorf("denied after %v, %d timeouts, connection broken %v: want at once, on a live connection", took, ct.Timeouts, ct.Broken())
 			}
 			if n := e.st.dispatcher.BadCalls(); n != 1 {
 				t.Errorf("BadCalls = %d, want 1", n)

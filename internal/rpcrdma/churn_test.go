@@ -125,7 +125,6 @@ func TestClientTotalsFollowChurn(t *testing.T) {
 				}
 				for _, ct := range all {
 					want.Timeouts += ct.Timeouts
-					want.Retransmits += ct.Retransmits
 				}
 				if tot != want {
 					t.Fatalf("%s: totals %+v, walk %+v", when, tot, want)

@@ -57,17 +57,13 @@ type Config struct {
 	DynamicCredits bool
 
 	// CallTimeout arms a per-call timer (client side only): a call whose
-	// reply has not arrived within the deadline is retransmitted with the
-	// same XID, and the deadline doubles on each attempt (exponential
-	// backoff, as the kernel RPC layer's timeo/retrans do). Zero disables
-	// timeouts entirely — calls wait forever, the pre-recovery behaviour.
+	// reply has not arrived within the deadline fails with ErrTimeout and
+	// closes its connection, so every other call on it fails with
+	// ErrTransport and nothing the server still sends for it can land in the
+	// buffers it gives back. A call is retransmitted only on a new
+	// connection, by the recovery layer above (RFC 8166). Zero disables
+	// timeouts entirely — calls wait forever.
 	CallTimeout des.Duration
-
-	// RetryLimit bounds XID-stable retransmissions after the first send.
-	// Once exhausted the call fails with ErrTimeout and the connection is
-	// left for the recovery layer to replace. Zero means no retransmits
-	// (first timeout is fatal) when CallTimeout is set.
-	RetryLimit int
 
 	// Shards enables sharded dispatch (server side only): connections hash
 	// across this many shards, each owning a completion-polling loop, a
@@ -188,15 +184,15 @@ type pending struct {
 	t   *ClientTransport
 	req *oncrpc.Request
 
-	// done is the current attempt's completion, res what a reply handler
-	// completes it with (and Roundtrip returns), reply the first reply on its
-	// way to its handler, segs the write and reply chunk lists the call
-	// advertises (in segStore until they outgrow it), readStore where the
-	// call's read list is built until it outgrows it (a WRITE's data under
-	// dynamic registration is one segment): all live in the pending so a
-	// call allocates them once, together. Once the call is framed nothing
-	// reads the two stores again, and its first reply decodes its read and
-	// write lists into them (replyHeader).
+	// done is the call's completion, res what a reply handler completes it
+	// with (and Roundtrip returns), reply the reply on its way to its
+	// handler, segs the write and reply chunk lists the call advertises (in
+	// segStore until they outgrow it), readStore where the call's read list
+	// is built until it outgrows it (a WRITE's data under dynamic
+	// registration is one segment): all live in the pending so a call
+	// allocates them once, together. Once the call is framed nothing reads
+	// the two stores again, and its reply decodes its read and write lists
+	// into them (replyHeader).
 	done      des.Event
 	res       rtResult
 	reply     replyRec
@@ -285,12 +281,11 @@ type ClientTransport struct {
 	Calls        int64
 	DoneSent     int64
 	BulkReads    int64
-	Timeouts     int64 // per-call timer expiries
-	Retransmits  int64 // XID-stable retransmissions sent
+	Timeouts     int64 // per-call timer expiries, each of which closed the connection
 	BadHeaders   int64 // received frames and slot deposits dropped because their header did not decode
-	StrayReplies int64 // replies and deposits that served no call: none was live, or Roundtrip returned before it was read
+	StrayReplies int64 // replies and deposits that served no call: none was live, a reply had already served it, or Roundtrip returned before it was read
 
-	counted []*CallCounts // where Timeouts and Retransmits are also added (CountInto)
+	counted []*CallCounts // where Timeouts are also added (CountInto)
 }
 
 // QP exposes the underlying queue pair (tests and failure injection).
@@ -336,7 +331,7 @@ func (t *ClientTransport) NewRequest() *oncrpc.Request {
 
 // NewClientTransport builds the client endpoint over an established QP.
 // It posts the connection's receive credits and arms the reply receiver.
-func NewClientTransport(p *des.Proc, qp *ibsim.QP, mgr *memreg.Manager, cfg Config) *ClientTransport {
+func NewClientTransport(qp *ibsim.QP, mgr *memreg.Manager, cfg Config) *ClientTransport {
 	cfg.defaults()
 	t := &ClientTransport{
 		node:     qp.Node(),
@@ -432,23 +427,11 @@ func (t *ClientTransport) send(xid uint32, wire []byte) {
 	t.qp.PostSend(w)
 }
 
-// attemptTimeout returns the deadline for the given attempt: CallTimeout
-// doubled per retransmission (exponential backoff), zero when disabled.
-func (t *ClientTransport) attemptTimeout(attempt int) des.Duration {
-	if t.cfg.CallTimeout <= 0 {
-		return 0
-	}
-	if attempt > 16 {
-		attempt = 16 // clamp the shift; deadlines beyond this are academic
-	}
-	return t.cfg.CallTimeout << attempt
-}
-
 // armTimer arms a watchdog that fires the call's done event with
-// ErrTimeout at the deadline. Losing the race to a real reply makes it a
-// harmless no-op, so stale timers from completed attempts never need
-// cancelling.
-func (t *ClientTransport) armTimer(pend *pending, d des.Duration) {
+// ErrTimeout after CallTimeout. Losing the race to a real reply makes it a
+// harmless no-op, so the timers of completed calls never need cancelling.
+func (t *ClientTransport) armTimer(pend *pending) {
+	d := t.cfg.CallTimeout
 	if d <= 0 {
 		return
 	}
@@ -460,12 +443,11 @@ func (t *ClientTransport) armTimer(pend *pending, d des.Duration) {
 	})
 }
 
-// arm starts (or restarts) the reply-fetch poller: it waits for the
-// server's deposit to land in the slot (a write watch on the doorbell word),
-// models the poll-loop detection delay, charges the copy out of the slot on
-// the client CPU, then decodes the deposited reply and completes the call
-// exactly as a received Send would. One poller spans every retransmission
-// attempt — the slot advertisement never changes.
+// arm starts the reply-fetch poller: it waits for the server's deposit to
+// land in the slot (a write watch on the doorbell word), models the poll-loop
+// detection delay, charges the copy out of the slot on the client CPU, then
+// decodes the deposited reply and completes the call exactly as a received
+// Send would.
 func (f *fetcher) arm() {
 	f.pend.t.node.HCA.WatchWrite(&f.watch, f.slot.Rkey, f.slot.Addr, doorbellBytes, fetchLanded, f)
 }
@@ -482,25 +464,15 @@ func fetchLanded(a any) {
 	if d == nil {
 		return
 	}
-	// Read the doorbell at the delivery instant: a retransmission racing
-	// this callback may zero it again, but the reply body behind it is never
-	// reset, so the captured length stays valid.
-	word := int(binary.LittleEndian.Uint64(d[:doorbellBytes]))
 	if pend.aborted {
-		if word != 0 {
-			t.stray(pend, pend.req.XID, true) // a deposit after Roundtrip returned
-		}
+		t.stray(pend, pend.req.XID, true) // a deposit after Roundtrip returned
 		return
 	}
-	if word == 0 {
-		// The reset won the race; watch for the next deposit (the
-		// retransmitted call will be answered from the server DRC).
-		f.arm()
-		return
-	}
-	wireLen := word - 1
+	// The doorbell is read at the delivery instant, where the reply body
+	// behind it is already placed.
+	wireLen := int(binary.LittleEndian.Uint64(d[:doorbellBytes])) - 1
 	if wireLen < 0 || doorbellBytes+wireLen > len(d) {
-		return // corrupt deposit; the watchdog will retransmit
+		return // corrupt deposit; the call's timer ends it
 	}
 	f.fetched = append([]byte(nil), d[doorbellBytes:doorbellBytes+wireLen]...)
 	// The poll loop notices the doorbell one granularity later and copies
@@ -537,7 +509,7 @@ func fetchCopied(a any) {
 		t.BadHeaders++
 	}
 	if err != nil || hdr.XID != pend.req.XID {
-		return // undecodable deposit; the watchdog will retransmit
+		return // undecodable deposit; the call's timer ends it
 	}
 	t.regrant(hdr.Credits)
 	t.handleReply(pend, &hdr, body)
@@ -572,18 +544,16 @@ func received(a any, cqe *ibsim.CQE) {
 // reconstructs long replies.
 func (t *ClientTransport) receiveReply(cqe *ibsim.CQE) {
 	t.qp.PostRecv(cqe.WRID, t.cfg.recvBufSize())
-	// The call's first reply travels in its pending and decodes its chunk
-	// lists into the call's storage. A later one (the answer to a
-	// retransmission) can arrive while a Read-Read pull is still reading the
-	// first one's, so it gets a record and lists of its own. The call is
-	// found by the XID the header begins with.
+	// The reply travels in its call's pending and decodes its chunk lists
+	// into the call's storage. The call is found by the XID the header begins
+	// with.
 	var pend *pending
 	if len(cqe.Payload) >= 4 {
 		pend = t.pending[binary.BigEndian.Uint32(cqe.Payload)]
 	}
-	first := pend != nil && pend.reply.pend == nil
+	second := pend != nil && pend.reply.pend != nil
 	var hdr Header
-	if first {
+	if pend != nil && !second {
 		hdr = pend.replyHeader()
 	}
 	body, err := DecodeHeaderInto(&hdr, cqe.Payload)
@@ -592,16 +562,19 @@ func (t *ClientTransport) receiveReply(cqe *ibsim.CQE) {
 		return
 	}
 	t.regrant(hdr.Credits)
-	if pend == nil {
-		// The answer to a retransmission of a call that ended, or to a call
-		// that was abandoned.
+	switch {
+	case pend == nil:
+		// The answer to a call that was abandoned.
 		t.stray(nil, hdr.XID, t.parks(&hdr))
+		return
+	case second:
+		// A call has one reply on a connection, so a second one (which only
+		// a hostile peer sends) serves no call; the server parks one reply
+		// per XID, which the DONE for the first releases.
+		t.stray(nil, hdr.XID, false)
 		return
 	}
 	r := &pend.reply
-	if !first {
-		r = new(replyRec)
-	}
 	*r = replyRec{pend: pend, hdr: hdr, body: body}
 	// The handler runs on the scheduler loop, at the place in this instant's
 	// order where a process spawned here would have started. A Read-Read
@@ -719,10 +692,8 @@ func (pend *pending) handled(res *rtResult) (release bool) {
 		pend.t.StrayReplies++ // a Read-Read pull Roundtrip returned from
 		return pend.handling == 0
 	}
-	// A retransmission timer may have consumed this attempt's event already;
-	// if Roundtrip re-armed, pend.done is the live attempt and this (valid,
-	// XID-matched) reply completes it. The first completion wins, so the
-	// result it points at is never overwritten.
+	// The call's timer may have fired the event already, at this instant; the
+	// first completion wins, so the result it points at is never overwritten.
 	if !pend.done.Fired() {
 		pend.res = *res
 		pend.done.Fire(&pend.res)
@@ -751,7 +722,7 @@ func (pend *pending) handled(res *rtResult) (release bool) {
 type puller struct {
 	t    *ClientTransport
 	pend *pending
-	hdr  Header // the reply's; its lists are the call's or the reply record's
+	hdr  Header // the reply's; its lists are the call's
 	res  rtResult
 
 	long       bool          // pulling a long reply (position 0), not bulk
@@ -924,9 +895,7 @@ func (t *ClientTransport) stray(pend *pending, xid uint32, parked bool) {
 	}
 }
 
-// sendDone emits RDMA_DONE for pend's reply. It is framed in the pending: a
-// second DONE (for the reply to a retransmission) writes the same bytes
-// again.
+// sendDone emits RDMA_DONE for pend's reply, framed in the pending.
 func (t *ClientTransport) sendDone(pend *pending) { t.sendDoneFor(pend.req.XID, pend.doneWire[:]) }
 
 // sendDoneFor emits RDMA_DONE for xid, framed in wire (hdrBase bytes, the

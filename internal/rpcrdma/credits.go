@@ -53,11 +53,10 @@ type ClientTotals struct {
 	CallCounts
 }
 
-// CallCounts count what happened to calls: timer expiries and XID-stable
-// retransmissions (ClientTransport.Timeouts and .Retransmits).
+// CallCounts count what happened to calls: timer expiries
+// (ClientTransport.Timeouts).
 type CallCounts struct {
-	Timeouts    int64
-	Retransmits int64
+	Timeouts int64
 }
 
 // SumInto takes the transport's credits out of the totals they have been
@@ -74,8 +73,7 @@ func (t *ClientTransport) SumInto(sum *ClientTotals) {
 	g.sum = sum
 }
 
-// CountInto makes the transport add every timeout and retransmission to each
-// of cells too, for as long as it lives. Unlike the credit sums the cells do
+// CountInto makes the transport add every timeout to each of cells too, for as long as it lives. Unlike the credit sums the cells do
 // not move when the transport is retired: an event is counted once, where and
 // when it happens, also on a transport that was already replaced.
 func (t *ClientTransport) CountInto(cells ...*CallCounts) { t.counted = cells }

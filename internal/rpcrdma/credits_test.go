@@ -137,9 +137,9 @@ func TestDynamicCreditsThrottleUnderPinnedReplies(t *testing.T) {
 		disp := oncrpc.NewDispatcher()
 		disp.Register(svc)
 		cfg := Config{Design: ReadRead, Credits: 16, DynamicCredits: true}
-		st := NewServerTransport(p, server, smgr, disp, cfg)
+		st := NewServerTransport(server, smgr, disp, cfg)
 		st.TryServe(sq)
-		ct := NewClientTransport(p, cq, cmgr, cfg)
+		ct := NewClientTransport(cq, cmgr, cfg)
 		ct.DropDone = true // withhold DONEs: server buffers pin
 		rpc := oncrpc.NewClient(ct, 4242, 1, oncrpc.Auth{})
 		grantBefore := ct.GrantedCredits()
@@ -178,9 +178,9 @@ func TestDynamicCreditsStabilize(t *testing.T) {
 		disp := oncrpc.NewDispatcher()
 		disp.Register(svc)
 		cfg := Config{Design: ReadRead, Credits: 16, DynamicCredits: true}
-		st := NewServerTransport(p, server, smgr, disp, cfg)
+		st := NewServerTransport(server, smgr, disp, cfg)
 		st.TryServe(sq)
-		ct := NewClientTransport(p, cq, cmgr, cfg)
+		ct := NewClientTransport(cq, cmgr, cfg)
 		rpc := oncrpc.NewClient(ct, 4242, 1, oncrpc.Auth{})
 		ct.DropDone = true
 		for i := 0; i < 8; i++ {

@@ -87,7 +87,7 @@ func crashCounted(t *testing.T, shards int, at time.Duration) bool {
 			sim.Spawn("setup", func(p *des.Proc) {
 				disp := oncrpc.NewDispatcher()
 				disp.Register(&blobService{})
-				st = NewServerTransport(p, server, memreg.NewManager(p, server, memreg.Config{}), disp,
+				st = NewServerTransport(server, memreg.NewManager(p, server, memreg.Config{}), disp,
 					Config{Design: ReadWrite, Workers: 8, Shards: shards, PerOpCPU: time.Microsecond})
 				for c := 0; c < 4; c++ {
 					ccfg := cfg
@@ -95,7 +95,7 @@ func crashCounted(t *testing.T, shards int, at time.Duration) bool {
 					client := fab.AddNode(ccfg)
 					cq, sq := fab.Connect(client, server, ibsim.QPConfig{})
 					st.TryServe(sq)
-					rpc := oncrpc.NewClient(NewClientTransport(p, cq, memreg.NewManager(p, client, memreg.Config{}), Config{Design: ReadWrite}), 4242, 1, oncrpc.Auth{})
+					rpc := oncrpc.NewClient(NewClientTransport(cq, memreg.NewManager(p, client, memreg.Config{}), Config{Design: ReadWrite}), 4242, 1, oncrpc.Auth{})
 					for k := 0; k < 8; k++ {
 						sim.Spawn("caller", func(cp *des.Proc) {
 							for {

@@ -69,9 +69,9 @@ var (
 	ErrBadVersion = errors.New("rpcrdma: unsupported version")
 	ErrTransport  = errors.New("rpcrdma: transport failure")
 	ErrClosed     = errors.New("rpcrdma: transport closed")
-	// ErrTimeout is a call that exhausted its per-call timeout and, after
-	// RetryLimit XID-stable retransmissions, its retry budget. Recovery
-	// layers treat it like a transport failure: the connection is suspect.
+	// ErrTimeout is a call whose per-call timer expired. The timeout closed
+	// the call's connection, so recovery layers treat it like a transport
+	// failure and replay the call on a new one.
 	ErrTimeout = errors.New("rpcrdma: call timed out")
 	// ErrAdmission is a connection refused by server admission control
 	// (MaxConns live connections already accepted). The dialing peer sees
@@ -82,13 +82,6 @@ var (
 	// accumulated past Config.QuarantineThreshold. On a shared mux QP only
 	// the offending endpoint dies; siblings never observe it.
 	ErrQuarantined = errors.New("rpcrdma: endpoint quarantined for misbehavior")
-	// ErrRetriesExhausted is the typed terminal error of a call that timed
-	// out and used up its whole retransmission budget (RetryLimit). It
-	// wraps the final ErrTimeout, so errors.Is matches both sentinels:
-	// recovery layers keep classifying it as a transport-level failure,
-	// while applications can distinguish "the transport gave up" from a
-	// timeout that still has retries left.
-	ErrRetriesExhausted = errors.New("rpcrdma: retransmission budget exhausted")
 )
 
 // Segment is one wire chunk segment: steering tag, length, and the remote

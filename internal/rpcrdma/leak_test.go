@@ -45,7 +45,7 @@ func TestRetransmittedRepliesAreReleased(t *testing.T) {
 									cq, sq := e.fab.Connect(e.client, e.server, ibsim.QPConfig{})
 									e.st.TryServe(sq)
 									cfg.Design = design
-									cts = append(cts, NewClientTransport(p, cq, mgr, cfg))
+									cts = append(cts, NewClientTransport(cq, mgr, cfg))
 									return cts[len(cts)-1]
 								}
 								r := &replayer{ct: dial(Config{CallTimeout: timeout}), retries: retries, dial: dial}

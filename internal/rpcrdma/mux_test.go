@@ -23,7 +23,7 @@ func (e *scaleEnv) dialMux(p *des.Proc, i int, cfg Config) (*ClientTransport, *o
 	ccfg.Credits = grant
 	ccfg.Shards, ccfg.Workers = 0, 0
 	cmgr := memreg.NewManager(p, e.clients[i], memreg.Config{})
-	ct := NewClientTransport(p, ep, cmgr, ccfg)
+	ct := NewClientTransport(ep, cmgr, ccfg)
 	return ct, oncrpc.NewClient(ct, 4242, 1, oncrpc.Auth{}), true
 }
 
@@ -258,7 +258,7 @@ func TestMuxAffinityMigrations(t *testing.T) {
 			smgr := memreg.NewManager(p, server, memreg.Config{})
 			disp := oncrpc.NewDispatcher()
 			disp.Register(svc)
-			st = NewServerTransport(p, server, smgr, disp, cfg)
+			st = NewServerTransport(server, smgr, disp, cfg)
 			for i := 0; i < 4; i++ {
 				cn := fab.AddNode(ibsim.NodeConfig{Name: "client", Cores: 2, Seed: uint64(100 + i)})
 				ep, grant, ok := st.TryAttach(cn)
@@ -269,7 +269,7 @@ func TestMuxAffinityMigrations(t *testing.T) {
 				ccfg := cfg
 				ccfg.Credits, ccfg.Shards, ccfg.Workers = grant, 0, 0
 				cmgr := memreg.NewManager(p, cn, memreg.Config{})
-				rpc := oncrpc.NewClient(NewClientTransport(p, ep, cmgr, ccfg), 4242, 1, oncrpc.Auth{})
+				rpc := oncrpc.NewClient(NewClientTransport(ep, cmgr, ccfg), 4242, 1, oncrpc.Auth{})
 				sim.Spawn("client", func(cp *des.Proc) {
 					for j := 0; j < 8; j++ {
 						dst := &oncrpc.Bulk{Data: make([]byte, 16<<10), Len: 16 << 10}

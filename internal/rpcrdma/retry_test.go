@@ -11,127 +11,111 @@ import (
 	"repro/internal/oncrpc"
 )
 
-// A call to a server that never replies must fail with ErrTimeout after
-// exhausting its retransmissions, with exponential backoff between attempts
-// (1ms, then 2ms, then 4ms here).
-func TestCallTimeoutExhaustsRetries(t *testing.T) {
-	sim := des.New()
+// silentPeer connects a client transport with the given config to a far end
+// that posts receives (no RNR) but never replies, and returns both ends.
+func silentPeer(p *des.Proc, sim *des.Sim, cfg Config) (*ClientTransport, *ibsim.QP) {
 	fab := ibsim.NewFabric(sim, true)
 	nodeCfg := ibsim.NodeConfig{Cores: 2, PortBandwidth: 900e6, PortLatency: 3 * time.Microsecond}
 	cCfg, sCfg := nodeCfg, nodeCfg
 	cCfg.Name, sCfg.Name = "client", "server"
 	cn := fab.AddNode(cCfg)
 	sn := fab.AddNode(sCfg)
+	cq, sq := fab.Connect(cn, sn, ibsim.QPConfig{})
+	for i := 0; i < 16; i++ {
+		sq.PostRecv(uint64(i), 4096)
+	}
+	return NewClientTransport(cq, memreg.NewManager(p, cn, memreg.Config{Mode: memreg.Regular}), cfg), sq
+}
+
+// A call to a server that never replies fails with ErrTimeout once its
+// timer expires — after CallTimeout, with no retransmission on the
+// connection and no backoff — and the timeout closes the connection: the
+// far end sees it die, and a later call fails at once with a transport error
+// the recovery layer replays on a new connection.
+func TestCallTimeoutEndsConnection(t *testing.T) {
+	sim := des.New()
 	sim.Spawn("setup", func(p *des.Proc) {
-		cq, sq := fab.Connect(cn, sn, ibsim.QPConfig{})
-		// The far end posts receives (no RNR) but nobody ever replies.
-		for i := 0; i < 16; i++ {
-			sq.PostRecv(uint64(i), 4096)
-		}
-		mgr := memreg.NewManager(p, cn, memreg.Config{Mode: memreg.Regular})
-		ct := NewClientTransport(p, cq, mgr, Config{
-			CallTimeout: time.Millisecond, RetryLimit: 2,
-		})
+		ct, sq := silentPeer(p, sim, Config{CallTimeout: time.Millisecond})
 		start := sim.Now()
 		_, err := ct.Roundtrip(p, &oncrpc.Request{XID: 7, Header: []byte("call")})
 		if !errors.Is(err, ErrTimeout) {
 			t.Errorf("err = %v, want ErrTimeout", err)
 		}
-		elapsed := time.Duration(sim.Now() - start)
-		if elapsed < 7*time.Millisecond || elapsed > 8*time.Millisecond {
-			t.Errorf("elapsed = %v, want ~7ms (1+2+4 backoff)", elapsed)
+		if elapsed := time.Duration(sim.Now() - start); elapsed < time.Millisecond || elapsed > 1100*time.Microsecond {
+			t.Errorf("elapsed = %v, want ~1ms (one timer, no backoff)", elapsed)
 		}
-		if ct.Timeouts != 3 || ct.Retransmits != 2 {
-			t.Errorf("Timeouts=%d Retransmits=%d, want 3 and 2", ct.Timeouts, ct.Retransmits)
+		if ct.Timeouts != 1 || !ct.Broken() || sq.Err() == nil {
+			t.Errorf("Timeouts=%d, client broken %v, far end in error %v: want 1 and the connection ended at both ends",
+				ct.Timeouts, ct.Broken(), sq.Err() != nil)
 		}
 		if len(ct.pending) != 0 {
 			t.Errorf("pending map should be empty, has %d entries", len(ct.pending))
 		}
+		before := sim.Now()
+		_, err = ct.Roundtrip(p, &oncrpc.Request{XID: 8, Header: []byte("next")})
+		if !errors.Is(err, ErrClosed) || sim.Now() != before {
+			t.Errorf("call after the timeout: err = %v, want ErrClosed at once", err)
+		}
 	})
 	sim.Run()
 }
 
-// Exhausting the retransmission budget must surface the typed
-// ErrRetriesExhausted sentinel — and keep matching ErrTimeout, so existing
-// isTransportError-style checks still classify it as a transport failure.
-func TestRetriesExhaustedTyped(t *testing.T) {
+// A timeout ends every call on its connection, not only its own: the calls
+// still waiting there fail with ErrTransport at the timeout's instant, not
+// with timeouts of their own, and each is counted once.
+func TestTimeoutFailsOtherCallsOnConnection(t *testing.T) {
 	sim := des.New()
-	fab := ibsim.NewFabric(sim, true)
-	nodeCfg := ibsim.NodeConfig{Cores: 2, PortBandwidth: 900e6, PortLatency: 3 * time.Microsecond}
-	cCfg, sCfg := nodeCfg, nodeCfg
-	cCfg.Name, sCfg.Name = "client", "server"
-	cn := fab.AddNode(cCfg)
-	sn := fab.AddNode(sCfg)
 	sim.Spawn("setup", func(p *des.Proc) {
-		cq, sq := fab.Connect(cn, sn, ibsim.QPConfig{})
-		for i := 0; i < 16; i++ {
-			sq.PostRecv(uint64(i), 4096)
-		}
-		mgr := memreg.NewManager(p, cn, memreg.Config{Mode: memreg.Regular})
-		ct := NewClientTransport(p, cq, mgr, Config{
-			CallTimeout: time.Millisecond, RetryLimit: 2,
+		ct, _ := silentPeer(p, sim, Config{CallTimeout: time.Millisecond})
+		var laterErr error
+		var laterEnd des.Time
+		sim.SpawnAt(sim.Now()+des.Time(300*time.Microsecond), "later", func(lp *des.Proc) {
+			_, laterErr = ct.Roundtrip(lp, &oncrpc.Request{XID: 10, Header: []byte("later")})
+			laterEnd = lp.Now()
 		})
 		_, err := ct.Roundtrip(p, &oncrpc.Request{XID: 9, Header: []byte("call")})
-		if !errors.Is(err, ErrRetriesExhausted) {
-			t.Errorf("err = %v, want errors.Is(err, ErrRetriesExhausted)", err)
-		}
+		timedOut := p.Now()
+		p.Sleep(2 * time.Millisecond)
 		if !errors.Is(err, ErrTimeout) {
-			t.Errorf("err = %v, must still match ErrTimeout", err)
+			t.Errorf("first call: err = %v, want ErrTimeout", err)
+		}
+		if !errors.Is(laterErr, ErrTransport) || laterEnd != timedOut {
+			t.Errorf("second call: err = %v at %v, want ErrTransport at the first call's timeout, %v", laterErr, laterEnd, timedOut)
+		}
+		if ct.Timeouts != 1 {
+			t.Errorf("Timeouts = %d, want 1", ct.Timeouts)
 		}
 	})
 	sim.Run()
 }
 
-// A reply that arrives after the first timer expiry (but before retries are
-// exhausted) still completes the call: the retransmission carries the same
-// XID, so whichever server response lands first finishes the attempt in
-// progress.
-func TestSlowReplyCompletesRetransmittedCall(t *testing.T) {
+// A reply that comes after its call's timeout never reaches the client: the
+// timeout closed the connection, so the server's Send flushes instead of
+// landing in a receive buffer, and the call stays failed with ErrTimeout.
+func TestSlowReplyAfterTimeoutIsFlushed(t *testing.T) {
 	sim := des.New()
-	fab := ibsim.NewFabric(sim, true)
-	nodeCfg := ibsim.NodeConfig{Cores: 2, PortBandwidth: 900e6, PortLatency: 3 * time.Microsecond}
-	cCfg, sCfg := nodeCfg, nodeCfg
-	cCfg.Name, sCfg.Name = "client", "server"
-	cn := fab.AddNode(cCfg)
-	sn := fab.AddNode(sCfg)
 	sim.Spawn("setup", func(p *des.Proc) {
-		cq, sq := fab.Connect(cn, sn, ibsim.QPConfig{})
-		// Hand-rolled slow server: absorbs transmissions of XID 7 and sends
-		// one (delayed) reply after 2.5 ms — past the first two deadlines.
-		for i := 0; i < 16; i++ {
-			sq.PostRecv(uint64(i), 4096)
-		}
-		received := 0
+		ct, sq := silentPeer(p, sim, Config{CallTimeout: time.Millisecond})
+		var sendErr error
 		sim.Spawn("slow-server", func(srvp *des.Proc) {
-			for {
-				cqe := sq.RecvCQ.Wait(srvp)
-				if cqe == nil || cqe.Err != nil {
-					return
-				}
-				received++
-				if received == 1 {
-					reply := &Header{XID: 7, Credits: 1, Type: MsgRDMA}
-					wire := append(reply.Encode(), []byte("pong")...)
-					sim.SpawnAt(sim.Now()+des.Time(2500*time.Microsecond), "reply", func(*des.Proc) {
-						sq.PostSend(&ibsim.SendWQE{WRID: 99, Op: ibsim.OpSend, Payload: wire})
-					})
-				}
+			if cqe := sq.RecvCQ.Wait(srvp); cqe == nil || cqe.Err != nil {
+				t.Error("the call never reached the server")
+				return
 			}
+			srvp.Sleep(2500 * time.Microsecond)
+			reply := &Header{XID: 7, Credits: 1, Type: MsgRDMA}
+			sendErr = sq.PostAndWait(srvp, &ibsim.SendWQE{WRID: 99, Op: ibsim.OpSend, Payload: append(reply.Encode(), []byte("pong")...)}).Err
 		})
-		mgr := memreg.NewManager(p, cn, memreg.Config{Mode: memreg.Regular})
-		ct := NewClientTransport(p, cq, mgr, Config{
-			CallTimeout: time.Millisecond, RetryLimit: 3,
-		})
-		resp, err := ct.Roundtrip(p, &oncrpc.Request{XID: 7, Header: []byte("ping")})
-		if err != nil {
-			t.Errorf("roundtrip: %v", err)
-			return
+		_, err := ct.Roundtrip(p, &oncrpc.Request{XID: 7, Header: []byte("ping")})
+		if !errors.Is(err, ErrTimeout) {
+			t.Errorf("roundtrip: %v, want ErrTimeout", err)
 		}
-		if string(resp.Header) != "pong" {
-			t.Errorf("reply body = %q, want \"pong\"", resp.Header)
+		p.Sleep(3 * time.Millisecond)
+		if sendErr == nil {
+			t.Error("the late reply was sent on a connection its call's timeout closed")
 		}
-		if ct.Retransmits < 1 {
-			t.Errorf("Retransmits = %d, want >= 1", ct.Retransmits)
+		if ct.StrayReplies != 0 || ct.BadHeaders != 0 {
+			t.Errorf("%d stray replies, %d bad headers: the late reply reached the client", ct.StrayReplies, ct.BadHeaders)
 		}
 	})
 	sim.Run()

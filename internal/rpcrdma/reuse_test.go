@@ -114,16 +114,16 @@ func TestPendingFitsItsSizeClass(t *testing.T) {
 	}
 }
 
-// A second reply for a call can reach the client while the first one is
-// still being pulled: a stale or forged one, since a server parks one reply
-// per (connection, XID) and sends no other while it is parked (all-physical
-// registration makes the pull many short Reads, between which the second
-// reply is received). The first reply travels in the call's pending, and its
-// pull reads the chunk list there until it ends, so the second one must get a
-// record of its own: both pulls run at once, the first one's header stays
-// what it was, and the call completes with the right bytes. The second reply
-// here is the first one's, its chunks exposed from another server buffer
-// holding the same bytes.
+// A second reply to a call on one connection — which only a hostile peer
+// sends, since a client retransmits only on a new connection — serves no
+// call. Here it arrives, through the server's queue pair, while the first
+// reply's pull is reading the chunk list kept in the call's pending (an
+// all-physical 256 KiB READ: many short Reads, between which the second is
+// received): it is counted as stray and pulls nothing, the first reply's
+// header stays what it was, the call completes with the right bytes, and the
+// call's one RDMA_DONE is the only one sent. The second reply is the first
+// one's, its chunks exposed from another server buffer holding the same
+// bytes.
 func TestDuplicateReplyDuringPullKeepsFirstHeader(t *testing.T) {
 	const size = 256 << 10
 	newEnv(t, ReadRead, memreg.AllPhysical, func(p *des.Proc, e *env) {
@@ -147,46 +147,53 @@ func TestDuplicateReplyDuringPullKeepsFirstHeader(t *testing.T) {
 			}
 			dup := pend.reply.hdr
 			dup.ReadList = appendReadSegs(nil, first[0].Position, copyChk.Reg, size)
-			e.ct.receiveReply(&ibsim.CQE{Payload: dup.frame(append(make([]byte, dup.wireSize()), pend.reply.body...), dup.wireSize())})
-			pp.Yield() // the second reply's handler starts
-			if pend.handling != 2 {
-				t.Errorf("%d pulls running after a second reply was received during the first's, want 2", pend.handling)
+			e.st.conns[0].post(&ibsim.SendWQE{Op: ibsim.OpSend, Payload: dup.frame(append(make([]byte, dup.wireSize()), pend.reply.body...), dup.wireSize())})
+			for e.ct.StrayReplies == 0 && pend.handling > 0 {
+				pp.Sleep(100 * time.Nanosecond)
+			}
+			if e.ct.StrayReplies != 1 || pend.handling != 1 {
+				t.Errorf("%d stray replies, %d pulls running after a second reply was received during the first's: want 1 and 1", e.ct.StrayReplies, pend.handling)
 			}
 			if got := pend.reply.hdr.ReadList; !reflect.DeepEqual(got, first) {
-				t.Errorf("first reply's read list is %v with the second reply's pull running, was %v", got, first)
+				t.Errorf("first reply's read list is %v with the second reply received, was %v", got, first)
 			}
 		})
 		dst := &oncrpc.Bulk{Data: make([]byte, size), Len: size}
 		if _, n, err := e.rpc.Call(p, 2, nil, oncrpc.CallOpts{RecvBulk: dst}); err != nil || n != size || !bytes.Equal(dst.Data, e.svc.stored) {
 			t.Errorf("GET during which a second reply arrived: n=%d err=%v, bytes equal %v", n, err, bytes.Equal(dst.Data, e.svc.stored))
 		}
+		p.Sleep(time.Millisecond)
+		if e.ct.DoneSent != 1 || e.st.ParkedReplies() != 0 || e.st.DoneRejected != 0 {
+			t.Errorf("%d DONEs sent, %d replies parked, %d DONEs rejected: want the call's one DONE to release its reply", e.ct.DoneSent, e.st.ParkedReplies(), e.st.DoneRejected)
+		}
 	})
 }
 
 // The first reply to a call decodes its chunk lists into the call's own
-// stores; a second one, received before the first one's handler has run (or
-// while it still pulls), must not decode into them too. Both replies here
-// carry a one-segment read list, which fits the store, and are received back
-// to back, before either handler runs.
+// stores; a second one, received before the first one's handler has run,
+// must not decode into them too. Both replies here carry a one-segment write
+// list, which fits the store, and are sent back to back through the
+// server's queue pair.
 func TestSecondReplyKeepsFirstRepliesLists(t *testing.T) {
-	newEnv(t, ReadRead, memreg.Regular, func(p *des.Proc, e *env) {
+	newEnv(t, ReadWrite, memreg.Regular, func(p *des.Proc, e *env) {
 		const xid = 77
 		pend := &pending{t: e.ct}
+		pend.done.Init(e.sim)
 		e.ct.pending[xid] = pend
 		reply := func(rkey uint32) []byte {
-			h := Header{XID: xid, Credits: 1, Type: MsgRDMA, ReadList: []ReadSeg{{Position: 24, Segment: Segment{Rkey: rkey, Length: 8, Addr: 0x1000}}}}
+			h := Header{XID: xid, Credits: 1, Type: MsgRDMA, WriteList: []Segment{{Rkey: rkey, Length: 8, Addr: 0x1000}}}
 			return h.frame(append(make([]byte, h.wireSize()), oncrpc.EncodeReply(xid, oncrpc.Success, nil)...), h.wireSize())
 		}
-		e.ct.receiveReply(&ibsim.CQE{Payload: reply(1)})
-		first := append([]ReadSeg(nil), pend.reply.hdr.ReadList...)
-		if &pend.reply.hdr.ReadList[0] != &pend.readStore[0] {
-			t.Error("the first reply's read list is not in the call's store")
+		e.st.conns[0].post(&ibsim.SendWQE{Op: ibsim.OpSend, Payload: reply(1)})
+		e.st.conns[0].post(&ibsim.SendWQE{Op: ibsim.OpSend, Payload: reply(2)})
+		p.Sleep(100 * time.Microsecond)
+		if got := pend.reply.hdr.WriteList; len(got) != 1 || &got[0] != &pend.segStore[0] || got[0].Rkey != 1 {
+			t.Errorf("the first reply's write list is %v, in the call's store %v: want the first reply's, kept there", got, len(got) > 0 && &got[0] == &pend.segStore[0])
 		}
-		e.ct.receiveReply(&ibsim.CQE{Payload: reply(2)})
-		if got := pend.reply.hdr.ReadList; !reflect.DeepEqual(got, first) {
-			t.Errorf("first reply's read list is %v after a second reply was received, was %v", got, first)
+		if !pend.done.Fired() || pend.res.BulkLen != 8 || e.ct.StrayReplies != 1 || e.ct.DoneSent != 0 {
+			t.Errorf("call completed %v with %d bulk bytes, %d stray replies, %d DONEs: want the first reply to complete it, the second counted and no DONE",
+				pend.done.Fired(), pend.res.BulkLen, e.ct.StrayReplies, e.ct.DoneSent)
 		}
-		pend.aborted = true // the handlers, which run next, leave the made-up call alone
 		delete(e.ct.pending, xid)
 	})
 }

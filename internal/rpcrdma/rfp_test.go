@@ -47,9 +47,9 @@ func newRFPEnv(t *testing.T, ccfg, scfg Config, body func(p *des.Proc, e *env)) 
 		disp := oncrpc.NewDispatcher()
 		disp.Register(e.svc)
 		disp.EnableDRC(256)
-		e.st = NewServerTransport(p, e.server, smgr, disp, scfg)
+		e.st = NewServerTransport(e.server, smgr, disp, scfg)
 		e.st.TryServe(sq)
-		e.ct = NewClientTransport(p, cq, cmgr, ccfg)
+		e.ct = NewClientTransport(cq, cmgr, ccfg)
 		e.rpc = oncrpc.NewClient(e.ct, 4242, 1, oncrpc.Auth{})
 		body(p, &e.env)
 	})
@@ -125,57 +125,59 @@ func TestReplyFetchClientExposedByDesign(t *testing.T) {
 	}
 }
 
-// TestReplyFetchRetransmitReArm drives the watchdog through a mid-fetch
-// timeout: the deposit lands, but the client's poll loop (slowed far past
-// the call timeout) has not consumed it when the timer fires. The
-// retransmission re-arms the slot (doorbell zeroed, same registration,
-// same wire bytes), the server answers it from the DRC with a second,
-// byte-identical deposit after retiring the stale park, and the single
-// RDMA_DONE that follows must leave nothing parked. The slot MR still
-// dies inside the RPC span — CheckExposureBounds stays clean.
-func TestReplyFetchRetransmitReArm(t *testing.T) {
-	ccfg := Config{
-		Design:         ReplyFetch,
-		FetchPollDelay: 500 * time.Microsecond,
-		CallTimeout:    200 * time.Microsecond,
-		RetryLimit:     2,
-	}
+// TestReplyFetchReplayOnNewConnection drives the watchdog through a
+// mid-fetch timeout: the deposit lands, but the client's poll loop (slowed far
+// past the call timeout) has not consumed it when the timer fires. The
+// timeout ends the connection, whose death releases the parked deposit, and
+// the call is replayed with its XID on a new connection, with a new slot: the
+// server answers it from the DRC with a second deposit, and the one
+// RDMA_DONE that follows leaves nothing parked. Every slot MR dies inside its
+// RPC span — CheckExposureBounds stays clean — and the server exposes
+// nothing.
+func TestReplyFetchReplayOnNewConnection(t *testing.T) {
+	ccfg := Config{Design: ReplyFetch, FetchPollDelay: 500 * time.Microsecond, CallTimeout: 200 * time.Microsecond}
 	e := newRFPEnv(t, ccfg, Config{Design: ReplyFetch, Workers: 4}, func(p *des.Proc, e *env) {
+		first := e.ct
+		e.rpc.SetTransport(&replayer{ct: first, retries: 1, dial: func(Config) *ClientTransport {
+			e.reconnect(p, Config{Design: ReplyFetch})
+			return e.ct
+		}})
 		args := pattern(600, 9)
 		res, _, err := e.rpc.Call(p, 4, raw(args), oncrpc.CallOpts{})
 		if err != nil {
-			t.Fatalf("echo through retransmit: %v", err)
+			t.Fatalf("echo through the replay: %v", err)
 		}
 		if !bytes.Equal(res, args) {
-			t.Fatal("reply corrupted across re-armed slot")
+			t.Fatal("reply corrupted across the replay")
 		}
-		if e.ct.Timeouts != 1 || e.ct.Retransmits != 1 {
-			t.Errorf("timeouts=%d retransmits=%d, want 1/1", e.ct.Timeouts, e.ct.Retransmits)
+		if first.Timeouts != 1 || !first.Broken() || e.ct == first {
+			t.Errorf("timeouts=%d, first connection broken %v: want the timeout to end it and the replay to run on a new one", first.Timeouts, first.Broken())
 		}
-		if e.st.Deposits != 2 {
-			t.Errorf("deposits = %d, want 2 (original + DRC replay)", e.st.Deposits)
+		if hits, _ := e.st.dispatcher.DRCStats(); e.st.Deposits != 2 || hits != 1 {
+			t.Errorf("deposits = %d, DRC hits = %d, want 2 and 1 (original + DRC replay)", e.st.Deposits, hits)
 		}
 		p.Sleep(time.Millisecond)
-		if e.st.ParkedReplies() != 0 {
-			t.Errorf("parked replies = %d, want 0 (stale park retired, fresh park DONEd)", e.st.ParkedReplies())
+		if e.st.ParkedReplies() != 0 || e.ct.DoneSent != 1 {
+			t.Errorf("parked replies = %d, DONEs on the new connection = %d: want 0 and 1 (stale park released by the death, fresh park DONEd)",
+				e.st.ParkedReplies(), e.ct.DoneSent)
 		}
 	})
 	if err := trace.CheckExposureBounds(e.tr.Events()); err != nil {
-		t.Errorf("exposure bounds across retransmit: %v", err)
+		t.Errorf("exposure bounds across the replay: %v", err)
 	}
 	if err := trace.CheckNoRemoteExposure(e.tr.Events(), "server"); err != nil {
 		t.Errorf("server exposure: %v", err)
 	}
 }
 
-// TestReplyFetchAbandonedMidFetch: a call whose only attempt times out after
-// its deposit landed, while the poller waits out the poll delay or while it
-// is charged for the copy out of the slot, decodes nothing and fires
-// nothing: the reply's credit grant (8, against the client's 32) is not
-// installed. The deposit is counted as stray and released with one
-// RDMA_DONE, so nothing stays parked at the server. The copy is still charged
-// in full, as the poll loop it models would spend it. Afterwards no core is
-// held and the client's HCA holds no watch.
+// TestReplyFetchAbandonedMidFetch: a call that times out after its deposit
+// landed, while the poller waits out the poll delay or while it is charged
+// for the copy out of the slot, decodes nothing and fires nothing: the
+// reply's credit grant (8, against the client's 32) is not installed. The
+// timeout ends the connection, whose death releases the deposit at the
+// server, so nothing stays parked and no RDMA_DONE is sent. The copy is
+// still charged in full, as the poll loop it models would spend it.
+// Afterwards no core is held and the client's HCA holds no watch.
 func TestReplyFetchAbandonedMidFetch(t *testing.T) {
 	for _, tc := range []struct {
 		name              string
@@ -190,7 +192,7 @@ func TestReplyFetchAbandonedMidFetch(t *testing.T) {
 				clientCPU := e.client.CPU
 				clientCPU.CopyNsPerByte = float64(tc.copyPerByte)
 				_, _, err := e.rpc.Call(p, 4, raw([]byte("ping")), oncrpc.CallOpts{})
-				if !errors.Is(err, ErrRetriesExhausted) {
+				if !errors.Is(err, ErrTimeout) || !e.ct.Broken() {
 					t.Fatalf("call: %v, want it abandoned on its timeout", err)
 				}
 				if e.st.Deposits != 1 {
@@ -205,9 +207,9 @@ func TestReplyFetchAbandonedMidFetch(t *testing.T) {
 				if e.ct.GrantedCredits() != 32 || e.ct.BadHeaders != 0 {
 					t.Errorf("the abandoned fetch went on: grant %d, %d bad headers", e.ct.GrantedCredits(), e.ct.BadHeaders)
 				}
-				if e.ct.DoneSent != 1 || e.ct.StrayReplies != 1 || e.st.ParkedReplies() != 0 {
-					t.Errorf("%d DONEs sent, %d stray replies, %d replies parked: want the abandoned deposit counted and released once",
-						e.ct.DoneSent, e.ct.StrayReplies, e.st.ParkedReplies())
+				if e.ct.DoneSent != 0 || e.st.ParkedReplies() != 0 {
+					t.Errorf("%d DONEs sent, %d replies parked: want the abandoned deposit released by the connection's death",
+						e.ct.DoneSent, e.st.ParkedReplies())
 				}
 				if n := e.client.HCA.Watches(); n != 0 {
 					t.Errorf("client HCA holds %d watches", n)

@@ -13,8 +13,8 @@ import (
 )
 
 // A call's path through the client — its CPU charge, the credit gate, the
-// serialized send section, registration, the post, the wait for the reply
-// with its retransmissions, and the teardown after it — waits only for the
+// serialized send section, registration, the post, the wait for the reply,
+// and the teardown after it — waits only for the
 // host CPU, the HCA, time and FIFO resources. So it is a chain of callbacks
 // on the scheduler loop, each step taken at the instant and in the place in
 // the event order where the caller's process would take it, with its state
@@ -30,7 +30,7 @@ import (
 //	replySlot     the Reply-Fetch reply slot and its poller
 //	frame         a long call's staging and copy, or the header in place
 //	rtPost        the Send and the call timer; the reply wait
-//	rtWoken       a reply, or a timeout and the retransmission
+//	rtWoken       a reply, or a timeout, which closes the connection
 //	rtEnd         the staging copy, the teardown, the rpc span, the credit
 
 // roundtrip is the state of one Roundtrip in flight.
@@ -43,7 +43,6 @@ type roundtrip struct {
 	tr   *trace.Tracer // the tracer when the call began, which its spans go to
 
 	rtStart, creditStart des.Time
-	attempt              int
 	wire                 []byte
 	waiting              bool // for the reply: a completion of pend.done wakes the chain
 	handlerReleases      bool // a reply handler still in flight releases the call's buffers
@@ -327,25 +326,17 @@ func longCallCopied(rt *roundtrip) {
 }
 
 // rtPost sends the call, arms its timer and waits for the reply.
-// Registrations and wire bytes are built once: a retransmission reuses them
-// verbatim (same XID, same chunk advertisements), which is what lets the
-// server's DRC recognise the duplicate.
 func rtPost(rt *roundtrip) {
 	t, pend, req := rt.t, rt.pend, rt.req
 	t.pending[req.XID] = pend
-	t.armTimer(pend, t.attemptTimeout(rt.attempt))
+	t.armTimer(pend)
 	t.send(req.XID, rt.wire)
 	if t.serial != nil {
 		t.serial.Release(1)
 	}
-	rt.wait()
-}
-
-// wait waits for the current attempt's done event: at once when it fired
-// already, otherwise when a reply, the call timer or a transport failure
-// fires it.
-func (rt *roundtrip) wait() {
-	if rt.pend.done.Fired() {
+	// The reply, the call timer or a transport failure fires the call's done
+	// event; it may have fired already.
+	if pend.done.Fired() {
 		rtWoken(rt)
 		return
 	}
@@ -364,55 +355,26 @@ func (pend *pending) woken() {
 	s.AtArg(s.Now(), rtWoken, rt)
 }
 
-// rtWoken ends the wait for an attempt, retransmitting on timer expiry. Each
-// attempt gets a fresh done event; a reply racing the timer fires whichever
-// event is current (TryFire), so a late reply to an earlier attempt still
-// completes the call.
+// rtWoken ends the wait. A timeout closes the call's connection before the
+// call gives its buffers back: every other call on it fails with a transport
+// error, and nothing the server still sends for this one can land in them
+// (the fabric flushes a Write to a queue pair in error). The recovery layer
+// replays the call, with its XID, on a new connection.
 func rtWoken(a any) {
 	rt := a.(*roundtrip)
-	t, pend, req := rt.t, rt.pend, rt.req
-	res := pend.done.Value().(*rtResult)
-	rt.res = res
-	if res.err == nil || !errors.Is(res.err, ErrTimeout) {
-		rtEnd(rt)
-		return
-	}
-	now := int64(t.node.Sim().Now())
-	t.Timeouts++
-	for _, c := range t.counted {
-		c.Timeouts++
-	}
-	if rt.tr != nil {
-		rt.tr.Instant(now, trace.LayerRPC, trace.KindTimeout, t.node.Name(), "timeout", uint64(req.XID), int64(rt.attempt))
-	}
-	if rt.attempt >= t.cfg.RetryLimit || t.Broken() {
-		rtEnd(rt)
-		return
-	}
-	rt.attempt++
-	t.Retransmits++
-	for _, c := range t.counted {
-		c.Retransmits++
-	}
-	if rt.tr != nil {
-		rt.tr.Instant(now, trace.LayerRPC, trace.KindRetransmit, t.node.Name(), "retransmit", uint64(req.XID), int64(rt.attempt))
-	}
-	// Reset in place: the only other holder of the event was the timer
-	// that just expired.
-	pend.done.Init(t.node.Sim())
-	if t.cfg.Design == ReplyFetch && pend.slotChk != nil {
-		// Re-arm the reply slot: zero the doorbell so the retransmitted
-		// call (same slot advertisement, same XID) gets a fresh deposit
-		// signal. The registration is reused verbatim — the wire bytes
-		// must be identical for the server's DRC to recognise the
-		// duplicate.
-		if d := pend.slotChk.Data(); d != nil {
-			clear(d[:doorbellBytes])
+	t, req := rt.t, rt.req
+	rt.res = rt.pend.done.Value().(*rtResult)
+	if errors.Is(rt.res.err, ErrTimeout) {
+		t.Timeouts++
+		for _, c := range t.counted {
+			c.Timeouts++
 		}
+		if rt.tr != nil {
+			rt.tr.Instant(int64(t.node.Sim().Now()), trace.LayerRPC, trace.KindTimeout, t.node.Name(), "timeout", uint64(req.XID), 0)
+		}
+		t.Close()
 	}
-	t.armTimer(pend, t.attemptTimeout(rt.attempt))
-	t.send(req.XID, rt.wire)
-	rt.wait()
+	rtEnd(rt)
 }
 
 // rtEnd ends the call: a Read-Read pull still reading chunks for it owns the
@@ -421,11 +383,6 @@ func rtWoken(a any) {
 // while the chunk is guaranteed alive.
 func rtEnd(rt *roundtrip) {
 	t, pend, res := rt.t, rt.pend, rt.res
-	if res.err != nil && errors.Is(res.err, ErrTimeout) && rt.attempt >= t.cfg.RetryLimit {
-		// Every retransmission timed out: surface the typed terminal error
-		// rather than a bare timeout, which would read as "retry later".
-		res.err = fmt.Errorf("%w: %w (%d attempts)", ErrRetriesExhausted, res.err, rt.attempt+1)
-	}
 	delete(t.pending, rt.req.XID)
 	pend.aborted, pend.rt = true, nil
 	rt.handlerReleases = pend.handling > 0

@@ -108,14 +108,23 @@ func newEnv(t *testing.T, design Design, mode memreg.Mode, body func(p *des.Proc
 		smgr := memreg.NewManager(p, e.server, memreg.Config{Mode: mode})
 		disp := oncrpc.NewDispatcher()
 		disp.Register(e.svc)
-		e.st = NewServerTransport(p, e.server, smgr, disp, Config{Design: design, Workers: 4})
+		e.st = NewServerTransport(e.server, smgr, disp, Config{Design: design, Workers: 4})
 		e.st.TryServe(sq)
-		e.ct = NewClientTransport(p, cq, cmgr, Config{Design: design})
+		e.ct = NewClientTransport(cq, cmgr, Config{Design: design})
 		e.rpc = oncrpc.NewClient(e.ct, 4242, 1, oncrpc.Auth{})
 		body(p, e)
 	})
 	sim.Run()
 	return e
+}
+
+// reconnect replaces e's client transport with one on a new connection, over
+// a new registration manager, as the recovery layer's redial does.
+func (e *env) reconnect(p *des.Proc, cfg Config) {
+	cq, sq := e.fab.Connect(e.client, e.server, ibsim.QPConfig{})
+	e.st.TryServe(sq)
+	e.ct = NewClientTransport(cq, memreg.NewManager(p, e.client, memreg.Config{}), cfg)
+	e.rpc.SetTransport(e.ct)
 }
 
 func pattern(n int, seed byte) []byte {
@@ -344,9 +353,9 @@ func TestConcurrentCallsShareTransport(t *testing.T) {
 			smgr := memreg.NewManager(p, server, memreg.Config{})
 			disp := oncrpc.NewDispatcher()
 			disp.Register(svc)
-			st := NewServerTransport(p, server, smgr, disp, Config{Design: design, Workers: 8})
+			st := NewServerTransport(server, smgr, disp, Config{Design: design, Workers: 8})
 			st.TryServe(sq)
-			ct := NewClientTransport(p, cq, cmgr, Config{Design: design})
+			ct := NewClientTransport(cq, cmgr, Config{Design: design})
 			rpc := oncrpc.NewClient(ct, 4242, 1, oncrpc.Auth{})
 			for i := 0; i < 8; i++ {
 				sim.Spawn("thread", func(tp *des.Proc) {

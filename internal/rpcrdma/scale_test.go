@@ -38,7 +38,7 @@ func (e *scaleEnv) startServer(p *des.Proc, cfg Config) {
 	smgr := memreg.NewManager(p, e.server, memreg.Config{})
 	e.disp = oncrpc.NewDispatcher()
 	e.disp.Register(e.svc)
-	e.st = NewServerTransport(p, e.server, smgr, e.disp, cfg)
+	e.st = NewServerTransport(e.server, smgr, e.disp, cfg)
 }
 
 // dial connects client i; ok reports whether admission accepted it.
@@ -48,7 +48,7 @@ func (e *scaleEnv) dial(p *des.Proc, i int, cfg Config) (*ClientTransport, *oncr
 		return nil, nil, cq, false
 	}
 	cmgr := memreg.NewManager(p, e.clients[i], memreg.Config{})
-	ct := NewClientTransport(p, cq, cmgr, cfg)
+	ct := NewClientTransport(cq, cmgr, cfg)
 	return ct, oncrpc.NewClient(ct, 4242, 1, oncrpc.Auth{}), cq, true
 }
 

@@ -472,10 +472,11 @@ func replyReserved(a any) {
 	w := a.(*nfsd)
 	s := w.sh.srv
 	if s.cfg.Design == ReplyFetch {
-		// A retransmission answered from the DRC can deposit again while the
-		// first deposit still sits parked (the client never fetched it, so no
-		// DONE came). Retire the stale park first — one DONE will arrive for
-		// this XID at most, and it must release the fresh deposit, not leak it.
+		// A duplicate of a call on one connection (which only a hostile peer
+		// sends: a client retransmits on a new connection) can deposit again
+		// while the first deposit still sits parked. Retire the stale park
+		// first — one DONE will arrive for this XID at most, and it must
+		// release the fresh deposit, not leak it.
 		key := connXID{w.task.conn, w.task.hdr.XID}
 		if _, ok := s.parked[key]; ok {
 			s.RepliesDeclined++
@@ -569,8 +570,9 @@ func placeMessage(w *nfsd) {
 		w.wireLen = w.rh.wireSize() + len(w.msg)
 		if over := w.wireLen + doorbellBytes - int(call.ReplyChunk[0].Length); over > 0 {
 			// The reply outgrew the client's slot; it cannot be delivered. The
-			// client's watchdog will time out and the retransmission hits the
-			// DRC — same terminal behaviour as an undeliverable long reply.
+			// client's call timer ends the connection and the replay on a new
+			// one hits the DRC — same terminal behaviour as an undeliverable
+			// long reply.
 			s.shortWrite(conn, call.XID, over)
 			w.rel.dropReply(s, conn, w.park, replyUnsent, w)
 			return
@@ -696,8 +698,9 @@ func post(w *nfsd) {
 		return
 	}
 	if _, ok := s.parked[connXID{conn, call.XID}]; ok && w.park.n > 0 {
-		// A retransmission's reply while the first is still parked: the
-		// client reads that one, or releases it unread, with the one DONE it
+		// A duplicate call's reply while the first is still parked (only a
+		// hostile peer sends a duplicate on one connection): the client reads
+		// that one, or releases it unread, with the one DONE it
 		// sends for this XID. Parking this one over it would leave the first
 		// parked, and exposed, for good; so it is not sent.
 		s.RepliesDeclined++

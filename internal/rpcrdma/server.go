@@ -184,9 +184,9 @@ type ServerTransport struct {
 	Deposits      int64 // reply-fetch replies deposited into client slots (no Send)
 	BadHeaders    int64 // received frames dropped because their header did not decode
 	// RepliesDeclined counts replies not kept parked because another for the
-	// same (connection, XID) is: a Read-Read retransmission's reply while
-	// the first is parked (dropped unsent), a Reply-Fetch deposit the
-	// retransmission's replaces.
+	// same (connection, XID) is: a duplicate call's Read-Read reply while the
+	// first is parked (dropped unsent), a Reply-Fetch deposit the duplicate's
+	// replaces. Only a hostile peer repeats an XID on one connection.
 	RepliesDeclined int64
 
 	// Hardening stats (see the adversary engine).
@@ -197,7 +197,7 @@ type ServerTransport struct {
 }
 
 // NewServerTransport creates the server engine and starts its worker pool.
-func NewServerTransport(p *des.Proc, node *ibsim.Node, mgr *memreg.Manager, dispatcher *oncrpc.Dispatcher, cfg Config) *ServerTransport {
+func NewServerTransport(node *ibsim.Node, mgr *memreg.Manager, dispatcher *oncrpc.Dispatcher, cfg Config) *ServerTransport {
 	cfg.defaults()
 	s := &ServerTransport{
 		node:       node,

@@ -34,10 +34,10 @@ func TestSnapshotSorted(t *testing.T) {
 	}
 }
 
-// TestSlotSnapshotByteIdentical is the regression contract for the atomic
-// fast path: a counter set where some names live on pre-registered slots and
-// some on the mutex map must render exactly the same Snapshot — same names,
-// same sorted order, same values — as a plain set fed the same increments.
+// TestSlotSnapshotByteIdentical: a counter set where some names were
+// pre-registered as slots, before or after their first write, must render
+// exactly the same Snapshot — same names, same sorted order, same values — as
+// a plain set fed the same increments.
 func TestSlotSnapshotByteIdentical(t *testing.T) {
 	type op struct {
 		name  string
@@ -50,8 +50,8 @@ func TestSlotSnapshotByteIdentical(t *testing.T) {
 	}
 	plain := NewCounters()
 	slotted := NewCounters()
-	// Pre-register a mix: some before any writes, one after (migration),
-	// one that never fires (must stay out of the snapshot).
+	// Pre-register a mix: some before any writes, one after its first, one
+	// that never fires (must stay out of the snapshot).
 	slotted.Slot("op.send")
 	slotted.Slot("bytes.send")
 	slotted.Slot("never.fired")
@@ -59,7 +59,7 @@ func TestSlotSnapshotByteIdentical(t *testing.T) {
 		plain.Add(o.name, o.delta)
 		slotted.Add(o.name, o.delta)
 		if i == 4 {
-			// Migrate a name that already accumulated through the mutex map.
+			// Register a name that already accumulated through Add.
 			slotted.Slot("rnr")
 		}
 	}
@@ -79,9 +79,9 @@ func TestSlotSnapshotByteIdentical(t *testing.T) {
 	}
 }
 
-// TestSlotMigrationAndReset pins the slot lifecycle: registration migrates
-// the accumulated mutex-map value, re-registration returns the same slot,
-// and Reset zeroes slots and hides never-rewritten names from Snapshot.
+// TestSlotMigrationAndReset pins the slot lifecycle: registering a name keeps
+// the value it accumulated through Add, re-registration returns the same
+// slot, and Reset zeroes slots and hides never-rewritten names from Snapshot.
 func TestSlotMigrationAndReset(t *testing.T) {
 	c := NewCounters()
 	c.Add("hot", 41)
@@ -109,40 +109,5 @@ func TestSlotMigrationAndReset(t *testing.T) {
 	snap := c.Snapshot()
 	if len(snap) != 1 || snap[0] != (CounterValue{Name: "hot", Value: 3}) {
 		t.Fatalf("Snapshot after post-Reset Add = %v", snap)
-	}
-}
-
-// TestSlotConcurrent exercises the fast path from many goroutines under the
-// race detector: concurrent Add on slotted and unslotted names, mid-flight
-// registration, and Snapshot readers.
-func TestSlotConcurrent(t *testing.T) {
-	c := NewCounters()
-	hot := c.Slot("hot")
-	const workers, n = 8, 1000
-	done := make(chan struct{})
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer func() { done <- struct{}{} }()
-			for i := 0; i < n; i++ {
-				hot.Inc()
-				c.Add("hot", 1)
-				c.Add("cold", 1)
-				if i == n/2 && w == 0 {
-					c.Slot("cold")
-				}
-				if i%100 == 0 {
-					c.Snapshot()
-				}
-			}
-		}(w)
-	}
-	for w := 0; w < workers; w++ {
-		<-done
-	}
-	if got := c.Get("hot"); got != 2*workers*n {
-		t.Fatalf("hot = %d, want %d", got, 2*workers*n)
-	}
-	if got := c.Get("cold"); got != workers*n {
-		t.Fatalf("cold = %d, want %d", got, workers*n)
 	}
 }

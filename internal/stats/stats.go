@@ -7,140 +7,76 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 )
 
-// Counters is a simple named-counter set. It is safe for concurrent use so
-// both simulation code (single-threaded) and test assertions can share it.
-// Hot names can be pre-registered with Slot, which moves them onto a
-// lock-free atomic fast path consulted by Add/Inc/Get before the mutex.
+// Counters is a named-counter set. A set belongs to one simulation (the
+// fabric's), which runs on one goroutine, so it takes no lock. Hot names are
+// pre-registered with Slot, whose cell the call site keeps and adds to
+// without looking the name up.
 type Counters struct {
-	mu    sync.Mutex
-	m     map[string]int64
-	slots atomic.Value // map[string]*Slot, copy-on-write under mu
+	slots map[string]*Slot
 }
 
-// Slot is a single pre-registered counter bound to an atomic cell, for call
-// sites hot enough that taking the set's mutex per increment would serialize
-// otherwise-independent work. Obtain one with Counters.Slot and keep it.
+// Slot is one named counter's cell. Obtain one with Counters.Slot and keep it.
 type Slot struct {
-	v atomic.Int64
-	// touched mirrors map-key existence in the mutex path: a slot appears
-	// in Snapshot only once something has written it, so pre-registering a
-	// name that never fires does not change the snapshot.
-	touched atomic.Bool
+	v int64
+	// touched records a write since creation or Reset: a counter appears in
+	// Snapshot only once something has written it, so pre-registering a name
+	// that never fires does not change the snapshot.
+	touched bool
 }
 
 // Add increments the slot by delta.
-func (s *Slot) Add(delta int64) {
-	s.v.Add(delta)
-	if !s.touched.Load() {
-		s.touched.Store(true)
-	}
-}
+func (s *Slot) Add(delta int64) { s.v, s.touched = s.v+delta, true }
 
 // Inc increments the slot by one.
 func (s *Slot) Inc() { s.Add(1) }
 
 // Load returns the slot's current value.
-func (s *Slot) Load() int64 { return s.v.Load() }
+func (s *Slot) Load() int64 { return s.v }
 
 // NewCounters returns an empty counter set.
-func NewCounters() *Counters { return &Counters{m: make(map[string]int64)} }
+func NewCounters() *Counters { return &Counters{slots: make(map[string]*Slot)} }
 
-// slotMap returns the current slot registry, nil when nothing registered.
-func (c *Counters) slotMap() map[string]*Slot {
-	m, _ := c.slots.Load().(map[string]*Slot)
-	return m
-}
-
-// Slot pre-registers name on the atomic fast path and returns its slot.
-// Any value the name accumulated through the mutex path migrates into the
-// slot; subsequent Add/Inc/Get calls for the name are lock-free. Safe to
-// call repeatedly — the same slot comes back.
+// Slot returns name's cell, registering it on first use; the same slot comes
+// back on every call.
 func (c *Counters) Slot(name string) *Slot {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	old := c.slotMap()
-	if s := old[name]; s != nil {
-		return s
+	s := c.slots[name]
+	if s == nil {
+		s = &Slot{}
+		c.slots[name] = s
 	}
-	next := make(map[string]*Slot, len(old)+1)
-	for k, v := range old {
-		next[k] = v
-	}
-	s := &Slot{}
-	if v, ok := c.m[name]; ok {
-		s.v.Store(v)
-		s.touched.Store(true)
-		delete(c.m, name)
-	}
-	next[name] = s
-	c.slots.Store(next)
 	return s
 }
 
 // Add increments the named counter by delta.
-func (c *Counters) Add(name string, delta int64) {
-	if s := c.slotMap()[name]; s != nil {
-		s.Add(delta)
-		return
-	}
-	c.mu.Lock()
-	// Re-check under the mutex: Slot may have migrated the name between
-	// the lock-free probe and acquiring the lock.
-	if s := c.slotMap()[name]; s != nil {
-		c.mu.Unlock()
-		s.Add(delta)
-		return
-	}
-	c.m[name] += delta
-	c.mu.Unlock()
-}
+func (c *Counters) Add(name string, delta int64) { c.Slot(name).Add(delta) }
 
 // Inc increments the named counter by one.
 func (c *Counters) Inc(name string) { c.Add(name, 1) }
 
 // Get returns the current value of the named counter.
 func (c *Counters) Get(name string) int64 {
-	if s := c.slotMap()[name]; s != nil {
-		return s.Load()
+	if s := c.slots[name]; s != nil {
+		return s.v
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if s := c.slotMap()[name]; s != nil {
-		return s.Load()
-	}
-	return c.m[name]
+	return 0
 }
 
-// Reset zeroes every counter. Registered slots stay registered (call sites
-// hold pointers to them) but read as absent until written again.
+// Reset zeroes every counter. Slots stay registered (call sites hold
+// pointers to them) but read as absent until written again.
 func (c *Counters) Reset() {
-	c.mu.Lock()
-	c.m = make(map[string]int64)
-	for _, s := range c.slotMap() {
-		s.v.Store(0)
-		s.touched.Store(false)
+	for _, s := range c.slots {
+		*s = Slot{}
 	}
-	c.mu.Unlock()
 }
 
-// Snapshot returns a sorted copy of all counters, merging the mutex map and
-// the atomic slots; names that were never written do not appear, whether or
-// not a slot was pre-registered for them.
+// Snapshot returns the counters written so far, sorted by name.
 func (c *Counters) Snapshot() []CounterValue {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	slots := c.slotMap()
-	out := make([]CounterValue, 0, len(c.m)+len(slots))
-	for k, v := range c.m {
-		out = append(out, CounterValue{Name: k, Value: v})
-	}
-	for k, s := range slots {
-		if s.touched.Load() {
-			out = append(out, CounterValue{Name: k, Value: s.Load()})
+	out := make([]CounterValue, 0, len(c.slots))
+	for k, s := range c.slots {
+		if s.touched {
+			out = append(out, CounterValue{Name: k, Value: s.v})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })

@@ -23,22 +23,26 @@ func TestCounters(t *testing.T) {
 	}
 }
 
+// TestCountersConcurrent: a set takes no lock, because each belongs to one
+// simulation on one goroutine; simulations run in parallel, each on its own
+// set, and share nothing (the race detector checks it).
 func TestCountersConcurrent(t *testing.T) {
-	c := NewCounters()
-	done := make(chan struct{})
+	done := make(chan *Counters)
 	for i := 0; i < 8; i++ {
 		go func() {
+			c := NewCounters()
+			hot := c.Slot("hot")
 			for j := 0; j < 1000; j++ {
 				c.Inc("n")
+				hot.Inc()
 			}
-			done <- struct{}{}
+			done <- c
 		}()
 	}
 	for i := 0; i < 8; i++ {
-		<-done
-	}
-	if c.Get("n") != 8000 {
-		t.Fatalf("n = %d", c.Get("n"))
+		if c := <-done; c.Get("n") != 1000 || c.Get("hot") != 1000 {
+			t.Fatalf("n = %d, hot = %d, want 1000 each", c.Get("n"), c.Get("hot"))
+		}
 	}
 }
 

@@ -2,7 +2,7 @@
 // virtual-time event stream threaded through every layer of the stack —
 // the DES kernel (process blocked spans), ibsim (WQE post → doorbell →
 // DMA → CQE, IRD/ORD waits, MR lifetimes), rpcrdma (per-XID RPC lifecycle,
-// credit waits, bulk segments, retransmissions), oncrpc/nfs3 (dispatch,
+// credit waits, bulk segments, timeouts), oncrpc/nfs3 (dispatch,
 // DRC outcomes, per-procedure latency) and core (caches, recovery).
 //
 // Design constraints, in order:
@@ -88,11 +88,10 @@ const (
 	KindQPError  // instant: queue pair entered the error state
 
 	// rpcrdma.
-	KindRPC        // span: client Roundtrip, one per XID attempt set
+	KindRPC        // span: client Roundtrip on one connection
 	KindCreditWait // span: client blocked on flow-control credits
 	KindBulkRead   // span: RDMA Read segment pull (client chunks, server write data)
 	KindBulkWrite  // instant: RDMA Write segment posted (server push)
-	KindRetransmit // instant: XID-stable retransmission sent
 	KindTimeout    // instant: per-call timer expired
 	KindServe      // span: server-side handling of one received message
 	KindParked     // begin/end: reply buffers parked awaiting RDMA_DONE (Read-Read)
@@ -119,7 +118,7 @@ const (
 var kindNames = [numKinds]string{
 	"blocked", "spawn",
 	"wqe", "doorbell", "dma", "ord-wait", "cqe", "mr", "reg-call", "rnr", "qp-error",
-	"rpc", "credit-wait", "bulk-read", "bulk-write", "retransmit", "timeout",
+	"rpc", "credit-wait", "bulk-read", "bulk-write", "timeout",
 	"serve", "parked", "done", "expose", "short-write",
 	"dispatch", "drc-hit", "drc-suppress",
 	"nfs-proc",

@@ -146,12 +146,12 @@ func TestSummaryAggregates(t *testing.T) {
 	tr := New(64)
 	tr.Span(0, 1000, LayerDES, KindBlocked, "p1", "blocked", 1, 0)
 	tr.Span(500, 2500, LayerDES, KindBlocked, "p2", "blocked", 2, 0)
-	tr.Instant(700, LayerRPC, KindRetransmit, "client0", "retransmit", 3, 1)
+	tr.Instant(700, LayerRPC, KindTimeout, "client0", "timeout", 3, 0)
 	s := Summary(tr.Events())
 	if !strings.Contains(s, "blocked") || !strings.Contains(s, "n=2") {
 		t.Fatalf("summary missing aggregated span row:\n%s", s)
 	}
-	if !strings.Contains(s, "retransmit") {
+	if !strings.Contains(s, "timeout") {
 		t.Fatalf("summary missing instant section:\n%s", s)
 	}
 }

@@ -22,9 +22,11 @@ fmt:
 # packages on the RPC path, whose waits are chains (see determinism_test.go);
 # and the docs lint: it fails when README.md, EXPERIMENTS.md, DESIGN.md or the
 # verify skill pass nfsrdma-bench or nfsrdma-experiments a flag the command
-# does not define (see docs_test.go).
+# does not define (see docs_test.go); and the config lint: it fails when
+# chaos.Config or adversary.Config declares a field a config it embeds
+# already has (see config_test.go).
 lint:
-	$(GO) test -run '^(TestNoMapOrderInSimulation|TestNoSpawnOnRPCPath|TestDocsNameOnlyDefinedFlags)$$' .
+	$(GO) test -run '^(TestNoMapOrderInSimulation|TestNoSpawnOnRPCPath|TestDocsNameOnlyDefinedFlags|TestConfigStatedOnce)$$' .
 
 # check is the CI gate: gofmt, vet and the determinism lint, then every suite
 # once under the race detector. The parallel sweep runner makes simulations genuinely

@@ -35,13 +35,10 @@ package adversary
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/des"
-	"repro/internal/memreg"
-	"repro/internal/rpcrdma"
 	"repro/internal/workload"
 )
 
@@ -69,20 +66,15 @@ const (
 	AttackAll = AttackRkeyScan | AttackSpoofDone | AttackDRCForge | AttackStaleProbe
 )
 
-// Config parameterizes one adversary run: a fully wired cluster with honest
-// clients running the integrity-checked chaos workload, plus the mallory
-// node running the selected attacks.
+// Config parameterizes one adversary run: a chaos run (the embedded
+// chaos.Config — its cluster, its honest clients running the
+// integrity-checked load, and any fault schedule composed under the attack)
+// plus the mallory node running the selected attacks. Multiplex defaults
+// ServerShards to 1, so every endpoint — victims and attacker — shares one
+// QP, the worst case for stream spoofing. The cluster's Security follows
+// Hardened.
 type Config struct {
-	Seed    uint64
-	Design  rpcrdma.Design
-	RegMode memreg.Mode
-	Clients int
-
-	// Shards/Multiplex select the server receive path (as in chaos.Config).
-	// Multiplex defaults Shards to 1 so every endpoint — victims and
-	// attacker — shares one QP, the worst case for stream spoofing.
-	Shards    int
-	Multiplex bool
+	chaos.Config
 
 	// Hardened selects the defended posture: randomized rkey allocation,
 	// FMR key rotation, fabric-authenticated stream claims, transport-
@@ -99,22 +91,11 @@ type Config struct {
 	ProbeBudget int
 	SpoofBudget int
 	ForgeBudget int
-
-	// Faults > 0 composes a chaos fault schedule under the attack — QP
-	// errors, link flaps, server crashes — generated from Seed with the
-	// generator's defaults (see chaos.GenConfig).
-	Faults int
 }
 
 func (c *Config) defaults() {
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.Clients <= 0 {
-		c.Clients = 2
-	}
-	if c.Multiplex && c.Shards <= 0 {
-		c.Shards = 1
+	if c.Multiplex && c.ServerShards <= 0 {
+		c.ServerShards = 1
 	}
 	if c.Attacks == 0 {
 		c.Attacks = AttackAll
@@ -184,69 +165,42 @@ type Result struct {
 // configs produce identical results (see Result.Fingerprint).
 func Run(cfg Config) *Result {
 	cfg.defaults()
-	security := core.SecurityVulnerable
+	cfg.Security = core.SecurityVulnerable
 	if cfg.Hardened {
-		security = core.SecurityHardened
+		cfg.Security = core.SecurityHardened
 	}
-	cluster := core.NewCluster(core.Config{
-		Profile:      chaos.Profile(),
-		Transport:    core.TransportRDMA,
-		Design:       cfg.Design,
-		RegMode:      cfg.RegMode,
-		Clients:      cfg.Clients,
-		Backend:      core.BackendTmpfs,
-		CopyData:     true, // integrity checking needs real bytes
-		ServerShards: cfg.Shards,
-		Multiplex:    cfg.Multiplex,
-		Affinity:     cfg.Multiplex,
-		Recovery:     chaos.Policy(),
-		Seed:         cfg.Seed,
-		Security:     security,
-	})
+	h := chaos.Start(cfg.Config)
+	cluster := h.Cluster
 
 	// The attacker host joins the same fabric as one more client-class
 	// node. Its HCA follows the cluster's rkey-allocation policy (the
 	// policy under attack is the server's, but keeping the fabric uniform
 	// keeps fingerprints honest).
-	malloryCfg := security.Node(cluster.Cfg.Profile.Client)
+	malloryCfg := cfg.Security.Node(cluster.Cfg.Profile.Client)
 	malloryCfg.Name = "mallory"
-	malloryCfg.Seed = cfg.Seed*7919 + 13
-	mallory := cluster.Fabric.AddNode(malloryCfg)
-
-	oracle := chaos.NewOracle()
+	seed := cluster.Cfg.Seed
+	malloryCfg.Seed = seed*7919 + 13
 	res := &Result{}
-	if cfg.Faults > 0 {
-		sched := chaos.Generate(cfg.Seed, chaos.GenConfig{Faults: cfg.Faults, Clients: cfg.Clients})
-		sched.Apply(cluster, oracle)
-		res.FaultCount = len(sched.Faults)
-	}
-
-	cluster.Start("victims", func(p *des.Proc) {
-		load, err := workload.RunChaosLoad(p, cluster, oracle)
-		if err != nil {
-			oracle.Violation("victim workload error: %v", err)
-		}
-		res.Load = load
-	})
-
 	atk := &attacker{
 		cfg:     &cfg,
 		cluster: cluster,
-		node:    mallory,
-		rng:     des.NewRand(cfg.Seed*0xAD5E + 3),
+		node:    cluster.Fabric.AddNode(malloryCfg),
+		rng:     des.NewRand(seed*0xAD5E + 3),
 		res:     res,
 	}
 	cluster.Start("mallory", atk.run)
 
-	res.FinalTime = cluster.RunUntil(des.Time(10 * time.Second))
+	victims := h.Finish()
+	res.FinalTime = victims.FinalTime
 	if !res.Compromised {
 		res.TimeToCompromise = res.FinalTime
 	}
-
-	res.Violations = oracle.Report()
-	res.BlastRadius = blastRadius(oracle.Violations, cfg.Clients)
-	res.Crashes = cluster.Crashes
-	res.VictimRecon = cluster.Totals.Reconnects
+	res.Violations = victims.Violations
+	res.BlastRadius = blastRadius(h.Oracle.Violations, len(cluster.Clients))
+	res.Load = victims.Load
+	res.Crashes = victims.Crashes
+	res.VictimRecon = victims.Reconnects
+	res.FaultCount = len(victims.Schedule.Faults)
 	if srv := cluster.Server.RDMA; srv != nil {
 		res.DoneRecv = srv.DoneRecv
 		res.DoneRejected = srv.DoneRejected

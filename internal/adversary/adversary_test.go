@@ -5,18 +5,25 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/chaos"
+	"repro/internal/core"
 	"repro/internal/memreg"
 	"repro/internal/rpcrdma"
 )
+
+// cluster is the chaos run an attack joins: seed, design, registration mode
+// and client count, multiplexed connections (affinity on) or not, and how
+// many generated faults.
+func cluster(seed uint64, design rpcrdma.Design, mode memreg.Mode, clients int, mux bool, faults int) chaos.Config {
+	return chaos.Config{Config: core.Config{Seed: seed, Design: design, RegMode: mode,
+		Clients: clients, Multiplex: mux, Affinity: mux}, Faults: faults}
+}
 
 // scanConfig is the rkey-scan experiment: attacker only scans, victims run
 // the integrity-checked load.
 func scanConfig(mode memreg.Mode, hardened bool) Config {
 	return Config{
-		Seed:        7,
-		Design:      rpcrdma.ReadRead,
-		RegMode:     mode,
-		Clients:     2,
+		Config:      cluster(7, rpcrdma.ReadRead, mode, 2, false, 0),
 		Hardened:    hardened,
 		Attacks:     AttackRkeyScan,
 		ProbeBudget: 1200,
@@ -69,10 +76,7 @@ func TestHardenedRandomizedKeysResistScan(t *testing.T) {
 func TestServersSurviveScanAndSpoof(t *testing.T) {
 	for _, design := range []rpcrdma.Design{rpcrdma.ReadWrite, rpcrdma.ReplyFetch} {
 		cfg := Config{
-			Seed:     11,
-			Design:   design,
-			RegMode:  memreg.Regular,
-			Clients:  2,
+			Config:   cluster(11, design, memreg.Regular, 2, false, 0),
 			Hardened: true,
 			Attacks:  AttackRkeyScan | AttackSpoofDone,
 		}
@@ -98,11 +102,7 @@ func TestServersSurviveScanAndSpoof(t *testing.T) {
 // quarantines.
 func TestQuarantineScopedToAttacker(t *testing.T) {
 	r := Run(Config{
-		Seed:        5,
-		Design:      rpcrdma.ReadRead,
-		RegMode:     memreg.Regular,
-		Clients:     3,
-		Multiplex:   true,
+		Config:      cluster(5, rpcrdma.ReadRead, memreg.Regular, 3, true, 0),
 		Hardened:    true,
 		Attacks:     AttackSpoofDone,
 		SpoofBudget: 64,
@@ -132,11 +132,7 @@ func TestQuarantineScopedToAttacker(t *testing.T) {
 // the traffic (rejected or freed) rather than silently dropping it.
 func TestVulnerableMuxSpoofMeasured(t *testing.T) {
 	r := Run(Config{
-		Seed:        5,
-		Design:      rpcrdma.ReadRead,
-		RegMode:     memreg.Regular,
-		Clients:     3,
-		Multiplex:   true,
+		Config:      cluster(5, rpcrdma.ReadRead, memreg.Regular, 3, true, 0),
 		Hardened:    false,
 		Attacks:     AttackSpoofDone,
 		SpoofBudget: 64,
@@ -159,15 +155,7 @@ func TestVulnerableMuxSpoofMeasured(t *testing.T) {
 // fault schedule. The hardened stack must keep every victim's data intact
 // while faults and the attacker interleave.
 func TestAttackUnderChaos(t *testing.T) {
-	r := Run(Config{
-		Seed:     3,
-		Design:   rpcrdma.ReadWrite,
-		RegMode:  memreg.Regular,
-		Clients:  2,
-		Hardened: true,
-		Attacks:  AttackAll,
-		Faults:   4,
-	})
+	r := Run(Config{Config: cluster(3, rpcrdma.ReadWrite, memreg.Regular, 2, false, 4), Hardened: true, Attacks: AttackAll})
 	if r.FaultCount == 0 {
 		t.Fatalf("no faults composed: %s", r.Fingerprint)
 	}
@@ -183,10 +171,8 @@ func TestAttackUnderChaos(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	configs := []Config{
 		scanConfig(memreg.AllPhysical, false),
-		{Seed: 5, Design: rpcrdma.ReadRead, RegMode: memreg.Regular, Clients: 3,
-			Multiplex: true, Hardened: true, Attacks: AttackAll, Faults: 3},
-		{Seed: 9, Design: rpcrdma.ReplyFetch, RegMode: memreg.FMR, Clients: 2,
-			Hardened: false, Attacks: AttackAll},
+		{Config: cluster(5, rpcrdma.ReadRead, memreg.Regular, 3, true, 3), Hardened: true, Attacks: AttackAll},
+		{Config: cluster(9, rpcrdma.ReplyFetch, memreg.FMR, 2, false, 0), Hardened: false, Attacks: AttackAll},
 	}
 	for i, cfg := range configs {
 		a, b := Run(cfg), Run(cfg)
@@ -202,10 +188,7 @@ func TestDeterminism(t *testing.T) {
 // clean.
 func TestDRCForgeIsolatedByPeerKeying(t *testing.T) {
 	r := Run(Config{
-		Seed:        13,
-		Design:      rpcrdma.ReadWrite,
-		RegMode:     memreg.Regular,
-		Clients:     2,
+		Config:      cluster(13, rpcrdma.ReadWrite, memreg.Regular, 2, false, 0),
 		Hardened:    true,
 		Attacks:     AttackDRCForge,
 		ForgeBudget: 24,
@@ -230,7 +213,7 @@ func TestClusterSetUpSurvivesFaults(t *testing.T) {
 			for _, mux := range []bool{false, true} {
 				for _, faults := range []int{0, 4} {
 					for seed := uint64(1); seed <= 4; seed++ {
-						cfg := Config{Seed: seed, Design: design, RegMode: mode, Multiplex: mux, Faults: faults}
+						cfg := Config{Config: cluster(seed, design, mode, 0, mux, faults)}
 						func() {
 							defer func() {
 								if err := recover(); err != nil {

@@ -193,7 +193,7 @@ func (a *attacker) spoofDoneMux(p *des.Proc) {
 	for i := 0; i < a.cfg.SpoofBudget; i++ {
 		// Victims attach first, so their endpoints sit in the low slots of
 		// the shared QP: slot k carries stream id k+1 at generation 0.
-		victim := uint32(1 + a.rng.Intn(a.cfg.Clients))
+		victim := uint32(1 + a.rng.Intn(len(a.cluster.Clients)))
 		hdr := &rpcrdma.Header{
 			XID:  uint32(nfs3XIDBase + 1 + a.rng.Intn(64)),
 			Type: rpcrdma.MsgDone,

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/chaos"
+	"repro/internal/core"
 	"repro/internal/memreg"
 	"repro/internal/rpcrdma"
 )
@@ -14,7 +16,7 @@ import (
 // integrity oracle names the byte. The hardened posture ends censored and
 // clean.
 func ExampleRun() {
-	res := Run(Config{Seed: 3, Design: rpcrdma.ReadWrite, RegMode: memreg.AllPhysical})
+	res := Run(Config{Config: chaos.Config{Config: core.Config{Seed: 3, Design: rpcrdma.ReadWrite, RegMode: memreg.AllPhysical}}})
 	if res.Compromised {
 		fmt.Printf("compromised at t=%v via %s\n", time.Duration(res.TimeToCompromise), res.CompromiseVia)
 	}
@@ -28,7 +30,7 @@ func ExampleRun() {
 	fmt.Println("fingerprint:", res.Fingerprint)
 	printVerdict(res)
 
-	hardened := Run(Config{Seed: 3, Design: rpcrdma.ReadWrite, RegMode: memreg.AllPhysical, Hardened: true})
+	hardened := Run(Config{Config: chaos.Config{Config: core.Config{Seed: 3, Design: rpcrdma.ReadWrite, RegMode: memreg.AllPhysical}}, Hardened: true})
 	fmt.Printf("hardened: compromised=%v probes=%d hits=%d (censored at %v) ",
 		hardened.Compromised, hardened.Probes, hardened.ProbeHits, time.Duration(hardened.FinalTime))
 	printVerdict(hardened)

@@ -13,28 +13,20 @@ import (
 	"repro/internal/workload"
 )
 
-// Config parameterizes one chaos run: a fully wired cluster, the chaos
-// workload, and a fault schedule (generated from Seed unless an explicit
-// Schedule — e.g. a shrinker candidate — is supplied).
+// Config parameterizes one chaos run: the cluster (the embedded
+// core.Config), the chaos workload, and a fault schedule — generated from
+// Seed unless an explicit Schedule, e.g. a shrinker candidate, is supplied.
+// Run sets the cluster's Profile, Transport, Backend, CopyData and Recovery
+// itself: the watchdog profile and recovery budget below, the RDMA
+// transport, tmpfs, and real bytes, which integrity checking needs.
+// DRCEntries -1 turns the server's duplicate request cache off — the
+// deliberately-broken-server ablation the oracle must catch (replayed
+// RENAMEs re-execute and surface illegal ENOENTs).
 type Config struct {
-	Seed   uint64
-	Design rpcrdma.Design
-	Shards int // server dispatch shards (0 = per-connection receive path)
-
-	// Multiplex runs the server's shared-QP connection mode: clients attach
-	// DCT-style endpoints demultiplexed by stream id. Faults then exercise
-	// the endpoint-scoped error paths — a killed client must not take its
-	// shared QP's siblings with it, and crash/restart must rebuild the
-	// shared QPs. Implies sharded dispatch.
-	Multiplex bool
-
-	// Affinity pins shard reply processing to the completion CPU.
-	Affinity bool
-
-	Clients int
+	core.Config
 
 	// Faults/MaxCrashes feed the schedule generator, whose defaults apply
-	// (see GenConfig).
+	// (see GenConfig). Zero Faults and no Schedule is a run without faults.
 	Faults     int
 	MaxCrashes int
 
@@ -42,11 +34,6 @@ type Config struct {
 	// (shrinking replays candidates this way). Seed is still used for the
 	// cluster's own randomness.
 	Schedule *Schedule
-
-	// DisableDRC turns the server's duplicate request cache off — the
-	// deliberately-broken-server ablation the oracle must catch (replayed
-	// RENAMEs re-execute and surface illegal ENOENTs).
-	DisableDRC bool
 
 	// TraceCapacity > 0 enables tracing and runs the trace invariant
 	// checkers (WQE/CQE pairing, MR exposure bounds, and — Read-Write only
@@ -125,53 +112,55 @@ func Policy() *core.RetryPolicy {
 
 // Run executes one seeded chaos run and returns its result. Identical
 // configs produce identical results (see Result.Fingerprint).
-func Run(cfg Config) *Result {
+func Run(cfg Config) *Result { return Start(cfg).Finish() }
+
+// Harness is a chaos run between Start and Finish: the cluster is wired, the
+// schedule armed and the load started, but no simulated time has passed, so
+// a caller can add nodes and processes of its own (the adversary's attacker).
+type Harness struct {
+	Cluster *core.Cluster
+	Oracle  *Oracle
+
+	tr  *trace.Tracer
+	res *Result
+}
+
+// Start builds the cluster, the oracle and the fault schedule, and starts
+// the integrity-checked load on every client.
+func Start(cfg Config) *Harness {
 	cfg.defaults()
-	drcEntries := 0
-	if cfg.DisableDRC {
-		drcEntries = -1
-	}
-	cluster := core.NewCluster(core.Config{
-		Profile:      Profile(),
-		Transport:    core.TransportRDMA,
-		Design:       cfg.Design,
-		Clients:      cfg.Clients,
-		Backend:      core.BackendTmpfs,
-		CopyData:     true, // integrity checking needs real bytes
-		DRCEntries:   drcEntries,
-		ServerShards: cfg.Shards,
-		Multiplex:    cfg.Multiplex,
-		Affinity:     cfg.Affinity,
-		Recovery:     Policy(),
-		Seed:         cfg.Seed,
-	})
-	var tr *trace.Tracer
+	cc := cfg.Config
+	cc.Profile, cc.Transport, cc.Backend, cc.CopyData, cc.Recovery = Profile(), core.TransportRDMA, core.BackendTmpfs, true, Policy()
+	h := &Harness{Cluster: core.NewCluster(cc), Oracle: NewOracle()}
 	if cfg.TraceCapacity > 0 {
-		tr = cluster.EnableTracing(cfg.TraceCapacity)
+		h.tr = h.Cluster.EnableTracing(cfg.TraceCapacity)
 	}
 	if cfg.TelemetryInterval > 0 {
-		cluster.EnableTelemetry(telemetry.Options{Interval: cfg.TelemetryInterval})
+		h.Cluster.EnableTelemetry(telemetry.Options{Interval: cfg.TelemetryInterval})
 	}
 
-	oracle := NewOracle()
-	sched := Generate(cfg.Seed, GenConfig{
-		Faults:     cfg.Faults,
-		Clients:    cfg.Clients,
-		MaxCrashes: cfg.MaxCrashes,
-	})
+	h.res = &Result{}
 	if cfg.Schedule != nil {
-		sched = *cfg.Schedule
+		h.res.Schedule = *cfg.Schedule
+	} else {
+		h.res.Schedule = Generate(cfg.Seed, GenConfig{Faults: cfg.Faults, Clients: cfg.Clients, MaxCrashes: cfg.MaxCrashes})
 	}
-	sched.Apply(cluster, oracle)
+	h.res.Schedule.Apply(h.Cluster, h.Oracle)
 
-	res := &Result{Schedule: sched}
-	cluster.Start("chaos", func(p *des.Proc) {
-		load, err := workload.RunChaosLoad(p, cluster, oracle)
+	h.Cluster.Start("chaos", func(p *des.Proc) {
+		load, err := workload.RunChaosLoad(p, h.Cluster, h.Oracle)
 		if err != nil {
-			oracle.Violation("workload error: %v", err)
+			h.Oracle.Violation("workload error: %v", err)
 		}
-		res.Load = load
+		h.res.Load = load
 	})
+	return h
+}
+
+// Finish runs the simulation to its end, judges it — the oracle, and the
+// trace invariants when tracing is on — and builds the fingerprint.
+func (h *Harness) Finish() *Result {
+	cluster, oracle, res := h.Cluster, h.Oracle, h.res
 	res.FinalTime = cluster.RunUntil(des.Time(10 * time.Second))
 
 	res.Violations = oracle.Report()
@@ -184,13 +173,13 @@ func Run(cfg Config) *Result {
 	res.OracleReads = oracle.ReadsChecked
 	res.OracleRenameENOENTs = oracle.RenameChecks
 
-	if tr != nil {
-		res.checkInvariants(tr, cfg.Design)
+	if h.tr != nil {
+		res.checkInvariants(h.tr, cluster.Cfg.Design)
 	}
 	if tel := cluster.Telemetry(); tel != nil {
 		res.Report = tel.Report()
 		res.Report.Findings = append(res.Report.Findings,
-			res.Report.AnnotateFaults(sched.FaultWindows(), "workload.writes_acked")...)
+			res.Report.AnnotateFaults(res.Schedule.FaultWindows(), "workload.writes_acked")...)
 	}
 
 	res.Fingerprint = fmt.Sprintf(

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/des"
 	"repro/internal/experiments/runner"
 	"repro/internal/rpcrdma"
@@ -15,7 +16,7 @@ import (
 // passes the oracle and actually exercises the machinery (faults fired,
 // recovery ran, writes landed).
 func TestChaosSingleRunClean(t *testing.T) {
-	res := Run(Config{Seed: 7, Design: rpcrdma.ReadWrite, Faults: 4, TraceCapacity: 1 << 20})
+	res := Run(Config{Config: core.Config{Seed: 7, Design: rpcrdma.ReadWrite}, Faults: 4, TraceCapacity: 1 << 20})
 	if res.Failed() {
 		t.Fatalf("violations: %v %v\nschedule: %v", res.Violations, res.InvariantViolations, res.Schedule)
 	}
@@ -31,7 +32,7 @@ func TestChaosSingleRunClean(t *testing.T) {
 
 // TestChaosDeterministic: same seed, same config => byte-identical run.
 func TestChaosDeterministic(t *testing.T) {
-	cfg := Config{Seed: 11, Design: rpcrdma.ReadRead, Faults: 5}
+	cfg := Config{Config: core.Config{Seed: 11, Design: rpcrdma.ReadRead}, Faults: 5}
 	a := Run(cfg)
 	b := Run(cfg)
 	if a.Fingerprint != b.Fingerprint {
@@ -43,7 +44,7 @@ func TestChaosDeterministic(t *testing.T) {
 // proc introduce new event orderings; same seed must still mean a
 // byte-identical run, crash/replay deposits included.
 func TestChaosReplyFetchDeterministic(t *testing.T) {
-	cfg := Config{Seed: 17, Design: rpcrdma.ReplyFetch, Faults: 5}
+	cfg := Config{Config: core.Config{Seed: 17, Design: rpcrdma.ReplyFetch}, Faults: 5}
 	a := Run(cfg)
 	b := Run(cfg)
 	if a.Fingerprint != b.Fingerprint {
@@ -58,7 +59,7 @@ func TestChaosReplyFetchDeterministic(t *testing.T) {
 // a replay that deposited different bytes (or re-executed a
 // non-idempotent op) would surface as a violation.
 func TestChaosReplyFetchCrashReplayClean(t *testing.T) {
-	res := Run(Config{Seed: 9, Design: rpcrdma.ReplyFetch, Faults: 5,
+	res := Run(Config{Config: core.Config{Seed: 9, Design: rpcrdma.ReplyFetch}, Faults: 5,
 		MaxCrashes: 2, TraceCapacity: 1 << 20})
 	if res.Failed() {
 		t.Fatalf("violations: %v %v\nschedule: %v", res.Violations, res.InvariantViolations, res.Schedule)
@@ -78,7 +79,7 @@ func TestChaosReplyFetchCrashReplayClean(t *testing.T) {
 // drop (and count) those messages; it used to put them on the closed queue
 // and take the whole run down with "put on closed queue".
 func TestChaosCrashWithReceivesQueued(t *testing.T) {
-	cfg := Config{Seed: 15, Design: rpcrdma.ReplyFetch, Faults: 6}
+	cfg := Config{Config: core.Config{Seed: 15, Design: rpcrdma.ReplyFetch}, Faults: 6}
 	a := Run(cfg)
 	if a.Failed() {
 		t.Fatalf("violations: %v %v\nschedule: %v", a.Violations, a.InvariantViolations, a.Schedule)
@@ -129,7 +130,7 @@ func TestChaosSoak(t *testing.T) {
 			shards = 2 // alternate seeds exercise the sharded dispatch path
 		}
 		return Run(Config{
-			Seed: pt.seed, Design: pt.design, Shards: shards,
+			Config: core.Config{Seed: pt.seed, Design: pt.design, ServerShards: shards},
 			Faults: 4, TraceCapacity: 1 << 20,
 		})
 	})
@@ -170,8 +171,8 @@ func TestChaosSoakMux(t *testing.T) {
 	results := runner.Map(len(grid), func(i int) *Result {
 		pt := grid[i]
 		return Run(Config{
-			Seed: pt.seed, Design: pt.design, Shards: 2,
-			Multiplex: true, Affinity: pt.seed%2 == 0,
+			Config: core.Config{Seed: pt.seed, Design: pt.design, ServerShards: 2,
+				Multiplex: true, Affinity: pt.seed%2 == 0},
 			Faults: 4, TraceCapacity: 1 << 20,
 		})
 	})
@@ -191,7 +192,7 @@ func TestChaosSoakMux(t *testing.T) {
 // TestChaosMuxDeterministic: same seed, same multiplexed config =>
 // byte-identical run, fingerprint included.
 func TestChaosMuxDeterministic(t *testing.T) {
-	cfg := Config{Seed: 13, Design: rpcrdma.ReadWrite, Shards: 2, Multiplex: true, Affinity: true, Faults: 5}
+	cfg := Config{Config: core.Config{Seed: 13, Design: rpcrdma.ReadWrite, ServerShards: 2, Multiplex: true, Affinity: true}, Faults: 5}
 	a := Run(cfg)
 	b := Run(cfg)
 	if a.Fingerprint != b.Fingerprint {
@@ -206,9 +207,8 @@ func TestChaosMuxDeterministic(t *testing.T) {
 func TestChaosBrokenDRCCaughtAndShrinks(t *testing.T) {
 	cfgFor := func(seed uint64, sched *Schedule) Config {
 		return Config{
-			Seed: seed, Design: rpcrdma.ReadWrite,
-			Faults: 6, MaxCrashes: 1, DisableDRC: true,
-			Schedule: sched,
+			Config: core.Config{Seed: seed, Design: rpcrdma.ReadWrite, DRCEntries: -1},
+			Faults: 6, MaxCrashes: 1, Schedule: sched,
 		}
 	}
 	var failing *Result

@@ -3,6 +3,7 @@ package chaos
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/rpcrdma"
 )
 
@@ -13,9 +14,8 @@ import (
 // the one fault that causes it. With the cache on, that fault is harmless.
 func ExampleShrink() {
 	cfg := Config{
-		Seed: 12, Design: rpcrdma.ReadWrite,
-		Faults: 6, MaxCrashes: 1, DisableDRC: true,
-		TraceCapacity: 1 << 20,
+		Config: core.Config{Seed: 12, Design: rpcrdma.ReadWrite, DRCEntries: -1},
+		Faults: 6, MaxCrashes: 1, TraceCapacity: 1 << 20,
 	}
 	res := Run(cfg)
 	fmt.Println("schedule:", res.Schedule)
@@ -33,7 +33,7 @@ func ExampleShrink() {
 		return Run(c).Failed()
 	})
 	fmt.Printf("minimal reproducer (%d faults): %v\n", len(minimal.Faults), minimal)
-	cfg.Schedule, cfg.DisableDRC = &minimal, false
+	cfg.Schedule, cfg.DRCEntries = &minimal, 0
 	fmt.Print("with the DRC on: ")
 	printVerdict(Run(cfg))
 	// Output:

@@ -95,7 +95,7 @@ func (s Schedule) FaultWindows() []telemetry.FaultWindow {
 
 // GenConfig parameterizes schedule generation.
 type GenConfig struct {
-	// Faults is how many faults to compose.
+	// Faults is how many faults to compose; zero composes none.
 	Faults int
 	// Clients is the cluster size faults target.
 	Clients int
@@ -104,9 +104,6 @@ type GenConfig struct {
 }
 
 func (c *GenConfig) defaults() {
-	if c.Faults <= 0 {
-		c.Faults = 4
-	}
 	if c.Clients <= 0 {
 		c.Clients = 1
 	}

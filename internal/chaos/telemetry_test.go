@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/des"
 	"repro/internal/rpcrdma"
 	"repro/internal/telemetry"
@@ -42,8 +43,7 @@ func TestChaosRecoveryAnnotation(t *testing.T) {
 		Downtime: des.Duration(500 * time.Microsecond),
 	}}}
 	cfg := Config{
-		Seed:              9,
-		Design:            rpcrdma.ReadWrite,
+		Config:            core.Config{Seed: 9, Design: rpcrdma.ReadWrite},
 		Schedule:          sched,
 		TelemetryInterval: des.Duration(50 * time.Microsecond),
 	}
@@ -87,8 +87,7 @@ func TestChaosRecoveryAnnotation(t *testing.T) {
 // fingerprint identity.
 func TestChaosTelemetryDeterministic(t *testing.T) {
 	cfg := Config{
-		Seed:              11,
-		Design:            rpcrdma.ReadRead,
+		Config:            core.Config{Seed: 11, Design: rpcrdma.ReadRead},
 		Faults:            5,
 		TelemetryInterval: des.Duration(100 * time.Microsecond),
 	}

@@ -109,9 +109,9 @@ func TestPostedSendsAreImmutable(t *testing.T) {
 		for _, d := range []rpcrdma.Design{rpcrdma.ReadWrite, rpcrdma.ReadRead, rpcrdma.ReplyFetch} {
 			for seed := uint64(47); seed <= 52; seed++ {
 				for _, mux := range []bool{false, true} {
-					cfg := chaos.Config{Seed: seed, Design: d, Multiplex: mux, Affinity: mux && seed%2 == 0, Faults: 4}
+					cfg := chaos.Config{Config: core.Config{Seed: seed, Design: d, Multiplex: mux, Affinity: mux && seed%2 == 0}, Faults: 4}
 					if mux || seed%2 == 0 {
-						cfg.Shards = 2
+						cfg.ServerShards = 2
 					}
 					res := chaos.Run(cfg)
 					if res.Failed() {

@@ -5,6 +5,8 @@ import (
 	"time"
 
 	"repro/internal/adversary"
+	"repro/internal/chaos"
+	"repro/internal/core"
 	"repro/internal/des"
 	"repro/internal/experiments/runner"
 	"repro/internal/memreg"
@@ -62,10 +64,8 @@ func RunAdversary(scale Scale) *Adversary {
 	results := pmap(len(cells), func(i int) *adversary.Result {
 		c := cells[i]
 		return adversary.Run(adversary.Config{
-			Seed:     uint64(17 + c[0]*len(modes) + c[1]),
-			Design:   allDesigns[c[0]],
-			RegMode:  modes[c[1]],
-			Clients:  2,
+			Config: chaos.Config{Config: core.Config{Seed: uint64(17 + c[0]*len(modes) + c[1]),
+				Design: allDesigns[c[0]], RegMode: modes[c[1]], Clients: 2}},
 			Hardened: c[2] == 1,
 			// Scan + stale-window probing only: the scan must start at
 			// warmup for time-to-compromise to measure the registration

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/chaos"
+	"repro/internal/core"
 	"repro/internal/experiments/runner"
 	"repro/internal/rpcrdma"
 	"repro/internal/stats"
@@ -69,11 +70,8 @@ func RunChaos(scale Scale) *Chaos {
 		c := cells[i/seeds]
 		m := modes[c[1]]
 		return chaos.Run(chaos.Config{
-			Seed:          uint64(i%seeds + 1),
-			Design:        allDesigns[c[0]],
-			Shards:        m.shards,
-			Multiplex:     m.mux,
-			Affinity:      m.mux,
+			Config: core.Config{Seed: uint64(i%seeds + 1), Design: allDesigns[c[0]],
+				ServerShards: m.shards, Multiplex: m.mux, Affinity: m.mux},
 			Faults:        4,
 			TraceCapacity: 1 << 20,
 		})

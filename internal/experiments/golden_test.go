@@ -47,15 +47,15 @@ func goldenDigest() string {
 
 	designs := []rpcrdma.Design{rpcrdma.ReadRead, rpcrdma.ReadWrite, rpcrdma.ReplyFetch}
 	for _, d := range designs {
-		r := chaos.Run(chaos.Config{Seed: 1, Design: d, Shards: 2, Multiplex: true, Affinity: true,
+		r := chaos.Run(chaos.Config{Config: core.Config{Seed: 1, Design: d, ServerShards: 2, Multiplex: true, Affinity: true},
 			Faults: 4, TraceCapacity: 1 << 20})
 		fmt.Fprintf(&b, "chaos mux %v seed=1\n%s\n", d, r.Fingerprint)
 	}
 	b.WriteString("\n")
 
 	for _, hardened := range []bool{false, true} {
-		r := adversary.Run(adversary.Config{Seed: 5, Design: rpcrdma.ReadRead, RegMode: memreg.FMR,
-			Clients: 3, Multiplex: true, Hardened: hardened, Attacks: adversary.AttackAll})
+		r := adversary.Run(adversary.Config{Config: chaos.Config{Config: core.Config{Seed: 5, Design: rpcrdma.ReadRead, RegMode: memreg.FMR,
+			Clients: 3, Multiplex: true, Affinity: true}}, Hardened: hardened, Attacks: adversary.AttackAll})
 		fmt.Fprintf(&b, "adversary mux read-read/fmr all attacks seed=5 hardened=%t\n%s\n", hardened, r.Fingerprint)
 	}
 	return b.String()
@@ -134,12 +134,12 @@ func telemetryGoldenDigest() string {
 		seriesGolden(&b, fmt.Sprintf("muxcap seed=7 %d clients mux=%t %s %.0f MB/s", pt.Clients, pt.Multiplex, pt.Design, pt.OfferedMBps), pt.Telemetry)
 	}
 
-	r := chaos.Run(chaos.Config{Seed: 1, Design: rpcrdma.ReadWrite, Shards: 2, Multiplex: true, Affinity: true,
+	r := chaos.Run(chaos.Config{Config: core.Config{Seed: 1, Design: rpcrdma.ReadWrite, ServerShards: 2, Multiplex: true, Affinity: true},
 		Faults: 4, TelemetryInterval: testTelemetryInterval})
 	seriesGolden(&b, "chaos mux read-write seed=1 "+r.Fingerprint, r.Report)
 	// Seed 2 has no crash but call timeouts and six reconnects, which seed 1
 	// does not reach.
-	r = chaos.Run(chaos.Config{Seed: 2, Design: rpcrdma.ReplyFetch, Shards: 2, Multiplex: true, Affinity: true,
+	r = chaos.Run(chaos.Config{Config: core.Config{Seed: 2, Design: rpcrdma.ReplyFetch, ServerShards: 2, Multiplex: true, Affinity: true},
 		Faults: 6, TelemetryInterval: testTelemetryInterval})
 	seriesGolden(&b, "chaos mux reply-fetch seed=2 "+r.Fingerprint, r.Report)
 	return b.String()

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/des"
 	"repro/internal/experiments/runner"
+	"repro/internal/memreg"
 	"repro/internal/rpcrdma"
 )
 
@@ -89,6 +90,32 @@ func TestChaosCrashWithReceivesQueued(t *testing.T) {
 	}
 	if b := Run(cfg); a.Fingerprint != b.Fingerprint {
 		t.Fatalf("same-seed fingerprints differ:\n  %s\n  %s", a.Fingerprint, b.Fingerprint)
+	}
+}
+
+// TestGeneratedFaultsLandAfterSetUp: a generated schedule's fault times
+// count from when the load starts, so a registration mode whose cluster
+// set-up outlasts the generator's window — FMR's pools take 23 ms, the
+// window is [0.5, 3] ms — still has its faults hit live connections. Every
+// design, per-connection and multiplexed, two seeds: each run must see a
+// reconnect or a crash, and replaying the schedule it reports, as an
+// explicit one, must reproduce it.
+func TestGeneratedFaultsLandAfterSetUp(t *testing.T) {
+	for _, d := range []rpcrdma.Design{rpcrdma.ReadWrite, rpcrdma.ReadRead, rpcrdma.ReplyFetch} {
+		for _, mux := range []bool{false, true} {
+			for seed := uint64(1); seed <= 2; seed++ {
+				cfg := Config{Config: core.Config{Seed: seed, Design: d, RegMode: memreg.FMR,
+					Multiplex: mux, Affinity: mux}, Faults: 4}
+				res := Run(cfg)
+				if res.Reconnects+res.Crashes == 0 {
+					t.Errorf("%v mux=%t seed=%d: no fault landed (%v): %s", d, mux, seed, res.Schedule, res.Fingerprint)
+				}
+				cfg.Schedule = &res.Schedule
+				if again := Run(cfg); again.Fingerprint != res.Fingerprint {
+					t.Errorf("%v mux=%t seed=%d: replaying %v gives\n  %s\nnot\n  %s", d, mux, seed, res.Schedule, again.Fingerprint, res.Fingerprint)
+				}
+			}
+		}
 	}
 }
 

@@ -201,11 +201,11 @@ func TestDRCForgeIsolatedByPeerKeying(t *testing.T) {
 	}
 }
 
-// TestClusterSetUpSurvivesFaults: a fault schedule under the attack may hit
-// cluster set-up too (the MOUNT included), and the recovery policy set in the
-// cluster's configuration rides it out like any other call. Every design,
-// registration mode and connection mode, with and without faults, over four
-// seeds: no run may die in set-up.
+// TestClusterSetUpSurvivesFaults: an explicit fault schedule is armed in
+// absolute time, so it can hit cluster set-up (the MOUNT included), and the
+// recovery policy set in the cluster's configuration rides it out like any
+// other call. Every design, registration mode and connection mode, with and
+// without faults, over four seeds: no run may die in set-up.
 func TestClusterSetUpSurvivesFaults(t *testing.T) {
 	var died []string
 	for _, design := range []rpcrdma.Design{rpcrdma.ReadWrite, rpcrdma.ReadRead, rpcrdma.ReplyFetch} {
@@ -213,7 +213,9 @@ func TestClusterSetUpSurvivesFaults(t *testing.T) {
 			for _, mux := range []bool{false, true} {
 				for _, faults := range []int{0, 4} {
 					for seed := uint64(1); seed <= 4; seed++ {
-						cfg := Config{Config: cluster(seed, design, mode, 0, mux, faults)}
+						cfg := Config{Config: cluster(seed, design, mode, 0, mux, 0)}
+						sched := chaos.Generate(seed, chaos.GenConfig{Faults: faults, Clients: 2})
+						cfg.Schedule = &sched
 						func() {
 							defer func() {
 								if err := recover(); err != nil {

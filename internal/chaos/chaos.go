@@ -15,7 +15,8 @@ import (
 
 // Config parameterizes one chaos run: the cluster (the embedded
 // core.Config), the chaos workload, and a fault schedule — generated from
-// Seed unless an explicit Schedule, e.g. a shrinker candidate, is supplied.
+// Seed, its times counted from when the load starts, unless an explicit
+// Schedule in absolute time, e.g. a shrinker candidate, is supplied.
 // Run sets the cluster's Profile, Transport, Backend, CopyData and Recovery
 // itself: the watchdog profile and recovery budget below, the RDMA
 // transport, tmpfs, and real bytes, which integrity checking needs.
@@ -139,15 +140,23 @@ func Start(cfg Config) *Harness {
 		h.Cluster.EnableTelemetry(telemetry.Options{Interval: cfg.TelemetryInterval})
 	}
 
+	// An explicit schedule is absolute and armed now, so it can hit set-up
+	// and a shrinker's candidates replay exactly; a generated one counts
+	// from when the load starts, and is recorded in absolute time.
 	h.res = &Result{}
 	if cfg.Schedule != nil {
 		h.res.Schedule = *cfg.Schedule
+		h.res.Schedule.Apply(h.Cluster, h.Oracle)
 	} else {
 		h.res.Schedule = Generate(cfg.Seed, GenConfig{Faults: cfg.Faults, Clients: cfg.Clients, MaxCrashes: cfg.MaxCrashes})
 	}
-	h.res.Schedule.Apply(h.Cluster, h.Oracle)
-
 	h.Cluster.Start("chaos", func(p *des.Proc) {
+		if cfg.Schedule == nil {
+			for i := range h.res.Schedule.Faults {
+				h.res.Schedule.Faults[i].At += p.Now()
+			}
+			h.res.Schedule.Apply(h.Cluster, h.Oracle)
+		}
 		load, err := workload.RunChaosLoad(p, h.Cluster, h.Oracle)
 		if err != nil {
 			h.Oracle.Violation("workload error: %v", err)

@@ -78,9 +78,11 @@ func TestChaosReplyFetchCrashReplayClean(t *testing.T) {
 // server while a receive loop still has completions queued ahead of the flush
 // error. Shutdown has closed the work queue by then, so the receive step must
 // drop (and count) those messages; it used to put them on the closed queue
-// and take the whole run down with "put on closed queue".
+// and take the whole run down with "put on closed queue". The schedule is
+// seed 15's, armed in absolute time, where it found the bug.
 func TestChaosCrashWithReceivesQueued(t *testing.T) {
-	cfg := Config{Config: core.Config{Seed: 15, Design: rpcrdma.ReplyFetch}, Faults: 6}
+	sched := Generate(15, GenConfig{Faults: 6, Clients: 2})
+	cfg := Config{Config: core.Config{Seed: 15, Design: rpcrdma.ReplyFetch}, Schedule: &sched}
 	a := Run(cfg)
 	if a.Failed() {
 		t.Fatalf("violations: %v %v\nschedule: %v", a.Violations, a.InvariantViolations, a.Schedule)

@@ -37,13 +37,13 @@ func ExampleShrink() {
 	fmt.Print("with the DRC on: ")
 	printVerdict(Run(cfg))
 	// Output:
-	// schedule: seed=12 [t=964µs flap(client0); t=999µs qperr(client1); t=1327µs flap(client1); t=2020µs flap(client0); t=2043µs crash(down=2062µs); t=2278µs qperr(client1)]
-	// crashes=1 reconnects=6 replays=9 timeouts=4 drcHits=0 drcMisses=0
+	// schedule: seed=12 [t=1046µs flap(client0); t=1081µs qperr(client1); t=1409µs flap(client1); t=2102µs flap(client0); t=2125µs crash(down=2062µs); t=2360µs qperr(client1)]
+	// crashes=1 reconnects=5 replays=11 timeouts=1 drcHits=0 drcMisses=0
 	// writes acked=36 failed=0   oracle reads=24   renames ok=7 enoent=1 failed=0
-	// fingerprint: t=8804351 crashes=1 rc=6 rp=9 to=4 drc=0/0 wi=36 wa=36 wf=0 reads=24 ren=7/1/0 viol=1 inv=0
+	// fingerprint: t=8370110 crashes=1 rc=5 rp=11 to=1 drc=0/0 wi=36 wa=36 wf=0 reads=24 ren=7/1/0 viol=1 inv=0
 	// verdict: FAILED
-	//   oracle: RENAME got NFS3ERR_NOENT at t=[882052,1071905] with no overlapping server crash: duplicate RENAME re-executed (DRC replay failure)
-	// minimal reproducer (1 faults): seed=12 [t=964µs flap(client0)]
+	//   oracle: RENAME got NFS3ERR_NOENT at t=[1023906,1153921] with no overlapping server crash: duplicate RENAME re-executed (DRC replay failure)
+	// minimal reproducer (1 faults): seed=12 [t=1046µs flap(client0)]
 	// with the DRC on: verdict: CLEAN (oracle and trace invariants satisfied)
 }
 

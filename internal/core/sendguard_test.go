@@ -104,12 +104,14 @@ func TestPostedSendsAreImmutable(t *testing.T) {
 	})
 	t.Run("chaos", func(t *testing.T) {
 		// The soak's configurations on seeds where a replay frames its call
-		// while the first Send still waits in the server's receive queue.
+		// while the first Send still waits in the server's receive queue, the
+		// seeds' schedules armed in absolute time, where they were found.
 		var crashes, replays int64
 		for _, d := range []rpcrdma.Design{rpcrdma.ReadWrite, rpcrdma.ReadRead, rpcrdma.ReplyFetch} {
 			for seed := uint64(47); seed <= 52; seed++ {
 				for _, mux := range []bool{false, true} {
-					cfg := chaos.Config{Config: core.Config{Seed: seed, Design: d, Multiplex: mux, Affinity: mux && seed%2 == 0}, Faults: 4}
+					sched := chaos.Generate(seed, chaos.GenConfig{Faults: 4, Clients: 2})
+					cfg := chaos.Config{Config: core.Config{Seed: seed, Design: d, Multiplex: mux, Affinity: mux && seed%2 == 0}, Schedule: &sched}
 					if mux || seed%2 == 0 {
 						cfg.ServerShards = 2
 					}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/des"
+	"repro/internal/memreg"
 	"repro/internal/profiles"
 	"repro/internal/rpcrdma"
 	"repro/internal/telemetry"
@@ -37,8 +38,10 @@ type Config struct {
 	Schedule *Schedule
 
 	// TraceCapacity > 0 enables tracing and runs the trace invariant
-	// checkers (WQE/CQE pairing, MR exposure bounds, and — Read-Write only
-	// — no remote exposure of server memory) after the run.
+	// checkers after the run, priced by registration mode (see
+	// checkInvariants): WQE/CQE pairing, each client exposure bounded by
+	// its RPC or by the mode's standing registration, and no remote
+	// exposure of a Read-Write or Reply-Fetch server.
 	TraceCapacity int
 
 	// TelemetryInterval > 0 enables virtual-time sampling at this period;
@@ -183,7 +186,7 @@ func (h *Harness) Finish() *Result {
 	res.OracleRenameENOENTs = oracle.RenameChecks
 
 	if h.tr != nil {
-		res.checkInvariants(h.tr, cluster.Cfg.Design)
+		h.checkInvariants()
 	}
 	if tel := cluster.Telemetry(); tel != nil {
 		res.Report = tel.Report()
@@ -201,31 +204,57 @@ func (h *Harness) Finish() *Result {
 	return res
 }
 
-// checkInvariants runs the PR 3 trace invariant checkers over the run's
-// event stream. A full ring (dropped events) makes pairing checks
-// unreliable, so it is itself reported instead of false positives.
-func (res *Result) checkInvariants(tr *trace.Tracer, design rpcrdma.Design) {
-	if d := tr.Dropped(); d > 0 {
-		res.InvariantViolations = append(res.InvariantViolations,
-			fmt.Sprintf("trace ring dropped %d events; raise TraceCapacity", d))
+// checkInvariants runs the trace invariant checkers over the run's event
+// stream, each where the registration mode promises what it checks. A full
+// ring (dropped events) makes pairing checks unreliable, so it is itself
+// reported instead of false positives.
+func (h *Harness) checkInvariants() {
+	res, cfg := h.res, h.Cluster.Cfg
+	fail := func(format string, args ...any) {
+		res.InvariantViolations = append(res.InvariantViolations, fmt.Sprintf(format, args...))
+	}
+	if d := h.tr.Dropped(); d > 0 {
+		fail("trace ring dropped %d events; raise TraceCapacity", d)
 		return
 	}
-	events := tr.Events()
+	events := h.tr.Events()
 	if err := trace.CheckWQECQE(events); err != nil {
-		res.InvariantViolations = append(res.InvariantViolations, fmt.Sprintf("WQE/CQE pairing: %v", err))
+		fail("WQE/CQE pairing: %v", err)
 	}
-	if err := trace.CheckExposureBounds(events); err != nil {
-		res.InvariantViolations = append(res.InvariantViolations, fmt.Sprintf("MR exposure bounds: %v", err))
+	switch cfg.RegMode {
+	case memreg.Regular, memreg.FMR:
+		// A mode that registers per call ends each client exposure with
+		// its RPC.
+		if err := trace.CheckExposureBounds(events); err != nil {
+			fail("MR exposure bounds: %v", err)
+		}
+	default:
+		// All-physical and the cache keep a standing registration instead,
+		// and once the run is idle a client exposes exactly it: the global
+		// region, or the chunks the cache keeps (a Read-Read client, whose
+		// server exposes and whose calls pull, advertises none of them).
+		for _, cl := range h.Cluster.Clients {
+			want := cl.Mgr.CachedBytes()
+			switch {
+			case cfg.RegMode == memreg.AllPhysical:
+				want = int64(cl.Node.HCA.GlobalMR().Length())
+			case cfg.Design == rpcrdma.ReadRead:
+				want = 0
+			}
+			if got := cl.Node.HCA.RemoteExposedBytes(); got != want {
+				fail("standing exposure: %s exposes %d bytes once idle, want the %d %v keeps", cl.Node.Name(), got, want, cfg.RegMode)
+			}
+		}
 	}
 	// The server side must stay unexposed in both designs that avoid
 	// server-advertised chunks: Read-Write (the paper's §4 claim) and
-	// reply-fetch (the server only ever Writes into client-owned slots).
+	// reply-fetch (the server only ever Writes into client-owned slots),
+	// unless all-physical's global region exposes all of it by design.
 	// Read-Read exposes the server by construction; reply-fetch instead
-	// exposes the *clients*, which CheckExposureBounds above still bounds
-	// to each RPC's lifetime.
-	if design == rpcrdma.ReadWrite || design == rpcrdma.ReplyFetch {
+	// exposes the *clients*, bounded above.
+	if (cfg.Design == rpcrdma.ReadWrite || cfg.Design == rpcrdma.ReplyFetch) && cfg.RegMode != memreg.AllPhysical {
 		if err := trace.CheckNoRemoteExposure(events, "server"); err != nil {
-			res.InvariantViolations = append(res.InvariantViolations, fmt.Sprintf("remote exposure: %v", err))
+			fail("remote exposure: %v", err)
 		}
 	}
 }

@@ -121,6 +121,49 @@ func TestGeneratedFaultsLandAfterSetUp(t *testing.T) {
 	}
 }
 
+// TestChaosEveryRegistrationMode: the soak's fault schedules under every
+// design, registration mode and server receive path, two seeds each. Every
+// run must satisfy the data oracle and the trace invariants as its mode
+// prices them, and see its faults land (a reconnect or a crash).
+func TestChaosEveryRegistrationMode(t *testing.T) {
+	type cell struct {
+		design rpcrdma.Design
+		mode   memreg.Mode
+		path   string
+		seed   uint64
+	}
+	var grid []cell
+	for _, d := range []rpcrdma.Design{rpcrdma.ReadWrite, rpcrdma.ReadRead, rpcrdma.ReplyFetch} {
+		for _, m := range []memreg.Mode{memreg.Regular, memreg.FMR, memreg.AllPhysical, memreg.Cache} {
+			for _, path := range []string{"per-conn", "sharded", "mux"} {
+				for seed := uint64(1); seed <= 2; seed++ {
+					grid = append(grid, cell{d, m, path, seed})
+				}
+			}
+		}
+	}
+	results := runner.Map(len(grid), func(i int) *Result {
+		c := grid[i]
+		cc := core.Config{Seed: c.seed, Design: c.design, RegMode: c.mode}
+		if c.path != "per-conn" {
+			cc.ServerShards = 2
+		}
+		cc.Multiplex = c.path == "mux"
+		cc.Affinity = cc.Multiplex
+		return Run(Config{Config: cc, Faults: 4, TraceCapacity: 1 << 20})
+	})
+	for i, res := range results {
+		c := grid[i]
+		if res.Failed() {
+			t.Errorf("%v/%v/%s seed=%d: %v %v\n  schedule: %v", c.design, c.mode, c.path, c.seed,
+				res.Violations, res.InvariantViolations, res.Schedule)
+		}
+		if res.Reconnects+res.Crashes == 0 {
+			t.Errorf("%v/%v/%s seed=%d: no fault landed: %s", c.design, c.mode, c.path, c.seed, res.Fingerprint)
+		}
+	}
+}
+
 // chaosSoakSeeds returns the soak width: 32 seeds by default (the
 // acceptance floor), overridable with CHAOS_SEEDS=n for longer campaigns.
 func chaosSoakSeeds(t *testing.T) int {

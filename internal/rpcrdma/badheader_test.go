@@ -90,12 +90,13 @@ func TestServerCountsUndecodableFrames(t *testing.T) {
 	}
 }
 
-// TestClientCountsUndecodableFrames covers the client's two decode sites. A
+// TestClientCountsUndecodableFrames covers the client's decode sites. A
 // garbage Send from the server side must be counted by the receiver and
-// leave the connection usable. A garbage deposit in a reply-fetch slot must
-// be counted by the fetch poller; that call is lost to its watchdog (the
-// poller has retired), whose timeout ends the connection, and the next call,
-// on a new one, is fine.
+// leave the connection usable. A garbage deposit in a reply-fetch slot, and
+// a doorbell claiming more bytes than the slot holds, must be counted by the
+// fetch poller; that call is lost to its watchdog (the poller has retired),
+// whose timeout ends the connection, and the next call, on a new one, is
+// fine.
 func TestClientCountsUndecodableFrames(t *testing.T) {
 	t.Run("receiver", func(t *testing.T) {
 		newEnv(t, ReadWrite, memreg.Regular, func(p *des.Proc, e *env) {
@@ -110,43 +111,51 @@ func TestClientCountsUndecodableFrames(t *testing.T) {
 			}
 		})
 	})
-	t.Run("fetch", func(t *testing.T) {
-		newEnv(t, ReplyFetch, memreg.Regular, func(p *des.Proc, e *env) {
-			e.ct.cfg.CallTimeout = 200 * time.Microsecond
-			var callErr error
-			returned := des.NewEvent(e.sim)
-			e.sim.Spawn("caller", func(cp *des.Proc) {
-				_, _, callErr = e.rpc.Call(cp, 4, raw([]byte("lost")), oncrpc.CallOpts{})
-				returned.Fire(nil)
+	for _, tc := range []struct {
+		name     string
+		doorbell uint64 // the reply length the deposit claims, plus one
+	}{
+		{"fetch", uint64(len(garbage)) + 1},
+		{"doorbell", 1 << 32},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			newEnv(t, ReplyFetch, memreg.Regular, func(p *des.Proc, e *env) {
+				e.ct.cfg.CallTimeout = 200 * time.Microsecond
+				var callErr error
+				returned := des.NewEvent(e.sim)
+				e.sim.Spawn("caller", func(cp *des.Proc) {
+					_, _, callErr = e.rpc.Call(cp, 4, raw([]byte("lost")), oncrpc.CallOpts{})
+					returned.Fire(nil)
+				})
+				for len(e.ct.pending) == 0 {
+					p.Sleep(100 * time.Nanosecond)
+				}
+				// Beat the real deposit into the slot: garbage body, then the
+				// doorbell, exactly as the server orders its Writes.
+				for _, pend := range e.ct.pending {
+					slot := pend.rt.fetch.slot
+					dep := e.server.Mem.AllocMaterialized(doorbellBytes + len(garbage))
+					binary.LittleEndian.PutUint64(dep.Data(), tc.doorbell)
+					copy(dep.Data()[doorbellBytes:], garbage)
+					conn := e.st.conns[0]
+					conn.post(&ibsim.SendWQE{Op: ibsim.OpWrite, RemoteKey: slot.Rkey, RemoteAddr: slot.Addr + doorbellBytes,
+						Local: []ibsim.LocalSeg{{Buf: dep, Off: doorbellBytes, Len: len(garbage)}}})
+					conn.post(&ibsim.SendWQE{Op: ibsim.OpWrite, RemoteKey: slot.Rkey, RemoteAddr: slot.Addr,
+						Local: []ibsim.LocalSeg{{Buf: dep, Off: 0, Len: doorbellBytes}}})
+				}
+				returned.Wait(p)
+				if !errors.Is(callErr, ErrTimeout) {
+					t.Errorf("call with a garbage deposit: err=%v, want a timeout", callErr)
+				}
+				if e.ct.BadHeaders != 1 || !e.ct.Broken() {
+					t.Errorf("client BadHeaders = %d, broken %v: want 1, and the connection ended", e.ct.BadHeaders, e.ct.Broken())
+				}
+				e.reconnect(p, Config{Design: ReplyFetch})
+				res, _, err := e.rpc.Call(p, 4, raw([]byte("then")), oncrpc.CallOpts{})
+				if err != nil || string(res) != "then" || e.ct.Broken() {
+					t.Errorf("call after garbage: res=%q err=%v broken=%v", res, err, e.ct.Broken())
+				}
 			})
-			for len(e.ct.pending) == 0 {
-				p.Sleep(100 * time.Nanosecond)
-			}
-			// Beat the real deposit into the slot: garbage body, then a
-			// doorbell claiming it, exactly as the server orders its Writes.
-			for _, pend := range e.ct.pending {
-				slot := pend.rt.fetch.slot
-				dep := e.server.Mem.AllocMaterialized(doorbellBytes + len(garbage))
-				binary.LittleEndian.PutUint64(dep.Data(), uint64(len(garbage))+1)
-				copy(dep.Data()[doorbellBytes:], garbage)
-				conn := e.st.conns[0]
-				conn.post(&ibsim.SendWQE{Op: ibsim.OpWrite, RemoteKey: slot.Rkey, RemoteAddr: slot.Addr + doorbellBytes,
-					Local: []ibsim.LocalSeg{{Buf: dep, Off: doorbellBytes, Len: len(garbage)}}})
-				conn.post(&ibsim.SendWQE{Op: ibsim.OpWrite, RemoteKey: slot.Rkey, RemoteAddr: slot.Addr,
-					Local: []ibsim.LocalSeg{{Buf: dep, Off: 0, Len: doorbellBytes}}})
-			}
-			returned.Wait(p)
-			if !errors.Is(callErr, ErrTimeout) {
-				t.Errorf("call with a garbage deposit: err=%v, want a timeout", callErr)
-			}
-			if e.ct.BadHeaders != 1 || !e.ct.Broken() {
-				t.Errorf("client BadHeaders = %d, broken %v: want 1, and the connection ended", e.ct.BadHeaders, e.ct.Broken())
-			}
-			e.reconnect(p, Config{Design: ReplyFetch})
-			res, _, err := e.rpc.Call(p, 4, raw([]byte("then")), oncrpc.CallOpts{})
-			if err != nil || string(res) != "then" || e.ct.Broken() {
-				t.Errorf("call after garbage: res=%q err=%v broken=%v", res, err, e.ct.Broken())
-			}
 		})
-	})
+	}
 }

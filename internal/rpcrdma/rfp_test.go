@@ -175,9 +175,10 @@ func TestReplyFetchReplayOnNewConnection(t *testing.T) {
 // for the copy out of the slot, decodes nothing and fires nothing: the
 // reply's credit grant (8, against the client's 32) is not installed. The
 // timeout ends the connection, whose death releases the deposit at the
-// server, so nothing stays parked and no RDMA_DONE is sent. The copy is
-// still charged in full, as the poll loop it models would spend it.
-// Afterwards no core is held and the client's HCA holds no watch.
+// server, so nothing stays parked and no RDMA_DONE is sent; the client
+// counts the deposit as a stray reply. The copy is still charged in full, as
+// the poll loop it models would spend it. Afterwards no core is held and the
+// client's HCA holds no watch.
 func TestReplyFetchAbandonedMidFetch(t *testing.T) {
 	for _, tc := range []struct {
 		name              string
@@ -206,6 +207,9 @@ func TestReplyFetchAbandonedMidFetch(t *testing.T) {
 				}
 				if e.ct.GrantedCredits() != 32 || e.ct.BadHeaders != 0 {
 					t.Errorf("the abandoned fetch went on: grant %d, %d bad headers", e.ct.GrantedCredits(), e.ct.BadHeaders)
+				}
+				if e.ct.StrayReplies != 1 {
+					t.Errorf("%d stray replies, want the abandoned deposit counted", e.ct.StrayReplies)
 				}
 				if e.ct.DoneSent != 0 || e.st.ParkedReplies() != 0 {
 					t.Errorf("%d DONEs sent, %d replies parked: want the abandoned deposit released by the connection's death",

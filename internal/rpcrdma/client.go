@@ -472,6 +472,7 @@ func fetchLanded(a any) {
 	// behind it is already placed.
 	wireLen := int(binary.LittleEndian.Uint64(d[:doorbellBytes])) - 1
 	if wireLen < 0 || doorbellBytes+wireLen > len(d) {
+		t.BadHeaders++
 		return // corrupt deposit; the call's timer ends it
 	}
 	f.fetched = append([]byte(nil), d[doorbellBytes:doorbellBytes+wireLen]...)
@@ -494,11 +495,10 @@ func fetchCopied(a any) {
 	t := pend.t
 	wire := f.fetched
 	f.fetched = nil
-	if t.closed {
-		return
-	}
-	if pend.aborted {
-		t.stray(pend, pend.req.XID, true) // Roundtrip returned while the deposit was copied
+	if pend.aborted || t.closed {
+		// Roundtrip returned while the deposit was copied. A closed
+		// connection's death released the deposit, so it is only counted.
+		t.stray(pend, pend.req.XID, !t.closed)
 		return
 	}
 	// The reply is handled before this returns, so every deposit can decode

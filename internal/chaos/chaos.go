@@ -246,6 +246,21 @@ func (h *Harness) checkInvariants() {
 			}
 		}
 	}
+	// A Read-Read server exposes each reply until its RDMA_DONE, so once
+	// idle no more than its mode keeps: nothing, the global region, or at
+	// most the chunks its cache holds (some were staged local-only).
+	if srv := h.Cluster.Server; cfg.Design == rpcrdma.ReadRead {
+		want := int64(0)
+		switch cfg.RegMode {
+		case memreg.AllPhysical:
+			want = int64(srv.Node.HCA.GlobalMR().Length())
+		case memreg.Cache:
+			want = srv.Mgr.CachedBytes()
+		}
+		if got := srv.Node.HCA.RemoteExposedBytes(); got > want {
+			fail("standing exposure: the server exposes %d bytes once idle, want at most the %d %v keeps", got, want, cfg.RegMode)
+		}
+	}
 	// The server side must stay unexposed in both designs that avoid
 	// server-advertised chunks: Read-Write (the paper's §4 claim) and
 	// reply-fetch (the server only ever Writes into client-owned slots),

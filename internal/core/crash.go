@@ -34,9 +34,9 @@ func (c *Cluster) ServerDown() bool { return c.serverDown }
 // CrashServer kills the server at the current virtual instant: every live
 // connection's QP errors (clients observe the death immediately), parked
 // replies and work queues are torn down, and all volatile server state —
-// DRC, registration manager, page cache — is wiped. The server stays down,
-// rejecting dials, until RestartServer. RDMA transport only; no-op if
-// already down.
+// DRC, registration cache (its MRs leave the TPT), page cache — is wiped.
+// The server stays down, rejecting dials, until RestartServer. RDMA
+// transport only; no-op if already down.
 func (c *Cluster) CrashServer(p *des.Proc) {
 	if c.serverDown || c.Server.RDMA == nil {
 		return
@@ -44,6 +44,7 @@ func (c *Cluster) CrashServer(p *des.Proc) {
 	c.serverDown = true
 	c.Crashes++
 	c.Server.RDMA.Shutdown(p)
+	c.Server.Mgr.Crash()
 	c.Server.Dispatcher.DropDRC()
 	if c.Server.Cache != nil {
 		c.Server.Cache.Crash()
@@ -51,7 +52,7 @@ func (c *Cluster) CrashServer(p *des.Proc) {
 }
 
 // RestartServer boots the server back up: a fresh registration manager
-// (the old one's cached registrations died with the HCA state), a fresh
+// (the old one's cache was dropped with the HCA state), a fresh
 // server transport built from the same configuration as initial wiring, and
 // a bumped NFSv3 write verifier so clients can detect the reboot. Dialing
 // clients are accepted again from this instant on.

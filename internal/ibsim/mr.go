@@ -357,6 +357,10 @@ func deregUnpinned(a any) {
 	op.finish()
 }
 
+// Invalidate removes a region from the TPT at once and at no cost: a crash
+// loses the HCA state a region stands for, with no bus or CPU work.
+func (h *HCA) Invalidate(mr *MR) { h.remove(mr) }
+
 // FMRHandle is a pre-allocated fast-registration context: the steering tag
 // and TPT slot were allocated at pool-creation time, so mapping a buffer
 // into it skips the TPT allocation round trip.

@@ -30,6 +30,8 @@ package memreg
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"repro/internal/des"
 	"repro/internal/ibsim"
@@ -143,6 +145,7 @@ type Manager struct {
 	slab      map[int][]*Chunk // size class -> free registered chunks
 	slabBytes int64
 	slabSeq   int64
+	crashed   bool // the slab's HCA state is gone: a chunk Put is dropped
 
 	ops des.FreeList[Op] // the process forms' step states between calls
 }
@@ -539,6 +542,11 @@ func (m *Manager) cacheGet(op *Op, size int, access ibsim.Access) {
 // the byte bound (the link to the system slab reclaim the paper describes),
 // and finishes op.
 func (m *Manager) cachePut(op *Op, c *Chunk) {
+	if m.crashed {
+		m.drop(c)
+		op.finish()
+		return
+	}
 	m.slabSeq++
 	c.seq = m.slabSeq
 	class := c.Buf.Size
@@ -585,3 +593,22 @@ func evicted(op *Op) {
 
 // CachedBytes returns the bytes currently held registered in the slab.
 func (m *Manager) CachedBytes() int64 { return m.slabBytes }
+
+// Crash drops the slab at no virtual cost, for a node whose HCA state is
+// lost: each cached chunk's MR leaves the TPT and its buffer is freed, and
+// so does every chunk Put from then on (a call in flight at the crash).
+func (m *Manager) Crash() {
+	m.crashed = true
+	for _, class := range slices.Sorted(maps.Keys(m.slab)) {
+		for _, c := range m.slab[class] {
+			m.drop(c)
+		}
+	}
+	clear(m.slab)
+	m.slabBytes = 0
+}
+
+func (m *Manager) drop(c *Chunk) {
+	m.hca.Invalidate(c.Reg.mr)
+	m.mem.Free(&c.Buf)
+}

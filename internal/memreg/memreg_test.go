@@ -205,6 +205,42 @@ func TestCacheBoundedAndEvicts(t *testing.T) {
 	sim.Run()
 }
 
+// TestCrashDropsTheSlab: a crash loses the HCA state the cache's slab stands
+// for, so Crash takes each cached chunk's MR out of the TPT and frees its
+// buffer at once, at no virtual cost, and a chunk in use at the crash is
+// dropped the same way when it is Put.
+func TestCrashDropsTheSlab(t *testing.T) {
+	sim := des.New()
+	node := costNode(sim)
+	sim.Spawn("op", func(p *des.Proc) {
+		m := NewManager(p, node, Config{Mode: Cache})
+		const size = 64 << 10
+		access := ibsim.AccessLocalWrite | ibsim.AccessRemoteRead
+		var chunks []*Chunk
+		for i := 0; i < 3; i++ {
+			chunks = append(chunks, m.Get(p, size, access))
+		}
+		m.Put(p, chunks[0])
+		m.Put(p, chunks[1])
+		hca, mem := node.HCA, node.Mem
+		if hca.RemoteExposedBytes() != 3*size || m.CachedBytes() != 2*size {
+			t.Fatalf("before the crash: %d bytes exposed, %d cached", hca.RemoteExposedBytes(), m.CachedBytes())
+		}
+		now := p.Now()
+		m.Crash()
+		if p.Now() != now || hca.RemoteExposedBytes() != size || m.CachedBytes() != 0 || mem.AllocatedBytes() != size {
+			t.Errorf("after the crash: %v later, %d bytes exposed, %d cached, %d allocated; want none, the one in use, 0, it",
+				p.Now()-now, hca.RemoteExposedBytes(), m.CachedBytes(), mem.AllocatedBytes())
+		}
+		m.Put(p, chunks[2])
+		if p.Now() != now || hca.RemoteExposedBytes() != 0 || m.CachedBytes() != 0 || mem.AllocatedBytes() != 0 {
+			t.Errorf("after its Put: %v later, %d bytes exposed, %d cached, %d allocated; want none",
+				p.Now()-now, hca.RemoteExposedBytes(), m.CachedBytes(), mem.AllocatedBytes())
+		}
+	})
+	sim.Run()
+}
+
 func TestCacheNeverExposesBuffersRemotely(t *testing.T) {
 	sim := des.New()
 	node := costNode(sim)

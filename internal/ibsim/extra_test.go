@@ -96,7 +96,8 @@ func TestMemoryFindProperty(t *testing.T) {
 // as many dead ones not compacted away yet, at every step and when the churn
 // is over, instead of everything ever allocated; live addresses resolve,
 // freed ones — first and last byte included — do not; the accounting and the
-// bump pointer are what they would be had nothing been forgotten.
+// bump pointer are what they would be had nothing been forgotten. Then it
+// churns Buffers allocated again into the same storage.
 func TestMemoryForgetsFreedBuffers(t *testing.T) {
 	sim := des.New()
 	fab := NewFabric(sim, false)
@@ -151,6 +152,46 @@ func TestMemoryForgetsFreedBuffers(t *testing.T) {
 	if next := m.Alloc(1); next.Base != wantNext {
 		t.Errorf("next allocation at %#x, want %#x", next.Base, wantNext)
 	}
+
+	// The same Buffer storage allocated again after each Free, as a recycled
+	// memreg chunk's is: its old range must resolve to nothing though the
+	// Buffer is live again, its new range to it, and the list must still be
+	// compacted.
+	ring := make([]Buffer, window)
+	for i := range ring {
+		m.AllocInto(&ring[i], size, false)
+	}
+	var old []uint64 // the bases the ring's buffers left
+	for i := 0; i < pairs; i++ {
+		b := &ring[i%window]
+		old = append(old, b.Base)
+		m.Free(b)
+		m.AllocInto(b, size, i%2 == 0)
+		if n, l := len(m.buffers), len(live)+1+window; n > 2*l {
+			t.Fatalf("recycle %d: list holds %d buffers for %d live", i, n, l)
+		}
+	}
+	for _, base := range old {
+		for _, off := range []uint64{0, size - 1} {
+			if got, _ := m.find(base + off); got != nil {
+				t.Fatalf("left %#x+%d still resolves (to the buffer now at %#x)", base, off, got.Base)
+			}
+		}
+	}
+	for i := range ring {
+		b := &ring[i]
+		for _, off := range []int{0, b.Size - 1} {
+			if got, gotOff := m.find(b.Addr(off)); got != b || gotOff != off {
+				t.Fatalf("recycled %#x+%d resolved to %v+%d", b.Base, off, got, gotOff)
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("AllocInto of a live buffer did not panic")
+		}
+	}()
+	m.AllocInto(&ring[0], size, false)
 }
 
 func TestAllocationAccounting(t *testing.T) {

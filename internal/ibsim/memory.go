@@ -92,11 +92,12 @@ type Memory struct {
 	next uint64
 	rng  *des.Rand
 
-	// buffers holds the allocations find can resolve, ordered by Base. Free
-	// marks a buffer dead and compacts the list once the dead outnumber the
-	// live, so a freed buffer is forgotten after amortised O(1) work and the
-	// list never exceeds twice the live count however long the node churns.
-	buffers []*Buffer
+	// buffers holds the allocations find can resolve, ordered by base. An
+	// entry is the range allocated, so a Buffer freed or allocated again at
+	// another base no longer matches it. Free compacts the list once the dead
+	// outnumber the live: a freed range is forgotten after amortised O(1)
+	// work and the list never exceeds twice the live count.
+	buffers []allocation
 	dead    int
 
 	// pool recycles materialized data slices by power-of-two size class.
@@ -117,6 +118,15 @@ type Memory struct {
 
 	allocated int64
 }
+
+// allocation is one range the bump allocator handed out and the Buffer it
+// went to: live while that buffer is unfreed at that base.
+type allocation struct {
+	b         *Buffer
+	base, end uint64
+}
+
+func (a allocation) dead() bool { return a.b.freed || a.b.Base != a.base }
 
 const pageSize = 4096
 
@@ -160,17 +170,18 @@ func (m *Memory) Alloc(size int) *Buffer { return m.AllocInto(new(Buffer), size,
 func (m *Memory) AllocMaterialized(size int) *Buffer { return m.AllocInto(new(Buffer), size, true) }
 
 // AllocInto is Alloc (AllocMaterialized when materialized is set) into a
-// zero Buffer the caller owns, so that a buffer can live inside the object
-// that owns it (memreg.Chunk) and be allocated with it. A buffer is never
-// allocated twice: the address it took dies with it, so b must be fresh.
+// Buffer the caller owns, zero or freed, so that a buffer can live inside the
+// object that owns it (memreg.Chunk) and be allocated with it. An address is
+// never allocated twice: a freed b gets a new range, and its old one resolves
+// to nothing for good.
 func (m *Memory) AllocInto(b *Buffer, size int, materialized bool) *Buffer {
 	if size <= 0 {
 		panic("ibsim: Alloc with non-positive size")
 	}
-	if b.Size != 0 {
-		panic("ibsim: AllocInto of a buffer already allocated")
+	if b.Size != 0 && !b.freed {
+		panic("ibsim: AllocInto of a buffer still allocated")
 	}
-	b.Base, b.Size = m.next, size
+	*b = Buffer{Base: m.next, Size: size}
 	m.next += uint64(size)
 	// Keep a guard gap so adjacent buffers are never part of the same
 	// registered range by accident.
@@ -199,27 +210,26 @@ func (m *Memory) AllocInto(b *Buffer, size int, materialized bool) *Buffer {
 	}
 	b.runs = append(b.short[:0], runs...)
 	m.allocated += int64(size)
-	m.buffers = append(m.buffers, b)
+	m.buffers = append(m.buffers, allocation{b, b.Base, b.Base + uint64(size)})
 	return b
 }
 
 // find resolves a virtual address to the live buffer containing it, plus the
 // offset within that buffer. It returns (nil, 0) for unmapped addresses.
-// Buffers are allocated at increasing Base, so binary search applies.
+// Ranges are allocated at increasing addresses, so binary search applies.
 func (m *Memory) find(addr uint64) (*Buffer, int) {
 	lo, hi := 0, len(m.buffers)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if m.buffers[mid].Base+uint64(m.buffers[mid].Size) <= addr {
+		if m.buffers[mid].end <= addr {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
 	if lo < len(m.buffers) {
-		b := m.buffers[lo]
-		if addr >= b.Base && addr < b.Base+uint64(b.Size) && !b.freed {
-			return b, int(addr - b.Base)
+		if a := m.buffers[lo]; addr >= a.base && !a.dead() {
+			return a.b, int(addr - a.base)
 		}
 	}
 	return nil, 0
@@ -242,6 +252,9 @@ func (m *Memory) Free(b *Buffer) {
 	if b.freed {
 		panic("ibsim: double free")
 	}
+	if b.Size == 0 {
+		panic("ibsim: free of a buffer never allocated") // a zeroed one: a recycled memreg chunk Put twice
+	}
 	b.freed = true
 	m.allocated -= int64(b.Size)
 	if b.data != nil {
@@ -252,7 +265,7 @@ func (m *Memory) Free(b *Buffer) {
 		b.data = nil
 	}
 	if m.dead++; 2*m.dead > len(m.buffers) {
-		m.buffers, m.dead = slices.DeleteFunc(m.buffers, (*Buffer).Freed), 0
+		m.buffers, m.dead = slices.DeleteFunc(m.buffers, allocation.dead), 0
 	}
 }
 

@@ -504,10 +504,15 @@ func (h *HCA) lookup(rkey uint32, addr uint64, length int, want Access) (*MR, er
 
 // resolve maps a validated (mr, addr) pair to the backing buffer slice
 // coordinates. The global MR has no single buffer, so it resolves through
-// the node's address space instead.
+// the node's address space instead. A region whose buffer has since been
+// allocated again elsewhere (a recycled memreg chunk) resolves to nothing:
+// a Read or Write still in flight on it moves no byte of the new owner's.
 func (mr *MR) resolve(addr uint64) (*Buffer, int) {
 	if mr.global || mr.buf == nil {
 		return mr.hca.node.Mem.find(addr)
+	}
+	if mr.buf.Addr(mr.bufOff) != mr.start {
+		return nil, 0
 	}
 	return mr.buf, int(addr-mr.start) + mr.bufOff
 }

@@ -147,7 +147,8 @@ type Manager struct {
 	slabSeq   int64
 	crashed   bool // the slab's HCA state is gone: a chunk Put is dropped
 
-	ops des.FreeList[Op] // the process forms' step states between calls
+	ops    des.FreeList[Op]    // the process forms' step states between calls
+	chunks des.FreeList[Chunk] // Put FMR and all-physical chunks, zeroed
 }
 
 // Stats counts strategy activity for the experiment reports.
@@ -199,11 +200,11 @@ func sizeClass(size int) int {
 
 // Chunk is a transport-owned staging buffer plus its registration: one heap
 // object holding the buffer and the registration, and under the modes that
-// register through the TPT (Regular and Cache) the MR too. Outside
-// the cache mode (whose slab keeps chunks registered, which is its point) a
-// chunk is never reused: once Put, its address resolves to nothing and its
-// MR stays invalid for good. Buf is the whole allocation, a cache-mode
-// chunk's its size class.
+// register through the TPT (Regular and Cache) the MR too. Once Put, a
+// chunk's address resolves to nothing and its MR stays invalid for good; an
+// FMR or all-physical chunk, which holds no MR, is then zeroed and reused at
+// a new address, a Regular one never. Buf is the whole allocation, a
+// cache-mode chunk's its size class.
 type Chunk struct {
 	Buf    ibsim.Buffer
 	Reg    *Registration // nil until registered, then &reg
@@ -216,7 +217,8 @@ type Chunk struct {
 func (c *Chunk) Data() []byte { return c.Buf.Data() }
 
 // newChunk allocates a chunk of size bytes with its buffer inside it and,
-// under Regular and Cache, the storage of the MR its registration installs.
+// under Regular and Cache, the storage of the MR its registration installs;
+// under FMR and all-physical it reuses a Put chunk when there is one.
 func (m *Manager) newChunk(size int, access ibsim.Access, materialized bool) *Chunk {
 	var c *Chunk
 	if mode := m.cfg.Mode; mode == Regular || mode == Cache {
@@ -227,7 +229,7 @@ func (m *Manager) newChunk(size int, access ibsim.Access, materialized bool) *Ch
 		c = &withMR.Chunk
 		c.reg.mr = &withMR.mr
 	} else {
-		c = new(Chunk)
+		c = m.chunks.Get()
 	}
 	c.access = access
 	m.mem.AllocInto(&c.Buf, size, materialized)
@@ -388,7 +390,12 @@ func (m *Manager) PutThen(op *Op, c *Chunk, fn func(any), arg any) {
 }
 
 func chunkDeregistered(op *Op) {
-	op.m.mem.Free(&op.c.Buf)
+	m, c := op.m, op.c
+	m.mem.Free(&c.Buf)
+	if mode := m.cfg.Mode; mode == FMR || mode == AllPhysical {
+		*c = Chunk{}
+		m.chunks.Put(c)
+	}
 	op.c = nil
 	op.finish()
 }
@@ -593,6 +600,9 @@ func evicted(op *Op) {
 
 // CachedBytes returns the bytes currently held registered in the slab.
 func (m *Manager) CachedBytes() int64 { return m.slabBytes }
+
+// FreeChunks returns the number of Put chunks waiting to be reused.
+func (m *Manager) FreeChunks() int { return len(m.chunks) }
 
 // Crash drops the slab at no virtual cost, for a node whose HCA state is
 // lost: each cached chunk's MR leaves the TPT and its buffer is freed, and

@@ -389,22 +389,24 @@ func TestStagingMaterializedByPurpose(t *testing.T) {
 	}
 }
 
-// TestChunkIsOneObject pins what a Get plus its Put costs the host: the
-// chunk holds its buffer and its registration, which stores no segment list,
-// so an all-physical chunk is one allocation however many physical runs it
-// spans, a regular one too (the TPT entry is in the chunk), an FMR one two
-// (the mapping's MR is the handle's to make), and a cache hit none.
+// TestChunkIsOneObject pins what a Get plus its Put costs the host once the
+// Manager is warm: the chunk holds its buffer and its registration, which
+// stores no segment list, and an FMR or all-physical chunk is reused after
+// its Put, so an all-physical Get+Put allocates nothing however many
+// physical runs the chunk spans, an FMR one only the mapping's MR (the
+// handle's to make), a regular one its chunk (the TPT entry is inside, and
+// serves one registration), and a cache hit nothing.
 func TestChunkIsOneObject(t *testing.T) {
 	for _, tc := range []struct {
 		mode Mode
 		size int // 4 KiB is one physical run, 128 KiB several
 		want float64
-	}{{AllPhysical, 4096, 1}, {AllPhysical, 128 << 10, 1}, {Regular, 4096, 1}, {FMR, 4096, 2}, {Cache, 4096, 0}} {
+	}{{AllPhysical, 4096, 0}, {AllPhysical, 128 << 10, 0}, {Regular, 4096, 1}, {FMR, 4096, 1}, {Cache, 4096, 0}} {
 		sim := des.New()
 		node := costNode(sim)
 		sim.Spawn("op", func(p *des.Proc) {
 			m := NewManager(p, node, Config{Mode: tc.mode, FMRPoolSize: 4})
-			m.Put(p, m.Get(p, tc.size, ibsim.AccessLocalWrite)) // warms the slab
+			m.Put(p, m.Get(p, tc.size, ibsim.AccessLocalWrite)) // warms the slab or the free list
 			allocs := testing.AllocsPerRun(100, func() {
 				c := m.Get(p, tc.size, ibsim.AccessLocalWrite)
 				c.Reg.Each(func(Segment) {})
@@ -419,34 +421,88 @@ func TestChunkIsOneObject(t *testing.T) {
 	}
 }
 
-// TestChunkFusedNotRecycled: outside the cache mode a chunk is never reused.
-// Once Put its buffer reports freed, its TPT entry is invalid for good (what
-// a stale rkey or an in-flight Read still holding it sees), and the next Get
-// of the same size is a new chunk at a higher address.
-func TestChunkFusedNotRecycled(t *testing.T) {
+// fill sets every byte of b to v.
+func fill(b []byte, v byte) {
+	for i := range b {
+		b[i] = v
+	}
+}
+
+// TestPutChunkAddressDiesForGood: once Put, a staging chunk's address
+// resolves to nothing for good, whether or not its record is reused. A peer's
+// Read there through the global steering tag, which reaches every live
+// buffer of the node, brings no byte — neither the Put chunk's nor the next
+// one's —, the next Get is at a higher address, and a Regular chunk's MR
+// stays invalid. An FMR or all-physical chunk holds no MR and may come back
+// as the next Get's; a Regular one never does (its MR served one
+// registration).
+func TestPutChunkAddressDiesForGood(t *testing.T) {
+	const size = 64 << 10
 	for _, mode := range []Mode{Regular, FMR, AllPhysical} {
 		sim := des.New()
-		node := costNode(sim)
+		fab := ibsim.NewFabric(sim, true)
+		node := fab.AddNode(ibsim.NodeConfig{Name: "n", Cores: 4})
+		peer := fab.AddNode(ibsim.NodeConfig{Name: "peer", Cores: 1})
+		qp, _ := fab.Connect(peer, node, ibsim.QPConfig{})
+		global := node.HCA.EnableGlobalRkey()
+		// read returns the first byte a peer's 4 KiB Read at addr brings, 0
+		// for none.
+		read := func(p *des.Proc, addr uint64) byte {
+			local := peer.Mem.AllocMaterialized(4096)
+			cqe := qp.PostAndWait(p, &ibsim.SendWQE{
+				Op: ibsim.OpRead, Local: []ibsim.LocalSeg{{Buf: local, Len: 4096}},
+				RemoteKey: global.Rkey(), RemoteAddr: addr,
+			})
+			if cqe.Err != nil {
+				t.Fatalf("%v: the Read at %#x completed with %v", mode, addr, cqe.Err)
+			}
+			return local.Data()[0]
+		}
 		sim.Spawn("op", func(p *des.Proc) {
 			m := NewManager(p, node, Config{Mode: mode, FMRPoolSize: 4})
-			c := m.Get(p, 64<<10, ibsim.AccessLocalWrite|ibsim.AccessRemoteRead)
-			mr := c.Reg.mr
+			// Two chunks stay live throughout, so the node's address index
+			// keeps the Put chunk's entry instead of compacting it away.
+			held := []*Chunk{m.Get(p, size, ibsim.AccessLocalWrite), m.Get(p, size, ibsim.AccessLocalWrite)}
+			c := m.Get(p, size, ibsim.AccessLocalWrite|ibsim.AccessRemoteRead)
+			mr, base := c.Reg.mr, c.Buf.Base
 			if (mr != nil) != (mode == Regular) {
 				t.Errorf("%v: registration MR = %v", mode, mr)
 			}
-			m.Put(p, c)
-			if !c.Buf.Freed() {
-				t.Errorf("%v: a Put chunk's buffer is not freed", mode)
+			fill(c.Data(), 0x11)
+			if got := read(p, base); got != 0x11 {
+				t.Fatalf("%v: a Read of the live chunk brought %#x, want 0x11", mode, got)
 			}
+			m.Put(p, c)
 			if mr != nil && mr.Valid() { // an FMR's MR lives in its handle, all-physical has none
 				t.Errorf("%v: a Put chunk's MR is still valid", mode)
 			}
-			next := m.Get(p, 64<<10, ibsim.AccessLocalWrite|ibsim.AccessRemoteRead)
-			if next == c || next.Buf.Base <= c.Buf.Base {
-				t.Errorf("%v: the next Get returned chunk %p at %#x after %p at %#x: want a new chunk at a higher address",
-					mode, next, next.Buf.Base, c, c.Buf.Base)
+			next := m.Get(p, size, ibsim.AccessLocalWrite|ibsim.AccessRemoteRead)
+			fill(next.Data(), 0x5a)
+			if next.Buf.Base <= base {
+				t.Errorf("%v: the next Get is at %#x after %#x: want a higher address", mode, next.Buf.Base, base)
 			}
-			m.Put(p, next)
+			if mode == Regular && next == c {
+				t.Errorf("%v: the next Get reused the Put chunk", mode)
+			}
+			for _, off := range []uint64{0, size - 4096} {
+				if got := read(p, base+off); got != 0 {
+					t.Errorf("%v: a Read at the Put chunk's %#x+%d brought %#x, want nothing", mode, base, off, got)
+				}
+			}
+			if got := read(p, next.Buf.Base); got != 0x5a {
+				t.Errorf("%v: a Read of the next chunk brought %#x, want 0x5a", mode, got)
+			}
+			for _, c := range append(held, next) {
+				m.Put(p, c)
+			}
+			func() { // a chunk reused or not, its second Put is the caller's bug
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%v: a second Put of a chunk did not panic", mode)
+					}
+				}()
+				m.Put(p, next)
+			}()
 		})
 		sim.Run()
 	}
@@ -465,48 +521,49 @@ func TestChunkSizes(t *testing.T) {
 }
 
 // TestReadInFlightOverPutChunk: a peer's RDMA Read that the responder has
-// accepted is still on the wire when the Regular chunk it reads is Put. The
-// Read completes, and brings no byte of the chunk allocated next: the dead
-// chunk's MR keeps its fields, so the Read resolves to the freed buffer.
+// accepted is still on the wire when the chunk it reads is Put and the next
+// chunk is got — under FMR and all-physical, the same record at a new
+// address. The Read completes, and brings no byte of the next chunk: the dead
+// region resolves to the freed buffer (Regular: its MR keeps its fields) or
+// to nothing (an FMR mapping whose buffer moved, the global region's freed
+// range).
 func TestReadInFlightOverPutChunk(t *testing.T) {
-	sim := des.New()
-	fab := ibsim.NewFabric(sim, true)
-	srv := fab.AddNode(ibsim.NodeConfig{Name: "srv", Cores: 4, DeregBase: 5 * time.Microsecond})
-	peer := fab.AddNode(ibsim.NodeConfig{Name: "peer", Cores: 1})
-	qp, _ := fab.Connect(peer, srv, ibsim.QPConfig{})
-	const size = 64 << 10 // 73 µs on the wire at the default 900 MB/s
-	sim.Spawn("srv", func(p *des.Proc) {
-		m := NewManager(p, srv, Config{Mode: Regular})
-		c := m.Get(p, size, ibsim.AccessLocalWrite|ibsim.AccessRemoteRead)
-		mr := c.Reg.mr
-		for i := range c.Data() {
-			c.Data()[i] = 0x11
-		}
-		var next *Chunk
-		sim.Spawn("peer", func(p *des.Proc) {
-			local := peer.Mem.AllocMaterialized(size)
-			cqe := qp.PostAndWait(p, &ibsim.SendWQE{
-				Op: ibsim.OpRead, Local: []ibsim.LocalSeg{{Buf: local, Len: size}},
-				RemoteKey: mr.Rkey(), RemoteAddr: mr.Start(),
+	for _, mode := range []Mode{Regular, FMR, AllPhysical} {
+		sim := des.New()
+		fab := ibsim.NewFabric(sim, true)
+		srv := fab.AddNode(ibsim.NodeConfig{Name: "srv", Cores: 4, DeregBase: 5 * time.Microsecond})
+		peer := fab.AddNode(ibsim.NodeConfig{Name: "peer", Cores: 1})
+		qp, _ := fab.Connect(peer, srv, ibsim.QPConfig{})
+		const size = 64 << 10 // 73 µs on the wire at the default 900 MB/s
+		sim.Spawn("srv", func(p *des.Proc) {
+			m := NewManager(p, srv, Config{Mode: mode, FMRPoolSize: 4})
+			c := m.Get(p, size, ibsim.AccessLocalWrite|ibsim.AccessRemoteRead)
+			mr, seg := c.Reg.mr, segments(c.Reg)[0]
+			fill(c.Data(), 0x11)
+			var next *Chunk
+			sim.Spawn("peer", func(p *des.Proc) {
+				local := peer.Mem.AllocMaterialized(size)
+				cqe := qp.PostAndWait(p, &ibsim.SendWQE{
+					Op: ibsim.OpRead, Local: []ibsim.LocalSeg{{Buf: local, Len: size}},
+					RemoteKey: seg.Rkey, RemoteAddr: seg.Addr,
+				})
+				if cqe.Err != nil || cqe.Bytes != size {
+					t.Errorf("%v: the Read completed with %v, %d bytes", mode, cqe.Err, cqe.Bytes)
+					return
+				}
+				if next == nil || mr != nil && mr.Valid() {
+					t.Errorf("%v: the Read landed before the chunk was Put and another got", mode)
+					return
+				}
+				if bytes.IndexByte(local.Data(), 0x5a) >= 0 {
+					t.Errorf("%v: the Read brought bytes of the chunk got after the Put", mode)
+				}
 			})
-			if cqe.Err != nil || cqe.Bytes != size {
-				t.Errorf("the Read completed with %v, %d bytes", cqe.Err, cqe.Bytes)
-				return
-			}
-			if mr.Valid() || !c.Buf.Freed() || next == nil {
-				t.Errorf("the Read landed before the chunk was Put and another allocated: MR valid %v, freed %v", mr.Valid(), c.Buf.Freed())
-				return
-			}
-			if bytes.IndexByte(local.Data(), 0x5a) >= 0 {
-				t.Error("the Read brought bytes of the chunk allocated after the Put")
-			}
+			p.Sleep(10 * time.Microsecond) // the Read is accepted, its data on the wire
+			m.Put(p, c)
+			next = m.Get(p, size, ibsim.AccessLocalWrite|ibsim.AccessRemoteRead)
+			fill(next.Data(), 0x5a)
 		})
-		p.Sleep(10 * time.Microsecond) // the Read is accepted, its data on the wire
-		m.Put(p, c)
-		next = m.Get(p, size, ibsim.AccessLocalWrite|ibsim.AccessRemoteRead)
-		for i := range next.Data() {
-			next.Data()[i] = 0x5a
-		}
-	})
-	sim.Run()
+		sim.Run()
+	}
 }

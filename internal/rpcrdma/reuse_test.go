@@ -14,12 +14,15 @@ import (
 )
 
 // freeLists is the length of every free list a server run fills: the fabric's
-// work requests, per shard its tasks and its CQ's receive completions, and
-// the dispatcher's requests.
-type freeLists struct{ wqes, tasks, cqes, requests int }
+// work requests, per shard its tasks and its CQ's receive completions, the
+// dispatcher's requests, and the staging chunks every Manager keeps.
+type freeLists struct{ wqes, tasks, cqes, requests, chunks int }
 
 func (e *scaleEnv) freeLists() freeLists {
 	fl := freeLists{wqes: e.fab.FreeWQEs(), requests: e.disp.FreeRequests()}
+	for _, m := range e.mgrs {
+		fl.chunks += m.FreeChunks()
+	}
 	groups := e.st.shards
 	if e.st.legacy != nil {
 		groups = append(groups, e.st.legacy)
@@ -39,14 +42,23 @@ func (e *scaleEnv) freeLists() freeLists {
 // no longer than the burst was deep — a task per call, a receive completion
 // per call and per RDMA_DONE, a request per call Send, deposit Write pair and
 // DONE, a dispatcher request per worker (only a worker's call is in its
-// handler) — and a second identical burst runs entirely on what the first left:
-// no list grows. What waits on a list is zeroed, so it pins no connection,
-// wire message or buffer meanwhile.
+// handler), and under all-physical registration a chunk per call's reply
+// slot and per its deposit (Regular chunks are never reused) — and a second
+// identical burst runs entirely on what the first left: no list grows. What
+// waits on a list is zeroed, so it pins no connection, wire message or
+// buffer meanwhile.
 func TestFreeListsBoundedByBurstDepth(t *testing.T) {
+	for _, mode := range []memreg.Mode{memreg.Regular, memreg.AllPhysical} {
+		t.Run(mode.String(), func(t *testing.T) { testFreeListsBoundedByBurstDepth(t, mode) })
+	}
+}
+
+func testFreeListsBoundedByBurstDepth(t *testing.T, mode memreg.Mode) {
 	const clients, depth = 64, 32 // 2048 calls in flight at once
 	cfg := Config{Design: ReplyFetch, Workers: 4, Shards: 2}
 	sim := des.New()
 	e := newScaleEnv(sim, clients)
+	e.mode = mode
 	sim.Spawn("setup", func(p *des.Proc) {
 		e.startServer(p, cfg)
 		var rpcs []*oncrpc.Client
@@ -83,9 +95,9 @@ func TestFreeListsBoundedByBurstDepth(t *testing.T) {
 		if queued < clients*depth/2 {
 			t.Fatalf("work queues peaked at %d tasks in all: not the %d-deep burst this test is about", queued, clients*depth)
 		}
-		if max := (freeLists{wqes: 4 * clients * depth, tasks: queued + cfg.Workers + 2*cfg.Shards, cqes: 2 * clients * depth, requests: cfg.Workers}); first.wqes > max.wqes || first.tasks > max.tasks || first.cqes > max.cqes || first.requests > max.requests ||
-			first.wqes == 0 || first.tasks == 0 || first.cqes == 0 || first.requests == 0 {
-			t.Errorf("free lists after the burst = %+v, want each used and at most the peak in flight %+v", first, max)
+		if max := (freeLists{wqes: 4 * clients * depth, tasks: queued + cfg.Workers + 2*cfg.Shards, cqes: 2 * clients * depth, requests: cfg.Workers, chunks: 2 * clients * depth}); first.wqes > max.wqes || first.tasks > max.tasks || first.cqes > max.cqes || first.requests > max.requests || first.chunks > max.chunks ||
+			first.wqes == 0 || first.tasks == 0 || first.cqes == 0 || first.requests == 0 || (first.chunks == 0) != (mode == memreg.Regular) {
+			t.Errorf("free lists after the burst = %+v, want each used (chunks only if reused) and at most the peak in flight %+v", first, max)
 		}
 		burst()
 		if second := e.freeLists(); second != first {

@@ -22,6 +22,8 @@ type scaleEnv struct {
 	st      *ServerTransport
 	disp    *oncrpc.Dispatcher
 	svc     *blobService
+	mode    memreg.Mode       // of every Manager; Regular unless set before startServer
+	mgrs    []*memreg.Manager // the server's, then each dialed client's
 }
 
 func newScaleEnv(sim *des.Sim, nclients int) *scaleEnv {
@@ -35,7 +37,8 @@ func newScaleEnv(sim *des.Sim, nclients int) *scaleEnv {
 }
 
 func (e *scaleEnv) startServer(p *des.Proc, cfg Config) {
-	smgr := memreg.NewManager(p, e.server, memreg.Config{})
+	smgr := memreg.NewManager(p, e.server, memreg.Config{Mode: e.mode})
+	e.mgrs = append(e.mgrs, smgr)
 	e.disp = oncrpc.NewDispatcher()
 	e.disp.Register(e.svc)
 	e.st = NewServerTransport(e.server, smgr, e.disp, cfg)
@@ -47,7 +50,8 @@ func (e *scaleEnv) dial(p *des.Proc, i int, cfg Config) (*ClientTransport, *oncr
 	if !e.st.TryServe(sq) {
 		return nil, nil, cq, false
 	}
-	cmgr := memreg.NewManager(p, e.clients[i], memreg.Config{})
+	cmgr := memreg.NewManager(p, e.clients[i], memreg.Config{Mode: e.mode})
+	e.mgrs = append(e.mgrs, cmgr)
 	ct := NewClientTransport(cq, cmgr, cfg)
 	return ct, oncrpc.NewClient(ct, 4242, 1, oncrpc.Auth{}), cq, true
 }
